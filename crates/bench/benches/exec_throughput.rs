@@ -12,9 +12,7 @@ use gmt_core::{CocoConfig, Parallelizer, Scheduler};
 use gmt_ir::decoded::{DecodedFunction, DecodedProgram};
 use gmt_ir::interp::{run_decoded_with_memory, run_with_memory_reference};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, QueueConfig};
-use gmt_sim::{
-    simulate_decoded, simulate_decoded_opts, simulate_reference, MachineConfig, SimOptions,
-};
+use gmt_sim::{simulate_decoded_opts, simulate_reference, MachineConfig, SimOptions};
 use gmt_testkit::BenchGroup;
 use gmt_workloads::{exec_config, Workload};
 use std::hint::black_box;
@@ -94,8 +92,14 @@ fn sim(kernels: &[(Workload, u64)]) {
         let program = DecodedProgram::decode(st).expect("decode");
         group.bench(&format!("{}/decoded/{instrs}_instrs", w.benchmark), || {
             black_box(
-                simulate_decoded(&program, &w.train_args, w.init, &machine)
-                    .expect("decoded sim"),
+                simulate_decoded_opts(
+                    &program,
+                    &w.train_args,
+                    w.init,
+                    &machine,
+                    SimOptions::default(),
+                )
+                .expect("decoded sim"),
             )
         });
     }

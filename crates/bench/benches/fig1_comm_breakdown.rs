@@ -5,16 +5,21 @@
 //! row (PDG → partition → MTCG → functional MT run).
 
 use gmt_bench::print_once;
-use gmt_harness::{evaluate, Scale, SchedulerKind};
+use gmt_harness::figures::render_figure1;
+use gmt_harness::{evaluate, run_all, Scale, SchedulerKind};
 use gmt_testkit::BenchGroup;
 use std::hint::black_box;
+
+fn figure(kind: SchedulerKind) -> String {
+    render_figure1(&run_all(kind, false, Scale::Quick), kind)
+}
 
 fn main() {
     print_once("Figure 1 (quick scale)", || {
         format!(
             "{}\n{}",
-            gmt_harness::figures::figure1(SchedulerKind::Gremio, Scale::Quick),
-            gmt_harness::figures::figure1(SchedulerKind::Dswp, Scale::Quick)
+            figure(SchedulerKind::Gremio),
+            figure(SchedulerKind::Dswp)
         )
     });
 

@@ -5,17 +5,22 @@
 
 use gmt_bench::print_once;
 use gmt_core::CocoConfig;
-use gmt_harness::{Scale, SchedulerKind};
+use gmt_harness::figures::render_figure7;
+use gmt_harness::{run_all, Scale, SchedulerKind};
 use gmt_pdg::Pdg;
 use gmt_testkit::BenchGroup;
 use std::hint::black_box;
+
+fn figure(kind: SchedulerKind) -> String {
+    render_figure7(&run_all(kind, false, Scale::Quick), kind)
+}
 
 fn main() {
     print_once("Figure 7 (quick scale)", || {
         format!(
             "{}\n{}",
-            gmt_harness::figures::figure7(SchedulerKind::Gremio, Scale::Quick),
-            gmt_harness::figures::figure7(SchedulerKind::Dswp, Scale::Quick)
+            figure(SchedulerKind::Gremio),
+            figure(SchedulerKind::Dswp)
         )
     });
 

@@ -5,17 +5,22 @@
 //! (cycles-per-second throughput of the machine model).
 
 use gmt_bench::print_once;
-use gmt_harness::{Scale, SchedulerKind};
+use gmt_harness::figures::render_figure8;
+use gmt_harness::{run_all, Scale, SchedulerKind};
 use gmt_sim::{simulate, MachineConfig};
 use gmt_testkit::BenchGroup;
 use std::hint::black_box;
+
+fn figure(kind: SchedulerKind) -> String {
+    render_figure8(&run_all(kind, true, Scale::Quick), kind)
+}
 
 fn main() {
     print_once("Figure 8 (quick scale)", || {
         format!(
             "{}\n{}",
-            gmt_harness::figures::figure8(SchedulerKind::Gremio, Scale::Quick),
-            gmt_harness::figures::figure8(SchedulerKind::Dswp, Scale::Quick)
+            figure(SchedulerKind::Gremio),
+            figure(SchedulerKind::Dswp)
         )
     });
 

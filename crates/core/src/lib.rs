@@ -68,7 +68,6 @@ pub mod mtverify;
 mod pipeline;
 mod pos;
 mod safety;
-mod schedule_cache;
 
 pub use coco::{optimize, CocoConfig, CocoStats};
 pub use estimate::SchedEstimate;
@@ -77,4 +76,3 @@ pub use mtverify::{verify_mt, verify_mt_uniform, MtVerifyError, WaitStep};
 pub use pipeline::{CompileTimings, Parallelized, Parallelizer, PipelineError, Scheduler};
 pub use pos::{Pos, PosArc, PosGraph};
 pub use safety::Safety;
-pub use schedule_cache::{partition_key, program_key, ScheduleCache};

@@ -166,7 +166,7 @@ fn seq_cross_check(
     exec: &ExecConfig,
 ) -> Result<Result<RunResult, ExecError>, String> {
     let dec = gmt_ir::interp::run(f, &[], exec);
-    let refr = gmt_ir::interp::run_reference(f, &[], exec);
+    let refr = gmt_ir::interp::run_with_memory_reference(f, &[], |_, _| {}, exec);
     match (dec, refr) {
         (Ok(d), Ok(r)) => {
             if d.return_value != r.return_value {

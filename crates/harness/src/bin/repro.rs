@@ -45,8 +45,8 @@
 use gmt_harness::figures;
 use gmt_harness::{
     comm_attribution_table, explain_cell, explain_json, explain_report, metrics_table,
-    queue_comm_table, run_all_metrics, stall_table, trace_cell, verify_matrix, verify_table,
-    Scale, SchedulerKind,
+    queue_comm_table, run_all, run_all_metrics, stall_table, trace_cell, verify_matrix,
+    verify_table, Scale, SchedulerKind,
 };
 use std::collections::HashSet;
 
@@ -227,23 +227,21 @@ fn main() {
         print!("{}", figures::figure6b());
         println!();
     }
-    if want("1") {
-        for &k in &scheds {
-            print!("{}", figures::figure1(k, scale));
-            println!();
-        }
-    }
-    if want("7") {
-        for &k in &scheds {
-            print!("{}", figures::figure7(k, scale));
-            println!();
-        }
-    }
-    if want("8") {
-        for &k in &scheds {
-            print!("{}", figures::figure8(k, scale));
-            println!();
-        }
+    // One evaluation of the matrix per scheduler serves whichever of
+    // Figures 1, 7 and 8 were asked for; only Figure 8 needs it timed.
+    if want("1") || want("7") || want("8") {
+        let rows: Vec<_> = scheds.iter().map(|&k| (k, run_all(k, want("8"), scale))).collect();
+        let print_figure = |id, render: fn(&[figures::FigureRow], SchedulerKind) -> String| {
+            if want(id) {
+                for (k, rows) in &rows {
+                    print!("{}", render(rows, *k));
+                    println!();
+                }
+            }
+        };
+        print_figure("1", figures::render_figure1);
+        print_figure("7", figures::render_figure7);
+        print_figure("8", figures::render_figure8);
     }
     if fig == "scaling" {
         for &k in &scheds {
@@ -379,14 +377,6 @@ fn run_metrics(scheds: &[SchedulerKind], scale: Scale) {
     print!("{}", metrics_table(&records));
     println!();
     print!("{}", stall_table(&records));
-    let probes: u64 = records.iter().map(|m| m.arb_probes).sum();
-    let hits: u64 = records.iter().map(|m| m.arb_hits).sum();
-    if probes > 0 {
-        println!(
-            "arbitration cache: {hits}/{probes} hits ({:.1}%)",
-            hits as f64 * 100.0 / probes as f64
-        );
-    }
     // Aggregate fast-forward ratio, only over records that actually ran
     // the timed engine (no ratio exists for engine_steps == 0).
     let steps: u64 = records.iter().map(|m| m.engine_steps).sum();

@@ -1,0 +1,270 @@
+//! The one compiled cell of the experiment matrix.
+//!
+//! The paper's §4 methodology is one recipe per kernel × scheduler:
+//! profile on the train input, build the PDG, partition, generate
+//! baseline MTCG and MTCG+COCO code over that partition, measure.
+//! [`compile_cell`] is that recipe, spelled once; every mode of the
+//! harness ([`crate::evaluate_full`], [`crate::trace_cell`],
+//! [`crate::explain_cell`], [`crate::verify_cell`]) obtains its
+//! programs, machine and queue file from it, so what `--verify-mt`
+//! verifies and `--explain` explains is exactly what the figures
+//! measure.
+
+use crate::{fail, HarnessError, Scale, SchedulerKind};
+use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
+use gmt_ir::decoded::DecodedProgram;
+use gmt_ir::interp_mt::QueueConfig;
+use gmt_ir::Profile;
+use gmt_pdg::{Partition, Pdg, ThreadId};
+use gmt_sched::gremio::GremioConfig;
+use gmt_sim::{
+    check_attribution, simulate_decoded_opts, simulate_decoded_traced_opts, MachineConfig,
+    SimOptions, SimResult, TraceAggregator, TraceSink,
+};
+use gmt_workloads::Workload;
+use std::time::Instant;
+
+/// One generated program of a cell, ready for every executor.
+#[derive(Clone, Debug)]
+pub struct CompiledVariant {
+    /// `"mtcg"` (baseline) or `"coco"`.
+    pub name: &'static str,
+    /// The pipeline's output: threads, plan, timings, static estimate.
+    pub parallelized: Parallelized,
+    /// The threads lowered once for the decoded executors.
+    pub program: DecodedProgram,
+    /// The simulated machine: the default machine at the scheduler's
+    /// paper queue depth.
+    pub machine: MachineConfig,
+    /// The functional queue file matching `machine`.
+    pub queues: QueueConfig,
+}
+
+/// One kernel × scheduler, compiled the way every mode measures it:
+/// one PDG, one partition, baseline MTCG and MTCG+COCO over it.
+#[derive(Clone, Debug)]
+pub struct CompiledCell<'w> {
+    /// The kernel.
+    pub workload: &'w Workload,
+    /// The scheduler that partitioned it.
+    pub kind: SchedulerKind,
+    /// Arguments of the measured input (train for [`Scale::Quick`], ref
+    /// for [`Scale::Full`]); the profile always comes from train.
+    pub args: &'w [i64],
+    /// The dependence graph both variants were generated from.
+    pub pdg: Pdg,
+    /// Candidate schedules GREMIO's arbitration timed on the train
+    /// input (0 for DSWP, which arbitrates nothing).
+    pub arb_probes: u64,
+    /// Baseline MTCG.
+    pub mtcg: CompiledVariant,
+    /// MTCG + COCO, over the same partition.
+    pub coco: CompiledVariant,
+}
+
+/// Raw events kept by the aggregator's ring buffer (the summary tables
+/// cover the whole run regardless).
+pub const TRACE_RING_CAPACITY: usize = 4096;
+
+impl CompiledCell<'_> {
+    /// The COCO variant if `coco`, else baseline MTCG.
+    pub fn variant(&self, coco: bool) -> &CompiledVariant {
+        if coco {
+            &self.coco
+        } else {
+            &self.mtcg
+        }
+    }
+
+    /// Simulates `v` on the measured input with a [`TraceAggregator`]
+    /// and `extra` attached, and checks the attribution invariant
+    /// (every core's decomposition sums to the run's cycle count).
+    pub(crate) fn simulate_traced<S: TraceSink>(
+        &self,
+        v: &CompiledVariant,
+        extra: S,
+    ) -> Result<(SimResult, TraceAggregator, S), HarnessError> {
+        let (w, b) = (self.workload, self.workload.benchmark);
+        let ncores = v.program.threads().len();
+        let aggregator = TraceAggregator::new(ncores, v.machine.sa.num_queues, TRACE_RING_CAPACITY);
+        let mut sink = (aggregator, extra);
+        let opts = SimOptions::default();
+        let result =
+            simulate_decoded_traced_opts(&v.program, self.args, w.init, &v.machine, &mut sink, opts)
+                .map_err(fail(b, "traced sim"))?;
+        check_attribution(&sink.0, &result).map_err(fail(b, "attribution check"))?;
+        Ok((result, sink.0, sink.1))
+    }
+}
+
+/// Compiles one kernel under one scheduler (see the module docs).
+///
+/// DSWP uses the analytic partitioner directly. For GREMIO — whose
+/// candidate schedules' real throughput depends on queue round-trips
+/// the analytic score cannot see — the candidates are arbitrated by
+/// *timed runs of the generated (COCO) code on the train input*:
+/// profile-guided partition selection, with the single-threaded
+/// fallback guaranteeing the partitioner never degrades the program.
+///
+/// # Errors
+///
+/// Returns a [`HarnessError`] naming the benchmark and the failing
+/// phase. A GREMIO candidate that fails to compile simply loses the
+/// arbitration; only a failure on the *chosen* partition surfaces.
+pub fn compile_cell(
+    w: &Workload,
+    kind: SchedulerKind,
+    scale: Scale,
+) -> Result<CompiledCell<'_>, HarnessError> {
+    let b = w.benchmark;
+    let train = w.run_train().map_err(fail(b, "train run"))?;
+    let profile = &train.profile;
+    let t = Instant::now();
+    let pdg = Pdg::build(&w.function);
+    let pdg_build_ns = t.elapsed().as_nanos() as u64;
+    let t = Instant::now();
+    let (partition, arb_probes) = match kind.scheduler() {
+        Scheduler::Dswp(cfg) => (
+            gmt_sched::dswp::partition(&w.function, &pdg, profile, &cfg)
+                .map_err(fail(b, "dswp partition"))?,
+            0,
+        ),
+        Scheduler::Gremio(cfg) => arbitrate(w, profile, &pdg, &cfg)?,
+    };
+    let partition_ns = t.elapsed().as_nanos() as u64;
+    let variant = |coco: bool| {
+        let mut v = compile_variant(w, kind, profile, &pdg, &partition, coco)?;
+        v.parallelized.timings.pdg_build_ns = pdg_build_ns;
+        v.parallelized.timings.partition_ns = partition_ns;
+        Ok(v)
+    };
+    Ok(CompiledCell {
+        workload: w,
+        kind,
+        args: match scale {
+            Scale::Quick => &w.train_args,
+            Scale::Full => &w.ref_args,
+        },
+        arb_probes,
+        mtcg: variant(false)?,
+        coco: variant(true)?,
+        pdg,
+    })
+}
+
+/// Generates, decodes and configures one variant over `partition`.
+fn compile_variant(
+    w: &Workload,
+    kind: SchedulerKind,
+    profile: &Profile,
+    pdg: &Pdg,
+    partition: &Partition,
+    coco: bool,
+) -> Result<CompiledVariant, HarnessError> {
+    let b = w.benchmark;
+    let (name, phase) = if coco {
+        ("coco", "coco parallelization")
+    } else {
+        ("mtcg", "baseline parallelization")
+    };
+    let mut parallelizer = Parallelizer::new(kind.scheduler());
+    if coco {
+        parallelizer = parallelizer.with_coco(CocoConfig::default());
+    }
+    let parallelized = parallelizer
+        .parallelize_with_partition(&w.function, profile, pdg, partition.clone())
+        .map_err(fail(b, phase))?;
+    let program = DecodedProgram::decode(parallelized.threads()).map_err(fail(b, "decode"))?;
+    // MTCG's queue allocation (`gmt_mtcg::queues`, the paper's footnote
+    // 1) folds every plan into the 256-queue synchronization array, so
+    // the default array always fits.
+    let machine = MachineConfig::default().with_queue_depth(kind.queue_depth());
+    let queues = QueueConfig {
+        num_queues: parallelized.num_queues().max(1) as usize,
+        capacity: kind.queue_depth(),
+    };
+    Ok(CompiledVariant { name, parallelized, program, machine, queues })
+}
+
+/// GREMIO's timed arbitration: each genuinely parallel candidate is
+/// compiled (with COCO) and simulated on the train input once; the
+/// fastest is kept unless it clearly loses (>10% slower) to running
+/// single-threaded. Returns the chosen partition and the number of
+/// candidates timed.
+fn arbitrate(
+    w: &Workload,
+    profile: &Profile,
+    pdg: &Pdg,
+    cfg: &GremioConfig,
+) -> Result<(Partition, u64), HarnessError> {
+    let candidates = gmt_sched::gremio::candidates(&w.function, pdg, profile, cfg)
+        .map_err(fail(w.benchmark, "gremio candidate enumeration"))?;
+    // "Genuinely parallel" = the lighter thread owns a meaningful share
+    // of the code, not a token offload.
+    let block_weights = profile.block_weights(&w.function);
+    let meaningful = |p: &Partition| {
+        let sizes = p.dynamic_sizes(|i| block_weights[w.function.block_of(i).index()].max(1));
+        let total: u64 = sizes.iter().sum();
+        sizes.iter().filter(|&&s| s > 0).count() > 1
+            && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
+    };
+    // A candidate that fails to compile or simulate scores u64::MAX
+    // and loses.
+    let mut probes = 0;
+    let mut train_cycles = |p: &Partition| {
+        probes += 1;
+        compile_variant(w, SchedulerKind::Gremio, profile, pdg, p, true)
+            .ok()
+            .and_then(|v| {
+                let opts = SimOptions::default();
+                simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts).ok()
+            })
+            .map_or(u64::MAX, |r| r.cycles)
+    };
+    let best = candidates
+        .into_iter()
+        .map(|(_, p)| p)
+        .filter(|p| meaningful(p))
+        .map(|p| (train_cycles(&p), p))
+        .min_by_key(|(cycles, _)| *cycles);
+    // Arbitrate against the true single-threaded layout, not a
+    // token-offload candidate.
+    let mut single = Partition::new(cfg.num_threads);
+    for i in w.function.all_instrs() {
+        single.assign(i, ThreadId(0));
+    }
+    let chosen = match best {
+        Some((cycles, mt)) if cycles as f64 <= train_cycles(&single) as f64 * 1.10 => mt,
+        _ => single,
+    };
+    Ok((chosen, probes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The deterministic work counter of GREMIO's arbitration: over the
+    /// 11-kernel matrix every candidate (and the single-thread fallback
+    /// it is guarded against) is compiled and simulated exactly once.
+    #[test]
+    fn gremio_arbitration_times_33_candidates() {
+        let probes: u64 = gmt_workloads::catalog()
+            .iter()
+            .map(|w| compile_cell(w, SchedulerKind::Gremio, Scale::Quick).unwrap().arb_probes)
+            .sum();
+        assert_eq!(probes, 33);
+    }
+
+    #[test]
+    fn dswp_builds_one_partition_for_both_variants() {
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Full).unwrap();
+        assert_eq!(cell.arb_probes, 0, "DSWP arbitrates nothing");
+        assert_eq!(cell.args, &w.ref_args[..]);
+        assert_eq!(cell.mtcg.parallelized.partition, cell.coco.parallelized.partition);
+        assert_eq!((cell.mtcg.name, cell.coco.name), ("mtcg", "coco"));
+        assert_eq!(cell.coco.queues.capacity, 32);
+        assert_eq!(cell.coco.machine.sa.depth_of(0), 32);
+    }
+}

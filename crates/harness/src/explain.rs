@@ -6,9 +6,10 @@
 //!   the partition and communication plan were fixed (per-thread
 //!   compute+comm cycles, cut edges, per-queue traffic);
 //! - **dynamically** — a traced run of the decoded engine with the
-//!   [`TraceAggregator`] (cycle attribution, queue counters, occupancy
-//!   distributions) and the [`CritPathSink`] (the run's dynamic
-//!   critical path, reconstructed from last-arrival edges) attached.
+//!   [`gmt_sim::TraceAggregator`] (cycle attribution, queue counters,
+//!   occupancy distributions) and the [`CritPathSink`] (the run's
+//!   dynamic critical path, reconstructed from last-arrival edges)
+//!   attached.
 //!
 //! [`explain_report`] joins the two sides into one deterministic
 //! human-readable report: per-thread estimated vs. measured cycles,
@@ -24,13 +25,12 @@
 //! edges sum to the cycle count exactly) — a violation is an engine
 //! bug and surfaces as a [`HarnessError`].
 
-use crate::{fail, machine_for, parallelize_pair, HarnessError, Scale, SchedulerKind};
-use crate::trace_report::TRACE_RING_CAPACITY;
+use crate::{compile_cell, fail, HarnessError, Scale, SchedulerKind};
 use gmt_core::SchedEstimate;
 use gmt_mtcg::QueueLabel;
 use gmt_sim::{
-    check_attribution, check_critical_path, simulate_decoded_traced, CpKind, CritPath,
-    CritPathSink, CycleAttribution, OccupancySummary, QueueTraceStats, TraceAggregator,
+    check_critical_path, CpKind, CritPath, CritPathSink, CycleAttribution, OccupancySummary,
+    QueueTraceStats,
 };
 use gmt_testkit::json_escape;
 use gmt_workloads::Workload;
@@ -83,40 +83,24 @@ pub fn explain_cell(
     coco: bool,
     scale: Scale,
 ) -> Result<ExplainCell, HarnessError> {
-    let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
-    let (base, opt, _arb) = parallelize_pair(w, kind, &train.profile)?;
-    let p = if coco { &opt } else { &base };
-    let machine = machine_for(p, kind);
-    let program =
-        gmt_ir::decoded::DecodedProgram::decode(p.threads()).map_err(fail(b, "decode"))?;
-    let args: &[i64] = match scale {
-        Scale::Quick => &w.train_args,
-        Scale::Full => &w.ref_args,
-    };
-    let ncores = p.threads().len();
-    let nqueues = machine.sa.num_queues;
-    let mut sink = (
-        TraceAggregator::new(ncores, nqueues, TRACE_RING_CAPACITY),
-        CritPathSink::new(&program, nqueues),
-    );
-    let result = simulate_decoded_traced(&program, args, w.init, &machine, &mut sink)
-        .map_err(fail(b, "traced sim"))?;
-    check_attribution(&sink.0, &result).map_err(fail(b, "attribution check"))?;
-    let critpath =
-        check_critical_path(&sink.1, &result).map_err(fail(b, "critical-path check"))?;
+    let cell = compile_cell(w, kind, scale)?;
+    let v = cell.variant(coco);
+    let walker = CritPathSink::new(&v.program, v.machine.sa.num_queues);
+    let (result, aggregator, walker) = cell.simulate_traced(v, walker)?;
+    let critpath = check_critical_path(&walker, &result)
+        .map_err(fail(w.benchmark, "critical-path check"))?;
     Ok(ExplainCell {
-        benchmark: b,
+        benchmark: w.benchmark,
         scheduler: kind.name(),
-        variant: if coco { "coco" } else { "mtcg" },
+        variant: v.name,
         cycles: result.cycles,
-        estimate: p.estimate.clone(),
-        attribution: sink.0.core_attribution(),
-        queues: sink.0.queue_stats().to_vec(),
-        occupancy: sink.0.queue_occupancy(),
-        labels: p.queue_labels().to_vec(),
+        estimate: v.parallelized.estimate.clone(),
+        attribution: aggregator.core_attribution(),
+        queues: aggregator.queue_stats().to_vec(),
+        occupancy: aggregator.queue_occupancy(),
+        labels: v.parallelized.queue_labels().to_vec(),
         critpath,
-        dropped_events: sink.0.dropped_events(),
+        dropped_events: aggregator.dropped_events(),
     })
 }
 

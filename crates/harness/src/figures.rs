@@ -1,13 +1,11 @@
 //! Formatted reproductions of the paper's figures.
 //!
-//! Each `figureN(kind, scale)` runs its measurements on the worker
-//! pool ([`run_all`]) and renders the rows. The `render_*` functions
-//! take pre-computed results, so tests (and callers that already hold
-//! results) can render without re-running the matrix. A benchmark that
-//! failed renders as a `FAILED (<phase>: <error>)` line in its row
-//! position; averages are taken over the successful rows.
+//! The `render_*` functions take the rows of one [`crate::run_all`]
+//! evaluation, so one pass over the matrix can feed several figures. A
+//! benchmark that failed renders as a `FAILED (<phase>: <error>)` line
+//! in its row position; averages are taken over the successful rows.
 
-use crate::{mean, run_all, BenchResult, HarnessError, Scale, SchedulerKind};
+use crate::{mean, BenchResult, HarnessError, SchedulerKind};
 use gmt_sim::MachineConfig;
 use gmt_workloads::catalog;
 use std::fmt::Write as _;
@@ -25,11 +23,6 @@ fn ok_rows(rows: &[FigureRow]) -> impl Iterator<Item = &BenchResult> {
 
 /// Figure 1: breakdown of dynamic instructions into computation and
 /// communication under baseline MTCG, for one scheduler.
-pub fn figure1(kind: SchedulerKind, scale: Scale) -> String {
-    render_figure1(&run_all(kind, false, scale), kind)
-}
-
-/// Renders Figure 1 from pre-computed rows.
 pub fn render_figure1(rows: &[FigureRow], kind: SchedulerKind) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -79,11 +72,6 @@ pub fn figure6b() -> String {
 
 /// Figure 7: relative dynamic communication / synchronization after
 /// applying COCO, for one scheduler (100% = no reduction).
-pub fn figure7(kind: SchedulerKind, scale: Scale) -> String {
-    render_figure7(&run_all(kind, false, scale), kind)
-}
-
-/// Renders Figure 7 from pre-computed rows.
 pub fn render_figure7(rows: &[FigureRow], kind: SchedulerKind) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 7: relative dynamic communication after COCO, {}", kind.name());
@@ -125,12 +113,7 @@ fn fmt_speedup(s: Option<f64>) -> String {
 }
 
 /// Figure 8: speedup over single-threaded execution, without and with
-/// COCO, for one scheduler. Timed with the cycle-level machine model.
-pub fn figure8(kind: SchedulerKind, scale: Scale) -> String {
-    render_figure8(&run_all(kind, true, scale), kind)
-}
-
-/// Renders Figure 8 from pre-computed rows.
+/// COCO, for one scheduler; needs rows timed with the machine model.
 pub fn render_figure8(rows: &[FigureRow], kind: SchedulerKind) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 8: speedup over single-threaded, {}", kind.name());
@@ -265,10 +248,12 @@ mod tests {
 #[cfg(test)]
 mod render_tests {
     use super::*;
+    use crate::{run_all, Scale};
 
     #[test]
     fn figure1_renders_all_rows() {
-        let t = figure1(SchedulerKind::Dswp, Scale::Quick);
+        let rows = run_all(SchedulerKind::Dswp, false, Scale::Quick);
+        let t = render_figure1(&rows, SchedulerKind::Dswp);
         for w in catalog() {
             assert!(t.contains(w.benchmark), "missing {}", w.benchmark);
         }
@@ -277,7 +262,8 @@ mod render_tests {
 
     #[test]
     fn figure7_renders_with_sync_columns() {
-        let t = figure7(SchedulerKind::Dswp, Scale::Quick);
+        let rows = run_all(SchedulerKind::Dswp, false, Scale::Quick);
+        let t = render_figure7(&rows, SchedulerKind::Dswp);
         assert!(t.contains("MTCG sync"));
         assert!(t.contains("reduction"));
         assert_eq!(t.lines().count(), 2 + 11 + 1, "header x2 + rows + average");

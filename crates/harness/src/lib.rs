@@ -7,7 +7,9 @@
 //! Dynamic instruction counts come from the exact functional
 //! multi-threaded interpreter; cycle counts come from the `gmt-sim`
 //! machine model. Profiles are always collected on *train* inputs and
-//! measurements on *ref* inputs.
+//! measurements on *ref* inputs. Every mode — figures, `--metrics`,
+//! `--trace`, `--explain`, `--verify-mt` — obtains its programs from
+//! the one [`compile_cell`], so they all measure the same code.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -33,21 +35,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gmt_core::{CocoConfig, Parallelized, Parallelizer, ScheduleCache, Scheduler};
+use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
 use gmt_ir::interp::DynCounts;
-use gmt_ir::interp_mt::{run_mt, QueueConfig};
-use gmt_sim::{simulate, MachineConfig};
+use gmt_ir::interp_mt::{run_mt, run_mt_decoded, QueueConfig};
+use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
 use gmt_workloads::{catalog, exec_config, Workload};
 use std::time::Instant;
 
+pub use cell::{compile_cell, CompiledCell, CompiledVariant, TRACE_RING_CAPACITY};
 pub use explain::{
     explain_cell, explain_json, explain_report, verdict, ExplainCell, EXPLAIN_TOP_K,
 };
 pub use metrics::{metrics_table, stall_table, RunMetrics, StallBreakdown};
 pub use verify::{verify_cell, verify_matrix, verify_table, VerifyCell};
-pub use trace_report::{
-    comm_attribution_table, queue_comm_table, trace_cell, TracedCell, TRACE_RING_CAPACITY,
-};
+pub use trace_report::{comm_attribution_table, queue_comm_table, trace_cell, TracedCell};
 
 /// Which partitioner an experiment uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -215,16 +216,6 @@ pub struct Evaluation {
     pub metrics: Vec<RunMetrics>,
 }
 
-/// Candidate-schedule cache statistics of one evaluation's partition
-/// arbitration (GREMIO only; zero for DSWP, which arbitrates nothing).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArbStats {
-    /// Timed candidate evaluations requested.
-    pub probes: u64,
-    /// Evaluations served from the schedule cache.
-    pub hits: u64,
-}
-
 /// Evaluates one workload under one scheduler: baseline MTCG and
 /// MTCG+COCO, functional counts, and (optionally) timed cycles.
 ///
@@ -254,255 +245,65 @@ pub fn evaluate_full(
     scale: Scale,
 ) -> Result<Evaluation, HarnessError> {
     let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
-    let args: &[i64] = match scale {
-        Scale::Quick => &w.train_args,
-        Scale::Full => &w.ref_args,
-    };
-    let seq = gmt_ir::interp::run_with_memory(&w.function, args, w.init, &exec_config())
+    let cell = compile_cell(w, kind, scale)?;
+    let seq = gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
         .map_err(fail(b, "sequential run"))?;
-
-    let (base, coco, arb) = parallelize_pair(w, kind, &train.profile)?;
-
-    let t = Instant::now();
-    let mtcg_counts = measure_counts(w, &base, kind, args).map_err(fail(b, "MTCG run"))?;
-    let mut mtcg_run_ns = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let coco_counts = measure_counts(w, &coco, kind, args).map_err(fail(b, "COCO run"))?;
-    let mut coco_run_ns = t.elapsed().as_nanos() as u64;
-
-    let mut result = BenchResult {
-        benchmark: b,
-        seq_instrs: seq.counts.total(),
-        seq_cycles: 0,
-        mtcg: VariantResult { counts: mtcg_counts, cycles: 0 },
-        coco: VariantResult { counts: coco_counts, cycles: 0 },
+    let seq_cycles = if timed {
+        simulate(std::slice::from_ref(&w.function), cell.args, w.init, &MachineConfig::default())
+            .map_err(fail(b, "sequential sim"))?
+            .cycles
+    } else {
+        0
     };
-    let mut mtcg_stalls = StallBreakdown::default();
-    let mut coco_stalls = StallBreakdown::default();
-    let mut mtcg_engine = (0u64, 0u64); // (engine_steps, skipped_cycles)
-    let mut coco_engine = (0u64, 0u64);
+    let (mtcg, mut base) = measure(&cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
+    let (coco, opt) = measure(&cell, &cell.coco, timed, "COCO run", "timed COCO sim")?;
+    base.arb_probes = cell.arb_probes;
+    Ok(Evaluation {
+        result: BenchResult { benchmark: b, seq_instrs: seq.counts.total(), seq_cycles, mtcg, coco },
+        metrics: vec![base, opt],
+    })
+}
+
+/// Measures one variant of a compiled cell: exact dynamic counts from
+/// the functional interpreter and, when `timed`, cycles from the
+/// machine model.
+fn measure(
+    cell: &CompiledCell,
+    v: &CompiledVariant,
+    timed: bool,
+    run_phase: &'static str,
+    sim_phase: &'static str,
+) -> Result<(VariantResult, RunMetrics), HarnessError> {
+    let w = cell.workload;
+    let t = Instant::now();
+    let counts = run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+        .map_err(fail(w.benchmark, run_phase))?
+        .totals();
+    let mut metrics = RunMetrics {
+        benchmark: w.benchmark,
+        scheduler: cell.kind.name(),
+        variant: v.name,
+        wall_ns: 0,
+        instrs: counts.total(),
+        cycles: 0,
+        timings: v.parallelized.timings,
+        arb_probes: 0,
+        arb_hits: 0,
+        stalls: StallBreakdown::default(),
+        engine_steps: 0,
+        skipped_cycles: 0,
+    };
     if timed {
-        let machine = MachineConfig::default();
-        let seq_sim = simulate(std::slice::from_ref(&w.function), args, w.init, &machine)
-            .map_err(fail(b, "sequential sim"))?;
-        result.seq_cycles = seq_sim.cycles;
-        let t = Instant::now();
-        let sim = timed_sim(w, &base, kind, args).map_err(fail(b, "timed MTCG sim"))?;
-        result.mtcg.cycles = sim.cycles;
-        mtcg_stalls = StallBreakdown::from_cores(&sim.cores);
-        mtcg_engine = (sim.engine_steps, sim.skipped_cycles);
-        mtcg_run_ns += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let sim = timed_sim(w, &coco, kind, args).map_err(fail(b, "timed COCO sim"))?;
-        result.coco.cycles = sim.cycles;
-        coco_stalls = StallBreakdown::from_cores(&sim.cores);
-        coco_engine = (sim.engine_steps, sim.skipped_cycles);
-        coco_run_ns += t.elapsed().as_nanos() as u64;
+        let opts = SimOptions::default();
+        let sim = simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts)
+            .map_err(fail(w.benchmark, sim_phase))?;
+        metrics.cycles = sim.cycles;
+        metrics.stalls = StallBreakdown::from_cores(&sim.cores);
+        metrics.engine_steps = sim.engine_steps;
+        metrics.skipped_cycles = sim.skipped_cycles;
     }
-    let metrics = vec![
-        RunMetrics {
-            benchmark: b,
-            scheduler: kind.name(),
-            variant: "mtcg",
-            wall_ns: base.timings.total_ns() + mtcg_run_ns,
-            instrs: result.mtcg.counts.total(),
-            cycles: result.mtcg.cycles,
-            timings: base.timings,
-            arb_probes: arb.probes,
-            arb_hits: arb.hits,
-            stalls: mtcg_stalls,
-            engine_steps: mtcg_engine.0,
-            skipped_cycles: mtcg_engine.1,
-        },
-        RunMetrics {
-            benchmark: b,
-            scheduler: kind.name(),
-            variant: "coco",
-            wall_ns: coco.timings.total_ns() + coco_run_ns,
-            instrs: result.coco.counts.total(),
-            cycles: result.coco.cycles,
-            timings: coco.timings,
-            arb_probes: 0,
-            arb_hits: 0,
-            stalls: coco_stalls,
-            engine_steps: coco_engine.0,
-            skipped_cycles: coco_engine.1,
-        },
-    ];
-    Ok(Evaluation { result, metrics })
-}
-
-/// Produces the (baseline MTCG, MTCG+COCO) pair for one workload and
-/// scheduler, both over the same partition.
-///
-/// DSWP uses the analytic partitioner directly. For GREMIO —
-/// whose candidate schedules' real throughput depends on queue
-/// round-trips the analytic score cannot see — the candidates are
-/// arbitrated by *timed runs of the generated (COCO) code on the train
-/// input*: profile-guided partition selection, with the single-threaded
-/// fallback guaranteeing the partitioner never degrades the program.
-/// A candidate that fails to compile simply loses the arbitration
-/// (probe cost `u64::MAX`); only a failure on the *chosen* partition
-/// surfaces as an error.
-///
-/// Probe results are memoized in a [`ScheduleCache`], so the guard's
-/// re-probes of the winner (and any candidates that compile to
-/// identical decoded code) skip the recompile and resimulation; the
-/// returned [`ArbStats`] report the cache's probe/hit counts.
-fn parallelize_pair(
-    w: &Workload,
-    kind: SchedulerKind,
-    profile: &gmt_ir::Profile,
-) -> Result<(Parallelized, Parallelized, ArbStats), HarnessError> {
-    let b = w.benchmark;
-    match kind {
-        SchedulerKind::Dswp => {
-            let base = Parallelizer::new(kind.scheduler())
-                .parallelize(&w.function, profile)
-                .map_err(fail(b, "baseline parallelization"))?;
-            let coco = Parallelizer::new(kind.scheduler())
-                .with_coco(CocoConfig::default())
-                .parallelize(&w.function, profile)
-                .map_err(fail(b, "coco parallelization"))?;
-            Ok((base, coco, ArbStats::default()))
-        }
-        SchedulerKind::Gremio => {
-            let t = Instant::now();
-            let pdg = gmt_pdg::Pdg::build(&w.function);
-            let pdg_build_ns = t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            let cfg = gmt_sched::gremio::GremioConfig::default();
-            let candidates = gmt_sched::gremio::candidates(&w.function, &pdg, profile, &cfg)
-                .map_err(fail(b, "gremio candidate enumeration"))?;
-            // GREMIO's own schedule: the analytically best genuinely-
-            // parallel candidate ("genuinely" = the lighter thread owns
-            // a meaningful share of the code, not a token offload).
-            let block_weights = profile.block_weights(&w.function);
-            let meaningful = |p: &gmt_pdg::Partition| {
-                let sizes =
-                    p.dynamic_sizes(|i| block_weights[w.function.block_of(i).index()].max(1));
-                let total: u64 = sizes.iter().sum();
-                sizes.iter().filter(|&&s| s > 0).count() > 1
-                    && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
-            };
-            // Timed arbitration probe: a candidate that fails to
-            // parallelize or simulate scores u64::MAX and loses.
-            // Memoized two ways — by partition assignment, and by the
-            // structural hash of the generated decoded program mixed
-            // with the machine knobs that affect timing.
-            let mut cache = ScheduleCache::new();
-            let mut cycles_probe = |partition: &gmt_pdg::Partition| -> u64 {
-                let pkey = gmt_core::partition_key(&w.function, partition);
-                if let Some(cycles) = cache.probe_partition(&pkey) {
-                    return cycles;
-                }
-                let Ok(coco) = Parallelizer::new(kind.scheduler())
-                    .with_coco(CocoConfig::default())
-                    .parallelize_with_partition(&w.function, profile, &pdg, partition.clone())
-                else {
-                    cache.record_partition(pkey, u64::MAX);
-                    return u64::MAX;
-                };
-                let machine = machine_for(&coco, kind);
-                let Ok(program) = gmt_ir::decoded::DecodedProgram::decode(coco.threads()) else {
-                    cache.record_partition(pkey, u64::MAX);
-                    return u64::MAX;
-                };
-                let mut knobs = vec![machine.sa.num_queues as u64];
-                knobs.extend(machine.sa.depths.iter().map(|&d| d as u64));
-                let gkey = gmt_core::program_key(program.structural_hash(), &knobs);
-                if let Some(cycles) = cache.probe_program(gkey) {
-                    cache.record_partition(pkey, cycles);
-                    return cycles;
-                }
-                let cycles = gmt_sim::simulate_decoded(&program, &w.train_args, w.init, &machine)
-                    .map_or(u64::MAX, |r| r.cycles);
-                cache.record(pkey, gkey, cycles);
-                cycles
-            };
-            let best_mt = candidates
-                .iter()
-                .filter(|(_, p)| meaningful(p))
-                .min_by_key(|(_, p)| cycles_probe(p))
-                .map(|(_, p)| p.clone());
-            // Arbitrate against the true single-threaded layout, not a
-            // token-offload candidate.
-            let single = {
-                let mut p = gmt_pdg::Partition::new(2);
-                for i in w.function.all_instrs() {
-                    p.assign(i, gmt_pdg::ThreadId(0));
-                }
-                p
-            };
-            // Timed arbitration on the train input: keep the parallel
-            // schedule unless it clearly loses (>10% slower) to running
-            // single-threaded — the partitioner must never degrade the
-            // program.
-            let chosen = match best_mt {
-                Some(mt)
-                    if cycles_probe(&mt) as f64 <= cycles_probe(&single) as f64 * 1.10 =>
-                {
-                    mt
-                }
-                _ => single,
-            };
-            let partition_ns = t.elapsed().as_nanos() as u64;
-            let arb = ArbStats { probes: cache.probes(), hits: cache.hits() };
-
-            let mut base = Parallelizer::new(kind.scheduler())
-                .parallelize_with_partition(&w.function, profile, &pdg, chosen.clone())
-                .map_err(fail(b, "baseline parallelization"))?;
-            let mut coco = Parallelizer::new(kind.scheduler())
-                .with_coco(CocoConfig::default())
-                .parallelize_with_partition(&w.function, profile, &pdg, chosen)
-                .map_err(fail(b, "coco parallelization"))?;
-            for p in [&mut base, &mut coco] {
-                p.timings.pdg_build_ns = pdg_build_ns;
-                p.timings.partition_ns = partition_ns;
-            }
-            Ok((base, coco, arb))
-        }
-    }
-}
-
-fn machine_for(p: &Parallelized, kind: SchedulerKind) -> MachineConfig {
-    let mut m = MachineConfig::default().with_queue_depth(kind.queue_depth());
-    // Queue allocation (footnote 1 of the paper) is not implemented, so
-    // size the SA to the plan when it needs more than 256 queues.
-    if p.num_queues() as usize > m.sa.num_queues {
-        m.sa.num_queues = p.num_queues() as usize;
-    }
-    m
-}
-
-fn measure_counts(
-    w: &Workload,
-    p: &Parallelized,
-    kind: SchedulerKind,
-    args: &[i64],
-) -> Result<DynCounts, gmt_ir::interp::ExecError> {
-    let mt = run_mt(
-        p.threads(),
-        args,
-        w.init,
-        &QueueConfig {
-            num_queues: (p.num_queues().max(1)) as usize,
-            capacity: kind.queue_depth(),
-        },
-        &exec_config(),
-    )?;
-    Ok(mt.totals())
-}
-
-fn timed_sim(
-    w: &Workload,
-    p: &Parallelized,
-    kind: SchedulerKind,
-    args: &[i64],
-) -> Result<gmt_sim::SimResult, gmt_ir::interp::ExecError> {
-    let machine = machine_for(p, kind);
-    simulate(p.threads(), args, w.init, &machine)
+    metrics.wall_ns = metrics.timings.total_ns() + t.elapsed().as_nanos() as u64;
+    Ok((VariantResult { counts, cycles: metrics.cycles }, metrics))
 }
 
 /// Runs a whole figure's worth of measurements on the worker pool
@@ -652,6 +453,7 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
+pub mod cell;
 pub mod explain;
 pub mod figures;
 mod metrics;

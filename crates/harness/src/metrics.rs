@@ -82,11 +82,10 @@ pub struct RunMetrics {
     pub cycles: u64,
     /// Compile-phase wall-clock breakdown.
     pub timings: CompileTimings,
-    /// Arbitration-cache probes (GREMIO candidate evaluations; carried
-    /// by the `mtcg` record, 0 elsewhere).
+    /// Candidate schedules GREMIO's arbitration timed on the train
+    /// input (carried by the `mtcg` record, 0 elsewhere).
     pub arb_probes: u64,
-    /// Arbitration-cache hits (evaluations served without recompiling
-    /// or resimulating the candidate).
+    /// Always 0; kept for its only reader, `benchmark/src/workloads.rs`.
     pub arb_hits: u64,
     /// Per-reason stall cycles summed over cores (all zero if not
     /// timed).
@@ -97,7 +96,7 @@ pub struct RunMetrics {
     /// would have stepped.
     pub engine_steps: u64,
     /// Cycles the timed simulation's fast-forward jumped over instead
-    /// of ticking (0 if not timed or with `GMT_SIM_SKIP=0`).
+    /// of ticking (0 if not timed).
     pub skipped_cycles: u64,
 }
 
@@ -108,7 +107,7 @@ impl RunMetrics {
             "{{\"benchmark\":\"{}\",\"scheduler\":\"{}\",\"variant\":\"{}\",\
              \"wall_ns\":{},\"instrs\":{},\"cycles\":{},\"pdg_build_ns\":{},\
              \"partition_ns\":{},\"coco_ns\":{},\"mtcg_ns\":{},\
-             \"arb_probes\":{},\"arb_hits\":{},\
+             \"arb_probes\":{},\
              \"stall_operand\":{},\"stall_structural\":{},\"stall_sa_port\":{},\
              \"stall_queue_full\":{},\"stall_queue_empty\":{},\
              \"stall_load_limit\":{},\"stall_mispredict\":{},\
@@ -124,7 +123,6 @@ impl RunMetrics {
             self.timings.coco_ns,
             self.timings.mtcg_ns,
             self.arb_probes,
-            self.arb_hits,
             self.stalls.operand,
             self.stalls.structural,
             self.stalls.sa_port,
@@ -189,8 +187,8 @@ pub fn metrics_table(metrics: &[RunMetrics]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>9} {:>6}",
-        "benchmark", "sched", "variant", "wall ms", "instrs", "cycles", "pdg ms", "part ms", "coco ms", "mtcg ms", "arb h/p", "skip"
+        "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6}",
+        "benchmark", "sched", "variant", "wall ms", "instrs", "cycles", "pdg ms", "part ms", "coco ms", "mtcg ms", "arb", "skip"
     );
     for m in metrics {
         // Untimed records have no engine run to express a ratio of.
@@ -200,7 +198,7 @@ pub fn metrics_table(metrics: &[RunMetrics]) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>9} {:>6}",
+            "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6}",
             m.benchmark,
             m.scheduler,
             m.variant,
@@ -211,7 +209,7 @@ pub fn metrics_table(metrics: &[RunMetrics]) -> String {
             fmt_ms(m.timings.partition_ns),
             fmt_ms(m.timings.coco_ns),
             fmt_ms(m.timings.mtcg_ns),
-            format!("{}/{}", m.arb_hits, m.arb_probes),
+            m.arb_probes,
             skip,
         );
     }
@@ -247,7 +245,7 @@ mod tests {
                 mtcg_ns: 400,
             },
             arb_probes: 8,
-            arb_hits: 3,
+            arb_hits: 0,
             stalls: StallBreakdown {
                 operand: 11,
                 structural: 12,
@@ -277,7 +275,7 @@ mod tests {
         assert!(line.contains("\"coco_ns\":300"));
         assert!(line.contains("\"mtcg_ns\":400"));
         assert!(line.contains("\"arb_probes\":8"));
-        assert!(line.contains("\"arb_hits\":3"));
+        assert!(!line.contains("arb_hits"), "the dead counter left the record");
         assert!(line.contains("\"stall_operand\":11"));
         assert!(line.contains("\"stall_queue_full\":14"));
         assert!(line.contains("\"stall_mispredict\":17"));
@@ -325,8 +323,8 @@ mod tests {
         let t = metrics_table(&[sample(), sample()]);
         assert_eq!(t.lines().count(), 1 + 2 + 1, "header + rows + total");
         assert!(t.contains("benchmark"));
-        assert!(t.contains("arb h/p"));
-        assert!(t.contains("3/8"));
+        assert!(t.contains(" arb "));
+        assert!(t.lines().nth(1).unwrap().contains("    8 "), "probe count column:\n{t}");
         assert!(t.contains("(2 records)"));
         assert!(t.contains("skip"));
         assert!(t.contains("75%"), "4258 of 5678 cycles skipped:\n{t}");

@@ -2,8 +2,8 @@
 //!
 //! Compiles one workload under one scheduler, runs the chosen variant
 //! on the decoded engine with both shipped sinks attached
-//! ([`TraceAggregator`] + [`ChromeTraceSink`]), and packages the result
-//! as a [`TracedCell`]: the Chrome-trace JSON, the per-thread cycle
+//! ([`gmt_sim::TraceAggregator`] + [`ChromeTraceSink`]), and packages
+//! the result as a [`TracedCell`]: the Chrome-trace JSON, the per-thread cycle
 //! attribution (compute / per-[`StallReason`] / idle — the exact
 //! decomposition needed to evaluate a COCO cut), and the per-queue
 //! communication counters tied back to `gmt-mtcg`'s [`QueueLabel`]s.
@@ -15,18 +15,11 @@
 //!
 //! [`StallReason`]: gmt_sim::StallReason
 
-use crate::{fail, machine_for, parallelize_pair, HarnessError, Scale, SchedulerKind};
+use crate::{compile_cell, HarnessError, Scale, SchedulerKind};
 use gmt_mtcg::{CommKind, CommPoint, QueueLabel};
-use gmt_sim::{
-    check_attribution, simulate_decoded_traced, ChromeTraceSink, CycleAttribution,
-    OccupancySummary, QueueTraceStats, TraceAggregator,
-};
+use gmt_sim::{ChromeTraceSink, CycleAttribution, OccupancySummary, QueueTraceStats};
 use gmt_workloads::Workload;
 use std::fmt::Write as _;
-
-/// Raw events kept by the aggregator's ring buffer (the summary tables
-/// cover the whole run regardless).
-pub const TRACE_RING_CAPACITY: usize = 4096;
 
 /// Everything one traced run produces.
 #[derive(Clone, Debug)]
@@ -69,37 +62,21 @@ pub fn trace_cell(
     coco: bool,
     scale: Scale,
 ) -> Result<TracedCell, HarnessError> {
-    let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
-    let (base, opt, _arb) = parallelize_pair(w, kind, &train.profile)?;
-    let p = if coco { &opt } else { &base };
-    let machine = machine_for(p, kind);
-    let program =
-        gmt_ir::decoded::DecodedProgram::decode(p.threads()).map_err(fail(b, "decode"))?;
-    let args: &[i64] = match scale {
-        Scale::Quick => &w.train_args,
-        Scale::Full => &w.ref_args,
-    };
-    let ncores = p.threads().len();
-    let nqueues = machine.sa.num_queues;
-    let mut sink = (
-        TraceAggregator::new(ncores, nqueues, TRACE_RING_CAPACITY),
-        ChromeTraceSink::new(ncores, nqueues),
-    );
-    let result = simulate_decoded_traced(&program, args, w.init, &machine, &mut sink)
-        .map_err(fail(b, "traced sim"))?;
-    check_attribution(&sink.0, &result).map_err(fail(b, "attribution check"))?;
+    let cell = compile_cell(w, kind, scale)?;
+    let v = cell.variant(coco);
+    let chrome = ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues);
+    let (result, aggregator, chrome) = cell.simulate_traced(v, chrome)?;
     Ok(TracedCell {
-        benchmark: b,
+        benchmark: w.benchmark,
         scheduler: kind.name(),
-        variant: if coco { "coco" } else { "mtcg" },
+        variant: v.name,
         cycles: result.cycles,
-        attribution: sink.0.core_attribution(),
-        queues: sink.0.queue_stats().to_vec(),
-        occupancy: sink.0.queue_occupancy(),
-        labels: p.queue_labels().to_vec(),
-        dropped_events: sink.0.dropped_events(),
-        chrome_json: sink.1.into_json(),
+        attribution: aggregator.core_attribution(),
+        queues: aggregator.queue_stats().to_vec(),
+        occupancy: aggregator.queue_occupancy(),
+        labels: v.parallelized.queue_labels().to_vec(),
+        dropped_events: aggregator.dropped_events(),
+        chrome_json: chrome.into_json(),
     })
 }
 

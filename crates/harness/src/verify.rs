@@ -6,17 +6,19 @@
 //! depth (GREMIO 1, DSWP 32) and cold control queues get a single
 //! entry.
 //!
-//! Release builds skip the pipeline's debug-assert validation stage, so
-//! this mode is the CI-facing proof that every configuration the
-//! figures measure obeys the produce/consume protocol: matching
+//! Every cell comes from [`compile_cell`] — the same partition (for
+//! GREMIO the timed-arbitration winner, single-thread fallback
+//! included) and the same generated code the figures measure. Release
+//! builds skip the pipeline's debug-assert validation stage, so this
+//! mode is the CI-facing proof that those configurations obey the
+//! produce/consume protocol: matching
 //! per-queue sequences, plan↔code positions, a cycle-free inter-thread
 //! wait graph (cross-block arcs included) at each queue's allocated
 //! depth, and fresh values at every communication point (Defs. 1–2 of
 //! the paper).
 
-use crate::{fail, HarnessError, SchedulerKind};
-use gmt_core::{CocoConfig, MtVerifyError, Parallelizer};
-use gmt_pdg::Pdg;
+use crate::{compile_cell, CompiledCell, HarnessError, Scale, SchedulerKind};
+use gmt_core::MtVerifyError;
 use gmt_workloads::{catalog, Workload};
 
 /// One cell of the verification matrix.
@@ -69,44 +71,55 @@ pub fn verify_cell(
     kind: SchedulerKind,
     coco: bool,
 ) -> Result<VerifyCell, HarnessError> {
-    let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
-    let mut par = Parallelizer::new(kind.scheduler());
-    if coco {
-        par = par.with_coco(CocoConfig::default());
-    }
-    let r = par.parallelize(&w.function, &train.profile).map_err(fail(b, "parallelization"))?;
-    let pdg = Pdg::build(&w.function);
-    // Verify at the *allocated* per-queue depths (hot loop-carried
-    // queues at the scheduler's paper depth, cold ones at 1) — the
-    // depths a depth-aware synchronization array would provision, and
-    // strictly harsher on back-pressure than the old uniform scalar.
-    let errors = gmt_core::verify_mt(&w.function, &r.partition, &pdg, &r.output, &r.queue_depths);
-    Ok(VerifyCell {
-        benchmark: b,
-        scheduler: kind.name(),
+    // Verification runs nothing, so the input scale is moot.
+    Ok(verify_variant(&compile_cell(w, kind, Scale::Quick)?, coco))
+}
+
+/// Verifies one variant of a compiled cell at its *allocated*
+/// per-queue depths (hot loop-carried queues at the scheduler's paper
+/// depth, cold ones at 1) — the depths a depth-aware synchronization
+/// array would provision, and strictly harsher on back-pressure than a
+/// uniform scalar.
+fn verify_variant(cell: &CompiledCell, coco: bool) -> VerifyCell {
+    let r = &cell.variant(coco).parallelized;
+    let errors = gmt_core::verify_mt(
+        &cell.workload.function,
+        &r.partition,
+        &cell.pdg,
+        &r.output,
+        &r.queue_depths,
+    );
+    VerifyCell {
+        benchmark: cell.workload.benchmark,
+        scheduler: cell.kind.name(),
         coco,
-        hot_depth: kind.queue_depth(),
+        hot_depth: cell.kind.queue_depth(),
         queues: r.num_queues(),
-        depths: r.queue_depths,
+        depths: r.queue_depths.clone(),
         errors,
-    })
+    }
 }
 
 /// Runs the whole matrix — catalog × {GREMIO, DSWP} × {±COCO} — on
 /// `jobs` workers, in deterministic (catalog, scheduler, variant)
-/// order.
+/// order. Each kernel × scheduler is compiled once for both variants.
 pub fn verify_matrix(jobs: usize) -> Vec<Result<VerifyCell, HarnessError>> {
-    let mut cells: Vec<(Workload, SchedulerKind, bool)> = Vec::new();
+    let mut pairs: Vec<(Workload, SchedulerKind)> = Vec::new();
     for w in catalog() {
-        for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
-            for coco in [false, true] {
-                let w = gmt_workloads::by_benchmark(w.benchmark).expect("catalog name");
-                cells.push((w, kind, coco));
-            }
-        }
+        let dswp = gmt_workloads::by_benchmark(w.benchmark).expect("catalog name");
+        pairs.push((w, SchedulerKind::Gremio));
+        pairs.push((dswp, SchedulerKind::Dswp));
     }
-    gmt_testkit::par_map(cells, jobs, |_i, (w, kind, coco)| verify_cell(&w, kind, coco))
+    gmt_testkit::par_map(pairs, jobs, |_i, (w, kind)| {
+        let cell = compile_cell(&w, kind, Scale::Quick);
+        [false, true].map(|coco| match &cell {
+            Ok(cell) => Ok(verify_variant(cell, coco)),
+            Err(e) => Err(e.clone()),
+        })
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Renders the matrix results as a fixed-width table, one line per
@@ -166,6 +179,33 @@ mod tests {
             assert_eq!(c.hot_depth, 32);
             assert_eq!(c.depths.len(), c.queues as usize, "one depth per queue");
             assert!(c.depths.iter().all(|&d| d == 1 || d == 32), "{:?}", c.depths);
+        }
+    }
+
+    /// Regression: `--verify-mt` used to verify GREMIO's *analytic*
+    /// partition while the figures measure the *arbitrated* one; for
+    /// these two kernels arbitration picks a different candidate. The
+    /// verified cell must be the evaluated cell — against the compiled
+    /// cell directly, and against what `explain_cell` independently
+    /// reports for the same configuration.
+    #[test]
+    fn verified_cell_is_the_evaluated_cell() {
+        for bench in ["188.ammp", "300.twolf"] {
+            let w = gmt_workloads::by_benchmark(bench).unwrap();
+            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+            for coco in [false, true] {
+                let verified = verify_cell(&w, SchedulerKind::Gremio, coco).unwrap();
+                let evaluated = &cell.variant(coco).parallelized;
+                assert_eq!(verified.queues, evaluated.num_queues(), "{bench}/coco={coco}");
+                assert_eq!(verified.depths, evaluated.queue_depths, "{bench}/coco={coco}");
+                let explained =
+                    crate::explain_cell(&w, SchedulerKind::Gremio, coco, Scale::Quick).unwrap();
+                assert_eq!(
+                    verified.queues as usize,
+                    explained.estimate.queue_traffic.len(),
+                    "{bench}/coco={coco}: verify and explain disagree on the plan"
+                );
+            }
         }
     }
 

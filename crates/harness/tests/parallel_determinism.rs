@@ -2,7 +2,7 @@
 //! optimization: byte-identical figure output versus the serial path,
 //! and one failing workload must not take the rest of the matrix down.
 
-use gmt_harness::{figures, run_all_jobs, run_workloads, Scale, SchedulerKind};
+use gmt_harness::{figures, run_all, run_all_jobs, run_workloads, Scale, SchedulerKind};
 use gmt_workloads::by_benchmark;
 
 /// Parallel `run_all` (8 workers) produces the same results, in the
@@ -37,9 +37,11 @@ fn gmt_jobs_env_override_is_deterministic() {
     // This is the only test in this binary touching GMT_JOBS, so the
     // set/remove cannot race another reader.
     std::env::set_var("GMT_JOBS", "4");
-    let with_env = figures::figure1(SchedulerKind::Dswp, Scale::Quick);
+    let kind = SchedulerKind::Dswp;
+    let figure1 = || figures::render_figure1(&run_all(kind, false, Scale::Quick), kind);
+    let with_env = figure1();
     std::env::set_var("GMT_JOBS", "1");
-    let serial = figures::figure1(SchedulerKind::Dswp, Scale::Quick);
+    let serial = figure1();
     std::env::remove_var("GMT_JOBS");
     assert_eq!(with_env, serial);
 }

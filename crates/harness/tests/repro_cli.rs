@@ -64,21 +64,81 @@ fn explain_option_validation_exits_2() {
     assert_usage_exit(&repro(&["--explain", "ks", "--variant", "fast"]), "bad variant fast");
 }
 
+/// The unsigned integer value of the first `"key":` in a flat JSON
+/// object rendered by `repro` (no JSON crate in this workspace).
+fn json_u64(obj: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = obj.find(&needle).unwrap_or_else(|| panic!("missing {key}: {obj}")) + needle.len();
+    let digits: String = obj[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is not a number: {obj}"))
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// The whole kernel × scheduler matrix explains cleanly, every record
+/// carries the full schema, and the conservation laws of DESIGN.md
+/// invariant 9 hold: the critical path sums to the cycle count, its
+/// edge-kind decomposition sums to the path, and every thread's
+/// compute + stall + idle covers every cycle.
 #[test]
 fn explain_emits_conserving_json() {
-    let out = repro(&["--explain", "ks", "--scheduler", "dswp", "--quick", "--json"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout.lines().next().expect("one JSON line");
-    assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-    for key in ["\"verdict\":", "\"cp_total\":", "\"est_bottleneck\":", "\"threads\":["] {
-        assert!(line.contains(key), "missing {key}: {line}");
+    const CP_KINDS: [&str; 10] = [
+        "in_order", "dataflow", "load", "queue_data", "queue_space", "sa_port", "structural",
+        "load_limit", "refill", "retire",
+    ];
+    const VERDICTS: [&str; 4] =
+        ["recurrence-bound", "queue-bound", "mispredict-bound", "balance-bound"];
+    let stdout = stdout_of(&["--explain", "all", "--scheduler", "both", "--quick", "--json"]);
+    let rows: Vec<&str> = stdout.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(rows.len(), 22, "11 kernels x 2 schedulers");
+    for line in rows {
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        for key in [
+            "benchmark", "scheduler", "variant", "cycles", "verdict", "dropped_events",
+            "est_bottleneck", "est_total", "max_share_pct", "cut_register", "cut_memory",
+            "cut_control", "sync_points", "cp_total", "cp_edges", "cp_crossings", "threads",
+            "queues",
+        ] {
+            assert!(line.contains(&format!("\"{key}\":")), "missing {key}: {line}");
+        }
+        assert!(
+            VERDICTS.iter().any(|v| line.contains(&format!("\"verdict\":\"{v}\""))),
+            "unknown verdict: {line}"
+        );
+        let cycles = json_u64(line, "cycles");
+        assert_eq!(json_u64(line, "cp_total"), cycles, "path != cycles: {line}");
+        let kinds: u64 = CP_KINDS.iter().map(|k| json_u64(line, &format!("cp_{k}"))).sum();
+        assert_eq!(kinds, cycles, "kinds don't sum: {line}");
+        let threads = line.split("\"threads\":[").nth(1).expect("threads array");
+        let threads = threads.split(']').next().expect("threads array closes");
+        assert!(!threads.is_empty(), "at least one thread: {line}");
+        for t in threads.split("},{") {
+            let sum = json_u64(t, "compute") + json_u64(t, "stall") + json_u64(t, "idle");
+            assert_eq!(sum, cycles, "thread decomposition: {line}");
+        }
     }
+}
+
+/// The pinned quick Figure 7, byte for byte.
+#[test]
+fn quick_figure7_matches_golden() {
+    assert_eq!(
+        stdout_of(&["--quick", "--fig", "7"]),
+        include_str!("../../../tests/golden/fig7_quick.txt")
+    );
+}
+
+/// The pinned human explain report, byte for byte.
+#[test]
+fn explain_report_matches_golden() {
+    assert_eq!(
+        stdout_of(&["--explain", "adpcmdec", "--scheduler", "dswp", "--quick"]),
+        include_str!("../../../tests/golden/explain_adpcmdec_dswp_quick.txt")
+    );
 }
 
 #[test]
@@ -129,33 +189,38 @@ fn invalid_gmt_jobs_exits_2_before_any_work() {
     }
 }
 
+/// One traced cell reproduces the pinned attribution and per-queue
+/// tables, and writes Chrome-trace JSON with the expected schema: core
+/// spans on pid 1, queue counters on pid 2, both processes named, and
+/// a cycle count.
 #[test]
 fn trace_cell_writes_chrome_json_and_attribution() {
     let dir = std::env::temp_dir().join("gmt_repro_cli_trace");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
-    let out = repro(&[
-        "--trace",
-        path.to_str().unwrap(),
-        "--bench",
-        "adpcmdec",
-        "--scheduler",
-        "dswp",
-        "--quick",
+    let path_str = path.to_str().unwrap();
+    let stdout = stdout_of(&[
+        "--trace", path_str, "--bench", "adpcmdec", "--scheduler", "dswp", "--quick",
     ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stdout.replace(path_str, "TRACE_PATH"),
+        include_str!("../../../tests/golden/trace_adpcmdec_dswp_quick.txt")
     );
-    assert!(stdout.contains("comm attribution"), "{stdout}");
-    assert!(stdout.contains("thread"), "{stdout}");
-    assert!(stdout.contains("queue"), "{stdout}");
     let json = std::fs::read_to_string(&path).expect("trace file written");
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"ph\":\"X\""), "core spans present");
-    assert!(json.contains("\"ph\":\"C\""), "queue counters present");
     std::fs::remove_file(&path).ok();
+    assert!(json.contains("\"traceEvents\""));
+    let event = |ph: &str, pid: u32| {
+        json.lines().any(|l| {
+            l.contains(&format!("\"ph\":\"{ph}\"")) && l.contains(&format!("\"pid\":{pid},"))
+        })
+    };
+    assert!(event("X", 1), "core spans on pid 1");
+    assert!(event("C", 2), "queue counters on pid 2");
+    let process_names: Vec<&str> =
+        json.lines().filter(|l| l.contains("\"name\":\"process_name\"")).collect();
+    assert_eq!(process_names.len(), 2, "{process_names:?}");
+    assert!(process_names[0].contains("\"args\":{\"name\":\"cores\"}"), "{process_names:?}");
+    assert!(process_names[1].contains("\"args\":{\"name\":\"sa queues\"}"), "{process_names:?}");
+    let other = json.split("\"otherData\":").nth(1).expect("otherData");
+    assert!(json_u64(other, "cycles") > 0, "cycle count recorded");
 }

@@ -25,7 +25,6 @@ use crate::function::Function;
 use crate::instr::Op;
 use crate::interp::{ExecError, MemoryLayout};
 use crate::types::{AddrMode, BinOp, BlockId, InstrId, Operand, QueueId, Reg, UnOp};
-use std::hash::{Hash, Hasher};
 
 /// One pre-decoded instruction: operands inline, control-flow targets
 /// resolved to flat pcs, `lea` folded against the memory layout.
@@ -330,19 +329,6 @@ impl DecodedFunction {
         }
         Ok(())
     }
-
-    /// A structural fingerprint of the decoded program: ops, register
-    /// file size, parameters, and memory extent. Two functions with the
-    /// same hash execute identically (modulo 64-bit hash collisions),
-    /// which is what the candidate-schedule evaluation cache keys on.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.num_regs.hash(&mut h);
-        self.params.hash(&mut h);
-        self.layout.total_cells().hash(&mut h);
-        self.ops.hash(&mut h);
-        h.finish()
-    }
 }
 
 fn lower(op: &Op, b: BlockId, layout: &MemoryLayout, block_start: &[u32]) -> DecodedOp {
@@ -413,16 +399,6 @@ impl DecodedProgram {
     /// The shared memory layout (thread 0's).
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
-    }
-
-    /// Combined structural fingerprint over all threads, in order.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.threads.len().hash(&mut h);
-        for t in &self.threads {
-            t.structural_hash().hash(&mut h);
-        }
-        h.finish()
     }
 }
 
@@ -652,22 +628,6 @@ mod tests {
             }
             assert_eq!(d.latency(pc), 1, "loop_fn has only unit-latency ops");
         }
-    }
-
-    #[test]
-    fn structural_hash_distinguishes_programs() {
-        let f = loop_fn();
-        let d1 = DecodedFunction::decode(&f);
-        let d2 = DecodedFunction::decode(&f);
-        assert_eq!(d1.structural_hash(), d2.structural_hash(), "deterministic");
-        let mut b = FunctionBuilder::new("other");
-        b.output(3i64);
-        b.ret(None);
-        let g = b.finish().unwrap();
-        assert_ne!(
-            DecodedFunction::decode(&g).structural_hash(),
-            d1.structural_hash()
-        );
     }
 
     #[test]

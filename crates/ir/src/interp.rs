@@ -2,7 +2,7 @@
 //! the edge profiler, and the dynamic-instruction counter.
 //!
 //! [`run`] executes through the pre-decoded flat instruction stream
-//! ([`crate::decoded`]); [`run_reference`] keeps the original
+//! ([`crate::decoded`]); [`run_with_memory_reference`] keeps the original
 //! ID-walking execution loop, which the `decoded_equivalence` tests
 //! hold byte-identical to the decoded path.
 
@@ -296,19 +296,6 @@ pub fn run_with_memory(
     run_decoded_with_memory(&d, args, init, config)
 }
 
-/// Runs an already-decoded function to completion with zeroed memory.
-///
-/// # Errors
-///
-/// See [`ExecError`].
-pub fn run_decoded(
-    d: &DecodedFunction,
-    args: &[i64],
-    config: &ExecConfig,
-) -> Result<RunResult, ExecError> {
-    run_decoded_with_memory(d, args, |_, _| {}, config)
-}
-
 /// Runs an already-decoded function after letting `init` populate
 /// memory.
 ///
@@ -356,21 +343,8 @@ pub fn run_decoded_with_memory(
     }
 }
 
-/// The ID-walking reference executor ([`run`] without pre-decoding).
-/// Kept as the semantic oracle for the decoded engine.
-///
-/// # Errors
-///
-/// See [`ExecError`].
-pub fn run_reference(
-    f: &Function,
-    args: &[i64],
-    config: &ExecConfig,
-) -> Result<RunResult, ExecError> {
-    run_with_memory_reference(f, args, |_, _| {}, config)
-}
-
-/// [`run_with_memory`] on the ID-walking reference path.
+/// The ID-walking reference executor ([`run_with_memory`] without
+/// pre-decoding). Kept as the semantic oracle for the decoded engine.
 ///
 /// # Errors
 ///
@@ -724,7 +698,8 @@ mod tests {
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "decoded: {err:?}"
         );
-        let err = run_reference(&f, &[], &ExecConfig::default()).unwrap_err();
+        let err =
+            run_with_memory_reference(&f, &[], |_, _| {}, &ExecConfig::default()).unwrap_err();
         assert!(
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "reference: {err:?}"

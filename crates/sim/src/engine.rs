@@ -28,7 +28,7 @@
 //! target is clamped to the deadlock and `max_cycles` boundaries, so
 //! results — cycles, [`CoreStats`], traces, and errors — stay
 //! byte-identical to per-cycle execution ([`SimOptions::fast_forward`]
-//! = false, or `GMT_SIM_SKIP=0`, is the A/B escape hatch).
+//! = false is the A/B escape hatch).
 //!
 //! The fast-forward also memoizes *individual* stalled cores: when a
 //! core's recorded stall has a **stable** self-wakeup — one no peer
@@ -70,17 +70,6 @@ impl Default for SimOptions {
     }
 }
 
-impl SimOptions {
-    /// The defaults, overridden by the environment: `GMT_SIM_SKIP=0`
-    /// disables the fast-forward (any other value, or unset, leaves it
-    /// on). The entry points without an explicit `SimOptions` argument
-    /// read this once per run.
-    pub fn from_env() -> SimOptions {
-        let fast_forward = std::env::var("GMT_SIM_SKIP").map_or(true, |v| v != "0");
-        SimOptions { fast_forward }
-    }
-}
-
 /// Runs `threads` (one per core) to completion on the machine, through
 /// the pre-decoded engine. Drop-in replacement for the reference
 /// simulator — same results, same errors.
@@ -99,30 +88,30 @@ pub fn simulate(
     }
     config.validate().map_err(ExecError::InvalidConfig)?;
     let program = DecodedProgram::decode(threads)?;
-    simulate_decoded(&program, args, init, config)
+    simulate_decoded_opts(&program, args, init, config, SimOptions::default())
 }
 
-/// [`simulate_decoded`] with a [`TraceSink`] observing every issue,
-/// stall, and queue operation (see [`crate::trace`]). The sink is
-/// statically dispatched; passing [`NoTrace`] is exactly
-/// [`simulate_decoded`].
+/// [`simulate`] on an already-decoded program, with explicit
+/// [`SimOptions`] (what GREMIO arbitration uses to avoid re-decoding
+/// candidate schedules).
 ///
 /// # Errors
 ///
 /// See [`simulate_reference`](crate::simulate_reference).
-pub fn simulate_decoded_traced<S: TraceSink>(
+pub fn simulate_decoded_opts(
     program: &DecodedProgram,
     args: &[i64],
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &MachineConfig,
-    sink: &mut S,
+    opts: SimOptions,
 ) -> Result<SimResult, ExecError> {
-    run_engine(program, args, init, config, sink, SimOptions::from_env())
+    run_engine(program, args, init, config, &mut NoTrace, opts)
 }
 
-/// [`simulate_decoded_traced`] with explicit [`SimOptions`] instead of
-/// the environment default — the race-free way for tests and benches
-/// to A/B the fast-forward in one process.
+/// [`simulate_decoded_opts`] with a [`TraceSink`] observing every
+/// issue, stall, and queue operation (see [`crate::trace`]). The sink
+/// is statically dispatched; passing [`NoTrace`] is exactly
+/// [`simulate_decoded_opts`].
 ///
 /// # Errors
 ///
@@ -136,37 +125,6 @@ pub fn simulate_decoded_traced_opts<S: TraceSink>(
     opts: SimOptions,
 ) -> Result<SimResult, ExecError> {
     run_engine(program, args, init, config, sink, opts)
-}
-
-/// [`simulate`] on an already-decoded program (what GREMIO arbitration
-/// uses to avoid re-decoding candidate schedules).
-///
-/// # Errors
-///
-/// See [`simulate_reference`](crate::simulate_reference).
-pub fn simulate_decoded(
-    program: &DecodedProgram,
-    args: &[i64],
-    init: impl FnOnce(&MemoryLayout, &mut Memory),
-    config: &MachineConfig,
-) -> Result<SimResult, ExecError> {
-    run_engine(program, args, init, config, &mut NoTrace, SimOptions::from_env())
-}
-
-/// [`simulate_decoded`] with explicit [`SimOptions`] instead of the
-/// environment default.
-///
-/// # Errors
-///
-/// See [`simulate_reference`](crate::simulate_reference).
-pub fn simulate_decoded_opts(
-    program: &DecodedProgram,
-    args: &[i64],
-    init: impl FnOnce(&MemoryLayout, &mut Memory),
-    config: &MachineConfig,
-    opts: SimOptions,
-) -> Result<SimResult, ExecError> {
-    run_engine(program, args, init, config, &mut NoTrace, opts)
 }
 
 /// Decoded-stream twin of [`crate::sim::check_queue_ids`]: every

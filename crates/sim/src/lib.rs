@@ -54,10 +54,7 @@ pub mod trace;
 pub use cache::{Cache, Hierarchy, HitLevel};
 pub use config::{BranchModel, CacheConfig, MachineConfig, SaConfig};
 pub use core::{Core, CoreStats, StallReason};
-pub use engine::{
-    simulate, simulate_decoded, simulate_decoded_opts, simulate_decoded_traced,
-    simulate_decoded_traced_opts, SimOptions,
-};
+pub use engine::{simulate, simulate_decoded_opts, simulate_decoded_traced_opts, SimOptions};
 pub use sa::{Delivery, PendingConsume, QueueFull, SyncArray};
 pub use sim::{simulate_reference, SimResult};
 pub use critpath::{check_critical_path, CpKind, CpSegment, CritPath, CritPathSink};

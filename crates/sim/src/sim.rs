@@ -33,7 +33,7 @@ pub struct SimResult {
     /// `engine_steps + skipped_cycles` equals the per-cycle step count.
     pub engine_steps: u64,
     /// Cycles the event-driven fast-forward jumped over instead of
-    /// ticking (0 for the reference engine and with `GMT_SIM_SKIP=0`).
+    /// ticking (0 for the reference engine and the per-cycle engine).
     /// Every skipped cycle is still credited to the stalled cores'
     /// counters — results are byte-identical either way.
     pub skipped_cycles: u64,

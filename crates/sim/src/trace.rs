@@ -5,7 +5,7 @@
 //! synchronization-array interconnect. End-of-run [`CoreStats`]
 //! aggregates cannot answer "which queue backed up, when" — this
 //! module can. The decoded engine
-//! ([`simulate_decoded_traced`](crate::simulate_decoded_traced))
+//! ([`simulate_decoded_traced_opts`](crate::simulate_decoded_traced_opts))
 //! narrates every issue, stall, and queue operation to a [`TraceSink`];
 //! the sink decides what to keep.
 //!
@@ -198,7 +198,7 @@ pub trait TraceSink {
 
 /// The disabled sink: `ENABLED = false`, every call a no-op. This is
 /// what [`simulate`](crate::simulate) and
-/// [`simulate_decoded`](crate::simulate_decoded) instantiate the
+/// [`simulate_decoded_opts`](crate::simulate_decoded_opts) instantiate the
 /// engine with.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoTrace;

@@ -138,7 +138,14 @@ fn pinned_stall_counts_for_one_kernel_under_both_engines() {
     let threads = [t0, t1];
     let config = MachineConfig::default().with_queue_depth(1);
     let program = DecodedProgram::decode(&threads).unwrap();
-    let decoded = gmt_sim::simulate_decoded(&program, &[], |_, _| {}, &config).unwrap();
+    let decoded = gmt_sim::simulate_decoded_opts(
+        &program,
+        &[],
+        |_, _| {},
+        &config,
+        gmt_sim::SimOptions::default(),
+    )
+    .unwrap();
     let reference = simulate_reference(&threads, &[], |_, _| {}, &config).unwrap();
 
     assert_eq!(decoded.cycles, reference.cycles);

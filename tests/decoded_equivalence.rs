@@ -15,11 +15,11 @@
 
 use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
 use gmt_ir::decoded::{DecodedFunction, DecodedProgram};
-use gmt_ir::interp::{run_decoded, run_reference, ExecConfig};
+use gmt_ir::interp::{run_decoded_with_memory, run_with_memory_reference, ExecConfig};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, QueueConfig};
 use gmt_pdg::Pdg;
 use gmt_sim::{
-    check_attribution, simulate_decoded, simulate_decoded_opts, simulate_decoded_traced_opts,
+    check_attribution, simulate_decoded_opts, simulate_decoded_traced_opts,
     simulate_reference, BranchModel, MachineConfig, SimOptions, SimResult, TraceAggregator,
 };
 use gmt_testkit::{full_u64, prop_assert_eq, ranged, Checker, Gen};
@@ -100,9 +100,11 @@ fn st_interpreter_matches_reference() {
         &program_gen(),
         |program| {
             let f = compile(program);
-            let reference = run_reference(&f, &[], &exec()).expect("reference run");
+            let reference =
+                run_with_memory_reference(&f, &[], |_, _| {}, &exec()).expect("reference run");
             let d = DecodedFunction::decode(&f);
-            let decoded = run_decoded(&d, &[], &exec()).expect("decoded run");
+            let decoded =
+                run_decoded_with_memory(&d, &[], |_, _| {}, &exec()).expect("decoded run");
             prop_assert_eq!(decoded.return_value, reference.return_value);
             prop_assert_eq!(&decoded.output, &reference.output);
             prop_assert_eq!(decoded.counts, reference.counts);
@@ -208,7 +210,8 @@ fn catalog_kernels_match_reference() {
         let ref_sim = simulate_reference(st, &w.train_args, w.init, &machine)
             .unwrap_or_else(|e| panic!("{}: reference sim: {e}", w.benchmark));
         let program = DecodedProgram::decode(st).expect("decode");
-        let dec_sim = simulate_decoded(&program, &w.train_args, w.init, &machine)
+        let opts = SimOptions::default();
+        let dec_sim = simulate_decoded_opts(&program, &w.train_args, w.init, &machine, opts)
             .unwrap_or_else(|e| panic!("{}: decoded sim: {e}", w.benchmark));
         if let Err(msg) = assert_sim_eq(&dec_sim, &ref_sim) {
             panic!("{}: {msg}", w.benchmark);
@@ -220,32 +223,33 @@ fn catalog_kernels_match_reference() {
     }
 }
 
-/// Every catalog kernel as a queue-coupled DSWP thread pair — the
-/// fast-forward's target shape — is byte-identical between the
-/// fast-forward, per-cycle, and reference engines, at the paper's
-/// uniform depth-32 array and at single-element queues (maximum
-/// backpressure), with exact trace attribution.
+/// Every catalog kernel as the queue-coupled thread pair the figures
+/// measure — the fast-forward's target shape — is byte-identical
+/// between the fast-forward, per-cycle, and reference engines, with
+/// exact trace attribution: the DSWP pair at the paper's uniform
+/// depth-32 array and at single-element queues (maximum backpressure),
+/// and the GREMIO-arbitrated pair at its single-element queues.
 #[test]
 fn catalog_mt_kernels_match_reference_with_fast_forward() {
-    use gmt_core::{CocoConfig, Parallelizer, Scheduler};
+    use gmt_harness::{compile_cell, Scale, SchedulerKind};
     for w in gmt_workloads::catalog() {
-        let train = w.run_train().unwrap_or_else(|e| panic!("{}: train: {e}", w.benchmark));
-        let p = Parallelizer::new(Scheduler::dswp(2))
-            .with_coco(CocoConfig::default())
-            .parallelize(&w.function, &train.profile)
-            .unwrap_or_else(|e| panic!("{}: parallelize: {e}", w.benchmark));
-        let program = DecodedProgram::decode(p.threads()).expect("decode");
-        for depth in [32usize, 1] {
-            let mut machine = MachineConfig::default().with_queue_depth(depth);
-            if p.num_queues() as usize > machine.sa.num_queues {
-                machine.sa.num_queues = p.num_queues() as usize;
-            }
-            let ref_sim = simulate_reference(p.threads(), &w.train_args, w.init, &machine)
-                .unwrap_or_else(|e| panic!("{}: reference mt sim: {e}", w.benchmark));
-            if let Err(msg) =
-                assert_skip_equivalence(&program, &w.train_args, w.init, &machine, &ref_sim)
-            {
-                panic!("{} (depth {depth}): {msg}", w.benchmark);
+        for (kind, depths) in
+            [(SchedulerKind::Dswp, &[32usize, 1][..]), (SchedulerKind::Gremio, &[1][..])]
+        {
+            let tag = format!("{}/{}", w.benchmark, kind.name());
+            let cell = compile_cell(&w, kind, Scale::Quick)
+                .unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+            let p = &cell.coco;
+            for &depth in depths {
+                let machine = MachineConfig::default().with_queue_depth(depth);
+                let threads = p.parallelized.threads();
+                let ref_sim = simulate_reference(threads, cell.args, w.init, &machine)
+                    .unwrap_or_else(|e| panic!("{tag}: reference mt sim: {e}"));
+                if let Err(msg) =
+                    assert_skip_equivalence(&p.program, cell.args, w.init, &machine, &ref_sim)
+                {
+                    panic!("{tag} (depth {depth}): {msg}");
+                }
             }
         }
     }
