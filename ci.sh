@@ -43,7 +43,10 @@ GMT_JOBS=8 ./target/release/repro --verify-mt
 # gmt-pdg/gmt-ir ceiling was lowered 33 -> 30 when the fuzzer's panic
 # burn-down converted the reachable sites (unterminated blocks,
 # oversized memory layouts, out-of-range queue and points-to indices)
-# to typed errors.
+# to typed errors. The gmt-mtcg/gmt-sched ceiling was lowered 16 -> 13
+# when the partitioner searches moved onto the dense cost model and
+# shed their `expect("nonempty")`, `expect("placed")` and
+# `unreachable!()`.
 python3 - <<'EOF'
 import re, pathlib, sys
 pat = re.compile(
@@ -56,7 +59,7 @@ def count(roots):
             total += len(pat.findall(body))
     return total
 BUDGETS = {
-    "gmt-mtcg/gmt-sched": (("crates/mtcg/src", "crates/sched/src"), 16),
+    "gmt-mtcg/gmt-sched": (("crates/mtcg/src", "crates/sched/src"), 13),
     "gmt-pdg/gmt-ir": (("crates/pdg/src", "crates/ir/src"), 30),
 }
 for name, (roots, budget) in BUDGETS.items():

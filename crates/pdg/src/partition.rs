@@ -2,7 +2,6 @@
 //! MTCG and COCO.
 
 use gmt_ir::{Function, InstrId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A thread index.
@@ -32,11 +31,31 @@ impl fmt::Display for ThreadId {
 ///
 /// `ret` terminators are assigned like any other instruction; MTCG gives
 /// every generated thread its own return path regardless.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Partition {
-    thread_of: HashMap<InstrId, ThreadId>,
+    /// Indexed by [`InstrId::index`]; grows on [`Partition::assign`].
+    thread_of: Vec<Option<ThreadId>>,
     num_threads: u32,
 }
+
+/// Two partitions are equal when they assign the same instructions to
+/// the same threads. Equality is defined on the assignment, not on the
+/// backing vector: how far it has grown (trailing unassigned slots) is
+/// storage, and GREMIO's candidate de-duplication relies on `==`.
+impl PartialEq for Partition {
+    fn eq(&self, other: &Partition) -> bool {
+        let (short, long) = if self.thread_of.len() <= other.thread_of.len() {
+            (&self.thread_of, &other.thread_of)
+        } else {
+            (&other.thread_of, &self.thread_of)
+        };
+        self.num_threads == other.num_threads
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(Option::is_none)
+    }
+}
+
+impl Eq for Partition {}
 
 impl Partition {
     /// Creates an empty partition over `num_threads` threads.
@@ -46,7 +65,7 @@ impl Partition {
     /// Panics if `num_threads == 0`.
     pub fn new(num_threads: u32) -> Partition {
         assert!(num_threads > 0, "at least one thread required");
-        Partition { thread_of: HashMap::new(), num_threads }
+        Partition { thread_of: Vec::new(), num_threads }
     }
 
     /// A partition placing every instruction of `f` on thread 0 —
@@ -76,7 +95,10 @@ impl Partition {
     /// Panics if `t` is out of range.
     pub fn assign(&mut self, i: InstrId, t: ThreadId) {
         assert!(t.0 < self.num_threads, "thread {t:?} out of range");
-        self.thread_of.insert(i, t);
+        if i.index() >= self.thread_of.len() {
+            self.thread_of.resize(i.index() + 1, None);
+        }
+        self.thread_of[i.index()] = Some(t);
     }
 
     /// The thread of instruction `i`.
@@ -91,15 +113,20 @@ impl Partition {
 
     /// The thread of instruction `i`, if assigned.
     pub fn get(&self, i: InstrId) -> Option<ThreadId> {
-        self.thread_of.get(&i).copied()
+        self.thread_of.get(i.index()).copied().flatten()
     }
 
-    /// Instructions assigned to thread `t`, in arbitrary order.
-    pub fn instrs_of(&self, t: ThreadId) -> impl Iterator<Item = InstrId> + '_ {
+    /// Assigned `(instruction, thread)` pairs, in ascending id order.
+    fn assigned(&self) -> impl Iterator<Item = (InstrId, ThreadId)> + '_ {
         self.thread_of
             .iter()
-            .filter(move |&(_, &tt)| tt == t)
-            .map(|(&i, _)| i)
+            .enumerate()
+            .filter_map(|(k, t)| t.map(|t| (InstrId(k as u32), t)))
+    }
+
+    /// Instructions assigned to thread `t`, in ascending id order.
+    pub fn instrs_of(&self, t: ThreadId) -> impl Iterator<Item = InstrId> + '_ {
+        self.assigned().filter(move |&(_, tt)| tt == t).map(|(i, _)| i)
     }
 
     /// Checks that every placed instruction of `f` is assigned to a
@@ -120,7 +147,7 @@ impl Partition {
     /// Per-thread instruction counts (static balance metric).
     pub fn static_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_threads as usize];
-        for &t in self.thread_of.values() {
+        for (_, t) in self.assigned() {
             sizes[t.index()] += 1;
         }
         sizes
@@ -129,7 +156,7 @@ impl Partition {
     /// Per-thread dynamic weight, given per-instruction weights.
     pub fn dynamic_sizes(&self, weight: impl Fn(InstrId) -> u64) -> Vec<u64> {
         let mut sizes = vec![0u64; self.num_threads as usize];
-        for (&i, &t) in &self.thread_of {
+        for (i, t) in self.assigned() {
             sizes[t.index()] += weight(i);
         }
         sizes
@@ -193,6 +220,44 @@ mod tests {
     fn instrs_of_filters_by_thread() {
         let f = tiny();
         let p = Partition::single_threaded(&f);
-        assert_eq!(p.instrs_of(ThreadId(0)).count(), 3);
+        let ids: Vec<InstrId> = f.all_instrs().collect();
+        assert_eq!(p.instrs_of(ThreadId(0)).collect::<Vec<_>>(), ids);
+        let mut q = Partition::new(2);
+        for (k, &i) in ids.iter().enumerate().rev() {
+            q.assign(i, ThreadId(k as u32 % 2));
+        }
+        assert_eq!(q.instrs_of(ThreadId(0)).collect::<Vec<_>>(), [ids[0], ids[2]]);
+        assert_eq!(q.instrs_of(ThreadId(1)).collect::<Vec<_>>(), [ids[1]]);
+    }
+
+    /// Equality is about the assignment, not about how far the backing
+    /// vector happened to grow.
+    #[test]
+    fn equality_ignores_assignment_order_and_trailing_slots() {
+        let f = tiny();
+        let ids: Vec<InstrId> = f.all_instrs().collect();
+        let mut forward = Partition::new(2);
+        let mut backward = Partition::new(2);
+        for &i in &ids {
+            forward.assign(i, ThreadId(1));
+        }
+        for &i in ids.iter().rev() {
+            backward.assign(i, ThreadId(1));
+        }
+        assert_eq!(forward, backward);
+
+        let mut short = Partition::new(2);
+        short.assign(ids[0], ThreadId(0));
+        let mut long = short.clone();
+        long.thread_of.resize(10, None);
+        assert_eq!(short, long);
+        assert_eq!(long, short);
+        long.assign(ids[2], ThreadId(0));
+        assert_ne!(short, long);
+        assert_ne!(long, short);
+
+        let mut other_width = Partition::new(3);
+        other_width.assign(ids[0], ThreadId(0));
+        assert_ne!(short, other_width);
     }
 }

@@ -19,11 +19,11 @@
 //! the defining DSWP invariant, checked by
 //! [`is_pipeline`](crate::metrics::is_pipeline).
 
+use crate::cost::{to_partition, CostModel, Scratch};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_ir::{ControlDeps, Dominators, Function, LoopForest, PostDominators, Profile};
-use gmt_pdg::{Partition, Pdg, ThreadId};
-use std::collections::HashMap;
+use gmt_pdg::{Partition, Pdg};
 
 /// Configuration of the DSWP partitioner.
 #[derive(Clone, Debug)]
@@ -70,14 +70,29 @@ pub fn partition(
     profile: &Profile,
     config: &DswpConfig,
 ) -> Result<Partition, SchedError> {
+    search(f, pdg, profile, config, true).map(|(_, p)| p)
+}
+
+/// The search behind [`partition`], returning the winner's score too.
+/// `prune` is `true` outside tests: skipping candidates by their
+/// compute-weight bound never changes the result.
+fn search(
+    f: &Function,
+    pdg: &Pdg,
+    profile: &Profile,
+    config: &DswpConfig,
+    prune: bool,
+) -> Result<(u64, Partition), SchedError> {
     if config.num_threads == 0 {
         return Err(SchedError::NoThreads);
     }
+    let n = config.num_threads as usize;
     let weights = InstrWeights::compute(f, profile);
     let dom = Dominators::compute(f);
     let loops = LoopForest::compute(f, &dom);
     let pdom = PostDominators::compute(f);
     let cdeps = ControlDeps::compute(f, &pdom);
+    let model = CostModel::new(f, pdg, &weights, &cdeps, config.comm_latency);
 
     let (g, _index) = pdg.as_digraph();
     let cond = g.condensation();
@@ -86,6 +101,21 @@ pub fn partition(
         .dag
         .topological_order()
         .ok_or(SchedError::CyclicCondensation)?;
+
+    // The pipeline order: instructions SCC by SCC in topological order.
+    // A stage is a contiguous run of `order`, so a candidate is fully
+    // described by where its stages start, and a stage's compute weight
+    // is a difference of two entries of `weight_before`.
+    let mut order: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut scc_start: Vec<usize> = Vec::with_capacity(topo.len());
+    for &c in &topo {
+        scc_start.push(order.len());
+        order.extend(cond.components[c.index()].nodes.iter().map(|k| nodes[k.index()].index()));
+    }
+    let mut weight_before = vec![0u64; order.len() + 1];
+    for (k, &i) in order.iter().enumerate() {
+        weight_before[k + 1] = weight_before[k] + model.weight(i);
+    }
 
     // Candidate cluster sequences: SCCs in topological order, merged at
     // several granularities. A merge key groups *adjacent-in-topo*
@@ -100,84 +130,91 @@ pub fn partition(
         }
     };
 
-    let mut best: Option<(u64, Partition)> = None;
+    let mut scratch = Scratch::default();
+    let mut thread_of = vec![0u32; f.num_instrs()];
+    let mut best: Option<(u64, Vec<u32>)> = None;
     for granularity in [None, Some(false), Some(true)] {
-        // Build the cluster sequence.
-        let mut seq: Vec<Vec<usize>> = Vec::new(); // clusters of scc indices
+        // `starts[ci]` is the position in `order` where cluster `ci`
+        // begins; a trailing entry closes the last cluster.
+        let mut starts: Vec<usize> = Vec::new();
         let mut last_key: Option<u64> = None;
-        for &c in &topo {
-            let scc_idx = c.index();
-            let key = granularity.map(|by_loop| region_key(scc_idx, by_loop));
-            match (key, last_key) {
-                (Some(k), Some(lk)) if k == lk => {
-                    seq.last_mut().expect("nonempty").push(scc_idx);
-                }
-                _ => seq.push(vec![scc_idx]),
+        for (&c, &start) in topo.iter().zip(&scc_start) {
+            let key = granularity.map(|by_loop| region_key(c.index(), by_loop));
+            if key.is_none() || key != last_key {
+                starts.push(start);
             }
             last_key = key;
         }
-        // Evaluate every contiguous cut of the sequence.
-        for p in candidate_partitions(f, &seq, &cond, nodes, config) {
-            let s = stage_score(f, pdg, &weights, &cdeps, &p, config);
-            if best.as_ref().is_none_or(|(bs, _)| s < *bs) {
-                best = Some((s, p));
-            }
-        }
-    }
-    best.map(|(_, p)| p).ok_or(SchedError::NoCandidates)
-}
+        starts.push(order.len());
 
-/// Enumerates pipeline partitions over the cluster sequence: for two
-/// stages, every cut position; for more stages, a weight-balanced
-/// greedy chunking (single candidate).
-fn candidate_partitions(
-    f: &Function,
-    seq: &[Vec<usize>],
-    cond: &gmt_graph::Condensation,
-    nodes: &[gmt_ir::InstrId],
-    config: &DswpConfig,
-) -> Vec<Partition> {
-    let n = config.num_threads;
-    let build = |stage_of_cluster: &dyn Fn(usize) -> u32| -> Partition {
-        let mut p = Partition::new(n);
-        for (ci, cluster) in seq.iter().enumerate() {
-            let t = ThreadId(stage_of_cluster(ci).min(n - 1));
-            for &scc_idx in cluster {
-                for &k in &cond.components[scc_idx].nodes {
-                    p.assign(nodes[k.index()], t);
+        // Evaluate every contiguous cut of the sequence.
+        for_each_cut_vector(&starts, n, |cuts| {
+            // Stage `k` runs from its cut (the sequence start for stage
+            // 0) to the next stage's.
+            let bounds = |k: usize| {
+                let at = |j: usize| cuts.get(j).map_or(order.len(), |&c| starts[c]);
+                (if k == 0 { 0 } else { at(k - 1) }, at(k))
+            };
+            // Communication only adds load, so a candidate whose
+            // heaviest stage already computes for as long as the
+            // incumbent's score cannot be strictly better.
+            if let (true, Some((best_score, _))) = (prune, &best) {
+                let heaviest = (0..=cuts.len())
+                    .map(|k| weight_before[bounds(k).1] - weight_before[bounds(k).0])
+                    .max()
+                    .unwrap_or(0);
+                if heaviest >= *best_score {
+                    return;
                 }
             }
-        }
-        p
-    };
-    let _ = f;
-    if n == 1 || seq.len() < 2 {
-        return vec![build(&|_| 0)];
+            for k in 0..=cuts.len() {
+                let (from, to) = bounds(k);
+                for &i in &order[from..to] {
+                    thread_of[i] = k as u32;
+                }
+            }
+            let s = model.eval(&thread_of, n, &mut scratch);
+            match &mut best {
+                Some((best_score, threads)) if s < *best_score => {
+                    *best_score = s;
+                    threads.copy_from_slice(&thread_of);
+                }
+                Some(_) => {}
+                None => best = Some((s, thread_of.clone())),
+            }
+        });
+    }
+    let (score, threads) = best.ok_or(SchedError::NoCandidates)?;
+    Ok((score, to_partition(pdg, &threads, config.num_threads)))
+}
+
+/// Enumerates pipeline shapes over a sequence of `starts.len() - 1`
+/// clusters as *cut vectors*: cluster `ci` is on stage
+/// `|{c in cuts : c <= ci}|`. For two stages, every cut position; for
+/// more stages, every combination of cut positions while there are at
+/// most 3000, otherwise one size-balanced greedy chunking.
+fn for_each_cut_vector(starts: &[usize], n: usize, mut visit: impl FnMut(&[usize])) {
+    let clusters = starts.len() - 1;
+    if n == 1 || clusters < 2 {
+        return visit(&[]);
     }
     if n == 2 {
-        return (1..seq.len())
-            .map(|cut| build(&move |ci| u32::from(ci >= cut)))
-            .collect();
+        return (1..clusters).for_each(|cut| visit(&[cut]));
     }
     // Deeper pipelines: enumerate all (n-1)-cut combinations when the
     // search space is small, otherwise fall back to one greedy
-    // equal-weight chunking.
-    let cuts_needed = (n - 1) as usize;
-    let positions = seq.len().saturating_sub(1);
-    let combos = n_choose_k(positions, cuts_needed);
-    if positions >= cuts_needed && combos <= 3000 {
-        let mut out = Vec::new();
+    // equal-size chunking.
+    let cuts_needed = n - 1;
+    let positions = clusters - 1;
+    if positions >= cuts_needed && n_choose_k(positions, cuts_needed) <= 3000 {
         let mut cut = (1..=cuts_needed).collect::<Vec<usize>>();
         loop {
-            let cut_now = cut.clone();
-            out.push(build(&move |ci| {
-                cut_now.iter().filter(|&&c| ci >= c).count() as u32
-            }));
+            visit(&cut);
             // Next combination of `cuts_needed` positions in 1..=positions.
             let mut k = cuts_needed;
             loop {
                 if k == 0 {
-                    return out;
+                    return;
                 }
                 k -= 1;
                 if cut[k] < positions - (cuts_needed - 1 - k) {
@@ -190,23 +227,17 @@ fn candidate_partitions(
             }
         }
     }
-    // Greedy equal-weight chunking fallback.
-    let cluster_sizes: Vec<usize> = seq
-        .iter()
-        .map(|cluster| cluster.iter().map(|&s| cond.components[s].nodes.len()).sum())
-        .collect();
-    let total: usize = cluster_sizes.iter().sum();
-    let per = total.div_ceil(n as usize).max(1);
-    let mut acc = 0usize;
-    let stages: Vec<u32> = cluster_sizes
-        .iter()
-        .map(|&sz| {
-            let stage = (acc / per) as u32;
-            acc += sz;
-            stage
-        })
-        .collect();
-    vec![build(&move |ci| stages[ci])]
+    // Greedy fallback: a cluster goes to the stage its first
+    // instruction falls in when the sequence is split into `n` equal
+    // instruction counts; a stage nothing starts in stays empty.
+    let per = starts[clusters].div_ceil(n).max(1);
+    let mut cuts: Vec<usize> = Vec::with_capacity(cuts_needed);
+    for (ci, &start) in starts[..clusters].iter().enumerate() {
+        while cuts.len() < (start / per).min(cuts_needed) {
+            cuts.push(ci);
+        }
+    }
+    visit(&cuts);
 }
 
 /// Binomial coefficient, saturating (used only to bound enumeration).
@@ -222,72 +253,6 @@ fn n_choose_k(n: usize, k: usize) -> u64 {
         }
     }
     acc
-}
-
-/// Steady-state throughput score, mirroring the GREMIO model: heaviest
-/// stage load including communication occupancy and replicated-branch
-/// overhead.
-fn stage_score(
-    f: &Function,
-    pdg: &Pdg,
-    weights: &InstrWeights,
-    cdeps: &ControlDeps,
-    partition: &Partition,
-    config: &DswpConfig,
-) -> u64 {
-    let mut load = partition.dynamic_sizes(|i| weights.weight(i));
-    let lat = config.comm_latency.max(1);
-    let mut best_site: HashMap<(gmt_ir::InstrId, u32), u64> = HashMap::new();
-    for d in pdg.deps() {
-        let (s, t) = (partition.thread_of(d.src), partition.thread_of(d.dst));
-        if s == t {
-            continue;
-        }
-        let cost = weights
-            .exec_count(d.src)
-            .min(weights.exec_count(d.dst))
-            .max(1);
-        best_site
-            .entry((d.src, t.0))
-            .and_modify(|c| *c = (*c).max(cost))
-            .or_insert(cost);
-    }
-    for (&(src, t), &c) in &best_site {
-        load[partition.thread_of(src).index()] += c * lat;
-        load[t as usize] += c * lat;
-    }
-    let nt = partition.num_threads() as usize;
-    for t_idx in 0..nt {
-        let t = ThreadId(t_idx as u32);
-        let mut need = vec![false; f.num_blocks()];
-        for i in f.all_instrs() {
-            if partition.thread_of(i) == t {
-                need[f.block_of(i).index()] = true;
-            }
-        }
-        let mut relevant: std::collections::BTreeSet<gmt_ir::InstrId> =
-            std::collections::BTreeSet::new();
-        let mut work: Vec<gmt_ir::BlockId> = f.blocks().filter(|b| need[b.index()]).collect();
-        while let Some(b) = work.pop() {
-            for cd in cdeps.of_block(b) {
-                if relevant.insert(cd.branch) {
-                    let bb = f.block_of(cd.branch);
-                    if !need[bb.index()] {
-                        need[bb.index()] = true;
-                        work.push(bb);
-                    }
-                }
-            }
-        }
-        for br in relevant {
-            if partition.thread_of(br) != t {
-                let c = weights.exec_count(br).max(1) * lat;
-                load[t_idx] += 2 * c;
-                load[partition.thread_of(br).index()] += c;
-            }
-        }
-    }
-    load.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -394,5 +359,18 @@ mod tests {
         let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 4, comm_latency: 1 }).unwrap();
         assert!(p.validate(&f).is_ok());
         assert!(is_pipeline(&pdg, &p));
+    }
+
+    /// The compute-weight bound only skips candidates that could not
+    /// have won: with it disabled the partition and score are the same.
+    #[test]
+    fn pruning_never_changes_the_partition() {
+        crate::testutil::for_catalog_and_generated("dswp::pruning", |f, pdg, profile, n| {
+            let config = DswpConfig { num_threads: n, comm_latency: 1 };
+            let pruned = search(f, pdg, profile, &config, true);
+            let exhaustive = search(f, pdg, profile, &config, false);
+            gmt_testkit::prop_assert_eq!(pruned, exhaustive);
+            Ok(())
+        });
     }
 }

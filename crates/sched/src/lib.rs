@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cost;
 pub mod dswp;
 pub mod gremio;
 pub mod metrics;
@@ -78,3 +79,38 @@ impl std::fmt::Display for SchedError {
 }
 
 impl std::error::Error for SchedError {}
+
+#[cfg(test)]
+mod testutil {
+    use gmt_integration_tests::{compile, program_gen};
+    use gmt_ir::interp::{run, ExecConfig};
+    use gmt_ir::{Function, Profile};
+    use gmt_pdg::Pdg;
+    use gmt_testkit::{Checker, PropResult};
+
+    /// Runs `prop` on the 11 catalog kernels under their train profiles
+    /// and on 200 generated functions under the profile of one
+    /// sequential run, each at N ∈ {2,3,4}.
+    pub(crate) fn for_catalog_and_generated(
+        name: &str,
+        prop: impl Fn(&Function, &Pdg, &Profile, u32) -> PropResult,
+    ) {
+        for w in gmt_workloads::catalog() {
+            let profile = w.run_train().expect("train run").profile;
+            let pdg = Pdg::build(&w.function);
+            for n in [2, 3, 4] {
+                if let Err(e) = prop(&w.function, &pdg, &profile, n) {
+                    panic!("{} N={n}: {e}", w.benchmark);
+                }
+            }
+        }
+        Checker::new(name).cases(200).run(&program_gen(), |program| {
+            let f = compile(program);
+            let profile = run(&f, &[], &ExecConfig { max_steps: 5_000_000 })
+                .map_err(|e| e.to_string())?
+                .profile;
+            let pdg = Pdg::build(&f);
+            (2..=4).try_for_each(|n| prop(&f, &pdg, &profile, n))
+        });
+    }
+}
