@@ -15,10 +15,17 @@
 //!   other (per-thread dynamic counts) at queue capacities 1 and 32,
 //!   and the dynamic totals are capacity-invariant;
 //! - the **timed** engines — ID-walking reference, decoded with
-//!   fast-forward, decoded without — agree on cycles, outputs, and
-//!   per-core retired-instruction counts at both uniform and
-//!   allocated queue depths, and the fast-forward obeys the
-//!   conservation law `engine_steps + skipped_cycles = noskip steps`;
+//!   fast-forward, decoded without — agree on cycles and outputs at
+//!   both uniform and allocated queue depths, and the fast-forward
+//!   obeys the conservation law
+//!   `engine_steps + skipped_cycles = noskip steps`;
+//! - **interpreter ↔ simulator**: every core of every timed engine
+//!   retires exactly the computation / communication / synchronization
+//!   instructions the functional MT run counted for that thread (the
+//!   counts do not depend on the interleaving of a correctly
+//!   synchronized program). The functional interpreters share one
+//!   driver loop, the timed engines share none of it, so this edge
+//!   does not go through the code the decoded ≡ reference edges share;
 //! - on a deterministic third of the cases, the **trace layer**: a
 //!   traced run (small event ring) reports the same cycle count as
 //!   the untraced engines (no observer effect), its per-core cycle
@@ -35,12 +42,15 @@
 
 use crate::ast::{compile, seeded_partition, FuzzCase, Mode};
 use gmt_core::{verify_mt, verify_mt_uniform, CocoConfig, Parallelized, Parallelizer, Scheduler};
-use gmt_ir::interp::{ExecConfig, ExecError, RunResult};
-use gmt_ir::interp_mt::{run_mt, run_mt_reference, MtRunResult, QueueConfig};
+use gmt_ir::decoded::DecodedProgram;
+use gmt_ir::interp::{DynCounts, ExecConfig, ExecError, RunResult};
+use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, MtRunResult, QueueConfig};
 use gmt_ir::{Function, Profile};
+use gmt_pdg::Pdg;
 use gmt_sim::{
     check_attribution, check_critical_path, simulate_decoded_opts, simulate_decoded_traced_opts,
-    simulate_reference, CritPathSink, MachineConfig, SimOptions, SimResult, TraceAggregator,
+    simulate_reference, CoreStats, CritPathSink, MachineConfig, SimOptions, SimResult,
+    TraceAggregator,
 };
 
 /// Dynamic-instruction fuel for the functional executors. Generated
@@ -89,8 +99,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     };
     report.seq_steps = seq.counts.total();
 
-    // Phase 2: the pipeline (partition → COCO → MTCG).
-    let par = match parallelize(&f, &seq.profile, case) {
+    // Phase 2: the pipeline (partition → COCO → MTCG). One PDG serves
+    // the seeded-partition path and both validator calls.
+    let pdg = Pdg::build(&f);
+    let par = match parallelize(&f, &seq.profile, &pdg, case) {
         Ok(p) => p,
         Err(rejection) => {
             report.rejected = Some(rejection);
@@ -101,11 +113,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     report.num_queues = out.num_queues;
 
     // Phase 3: static protocol validation, uniform + allocated.
-    let v1 = verify_mt_uniform(&f, &par.partition, &pdg_of(&f), out, 1);
+    let v1 = verify_mt_uniform(&f, &par.partition, &pdg, out, 1);
     if !v1.is_empty() {
         return Err(format!("[verify_mt depth=1] {v1:?}"));
     }
-    let va = verify_mt(&f, &par.partition, &pdg_of(&f), out, &par.queue_depths);
+    let va = verify_mt(&f, &par.partition, &pdg, out, &par.queue_depths);
     if !va.is_empty() {
         return Err(format!(
             "[verify_mt depths={:?}] {va:?}",
@@ -113,21 +125,18 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         ));
     }
 
-    // Phase 4: functional MT at capacities 1 and 32.
-    let mut totals_by_cap = Vec::new();
-    for cap in [1usize, 32] {
-        let mt = mt_cross_check(&f, &par, &seq, cap, &exec)?;
-        totals_by_cap.push((cap, mt.totals()));
-    }
-    let (c0, t0) = &totals_by_cap[0];
-    for (c, t) in &totals_by_cap[1..] {
-        if t.total() != t0.total() {
-            return Err(format!(
-                "[mt] dynamic totals depend on queue capacity: {} at capacity {c0} vs {} at {c}",
-                t0.total(),
-                t.total()
-            ));
-        }
+    // Phase 4: functional MT at capacities 1 and 32, on the one decoded
+    // program every decoded executor of the case runs.
+    let program =
+        DecodedProgram::decode(par.threads()).map_err(|e| format!("[decode] {e:?}"))?;
+    let mt1 = mt_cross_check(&program, &par, &seq, 1, &exec)?;
+    let mt32 = mt_cross_check(&program, &par, &seq, 32, &exec)?;
+    if mt1.totals().total() != mt32.totals().total() {
+        return Err(format!(
+            "[mt] dynamic totals depend on queue capacity: {} at capacity 1 vs {} at 32",
+            mt1.totals().total(),
+            mt32.totals().total()
+        ));
     }
 
     // Phase 5: timed engines at uniform hot depth and allocated depths.
@@ -138,17 +147,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         if par.queue_depths.is_empty() { vec![1] } else { par.queue_depths.clone() },
     );
     for (label, machine) in [("uniform", &uniform), ("allocated", &allocated)] {
-        let sim = sim_cross_check(&f, &par, &seq, machine, label)?;
+        let sim = sim_cross_check(&program, &par, &seq, &mt32.per_thread, machine, label)?;
         report.cycles = sim.cycles;
     }
 
     Ok(report)
-}
-
-/// Builds the PDG (used twice so the verifier sees the same graph the
-/// partitioners did; `Pdg::build` is deterministic).
-fn pdg_of(f: &Function) -> gmt_pdg::Pdg {
-    gmt_pdg::Pdg::build(f)
 }
 
 /// The paper depth hot queues get under each mode's scheduler.
@@ -209,7 +212,12 @@ fn seq_cross_check(
 
 /// Drives the pipeline for the case's mode. `Err` is a *typed*
 /// rejection (acceptable); panics propagate to the driver.
-fn parallelize(f: &Function, profile: &Profile, case: &FuzzCase) -> Result<Parallelized, String> {
+fn parallelize(
+    f: &Function,
+    profile: &Profile,
+    pdg: &Pdg,
+    case: &FuzzCase,
+) -> Result<Parallelized, String> {
     let mode = case.mode();
     let scheduler = match mode {
         Mode::Dswp | Mode::DswpCoco | Mode::SeededMtcg | Mode::SeededCoco => {
@@ -223,9 +231,8 @@ fn parallelize(f: &Function, profile: &Profile, case: &FuzzCase) -> Result<Paral
     }
     match mode {
         Mode::SeededMtcg | Mode::SeededCoco => {
-            let pdg = pdg_of(f);
             let partition = seeded_partition(f, case.threads, case.part_seed);
-            p.parallelize_with_partition(f, profile, &pdg, partition)
+            p.parallelize_with_partition(f, profile, pdg, partition)
                 .map_err(|e| format!("pipeline (seeded): {e:?}"))
         }
         _ => p.parallelize(f, profile).map_err(|e| format!("pipeline: {e:?}")),
@@ -235,7 +242,7 @@ fn parallelize(f: &Function, profile: &Profile, case: &FuzzCase) -> Result<Paral
 /// Runs both functional MT interpreters at the given capacity and
 /// cross-checks them against each other and the sequential truth.
 fn mt_cross_check(
-    f: &Function,
+    program: &DecodedProgram,
     par: &Parallelized,
     seq: &RunResult,
     capacity: usize,
@@ -246,7 +253,7 @@ fn mt_cross_check(
         capacity,
     };
     let threads = par.threads();
-    let dec = run_mt(threads, &[], |_, _| {}, &qc, exec)
+    let dec = run_mt_decoded(program, &[], |_, _| {}, &qc, exec)
         .map_err(|e| format!("[mt cap={capacity}] decoded: {e:?}"))?;
     let refr = run_mt_reference(threads, &[], |_, _| {}, &qc, exec)
         .map_err(|e| format!("[mt cap={capacity}] reference: {e:?}"))?;
@@ -276,7 +283,6 @@ fn mt_cross_check(
     if dec.memory.cells() != seq.memory.cells() {
         return Err(format!("[mt cap={capacity}] final memory diverges from sequential"));
     }
-    let _ = f;
     Ok(dec)
 }
 
@@ -289,12 +295,33 @@ fn machine_for(num_queues: u32, depths: Vec<usize>) -> MachineConfig {
     m
 }
 
-/// Runs the three timed engines and checks full agreement plus the
-/// fast-forward conservation law.
+/// The interpreter ↔ simulator edge: core `i` of a timed run must have
+/// retired exactly the instructions, kind by kind, that thread `i` of
+/// the functional run executed.
+fn check_counts(functional: &[DynCounts], cores: &[CoreStats]) -> Result<(), String> {
+    let retired: Vec<DynCounts> = cores
+        .iter()
+        .map(|c| DynCounts {
+            computation: c.computation,
+            communication: c.communication,
+            synchronization: c.synchronization,
+        })
+        .collect();
+    if retired != functional {
+        return Err(format!("per-core counts {retired:?} vs functional per-thread {functional:?}"));
+    }
+    Ok(())
+}
+
+/// Runs the three timed engines and checks full agreement — with each
+/// other, with the sequential observables and with the functional MT
+/// run's per-thread `functional` counts — plus the fast-forward
+/// conservation law.
 fn sim_cross_check(
-    f: &Function,
+    program: &DecodedProgram,
     par: &Parallelized,
     seq: &RunResult,
+    functional: &[DynCounts],
     machine: &MachineConfig,
     label: &str,
 ) -> Result<SimResult, String> {
@@ -302,10 +329,8 @@ fn sim_cross_check(
     let refr = simulate_reference(threads, &[], |_, _| {}, machine)
         .map_err(|e| format!("[sim {label}] reference: {e:?}"))?;
     machine.validate().map_err(|e| format!("[sim {label}] config: {e}"))?;
-    let program = gmt_ir::decoded::DecodedProgram::decode(threads)
-        .map_err(|e| format!("[sim {label}] decode: {e:?}"))?;
     let ff = simulate_decoded_opts(
-        &program,
+        program,
         &[],
         |_, _| {},
         machine,
@@ -313,7 +338,7 @@ fn sim_cross_check(
     )
     .map_err(|e| format!("[sim {label}] fast-forward: {e:?}"))?;
     let noskip = simulate_decoded_opts(
-        &program,
+        program,
         &[],
         |_, _| {},
         machine,
@@ -328,18 +353,13 @@ fn sim_cross_check(
                 sim.return_value, seq.return_value
             ));
         }
+        check_counts(functional, &sim.cores).map_err(|e| format!("[sim {label}] {name} {e}"))?;
     }
     if ff.cycles != refr.cycles || noskip.cycles != refr.cycles {
         return Err(format!(
             "[sim {label}] cycle totals: reference {} / fast-forward {} / no-skip {}",
             refr.cycles, ff.cycles, noskip.cycles
         ));
-    }
-    let instrs = |s: &SimResult| -> Vec<u64> {
-        s.cores.iter().map(gmt_sim::CoreStats::total_instrs).collect()
-    };
-    if instrs(&ff) != instrs(&refr) || instrs(&noskip) != instrs(&refr) {
-        return Err(format!("[sim {label}] per-core instruction counts diverge across engines"));
     }
     if noskip.skipped_cycles != 0 {
         return Err(format!(
@@ -362,10 +382,10 @@ fn sim_cross_check(
     if seq.counts.total() % 3 == 0 {
         let mut sink = (
             TraceAggregator::new(threads.len(), machine.sa.num_queues, 256),
-            CritPathSink::new(&program, machine.sa.num_queues),
+            CritPathSink::new(program, machine.sa.num_queues),
         );
         let traced = simulate_decoded_traced_opts(
-            &program,
+            program,
             &[],
             |_, _| {},
             machine,
@@ -384,7 +404,6 @@ fn sim_cross_check(
         check_critical_path(&sink.1, &traced)
             .map_err(|e| format!("[sim {label}] critical path: {e}"))?;
     }
-    let _ = f;
     Ok(ff)
 }
 
@@ -415,6 +434,38 @@ mod tests {
             let case = case_from_seed(seed);
             run_case(&case).unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
         }
+    }
+
+    /// The planted mutation for the interpreter ↔ simulator edge: one
+    /// instruction more or fewer of any kind on any core, or a missing
+    /// core, must be a finding.
+    #[test]
+    fn doctored_core_count_is_a_finding() {
+        let functional = [
+            DynCounts { computation: 9, communication: 2, synchronization: 1 },
+            DynCounts { computation: 4, communication: 2, synchronization: 1 },
+        ];
+        let core = |c: &DynCounts| CoreStats {
+            computation: c.computation,
+            communication: c.communication,
+            synchronization: c.synchronization,
+            stall_operand: 7, // timing is not part of the edge
+            ..CoreStats::default()
+        };
+        let cores = functional.each_ref().map(core);
+        check_counts(&functional, &cores).expect("equal counts pass");
+
+        let doctor: [fn(&mut CoreStats); 3] = [
+            |c| c.computation += 1,
+            |c| c.communication -= 1,
+            |c| c.synchronization += 1,
+        ];
+        for (i, doctor) in doctor.iter().enumerate() {
+            let mut doctored = cores;
+            doctor(&mut doctored[i % 2]);
+            check_counts(&functional, &doctored).expect_err("a doctored count must not pass");
+        }
+        check_counts(&functional, &cores[..1]).expect_err("a missing core must not pass");
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use gmt_harness::figures;
 use gmt_harness::{
     comm_attribution_table, explain_cell, explain_json, explain_report, metrics_table,
-    queue_comm_table, run_all, run_all_metrics, stall_table, trace_cell, verify_matrix,
+    queue_comm_table, run_all, run_workloads, stall_table, trace_cell, verify_matrix,
     verify_table, Scale, SchedulerKind,
 };
 use std::collections::HashSet;
@@ -361,7 +361,7 @@ fn run_metrics(scheds: &[SchedulerKind], scale: Scale) {
     let mut records = Vec::new();
     let mut failures = Vec::new();
     for &k in scheds {
-        for outcome in run_all_metrics(k, true, scale, jobs) {
+        for outcome in run_workloads(gmt_workloads::catalog(), k, true, scale, jobs) {
             match outcome {
                 Ok(e) => records.extend(e.metrics),
                 Err(e) => failures.push(e),

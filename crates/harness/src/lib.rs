@@ -315,36 +315,16 @@ pub fn run_all(
     timed: bool,
     scale: Scale,
 ) -> Vec<Result<BenchResult, HarnessError>> {
-    run_all_jobs(kind, timed, scale, gmt_testkit::num_jobs())
-}
-
-/// [`run_all`] with an explicit worker count (1 = serial in-thread).
-pub fn run_all_jobs(
-    kind: SchedulerKind,
-    timed: bool,
-    scale: Scale,
-    jobs: usize,
-) -> Vec<Result<BenchResult, HarnessError>> {
-    run_workloads(catalog(), kind, timed, scale, jobs)
+    run_workloads(catalog(), kind, timed, scale, gmt_testkit::num_jobs())
         .into_iter()
         .map(|r| r.map(|e| e.result))
         .collect()
 }
 
-/// Full evaluations (results + metrics) for the whole catalog, on
-/// `jobs` workers.
-pub fn run_all_metrics(
-    kind: SchedulerKind,
-    timed: bool,
-    scale: Scale,
-    jobs: usize,
-) -> Vec<Result<Evaluation, HarnessError>> {
-    run_workloads(catalog(), kind, timed, scale, jobs)
-}
-
 /// Evaluates an explicit workload list on `jobs` workers, preserving
-/// input order. The building block behind [`run_all`]; public so
-/// tests can inject synthetically failing workloads.
+/// input order (1 worker = serial in-thread). The building block
+/// behind [`run_all`], and what a caller that wants the metrics, an
+/// explicit worker count or its own workload list calls directly.
 pub fn run_workloads(
     workloads: Vec<Workload>,
     kind: SchedulerKind,

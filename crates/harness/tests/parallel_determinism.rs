@@ -2,8 +2,8 @@
 //! optimization: byte-identical figure output versus the serial path,
 //! and one failing workload must not take the rest of the matrix down.
 
-use gmt_harness::{figures, run_all, run_all_jobs, run_workloads, Scale, SchedulerKind};
-use gmt_workloads::by_benchmark;
+use gmt_harness::{figures, run_all, run_workloads, Scale, SchedulerKind};
+use gmt_workloads::{by_benchmark, catalog};
 
 /// Parallel `run_all` (8 workers) produces the same results, in the
 /// same order, as the serial path (1 worker) — compared both
@@ -11,8 +11,13 @@ use gmt_workloads::by_benchmark;
 #[test]
 fn parallel_run_all_is_byte_identical_to_serial() {
     let kind = SchedulerKind::Dswp;
-    let serial = run_all_jobs(kind, false, Scale::Quick, 1);
-    let parallel = run_all_jobs(kind, false, Scale::Quick, 8);
+    let results = |jobs| -> Vec<_> {
+        run_workloads(catalog(), kind, false, Scale::Quick, jobs)
+            .into_iter()
+            .map(|r| r.map(|e| e.result))
+            .collect()
+    };
+    let (serial, parallel) = (results(1), results(8));
     assert_eq!(
         format!("{serial:?}"),
         format!("{parallel:?}"),

@@ -23,7 +23,7 @@
 
 use crate::function::Function;
 use crate::instr::Op;
-use crate::interp::{ExecError, MemoryLayout};
+use crate::interp::{BlockedOp, ExecError, Memory, MemoryLayout, QueueAccess, StepOutcome, Thread};
 use crate::types::{AddrMode, BinOp, BlockId, InstrId, Operand, QueueId, Reg, UnOp};
 
 /// One pre-decoded instruction: operands inline, control-flow targets
@@ -188,6 +188,20 @@ impl DecodedOp {
     #[inline]
     pub fn is_communication(&self) -> bool {
         !matches!(self.kind(), InstrKind::Computation)
+    }
+
+    /// The queue a communication op addresses and the direction it
+    /// blocks in.
+    pub(crate) fn queue_op(&self) -> Option<(QueueId, BlockedOp)> {
+        match *self {
+            DecodedOp::Produce { queue, .. } | DecodedOp::ProduceSync { queue } => {
+                Some((queue, BlockedOp::ProduceFull))
+            }
+            DecodedOp::Consume { queue, .. } | DecodedOp::ConsumeSync { queue } => {
+                Some((queue, BlockedOp::ConsumeEmpty))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -400,25 +414,33 @@ impl DecodedProgram {
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
     }
+
+    /// Rejects a program with a communication slot that targets a queue
+    /// outside a file of `num_queues`, so a misallocated program fails
+    /// at load time — in the functional interpreter and the cycle
+    /// engine alike — instead of as a mid-run [`ExecError::BadQueue`].
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::InvalidConfig`] naming the first offending queue.
+    pub fn check_queue_ids(&self, num_queues: usize) -> Result<(), ExecError> {
+        let queues = self.threads.iter().flat_map(|d| &d.ops).filter_map(DecodedOp::queue_op);
+        for (queue, _) in queues {
+            crate::interp::check_queue_id(queue, num_queues)?;
+        }
+        Ok(())
+    }
 }
 
 /// Architectural state of one thread executing a decoded stream: a
 /// register file and a flat pc. Used by both interpreters.
-pub(crate) struct DecodedThread {
-    pub(crate) regs: Vec<i64>,
-    pub(crate) pc: u32,
+pub(crate) struct DecodedThread<'a> {
+    d: &'a DecodedFunction,
+    regs: Vec<i64>,
+    pc: u32,
 }
 
-impl DecodedThread {
-    pub(crate) fn new(d: &DecodedFunction, args: &[i64]) -> Result<DecodedThread, ExecError> {
-        d.check_args(args)?;
-        let mut regs = vec![0i64; d.num_regs() as usize];
-        for (r, &v) in d.params().iter().zip(args) {
-            regs[r.index()] = v;
-        }
-        Ok(DecodedThread { regs, pc: d.entry_pc() })
-    }
-
+impl DecodedThread<'_> {
     #[inline]
     fn operand(&self, o: Operand) -> i64 {
         match o {
@@ -431,120 +453,91 @@ impl DecodedThread {
     fn addr(&self, a: AddrMode) -> i64 {
         self.regs[a.base.index()].wrapping_add(a.offset)
     }
+}
+
+impl<'a> Thread<'a> for DecodedThread<'a> {
+    type Code = DecodedFunction;
+
+    fn start(
+        d: &'a DecodedFunction,
+        args: &[i64],
+        _layout: &'a MemoryLayout,
+    ) -> Result<DecodedThread<'a>, ExecError> {
+        d.check_args(args)?;
+        let mut regs = vec![0i64; d.num_regs() as usize];
+        for (r, &v) in d.params().iter().zip(args) {
+            regs[r.index()] = v;
+        }
+        Ok(DecodedThread { d, regs, pc: d.entry_pc() })
+    }
+
+    fn next_queue_op(&self) -> Option<(QueueId, BlockedOp)> {
+        self.d.op(self.pc).queue_op()
+    }
 
     /// Executes one decoded instruction (or reports a queue block) —
     /// the flat-stream mirror of `ThreadState::step`.
     #[inline]
-    pub(crate) fn step(
+    fn step<Q: QueueAccess>(
         &mut self,
-        d: &DecodedFunction,
-        memory: &mut crate::interp::Memory,
+        memory: &mut Memory,
         output: &mut Vec<i64>,
-        queues: &mut dyn crate::interp::QueueAccess,
-    ) -> Result<crate::interp::StepOutcome, ExecError> {
-        use crate::interp::StepOutcome;
+        queues: &mut Q,
+    ) -> Result<StepOutcome, ExecError> {
+        let d = self.d;
+        let mut kind = InstrKind::Computation;
         match d.op(self.pc) {
-            DecodedOp::Const(dst, v) => {
-                self.regs[dst.index()] = v;
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
-            DecodedOp::LeaAbs(dst, addr) => {
-                self.regs[dst.index()] = addr;
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
+            DecodedOp::Const(dst, v) => self.regs[dst.index()] = v,
+            DecodedOp::LeaAbs(dst, addr) => self.regs[dst.index()] = addr,
             DecodedOp::Bin(op, dst, a, b) => {
                 self.regs[dst.index()] = op.eval(self.operand(a), self.operand(b));
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
             }
-            DecodedOp::Un(op, dst, a) => {
-                self.regs[dst.index()] = op.eval(self.operand(a));
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
-            DecodedOp::Load(dst, a) => {
-                self.regs[dst.index()] = memory.read(self.addr(a))?;
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
-            DecodedOp::Store(a, v) => {
-                memory.write(self.addr(a), self.operand(v))?;
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
-            DecodedOp::Output(v) => {
-                output.push(self.operand(v));
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
+            DecodedOp::Un(op, dst, a) => self.regs[dst.index()] = op.eval(self.operand(a)),
+            DecodedOp::Load(dst, a) => self.regs[dst.index()] = memory.read(self.addr(a))?,
+            DecodedOp::Store(a, v) => memory.write(self.addr(a), self.operand(v))?,
+            DecodedOp::Output(v) => output.push(self.operand(v)),
             DecodedOp::Branch { cond, then_pc, else_pc, .. } => {
                 let from = d.block(self.pc);
-                let to = if self.regs[cond.index()] != 0 { then_pc } else { else_pc };
-                self.pc = to;
-                Ok(StepOutcome::TookEdge(from, d.block(to)))
+                self.pc = if self.regs[cond.index()] != 0 { then_pc } else { else_pc };
+                return Ok(StepOutcome::TookEdge(from, d.block(self.pc)));
             }
             DecodedOp::Jump(t) => {
                 let from = d.block(self.pc);
                 self.pc = t;
-                Ok(StepOutcome::TookEdge(from, d.block(t)))
+                return Ok(StepOutcome::TookEdge(from, d.block(t)));
             }
-            DecodedOp::Ret(v) => Ok(StepOutcome::Returned(v.map(|o| self.operand(o)))),
+            DecodedOp::Ret(v) => return Ok(StepOutcome::Returned(v.map(|o| self.operand(o)))),
             DecodedOp::Produce { queue, value } => {
-                let v = self.operand(value);
-                let instr = d.src(self.pc);
-                if queues.try_produce(queue.index(), v).map_err(|e| retag(e, instr))? {
-                    self.pc += 1;
-                    Ok(StepOutcome::Continue)
-                } else {
-                    Ok(StepOutcome::Blocked)
+                if !queues.try_produce(queue.index(), self.operand(value), d.src(self.pc))? {
+                    return Ok(StepOutcome::Blocked);
                 }
+                kind = InstrKind::Communication;
             }
             DecodedOp::Consume { dst, queue } => {
-                let instr = d.src(self.pc);
-                match queues.try_consume(queue.index()).map_err(|e| retag(e, instr))? {
-                    Some(v) => {
-                        self.regs[dst.index()] = v;
-                        self.pc += 1;
-                        Ok(StepOutcome::Continue)
-                    }
-                    None => Ok(StepOutcome::Blocked),
+                match queues.try_consume(queue.index(), d.src(self.pc))? {
+                    Some(v) => self.regs[dst.index()] = v,
+                    None => return Ok(StepOutcome::Blocked),
                 }
+                kind = InstrKind::Communication;
             }
             DecodedOp::ProduceSync { queue } => {
-                let instr = d.src(self.pc);
-                if queues.try_produce(queue.index(), 1).map_err(|e| retag(e, instr))? {
-                    self.pc += 1;
-                    Ok(StepOutcome::Continue)
-                } else {
-                    Ok(StepOutcome::Blocked)
+                if !queues.try_produce(queue.index(), 1, d.src(self.pc))? {
+                    return Ok(StepOutcome::Blocked);
                 }
+                kind = InstrKind::Synchronization;
             }
             DecodedOp::ConsumeSync { queue } => {
-                let instr = d.src(self.pc);
-                match queues.try_consume(queue.index()).map_err(|e| retag(e, instr))? {
-                    Some(_) => {
-                        self.pc += 1;
-                        Ok(StepOutcome::Continue)
-                    }
-                    None => Ok(StepOutcome::Blocked),
+                if queues.try_consume(queue.index(), d.src(self.pc))?.is_none() {
+                    return Ok(StepOutcome::Blocked);
                 }
+                kind = InstrKind::Synchronization;
             }
-            DecodedOp::Nop => {
-                self.pc += 1;
-                Ok(StepOutcome::Continue)
-            }
-            DecodedOp::Unterminated => Err(crate::interp::unterminated(d.block(self.pc))),
+            DecodedOp::Nop => {}
+            DecodedOp::Unterminated => return Err(crate::interp::unterminated(d.block(self.pc))),
         }
-    }
-}
-
-fn retag(e: ExecError, instr: InstrId) -> ExecError {
-    match e {
-        ExecError::CommunicationOutsideMt(_) => ExecError::CommunicationOutsideMt(instr),
-        ExecError::BadQueue(_) => ExecError::BadQueue(instr),
-        other => other,
+        // Every straight-line op falls through to the next slot.
+        self.pc += 1;
+        Ok(StepOutcome::Continue(kind))
     }
 }
 

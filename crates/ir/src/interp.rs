@@ -3,14 +3,22 @@
 //!
 //! [`run`] executes through the pre-decoded flat instruction stream
 //! ([`crate::decoded`]); [`run_with_memory_reference`] keeps the original
-//! ID-walking execution loop, which the `decoded_equivalence` tests
-//! hold byte-identical to the decoded path.
+//! ID-walking stepper, which the `decoded_equivalence` tests hold
+//! byte-identical to the decoded path.
+//!
+//! There is no single-threaded execution loop: every entry point here
+//! is the multi-threaded driver (`interp_mt::drive`) with one thread,
+//! `NoQueues` and an edge observer that fills the [`Profile`]. The
+//! two code forms meet only at the `Thread` trait, so what decoded ≡
+//! reference compares is the decoder and the two steppers; the
+//! round-robin, fuel and deadlock logic is shared by construction.
 
-use crate::decoded::{DecodedFunction, DecodedThread};
+use crate::decoded::{DecodedFunction, DecodedThread, InstrKind};
 use crate::function::Function;
 use crate::instr::Op;
+use crate::interp_mt::{drive, Running};
 use crate::profile::Profile;
-use crate::types::{AddrMode, InstrId, ObjectId, Operand, QueueId, Reg};
+use crate::types::{AddrMode, BlockId, InstrId, ObjectId, Operand, QueueId, Reg};
 use std::error::Error;
 use std::fmt;
 
@@ -308,39 +316,7 @@ pub fn run_decoded_with_memory(
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &ExecConfig,
 ) -> Result<RunResult, ExecError> {
-    let mut memory = Memory::for_layout(d.layout())?;
-    init(d.layout(), &mut memory);
-    let mut state = DecodedThread::new(d, args)?;
-    let mut profile = Profile::new();
-    profile.count_entry();
-    let mut output = Vec::new();
-    let mut counts = DynCounts::default();
-    let mut fuel = config.max_steps;
-
-    loop {
-        if fuel == 0 {
-            return Err(ExecError::OutOfFuel);
-        }
-        fuel -= 1;
-        match state.step(d, &mut memory, &mut output, &mut NoQueues)? {
-            StepOutcome::Continue => counts.computation += 1,
-            StepOutcome::Blocked => unreachable!("NoQueues never blocks"),
-            StepOutcome::TookEdge(from, to) => {
-                counts.computation += 1;
-                profile.count_edge(from, to);
-            }
-            StepOutcome::Returned(v) => {
-                counts.computation += 1;
-                return Ok(RunResult {
-                    return_value: v,
-                    output,
-                    counts,
-                    profile,
-                    memory,
-                });
-            }
-        }
-    }
+    run_single::<DecodedThread>(d, d.layout(), args, init, config)
 }
 
 /// The ID-walking reference executor ([`run_with_memory`] without
@@ -355,101 +331,108 @@ pub fn run_with_memory_reference(
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &ExecConfig,
 ) -> Result<RunResult, ExecError> {
-    let layout = MemoryLayout::of(f);
-    let mut memory = Memory::for_layout(&layout)?;
-    init(&layout, &mut memory);
-    let mut state = ThreadState::new(f, args, &layout)?;
-    let mut profile = Profile::new();
-    profile.count_entry();
-    let mut output = Vec::new();
-    let mut counts = DynCounts::default();
-    let mut fuel = config.max_steps;
-
-    loop {
-        if fuel == 0 {
-            return Err(ExecError::OutOfFuel);
-        }
-        fuel -= 1;
-        match state.step(f, &mut memory, &mut output, &mut NoQueues)? {
-            StepOutcome::Continue => counts.computation += 1,
-            StepOutcome::Blocked => unreachable!("NoQueues never blocks"),
-            StepOutcome::TookEdge(from, to) => {
-                counts.computation += 1;
-                profile.count_edge(from, to);
-            }
-            StepOutcome::Returned(v) => {
-                counts.computation += 1;
-                return Ok(RunResult {
-                    return_value: v,
-                    output,
-                    counts,
-                    profile,
-                    memory,
-                });
-            }
-        }
-    }
+    run_single::<ThreadState>(f, &MemoryLayout::of(f), args, init, config)
 }
 
-/// Queue access used by [`ThreadState::step`]; single-threaded runs use
+/// A single-threaded run is a multi-threaded run of one thread that has
+/// no queues, with the edge observer filling the profile.
+fn run_single<'a, T: Thread<'a>>(
+    code: &'a T::Code,
+    layout: &'a MemoryLayout,
+    args: &[i64],
+    init: impl FnOnce(&MemoryLayout, &mut Memory),
+    config: &ExecConfig,
+) -> Result<RunResult, ExecError> {
+    let mut memory = Memory::for_layout(layout)?;
+    init(layout, &mut memory);
+    let mut thread = [Running::new(T::start(code, args, layout)?)];
+    let mut profile = Profile::new();
+    profile.count_entry();
+    let on_edge = |from, to| profile.count_edge(from, to);
+    let (return_value, output) =
+        drive(&mut thread, &mut memory, &mut NoQueues, config, on_edge)?;
+    let [Running { counts, .. }] = thread;
+    Ok(RunResult { return_value, output, counts, profile, memory })
+}
+
+/// Queue access used by [`Thread::step`]; single-threaded runs use
 /// [`NoQueues`], the multi-threaded interpreter supplies real queues.
+/// `instr` is the stepping instruction, for the error a bad access
+/// reports.
 pub(crate) trait QueueAccess {
     /// Attempts to push; `Ok(true)` on success, `Ok(false)` when full.
-    fn try_produce(&mut self, queue: usize, value: i64) -> Result<bool, ExecError>;
+    fn try_produce(&mut self, queue: usize, value: i64, instr: InstrId)
+        -> Result<bool, ExecError>;
     /// Attempts to pop; `Ok(Some(v))` on success, `Ok(None)` when empty.
-    fn try_consume(&mut self, queue: usize) -> Result<Option<i64>, ExecError>;
+    fn try_consume(&mut self, queue: usize, instr: InstrId) -> Result<Option<i64>, ExecError>;
 }
 
 /// Queue access that rejects all communication (single-threaded runs).
 pub(crate) struct NoQueues;
 
 impl QueueAccess for NoQueues {
-    fn try_produce(&mut self, _q: usize, _v: i64) -> Result<bool, ExecError> {
-        Err(ExecError::CommunicationOutsideMt(InstrId(u32::MAX)))
+    fn try_produce(&mut self, _q: usize, _v: i64, instr: InstrId) -> Result<bool, ExecError> {
+        Err(ExecError::CommunicationOutsideMt(instr))
     }
-    fn try_consume(&mut self, _q: usize) -> Result<Option<i64>, ExecError> {
-        Err(ExecError::CommunicationOutsideMt(InstrId(u32::MAX)))
+    fn try_consume(&mut self, _q: usize, instr: InstrId) -> Result<Option<i64>, ExecError> {
+        Err(ExecError::CommunicationOutsideMt(instr))
     }
 }
 
 /// What one interpreter step did.
 pub(crate) enum StepOutcome {
-    /// Executed a straight-line instruction.
-    Continue,
+    /// Executed a straight-line instruction of the given kind.
+    Continue(InstrKind),
     /// Executed a terminator, traversing the given CFG edge.
-    TookEdge(crate::types::BlockId, crate::types::BlockId),
+    TookEdge(BlockId, BlockId),
     /// Blocked on a queue; the program counter did not advance.
     Blocked,
     /// Executed `ret`.
     Returned(Option<i64>),
 }
 
-/// Architectural state of one thread. Borrows the run's shared
-/// [`MemoryLayout`] rather than cloning it per thread.
+/// One thread of a functional run, in either code form: what
+/// [`drive`] needs of it. The two implementations — [`DecodedThread`]
+/// over the flat stream, [`ThreadState`] walking block and instruction
+/// ids — share nothing below this trait, which is what the
+/// decoded ≡ reference comparison relies on.
+pub(crate) trait Thread<'a>: Sized {
+    /// The code form the thread executes.
+    type Code;
+
+    /// A thread at the entry of `code` with `args` in its parameters.
+    fn start(
+        code: &'a Self::Code,
+        args: &[i64],
+        layout: &'a MemoryLayout,
+    ) -> Result<Self, ExecError>;
+
+    /// Executes one instruction (or reports a queue block).
+    fn step<Q: QueueAccess>(
+        &mut self,
+        memory: &mut Memory,
+        output: &mut Vec<i64>,
+        queues: &mut Q,
+    ) -> Result<StepOutcome, ExecError>;
+
+    /// The queue the next instruction addresses and the direction it
+    /// blocks in, when it is a communication instruction.
+    fn next_queue_op(&self) -> Option<(QueueId, BlockedOp)>;
+}
+
+/// Architectural state of one thread walking a [`Function`] by block
+/// and instruction id. Borrows the run's shared [`MemoryLayout`] rather
+/// than cloning it per thread.
 pub(crate) struct ThreadState<'a> {
+    f: &'a Function,
     regs: Vec<i64>,
-    block: crate::types::BlockId,
+    block: BlockId,
     /// Index into the block: `< len` body, `== len` terminator.
     pos: usize,
     layout: &'a MemoryLayout,
 }
 
-impl<'a> ThreadState<'a> {
-    pub(crate) fn new(
-        f: &Function,
-        args: &[i64],
-        layout: &'a MemoryLayout,
-    ) -> Result<ThreadState<'a>, ExecError> {
-        if args.len() < f.params.len() {
-            return Err(ExecError::MissingArguments);
-        }
-        let mut regs = vec![0i64; f.num_regs() as usize];
-        for (r, &v) in f.params.iter().zip(args) {
-            regs[r.index()] = v;
-        }
-        Ok(ThreadState { regs, block: f.entry(), pos: 0, layout })
-    }
-
+impl ThreadState<'_> {
     fn reg(&self, r: Reg) -> i64 {
         self.regs[r.index()]
     }
@@ -465,108 +448,6 @@ impl<'a> ThreadState<'a> {
         self.reg(a.base).wrapping_add(a.offset)
     }
 
-    /// Executes one instruction (or reports a queue block).
-    pub(crate) fn step(
-        &mut self,
-        f: &Function,
-        memory: &mut Memory,
-        output: &mut Vec<i64>,
-        queues: &mut dyn QueueAccess,
-    ) -> Result<StepOutcome, ExecError> {
-        let instr_id = self.current_instr(f)?;
-        match *f.instr(instr_id) {
-            Op::Const(d, v) => {
-                self.regs[d.index()] = v;
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Lea(d, obj, off) => {
-                self.regs[d.index()] = self.layout.base(obj) as i64 + off;
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Bin(op, d, a, b) => {
-                self.regs[d.index()] = op.eval(self.operand(a), self.operand(b));
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Un(op, d, a) => {
-                self.regs[d.index()] = op.eval(self.operand(a));
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Load(d, a) => {
-                self.regs[d.index()] = memory.read(self.addr(a))?;
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Store(a, v) => {
-                memory.write(self.addr(a), self.operand(v))?;
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Output(v) => {
-                output.push(self.operand(v));
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-            Op::Branch { cond, then_bb, else_bb } => {
-                let from = self.block;
-                let to = if self.reg(cond) != 0 { then_bb } else { else_bb };
-                self.block = to;
-                self.pos = 0;
-                Ok(StepOutcome::TookEdge(from, to))
-            }
-            Op::Jump(t) => {
-                let from = self.block;
-                self.block = t;
-                self.pos = 0;
-                Ok(StepOutcome::TookEdge(from, t))
-            }
-            Op::Ret(v) => Ok(StepOutcome::Returned(v.map(|o| self.operand(o)))),
-            Op::Produce { queue, value } => {
-                let v = self.operand(value);
-                if queues.try_produce(queue.index(), v).map_err(|e| retag(e, instr_id))? {
-                    self.pos += 1;
-                    Ok(StepOutcome::Continue)
-                } else {
-                    Ok(StepOutcome::Blocked)
-                }
-            }
-            Op::Consume { dst, queue } => {
-                match queues.try_consume(queue.index()).map_err(|e| retag(e, instr_id))? {
-                    Some(v) => {
-                        self.regs[dst.index()] = v;
-                        self.pos += 1;
-                        Ok(StepOutcome::Continue)
-                    }
-                    None => Ok(StepOutcome::Blocked),
-                }
-            }
-            Op::ProduceSync { queue } => {
-                if queues.try_produce(queue.index(), 1).map_err(|e| retag(e, instr_id))? {
-                    self.pos += 1;
-                    Ok(StepOutcome::Continue)
-                } else {
-                    Ok(StepOutcome::Blocked)
-                }
-            }
-            Op::ConsumeSync { queue } => {
-                match queues.try_consume(queue.index()).map_err(|e| retag(e, instr_id))? {
-                    Some(_) => {
-                        self.pos += 1;
-                        Ok(StepOutcome::Continue)
-                    }
-                    None => Ok(StepOutcome::Blocked),
-                }
-            }
-            Op::Nop => {
-                self.pos += 1;
-                Ok(StepOutcome::Continue)
-            }
-        }
-    }
-
     /// The instruction the thread will execute next.
     ///
     /// # Errors
@@ -574,8 +455,8 @@ impl<'a> ThreadState<'a> {
     /// [`ExecError::InvalidConfig`] when control sits at the end of a
     /// block with no terminator — an unverified function handed
     /// straight to the executor instead of a panic.
-    pub(crate) fn current_instr(&self, f: &Function) -> Result<InstrId, ExecError> {
-        let block = f.block(self.block);
+    fn current_instr(&self) -> Result<InstrId, ExecError> {
+        let block = self.f.block(self.block);
         if self.pos < block.instrs.len() {
             Ok(block.instrs[self.pos])
         } else {
@@ -584,18 +465,114 @@ impl<'a> ThreadState<'a> {
     }
 }
 
-/// The typed rejection for reaching the end of a terminator-less block
-/// (only possible on functions that never passed [`crate::verify`]).
-pub fn unterminated(b: crate::types::BlockId) -> ExecError {
-    ExecError::InvalidConfig(format!("block {b:?} has no terminator (function not verified)"))
+impl<'a> Thread<'a> for ThreadState<'a> {
+    type Code = Function;
+
+    fn start(
+        f: &'a Function,
+        args: &[i64],
+        layout: &'a MemoryLayout,
+    ) -> Result<ThreadState<'a>, ExecError> {
+        if args.len() < f.params.len() {
+            return Err(ExecError::MissingArguments);
+        }
+        let mut regs = vec![0i64; f.num_regs() as usize];
+        for (r, &v) in f.params.iter().zip(args) {
+            regs[r.index()] = v;
+        }
+        Ok(ThreadState { f, regs, block: f.entry(), pos: 0, layout })
+    }
+
+    fn next_queue_op(&self) -> Option<(QueueId, BlockedOp)> {
+        let op = self.f.instr(self.current_instr().ok()?);
+        let blocked = match op {
+            Op::Produce { .. } | Op::ProduceSync { .. } => BlockedOp::ProduceFull,
+            _ => BlockedOp::ConsumeEmpty,
+        };
+        Some((op.queue()?, blocked))
+    }
+
+    fn step<Q: QueueAccess>(
+        &mut self,
+        memory: &mut Memory,
+        output: &mut Vec<i64>,
+        queues: &mut Q,
+    ) -> Result<StepOutcome, ExecError> {
+        let instr_id = self.current_instr()?;
+        let mut kind = InstrKind::Computation;
+        match *self.f.instr(instr_id) {
+            Op::Const(d, v) => self.regs[d.index()] = v,
+            Op::Lea(d, obj, off) => self.regs[d.index()] = self.layout.base(obj) as i64 + off,
+            Op::Bin(op, d, a, b) => {
+                self.regs[d.index()] = op.eval(self.operand(a), self.operand(b));
+            }
+            Op::Un(op, d, a) => self.regs[d.index()] = op.eval(self.operand(a)),
+            Op::Load(d, a) => self.regs[d.index()] = memory.read(self.addr(a))?,
+            Op::Store(a, v) => memory.write(self.addr(a), self.operand(v))?,
+            Op::Output(v) => output.push(self.operand(v)),
+            Op::Branch { cond, then_bb, else_bb } => {
+                let from = self.block;
+                self.block = if self.reg(cond) != 0 { then_bb } else { else_bb };
+                self.pos = 0;
+                return Ok(StepOutcome::TookEdge(from, self.block));
+            }
+            Op::Jump(t) => {
+                let from = self.block;
+                self.block = t;
+                self.pos = 0;
+                return Ok(StepOutcome::TookEdge(from, t));
+            }
+            Op::Ret(v) => return Ok(StepOutcome::Returned(v.map(|o| self.operand(o)))),
+            Op::Produce { queue, value } => {
+                if !queues.try_produce(queue.index(), self.operand(value), instr_id)? {
+                    return Ok(StepOutcome::Blocked);
+                }
+                kind = InstrKind::Communication;
+            }
+            Op::Consume { dst, queue } => {
+                match queues.try_consume(queue.index(), instr_id)? {
+                    Some(v) => self.regs[dst.index()] = v,
+                    None => return Ok(StepOutcome::Blocked),
+                }
+                kind = InstrKind::Communication;
+            }
+            Op::ProduceSync { queue } => {
+                if !queues.try_produce(queue.index(), 1, instr_id)? {
+                    return Ok(StepOutcome::Blocked);
+                }
+                kind = InstrKind::Synchronization;
+            }
+            Op::ConsumeSync { queue } => {
+                if queues.try_consume(queue.index(), instr_id)?.is_none() {
+                    return Ok(StepOutcome::Blocked);
+                }
+                kind = InstrKind::Synchronization;
+            }
+            Op::Nop => {}
+        }
+        // Every straight-line instruction falls through to the next.
+        self.pos += 1;
+        Ok(StepOutcome::Continue(kind))
+    }
 }
 
-fn retag(e: ExecError, instr: InstrId) -> ExecError {
-    match e {
-        ExecError::CommunicationOutsideMt(_) => ExecError::CommunicationOutsideMt(instr),
-        ExecError::BadQueue(_) => ExecError::BadQueue(instr),
-        other => other,
+/// Rejects a queue id outside the configured queue file at load time,
+/// so a misallocated program fails before any thread runs instead of
+/// faulting mid-run.
+pub(crate) fn check_queue_id(queue: QueueId, num_queues: usize) -> Result<(), ExecError> {
+    if queue.index() >= num_queues {
+        return Err(ExecError::InvalidConfig(format!(
+            "program targets queue {} but the configuration has {num_queues} queues",
+            queue.0
+        )));
     }
+    Ok(())
+}
+
+/// The typed rejection for reaching the end of a terminator-less block
+/// (only possible on functions that never passed [`crate::verify`]).
+pub fn unterminated(b: BlockId) -> ExecError {
+    ExecError::InvalidConfig(format!("block {b:?} has no terminator (function not verified)"))
 }
 
 #[cfg(test)]

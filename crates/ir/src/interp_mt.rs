@@ -11,14 +11,19 @@
 //! runnable thread per round). Any correctly synchronized program
 //! produces the same memory/output/return results under every
 //! interleaving; determinism here just makes tests reproducible.
+//!
+//! `drive` is the only functional execution loop of the crate. The
+//! decoded and the ID-walking reference entry points, here and in
+//! [`crate::interp`] (one thread, no queues), differ in the
+//! `Thread` implementation they hand it and in nothing else.
 
-use crate::decoded::{DecodedFunction, DecodedOp, DecodedProgram, DecodedThread, InstrKind};
+use crate::decoded::{DecodedProgram, DecodedThread, InstrKind};
 use crate::function::Function;
-use crate::instr::Op;
 use crate::interp::{
-    BlockedOp, DeadlockInfo, DynCounts, ExecConfig, ExecError, Memory, MemoryLayout, QueueAccess,
-    StepOutcome, ThreadState,
+    check_queue_id, DeadlockInfo, DynCounts, ExecConfig, ExecError, Memory, MemoryLayout,
+    QueueAccess, StepOutcome, Thread, ThreadState,
 };
+use crate::types::{BlockId, InstrId};
 use std::collections::VecDeque;
 
 /// Queue configuration for a functional MT run.
@@ -42,12 +47,27 @@ struct Queues {
     capacity: usize,
 }
 
+/// The empty queue file of a run of `threads` threads.
+///
+/// # Errors
+///
+/// [`ExecError::InvalidConfig`] for a run shape that cannot execute: no
+/// threads, or queues of capacity 0.
+fn queue_file(threads: usize, config: &QueueConfig) -> Result<Queues, ExecError> {
+    if threads == 0 {
+        return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
+    }
+    if config.capacity == 0 {
+        return Err(ExecError::InvalidConfig(
+            "queue capacity 0 cannot satisfy any consume".to_string(),
+        ));
+    }
+    Ok(Queues { queues: vec![VecDeque::new(); config.num_queues], capacity: config.capacity })
+}
+
 impl QueueAccess for Queues {
-    fn try_produce(&mut self, queue: usize, value: i64) -> Result<bool, ExecError> {
-        let q = self
-            .queues
-            .get_mut(queue)
-            .ok_or(ExecError::BadQueue(crate::types::InstrId(u32::MAX)))?;
+    fn try_produce(&mut self, queue: usize, value: i64, instr: InstrId) -> Result<bool, ExecError> {
+        let q = self.queues.get_mut(queue).ok_or(ExecError::BadQueue(instr))?;
         if q.len() >= self.capacity {
             Ok(false)
         } else {
@@ -56,11 +76,8 @@ impl QueueAccess for Queues {
         }
     }
 
-    fn try_consume(&mut self, queue: usize) -> Result<Option<i64>, ExecError> {
-        let q = self
-            .queues
-            .get_mut(queue)
-            .ok_or(ExecError::BadQueue(crate::types::InstrId(u32::MAX)))?;
+    fn try_consume(&mut self, queue: usize, instr: InstrId) -> Result<Option<i64>, ExecError> {
+        let q = self.queues.get_mut(queue).ok_or(ExecError::BadQueue(instr))?;
         Ok(q.pop_front())
     }
 }
@@ -86,33 +103,6 @@ impl MtRunResult {
             t.add(*c);
         }
         t
-    }
-}
-
-/// The queue a decoded op addresses, if it is a communication op.
-fn decoded_queue_of(op: DecodedOp) -> Option<crate::types::QueueId> {
-    match op {
-        DecodedOp::Produce { queue, .. }
-        | DecodedOp::ProduceSync { queue }
-        | DecodedOp::Consume { queue, .. }
-        | DecodedOp::ConsumeSync { queue } => Some(queue),
-        _ => None,
-    }
-}
-
-/// Rejects a queue id outside the configured queue file at load time,
-/// so a misallocated program fails before any thread runs instead of
-/// faulting mid-simulation.
-fn check_queue_id(
-    queue: Option<crate::types::QueueId>,
-    num_queues: usize,
-) -> Result<(), ExecError> {
-    match queue {
-        Some(q) if q.index() >= num_queues => Err(ExecError::InvalidConfig(format!(
-            "program targets queue {} but the configuration has {num_queues} queues",
-            q.0
-        ))),
-        _ => Ok(()),
     }
 }
 
@@ -152,118 +142,10 @@ pub fn run_mt_decoded(
     queue_config: &QueueConfig,
     config: &ExecConfig,
 ) -> Result<MtRunResult, ExecError> {
-    let threads = program.threads();
-    if threads.is_empty() {
-        return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
-    }
-    if queue_config.capacity == 0 {
-        return Err(ExecError::InvalidConfig(
-            "queue capacity 0 cannot satisfy any consume".to_string(),
-        ));
-    }
-    for d in threads {
-        for pc in 0..d.num_slots() as u32 {
-            check_queue_id(decoded_queue_of(d.op(pc)), queue_config.num_queues)?;
-        }
-    }
-    let layout = program.layout();
-    let mut memory = Memory::for_layout(layout)?;
-    init(layout, &mut memory);
-
-    let mut states: Vec<DecodedThread> = threads
-        .iter()
-        .map(|d| DecodedThread::new(d, args))
-        .collect::<Result<_, _>>()?;
-    let mut finished: Vec<bool> = vec![false; threads.len()];
-    let mut per_thread = vec![DynCounts::default(); threads.len()];
-    let mut queues = Queues {
-        queues: vec![VecDeque::new(); queue_config.num_queues],
-        capacity: queue_config.capacity,
-    };
-    let mut output = Vec::new();
-    let mut return_value = None;
-    let mut fuel = config.max_steps;
-
-    loop {
-        if finished.iter().all(|&f| f) {
-            return Ok(MtRunResult { return_value, output, per_thread, memory });
-        }
-        let mut any_progress = false;
-        for t in 0..threads.len() {
-            if finished[t] {
-                continue;
-            }
-            if fuel == 0 {
-                return Err(ExecError::OutOfFuel);
-            }
-            fuel -= 1;
-            let d = &threads[t];
-            let kind = d.op(states[t].pc).kind();
-            match states[t].step(d, &mut memory, &mut output, &mut queues)? {
-                StepOutcome::Blocked => {
-                    fuel += 1; // blocked polls don't consume the budget
-                }
-                StepOutcome::Returned(v) => {
-                    finished[t] = true;
-                    any_progress = true;
-                    per_thread[t].computation += 1;
-                    if v.is_some() {
-                        return_value = v;
-                    }
-                }
-                StepOutcome::Continue | StepOutcome::TookEdge(..) => {
-                    any_progress = true;
-                    match kind {
-                        InstrKind::Synchronization => per_thread[t].synchronization += 1,
-                        InstrKind::Communication => per_thread[t].communication += 1,
-                        InstrKind::Computation => per_thread[t].computation += 1,
-                    }
-                }
-            }
-        }
-        if !any_progress {
-            return Err(ExecError::Deadlock(deadlock_info_decoded(threads, &states, &finished)));
-        }
-    }
-}
-
-/// Attributes a functional-run deadlock to the first unfinished thread
-/// (every unfinished thread is blocked on its current queue operation
-/// when no round makes progress).
-fn deadlock_info_decoded(
-    threads: &[DecodedFunction],
-    states: &[DecodedThread],
-    finished: &[bool],
-) -> Option<DeadlockInfo> {
-    let t = (0..threads.len()).find(|&t| !finished[t])?;
-    match threads[t].op(states[t].pc) {
-        DecodedOp::Produce { queue, .. } | DecodedOp::ProduceSync { queue } => {
-            Some(DeadlockInfo { core: t, queue, op: BlockedOp::ProduceFull })
-        }
-        DecodedOp::Consume { queue, .. } | DecodedOp::ConsumeSync { queue } => {
-            Some(DeadlockInfo { core: t, queue, op: BlockedOp::ConsumeEmpty })
-        }
-        _ => None,
-    }
-}
-
-/// [`deadlock_info_decoded`] for the ID-walking reference path.
-fn deadlock_info_reference(
-    threads: &[Function],
-    states: &[ThreadState],
-    finished: &[bool],
-) -> Option<DeadlockInfo> {
-    let t = (0..threads.len()).find(|&t| !finished[t])?;
-    let f = &threads[t];
-    match *f.instr(states[t].current_instr(f).ok()?) {
-        Op::Produce { queue, .. } | Op::ProduceSync { queue } => {
-            Some(DeadlockInfo { core: t, queue, op: BlockedOp::ProduceFull })
-        }
-        Op::Consume { queue, .. } | Op::ConsumeSync { queue } => {
-            Some(DeadlockInfo { core: t, queue, op: BlockedOp::ConsumeEmpty })
-        }
-        _ => None,
-    }
+    let queues = queue_file(program.len(), queue_config)?;
+    program.check_queue_ids(queue_config.num_queues)?;
+    let (code, layout) = (program.threads(), program.layout());
+    run_threads::<DecodedThread, _>(code, layout, args, init, queues, config)
 }
 
 /// The ID-walking reference executor ([`run_mt`] without pre-decoding).
@@ -279,92 +161,127 @@ pub fn run_mt_reference(
     queue_config: &QueueConfig,
     config: &ExecConfig,
 ) -> Result<MtRunResult, ExecError> {
-    if threads.is_empty() {
-        return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
-    }
-    if queue_config.capacity == 0 {
-        return Err(ExecError::InvalidConfig(
-            "queue capacity 0 cannot satisfy any consume".to_string(),
-        ));
-    }
-    for f in threads {
-        for i in f.all_instrs() {
-            let q = match *f.instr(i) {
-                Op::Produce { queue, .. }
-                | Op::ProduceSync { queue }
-                | Op::Consume { queue, .. }
-                | Op::ConsumeSync { queue } => Some(queue),
-                _ => None,
-            };
-            check_queue_id(q, queue_config.num_queues)?;
-        }
+    let queues = queue_file(threads.len(), queue_config)?;
+    for queue in threads.iter().flat_map(|f| f.all_instrs().filter_map(|i| f.instr(i).queue())) {
+        check_queue_id(queue, queue_config.num_queues)?;
     }
     let layout = MemoryLayout::of(&threads[0]);
-    let mut memory = Memory::for_layout(&layout)?;
-    init(&layout, &mut memory);
+    run_threads::<ThreadState, _>(threads, &layout, args, init, queues, config)
+}
 
-    let mut states: Vec<ThreadState> = threads
+/// Starts one thread per element of `code` over one initialized memory
+/// and drives them to completion.
+fn run_threads<'a, T: Thread<'a>, Q: QueueAccess>(
+    code: &'a [T::Code],
+    layout: &'a MemoryLayout,
+    args: &[i64],
+    init: impl FnOnce(&MemoryLayout, &mut Memory),
+    mut queues: Q,
+    config: &ExecConfig,
+) -> Result<MtRunResult, ExecError> {
+    let mut memory = Memory::for_layout(layout)?;
+    init(layout, &mut memory);
+    let mut threads = code
         .iter()
-        .map(|f| ThreadState::new(f, args, &layout))
-        .collect::<Result<_, _>>()?;
-    let mut finished: Vec<bool> = vec![false; threads.len()];
-    let mut per_thread = vec![DynCounts::default(); threads.len()];
-    let mut queues = Queues {
-        queues: vec![VecDeque::new(); queue_config.num_queues],
-        capacity: queue_config.capacity,
-    };
+        .map(|c| T::start(c, args, layout).map(Running::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (return_value, output) = drive(&mut threads, &mut memory, &mut queues, config, |_, _| {})?;
+    let per_thread = threads.iter().map(|t| t.counts).collect();
+    Ok(MtRunResult { return_value, output, per_thread, memory })
+}
+
+/// A thread under [`drive`], with what the driver keeps for it.
+pub(crate) struct Running<T> {
+    thread: T,
+    /// The instructions the thread has executed.
+    pub(crate) counts: DynCounts,
+    finished: bool,
+}
+
+impl<T> Running<T> {
+    pub(crate) fn new(thread: T) -> Running<T> {
+        Running { thread, counts: DynCounts::default(), finished: false }
+    }
+}
+
+/// The one functional execution loop: `threads` over one shared
+/// `memory`, round-robin, one instruction per unfinished thread per
+/// round, until all have returned. Yields the return value and the
+/// merged output trace. `max_steps` bounds the instructions executed
+/// over all threads; a poll that finds its queue blocked executes
+/// nothing and costs nothing. `on_edge` sees every CFG edge taken.
+///
+/// The threads are the caller's so that a single-threaded run can keep
+/// its one thread on the stack: inlined there, the thread loop unrolls
+/// (a plain `for` with `continue` does, a `.filter()` adapter did not),
+/// the thread state lives in registers and what is left is the
+/// fetch-step-count loop of a sequential interpreter.
+///
+/// # Errors
+///
+/// [`ExecError::Deadlock`] when a round moves no thread,
+/// [`ExecError::OutOfFuel`] past the budget, and whatever
+/// [`Thread::step`] reports.
+#[inline]
+pub(crate) fn drive<'a, T: Thread<'a>, Q: QueueAccess>(
+    threads: &mut [Running<T>],
+    memory: &mut Memory,
+    queues: &mut Q,
+    config: &ExecConfig,
+    mut on_edge: impl FnMut(BlockId, BlockId),
+) -> Result<(Option<i64>, Vec<i64>), ExecError> {
     let mut output = Vec::new();
     let mut return_value = None;
     let mut fuel = config.max_steps;
+    let mut live = threads.len();
 
-    loop {
-        if finished.iter().all(|&f| f) {
-            return Ok(MtRunResult { return_value, output, per_thread, memory });
-        }
+    while live > 0 {
         let mut any_progress = false;
-        for t in 0..threads.len() {
-            if finished[t] {
+        for t in threads.iter_mut() {
+            if t.finished {
                 continue;
             }
             if fuel == 0 {
                 return Err(ExecError::OutOfFuel);
             }
-            fuel -= 1;
-            let f = &threads[t];
-            let instr = states[t].current_instr(f)?;
-            let is_comm = f.instr(instr).is_communication();
-            let is_sync = matches!(
-                f.instr(instr),
-                crate::instr::Op::ProduceSync { .. } | crate::instr::Op::ConsumeSync { .. }
-            );
-            match states[t].step(f, &mut memory, &mut output, &mut queues)? {
-                StepOutcome::Blocked => {
-                    fuel += 1; // blocked polls don't consume the budget
+            let kind = match t.thread.step(memory, &mut output, queues)? {
+                StepOutcome::Blocked => continue,
+                StepOutcome::Continue(kind) => kind,
+                StepOutcome::TookEdge(from, to) => {
+                    on_edge(from, to);
+                    InstrKind::Computation
                 }
                 StepOutcome::Returned(v) => {
-                    finished[t] = true;
-                    any_progress = true;
-                    per_thread[t].computation += 1;
+                    t.finished = true;
+                    live -= 1;
                     if v.is_some() {
                         return_value = v;
                     }
+                    InstrKind::Computation
                 }
-                StepOutcome::Continue | StepOutcome::TookEdge(..) => {
-                    any_progress = true;
-                    if is_sync {
-                        per_thread[t].synchronization += 1;
-                    } else if is_comm {
-                        per_thread[t].communication += 1;
-                    } else {
-                        per_thread[t].computation += 1;
-                    }
-                }
+            };
+            fuel -= 1;
+            any_progress = true;
+            match kind {
+                InstrKind::Computation => t.counts.computation += 1,
+                InstrKind::Communication => t.counts.communication += 1,
+                InstrKind::Synchronization => t.counts.synchronization += 1,
             }
         }
         if !any_progress {
-            return Err(ExecError::Deadlock(deadlock_info_reference(threads, &states, &finished)));
+            return Err(ExecError::Deadlock(deadlock_info(threads)));
         }
     }
+    Ok((return_value, output))
+}
+
+/// Attributes a deadlock to the first unfinished thread (every
+/// unfinished thread is blocked on its next queue operation when a
+/// round makes no progress).
+fn deadlock_info<'a, T: Thread<'a>>(threads: &[Running<T>]) -> Option<DeadlockInfo> {
+    let core = threads.iter().position(|t| !t.finished)?;
+    let (queue, op) = threads[core].thread.next_queue_op()?;
+    Some(DeadlockInfo { core, queue, op })
 }
 
 #[cfg(test)]
@@ -372,7 +289,8 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::instr::Op;
-    use crate::types::{BinOp, QueueId};
+    use crate::interp::BlockedOp;
+    use crate::types::{BinOp, QueueId, Reg};
 
     /// Producer thread sends 1..=3; consumer sums and returns.
     fn producer_consumer(capacity: usize) -> (Vec<Function>, QueueConfig) {
@@ -523,6 +441,103 @@ mod tests {
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "reference: {err:?}"
         );
+    }
+
+    /// The fuel, deadlock and no-queues boundaries, with the entry point
+    /// as the input: whatever holds at a decoded entry point holds at
+    /// its reference twin, to the instruction.
+    #[test]
+    fn boundaries_hold_at_every_entry_point() {
+        use crate::interp::{run_with_memory, run_with_memory_reference, RunResult};
+        type Mt = fn(&[Function], &QueueConfig, &ExecConfig) -> Result<MtRunResult, ExecError>;
+        type St = fn(&Function, &ExecConfig) -> Result<RunResult, ExecError>;
+        let mt: [(&str, Mt); 2] = [
+            ("run_mt", |t, q, c| run_mt(t, &[], |_, _| {}, q, c)),
+            ("run_mt_reference", |t, q, c| run_mt_reference(t, &[], |_, _| {}, q, c)),
+        ];
+        let st: [(&str, St); 2] = [
+            ("run_with_memory", |f, c| run_with_memory(f, &[], |_, _| {}, c)),
+            ("run_with_memory_reference", |f, c| run_with_memory_reference(f, &[], |_, _| {}, c)),
+        ];
+        let qc = QueueConfig { num_queues: 4, capacity: 1 };
+
+        // Ping-pong at capacity 1: `ping` waits on every reply while
+        // `pong` computes it, so rounds with a blocked poll occur. The
+        // budget is exactly the instructions executed: polls are free.
+        let (there, back) = (QueueId(0), QueueId(1));
+        let mut ping = FunctionBuilder::new("ping");
+        let reply = ping.fresh_reg();
+        for v in 1..=3i64 {
+            ping.emit(Op::Produce { queue: there, value: v.into() });
+            ping.emit(Op::Consume { dst: reply, queue: back });
+        }
+        ping.ret(Some(reply.into()));
+        let mut pong = FunctionBuilder::new("pong");
+        for _ in 0..3 {
+            let v = pong.fresh_reg();
+            pong.emit(Op::Consume { dst: v, queue: there });
+            let doubled = pong.bin(BinOp::Mul, v, 2i64);
+            pong.emit(Op::Produce { queue: back, value: doubled.into() });
+        }
+        pong.ret(None);
+        let threads = [ping.finish().unwrap(), pong.finish().unwrap()];
+        let expected = [
+            DynCounts { computation: 1, communication: 6, synchronization: 0 },
+            DynCounts { computation: 4, communication: 6, synchronization: 0 },
+        ];
+        let total: u64 = expected.iter().map(DynCounts::total).sum();
+        for (name, run) in mt {
+            let r = run(&threads, &qc, &ExecConfig { max_steps: total }).expect(name);
+            assert_eq!(r.return_value, Some(6), "{name}");
+            assert_eq!(r.per_thread, expected, "{name}");
+            let short = run(&threads, &qc, &ExecConfig { max_steps: total - 1 });
+            assert_eq!(short.unwrap_err(), ExecError::OutOfFuel, "{name}");
+        }
+
+        // A blocked thread nobody will unblock: the witness is the first
+        // unfinished thread, its queue and its direction.
+        let stuck = |op: Op| {
+            let mut b = FunctionBuilder::new("stuck");
+            b.emit(op.clone());
+            b.emit(op);
+            b.ret(None);
+            b.finish().unwrap()
+        };
+        let mut done = FunctionBuilder::new("done");
+        done.ret(None);
+        let done = done.finish().unwrap();
+        let r = Reg(0);
+        let deadlocks = [
+            (Op::Consume { dst: r, queue: QueueId(3) }, BlockedOp::ConsumeEmpty),
+            (Op::ConsumeSync { queue: QueueId(2) }, BlockedOp::ConsumeEmpty),
+            (Op::Produce { queue: QueueId(1), value: 5i64.into() }, BlockedOp::ProduceFull),
+            (Op::ProduceSync { queue: QueueId(0) }, BlockedOp::ProduceFull),
+        ];
+        for (op, blocked) in deadlocks {
+            let queue = op.queue().unwrap();
+            let threads = [done.clone(), stuck(op)];
+            for (name, run) in mt {
+                assert_eq!(
+                    run(&threads, &qc, &ExecConfig::default()).unwrap_err(),
+                    ExecError::Deadlock(Some(DeadlockInfo { core: 1, queue, op: blocked })),
+                    "{name}"
+                );
+            }
+        }
+
+        // Communication with no queues names the instruction itself.
+        let mut b = FunctionBuilder::new("lonely");
+        let v = b.const_(1);
+        let produce = b.emit(Op::Produce { queue: there, value: v.into() });
+        b.ret(None);
+        let f = b.finish().unwrap();
+        for (name, run) in st {
+            assert_eq!(
+                run(&f, &ExecConfig::default()).unwrap_err(),
+                ExecError::CommunicationOutsideMt(produce),
+                "{name}"
+            );
+        }
     }
 
     #[test]

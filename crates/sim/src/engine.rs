@@ -9,6 +9,13 @@
 //! `decoded_equivalence` integration tests hold the two engines
 //! byte-identical (cycles, outputs, stall and hit statistics).
 //!
+//! What the engine shares with the functional interpreter is the
+//! [`DecodedProgram`] and its load-time queue-id scan
+//! ([`DecodedProgram::check_queue_ids`]) — nothing of the execution
+//! loop, which is why per-core retired counts can be checked against
+//! the interpreter's per-thread counts (the fuzz oracle does). The
+//! reference simulator scans and runs the `Function`s themselves.
+//!
 //! # Event-driven stall fast-forward
 //!
 //! Queue-coupled executions spend most of their simulated cycles in
@@ -127,35 +134,6 @@ pub fn simulate_decoded_traced_opts<S: TraceSink>(
     run_engine(program, args, init, config, sink, opts)
 }
 
-/// Decoded-stream twin of [`crate::sim::check_queue_ids`]: every
-/// communication slot must target a queue the array actually has, so a
-/// bad id is an [`ExecError::InvalidConfig`] at load time rather than a
-/// mid-simulation [`ExecError::BadQueue`].
-fn check_decoded_queue_ids(
-    threads: &[DecodedFunction],
-    num_queues: usize,
-) -> Result<(), ExecError> {
-    for d in threads {
-        for pc in 0..d.num_slots() as u32 {
-            let q = match d.op(pc) {
-                DecodedOp::Produce { queue, .. }
-                | DecodedOp::Consume { queue, .. }
-                | DecodedOp::ProduceSync { queue }
-                | DecodedOp::ConsumeSync { queue } => queue,
-                _ => continue,
-            };
-            if q.index() >= num_queues {
-                return Err(ExecError::InvalidConfig(format!(
-                    "decoded slot {pc} targets queue {} but the synchronization array has \
-                     {num_queues} queues",
-                    q.0
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn run_engine<S: TraceSink>(
     program: &DecodedProgram,
     args: &[i64],
@@ -169,7 +147,7 @@ fn run_engine<S: TraceSink>(
         return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
     }
     config.validate().map_err(ExecError::InvalidConfig)?;
-    check_decoded_queue_ids(threads, config.sa.num_queues)?;
+    program.check_queue_ids(config.sa.num_queues)?;
     let mut memory = Memory::for_layout(program.layout())?;
     init(program.layout(), &mut memory);
 
