@@ -38,3 +38,10 @@ GMT_JOBS=8 ./target/release/repro --verify-mt
 # replays exactly that case (the same replay command works for every
 # entry in tests/fuzz_corpus/corpus.txt).
 ./target/release/fuzz --cases 500 --quiet
+
+# Repository-benchmark smoke: all six workloads once (P=1, no warm-up,
+# no traced run; under 10 s). Exits nonzero on `correct: false`, so a
+# change that breaks a name bound in benchmark/src/api.rs, a pinned
+# count in benchmark/expected/ or the eval_quick golden fails here
+# rather than in the pipeline. Builds into benchmark/target (ignored).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke

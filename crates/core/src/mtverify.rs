@@ -14,7 +14,7 @@
 //! reports violations as structured [`MtVerifyError`]s naming the
 //! queue, the blocks involved, and the plan label.
 
-use gmt_ir::{BlockId, ControlDeps, Function, InstrId, Op, PostDominators, QueueId, Reg};
+use gmt_ir::{BlockId, ControlDeps, Function, InstrId, Op, PostDominators, QueueId, Reg, Successors};
 use gmt_mtcg::{CommKind, CommPoint, MtcgOutput, QueueLabel};
 use gmt_pdg::{DepKind, Partition, Pdg, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -463,7 +463,7 @@ pub fn verify_mt(
             let origins = &out.origins[t.index()];
             let starts: Vec<BlockId> = match start {
                 Some(b) => match img.get(&b) {
-                    Some(&g) => tf.successors(g),
+                    Some(&g) => tf.successors(g).to_vec(),
                     None => return BTreeSet::new(),
                 },
                 None => vec![tf.entry()],
@@ -776,7 +776,7 @@ fn back_edges(tf: &Function) -> BTreeSet<(BlockId, BlockId)> {
     let mut back = BTreeSet::new();
     let entry = tf.entry();
     color[entry.index()] = Color::Gray;
-    let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = vec![(entry, tf.successors(entry), 0)];
+    let mut stack: Vec<(BlockId, Successors, usize)> = vec![(entry, tf.successors(entry), 0)];
     loop {
         let Some(frame) = stack.last_mut() else { break };
         if frame.2 >= frame.1.len() {

@@ -299,14 +299,7 @@ fn machine_for(num_queues: u32, depths: Vec<usize>) -> MachineConfig {
 /// retired exactly the instructions, kind by kind, that thread `i` of
 /// the functional run executed.
 fn check_counts(functional: &[DynCounts], cores: &[CoreStats]) -> Result<(), String> {
-    let retired: Vec<DynCounts> = cores
-        .iter()
-        .map(|c| DynCounts {
-            computation: c.computation,
-            communication: c.communication,
-            synchronization: c.synchronization,
-        })
-        .collect();
+    let retired: Vec<DynCounts> = cores.iter().map(CoreStats::counts).collect();
     if retired != functional {
         return Err(format!("per-core counts {retired:?} vs functional per-thread {functional:?}"));
     }

@@ -4,10 +4,17 @@
 //! (relative dynamic communication after COCO), and Figure 8 (speedup
 //! over single-threaded execution without and with COCO).
 //!
-//! Dynamic instruction counts come from the exact functional
-//! multi-threaded interpreter; cycle counts come from the `gmt-sim`
-//! machine model. Profiles are always collected on *train* inputs and
-//! measurements on *ref* inputs. Every mode — figures, `--metrics`,
+//! Every measured program is executed **once** per evaluation. An
+//! untimed evaluation (Figures 1 and 7 on their own) runs it on the
+//! functional interpreter, the faster instrument when only dynamic
+//! instruction counts are wanted. A timed evaluation (Figure 8,
+//! `--fig all`, `--metrics`) runs it on the `gmt-sim` machine model and
+//! takes the counts from what the simulated cores retired as well as
+//! the cycles — the two executors agree on those counts per thread
+//! (the fuzz oracle's interpreter ↔ simulator edge, and this crate's
+//! `timed_counts_equal_untimed_counts_on_all_quick_cells`). Profiles
+//! are always collected on *train* inputs and measurements on *ref*
+//! inputs. Every mode — figures, `--metrics`,
 //! `--trace`, `--explain`, `--verify-mt` — obtains its programs from
 //! the one [`compile_cell`], so they all measure the same code.
 //!
@@ -38,7 +45,7 @@
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
 use gmt_ir::interp::DynCounts;
 use gmt_ir::interp_mt::{run_mt, run_mt_decoded, QueueConfig};
-use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
+use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult};
 use gmt_workloads::{catalog, exec_config, Workload};
 use std::time::Instant;
 
@@ -217,7 +224,7 @@ pub struct Evaluation {
 }
 
 /// Evaluates one workload under one scheduler: baseline MTCG and
-/// MTCG+COCO, functional counts, and (optionally) timed cycles.
+/// MTCG+COCO, dynamic counts, and (when `timed`) cycles.
 ///
 /// # Errors
 ///
@@ -246,27 +253,43 @@ pub fn evaluate_full(
 ) -> Result<Evaluation, HarnessError> {
     let b = w.benchmark;
     let cell = compile_cell(w, kind, scale)?;
-    let seq = gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
-        .map_err(fail(b, "sequential run"))?;
-    let seq_cycles = if timed {
-        simulate(std::slice::from_ref(&w.function), cell.args, w.init, &MachineConfig::default())
-            .map_err(fail(b, "sequential sim"))?
-            .cycles
+    let (seq_instrs, seq_cycles) = if timed {
+        let sim = simulate(
+            std::slice::from_ref(&w.function),
+            cell.args,
+            w.init,
+            &MachineConfig::default(),
+        )
+        .map_err(fail(b, "sequential sim"))?;
+        (sim_counts(&sim).total(), sim.cycles)
     } else {
-        0
+        let seq = gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
+            .map_err(fail(b, "sequential run"))?;
+        (seq.counts.total(), 0)
     };
     let (mtcg, mut base) = measure(&cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
     let (coco, opt) = measure(&cell, &cell.coco, timed, "COCO run", "timed COCO sim")?;
     base.arb_probes = cell.arb_probes;
     Ok(Evaluation {
-        result: BenchResult { benchmark: b, seq_instrs: seq.counts.total(), seq_cycles, mtcg, coco },
+        result: BenchResult { benchmark: b, seq_instrs, seq_cycles, mtcg, coco },
         metrics: vec![base, opt],
     })
 }
 
-/// Measures one variant of a compiled cell: exact dynamic counts from
-/// the functional interpreter and, when `timed`, cycles from the
-/// machine model.
+/// The dynamic instruction counts of a timed run: what its cores
+/// retired, kind by kind, summed — the same numbers the functional
+/// interpreter reports for the same program and input.
+fn sim_counts(sim: &SimResult) -> DynCounts {
+    let mut total = DynCounts::default();
+    for core in &sim.cores {
+        total.add(core.counts());
+    }
+    total
+}
+
+/// Measures one variant of a compiled cell by executing it once: on
+/// the machine model when `timed` (cycles, stalls and the retired
+/// counts), otherwise on the functional interpreter (counts only).
 fn measure(
     cell: &CompiledCell,
     v: &CompiledVariant,
@@ -276,15 +299,12 @@ fn measure(
 ) -> Result<(VariantResult, RunMetrics), HarnessError> {
     let w = cell.workload;
     let t = Instant::now();
-    let counts = run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
-        .map_err(fail(w.benchmark, run_phase))?
-        .totals();
     let mut metrics = RunMetrics {
         benchmark: w.benchmark,
         scheduler: cell.kind.name(),
         variant: v.name,
         wall_ns: 0,
-        instrs: counts.total(),
+        instrs: 0,
         cycles: 0,
         timings: v.parallelized.timings,
         arb_probes: 0,
@@ -293,7 +313,7 @@ fn measure(
         engine_steps: 0,
         skipped_cycles: 0,
     };
-    if timed {
+    let counts = if timed {
         let opts = SimOptions::default();
         let sim = simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts)
             .map_err(fail(w.benchmark, sim_phase))?;
@@ -301,7 +321,13 @@ fn measure(
         metrics.stalls = StallBreakdown::from_cores(&sim.cores);
         metrics.engine_steps = sim.engine_steps;
         metrics.skipped_cycles = sim.skipped_cycles;
-    }
+        sim_counts(&sim)
+    } else {
+        run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+            .map_err(fail(w.benchmark, run_phase))?
+            .totals()
+    };
+    metrics.instrs = counts.total();
     metrics.wall_ns = metrics.timings.total_ns() + t.elapsed().as_nanos() as u64;
     Ok((VariantResult { counts, cycles: metrics.cycles }, metrics))
 }
@@ -468,6 +494,49 @@ mod tests {
         assert!(r.mtcg.cycles > 0);
         assert!(r.coco.cycles > 0);
         assert!(r.speedup_mtcg().is_some());
+    }
+
+    /// What licenses executing a timed cell once: the counts the
+    /// simulator's cores retire are the counts the functional
+    /// interpreter reports, on every cell the figures print.
+    #[test]
+    fn timed_counts_equal_untimed_counts_on_all_quick_cells() {
+        for w in catalog() {
+            for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+                let timed = evaluate_full(&w, kind, true, Scale::Quick).expect("timed");
+                let untimed = evaluate_full(&w, kind, false, Scale::Quick).expect("untimed");
+                let cell = format!("{} / {}", w.benchmark, kind.name());
+                let (t, u) = (&timed.result, &untimed.result);
+                assert_eq!(t.seq_instrs, u.seq_instrs, "{cell}: sequential instructions");
+                assert_eq!(t.mtcg.counts, u.mtcg.counts, "{cell}: MTCG counts");
+                assert_eq!(t.coco.counts, u.coco.counts, "{cell}: COCO counts");
+                for (tm, um) in timed.metrics.iter().zip(&untimed.metrics) {
+                    assert_eq!(tm.instrs, um.instrs, "{cell}: {} RunMetrics::instrs", tm.variant);
+                }
+                assert!(t.seq_cycles > 0 && t.mtcg.cycles > 0 && t.coco.cycles > 0, "{cell}");
+                assert_eq!((u.seq_cycles, u.mtcg.cycles, u.coco.cycles), (0, 0, 0), "{cell}");
+            }
+        }
+    }
+
+    /// The oracle above can fail: on a program that synchronizes, a
+    /// `sim_counts` that forgets one kind disagrees with the
+    /// interpreter.
+    #[test]
+    fn sim_counts_mutant_dropping_synchronization_is_caught() {
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+        let v = &cell.mtcg;
+        let functional = run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+            .unwrap()
+            .totals();
+        let sim =
+            simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, SimOptions::default())
+                .unwrap();
+        assert!(functional.synchronization > 0, "the cell must synchronize for the mutant to bite");
+        assert_eq!(sim_counts(&sim), functional);
+        let mutant = |sim: &SimResult| DynCounts { synchronization: 0, ..sim_counts(sim) };
+        assert_ne!(mutant(&sim), functional);
     }
 
     #[test]

@@ -74,7 +74,8 @@ pub struct RunMetrics {
     /// Variant: `"mtcg"` (baseline) or `"coco"`.
     pub variant: &'static str,
     /// Wall-clock nanoseconds spent evaluating this variant (compile
-    /// phases + functional run + timed simulation when requested).
+    /// phases + its one execution: the timed simulation when
+    /// requested, the functional run otherwise).
     pub wall_ns: u64,
     /// Dynamic instructions, summed over threads.
     pub instrs: u64,

@@ -4,15 +4,15 @@
 //! The ID-walking executors pay three indirections per dynamic
 //! instruction — `Function::block` to find the block, a bounds check to
 //! pick body vs terminator, and `Function::instr` to fetch the `Op` —
-//! plus per-issue `Op` clones and per-check `Op::uses` allocations in
-//! the simulator. [`DecodedFunction::decode`] pays all of that **once**
-//! per function: blocks are laid out into one dense `Vec<DecodedOp>`,
-//! branch/jump targets are resolved to flat stream indices (pcs),
-//! `lea`s are folded to absolute addresses against the memory layout,
-//! and every slot carries its pre-computed functional-unit class,
-//! execution latency, register-use slots, and communication kind, so
-//! the hot loops of `interp`, `interp_mt`, and `gmt-sim` are a single
-//! array index per step.
+//! plus a per-issue `Op` clone in the simulator.
+//! [`DecodedFunction::decode`] pays all of that **once** per function:
+//! blocks are laid out into one dense `Vec<DecodedOp>`, branch/jump
+//! targets are resolved to flat stream indices (pcs), `lea`s are folded
+//! to absolute addresses against the memory layout, and every slot
+//! carries a [`SlotTiming`] record — functional-unit class, execution
+//! latency, register-use slots, whether it communicates — so the hot
+//! loops of `interp`, `interp_mt`, and `gmt-sim` are a single array
+//! index per step.
 //!
 //! Executors built on this module are behaviorally *identical* to the
 //! ID-walking reference paths (`interp::run_with_memory_reference`,
@@ -121,6 +121,25 @@ pub enum InstrKind {
 /// Sentinel for an unused register-use slot.
 pub const NO_USE: u32 = u32::MAX;
 
+/// Everything a cycle model asks about a slot *before* it knows the
+/// instruction can issue — register uses for the scoreboard, the
+/// functional unit for the structural check, whether it needs a
+/// synchronization-array port — plus its execution latency, in one
+/// 16-byte record, so the issue loop touches one cache line per
+/// attempt and reads the 40-byte [`DecodedOp`] only for instructions
+/// that do issue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlotTiming {
+    /// Register uses (at most two; [`NO_USE`] fills the rest).
+    pub uses: [u32; 2],
+    /// Execution latency (cycles).
+    pub latency: u32,
+    /// Functional-unit class.
+    pub unit: ExecUnit,
+    /// Whether the op is a communication primitive (either kind).
+    pub communication: bool,
+}
+
 /// A [`Function`] lowered once into a dense, contiguous instruction
 /// stream with all per-instruction metadata pre-computed.
 #[derive(Clone, Debug)]
@@ -132,12 +151,8 @@ pub struct DecodedFunction {
     src: Vec<InstrId>,
     /// Containing block per slot (edge profiling).
     block: Vec<BlockId>,
-    /// Functional-unit class per slot.
-    unit: Vec<ExecUnit>,
-    /// Execution latency per slot (cycles).
-    latency: Vec<u32>,
-    /// Register uses per slot (at most two; `NO_USE` fills the rest).
-    uses: Vec<[u32; 2]>,
+    /// Issue-time facts per slot.
+    timing: Vec<SlotTiming>,
     entry_pc: u32,
     layout: MemoryLayout,
 }
@@ -231,39 +246,36 @@ impl DecodedFunction {
             ops: Vec::with_capacity(n),
             src: Vec::with_capacity(n),
             block: Vec::with_capacity(n),
-            unit: Vec::with_capacity(n),
-            latency: Vec::with_capacity(n),
-            uses: Vec::with_capacity(n),
+            timing: Vec::with_capacity(n),
             entry_pc: block_start[f.entry().index()],
             layout: layout.clone(),
         };
 
-        let mut use_buf = Vec::with_capacity(2);
         for b in f.blocks() {
             let blk = f.block(b);
             for i in blk.all_instrs() {
                 let op = f.instr(i);
                 let lowered = lower(op, b, layout, &block_start);
-                use_buf.clear();
-                op.uses_into(&mut use_buf);
-                let mut u = [NO_USE; 2];
-                for (slot, r) in u.iter_mut().zip(&use_buf) {
-                    *slot = r.0;
-                }
                 d.ops.push(lowered);
                 d.src.push(i);
                 d.block.push(b);
-                d.unit.push(unit_of(op));
-                d.latency.push(latency_of(op));
-                d.uses.push(u);
+                d.timing.push(SlotTiming {
+                    uses: op.use_slots().map(|r| r.map_or(NO_USE, |r| r.0)),
+                    latency: latency_of(op),
+                    unit: unit_of(op),
+                    communication: op.is_communication(),
+                });
             }
             if blk.terminator.is_none() {
                 d.ops.push(DecodedOp::Unterminated);
                 d.src.push(InstrId(u32::MAX));
                 d.block.push(b);
-                d.unit.push(ExecUnit::Branch);
-                d.latency.push(1);
-                d.uses.push([NO_USE; 2]);
+                d.timing.push(SlotTiming {
+                    uses: [NO_USE; 2],
+                    latency: 1,
+                    unit: ExecUnit::Branch,
+                    communication: false,
+                });
             }
         }
         d
@@ -307,22 +319,28 @@ impl DecodedFunction {
         self.block[pc as usize]
     }
 
+    /// The issue-time facts of the op at `pc`, as one record.
+    #[inline]
+    pub fn timing(&self, pc: u32) -> SlotTiming {
+        self.timing[pc as usize]
+    }
+
     /// The functional-unit class of the op at `pc`.
     #[inline]
     pub fn unit(&self, pc: u32) -> ExecUnit {
-        self.unit[pc as usize]
+        self.timing(pc).unit
     }
 
     /// The execution latency of the op at `pc`.
     #[inline]
     pub fn latency(&self, pc: u32) -> u32 {
-        self.latency[pc as usize]
+        self.timing(pc).latency
     }
 
     /// The register-use slots of the op at `pc` ([`NO_USE`]-padded).
     #[inline]
     pub fn uses(&self, pc: u32) -> [u32; 2] {
-        self.uses[pc as usize]
+        self.timing(pc).uses
     }
 
     /// The memory layout the stream was decoded against.
@@ -620,6 +638,28 @@ mod tests {
                 _ => {}
             }
             assert_eq!(d.latency(pc), 1, "loop_fn has only unit-latency ops");
+            assert!(!d.timing(pc).communication);
+        }
+    }
+
+    #[test]
+    fn timing_record_carries_uses_unit_latency_and_communication() {
+        let mut b = FunctionBuilder::new("t");
+        let x = b.param();
+        let y = b.bin(BinOp::Div, 7i64, x);
+        b.emit(Op::Produce { queue: QueueId(0), value: y.into() });
+        b.emit(Op::ConsumeSync { queue: QueueId(1) });
+        b.ret(None);
+        let d = DecodedFunction::decode(&b.finish().unwrap());
+        let timing = |uses, latency, unit, communication| SlotTiming { uses, latency, unit, communication };
+        assert_eq!(d.timing(0), timing([x.0, NO_USE], 12, ExecUnit::Alu, false));
+        assert_eq!(d.timing(1), timing([y.0, NO_USE], 1, ExecUnit::Mem, true));
+        assert_eq!(d.timing(2), timing([NO_USE; 2], 1, ExecUnit::Mem, true));
+        assert_eq!(d.timing(3), timing([NO_USE; 2], 1, ExecUnit::Branch, false));
+        for pc in 0..d.num_slots() as u32 {
+            let t = d.timing(pc);
+            assert_eq!((t.unit, t.latency, t.uses), (d.unit(pc), d.latency(pc), d.uses(pc)));
+            assert_eq!(t.communication, d.op(pc).is_communication());
         }
     }
 

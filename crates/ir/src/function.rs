@@ -1,6 +1,6 @@
 //! Functions: instruction arenas, basic blocks, and memory objects.
 
-use crate::instr::Op;
+use crate::instr::{Op, Successors};
 use crate::types::{BlockId, InstrId, ObjectId, Reg};
 
 /// A named memory object (array) owned by a function.
@@ -136,7 +136,7 @@ impl Function {
     /// # Panics
     ///
     /// Panics if `b` is unterminated.
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, b: BlockId) -> Successors {
         let term = self.block(b).terminator.expect("block must be terminated");
         self.instr(term).successors()
     }
@@ -351,7 +351,7 @@ mod tests {
     fn construction_and_queries() {
         let f = two_block_fn();
         assert_eq!(f.num_blocks(), 2);
-        assert_eq!(f.successors(f.entry()), vec![BlockId(1)]);
+        assert_eq!(*f.successors(f.entry()), [BlockId(1)]);
         assert_eq!(f.predecessors()[1], vec![f.entry()]);
         assert_eq!(f.placed_instr_count(), 3);
         let first = f.block(f.entry()).instrs[0];

@@ -90,27 +90,22 @@ impl Op {
         }
     }
 
-    /// Appends the registers used by this instruction to `out`.
-    pub fn uses_into(&self, out: &mut Vec<Reg>) {
-        fn push_operand(out: &mut Vec<Reg>, o: Operand) {
-            if let Operand::Reg(r) = o {
-                out.push(r);
-            }
-        }
-        match *self {
-            Op::Bin(_, _, a, b) => {
-                push_operand(out, a);
-                push_operand(out, b);
-            }
+    /// The registers used by this instruction, in operand order: at
+    /// most two, held inline (`None` fills the rest), for callers that
+    /// ask once per dynamic instruction.
+    pub fn use_slots(&self) -> [Option<Reg>; 2] {
+        let reg = |o: Operand| match o {
+            Operand::Reg(r) => Some(r),
+            Operand::Imm(_) => None,
+        };
+        let slots = match *self {
+            Op::Bin(_, _, a, b) => [reg(a), reg(b)],
             Op::Un(_, _, a) | Op::Ret(Some(a)) | Op::Output(a) | Op::Produce { value: a, .. } => {
-                push_operand(out, a)
+                [reg(a), None]
             }
-            Op::Load(_, addr) => out.push(addr.base),
-            Op::Store(addr, v) => {
-                out.push(addr.base);
-                push_operand(out, v);
-            }
-            Op::Branch { cond, .. } => out.push(cond),
+            Op::Load(_, addr) => [Some(addr.base), None],
+            Op::Store(addr, v) => [Some(addr.base), reg(v)],
+            Op::Branch { cond, .. } => [Some(cond), None],
             Op::Const(..)
             | Op::Lea(..)
             | Op::Jump(_)
@@ -118,15 +113,22 @@ impl Op {
             | Op::Consume { .. }
             | Op::ProduceSync { .. }
             | Op::ConsumeSync { .. }
-            | Op::Nop => {}
+            | Op::Nop => [None, None],
+        };
+        match slots {
+            [None, second] => [second, None],
+            _ => slots,
         }
+    }
+
+    /// Appends the registers used by this instruction to `out`.
+    pub fn uses_into(&self, out: &mut Vec<Reg>) {
+        out.extend(self.use_slots().into_iter().flatten());
     }
 
     /// The registers used by this instruction.
     pub fn uses(&self) -> Vec<Reg> {
-        let mut v = Vec::new();
-        self.uses_into(&mut v);
-        v
+        self.use_slots().into_iter().flatten().collect()
     }
 
     /// Whether this instruction reads memory.
@@ -177,17 +179,13 @@ impl Op {
     }
 
     /// Successor blocks if this is a terminator (taken target first).
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Successors {
         match *self {
-            Op::Branch { then_bb, else_bb, .. } => {
-                if then_bb == else_bb {
-                    vec![then_bb]
-                } else {
-                    vec![then_bb, else_bb]
-                }
+            Op::Branch { then_bb, else_bb, .. } if then_bb != else_bb => {
+                Successors { blocks: [then_bb, else_bb], len: 2 }
             }
-            Op::Jump(t) => vec![t],
-            _ => Vec::new(),
+            Op::Branch { then_bb: t, .. } | Op::Jump(t) => Successors { blocks: [t; 2], len: 1 },
+            _ => Successors { blocks: [BlockId(0); 2], len: 0 },
         }
     }
 
@@ -202,6 +200,32 @@ impl Op {
             Op::Jump(t) => *t = map(*t),
             _ => {}
         }
+    }
+}
+
+/// The successor blocks of a terminator — at most two, held inline, so
+/// the CFG walks that ask for them once per visited block allocate
+/// nothing. Dereferences to a `[BlockId]` slice and iterates by value.
+#[derive(Clone, Copy, Debug)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len as usize)
     }
 }
 
@@ -253,6 +277,8 @@ mod tests {
     fn immediates_are_not_uses() {
         let op = Op::Bin(BinOp::Add, Reg(2), Reg(0).into(), Operand::Imm(5));
         assert_eq!(op.uses(), vec![Reg(0)]);
+        let op = Op::Bin(BinOp::Sub, Reg(2), Operand::Imm(5), Reg(1).into());
+        assert_eq!(op.use_slots(), [Some(Reg(1)), None], "uses pack to the front");
     }
 
     #[test]
@@ -266,12 +292,15 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let br = Op::Branch { cond: Reg(0), then_bb: BlockId(1), else_bb: BlockId(2) };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*br.successors(), [BlockId(1), BlockId(2)]);
+        assert_eq!(br.successors().into_iter().collect::<Vec<_>>(), [BlockId(1), BlockId(2)]);
         assert!(br.is_terminator() && br.is_branch());
         let same = Op::Branch { cond: Reg(0), then_bb: BlockId(3), else_bb: BlockId(3) };
-        assert_eq!(same.successors(), vec![BlockId(3)]);
-        assert_eq!(Op::Jump(BlockId(4)).successors(), vec![BlockId(4)]);
+        assert_eq!(*same.successors(), [BlockId(3)]);
+        assert_eq!(same.successors().into_iter().count(), 1);
+        assert_eq!(*Op::Jump(BlockId(4)).successors(), [BlockId(4)]);
         assert!(Op::Ret(None).successors().is_empty());
+        assert_eq!(Op::Ret(None).successors().into_iter().next(), None);
         assert!(Op::Ret(None).is_terminator());
     }
 
@@ -288,10 +317,10 @@ mod tests {
     fn retarget_rewrites_branches() {
         let mut br = Op::Branch { cond: Reg(0), then_bb: BlockId(1), else_bb: BlockId(2) };
         br.retarget(|b| BlockId(b.0 + 10));
-        assert_eq!(br.successors(), vec![BlockId(11), BlockId(12)]);
+        assert_eq!(*br.successors(), [BlockId(11), BlockId(12)]);
         let mut j = Op::Jump(BlockId(0));
         j.retarget(|_| BlockId(7));
-        assert_eq!(j.successors(), vec![BlockId(7)]);
+        assert_eq!(*j.successors(), [BlockId(7)]);
     }
 
     #[test]

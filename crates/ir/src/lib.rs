@@ -64,7 +64,7 @@ pub use ctrldep::{ControlDep, ControlDeps};
 pub use dataflow::{BitSet, DefUse, Liveness};
 pub use dom::{Dominators, PostDominators};
 pub use function::{Block, Function, MemObject};
-pub use instr::Op;
+pub use instr::{Op, Successors};
 pub use loops::{Loop, LoopForest};
 pub use parser::{parse, ParseError};
 pub use printer::{display, FunctionDisplay};

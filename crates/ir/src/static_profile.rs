@@ -69,7 +69,7 @@ pub fn estimate_profile(f: &Function) -> Profile {
                         edges.push((b, s, p));
                     }
                 } else {
-                    for &s in &succs {
+                    for s in succs {
                         edges.push((b, s, EVEN_PROB));
                     }
                 }

@@ -312,7 +312,7 @@ fn block_reachability(f: &Function) -> Vec<gmt_ir::BitSet> {
     let mut reach: Vec<gmt_ir::BitSet> = Vec::with_capacity(n);
     for b in f.blocks() {
         let mut seen = gmt_ir::BitSet::new(n);
-        let mut stack: Vec<_> = f.successors(b);
+        let mut stack: Vec<_> = f.successors(b).to_vec();
         while let Some(x) = stack.pop() {
             if seen.insert(x.index()) {
                 stack.extend(f.successors(x));

@@ -1,7 +1,12 @@
 //! One in-order, multi-issue, stall-on-use core.
 
-use gmt_ir::interp::{ExecError, MemoryLayout};
+use gmt_ir::interp::{DynCounts, ExecError, MemoryLayout};
 use gmt_ir::{AddrMode, BlockId, Function, InstrId, Op, Operand, QueueId, Reg};
+
+/// Loads one core may have in flight; a further load stalls
+/// ([`StallReason::LoadLimit`]) until one completes. Shared by both
+/// engines.
+pub(crate) const MAX_OUTSTANDING_LOADS: usize = 16;
 
 /// Why a core could not issue its next instruction this cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +74,18 @@ pub struct CoreStats {
 impl CoreStats {
     /// Total instructions issued.
     pub fn total_instrs(&self) -> u64 {
-        self.computation + self.communication + self.synchronization
+        self.counts().total()
+    }
+
+    /// The instructions issued, kind by kind, in the functional
+    /// interpreter's currency: thread `i` of a functional run and core
+    /// `i` of a timed run of the same program report equal counts.
+    pub fn counts(&self) -> DynCounts {
+        DynCounts {
+            computation: self.computation,
+            communication: self.communication,
+            synchronization: self.synchronization,
+        }
     }
 
     /// Records a stall.
@@ -168,7 +184,7 @@ impl<'a> Core<'a> {
 
     /// Whether all source registers of `op` are ready at `now`.
     pub fn operands_ready(&self, op: &Op, now: u64) -> bool {
-        op.uses().iter().all(|r| self.ready[r.index()] <= now)
+        op.use_slots().into_iter().flatten().all(|r| self.ready[r.index()] <= now)
     }
 
     /// The value of an operand (operands are checked ready first).

@@ -4,10 +4,10 @@
 //! [`DecodedProgram`] streams and then runs the same in-order,
 //! multi-issue, stall-on-use machine model as
 //! [`simulate_reference`](crate::simulate_reference) — without the
-//! per-issue `Op` clone, the per-check `Op::uses` allocation, or the
-//! block/instruction ID indirection of the reference path. The
-//! `decoded_equivalence` integration tests hold the two engines
-//! byte-identical (cycles, outputs, stall and hit statistics).
+//! per-issue `Op` clone or the block/instruction ID indirection of the
+//! reference path. The `decoded_equivalence` integration tests hold the
+//! two engines byte-identical (cycles, outputs, stall and hit
+//! statistics).
 //!
 //! What the engine shares with the functional interpreter is the
 //! [`DecodedProgram`] and its load-time queue-id scan
@@ -15,6 +15,23 @@
 //! loop, which is why per-core retired counts can be checked against
 //! the interpreter's per-thread counts (the fuzz oracle does). The
 //! reference simulator scans and runs the `Function`s themselves.
+//!
+//! # The cost of a step
+//!
+//! At an IPC near one a core-step issues little more than one
+//! instruction, so what the loop does *around* an instruction costs as
+//! much as the instruction. Everything that does not depend on the
+//! cycle is therefore computed once per run (the functional-unit
+//! limits, [`DecodedFunction`]'s per-slot
+//! [`SlotTiming`](gmt_ir::decoded::SlotTiming) table, which the 3–33
+//! simulations of one decoded program share); the start core of a step
+//! is a mask of the cycle number at the one- and two-core counts every
+//! figure uses, and the walk from it wraps with a compare; a finished core is counted out once and never
+//! visited again; the structural, operand and SA-port checks read one
+//! 16-byte record, and the 40-byte [`DecodedOp`] is fetched only for
+//! an instruction that passed them; the cross-core delivery list is
+//! drained only when a produce put something on it. None of this
+//! changes which steps run or what a step decides.
 //!
 //! # Event-driven stall fast-forward
 //!
@@ -52,7 +69,7 @@
 
 use crate::cache::{Hierarchy, HitLevel};
 use crate::config::MachineConfig;
-use crate::core::{CoreStats, StallReason};
+use crate::core::{CoreStats, StallReason, MAX_OUTSTANDING_LOADS};
 use crate::sa::{PendingConsume, SyncArray};
 use crate::sim::SimResult;
 use crate::trace::{Arrival, NoTrace, TraceEvent, TraceSink};
@@ -186,7 +203,15 @@ fn run_engine<S: TraceSink>(
     // borrows only its own core) — drained after every call.
     let mut deliveries: Vec<CrossDelivery> = Vec::new();
 
-    while cores.iter().any(|c| !c.finished) {
+    // The issue-loop facts that hold for the whole run are computed
+    // here, not per step or per `issue_core` call: the functional-unit
+    // limits and the number of cores still running (a finished core is
+    // never evaluated again, so the count only changes where a `ret`
+    // retires).
+    let limits = [config.alu_units, config.mem_ports, config.fp_units, config.branch_units];
+    let mut live = ncores;
+
+    while live > 0 {
         if cycle >= config.max_cycles {
             return Err(ExecError::OutOfFuel);
         }
@@ -196,14 +221,19 @@ fn run_engine<S: TraceSink>(
         engine_steps += 1;
         let mut sa_ports_left = config.sa.ports;
         let mut any_progress = false;
-        // Rotate the start core for SA-port fairness.
+        // Rotate the start core for SA-port fairness: core
+        // `cycle % ncores` goes first. The start is derived from the
+        // cycle number itself, so it is right after a fast-forward
+        // jump too; the walk from it wraps with a compare.
+        let start = rotation_start(cycle, ncores);
         for k in 0..ncores {
-            let ci = (k + cycle as usize % ncores) % ncores;
-            // A sleeping core replays `stalls[ci]` (already credited
+            let ci = if start + k >= ncores { start + k - ncores } else { start + k };
+            // A finished core issues nothing and records nothing. A
+            // sleeping core replays `stalls[ci]` (already credited
             // through its wakeup) without re-evaluation; it issues
             // nothing and touches no shared state, exactly like the
             // per-cycle engine's early-out would.
-            if asleep_until[ci] > cycle {
+            if cores[ci].finished || asleep_until[ci] > cycle {
                 continue;
             }
             let outcome = issue_core(
@@ -219,15 +249,23 @@ fn run_engine<S: TraceSink>(
                 &mut return_value,
                 &mut hits,
                 config,
+                &limits,
                 cycle,
                 sink,
             )?;
-            for del in deliveries.drain(..) {
-                cores[del.core].deliver(del.dst, del.token, del.value, del.ready_at);
+            // Only a produce that found a peer's consume waiting leaves
+            // anything here.
+            if !deliveries.is_empty() {
+                for del in deliveries.drain(..) {
+                    cores[del.core].deliver(del.dst, del.token, del.value, del.ready_at);
+                }
             }
             if outcome.progressed {
                 last_progress = cycle;
                 any_progress = true;
+                if cores[ci].finished {
+                    live -= 1;
+                }
             }
             stalls[ci] = outcome.stall;
             // Memoize the stall when its wakeup is stable (see
@@ -238,7 +276,7 @@ fn run_engine<S: TraceSink>(
             // to memoize there would tax every issuing cycle for
             // nothing; a window worth sleeping through re-records the
             // same stall on the next, progress-free evaluation.
-            if opts.fast_forward && !outcome.progressed && !cores[ci].finished {
+            if opts.fast_forward && !outcome.progressed {
                 if let Some((reason, queue)) = outcome.stall {
                     let stable = match reason {
                         StallReason::QueueEmpty => {
@@ -337,6 +375,16 @@ fn run_engine<S: TraceSink>(
 }
 
 const NO_PROGRESS_WINDOW: u64 = 100_000;
+
+/// Which core is evaluated first on a cycle: `cycle % ncores`, so the
+/// synchronization-array ports are handed out round-robin. The one- and
+/// two-core machines every figure simulates (and any power of two) get
+/// it from a mask; other core counts pay the division.
+#[inline]
+fn rotation_start(cycle: u64, ncores: usize) -> usize {
+    let n = ncores as u64;
+    (if n.is_power_of_two() { cycle & (n - 1) } else { cycle % n }) as usize
+}
 
 /// Which queues are consumed by at most one core. A core sleeping on a
 /// `QueueEmpty` stall trusts the front entry's visibility cycle to stay
@@ -527,8 +575,8 @@ struct DCore {
     next_token: u64,
     pc: u32,
     finished: bool,
-    /// Loads still in flight (dest not yet ready); pruned on every
-    /// [`DCore::outstanding_loads`] query so it stays O(outstanding).
+    /// Completion cycles of issued loads, pruned lazily by
+    /// [`DCore::at_load_limit`].
     inflight_loads: Vec<u64>,
     fetch_stalled_until: u64,
     stats: CoreStats,
@@ -620,10 +668,17 @@ impl DCore {
         }
     }
 
+    /// Whether [`MAX_OUTSTANDING_LOADS`] loads are still in flight at
+    /// `now`. Completed loads are pruned only here, and only once the
+    /// set has reached the cap — so it never outgrows the cap, and
+    /// holds only completions `> now` whenever this returns true.
     #[inline]
-    fn outstanding_loads(&mut self, now: u64) -> usize {
+    fn at_load_limit(&mut self, now: u64) -> bool {
+        if self.inflight_loads.len() < MAX_OUTSTANDING_LOADS {
+            return false;
+        }
         self.inflight_loads.retain(|&t| t > now);
-        self.inflight_loads.len()
+        self.inflight_loads.len() >= MAX_OUTSTANDING_LOADS
     }
 }
 
@@ -709,6 +764,7 @@ fn issue_core<S: TraceSink>(
     return_value: &mut Option<i64>,
     hits: &mut [u64; 4],
     config: &MachineConfig,
+    limits: &[usize; 4],
     now: u64,
     sink: &mut S,
 ) -> Result<IssueOutcome, ExecError> {
@@ -735,7 +791,6 @@ fn issue_core<S: TraceSink>(
     }
     let mut issued = 0usize;
     let mut used = [0usize; 4]; // alu, mem, fp, branch
-    let limits = [config.alu_units, config.mem_ports, config.fp_units, config.branch_units];
     let mut progressed = false;
     let mut stall: Option<(StallReason, Option<QueueId>)> = None;
     // Records a stall (counter + trace) and remembers it for the
@@ -775,22 +830,24 @@ fn issue_core<S: TraceSink>(
 
     while !core.finished && issued < config.issue_width {
         let pc = core.pc;
-        let op = d.op(pc);
-        let ui = d.unit(pc) as usize;
+        // The three checks that most often end an issue group read one
+        // 16-byte record; the op itself is fetched only past them.
+        let timing = d.timing(pc);
+        let ui = timing.unit as usize;
         if used[ui] >= limits[ui] {
             stall!(StallReason::Structural, None);
             break;
         }
-        if !core.operands_ready(d.uses(pc), now) {
+        if !core.operands_ready(timing.uses, now) {
             stall!(StallReason::Operand, None);
             break;
         }
         // SA port check for communication instructions.
-        if op.is_communication()
-            && *sa_ports_left == 0 {
-                stall!(StallReason::SaPort, None);
-                break;
-            }
+        if timing.communication && *sa_ports_left == 0 {
+            stall!(StallReason::SaPort, None);
+            break;
+        }
+        let op = d.op(pc);
         // The last-arrival edge of the instruction about to issue —
         // taken before the op executes (a def may overwrite the
         // scoreboard entry of one of its own uses). Discarded
@@ -810,8 +867,7 @@ fn issue_core<S: TraceSink>(
             }
             DecodedOp::Bin(b, dst, x, y) => {
                 let v = b.eval(core.operand(x), core.operand(y));
-                let lat = d.latency(pc) as u64;
-                core.write(dst, v, now + lat);
+                core.write(dst, v, now + timing.latency as u64);
                 core.pc += 1;
             }
             DecodedOp::Un(u, dst, x) => {
@@ -820,7 +876,7 @@ fn issue_core<S: TraceSink>(
                 core.pc += 1;
             }
             DecodedOp::Load(dst, a) => {
-                if core.outstanding_loads(now) >= 16 {
+                if core.at_load_limit(now) {
                     stall!(StallReason::LoadLimit, None);
                     break;
                 }
@@ -1006,4 +1062,28 @@ fn issue_core<S: TraceSink>(
         }
     }
     Ok(IssueOutcome { progressed, stall })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rotation_start;
+
+    /// The start core is a function of the cycle number alone, so a
+    /// fast-forward jump lands on the same core the per-cycle engine
+    /// would have rotated to.
+    #[test]
+    fn rotation_start_is_cycle_mod_ncores() {
+        for ncores in 1..=5usize {
+            let mut cycle = 0u64;
+            // Single steps interleaved with jumps of every residue,
+            // then the far end of the range.
+            for step in (0..200u64).map(|i| if i % 7 == 0 { i * 13 + 2 } else { 1 }) {
+                assert_eq!(rotation_start(cycle, ncores), (cycle % ncores as u64) as usize, "{ncores} @ {cycle}");
+                cycle += step;
+            }
+            for cycle in [u64::MAX - 5, u64::MAX - 1, u64::MAX] {
+                assert_eq!(rotation_start(cycle, ncores), (cycle % ncores as u64) as usize, "{ncores} @ {cycle}");
+            }
+        }
+    }
 }

@@ -2,7 +2,7 @@
 
 use crate::cache::{Hierarchy, HitLevel};
 use crate::config::MachineConfig;
-use crate::core::{Core, CoreStats, StallReason};
+use crate::core::{Core, CoreStats, StallReason, MAX_OUTSTANDING_LOADS};
 use crate::sa::{PendingConsume, SyncArray};
 use gmt_ir::interp::{BlockedOp, DeadlockInfo, ExecError, Memory, MemoryLayout};
 use gmt_ir::{BinOp, Function, Op};
@@ -243,7 +243,7 @@ fn deadlock_info(
             }
             _ => {}
         }
-        for r in op.uses() {
+        for r in op.use_slots().into_iter().flatten() {
             if core.ready[r.index()] == u64::MAX {
                 if let Some(queue) = core.pending_queue[r.index()] {
                     return Some(DeadlockInfo { core: ci, queue, op: BlockedOp::ConsumeEmpty });
@@ -323,7 +323,7 @@ fn issue_core(
                 cores[ci].advance();
             }
             Op::Load(d, a) => {
-                if cores[ci].outstanding_loads(now) >= 16 {
+                if cores[ci].outstanding_loads(now) >= MAX_OUTSTANDING_LOADS {
                     cores[ci].stats.record_stall(StallReason::LoadLimit);
                     break;
                 }

@@ -179,3 +179,71 @@ fn pinned_stall_counts_for_one_kernel_under_both_engines() {
     assert_eq!(pin(c), (60, 0, 0, 0, 0, 0, 0), "consumer stalls");
     assert_eq!(decoded.cycles, 61, "pinned total");
 }
+
+/// `n` cores and one SA request port: cores 1.. each wait out a
+/// dependent divide chain of their own length (all-stall windows for
+/// the fast-forward to jump, so rounds start at arbitrary cycles), then
+/// push six values into their own depth-2 queue while core 0 drains the
+/// queues round-robin. Who gets the port on a contended cycle is the
+/// start-core rotation `cycle % n` — the decision this pins for n > 2
+/// across the event-driven engine, the per-cycle engine and the
+/// ID-walking reference.
+fn one_port_contention(n: usize) {
+    const ROUNDS: usize = 6;
+    let mut b = FunctionBuilder::new("drain");
+    let mut acc = b.const_(0);
+    for _ in 0..ROUNDS {
+        for q in 1..n {
+            let r = b.fresh_reg();
+            b.emit(Op::Consume { dst: r, queue: QueueId(q as u32) });
+            acc = b.bin(BinOp::Add, acc, r);
+        }
+    }
+    b.output(acc);
+    b.ret(Some(acc.into()));
+    let mut threads = vec![b.finish().unwrap()];
+    for q in 1..n {
+        let mut b = FunctionBuilder::new("fill");
+        let mut v = b.const_(1000 * q as i64);
+        for _ in 0..q {
+            v = b.bin(BinOp::Div, v, 1i64);
+        }
+        for k in 0..ROUNDS {
+            let x = b.bin(BinOp::Add, v, k as i64);
+            b.emit(Op::Produce { queue: QueueId(q as u32), value: x.into() });
+        }
+        b.ret(None);
+        threads.push(b.finish().unwrap());
+    }
+
+    let mut config = MachineConfig::default().with_queue_depth(2);
+    config.sa.ports = 1;
+    let program = DecodedProgram::decode(&threads).unwrap();
+    let run = |fast_forward| {
+        let opts = gmt_sim::SimOptions { fast_forward };
+        gmt_sim::simulate_decoded_opts(&program, &[], |_, _| {}, &config, opts).unwrap()
+    };
+    let (skip, per_cycle) = (run(true), run(false));
+    let reference = simulate_reference(&threads, &[], |_, _| {}, &config).unwrap();
+
+    let contended = reference.cores.iter().filter(|c| c.stall_sa_port > 0).count();
+    assert!(contended >= 2, "{n} cores: the port must be fought over ({contended} cores lost it)");
+    assert!(skip.skipped_cycles > 0, "{n} cores: the fast-forward must jump at least once");
+    let sum: i64 = (1..n as i64).map(|q| (0..ROUNDS as i64).map(|k| 1000 * q + k).sum::<i64>()).sum();
+    assert_eq!(reference.output, vec![sum]);
+    for (name, r) in [("fast-forward", &skip), ("per-cycle", &per_cycle)] {
+        assert_eq!(r.cycles, reference.cycles, "{n} cores, {name}: cycles");
+        assert_eq!(r.cores, reference.cores, "{n} cores, {name}: per-core stats");
+        assert_eq!(r.output, reference.output, "{n} cores, {name}: output");
+    }
+}
+
+#[test]
+fn three_cores_contending_for_one_sa_port_agree_across_engines() {
+    one_port_contention(3);
+}
+
+#[test]
+fn four_cores_contending_for_one_sa_port_agree_across_engines() {
+    one_port_contention(4);
+}

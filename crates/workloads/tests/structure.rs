@@ -23,8 +23,8 @@ fn has_hammock(f: &Function) -> bool {
         if succs.len() != 2 {
             return false;
         }
-        let s0: Vec<_> = f.successors(succs[0]);
-        let s1: Vec<_> = f.successors(succs[1]);
+        let s0 = f.successors(succs[0]);
+        let s1 = f.successors(succs[1]);
         s0.len() == 1 && s1.len() == 1 && s0[0] == s1[0]
     })
 }
