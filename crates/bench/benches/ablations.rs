@@ -27,7 +27,7 @@ fn dynamic_comm(w: &gmt_workloads::Workload, config: &CocoConfig) -> u64 {
         &gmt_sched::gremio::GremioConfig::default(),
     ).unwrap();
     let (plan, _) = optimize(&w.function, &pdg, &partition, &train.profile, config);
-    let out = gmt_mtcg::generate_with_plan(&w.function, &partition, plan).unwrap();
+    let out = gmt_mtcg::generate_with_plan(&w.function, &pdg, &partition, plan).unwrap();
     run_mt(
         &out.threads,
         &w.train_args,
@@ -101,6 +101,7 @@ fn print_tables_once() {
         let points = plan.total_points();
         let unlimited = gmt_mtcg::generate_with_plan_budgeted(
             &w.function,
+            &pdg,
             &partition,
             plan.clone(),
             gmt_mtcg::QueueBudget::Unlimited,
@@ -108,6 +109,7 @@ fn print_tables_once() {
         .unwrap();
         let budgeted = gmt_mtcg::generate_with_plan_budgeted(
             &w.function,
+            &pdg,
             &partition,
             plan,
             gmt_mtcg::QueueBudget::Limit(16),

@@ -5,7 +5,7 @@ use crate::flowgraph::{GfBuilder, LiveMap};
 use crate::pos::PosGraph;
 use crate::safety::Safety;
 use gmt_graph::{multicut, DiGraph, MaxFlowAlgo, NodeId};
-use gmt_ir::{ControlDeps, DefUse, Function, InstrId, PostDominators, Profile, Reg};
+use gmt_ir::{Function, InstrId, Liveness, Profile, Reg};
 use gmt_mtcg::{CommKind, CommPlan, CommPoint};
 use gmt_pdg::{DepKind, Partition, Pdg, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -78,7 +78,7 @@ pub struct CocoStats {
 /// partition.assign(instrs[2], ThreadId(0));
 /// let pdg = Pdg::build(&f);
 /// let (plan, stats) = optimize(&f, &pdg, &partition, &Profile::uniform(&f, 5), &CocoConfig::default());
-/// let threads = gmt_mtcg::generate_with_plan(&f, &partition, plan)?;
+/// let threads = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan)?;
 /// assert_eq!(threads.threads.len(), 2);
 /// assert!(stats.iterations >= 1);
 /// # Ok(())
@@ -92,11 +92,10 @@ pub fn optimize(
     config: &CocoConfig,
 ) -> (CommPlan, CocoStats) {
     let n = partition.num_threads();
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
-    let defuse = DefUse::compute(f);
-    let pos_graph = PosGraph::build(f, profile);
+    let cdeps = pdg.control_deps();
+    let def_use_pairs = pdg.def_use().def_use_pairs();
     let block_weights = profile.block_weights(f);
+    let pos_graph = PosGraph::build(f, profile, &block_weights);
     let mut stats = CocoStats::default();
 
     // Safety per source thread (depends only on the partition).
@@ -131,11 +130,16 @@ pub fn optimize(
     // Relevant branches only grow across iterations (the convergence
     // argument of Algorithm 2).
     let mut relevant: Vec<BTreeSet<InstrId>> =
-        gmt_mtcg::relevant_branches(f, &cdeps, partition, &plan);
+        gmt_mtcg::relevant_branches(f, cdeps, partition, &plan);
 
     for iter in 0..config.max_iterations {
         stats.iterations = iter + 1;
         let mut changed = false;
+        // What thread t executes: its own instructions plus its
+        // relevant branches, fixed until the end of the iteration.
+        let executes = |t: ThreadId, i: InstrId| {
+            partition.thread_of(i) == t || relevant[t.index()].contains(&i)
+        };
 
         // ---- current communication requirements.
         // sinks[(s, t, r)] = uses of r that thread t executes (its own
@@ -144,14 +148,13 @@ pub fn optimize(
         // fallback[(s, t, r)] = MTCG points (after each reaching def).
         let mut fallback: BTreeMap<(ThreadId, ThreadId, Reg), BTreeSet<CommPoint>> =
             BTreeMap::new();
-        for (d, u, r) in defuse.def_use_pairs() {
+        for &(d, u, r) in &def_use_pairs {
             let s = partition.thread_of(d);
             for t in partition.threads() {
                 if s == t {
                     continue;
                 }
-                let counts = partition.thread_of(u) == t || relevant[t.index()].contains(&u);
-                if counts {
+                if executes(t, u) {
                     sinks.entry((s, t, r)).or_default().insert(u);
                     fallback.entry((s, t, r)).or_default().insert(CommPoint::After(d));
                 }
@@ -179,11 +182,19 @@ pub fn optimize(
         pairs.sort_by_key(|&(s, t)| (pos_of[&s.0], pos_of[&t.0], s.0, t.0));
         pairs.dedup();
 
+        // ---- liveness with respect to each target thread: "the live
+        // range of r considering only the uses of r in the instructions
+        // assigned to T_t" (§3.1.1), for every r at once.
+        let liveness: Vec<Liveness> = partition
+            .threads()
+            .map(|t| Liveness::compute_filtered(f, |i| executes(t, i)))
+            .collect();
+
         for (s, t) in pairs {
             let builder = GfBuilder {
                 f,
                 pos_graph: &pos_graph,
-                cdeps: &cdeps,
+                cdeps,
                 partition,
                 relevant: &relevant,
                 block_weights: &block_weights,
@@ -202,9 +213,7 @@ pub fn optimize(
                 let uses: Vec<InstrId> = use_set.iter().copied().collect();
                 let empty = Vec::new();
                 let defs = defs_of.get(&(r, s)).unwrap_or(&empty);
-                let counts_as_use =
-                    |i: InstrId| partition.thread_of(i) == t || relevant[t.index()].contains(&i);
-                let live = LiveMap::compute(f, r, counts_as_use);
+                let live = LiveMap::project(f, &liveness[t.index()], r, |i| executes(t, i));
                 let points = builder
                     .optimize_register(r, &safety[s.index()], &live, defs, &uses, config.algo);
                 let new_points = match points {
@@ -263,7 +272,7 @@ pub fn optimize(
         }
 
         // ---- update relevant branches (they only grow).
-        let recomputed = gmt_mtcg::relevant_branches(f, &cdeps, partition, &plan);
+        let recomputed = gmt_mtcg::relevant_branches(f, cdeps, partition, &plan);
         for (t_idx, brs) in recomputed.into_iter().enumerate() {
             for br in brs {
                 if relevant[t_idx].insert(br) {

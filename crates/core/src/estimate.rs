@@ -69,9 +69,9 @@ impl SchedEstimate {
         labels: &[QueueLabel],
         num_queues: u32,
     ) -> SchedEstimate {
-        let bal = balance(f, profile, partition);
-        let nthreads = bal.per_thread.len();
         let weights = profile.block_weights(f);
+        let bal = balance(f, &weights, partition);
+        let nthreads = bal.per_thread.len();
         let mut comm_cycles = vec![0u64; nthreads];
         let mut sync_points = 0usize;
         for l in labels {
@@ -104,7 +104,7 @@ impl SchedEstimate {
             thread_cycles,
             max_share_pct,
             cut: cut_summary(pdg, partition),
-            queue_traffic: gmt_mtcg::estimated_traffic(f, profile, labels, num_queues),
+            queue_traffic: gmt_mtcg::estimated_traffic(f, &weights, labels, num_queues),
             sync_points,
         }
     }

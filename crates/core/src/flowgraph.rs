@@ -3,7 +3,7 @@
 use crate::pos::{Pos, PosGraph};
 use crate::safety::Safety;
 use gmt_graph::{Capacity, Commodity, FlowNetwork, FlowNode, MaxFlowAlgo, MinCut};
-use gmt_ir::{ControlDeps, Function, InstrId, Reg};
+use gmt_ir::{ControlDeps, Function, InstrId, Liveness, Reg};
 use gmt_mtcg::CommPoint;
 use gmt_pdg::{Partition, ThreadId};
 use std::collections::{BTreeSet, HashMap};
@@ -78,26 +78,17 @@ impl GfBuilder<'_> {
 
     /// The §3.1.2 penalty for placing communication in `block`: the
     /// total profile weight of branches that would newly become
-    /// relevant to the target thread.
+    /// relevant to the target thread — the block's control-dependence
+    /// closure less what is relevant already.
     fn control_penalty(&self, block: gmt_ir::BlockId) -> u64 {
         if !self.control_penalties {
             return 0;
         }
-        let mut seen = BTreeSet::new();
-        let mut penalty = 0u64;
-        let mut stack = vec![block];
-        while let Some(b) = stack.pop() {
-            for cd in self.cdeps.of_block(b) {
-                if self.relevant[self.t.index()].contains(&cd.branch) {
-                    continue;
-                }
-                if seen.insert(cd.branch) {
-                    penalty += self.block_weights[cd.block.index()];
-                    stack.push(cd.block);
-                }
-            }
-        }
-        penalty
+        self.cdeps
+            .branches_in(self.cdeps.closure_row(block))
+            .filter(|br| !self.relevant[self.t.index()].contains(br))
+            .map(|br| self.block_weights[self.f.block_of(br).index()])
+            .sum()
     }
 
     /// The cost of a normal arc for the register problem: infinite when
@@ -281,12 +272,18 @@ pub struct LiveMap {
 }
 
 impl LiveMap {
-    /// Computes the thread-aware live map of `r`.
+    /// Projects the thread-aware live map of `r` out of `live`, the
+    /// target thread's [`Liveness::compute_filtered`].
     ///
-    /// `counts_as_use` decides which instructions' uses matter (target
-    /// thread instructions and relevant branches).
-    pub fn compute(f: &Function, r: Reg, counts_as_use: impl Fn(InstrId) -> bool) -> LiveMap {
-        let live = gmt_ir::Liveness::compute_filtered(f, &counts_as_use);
+    /// `counts_as_use` is the filter `live` was computed with: which
+    /// instructions' uses matter (target thread instructions and
+    /// relevant branches).
+    pub fn project(
+        f: &Function,
+        live: &Liveness,
+        r: Reg,
+        counts_as_use: impl Fn(InstrId) -> bool,
+    ) -> LiveMap {
         let mut live_before = vec![false; f.num_instrs()];
         let mut live_after = vec![false; f.num_instrs()];
         let mut live_entry = vec![false; f.num_blocks()];
@@ -323,5 +320,134 @@ impl LiveMap {
     /// Whether `r` is live at the entry of block `b`.
     pub fn live_at_entry(&self, b: gmt_ir::BlockId) -> bool {
         self.live_entry[b.index()]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmt_integration_tests::{compile, program_gen, seeded_partition};
+    use gmt_ir::{BlockId, Profile};
+    use gmt_pdg::Pdg;
+    use gmt_sched::{dswp, gremio};
+    use gmt_testkit::{full_u64, prop_assert_eq, Checker, PropResult};
+
+    /// Runs `prop` on the 11 catalog kernels under both partitioners'
+    /// choices at N ∈ {2,3,4}, and on `cases` generated functions under
+    /// seeded partitions of the same widths — each with the relevant
+    /// branches of the empty plan (where COCO starts) and of the
+    /// baseline plan (every dependence placed, foreign branches
+    /// duplicated).
+    fn for_catalog_and_generated(
+        name: &str,
+        cases: u32,
+        prop: impl Fn(&Function, &Pdg, &Partition, &[BTreeSet<InstrId>]) -> PropResult,
+    ) {
+        let both_plans = |f: &Function, pdg: &Pdg, partition: &Partition| -> PropResult {
+            let baseline = gmt_mtcg::baseline_plan(f, pdg, partition).map_err(|e| e.to_string())?;
+            [gmt_mtcg::CommPlan::new(partition.num_threads()), baseline].iter().try_for_each(|plan| {
+                let relevant = gmt_mtcg::relevant_branches(f, pdg.control_deps(), partition, plan);
+                prop(f, pdg, partition, &relevant)
+            })
+        };
+        for w in gmt_workloads::catalog() {
+            let f = &w.function;
+            let profile = w.run_train().expect("train run").profile;
+            let pdg = Pdg::build(f);
+            for n in [2u32, 3, 4] {
+                let dswp = dswp::DswpConfig { num_threads: n, ..Default::default() };
+                let gremio = gremio::GremioConfig { num_threads: n, ..Default::default() };
+                for partition in [
+                    dswp::partition(f, &pdg, &profile, &dswp).expect("dswp"),
+                    gremio::partition(f, &pdg, &profile, &gremio).expect("gremio"),
+                ] {
+                    both_plans(f, &pdg, &partition)
+                        .unwrap_or_else(|e| panic!("{} N={n}: {e}", w.benchmark));
+                }
+            }
+        }
+        Checker::new(name).cases(cases).run(&program_gen().zip(full_u64()), |(program, seed)| {
+            let f = compile(program);
+            let pdg = Pdg::build(&f);
+            (2..=4).try_for_each(|n| both_plans(&f, &pdg, &seeded_partition(&f, n, *seed)))
+        });
+    }
+
+    /// The §3.1.2 penalty as `control_penalty` computed it before
+    /// [`ControlDeps`] carried the transitive closure: a DFS over the
+    /// direct dependences that stops at branches already relevant to
+    /// the target thread. Kept as the reference.
+    fn penalty_by_dfs(builder: &GfBuilder<'_>, block: BlockId) -> u64 {
+        let mut seen = BTreeSet::new();
+        let mut penalty = 0u64;
+        let mut stack = vec![block];
+        while let Some(b) = stack.pop() {
+            for cd in builder.cdeps.of_block(b) {
+                if builder.relevant[builder.t.index()].contains(&cd.branch) {
+                    continue;
+                }
+                if seen.insert(cd.branch) {
+                    penalty += builder.block_weights[cd.block.index()];
+                    stack.push(cd.block);
+                }
+            }
+        }
+        penalty
+    }
+
+    #[test]
+    fn closure_penalty_matches_the_dfs_reference() {
+        let nonzero = std::cell::Cell::new(0usize);
+        for_catalog_and_generated("flowgraph::penalty_vs_dfs", 200, |f, pdg, partition, relevant| {
+            let profile = Profile::uniform(f, 1);
+            // Distinct weights, so a wrong set of branches is a wrong sum.
+            let block_weights: Vec<u64> = (1..=f.num_blocks() as u64).map(|k| k * k).collect();
+            let pos_graph = PosGraph::build(f, &profile, &block_weights);
+            for t in partition.threads() {
+                let builder = GfBuilder {
+                    f,
+                    pos_graph: &pos_graph,
+                    cdeps: pdg.control_deps(),
+                    partition,
+                    relevant,
+                    block_weights: &block_weights,
+                    control_penalties: true,
+                    s: t,
+                    t,
+                };
+                for b in f.blocks() {
+                    let penalty = builder.control_penalty(b);
+                    prop_assert_eq!(penalty, penalty_by_dfs(&builder, b));
+                    nonzero.set(nonzero.get() + usize::from(penalty > 0));
+                }
+            }
+            Ok(())
+        });
+        assert!(nonzero.get() > 0, "no case had a branch to penalize");
+    }
+
+    /// One all-register liveness per target thread, projected, is what
+    /// a fixpoint over the uses of `r` alone gives — the analysis COCO
+    /// ran per (source, target, register) saw nothing of `r` the
+    /// hoisted one does not.
+    #[test]
+    fn projected_live_map_matches_a_per_register_fixpoint() {
+        for_catalog_and_generated("flowgraph::projection_vs_fixpoint", 40, |f, _, partition, relevant| {
+            for t in partition.threads() {
+                let executes =
+                    |i: InstrId| partition.thread_of(i) == t || relevant[t.index()].contains(&i);
+                let hoisted = Liveness::compute_filtered(f, executes);
+                for r in (0..f.num_regs()).map(Reg) {
+                    let uses_r = |i: InstrId| executes(i) && f.instr(i).uses().contains(&r);
+                    let alone = Liveness::compute_filtered(f, uses_r);
+                    let (got, want) =
+                        (LiveMap::project(f, &hoisted, r, executes), LiveMap::project(f, &alone, r, uses_r));
+                    prop_assert_eq!(&got.live_entry, &want.live_entry);
+                    prop_assert_eq!(&got.live_before, &want.live_before);
+                    prop_assert_eq!(&got.live_after, &want.live_after);
+                }
+            }
+            Ok(())
+        });
     }
 }

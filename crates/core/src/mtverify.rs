@@ -14,7 +14,7 @@
 //! reports violations as structured [`MtVerifyError`]s naming the
 //! queue, the blocks involved, and the plan label.
 
-use gmt_ir::{BlockId, ControlDeps, Function, InstrId, Op, PostDominators, QueueId, Reg, Successors};
+use gmt_ir::{BlockId, Function, InstrId, Op, QueueId, Reg, Successors};
 use gmt_mtcg::{CommKind, CommPoint, MtcgOutput, QueueLabel};
 use gmt_pdg::{DepKind, Partition, Pdg, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -504,9 +504,7 @@ pub fn verify_mt(
     // ---- Definition 1 closure: recompute relevance from the realized
     // plan; everything relevant must be marked for duplication, and
     // foreign duplicated branches must have their condition delivered.
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
-    let required = gmt_mtcg::relevant_branches(f, &cdeps, partition, &out.plan);
+    let required = gmt_mtcg::relevant_branches(f, pdg.control_deps(), partition, &out.plan);
     for (t_idx, branches) in required.iter().enumerate() {
         let t = ThreadId(t_idx as u32);
         for &br in branches {

@@ -95,6 +95,23 @@ impl Scheduler {
     pub fn gremio(n: u32) -> Scheduler {
         Scheduler::Gremio(gremio::GremioConfig { num_threads: n, comm_latency: 1 })
     }
+
+    /// Partitions `f`, whose PDG is `pdg`, under `profile`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SchedError`] from the partitioner.
+    pub fn partition(
+        &self,
+        f: &Function,
+        pdg: &Pdg,
+        profile: &Profile,
+    ) -> Result<Partition, SchedError> {
+        match self {
+            Scheduler::Dswp(cfg) => dswp::partition(f, pdg, profile, cfg),
+            Scheduler::Gremio(cfg) => gremio::partition(f, pdg, profile, cfg),
+        }
+    }
 }
 
 /// The full GMT parallelization pipeline.
@@ -104,10 +121,6 @@ pub struct Parallelizer {
     pub scheduler: Scheduler,
     /// Run COCO after partitioning (`None` = baseline MTCG).
     pub coco: Option<CocoConfig>,
-    /// Hardware queue budget (default: the paper's 256-queue
-    /// synchronization array, with queue allocation folding plans that
-    /// need more).
-    pub queue_budget: QueueBudget,
     /// Depth granted to *hot* queues (those with a communication point
     /// inside a loop) by the per-queue depth allocator; cold queues get
     /// 1 entry. Defaults to the scheduler's paper depth: 1 for GREMIO's
@@ -122,27 +135,13 @@ impl Parallelizer {
             Scheduler::Gremio(_) => 1,
             Scheduler::Dswp(_) => 32,
         };
-        Parallelizer { scheduler, coco: None, queue_budget: QueueBudget::SYNC_ARRAY, hot_queue_depth }
-    }
-
-    /// Overrides the depth granted to hot queues.
-    #[must_use]
-    pub fn with_hot_queue_depth(mut self, depth: usize) -> Parallelizer {
-        self.hot_queue_depth = depth;
-        self
+        Parallelizer { scheduler, coco: None, hot_queue_depth }
     }
 
     /// Enables COCO with the given configuration.
     #[must_use]
     pub fn with_coco(mut self, config: CocoConfig) -> Parallelizer {
         self.coco = Some(config);
-        self
-    }
-
-    /// Overrides the queue budget.
-    #[must_use]
-    pub fn with_queue_budget(mut self, budget: QueueBudget) -> Parallelizer {
-        self.queue_budget = budget;
         self
     }
 
@@ -161,10 +160,7 @@ impl Parallelizer {
         let pdg = Pdg::build(f);
         let pdg_build_ns = t.elapsed().as_nanos() as u64;
         let t = Instant::now();
-        let partition = match &self.scheduler {
-            Scheduler::Dswp(cfg) => dswp::partition(f, &pdg, profile, cfg)?,
-            Scheduler::Gremio(cfg) => gremio::partition(f, &pdg, profile, cfg)?,
-        };
+        let partition = self.scheduler.partition(f, &pdg, profile)?;
         let partition_ns = t.elapsed().as_nanos() as u64;
         let mut out = self.parallelize_with_partition(f, profile, &pdg, partition)?;
         out.timings.pdg_build_ns = pdg_build_ns;
@@ -190,27 +186,27 @@ impl Parallelizer {
             return Err(MtcgError::Unassigned(i));
         }
         let mut timings = CompileTimings::default();
-        let (output, coco_stats, baseline_plan) = match &self.coco {
-            None => {
-                let plan = gmt_mtcg::baseline_plan(f, pdg, &partition)?;
-                let t = Instant::now();
-                let out =
-                    gmt_mtcg::generate_with_plan_budgeted(f, &partition, plan, self.queue_budget)?;
-                timings.mtcg_ns = t.elapsed().as_nanos() as u64;
-                (out, None, None)
-            }
+        let baseline = gmt_mtcg::baseline_plan(f, pdg, &partition)?;
+        let (plan, coco_stats, baseline_plan) = match &self.coco {
+            None => (baseline, None, None),
             Some(cfg) => {
-                let baseline = gmt_mtcg::baseline_plan(f, pdg, &partition)?;
                 let t = Instant::now();
                 let (plan, stats) = optimize(f, pdg, &partition, profile, cfg);
                 timings.coco_ns = t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
-                let out =
-                    gmt_mtcg::generate_with_plan_budgeted(f, &partition, plan, self.queue_budget)?;
-                timings.mtcg_ns = t.elapsed().as_nanos() as u64;
-                (out, Some(stats), Some(baseline))
+                (plan, Some(stats), Some(baseline))
             }
         };
+        // The paper's 256-queue synchronization array; queue allocation
+        // folds plans that need more.
+        let t = Instant::now();
+        let output = gmt_mtcg::generate_with_plan_budgeted(
+            f,
+            pdg,
+            &partition,
+            plan,
+            QueueBudget::SYNC_ARRAY,
+        )?;
+        timings.mtcg_ns = t.elapsed().as_nanos() as u64;
         // Allocate per-queue depths from the profile: queues whose
         // points sit in loops get the hot depth, the rest get 1. The
         // timed simulators keep their uniform machine depths; these are

@@ -39,9 +39,9 @@ pub struct PosGraph {
 }
 
 impl PosGraph {
-    /// Builds the position graph of `f` under `profile`.
-    pub fn build(f: &Function, profile: &Profile) -> PosGraph {
-        let block_weights = profile.block_weights(f);
+    /// Builds the position graph of `f` under `profile`, whose
+    /// [`Profile::block_weights`] the caller has already derived.
+    pub fn build(f: &Function, profile: &Profile, block_weights: &[u64]) -> PosGraph {
         let mut arcs = Vec::new();
         let mut block_of = HashMap::new();
         let mut preds_count = vec![0usize; f.num_blocks()];
@@ -117,7 +117,7 @@ mod tests {
         b.ret(Some(y.into()));
         let f = b.finish().unwrap();
         let profile = Profile::uniform(&f, 5);
-        let g = PosGraph::build(&f, &profile);
+        let g = PosGraph::build(&f, &profile, &profile.block_weights(&f));
         // Entry -> const -> add -> ret: 3 arcs, all weight 5.
         assert_eq!(g.arcs().len(), 3);
         assert!(g.arcs().iter().all(|a| a.weight == 5));
@@ -141,7 +141,7 @@ mod tests {
         b.ret(None);
         let f = b.finish().unwrap();
         let profile = Profile::uniform(&f, 2);
-        let g = PosGraph::build(&f, &profile);
+        let g = PosGraph::build(&f, &profile, &profile.block_weights(&f));
         // Branch -> Entry(t): single-pred head, so point = BlockStart(t).
         let arc = g
             .arcs()
@@ -176,7 +176,7 @@ mod tests {
         let f = b.finish().unwrap();
         assert!(gmt_ir::has_critical_edges(&f));
         let profile = Profile::uniform(&f, 1);
-        let g = PosGraph::build(&f, &profile);
+        let g = PosGraph::build(&f, &profile, &profile.block_weights(&f));
         assert!(g.arcs().iter().any(|a| a.point.is_none()));
     }
 }

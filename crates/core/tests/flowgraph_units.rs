@@ -5,13 +5,13 @@
 
 use gmt_core::{GfBuilder, LiveMap, PosGraph, Safety};
 use gmt_graph::MaxFlowAlgo;
-use gmt_ir::{BinOp, ControlDeps, Function, FunctionBuilder, InstrId, PostDominators, Profile};
+use gmt_ir::{BinOp, Function, FunctionBuilder, InstrId, Liveness, Profile, Reg};
 use gmt_mtcg::CommPoint;
-use gmt_pdg::{Partition, ThreadId};
+use gmt_pdg::{Partition, Pdg, ThreadId};
 use std::collections::BTreeSet;
 
 /// entry: r1 = x+1 (T0) ; use: output r1 (T1) ; ret (T0).
-fn straight() -> (Function, Partition, gmt_ir::Reg, InstrId, InstrId) {
+fn straight() -> (Function, Partition, Reg, InstrId, InstrId) {
     let mut b = FunctionBuilder::new("s");
     let x = b.param();
     let r1 = b.bin(BinOp::Add, x, 1i64);
@@ -26,10 +26,15 @@ fn straight() -> (Function, Partition, gmt_ir::Reg, InstrId, InstrId) {
     (f, p, r1, instrs[0], instrs[1])
 }
 
+/// The live map of `r` counting only the uses `counts_as_use` accepts.
+fn live_map(f: &Function, r: Reg, counts_as_use: impl Fn(InstrId) -> bool) -> LiveMap {
+    LiveMap::project(f, &Liveness::compute_filtered(f, &counts_as_use), r, &counts_as_use)
+}
+
 #[test]
 fn livemap_tracks_def_to_use() {
     let (f, p, r1, def, usei) = straight();
-    let live = LiveMap::compute(&f, r1, |i| p.thread_of(i) == ThreadId(1));
+    let live = live_map(&f, r1, |i| p.thread_of(i) == ThreadId(1));
     assert!(!live.live_before(def), "not live before its def");
     assert!(live.live_after(def));
     assert!(live.live_before(usei));
@@ -40,7 +45,7 @@ fn livemap_tracks_def_to_use() {
 fn livemap_ignores_filtered_uses() {
     let (f, _p, r1, def, _usei) = straight();
     // No instruction counts as a use: r1 never live.
-    let live = LiveMap::compute(&f, r1, |_| false);
+    let live = live_map(&f, r1, |_| false);
     assert!(!live.live_after(def));
 }
 
@@ -48,25 +53,25 @@ fn builder_parts(
     f: &Function,
     p: &Partition,
     penalties: bool,
-) -> (PosGraph, ControlDeps, Vec<u64>, Vec<BTreeSet<InstrId>>) {
+) -> (PosGraph, Pdg, Vec<u64>, Vec<BTreeSet<InstrId>>) {
     let profile = Profile::uniform(f, 10);
-    let pos_graph = PosGraph::build(f, &profile);
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
     let block_weights = profile.block_weights(f);
-    let relevant = gmt_mtcg::relevant_branches(f, &cdeps, p, &gmt_mtcg::CommPlan::new(2));
+    let pos_graph = PosGraph::build(f, &profile, &block_weights);
+    let pdg = Pdg::build(f);
+    let relevant =
+        gmt_mtcg::relevant_branches(f, pdg.control_deps(), p, &gmt_mtcg::CommPlan::new(2));
     let _ = penalties;
-    (pos_graph, cdeps, block_weights, relevant)
+    (pos_graph, pdg, block_weights, relevant)
 }
 
 #[test]
 fn register_gf_min_cut_is_the_single_link() {
     let (f, p, r1, def, usei) = straight();
-    let (pos_graph, cdeps, block_weights, relevant) = builder_parts(&f, &p, true);
+    let (pos_graph, pdg, block_weights, relevant) = builder_parts(&f, &p, true);
     let builder = GfBuilder {
         f: &f,
         pos_graph: &pos_graph,
-        cdeps: &cdeps,
+        cdeps: pdg.control_deps(),
         partition: &p,
         relevant: &relevant,
         block_weights: &block_weights,
@@ -75,7 +80,7 @@ fn register_gf_min_cut_is_the_single_link() {
         t: ThreadId(1),
     };
     let safety = Safety::compute(&f, &p, ThreadId(0));
-    let live = LiveMap::compute(&f, r1, |i| p.thread_of(i) == ThreadId(1));
+    let live = live_map(&f, r1, |i| p.thread_of(i) == ThreadId(1));
     let points = builder
         .optimize_register(r1, &safety, &live, &[def], &[usei], MaxFlowAlgo::EdmondsKarp)
         .expect("feasible");
@@ -101,11 +106,11 @@ fn register_gf_respects_safety_kill() {
     p.assign(instrs[1], ThreadId(1));
     p.assign(instrs[2], ThreadId(1));
     p.assign(instrs[3], ThreadId(0));
-    let (pos_graph, cdeps, block_weights, relevant) = builder_parts(&f, &p, true);
+    let (pos_graph, pdg, block_weights, relevant) = builder_parts(&f, &p, true);
     let builder = GfBuilder {
         f: &f,
         pos_graph: &pos_graph,
-        cdeps: &cdeps,
+        cdeps: pdg.control_deps(),
         partition: &p,
         relevant: &relevant,
         block_weights: &block_weights,
@@ -116,7 +121,7 @@ fn register_gf_respects_safety_kill() {
     let safety = Safety::compute(&f, &p, ThreadId(0));
     assert!(safety.safe_after(instrs[0], r1));
     assert!(!safety.safe_after(instrs[1], r1), "stale after T1's redef");
-    let live = LiveMap::compute(&f, r1, |i| p.thread_of(i) == ThreadId(1));
+    let live = live_map(&f, r1, |i| p.thread_of(i) == ThreadId(1));
     let points = builder
         .optimize_register(
             r1,
@@ -133,11 +138,11 @@ fn register_gf_respects_safety_kill() {
 #[test]
 fn register_gf_none_when_no_defs_in_source() {
     let (f, p, r1, _def, usei) = straight();
-    let (pos_graph, cdeps, block_weights, relevant) = builder_parts(&f, &p, true);
+    let (pos_graph, pdg, block_weights, relevant) = builder_parts(&f, &p, true);
     let builder = GfBuilder {
         f: &f,
         pos_graph: &pos_graph,
-        cdeps: &cdeps,
+        cdeps: pdg.control_deps(),
         partition: &p,
         relevant: &relevant,
         block_weights: &block_weights,
@@ -146,7 +151,7 @@ fn register_gf_none_when_no_defs_in_source() {
         t: ThreadId(0),
     };
     let safety = Safety::compute(&f, &p, ThreadId(1));
-    let live = LiveMap::compute(&f, r1, |i| p.thread_of(i) == ThreadId(0));
+    let live = live_map(&f, r1, |i| p.thread_of(i) == ThreadId(0));
     assert!(builder
         .optimize_register(r1, &safety, &live, &[], &[usei], MaxFlowAlgo::EdmondsKarp)
         .is_none());
@@ -155,11 +160,11 @@ fn register_gf_none_when_no_defs_in_source() {
 #[test]
 fn memory_gf_covers_whole_function() {
     let (f, p, _r1, def, usei) = straight();
-    let (pos_graph, cdeps, block_weights, relevant) = builder_parts(&f, &p, true);
+    let (pos_graph, pdg, block_weights, relevant) = builder_parts(&f, &p, true);
     let builder = GfBuilder {
         f: &f,
         pos_graph: &pos_graph,
-        cdeps: &cdeps,
+        cdeps: pdg.control_deps(),
         partition: &p,
         relevant: &relevant,
         block_weights: &block_weights,

@@ -100,7 +100,7 @@ fn fig3_coco_code_is_correct_and_cheaper() {
 
     let base_out = gmt_mtcg::generate(&f, &pdg, &partition).unwrap();
     let (plan, _) = optimize(&f, &pdg, &partition, &profile, &CocoConfig::default());
-    let coco_out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let coco_out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
 
     for x in [3i64, 50] {
         let st = run(&f, &[x], &exec()).unwrap();
@@ -232,7 +232,7 @@ fn fig4_dynamic_reduction_matches_paper_shape() {
 
     let base_out = gmt_mtcg::generate(&f, &pdg, &partition).unwrap();
     let (plan, _) = optimize(&f, &pdg, &partition, &profile, &CocoConfig::default());
-    let coco_out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let coco_out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
 
     let st = run(&f, &[10], &exec()).unwrap();
     let run_and_count = |out: &gmt_mtcg::MtcgOutput| {
@@ -330,7 +330,7 @@ fn fig5_memory_syncs_are_shared() {
 
     // Correctness of the shared-sync code.
     let st = run(&f, &[], &exec()).unwrap();
-    let out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     let mt = run_mt(
         &out.threads,
         &[],
@@ -406,7 +406,7 @@ fn fig5_penalties_prefer_the_join() {
     );
 
     // Code is correct on both paths either way.
-    let out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     for x in [1i64, 9] {
         let st = run(&f, &[x], &exec()).unwrap();
         let mt = run_mt(
@@ -435,7 +435,7 @@ fn fig3_verifies_and_rejects_a_hoisted_placement() {
     let base_out = gmt_mtcg::generate(&f, &pdg, &partition).unwrap();
     assert!(verify_mt(&f, &partition, &pdg, &base_out, &[1]).is_empty());
     let (plan, _) = optimize(&f, &pdg, &partition, &profile, &CocoConfig::default());
-    let mut out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let mut out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     assert!(verify_mt(&f, &partition, &pdg, &out, &[1]).is_empty());
 
     // Mutation: hoist r1's single point from the start of B3 to the
@@ -458,7 +458,7 @@ fn fig4_verifies_and_rejects_a_point_inside_the_loop() {
     let base_out = gmt_mtcg::generate(&f, &pdg, &partition).unwrap();
     assert!(verify_mt(&f, &partition, &pdg, &base_out, &[1]).is_empty());
     let (plan, _) = optimize(&f, &pdg, &partition, &profile, &CocoConfig::default());
-    let mut out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let mut out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     assert!(verify_mt(&f, &partition, &pdg, &out, &[1]).is_empty());
 
     // Mutation: pull COCO's below-the-loop point back up to the start
@@ -505,7 +505,7 @@ fn fig5_verifies_and_rejects_an_uncovering_sync_move() {
     let pdg = Pdg::build(&f);
     let profile = Profile::uniform(&f, 100);
     let (plan, _) = optimize(&f, &pdg, &partition, &profile, &CocoConfig::default());
-    let mut out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let mut out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     assert!(verify_mt(&f, &partition, &pdg, &out, &[1]).is_empty());
 
     // Mutation: move the shared sync to the start of the entry block —

@@ -380,17 +380,16 @@ pub fn thread_scaling(
     threads
         .iter()
         .map(|&n| {
-            let base = Parallelizer::new(kind.scheduler_n(n))
-                .parallelize(&w.function, &train.profile)
+            let scheduler = kind.scheduler_n(n);
+            let partition = scheduler
+                .partition(&w.function, &pdg, &train.profile)
+                .map_err(fail(b, "partition"))?;
+            let base = Parallelizer::new(scheduler.clone())
+                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
                 .map_err(fail(b, "baseline parallelization"))?;
-            let coco = Parallelizer::new(kind.scheduler_n(n))
+            let coco = Parallelizer::new(scheduler)
                 .with_coco(CocoConfig::default())
-                .parallelize_with_partition(
-                    &w.function,
-                    &train.profile,
-                    &pdg,
-                    base.partition.clone(),
-                )
+                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition)
                 .map_err(fail(b, "coco parallelization"))?;
             let run = |p: &Parallelized| {
                 run_mt(
@@ -537,6 +536,28 @@ mod tests {
         assert_eq!(sim_counts(&sim), functional);
         let mutant = |sim: &SimResult| DynCounts { synchronization: 0, ..sim_counts(sim) };
         assert_ne!(mutant(&sim), functional);
+    }
+
+    /// The `repro --fig scaling` rows DESIGN.md quotes (GREMIO; N = 2
+    /// and 4), recorded before `thread_scaling` partitioned from its
+    /// one PDG: `(threads, MTCG comm, COCO comm, comm fraction)`.
+    #[test]
+    fn quoted_scaling_rows_are_pinned() {
+        let pinned = [
+            ("adpcmdec", [(2, 3076, 3076, "21.8"), (4, 13326, 12810, "50.0")]),
+            ("458.sjeng", [(2, 12434, 11976, "30.0"), (4, 15554, 12120, "34.9")]),
+            ("188.ammp", [(2, 3450, 3312, "27.1"), (4, 3686, 2526, "29.0")]),
+        ];
+        for (benchmark, rows) in pinned {
+            let w = gmt_workloads::by_benchmark(benchmark).unwrap();
+            let points = thread_scaling(&w, SchedulerKind::Gremio, &[2, 4]).expect("scales");
+            let got: Vec<_> = points
+                .iter()
+                .map(|p| (p.threads, p.mtcg_comm, p.coco_comm, format!("{:.1}", p.comm_fraction_pct)))
+                .collect();
+            let want: Vec<_> = rows.iter().map(|&(n, m, c, pct)| (n, m, c, pct.to_string())).collect();
+            assert_eq!(got, want, "{benchmark}");
+        }
     }
 
     #[test]

@@ -160,7 +160,7 @@ pub fn generate(f: &Function, pdg: &Pdg, partition: &Partition) -> Result<MtcgOu
         return Err(MtcgError::Unassigned(i));
     }
     let plan = crate::relevance::baseline_plan(f, pdg, partition)?;
-    generate_with_plan(f, partition, plan)
+    generate_with_plan(f, pdg, partition, plan)
 }
 
 /// Runs MTCG realizing the given plan (COCO hands its optimized plan
@@ -171,10 +171,11 @@ pub fn generate(f: &Function, pdg: &Pdg, partition: &Partition) -> Result<MtcgOu
 /// See [`MtcgError`].
 pub fn generate_with_plan(
     f: &Function,
+    pdg: &Pdg,
     partition: &Partition,
     plan: CommPlan,
 ) -> Result<MtcgOutput, MtcgError> {
-    generate_with_plan_budgeted(f, partition, plan, crate::QueueBudget::Unlimited)
+    generate_with_plan_budgeted(f, pdg, partition, plan, crate::QueueBudget::Unlimited)
 }
 
 /// Like [`generate_with_plan`], with a bound on the number of hardware
@@ -187,6 +188,7 @@ pub fn generate_with_plan(
 /// See [`MtcgError`].
 pub fn generate_with_plan_budgeted(
     f: &Function,
+    pdg: &Pdg,
     partition: &Partition,
     plan: CommPlan,
     budget: crate::QueueBudget,
@@ -195,7 +197,7 @@ pub fn generate_with_plan_budgeted(
         return Err(MtcgError::Unassigned(i));
     }
     validate_plan(f, partition, &plan)?;
-    let pdom = PostDominators::compute(f);
+    let pdom = pdg.post_dominators();
 
     // Queue assignment: one queue per (item, point). All communication
     // at one point is emitted in a single *global* order, identical in
@@ -258,7 +260,7 @@ pub fn generate_with_plan_budgeted(
     let mut threads = Vec::with_capacity(partition.num_threads() as usize);
     let mut origins = Vec::with_capacity(partition.num_threads() as usize);
     for t in partition.threads() {
-        let (nf, origin) = generate_thread(f, partition, &plan, &pdom, &comm_at, t)?;
+        let (nf, origin) = generate_thread(f, partition, &plan, pdom, &comm_at, t)?;
         threads.push(nf);
         origins.push(origin);
     }

@@ -59,4 +59,4 @@ pub use codegen::{
 };
 pub use plan::{CommItem, CommKind, CommPlan, CommPoint};
 pub use queues::{allocate_depths, estimated_traffic, QueueBudget};
-pub use relevance::{baseline_plan, close_over_control, relevant_branches};
+pub use relevance::{baseline_plan, relevant_branches};

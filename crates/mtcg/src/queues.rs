@@ -155,14 +155,14 @@ pub fn allocate_depths(
 /// queue carries over a run, assuming every communication occurrence
 /// executes as often as its enclosing block. This is the static side
 /// of the estimate-vs-measurement join — the measured counterpart is
-/// the traced engine's per-queue produce count.
+/// the traced engine's per-queue produce count. `weights` are the
+/// profile's [`gmt_ir::Profile::block_weights`].
 pub fn estimated_traffic(
     f: &Function,
-    profile: &Profile,
+    weights: &[u64],
     labels: &[QueueLabel],
     num_queues: u32,
 ) -> Vec<u64> {
-    let weights = profile.block_weights(f);
     let mut traffic = vec![0u64; num_queues as usize];
     for l in labels {
         let b = l.point.block(f);

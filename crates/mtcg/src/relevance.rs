@@ -3,7 +3,7 @@
 
 use crate::plan::{CommKind, CommPlan, CommPoint};
 use crate::MtcgError;
-use gmt_ir::{ControlDeps, Function, InstrId, Op, PostDominators};
+use gmt_ir::{ControlDeps, Function, InstrId, Op};
 use gmt_pdg::{DepKind, Partition, Pdg, ThreadId};
 use std::collections::BTreeSet;
 
@@ -21,49 +21,39 @@ pub fn relevant_branches(
     partition: &Partition,
     plan: &CommPlan,
 ) -> Vec<BTreeSet<InstrId>> {
-    let nt = partition.num_threads() as usize;
-    let mut relevant: Vec<BTreeSet<InstrId>> = vec![BTreeSet::new(); nt];
-    #[allow(clippy::needless_range_loop)]
-    for t_idx in 0..nt {
-        let t = ThreadId(t_idx as u32);
-        // Blocks whose execution condition thread t must reproduce.
-        let mut need: Vec<gmt_ir::BlockId> = Vec::new();
-        let mut seen = vec![false; f.num_blocks()];
-        let push = |need: &mut Vec<gmt_ir::BlockId>, seen: &mut Vec<bool>, b: gmt_ir::BlockId| {
-            if !seen[b.index()] {
-                seen[b.index()] = true;
-                need.push(b);
-            }
-        };
-        for i in f.all_instrs() {
-            if partition.get(i) == Some(t) {
-                push(&mut need, &mut seen, f.block_of(i));
-                // Rule 1: an assigned branch is itself relevant.
-                if f.instr(i).is_branch() {
-                    relevant[t_idx].insert(i);
+    let words = cdeps.branches().len().div_ceil(64);
+    partition
+        .threads()
+        .map(|t| {
+            let mut relevant = BTreeSet::new();
+            // The closure rows of the blocks whose execution condition
+            // thread t must reproduce, unioned (rules 2 and 3).
+            let mut row = vec![0u64; words];
+            let mut need = |b: gmt_ir::BlockId| {
+                for (acc, &bits) in row.iter_mut().zip(cdeps.closure_row(b)) {
+                    *acc |= bits;
+                }
+            };
+            for i in f.all_instrs() {
+                if partition.get(i) == Some(t) {
+                    need(f.block_of(i));
+                    // Rule 1: an assigned branch is itself relevant.
+                    if f.instr(i).is_branch() {
+                        relevant.insert(i);
+                    }
                 }
             }
-        }
-        for item in plan.items() {
-            if item.from == t || item.to == t {
-                for &p in &item.points {
-                    push(&mut need, &mut seen, p.block(f));
+            for item in plan.items() {
+                if item.from == t || item.to == t {
+                    for &p in &item.points {
+                        need(p.block(f));
+                    }
                 }
             }
-        }
-        // Closure over control dependences (rules 2 and 3).
-        let mut cursor = 0;
-        while cursor < need.len() {
-            let b = need[cursor];
-            cursor += 1;
-            for cd in cdeps.of_block(b) {
-                if relevant[t_idx].insert(cd.branch) {
-                    push(&mut need, &mut seen, f.block_of(cd.branch));
-                }
-            }
-        }
-    }
-    relevant
+            relevant.extend(cdeps.branches_in(&row));
+            relevant
+        })
+        .collect()
 }
 
 /// Builds the baseline MTCG communication plan (Algorithm 1): every
@@ -86,8 +76,7 @@ pub fn baseline_plan(
     partition: &Partition,
 ) -> Result<CommPlan, MtcgError> {
     partition.validate(f).map_err(MtcgError::Unassigned)?;
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
+    let cdeps = pdg.control_deps();
     let mut plan = CommPlan::new(partition.num_threads());
 
     // Data and memory dependences at their source instructions.
@@ -113,7 +102,7 @@ pub fn baseline_plan(
     // Fixpoint: recompute relevance, add operand communications for
     // duplicated branches, repeat until stable.
     loop {
-        let relevant = relevant_branches(f, &cdeps, partition, &plan);
+        let relevant = relevant_branches(f, cdeps, partition, &plan);
         let mut changed = false;
         for (t_idx, branches) in relevant.iter().enumerate() {
             let t = ThreadId(t_idx as u32);
@@ -136,29 +125,6 @@ pub fn baseline_plan(
         }
         if !changed {
             return Ok(plan);
-        }
-    }
-}
-
-/// Refreshes `plan.relevant_branches` from the plan's current points —
-/// a convenience for callers that assemble [`CommPlan`]s by hand (e.g.
-/// a custom optimizer): after setting placement points, run this so
-/// code generation knows which branches each thread must duplicate.
-/// (COCO maintains the closure itself inside Algorithm 2.)
-pub fn close_over_control(f: &Function, partition: &Partition, plan: &mut CommPlan) {
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
-    loop {
-        let relevant = relevant_branches(f, &cdeps, partition, plan);
-        let mut changed = false;
-        for (t_idx, branches) in relevant.iter().enumerate() {
-            let t = ThreadId(t_idx as u32);
-            for &br in branches {
-                changed |= plan.add_relevant_branch(t, br);
-            }
-        }
-        if !changed {
-            break;
         }
     }
 }
@@ -209,6 +175,113 @@ mod tests {
         let _ = (a, br_b, c_i, e, br_d, g);
         let pdg = Pdg::build(&f);
         (f, p, pdg)
+    }
+
+    /// Definition 1 as this module computed it before [`ControlDeps`]
+    /// carried the transitive closure: a worklist over the direct
+    /// dependences, per thread. Kept as the reference the closure table
+    /// is checked against.
+    fn worklist_relevant_branches(
+        f: &Function,
+        cdeps: &ControlDeps,
+        partition: &Partition,
+        plan: &CommPlan,
+    ) -> Vec<BTreeSet<InstrId>> {
+        let nt = partition.num_threads() as usize;
+        let mut relevant: Vec<BTreeSet<InstrId>> = vec![BTreeSet::new(); nt];
+        for (t_idx, relevant) in relevant.iter_mut().enumerate() {
+            let t = ThreadId(t_idx as u32);
+            let mut need: Vec<BlockId> = Vec::new();
+            let mut seen = vec![false; f.num_blocks()];
+            let push = |need: &mut Vec<BlockId>, seen: &mut Vec<bool>, b: BlockId| {
+                if !seen[b.index()] {
+                    seen[b.index()] = true;
+                    need.push(b);
+                }
+            };
+            for i in f.all_instrs() {
+                if partition.get(i) == Some(t) {
+                    push(&mut need, &mut seen, f.block_of(i));
+                    if f.instr(i).is_branch() {
+                        relevant.insert(i);
+                    }
+                }
+            }
+            for item in plan.items() {
+                if item.from == t || item.to == t {
+                    for &p in &item.points {
+                        push(&mut need, &mut seen, p.block(f));
+                    }
+                }
+            }
+            let mut cursor = 0;
+            while cursor < need.len() {
+                let b = need[cursor];
+                cursor += 1;
+                for cd in cdeps.of_block(b) {
+                    if relevant.insert(cd.branch) {
+                        push(&mut need, &mut seen, f.block_of(cd.branch));
+                    }
+                }
+            }
+        }
+        relevant
+    }
+
+    /// The closure-row relevant branches are the worklist's, under the
+    /// empty plan and under the baseline plan (whose points sit in
+    /// blocks the receiving thread may own nothing in).
+    fn check_against_worklist(f: &Function, pdg: &Pdg, partition: &Partition) -> gmt_testkit::PropResult {
+        let cdeps = pdg.control_deps();
+        let baseline = baseline_plan(f, pdg, partition).map_err(|e| e.to_string())?;
+        for plan in [CommPlan::new(partition.num_threads()), baseline] {
+            gmt_testkit::prop_assert_eq!(
+                relevant_branches(f, cdeps, partition, &plan),
+                worklist_relevant_branches(f, cdeps, partition, &plan)
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn closure_rows_match_the_worklist_on_the_catalog() {
+        let mut transitive = 0;
+        for w in gmt_workloads::catalog() {
+            let f = &w.function;
+            let profile = w.run_train().expect("train run").profile;
+            let pdg = Pdg::build(f);
+            for n in [2u32, 3, 4] {
+                let dswp = gmt_sched::dswp::DswpConfig { num_threads: n, ..Default::default() };
+                let gremio = gmt_sched::gremio::GremioConfig { num_threads: n, ..Default::default() };
+                for partition in [
+                    gmt_sched::dswp::partition(f, &pdg, &profile, &dswp).expect("dswp"),
+                    gmt_sched::gremio::partition(f, &pdg, &profile, &gremio).expect("gremio"),
+                ] {
+                    check_against_worklist(f, &pdg, &partition)
+                        .unwrap_or_else(|e| panic!("{} N={n}: {e}", w.benchmark));
+                }
+            }
+            let cdeps = pdg.control_deps();
+            transitive += f
+                .blocks()
+                .flat_map(|b| cdeps.branches_in(cdeps.closure_row(b)).map(move |br| (b, br)))
+                .filter(|&(b, br)| cdeps.of_block(b).iter().all(|cd| cd.branch != br))
+                .count();
+        }
+        assert!(transitive > 0, "no kernel has a transitive control dependence");
+    }
+
+    #[test]
+    fn closure_rows_match_the_worklist_on_generated_programs() {
+        use gmt_integration_tests::{compile, program_gen, seeded_partition};
+        let gen = program_gen().zip(gmt_testkit::full_u64());
+        gmt_testkit::Checker::new("relevance::closure_vs_worklist").cases(200).run(&gen, |(program, seed)| {
+            let f = compile(program);
+            let pdg = Pdg::build(&f);
+            (2..=4).try_for_each(|n| {
+                check_against_worklist(&f, &pdg, &seeded_partition(&f, n, *seed))
+            })
+        });
     }
 
     #[test]

@@ -63,6 +63,7 @@ fn plan_thread_out_of_range_rejected() {
     let gen: Gen<(Vec<Stmt>, u64)> = program_gen().zip(full_u64());
     Checker::new("mtcg_malformed::plan_thread_oob").cases(24).run(&gen, |(program, seed)| {
         let f = compile(program);
+        let pdg = Pdg::build(&f);
         let partition = seeded_partition(&f, 2, *seed);
         let ghost = ThreadId(2 + (seed % 7) as u32); // partition has threads 0..2
         let mut plan = CommPlan::new(ghost.0 + 1);
@@ -72,7 +73,7 @@ fn plan_thread_out_of_range_rejected() {
             ghost,
             CommPoint::BlockStart(f.entry()),
         );
-        let out = gmt_mtcg::generate_with_plan(&f, &partition, plan);
+        let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan);
         prop_assert!(
             matches!(out, Err(MtcgError::PlanThreadOutOfRange { thread, .. }) if thread == ghost),
             "ghost thread accepted: {out:?}"
@@ -89,6 +90,7 @@ fn plan_point_out_of_range_rejected() {
         program_gen().zip(full_u64()).zip(ranged(0u32, 3)).map(|((p, s), k)| (p, s, k));
     Checker::new("mtcg_malformed::plan_point_oob").cases(24).run(&gen, |(program, seed, k)| {
         let f = compile(program);
+        let pdg = Pdg::build(&f);
         let partition = seeded_partition(&f, 2, *seed);
         let beyond = f.num_instrs() as u32 + 1 + (seed % 100) as u32;
         let point = match k {
@@ -98,7 +100,7 @@ fn plan_point_out_of_range_rejected() {
         };
         let mut plan = CommPlan::new(2);
         plan.add_point(CommKind::Memory, ThreadId(0), ThreadId(1), point);
-        let out = gmt_mtcg::generate_with_plan(&f, &partition, plan);
+        let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan);
         prop_assert!(
             matches!(out, Err(MtcgError::PlanPointOutOfRange(p)) if p == point),
             "out-of-range point accepted: {out:?}"

@@ -59,13 +59,14 @@ fn budgeted_codegen_is_correct_at_both_depths() {
     let pdg = Pdg::build(&f);
     let plan = gmt_mtcg::baseline_plan(&f, &pdg, &partition).unwrap();
     let unlimited =
-        gmt_mtcg::generate_with_plan_budgeted(&f, &partition, plan.clone(), QueueBudget::Unlimited)
+        gmt_mtcg::generate_with_plan_budgeted(&f, &pdg, &partition, plan.clone(), QueueBudget::Unlimited)
             .unwrap();
     assert!(unlimited.num_queues > 8, "kernel must be chatty: {}", unlimited.num_queues);
 
     for budget in [4u32, 2] {
         let out = gmt_mtcg::generate_with_plan_budgeted(
             &f,
+            &pdg,
             &partition,
             plan.clone(),
             QueueBudget::Limit(budget),
@@ -103,6 +104,7 @@ fn sync_array_budget_fits_all_catalog_plans() {
         let plan = gmt_mtcg::baseline_plan(&w.function, &pdg, &partition).unwrap();
         let out = gmt_mtcg::generate_with_plan_budgeted(
             &w.function,
+            &pdg,
             &partition,
             plan,
             QueueBudget::SYNC_ARRAY,
@@ -131,7 +133,7 @@ fn three_thread_budget() {
     let pdg = Pdg::build(&f);
     let plan = gmt_mtcg::baseline_plan(&f, &pdg, &partition).unwrap();
     let out =
-        gmt_mtcg::generate_with_plan_budgeted(&f, &partition, plan, QueueBudget::Limit(8)).unwrap();
+        gmt_mtcg::generate_with_plan_budgeted(&f, &pdg, &partition, plan, QueueBudget::Limit(8)).unwrap();
     assert!(out.num_queues <= 8);
     let mt = run_mt(
         &out.threads,

@@ -3,7 +3,7 @@
 
 use crate::alias::AliasInfo;
 use gmt_graph::{DiGraph, NodeId};
-use gmt_ir::{ControlDeps, Dominators, Function, InstrId, LoopForest, PostDominators, Reg};
+use gmt_ir::{ControlDeps, DefUse, Dominators, Function, InstrId, LoopForest, PostDominators, Reg};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -17,21 +17,6 @@ pub enum DepKind {
     Memory,
     /// Control dependence (branch → controlled instruction).
     Control,
-}
-
-/// Options controlling PDG construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PdgOptions {
-    /// Drop cross-iteration memory arcs that affine array-dependence
-    /// analysis proves vacuous (the loop-aware memory disambiguation
-    /// the paper's §4 points at). Sound; on by default.
-    pub loop_aware_disambiguation: bool,
-}
-
-impl Default for PdgOptions {
-    fn default() -> PdgOptions {
-        PdgOptions { loop_aware_disambiguation: true }
-    }
 }
 
 /// One PDG arc.
@@ -57,35 +42,34 @@ pub struct Dep {
 /// bi-directional between instructions sharing a loop, since any memory
 /// dependence inside a loop is essentially bi-directional — §4), and
 /// control dependences from the post-dominance frontier.
+///
+/// The PDG also owns the analyses of `f` it was built from and hands
+/// them to every later compile stage, so one function has one set of
+/// CFG facts: partitioning, MTCG, COCO and `verify_mt` read these
+/// instead of computing their own.
 #[derive(Clone)]
 pub struct Pdg {
     deps: Vec<Dep>,
-    outgoing: HashMap<InstrId, Vec<usize>>,
-    incoming: HashMap<InstrId, Vec<usize>>,
     nodes: Vec<InstrId>,
+    dom: Dominators,
+    pdom: PostDominators,
+    cdeps: ControlDeps,
+    defuse: DefUse,
+    loops: LoopForest,
 }
 
 impl Pdg {
     /// Builds the PDG of `f`, computing the required analyses
-    /// (dominators, control dependence, def-use chains, points-to)
-    /// internally, with loop-aware memory disambiguation enabled.
+    /// (dominators, control dependence, def-use chains, the loop
+    /// forest, points-to) once. Cross-iteration memory arcs that affine
+    /// array-dependence analysis proves vacuous are dropped (the
+    /// loop-aware memory disambiguation the paper's §4 points at).
     pub fn build(f: &Function) -> Pdg {
         let alias = AliasInfo::compute(f);
-        Pdg::build_with_options(f, &alias, &PdgOptions::default())
-    }
-
-    /// Builds the PDG of `f` with a precomputed alias analysis and
-    /// default options.
-    pub fn build_with_alias(f: &Function, alias: &AliasInfo) -> Pdg {
-        Pdg::build_with_options(f, alias, &PdgOptions::default())
-    }
-
-    /// Builds the PDG of `f` with explicit options.
-    pub fn build_with_options(f: &Function, alias: &AliasInfo, options: &PdgOptions) -> Pdg {
         let pdom = PostDominators::compute(f);
         let dom = Dominators::compute(f);
         let cdeps = ControlDeps::compute(f, &pdom);
-        let defuse = gmt_ir::DefUse::compute(f);
+        let defuse = DefUse::compute(f);
         let loops = LoopForest::compute(f, &dom);
 
         let mut deps: Vec<Dep> = Vec::new();
@@ -117,10 +101,7 @@ impl Pdg {
         // prove some cross-iteration orderings vacuous.
         let push_mem = |deps: &mut Vec<Dep>, src: InstrId, dst: InstrId| {
             let carried = is_loop_carried(f, &dom, &loops, src, dst);
-            if carried
-                && options.loop_aware_disambiguation
-                && crate::affine::kills_carried_dep(f, &defuse, &loops, src, dst)
-            {
+            if carried && crate::affine::kills_carried_dep(f, &defuse, &loops, src, dst) {
                 return;
             }
             deps.push(Dep { src, dst, kind: DepKind::Memory, loop_carried: carried });
@@ -179,13 +160,7 @@ impl Pdg {
         deps.dedup();
 
         let nodes: Vec<InstrId> = f.all_instrs().collect();
-        let mut outgoing: HashMap<InstrId, Vec<usize>> = HashMap::new();
-        let mut incoming: HashMap<InstrId, Vec<usize>> = HashMap::new();
-        for (idx, d) in deps.iter().enumerate() {
-            outgoing.entry(d.src).or_default().push(idx);
-            incoming.entry(d.dst).or_default().push(idx);
-        }
-        Pdg { deps, outgoing, incoming, nodes }
+        Pdg { deps, nodes, dom, pdom, cdeps, defuse, loops }
     }
 
     /// All dependence arcs, sorted.
@@ -193,22 +168,29 @@ impl Pdg {
         &self.deps
     }
 
-    /// Arcs leaving instruction `i`.
-    pub fn deps_from(&self, i: InstrId) -> impl Iterator<Item = &Dep> + '_ {
-        self.outgoing
-            .get(&i)
-            .into_iter()
-            .flatten()
-            .map(move |&idx| &self.deps[idx])
+    /// The dominator tree of the function.
+    pub fn dominators(&self) -> &Dominators {
+        &self.dom
     }
 
-    /// Arcs entering instruction `i`.
-    pub fn deps_into(&self, i: InstrId) -> impl Iterator<Item = &Dep> + '_ {
-        self.incoming
-            .get(&i)
-            .into_iter()
-            .flatten()
-            .map(move |&idx| &self.deps[idx])
+    /// The post-dominator tree of the function.
+    pub fn post_dominators(&self) -> &PostDominators {
+        &self.pdom
+    }
+
+    /// The function's control dependences and their transitive closure.
+    pub fn control_deps(&self) -> &ControlDeps {
+        &self.cdeps
+    }
+
+    /// The function's def-use chains.
+    pub fn def_use(&self) -> &DefUse {
+        &self.defuse
+    }
+
+    /// The function's loop forest.
+    pub fn loops(&self) -> &LoopForest {
+        &self.loops
     }
 
     /// The PDG nodes (all placed instructions, in layout order).
@@ -433,8 +415,9 @@ mod tests {
         let pdg = Pdg::build(&f);
         let header_branch = f.block(gmt_ir::BlockId(1)).terminator.unwrap();
         let controlled: Vec<_> = pdg
-            .deps_from(header_branch)
-            .filter(|d| d.kind == DepKind::Control)
+            .deps()
+            .iter()
+            .filter(|d| d.src == header_branch && d.kind == DepKind::Control)
             .collect();
         // Every instruction of the body block + header's own
         // instructions (self-loop control) are controlled.
@@ -464,15 +447,5 @@ mod tests {
         assert_eq!(g.len(), pdg.nodes().len());
         assert_eq!(index.len(), pdg.nodes().len());
         assert!(g.arc_count() <= pdg.len());
-    }
-
-    #[test]
-    fn deps_into_and_from_are_consistent() {
-        let f = loop_kernel();
-        let pdg = Pdg::build(&f);
-        let total_out: usize = pdg.nodes().iter().map(|&n| pdg.deps_from(n).count()).sum();
-        let total_in: usize = pdg.nodes().iter().map(|&n| pdg.deps_into(n).count()).sum();
-        assert_eq!(total_out, pdg.len());
-        assert_eq!(total_in, pdg.len());
     }
 }

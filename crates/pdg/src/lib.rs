@@ -41,5 +41,5 @@ mod graph;
 mod partition;
 
 pub use alias::{AliasInfo, PointsTo};
-pub use graph::{Dep, DepKind, Pdg, PdgOptions};
+pub use graph::{Dep, DepKind, Pdg};
 pub use partition::{Partition, ThreadId};

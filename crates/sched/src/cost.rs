@@ -20,7 +20,7 @@
 //! cannot beat their incumbent.
 
 use crate::weights::InstrWeights;
-use gmt_ir::{ControlDeps, Function};
+use gmt_ir::Function;
 use gmt_pdg::{Partition, Pdg, ThreadId};
 
 /// The assignment-independent half of the score, in flat arrays.
@@ -39,8 +39,7 @@ pub(crate) struct CostModel {
     branches: Vec<(u32, u64)>,
     /// Per block, the set of `branches` (a bitset row of `words` words)
     /// that owning an instruction of the block makes relevant: the
-    /// block's controlling branches, the branches controlling *their*
-    /// blocks, and so on.
+    /// block's row of the PDG's control-dependence closure.
     relevant: Vec<u64>,
     words: usize,
 }
@@ -58,7 +57,6 @@ impl CostModel {
         f: &Function,
         pdg: &Pdg,
         weights: &InstrWeights,
-        cdeps: &ControlDeps,
         comm_latency: u64,
     ) -> CostModel {
         let lat = comm_latency.max(1);
@@ -80,48 +78,12 @@ impl CostModel {
         arcs.sort_unstable();
         arcs.dedup();
 
-        let mut branch_ids: Vec<u32> = f
-            .blocks()
-            .flat_map(|b| cdeps.of_block(b).iter().map(|cd| cd.branch.0))
-            .collect();
-        branch_ids.sort_unstable();
-        branch_ids.dedup();
-        let words = branch_ids.len().div_ceil(64);
-        let mut relevant = vec![0u64; f.num_blocks() * words];
-        for b in f.blocks() {
-            for cd in cdeps.of_block(b) {
-                if let Ok(k) = branch_ids.binary_search(&cd.branch.0) {
-                    relevant[b.index() * words + k / 64] |= 1 << (k % 64);
-                }
-            }
-        }
-        // Close transitively: a relevant branch makes the branches its
-        // own block depends on relevant too.
-        let branch_block: Vec<usize> = branch_ids
+        let cdeps = pdg.control_deps();
+        let relevant = f.blocks().flat_map(|b| cdeps.closure_row(b)).copied().collect();
+        let branches = cdeps
+            .branches()
             .iter()
-            .map(|&i| f.block_of(gmt_ir::InstrId(i)).index())
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 0..f.num_blocks() {
-                for (k, &via) in branch_block.iter().enumerate() {
-                    if via == b || relevant[b * words + k / 64] & (1 << (k % 64)) == 0 {
-                        continue;
-                    }
-                    for w in 0..words {
-                        let add = relevant[via * words + w] & !relevant[b * words + w];
-                        if add != 0 {
-                            relevant[b * words + w] |= add;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        let branches = branch_ids
-            .iter()
-            .map(|&i| (i, weights.exec_count(gmt_ir::InstrId(i)).max(1) * lat))
+            .map(|&br| (br.0, weights.exec_count(br).max(1) * lat))
             .collect();
         CostModel {
             nodes,
@@ -129,7 +91,7 @@ impl CostModel {
             arcs,
             branches,
             relevant,
-            words,
+            words: cdeps.branches().len().div_ceil(64),
         }
     }
 
@@ -223,7 +185,6 @@ mod tests {
     use super::*;
     use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
     use gmt_ir::interp::{run, ExecConfig};
-    use gmt_ir::PostDominators;
     use gmt_testkit::{full_u64, prop_assert_eq, ranged, Checker, Gen, TestRng};
     use std::collections::{BTreeSet, HashMap};
 
@@ -235,10 +196,10 @@ mod tests {
         f: &Function,
         pdg: &Pdg,
         weights: &InstrWeights,
-        cdeps: &ControlDeps,
         partition: &Partition,
         comm_latency: u64,
     ) -> u64 {
+        let cdeps = pdg.control_deps();
         let mut load = partition.dynamic_sizes(|i| weights.weight(i));
         let lat = comm_latency.max(1);
 
@@ -329,8 +290,7 @@ mod tests {
         .expect("sequential run")
         .profile;
         let pdg = Pdg::build(&f);
-        let weights = InstrWeights::compute(&f, &profile);
-        let cdeps = ControlDeps::compute(&f, &PostDominators::compute(&f));
+        let weights = InstrWeights::compute(&f, &profile.block_weights(&f));
 
         let narrow = seeded_partition(&f, used, *seed);
         let mut partition = Partition::new(n);
@@ -340,10 +300,10 @@ mod tests {
             thread_of[i.index()] = narrow.thread_of(i).0;
         }
 
-        let mut model = CostModel::new(&f, &pdg, &weights, &cdeps, *lat);
+        let mut model = CostModel::new(&f, &pdg, &weights, *lat);
         tamper(&mut model);
         (
-            score(&f, &pdg, &weights, &cdeps, &partition, *lat),
+            score(&f, &pdg, &weights, &partition, *lat),
             model.eval(&thread_of, n as usize, &mut Scratch::default()),
         )
     }

@@ -22,7 +22,7 @@
 use crate::cost::{to_partition, CostModel, Scratch};
 use crate::weights::InstrWeights;
 use crate::SchedError;
-use gmt_ir::{ControlDeps, Dominators, Function, LoopForest, PostDominators, Profile};
+use gmt_ir::{Function, Profile};
 use gmt_pdg::{Partition, Pdg};
 
 /// Configuration of the DSWP partitioner.
@@ -87,12 +87,8 @@ fn search(
         return Err(SchedError::NoThreads);
     }
     let n = config.num_threads as usize;
-    let weights = InstrWeights::compute(f, profile);
-    let dom = Dominators::compute(f);
-    let loops = LoopForest::compute(f, &dom);
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
-    let model = CostModel::new(f, pdg, &weights, &cdeps, config.comm_latency);
+    let weights = InstrWeights::compute(f, &profile.block_weights(f));
+    let model = CostModel::new(f, pdg, &weights, config.comm_latency);
 
     let (g, _index) = pdg.as_digraph();
     let cond = g.condensation();
@@ -124,7 +120,7 @@ fn search(
     let region_key = |scc_idx: usize, by_loop: bool| -> u64 {
         let block = f.block_of(nodes[cond.components[scc_idx].nodes[0].index()]);
         if by_loop {
-            loops.innermost[block.index()].map_or(u64::MAX, |l| l as u64)
+            pdg.loops().innermost[block.index()].map_or(u64::MAX, |l| l as u64)
         } else {
             u64::from(block.0)
         }

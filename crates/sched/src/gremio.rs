@@ -33,7 +33,7 @@ use crate::cost::{to_partition, CostModel, Scratch};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_graph::{Condensation, DiGraph, NodeId};
-use gmt_ir::{ControlDeps, Dominators, Function, LoopForest, PostDominators, Profile};
+use gmt_ir::{Function, Profile};
 use gmt_pdg::{Partition, Pdg};
 use std::collections::HashMap;
 
@@ -148,12 +148,8 @@ fn search(
     if config.num_threads == 0 {
         return Err(SchedError::NoThreads);
     }
-    let weights = InstrWeights::compute(f, profile);
-    let dom = Dominators::compute(f);
-    let loops = LoopForest::compute(f, &dom);
-    let pdom = PostDominators::compute(f);
-    let cdeps = ControlDeps::compute(f, &pdom);
-    let model = CostModel::new(f, pdg, &weights, &cdeps, config.comm_latency);
+    let weights = InstrWeights::compute(f, &profile.block_weights(f));
+    let model = CostModel::new(f, pdg, &weights, config.comm_latency);
 
     // Cluster over the intra-iteration dependence graph: carried arcs
     // do not constrain the schedule (cyclic inter-thread dependences
@@ -170,8 +166,6 @@ fn search(
         pdg,
         config,
         weights: &weights,
-        loops: &loops,
-        cdeps: &cdeps,
         model: &model,
         cond: &cond,
         scc_of: &scc_of,
@@ -203,8 +197,6 @@ struct Context<'a> {
     pdg: &'a Pdg,
     config: &'a GremioConfig,
     weights: &'a InstrWeights,
-    loops: &'a LoopForest,
-    cdeps: &'a ControlDeps,
     model: &'a CostModel,
     /// Condensation of the intra-iteration dependence graph.
     cond: &'a Condensation,
@@ -216,7 +208,8 @@ struct Context<'a> {
 /// Builds, list-schedules and hill-climbs one candidate clustering;
 /// returns its score and the thread of every instruction (by index).
 fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64, Vec<u32>) {
-    let Context { f, pdg, config, weights, loops, cdeps, model, cond, scc_of, prune } = *cx;
+    let Context { f, pdg, config, weights, model, cond, scc_of, prune } = *cx;
+    let (loops, cdeps) = (pdg.loops(), pdg.control_deps());
     let n = config.num_threads as usize;
     let nodes = pdg.nodes();
 

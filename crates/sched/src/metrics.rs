@@ -1,7 +1,7 @@
 //! Partition quality metrics and structural checks.
 
 use crate::weights::InstrWeights;
-use gmt_ir::{Function, Profile};
+use gmt_ir::Function;
 use gmt_pdg::{Partition, Pdg};
 
 /// Whether `partition` forms a pipeline over `pdg`: every inter-thread
@@ -43,9 +43,10 @@ pub struct Balance {
     pub max_share_pct: u32,
 }
 
-/// Computes the dynamic load balance of `partition` under `profile`.
-pub fn balance(f: &Function, profile: &Profile, partition: &Partition) -> Balance {
-    let weights = InstrWeights::compute(f, profile);
+/// Computes the dynamic load balance of `partition` under the profile
+/// whose block weights ([`gmt_ir::Profile::block_weights`]) are given.
+pub fn balance(f: &Function, block_weights: &[u64], partition: &Partition) -> Balance {
+    let weights = InstrWeights::compute(f, block_weights);
     let per_thread = partition.dynamic_sizes(|i| weights.weight(i));
     let total: u64 = per_thread.iter().sum();
     let max = per_thread.iter().copied().max().unwrap_or(0);
@@ -85,7 +86,7 @@ pub fn cut_summary(pdg: &Pdg, partition: &Partition) -> CutSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmt_ir::{BinOp, FunctionBuilder};
+    use gmt_ir::{BinOp, FunctionBuilder, Profile};
     use gmt_pdg::ThreadId;
 
     fn chain() -> (Function, Pdg) {
@@ -127,7 +128,7 @@ mod tests {
         let (f, _) = chain();
         let p = Partition::single_threaded(&f);
         let profile = Profile::uniform(&f, 10);
-        let b = balance(&f, &profile, &p);
+        let b = balance(&f, &profile.block_weights(&f), &p);
         assert_eq!(b.max_share_pct, 100);
         assert_eq!(b.per_thread.len(), 1);
     }

@@ -1,6 +1,6 @@
 //! Instruction weight and latency estimates shared by the partitioners.
 
-use gmt_ir::{BinOp, Function, InstrId, Op, Profile};
+use gmt_ir::{BinOp, Function, InstrId, Op};
 
 /// Estimated occupancy/latency of one instruction in cycles, loosely
 /// modeled on Itanium 2 latencies (the machine of the paper's
@@ -33,9 +33,9 @@ pub struct InstrWeights {
 }
 
 impl InstrWeights {
-    /// Computes weights for every instruction of `f` under `profile`.
-    pub fn compute(f: &Function, profile: &Profile) -> InstrWeights {
-        let block_w = profile.block_weights(f);
+    /// Computes weights for every instruction of `f` from its profile
+    /// block weights ([`gmt_ir::Profile::block_weights`]).
+    pub fn compute(f: &Function, block_w: &[u64]) -> InstrWeights {
         let mut weights = vec![0u64; f.num_instrs()];
         let mut exec_counts = vec![0u64; f.num_instrs()];
         for b in f.blocks() {
@@ -61,7 +61,7 @@ impl InstrWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmt_ir::{FunctionBuilder, Reg};
+    use gmt_ir::{FunctionBuilder, Profile, Reg};
 
     #[test]
     fn latencies_ordered_sensibly() {
@@ -79,7 +79,7 @@ mod tests {
         b.ret(Some(x.into()));
         let f = b.finish().unwrap();
         let p = Profile::uniform(&f, 50);
-        let w = InstrWeights::compute(&f, &p);
+        let w = InstrWeights::compute(&f, &p.block_weights(&f));
         let c = f.block(f.entry()).instrs[0];
         assert_eq!(w.exec_count(c), 50);
         assert_eq!(w.weight(c), 50);

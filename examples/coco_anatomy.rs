@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Generate both versions and count dynamic communication.
     let base_out = gmt_mtcg::generate(&f, &pdg, &partition)?;
-    let coco_out = gmt_mtcg::generate_with_plan(&f, &partition, plan)?;
+    let coco_out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan)?;
     let seq = run(&f, &[10], &ExecConfig::default())?;
     for (name, out) in [("MTCG", &base_out), ("MTCG+COCO", &coco_out)] {
         let mt = run_mt(

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Stage 4: code generation.
-    let out = gmt_mtcg::generate_with_plan(&w.function, &partition, coco_plan)?;
+    let out = gmt_mtcg::generate_with_plan(&w.function, &pdg, &partition, coco_plan)?;
     for t in &out.threads {
         println!("== thread {} ({} blocks) ==", t.name, t.num_blocks());
         if std::env::var_os("DUMP").is_some() {

@@ -9,7 +9,7 @@
 //! `\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|\bassert!\(|\bassert_eq!|\bassert_ne!`
 //! in the text before the first `#[cfg(test)]`.
 
-use std::fs;
+use gmt_integration_tests::count_in_sources;
 use std::path::Path;
 
 /// The ceilings. gmt-mtcg/gmt-sched went 16 -> 13 when the partitioner
@@ -42,24 +42,11 @@ fn sites(text: &str) -> usize {
     anywhere + bounded
 }
 
-fn sites_under(dir: &Path) -> usize {
-    let mut total = 0;
-    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            total += sites_under(&path);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            total += sites(&fs::read_to_string(&path).expect("source file"));
-        }
-    }
-    total
-}
-
 #[test]
 fn panic_sites_stay_within_budget() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("tests/ sits in the repo");
     for (name, roots, budget) in BUDGETS {
-        let total: usize = roots.iter().map(|r| sites_under(&repo.join(r))).sum();
+        let total: usize = roots.iter().map(|r| count_in_sources(&repo.join(r), &[], &sites)).sum();
         assert!(total <= budget, "panic-site budget exceeded in {name}: {total} > {budget}");
     }
 }

@@ -240,7 +240,7 @@ fn coco_on_random_block_partitions_both_algos() {
                 "{}: COCO estimate must not exceed baseline",
                 w.benchmark
             );
-            let out = gmt_mtcg::generate_with_plan(&w.function, &partition, plan).expect("codegen");
+            let out = gmt_mtcg::generate_with_plan(&w.function, &pdg, &partition, plan).expect("codegen");
             let mt = run_mt(
                 &out.threads,
                 &w.train_args,

@@ -73,7 +73,7 @@ fn coco_preserves_semantics_and_never_costs_more() {
                 max_iterations: 10,
             };
             let (plan, _) = optimize(&f, &pdg, &partition, &profile, &config);
-            let coco_out = gmt_mtcg::generate_with_plan(&f, &partition, plan).expect("coco codegen");
+            let coco_out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).expect("coco codegen");
             let base_out = gmt_mtcg::generate(&f, &pdg, &partition).expect("mtcg");
             let run_one = |out: &gmt_mtcg::MtcgOutput| {
                 run_mt(
@@ -184,7 +184,7 @@ fn plan_cost_equals_measured_communication() {
                 optimize(&f, &pdg, &partition, &seq.profile, &CocoConfig::default());
             for plan in [base_plan, coco_plan] {
                 let estimated = plan.dynamic_cost(&f, &seq.profile);
-                let out = gmt_mtcg::generate_with_plan(&f, &partition, plan).expect("codegen");
+                let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).expect("codegen");
                 let mt = run_mt(
                     &out.threads,
                     &[],

@@ -38,7 +38,7 @@ fn shrunken_coco_deadlock_case() {
     let config = CocoConfig { control_penalties: false, ..CocoConfig::default() };
     let (plan, _) = optimize(&f, &pdg, &partition, &seq.profile, &config);
     println!("plan: {plan:#?}");
-    let out = gmt_mtcg::generate_with_plan(&f, &partition, plan).unwrap();
+    let out = gmt_mtcg::generate_with_plan(&f, &pdg, &partition, plan).unwrap();
     for t in &out.threads {
         println!("{}", gmt_ir::display(t));
     }

@@ -10,6 +10,7 @@
 
 use gmt_ir::{BinOp, Function, FunctionBuilder, Reg};
 use gmt_testkit::{one_of, recursive, vec_of, Gen, Shrink};
+use std::path::{Path, PathBuf};
 
 /// Number of mutable program registers in the pool.
 pub const REG_POOL: u32 = 6;
@@ -289,4 +290,27 @@ pub fn block_partition(f: &Function, n: u32, seed: u64) -> gmt_pdg::Partition {
         }
     }
     p
+}
+
+/// Sums `count` over the text of every `.rs` file at or below `path`,
+/// leaving out the files and directories in `exempt` — the walk the
+/// source-scanning gates (`panic_budget.rs`, `analysis_sites.rs`)
+/// share.
+///
+/// # Panics
+///
+/// Panics if a directory or source file cannot be read.
+pub fn count_in_sources(path: &Path, exempt: &[PathBuf], count: &dyn Fn(&str) -> usize) -> usize {
+    if exempt.iter().any(|e| e == path) {
+        0
+    } else if path.is_dir() {
+        std::fs::read_dir(path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+            .map(|entry| count_in_sources(&entry.expect("directory entry").path(), exempt, count))
+            .sum()
+    } else if path.extension().is_some_and(|e| e == "rs") {
+        count(&std::fs::read_to_string(path).expect("source file"))
+    } else {
+        0
+    }
 }
