@@ -44,4 +44,8 @@ GMT_JOBS=8 ./target/release/repro --verify-mt
 # change that breaks a name bound in benchmark/src/api.rs, a pinned
 # count in benchmark/expected/ or the eval_quick golden fails here
 # rather than in the pipeline. Builds into benchmark/target (ignored).
+# The benchmark crate is outside the workspace, so its own unit tests
+# (statistics, comparison rule, span accounting, and the self-test that
+# a flipped pin fails a run) are run here and by nothing else.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke

@@ -377,10 +377,13 @@ fn run_metrics(scheds: &[SchedulerKind], scale: Scale) {
     print!("{}", metrics_table(&records));
     println!();
     print!("{}", stall_table(&records));
-    // Aggregate fast-forward ratio, only over records that actually ran
-    // the timed engine (no ratio exists for engine_steps == 0).
-    let steps: u64 = records.iter().map(|m| m.engine_steps).sum();
-    let skipped: u64 = records.iter().map(|m| m.skipped_cycles).sum();
+    let executed = || records.iter().filter(|m| !m.shared_run);
+    println!("shared runs: {} of {} records", records.len() - executed().count(), records.len());
+    // Aggregate fast-forward ratio over the runs the timed engine
+    // actually made (no ratio exists for engine_steps == 0): a shared
+    // run is one execution reported by two records and counts once.
+    let steps: u64 = executed().map(|m| m.engine_steps).sum();
+    let skipped: u64 = executed().map(|m| m.skipped_cycles).sum();
     if steps > 0 {
         println!(
             "stall fast-forward: {skipped}/{} cycles skipped ({:.1}%)",

@@ -9,6 +9,12 @@
 //! programs, machine and queue file from it, so what `--verify-mt`
 //! verifies and `--explain` explains is exactly what the figures
 //! measure.
+//!
+//! Each distinct program of a cell is compiled once. GREMIO's timed
+//! arbitration already compiles the COCO variant of every candidate
+//! partition in order to time it, so it hands the winner's over with
+//! the partition and only the baseline is left to generate; DSWP, which
+//! arbitrates nothing, compiles both variants here.
 
 use crate::{fail, HarnessError, Scale, SchedulerKind};
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
@@ -123,20 +129,24 @@ pub fn compile_cell(
     let pdg = Pdg::build(&w.function);
     let pdg_build_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let (partition, arb_probes) = match kind.scheduler() {
+    let (partition, arbitrated, arb_probes) = match kind.scheduler() {
         Scheduler::Dswp(cfg) => (
             gmt_sched::dswp::partition(&w.function, &pdg, profile, &cfg)
                 .map_err(fail(b, "dswp partition"))?,
+            None,
             0,
         ),
-        Scheduler::Gremio(cfg) => arbitrate(w, profile, &pdg, &cfg)?,
+        Scheduler::Gremio(cfg) => {
+            let (partition, coco, probes) = arbitrate(w, profile, &pdg, &cfg)?;
+            (partition, Some(coco), probes)
+        }
     };
     let partition_ns = t.elapsed().as_nanos() as u64;
-    let variant = |coco: bool| {
-        let mut v = compile_variant(w, kind, profile, &pdg, &partition, coco)?;
+    let compile = |coco: bool| compile_variant(w, kind, profile, &pdg, &partition, coco);
+    let with_shared_phases = |mut v: CompiledVariant| {
         v.parallelized.timings.pdg_build_ns = pdg_build_ns;
         v.parallelized.timings.partition_ns = partition_ns;
-        Ok(v)
+        v
     };
     Ok(CompiledCell {
         workload: w,
@@ -146,8 +156,11 @@ pub fn compile_cell(
             Scale::Full => &w.ref_args,
         },
         arb_probes,
-        mtcg: variant(false)?,
-        coco: variant(true)?,
+        mtcg: with_shared_phases(compile(false)?),
+        coco: with_shared_phases(match arbitrated {
+            Some(coco) => coco,
+            None => compile(true)?,
+        }),
         pdg,
     })
 }
@@ -189,14 +202,15 @@ fn compile_variant(
 /// GREMIO's timed arbitration: each genuinely parallel candidate is
 /// compiled (with COCO) and simulated on the train input once; the
 /// fastest is kept unless it clearly loses (>10% slower) to running
-/// single-threaded. Returns the chosen partition and the number of
-/// candidates timed.
+/// single-threaded. Returns the chosen partition, the COCO variant
+/// compiled over it to time it — the cell's COCO variant, so nothing
+/// compiles it a second time — and the number of candidates timed.
 fn arbitrate(
     w: &Workload,
     profile: &Profile,
     pdg: &Pdg,
     cfg: &GremioConfig,
-) -> Result<(Partition, u64), HarnessError> {
+) -> Result<(Partition, CompiledVariant, u64), HarnessError> {
     let candidates = gmt_sched::gremio::candidates(&w.function, pdg, profile, cfg)
         .map_err(fail(w.benchmark, "gremio candidate enumeration"))?;
     // "Genuinely parallel" = the lighter thread owns a meaningful share
@@ -208,36 +222,51 @@ fn arbitrate(
         sizes.iter().filter(|&&s| s > 0).count() > 1
             && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
     };
+    let compile = |p: &Partition| compile_variant(w, SchedulerKind::Gremio, profile, pdg, p, true);
     // A candidate that fails to compile or simulate scores u64::MAX
     // and loses.
     let mut probes = 0;
-    let mut train_cycles = |p: &Partition| {
+    let mut timed = |p: Partition| {
         probes += 1;
-        compile_variant(w, SchedulerKind::Gremio, profile, pdg, p, true)
+        let compiled = compile(&p);
+        let cycles = compiled
+            .as_ref()
             .ok()
             .and_then(|v| {
                 let opts = SimOptions::default();
                 simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts).ok()
             })
-            .map_or(u64::MAX, |r| r.cycles)
+            .map_or(u64::MAX, |r| r.cycles);
+        (cycles, p, compiled)
     };
     let best = candidates
         .into_iter()
         .map(|(_, p)| p)
         .filter(|p| meaningful(p))
-        .map(|p| (train_cycles(&p), p))
-        .min_by_key(|(cycles, _)| *cycles);
+        .map(&mut timed)
+        .min_by_key(|(cycles, ..)| *cycles);
     // Arbitrate against the true single-threaded layout, not a
     // token-offload candidate.
     let mut single = Partition::new(cfg.num_threads);
     for i in w.function.all_instrs() {
         single.assign(i, ThreadId(0));
     }
-    let chosen = match best {
-        Some((cycles, mt)) if cycles as f64 <= train_cycles(&single) as f64 * 1.10 => mt,
-        _ => single,
+    let (partition, compiled) = match best {
+        Some((cycles, mt, compiled)) => {
+            let (single_cycles, single, single_compiled) = timed(single);
+            if cycles as f64 <= single_cycles as f64 * 1.10 {
+                (mt, compiled)
+            } else {
+                (single, single_compiled)
+            }
+        }
+        // Nothing to time against: single-threaded it is, untimed.
+        None => {
+            let compiled = compile(&single);
+            (single, compiled)
+        }
     };
-    Ok((chosen, probes))
+    Ok((partition, compiled?, probes))
 }
 
 #[cfg(test)]
@@ -254,6 +283,32 @@ mod tests {
             .map(|w| compile_cell(w, SchedulerKind::Gremio, Scale::Quick).unwrap().arb_probes)
             .sum();
         assert_eq!(probes, 33);
+    }
+
+    /// What arbitration hands over is the cell's COCO variant: on every
+    /// GREMIO cell it decodes `==` to compiling the chosen partition
+    /// afresh, the way `compile_cell` did before the hand-over.
+    #[test]
+    fn arbitration_hands_over_the_chosen_partitions_coco_variant() {
+        for w in gmt_workloads::catalog() {
+            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+            let chosen = &cell.mtcg.parallelized.partition;
+            assert_eq!(&cell.coco.parallelized.partition, chosen, "{}", w.benchmark);
+            let profile = w.run_train().unwrap().profile;
+            let afresh =
+                compile_variant(&w, SchedulerKind::Gremio, &profile, &cell.pdg, chosen, true).unwrap();
+            assert_eq!(cell.coco.program, afresh.program, "{}", w.benchmark);
+            assert_eq!(cell.coco.name, "coco");
+            assert_eq!((&cell.coco.machine, &cell.coco.queues), (&afresh.machine, &afresh.queues));
+            let t = cell.coco.parallelized.timings;
+            assert_eq!(
+                (t.pdg_build_ns, t.partition_ns),
+                (cell.mtcg.parallelized.timings.pdg_build_ns, cell.mtcg.parallelized.timings.partition_ns),
+                "{}: the shared phases are patched into the handed-over variant too",
+                w.benchmark
+            );
+            assert!(t.coco_ns > 0 && t.mtcg_ns > 0, "{}: its own compile timings", w.benchmark);
+        }
     }
 
     #[test]

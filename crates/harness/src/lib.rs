@@ -4,17 +4,25 @@
 //! (relative dynamic communication after COCO), and Figure 8 (speedup
 //! over single-threaded execution without and with COCO).
 //!
-//! Every measured program is executed **once** per evaluation. An
-//! untimed evaluation (Figures 1 and 7 on their own) runs it on the
-//! functional interpreter, the faster instrument when only dynamic
-//! instruction counts are wanted. A timed evaluation (Figure 8,
-//! `--fig all`, `--metrics`) runs it on the `gmt-sim` machine model and
-//! takes the counts from what the simulated cores retired as well as
-//! the cycles — the two executors agree on those counts per thread
-//! (the fuzz oracle's interpreter ↔ simulator edge, and this crate's
-//! `timed_counts_equal_untimed_counts_on_all_quick_cells`). Profiles
-//! are always collected on *train* inputs and measurements on *ref*
-//! inputs. Every mode — figures, `--metrics`,
+//! Every *distinct* measured program is executed **once** per
+//! evaluation. An untimed evaluation (Figures 1 and 7 on their own)
+//! runs it on the functional interpreter, the faster instrument when
+//! only dynamic instruction counts are wanted. A timed evaluation
+//! (Figure 8, `--fig all`, `--metrics`) runs it on the `gmt-sim`
+//! machine model and takes the counts from what the simulated cores
+//! retired as well as the cycles — the two executors agree on those
+//! counts per thread (the fuzz oracle's interpreter ↔ simulator edge,
+//! and this crate's
+//! `timed_counts_equal_untimed_counts_on_all_quick_cells`). Where COCO
+//! finds nothing cheaper than MTCG's placement (Figure 7's 0.0 % rows,
+//! half the matrix) the two variants of a cell are one program whose
+//! queues are numbered differently
+//! ([`DecodedProgram::queue_renaming`](gmt_ir::decoded::DecodedProgram::queue_renaming));
+//! a queue's number is not observable by either executor (law:
+//! `tests/queue_renaming.rs`), so the cell runs that program once and
+//! the COCO record, flagged [`RunMetrics::shared_run`], is a copy of
+//! the baseline's. Profiles are always collected on *train* inputs and
+//! measurements on *ref* inputs. Every mode — figures, `--metrics`,
 //! `--trace`, `--explain`, `--verify-mt` — obtains its programs from
 //! the one [`compile_cell`], so they all measure the same code.
 //!
@@ -132,7 +140,7 @@ fn fail<E: std::fmt::Display>(
 }
 
 /// Dynamic results of one parallelized variant of one kernel.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VariantResult {
     /// Dynamic instruction counts, summed over threads.
     pub counts: DynCounts,
@@ -251,8 +259,14 @@ pub fn evaluate_full(
     timed: bool,
     scale: Scale,
 ) -> Result<Evaluation, HarnessError> {
+    evaluate_cell(&compile_cell(w, kind, scale)?, timed)
+}
+
+/// Measures a compiled cell: the sequential program and each distinct
+/// variant, once each.
+fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, HarnessError> {
+    let w = cell.workload;
     let b = w.benchmark;
-    let cell = compile_cell(w, kind, scale)?;
     let (seq_instrs, seq_cycles) = if timed {
         let sim = simulate(
             std::slice::from_ref(&w.function),
@@ -267,13 +281,41 @@ pub fn evaluate_full(
             .map_err(fail(b, "sequential run"))?;
         (seq.counts.total(), 0)
     };
-    let (mtcg, mut base) = measure(&cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
-    let (coco, opt) = measure(&cell, &cell.coco, timed, "COCO run", "timed COCO sim")?;
+    let (mtcg, mut base) = measure(cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
+    let (coco, opt) = if same_run(&cell.mtcg, &cell.coco) {
+        // The run just measured is this variant's too; only compiling
+        // it took time of its own.
+        let timings = cell.coco.parallelized.timings;
+        let shared = RunMetrics {
+            variant: cell.coco.name,
+            wall_ns: timings.total_ns(),
+            timings,
+            shared_run: true,
+            ..base
+        };
+        (mtcg, shared)
+    } else {
+        measure(cell, &cell.coco, timed, "COCO run", "timed COCO sim")?
+    };
     base.arb_probes = cell.arb_probes;
     Ok(Evaluation {
         result: BenchResult { benchmark: b, seq_instrs, seq_cycles, mtcg, coco },
         metrics: vec![base, opt],
     })
+}
+
+/// Whether executing `a` and executing `b` on one input are the same
+/// run under either executor: one program up to the names of its
+/// queues, on equal machines and equal functional queue files, with
+/// every queue as deep as the one it is renamed to.
+fn same_run(a: &CompiledVariant, b: &CompiledVariant) -> bool {
+    a.machine == b.machine
+        && a.queues == b.queues
+        && a.program.queue_renaming(&b.program).is_some_and(|pairs| {
+            pairs.iter().all(|&(qa, qb)| {
+                a.machine.sa.depth_of(qa.index()) == b.machine.sa.depth_of(qb.index())
+            })
+        })
 }
 
 /// The dynamic instruction counts of a timed run: what its cores
@@ -312,6 +354,7 @@ fn measure(
         stalls: StallBreakdown::default(),
         engine_steps: 0,
         skipped_cycles: 0,
+        shared_run: false,
     };
     let counts = if timed {
         let opts = SimOptions::default();
@@ -516,6 +559,91 @@ mod tests {
                 assert_eq!((u.seq_cycles, u.mtcg.cycles, u.coco.cycles), (0, 0, 0), "{cell}");
             }
         }
+    }
+
+    /// The cells whose COCO program is the baseline program with its
+    /// queues renamed (Figure 7's 0.0 % rows), in matrix order. Programs
+    /// do not depend on the input scale, so this is the set at either.
+    const SHARED_CELLS: [(&str, &str); 11] = [
+        ("GREMIO", "adpcmdec"),
+        ("GREMIO", "adpcmenc"),
+        ("GREMIO", "177.mesa"),
+        ("GREMIO", "183.equake"),
+        ("GREMIO", "435.gromacs"),
+        ("DSWP", "adpcmdec"),
+        ("DSWP", "adpcmenc"),
+        ("DSWP", "mpeg2enc"),
+        ("DSWP", "183.equake"),
+        ("DSWP", "300.twolf"),
+        ("DSWP", "435.gromacs"),
+    ];
+
+    /// Sharing a run is invisible: on every quick cell, timed and
+    /// untimed, an evaluation reports what measuring each variant
+    /// separately reports, in every field but the wall clock and the
+    /// flag — and exactly the pinned cells share, so a plan change that
+    /// adds or loses one is seen. 22 sequential runs + 44 variants − 11
+    /// shared = the 55 programs an evaluation of the matrix executes.
+    #[test]
+    fn sharing_a_run_is_invisible_on_all_quick_cells() {
+        for timed in [true, false] {
+            let mut shared = Vec::new();
+            for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+                for w in catalog() {
+                    let cell = compile_cell(&w, kind, Scale::Quick).expect("compiles");
+                    let at = format!("{} / {} (timed: {timed})", w.benchmark, kind.name());
+                    let e = evaluate_cell(&cell, timed).expect("evaluates");
+                    let (mtcg, base) = measure(&cell, &cell.mtcg, timed, "run", "sim").expect("mtcg");
+                    let (coco, opt) = measure(&cell, &cell.coco, timed, "run", "sim").expect("coco");
+                    assert_eq!((e.result.mtcg, e.result.coco), (mtcg, coco), "{at}: BenchResult");
+                    let base = RunMetrics { arb_probes: cell.arb_probes, ..base };
+                    for (got, want) in e.metrics.iter().zip([base, opt]) {
+                        let want = RunMetrics { wall_ns: got.wall_ns, shared_run: got.shared_run, ..want };
+                        assert_eq!(*got, want, "{at}: {} RunMetrics", got.variant);
+                    }
+                    assert!(!e.metrics[0].shared_run, "{at}: the baseline always runs");
+                    if e.metrics[1].shared_run {
+                        let compile_ns = e.metrics[1].timings.total_ns();
+                        assert_eq!(e.metrics[1].wall_ns, compile_ns, "{at}: no run to time");
+                        shared.push((kind.name(), w.benchmark));
+                    }
+                }
+            }
+            assert_eq!(shared, SHARED_CELLS, "timed: {timed}");
+        }
+    }
+
+    /// `same_run` can answer no for each of its conditions: a pair that
+    /// shares stops sharing when one side's machine, queue file or
+    /// program differs.
+    #[test]
+    fn same_run_needs_equal_machines_queue_files_and_programs() {
+        let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Quick).unwrap();
+        let (a, b) = (&cell.mtcg, &cell.coco);
+        assert!(same_run(a, b) && same_run(b, a));
+        let mut other = b.clone();
+        other.machine.sa.ports += 1;
+        assert!(!same_run(a, &other), "another machine");
+        let mut other = b.clone();
+        other.queues.capacity += 1;
+        assert!(!same_run(a, &other), "another functional queue file");
+        // Depths that differ between a queue and its partner: only the
+        // renaming tells which queues have to agree.
+        let pairs = a.program.queue_renaming(&b.program).expect("alike");
+        let &(qa, qb) = pairs.iter().find(|(qa, qb)| qa != qb).expect("a renamed queue");
+        let mut depths = vec![32; a.machine.sa.num_queues];
+        depths[qa.index()] = 1;
+        let (mut x, mut y) = (a.clone(), b.clone());
+        x.machine = x.machine.with_queue_depths(depths.clone());
+        y.machine = y.machine.with_queue_depths(depths.clone());
+        assert!(!same_run(&x, &y), "{qa:?} is shallow, its partner {qb:?} is not");
+        depths.swap(qa.index(), qb.index());
+        y.machine = y.machine.with_queue_depths(depths);
+        assert!(!same_run(&x, &y), "depths permuted along, but the machines now differ");
+        let ks = gmt_workloads::by_benchmark("ks").unwrap();
+        let ks = compile_cell(&ks, SchedulerKind::Dswp, Scale::Quick).unwrap();
+        assert!(!same_run(&ks.mtcg, &ks.coco), "COCO moved communication: another program");
     }
 
     /// The oracle above can fail: on a program that synchronizes, a

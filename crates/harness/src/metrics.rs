@@ -65,7 +65,7 @@ impl StallBreakdown {
 
 /// One (benchmark, scheduler, variant) evaluation's observability
 /// record.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Benchmark name (Figure 6b).
     pub benchmark: &'static str,
@@ -75,7 +75,8 @@ pub struct RunMetrics {
     pub variant: &'static str,
     /// Wall-clock nanoseconds spent evaluating this variant (compile
     /// phases + its one execution: the timed simulation when
-    /// requested, the functional run otherwise).
+    /// requested, the functional run otherwise; compile phases only
+    /// for a [`RunMetrics::shared_run`]).
     pub wall_ns: u64,
     /// Dynamic instructions, summed over threads.
     pub instrs: u64,
@@ -99,6 +100,11 @@ pub struct RunMetrics {
     /// Cycles the timed simulation's fast-forward jumped over instead
     /// of ticking (0 if not timed).
     pub skipped_cycles: u64,
+    /// Whether this variant is the cell's other variant with its queues
+    /// renamed, so that the two shared one execution: the counts,
+    /// cycles, stalls and engine steps here are that run's, reported by
+    /// both records, and were produced once.
+    pub shared_run: bool,
 }
 
 impl RunMetrics {
@@ -112,7 +118,7 @@ impl RunMetrics {
              \"stall_operand\":{},\"stall_structural\":{},\"stall_sa_port\":{},\
              \"stall_queue_full\":{},\"stall_queue_empty\":{},\
              \"stall_load_limit\":{},\"stall_mispredict\":{},\
-             \"engine_steps\":{},\"skipped_cycles\":{}}}",
+             \"engine_steps\":{},\"skipped_cycles\":{},\"shared_run\":{}}}",
             json_escape(self.benchmark),
             json_escape(self.scheduler),
             json_escape(self.variant),
@@ -133,6 +139,7 @@ impl RunMetrics {
             self.stalls.mispredict,
             self.engine_steps,
             self.skipped_cycles,
+            self.shared_run,
         )
     }
 
@@ -183,12 +190,14 @@ fn fmt_ms(ns: u64) -> String {
 }
 
 /// A human-readable summary table of a metrics batch (one row per
-/// record, milliseconds for all wall-clock columns).
+/// record, milliseconds for all wall-clock columns). The `run` column
+/// marks a [`RunMetrics::shared_run`] with `=mtcg`: its counts, cycles
+/// and skip ratio repeat the baseline row's one execution.
 pub fn metrics_table(metrics: &[RunMetrics]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6}",
+        "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6} run",
         "benchmark", "sched", "variant", "wall ms", "instrs", "cycles", "pdg ms", "part ms", "coco ms", "mtcg ms", "arb", "skip"
     );
     for m in metrics {
@@ -199,7 +208,7 @@ pub fn metrics_table(metrics: &[RunMetrics]) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6}",
+            "{:<14} {:<7} {:<7} {:>9} {:>12} {:>12} {:>8} {:>9} {:>8} {:>8} {:>4} {:>6}{}",
             m.benchmark,
             m.scheduler,
             m.variant,
@@ -212,6 +221,8 @@ pub fn metrics_table(metrics: &[RunMetrics]) -> String {
             fmt_ms(m.timings.mtcg_ns),
             m.arb_probes,
             skip,
+            // A shared run is the row above's, not one of its own.
+            if m.shared_run { " =mtcg" } else { "" },
         );
     }
     let total_ns: u64 = metrics.iter().map(|m| m.wall_ns).sum();
@@ -258,6 +269,7 @@ mod tests {
             },
             engine_steps: 1420,
             skipped_cycles: 4258,
+            shared_run: false,
         }
     }
 
@@ -282,6 +294,9 @@ mod tests {
         assert!(line.contains("\"stall_mispredict\":17"));
         assert!(line.contains("\"engine_steps\":1420"));
         assert!(line.contains("\"skipped_cycles\":4258"));
+        assert!(line.ends_with(",\"shared_run\":false}"), "{line}");
+        let shared = RunMetrics { shared_run: true, ..sample() }.to_json();
+        assert!(shared.ends_with(",\"shared_run\":true}"), "{shared}");
         assert_eq!(line.matches('{').count(), 1, "flat object");
     }
 
@@ -321,8 +336,12 @@ mod tests {
 
     #[test]
     fn table_has_row_per_record() {
-        let t = metrics_table(&[sample(), sample()]);
+        let t = metrics_table(&[sample(), RunMetrics { shared_run: true, ..sample() }]);
         assert_eq!(t.lines().count(), 1 + 2 + 1, "header + rows + total");
+        let rows: Vec<&str> = t.lines().collect();
+        assert!(rows[0].ends_with(" run"), "mark column:\n{t}");
+        assert!(rows[1].ends_with("75%"), "a run of its own is unmarked:\n{t}");
+        assert!(rows[2].ends_with("75% =mtcg"), "a shared run is marked:\n{t}");
         assert!(t.contains("benchmark"));
         assert!(t.contains(" arb "));
         assert!(t.lines().nth(1).unwrap().contains("    8 "), "probe count column:\n{t}");

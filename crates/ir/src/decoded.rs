@@ -142,7 +142,7 @@ pub struct SlotTiming {
 
 /// A [`Function`] lowered once into a dense, contiguous instruction
 /// stream with all per-instruction metadata pre-computed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedFunction {
     params: Vec<Reg>,
     num_regs: u32,
@@ -216,6 +216,18 @@ impl DecodedOp {
                 Some((queue, BlockedOp::ConsumeEmpty))
             }
             _ => None,
+        }
+    }
+
+    /// The op with its queue operand, if it has one, replaced by
+    /// `queue`.
+    fn with_queue(self, queue: QueueId) -> DecodedOp {
+        match self {
+            DecodedOp::Produce { value, .. } => DecodedOp::Produce { queue, value },
+            DecodedOp::Consume { dst, .. } => DecodedOp::Consume { dst, queue },
+            DecodedOp::ProduceSync { .. } => DecodedOp::ProduceSync { queue },
+            DecodedOp::ConsumeSync { .. } => DecodedOp::ConsumeSync { queue },
+            other => other,
         }
     }
 }
@@ -390,7 +402,7 @@ fn lower(op: &Op, b: BlockId, layout: &MemoryLayout, block_start: &[u32]) -> Dec
 
 /// A set of per-thread decoded functions sharing one memory layout
 /// (thread 0's, the multi-threaded executors' convention).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedProgram {
     threads: Vec<DecodedFunction>,
     layout: MemoryLayout,
@@ -431,6 +443,64 @@ impl DecodedProgram {
     /// The shared memory layout (thread 0's).
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
+    }
+
+    /// Whether `self` is `other` up to a bijective renaming of queue
+    /// ids, and if so the renaming, as `(queue of self, queue of
+    /// other)` pairs in ascending order: the same threads in the same
+    /// order, equal in everything an executor reads — parameters,
+    /// register count, entry pc, memory layout, source and block
+    /// tables, [`SlotTiming`] and every op and operand — except that
+    /// the queue operands of the communication ops are related by one
+    /// bijection that holds across all threads.
+    ///
+    /// A queue id names a channel between two program points and
+    /// nothing else: queues of equal capacity are interchangeable to
+    /// the functional interpreter and to the cycle engine, so two
+    /// programs alike under this comparison, run on files that give
+    /// every paired queue the same capacity, produce the same outputs,
+    /// counts, cycles and stall statistics (DESIGN.md, "queue names are
+    /// not observable"). Plain `==` is the special case where every
+    /// pair is `(q, q)`.
+    pub fn queue_renaming(&self, other: &DecodedProgram) -> Option<Vec<(QueueId, QueueId)>> {
+        if self.layout != other.layout || self.threads.len() != other.threads.len() {
+            return None;
+        }
+        let mut pairs: Vec<(QueueId, QueueId)> = Vec::new();
+        for (a, b) in self.threads.iter().zip(&other.threads) {
+            // Destructured in full, so a field added to the stream
+            // cannot be left out of the comparison.
+            let DecodedFunction { params, num_regs, ops, src, block, timing, entry_pc, layout } = a;
+            let same_but_ops = *params == b.params
+                && *num_regs == b.num_regs
+                && *src == b.src
+                && *block == b.block
+                && *timing == b.timing
+                && *entry_pc == b.entry_pc
+                && *layout == b.layout
+                && ops.len() == b.ops.len();
+            if !same_but_ops {
+                return None;
+            }
+            for (&x, &y) in ops.iter().zip(&b.ops) {
+                match (x.queue_op(), y.queue_op()) {
+                    (None, None) if x == y => {}
+                    (Some((qx, _)), Some((qy, _))) if x.with_queue(qy) == y => {
+                        // One pair per queue on either side: a second
+                        // partner breaks the function one way and the
+                        // injection the other.
+                        match pairs.iter().find(|p| p.0 == qx || p.1 == qy) {
+                            Some(&p) if p != (qx, qy) => return None,
+                            Some(_) => {}
+                            None => pairs.push((qx, qy)),
+                        }
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        pairs.sort_unstable();
+        Some(pairs)
     }
 
     /// Rejects a program with a communication slot that targets a queue
@@ -681,6 +751,53 @@ mod tests {
         let base = prog.layout().base(crate::types::ObjectId(0)) as i64;
         assert_eq!(prog.threads()[0].op(0), DecodedOp::LeaAbs(Reg(0), base));
         assert_eq!(prog.threads()[1].op(0), DecodedOp::LeaAbs(Reg(0), base + 1));
+    }
+
+    /// A producer sending `values` on `queues`, in order, and a
+    /// consumer receiving on the same queues in the same order.
+    fn pipe(queues: &[u32], values: &[i64]) -> Vec<Function> {
+        let mut p = FunctionBuilder::new("p");
+        let mut c = FunctionBuilder::new("c");
+        for (&q, &v) in queues.iter().zip(values) {
+            p.emit(Op::Produce { queue: QueueId(q), value: v.into() });
+            let dst = c.fresh_reg();
+            c.emit(Op::Consume { dst, queue: QueueId(q) });
+        }
+        p.emit(Op::ProduceSync { queue: QueueId(queues[0]) });
+        c.emit(Op::ConsumeSync { queue: QueueId(queues[0]) });
+        p.ret(None);
+        c.ret(None);
+        vec![p.finish().unwrap(), c.finish().unwrap()]
+    }
+
+    fn renaming(a: &[Function], b: &[Function]) -> Option<Vec<(u32, u32)>> {
+        let (a, b) = (DecodedProgram::decode(a).unwrap(), DecodedProgram::decode(b).unwrap());
+        let pairs = a.queue_renaming(&b)?;
+        Some(pairs.into_iter().map(|(x, y)| (x.0, y.0)).collect())
+    }
+
+    #[test]
+    fn queue_renaming_finds_the_bijection() {
+        let a = pipe(&[0, 1, 0], &[7, 8, 9]);
+        assert_eq!(renaming(&a, &a), Some(vec![(0, 0), (1, 1)]), "== is the identity renaming");
+        assert_eq!(renaming(&a, &pipe(&[1, 0, 1], &[7, 8, 9])), Some(vec![(0, 1), (1, 0)]));
+        assert_eq!(renaming(&a, &pipe(&[200, 3, 200], &[7, 8, 9])), Some(vec![(0, 200), (1, 3)]));
+    }
+
+    #[test]
+    fn queue_renaming_rejects_what_is_not_a_renaming() {
+        let a = pipe(&[0, 1, 0], &[7, 8, 9]);
+        assert_eq!(renaming(&a, &pipe(&[0, 0, 0], &[7, 8, 9])), None, "two queues merged");
+        assert_eq!(renaming(&pipe(&[0, 0, 0], &[7, 8, 9]), &a), None, "one queue split");
+        assert_eq!(renaming(&a, &pipe(&[0, 1, 0], &[7, 8, 10])), None, "another value sent");
+        let mut swapped = a.clone();
+        swapped.swap(0, 1);
+        assert_eq!(renaming(&a, &swapped), None, "threads in another order");
+        assert_eq!(renaming(&a, &a[..1]), None, "a thread missing");
+        // The bijection is one across threads: renaming only the
+        // producer's side disconnects the channel.
+        let half = vec![pipe(&[1, 0, 1], &[7, 8, 9]).remove(0), a[1].clone()];
+        assert_eq!(renaming(&a, &half), None, "one endpoint renamed");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::decoded::{DecodedFunction, DecodedThread, InstrKind};
 use crate::function::Function;
 use crate::instr::Op;
 use crate::interp_mt::{drive, Running};
-use crate::profile::Profile;
+use crate::profile::{EdgeCounts, Profile};
 use crate::types::{AddrMode, BlockId, InstrId, ObjectId, Operand, QueueId, Reg};
 use std::error::Error;
 use std::fmt;
@@ -40,7 +40,7 @@ impl Default for ExecConfig {
 /// a fixed base address in one flat cell array, in declaration order,
 /// with a one-cell red zone between objects so off-by-one indexing is
 /// caught rather than silently corrupting a neighbor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemoryLayout {
     bases: Vec<u64>,
     total: u64,
@@ -346,13 +346,12 @@ fn run_single<'a, T: Thread<'a>>(
     let mut memory = Memory::for_layout(layout)?;
     init(layout, &mut memory);
     let mut thread = [Running::new(T::start(code, args, layout)?)];
-    let mut profile = Profile::new();
-    profile.count_entry();
-    let on_edge = |from, to| profile.count_edge(from, to);
+    let mut edges = EdgeCounts::default();
+    let on_edge = |from, to| edges.count(from, to);
     let (return_value, output) =
         drive(&mut thread, &mut memory, &mut NoQueues, config, on_edge)?;
     let [Running { counts, .. }] = thread;
-    Ok(RunResult { return_value, output, counts, profile, memory })
+    Ok(RunResult { return_value, output, counts, profile: edges.into_profile(), memory })
 }
 
 /// Queue access used by [`Thread::step`]; single-threaded runs use

@@ -27,7 +27,7 @@ use crate::types::{BlockId, InstrId};
 use std::collections::VecDeque;
 
 /// Queue configuration for a functional MT run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Number of queues available.
     pub num_queues: usize,

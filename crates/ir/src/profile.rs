@@ -117,6 +117,44 @@ impl Profile {
     }
 }
 
+/// The edge counts of one run, in a table indexed by source block. A
+/// terminator has at most two targets, so two `(target, count)` slots
+/// per block hold every edge and counting one is an index and a
+/// compare — the interpreter's per-branch cost, where a
+/// [`Profile::count_edge`] is a hash-map probe.
+#[derive(Default)]
+pub(crate) struct EdgeCounts {
+    /// A slot with count 0 is free.
+    slots: Vec<[(BlockId, u64); 2]>,
+}
+
+impl EdgeCounts {
+    /// Records one traversal of `from -> to`.
+    #[inline]
+    pub(crate) fn count(&mut self, from: BlockId, to: BlockId) {
+        if from.index() >= self.slots.len() {
+            self.slots.resize(from.index() + 1, [(BlockId(0), 0); 2]);
+        }
+        let [first, second] = &mut self.slots[from.index()];
+        let slot = if first.1 == 0 || first.0 == to { first } else { second };
+        debug_assert!(slot.1 == 0 || slot.0 == to, "{from:?} has a third successor {to:?}");
+        *slot = (to, slot.1 + 1);
+    }
+
+    /// The profile of a run that entered the function once and took
+    /// these edges: exactly the arcs traversed, as counting each with
+    /// [`Profile::count_edge`] would have left it.
+    pub(crate) fn into_profile(self) -> Profile {
+        let mut profile = Profile { entries: 1, ..Profile::default() };
+        for (from, slots) in self.slots.iter().enumerate() {
+            for &(to, count) in slots.iter().filter(|s| s.1 > 0) {
+                profile.edges.insert((BlockId(from as u32), to), count);
+            }
+        }
+        profile
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +199,30 @@ mod tests {
         assert_eq!(q.entries(), 2);
         assert_eq!(q.edge(BlockId(0), BlockId(1)), 4);
         assert_eq!(q.edge(BlockId(1), BlockId(0)), 0);
+    }
+
+    /// The dense table and the hash-map path build the same profile
+    /// from the same edge stream (self-loops, a block met first late
+    /// in the run, untraversed blocks in between).
+    #[test]
+    fn dense_counts_equal_count_edge() {
+        let stream = [(0, 1), (1, 1), (1, 1), (1, 4), (4, 1), (1, 4), (4, 9), (9, 0), (0, 1), (1, 4)];
+        let mut dense = EdgeCounts::default();
+        let mut hashed = Profile::new();
+        hashed.count_entry();
+        for (from, to) in stream {
+            dense.count(BlockId(from), BlockId(to));
+            hashed.count_edge(BlockId(from), BlockId(to));
+        }
+        let dense = dense.into_profile();
+        assert_eq!(dense, hashed);
+        assert_eq!(dense.edge(BlockId(1), BlockId(1)), 2);
+        assert_eq!(dense.edge(BlockId(1), BlockId(4)), 3);
+        assert_eq!(EdgeCounts::default().into_profile(), {
+            let mut p = Profile::new();
+            p.count_entry();
+            p
+        });
     }
 
     #[test]

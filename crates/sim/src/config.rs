@@ -94,7 +94,7 @@ impl SaConfig {
 /// 12-way shared L3 (12 cycles), 141-cycle main memory, snoop-based
 /// write-invalidate coherence, and a 256-queue synchronization array
 /// with 1-cycle access and 4 shared ports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Instructions issued per cycle per core.
     pub issue_width: usize,

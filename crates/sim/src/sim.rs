@@ -8,7 +8,7 @@ use gmt_ir::interp::{BlockedOp, DeadlockInfo, ExecError, Memory, MemoryLayout};
 use gmt_ir::{BinOp, Function, Op};
 
 /// The result of a timed simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
     /// Total cycles until the last core retired.
     pub cycles: u64,
