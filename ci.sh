@@ -4,7 +4,12 @@
 # figure bench (every measurement runs once, untimed).
 set -eux
 
-cargo build --release --offline --workspace
+# --all-targets: four of gmt-bench's six bench targets
+# (fig1_comm_breakdown, fig7_coco_reduction, ablations,
+# mincut_compile_time) are run by no step below, and `cargo test`
+# compiles no `harness = false` bench, so without it a signature change
+# could stop them building and nothing here would notice.
+cargo build --release --offline --workspace --all-targets
 # The suite includes the panic-site budget (tests/panic_budget.rs).
 cargo test -q --offline --workspace
 GMT_TESTKIT_BENCH_SMOKE=1 cargo bench --offline -p gmt-bench --bench fig8_speedup

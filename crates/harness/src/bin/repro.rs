@@ -271,14 +271,6 @@ fn run_trace(path: &str, bench: &str, kind: SchedulerKind, coco: bool, scale: Sc
     print!("{}", comm_attribution_table(&cell));
     println!();
     print!("{}", queue_comm_table(&cell));
-    if cell.dropped_events > 0 {
-        println!(
-            "warning: {} raw trace events dropped from the ring buffer \
-             (the tables above still cover the whole run; the Chrome JSON \
-             event log is a suffix)",
-            cell.dropped_events
-        );
-    }
     println!("trace written to {path}");
 }
 

@@ -16,18 +16,21 @@
 //! the partition and only the baseline is left to generate; DSWP, which
 //! arbitrates nothing, compiles both variants here.
 
-use crate::{fail, HarnessError, Scale, SchedulerKind};
+use crate::{fail, run_record, sim_counts, HarnessError, RunMetrics, Scale, SchedulerKind};
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
 use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp_mt::QueueConfig;
 use gmt_ir::Profile;
+use gmt_mtcg::QueueLabel;
 use gmt_pdg::{Partition, Pdg, ThreadId};
 use gmt_sched::gremio::GremioConfig;
 use gmt_sim::{
-    check_attribution, simulate_decoded_opts, simulate_decoded_traced_opts, MachineConfig,
-    SimOptions, SimResult, TraceAggregator, TraceSink,
+    check_attribution, simulate_decoded_opts, simulate_decoded_traced_opts, CycleAttribution,
+    MachineConfig, OccupancySummary, QueueTraceStats, SimOptions, SimResult, TraceAggregator,
+    TraceSink,
 };
 use gmt_workloads::Workload;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One generated program of a cell, ready for every executor.
@@ -72,6 +75,37 @@ pub struct CompiledCell<'w> {
 /// cover the whole run regardless).
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
+/// One traced execution of a variant: the run-level record every mode
+/// reports, plus what the [`TraceAggregator`] saw of the run. `--trace`
+/// ([`crate::TracedCell`]) and `--explain` ([`crate::ExplainCell`])
+/// each wrap one.
+#[derive(Clone, Debug)]
+pub struct TracedRun {
+    /// The run level: identity, counts, cycles, raw stall counters.
+    pub run: RunMetrics,
+    /// Per-thread cycle decomposition; each entry sums to `run.cycles`.
+    pub attribution: Vec<CycleAttribution>,
+    /// Per-queue communication counters (indexed by queue id).
+    pub queues: Vec<QueueTraceStats>,
+    /// Per-queue time-weighted occupancy distribution (p50/p95/max
+    /// dwell levels; indexed by queue id, parallel to `queues`).
+    pub occupancy: Vec<OccupancySummary>,
+    /// Static queue labels from MTCG (one per scheduled occurrence).
+    pub labels: Vec<QueueLabel>,
+    /// Raw events the aggregator's ring buffer dropped (the summaries
+    /// above and the critical path cover the whole run regardless).
+    pub dropped_events: u64,
+}
+
+impl TracedRun {
+    /// Appends the traced level's keys after the run's (see
+    /// [`RunMetrics::to_json`]).
+    pub(crate) fn write_keys(&self, out: &mut String) {
+        self.run.write_keys(out);
+        let _ = write!(out, ",\"dropped_events\":{}", self.dropped_events);
+    }
+}
+
 impl CompiledCell<'_> {
     /// The COCO variant if `coco`, else baseline MTCG.
     pub fn variant(&self, coco: bool) -> &CompiledVariant {
@@ -85,12 +119,14 @@ impl CompiledCell<'_> {
     /// Simulates `v` on the measured input with a [`TraceAggregator`]
     /// and `extra` attached, and checks the attribution invariant
     /// (every core's decomposition sums to the run's cycle count).
+    /// The one place a [`TracedRun`] is built.
     pub(crate) fn simulate_traced<S: TraceSink>(
         &self,
         v: &CompiledVariant,
         extra: S,
-    ) -> Result<(SimResult, TraceAggregator, S), HarnessError> {
+    ) -> Result<(TracedRun, SimResult, S), HarnessError> {
         let (w, b) = (self.workload, self.workload.benchmark);
+        let started = Instant::now();
         let ncores = v.program.threads().len();
         let aggregator = TraceAggregator::new(ncores, v.machine.sa.num_queues, TRACE_RING_CAPACITY);
         let mut sink = (aggregator, extra);
@@ -98,8 +134,17 @@ impl CompiledCell<'_> {
         let result =
             simulate_decoded_traced_opts(&v.program, self.args, w.init, &v.machine, &mut sink, opts)
                 .map_err(fail(b, "traced sim"))?;
-        check_attribution(&sink.0, &result).map_err(fail(b, "attribution check"))?;
-        Ok((result, sink.0, sink.1))
+        let (aggregator, extra) = sink;
+        check_attribution(&aggregator, &result).map_err(fail(b, "attribution check"))?;
+        let traced = TracedRun {
+            run: run_record(self, v, started, sim_counts(&result), Some(&result)),
+            attribution: aggregator.core_attribution(),
+            queues: aggregator.queue_stats().to_vec(),
+            occupancy: aggregator.queue_occupancy(),
+            labels: v.parallelized.queue_labels().to_vec(),
+            dropped_events: aggregator.dropped_events(),
+        };
+        Ok((traced, result, extra))
     }
 }
 

@@ -25,14 +25,9 @@
 //! edges sum to the cycle count exactly) — a violation is an engine
 //! bug and surfaces as a [`HarnessError`].
 
-use crate::{compile_cell, fail, HarnessError, Scale, SchedulerKind};
+use crate::{compile_cell, fail, HarnessError, Scale, SchedulerKind, TracedRun};
 use gmt_core::SchedEstimate;
-use gmt_mtcg::QueueLabel;
-use gmt_sim::{
-    check_critical_path, CpKind, CritPath, CritPathSink, CycleAttribution, OccupancySummary,
-    QueueTraceStats,
-};
-use gmt_testkit::json_escape;
+use gmt_sim::{check_critical_path, CpKind, CritPath, CritPathSink};
 use gmt_workloads::Workload;
 use std::fmt::Write as _;
 
@@ -42,29 +37,12 @@ pub const EXPLAIN_TOP_K: usize = 8;
 /// One kernel × scheduler × variant, measured both ways.
 #[derive(Clone, Debug)]
 pub struct ExplainCell {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Scheduler display name.
-    pub scheduler: &'static str,
-    /// Variant explained: `"mtcg"` or `"coco"`.
-    pub variant: &'static str,
-    /// Total cycles of the traced run.
-    pub cycles: u64,
+    /// The dynamic side: the run, its attribution and queue counters.
+    pub traced: TracedRun,
     /// The static side: what the pipeline estimated at partition time.
     pub estimate: SchedEstimate,
-    /// Per-thread cycle decomposition; each entry sums to `cycles`.
-    pub attribution: Vec<CycleAttribution>,
-    /// Per-queue communication counters (indexed by queue id).
-    pub queues: Vec<QueueTraceStats>,
-    /// Per-queue time-weighted occupancy distribution.
-    pub occupancy: Vec<OccupancySummary>,
-    /// Static queue labels from MTCG (one per scheduled occurrence).
-    pub labels: Vec<QueueLabel>,
     /// The run's dynamic critical path (conservation-checked).
     pub critpath: CritPath,
-    /// Raw events the aggregator's ring dropped (summaries and the
-    /// critical path still cover the whole run).
-    pub dropped_events: u64,
 }
 
 /// Runs one kernel × scheduler × variant cell with the aggregator and
@@ -86,22 +64,10 @@ pub fn explain_cell(
     let cell = compile_cell(w, kind, scale)?;
     let v = cell.variant(coco);
     let walker = CritPathSink::new(&v.program, v.machine.sa.num_queues);
-    let (result, aggregator, walker) = cell.simulate_traced(v, walker)?;
+    let (traced, result, walker) = cell.simulate_traced(v, walker)?;
     let critpath = check_critical_path(&walker, &result)
         .map_err(fail(w.benchmark, "critical-path check"))?;
-    Ok(ExplainCell {
-        benchmark: w.benchmark,
-        scheduler: kind.name(),
-        variant: v.name,
-        cycles: result.cycles,
-        estimate: v.parallelized.estimate.clone(),
-        attribution: aggregator.core_attribution(),
-        queues: aggregator.queue_stats().to_vec(),
-        occupancy: aggregator.queue_occupancy(),
-        labels: v.parallelized.queue_labels().to_vec(),
-        critpath,
-        dropped_events: aggregator.dropped_events(),
-    })
+    Ok(ExplainCell { traced, estimate: v.parallelized.estimate.clone(), critpath })
 }
 
 /// What limits the schedule, by critical-path edge-kind groups.
@@ -165,23 +131,16 @@ fn pct(part: u64, total: u64) -> u64 {
 pub fn explain_report(cell: &ExplainCell) -> String {
     let mut out = String::new();
     let cp = &cell.critpath;
+    let (run, traced) = (&cell.traced.run, &cell.traced);
     let _ = writeln!(
         out,
         "explain: {} / {} / {} ({} cycles)",
-        cell.benchmark, cell.scheduler, cell.variant, cell.cycles
+        run.benchmark, run.scheduler, run.variant, run.cycles
     );
     let groups = verdict_groups(cp);
     let v = verdict(cp);
     let share = groups.iter().find(|g| g.0 == v).map_or(0, |g| pct(g.1, cp.total));
     let _ = writeln!(out, "verdict: {v} ({share}% of the critical path)");
-    if cell.dropped_events > 0 {
-        let _ = writeln!(
-            out,
-            "warning: {} raw trace events dropped from the ring buffer \
-             (summaries and the critical path still cover the whole run)",
-            cell.dropped_events
-        );
-    }
     let _ = writeln!(out);
 
     // Per-thread: the scheduler's ideal stall-free estimate against
@@ -193,15 +152,14 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         "{:<7} {:>10} {:>10} {:>10} {:>10}",
         "thread", "est", "compute", "stall", "idle"
     );
-    for (t, a) in cell.attribution.iter().enumerate() {
-        let stall = a.total() - a.compute - a.idle;
+    for (t, a) in traced.attribution.iter().enumerate() {
         let _ = writeln!(
             out,
             "{:<7} {:>10} {:>10} {:>10} {:>10}",
             t,
             est.thread_cycles.get(t).copied().unwrap_or(0),
             a.compute,
-            stall,
+            a.stalls.total(),
             a.idle,
         );
     }
@@ -209,8 +167,8 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         out,
         "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
         est.bottleneck(),
-        cell.cycles,
-        pct(cell.cycles, est.bottleneck().max(1)),
+        run.cycles,
+        pct(run.cycles, est.bottleneck().max(1)),
     );
     let _ = writeln!(
         out,
@@ -228,13 +186,13 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         "queue", "est-traffic", "produces", "full-stall", "empty-stall", "occ-dwell"
     );
     let mut any = false;
-    for (q, qs) in cell.queues.iter().enumerate() {
+    for (q, qs) in traced.queues.iter().enumerate() {
         let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
         }
         any = true;
-        let occ = cell.occupancy.get(q).copied().unwrap_or_default();
+        let occ = traced.occupancy.get(q).copied().unwrap_or_default();
         let _ = writeln!(
             out,
             "{:<6} {:>11} {:>9} {:>11} {:>11} {:>11}",
@@ -288,26 +246,23 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     out
 }
 
-/// The explain join as one JSON object (one line): scalars flat,
+/// The explain join as one JSON object (one line): the keys of the
+/// run's `--metrics` line and of its traced level (see
+/// [`crate::RunMetrics::to_json`]), then the join's own — scalars flat,
 /// per-thread and per-queue data as arrays of flat objects, the
 /// critical-path kind decomposition as `cp_<kind>` keys.
 pub fn explain_json(cell: &ExplainCell) -> String {
     let cp = &cell.critpath;
     let est = &cell.estimate;
-    let mut out = String::new();
+    let mut out = String::from("{");
+    cell.traced.write_keys(&mut out);
     let _ = write!(
         out,
-        "{{\"benchmark\":\"{}\",\"scheduler\":\"{}\",\"variant\":\"{}\",\
-         \"cycles\":{},\"verdict\":\"{}\",\"dropped_events\":{},\
+        ",\"verdict\":\"{}\",\
          \"est_bottleneck\":{},\"est_total\":{},\"max_share_pct\":{},\
          \"cut_register\":{},\"cut_memory\":{},\"cut_control\":{},\"sync_points\":{},\
          \"cp_total\":{},\"cp_edges\":{},\"cp_crossings\":{}",
-        json_escape(cell.benchmark),
-        json_escape(cell.scheduler),
-        json_escape(cell.variant),
-        cell.cycles,
         verdict(cp),
-        cell.dropped_events,
         est.bottleneck(),
         est.total(),
         est.max_share_pct,
@@ -328,7 +283,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
         );
     }
     let _ = write!(out, ",\"threads\":[");
-    for (t, a) in cell.attribution.iter().enumerate() {
+    for (t, a) in cell.traced.attribution.iter().enumerate() {
         if t > 0 {
             let _ = write!(out, ",");
         }
@@ -337,13 +292,13 @@ pub fn explain_json(cell: &ExplainCell) -> String {
             "{{\"thread\":{t},\"est\":{},\"compute\":{},\"stall\":{},\"idle\":{}}}",
             est.thread_cycles.get(t).copied().unwrap_or(0),
             a.compute,
-            a.total() - a.compute - a.idle,
+            a.stalls.total(),
             a.idle,
         );
     }
     let _ = write!(out, "],\"queues\":[");
     let mut first = true;
-    for (q, qs) in cell.queues.iter().enumerate() {
+    for (q, qs) in cell.traced.queues.iter().enumerate() {
         let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
@@ -352,7 +307,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
             let _ = write!(out, ",");
         }
         first = false;
-        let occ = cell.occupancy.get(q).copied().unwrap_or_default();
+        let occ = cell.traced.occupancy.get(q).copied().unwrap_or_default();
         let _ = write!(
             out,
             "{{\"queue\":{q},\"est_traffic\":{est_q},\"produces\":{},\"consumes\":{},\
@@ -384,17 +339,18 @@ mod tests {
     fn conservation_holds_and_report_is_complete() {
         let cell = explained("adpcmdec", SchedulerKind::Dswp);
         let cp = &cell.critpath;
-        assert_eq!(cp.total, cell.cycles, "path edges sum to the run");
+        let cycles = cell.traced.run.cycles;
+        assert_eq!(cp.total, cycles, "path edges sum to the run");
         let kinds: u64 = CpKind::ALL.iter().map(|&k| cp.kind_cycles(k)).sum();
         assert_eq!(kinds, cp.total);
         // The path can never beat the busiest core.
-        let busy = cell.attribution.iter().map(|a| a.compute).max().unwrap_or(0);
+        let busy = cell.traced.attribution.iter().map(|a| a.compute).max().unwrap_or(0);
         assert!(cp.total >= busy, "{} >= {busy}", cp.total);
         let report = explain_report(&cell);
         assert!(report.contains("verdict:"));
         assert!(report.contains("critical path:"));
         assert!(report.contains("est-traffic"));
-        assert!(report.contains(&cell.cycles.to_string()));
+        assert!(report.contains(&cycles.to_string()));
     }
 
     #[test]
@@ -402,14 +358,14 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
         let r = crate::evaluate(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap();
-        assert_eq!(cell.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
+        assert_eq!(cell.traced.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
     }
 
     #[test]
     fn json_shape_is_machine_readable() {
         let cell = explained("ks", SchedulerKind::Dswp);
         let json = explain_json(&cell);
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.starts_with("{\"schema\":1,\"benchmark\":") && json.ends_with('}'), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         for key in [
             "\"benchmark\":", "\"verdict\":", "\"cp_total\":", "\"cp_dataflow\":",
@@ -442,8 +398,8 @@ mod tests {
             let cell = explained(bench, kind);
             let cp = &cell.critpath;
             let tag = format!("{bench}/{}", kind.name());
-            assert_eq!(cp.total, cell.cycles, "{tag}");
-            assert_eq!(cell.cycles, cycles, "{tag} cycles");
+            assert_eq!(cp.total, cell.traced.run.cycles, "{tag}");
+            assert_eq!(cell.traced.run.cycles, cycles, "{tag} cycles");
             assert_eq!(cp.edges, edges, "{tag} edges");
             assert_eq!(cp.crossings, crossings, "{tag} crossings");
             assert_eq!(verdict(cp), v, "{tag} verdict");

@@ -37,7 +37,12 @@
 //! Each evaluation also records per-run observability — wall-clock
 //! time, dynamic-instruction and cycle counts, and compile-phase
 //! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`],
-//! emitted as JSON-lines by `repro --metrics`.
+//! emitted as JSON-lines by `repro --metrics`. Records nest by the
+//! depth a run was observed at: a traced run is a [`TracedRun`] around
+//! its [`RunMetrics`], and a [`TracedCell`] (`--trace`) or an
+//! [`ExplainCell`] (`--explain`) is built around that, so
+//! `--explain --json` prints the `--metrics` keys of its run followed
+//! by the deeper ones, in one flat object that starts with `"schema":1`.
 //!
 //! The `repro` binary prints any of the figures:
 //!
@@ -53,15 +58,17 @@
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
 use gmt_ir::interp::DynCounts;
 use gmt_ir::interp_mt::{run_mt, run_mt_decoded, QueueConfig};
-use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult};
+use gmt_sim::{
+    simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult, StallCycles,
+};
 use gmt_workloads::{catalog, exec_config, Workload};
 use std::time::Instant;
 
-pub use cell::{compile_cell, CompiledCell, CompiledVariant, TRACE_RING_CAPACITY};
+pub use cell::{compile_cell, CompiledCell, CompiledVariant, TracedRun, TRACE_RING_CAPACITY};
 pub use explain::{
     explain_cell, explain_json, explain_report, verdict, ExplainCell, EXPLAIN_TOP_K,
 };
-pub use metrics::{metrics_table, stall_table, RunMetrics, StallBreakdown};
+pub use metrics::{metrics_table, stall_table, RunMetrics};
 pub use verify::{verify_cell, verify_matrix, verify_table, VerifyCell};
 pub use trace_report::{comm_attribution_table, queue_comm_table, trace_cell, TracedCell};
 
@@ -281,7 +288,7 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
             .map_err(fail(b, "sequential run"))?;
         (seq.counts.total(), 0)
     };
-    let (mtcg, mut base) = measure(cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
+    let (mtcg, base) = measure(cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
     let (coco, opt) = if same_run(&cell.mtcg, &cell.coco) {
         // The run just measured is this variant's too; only compiling
         // it took time of its own.
@@ -290,6 +297,7 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
             variant: cell.coco.name,
             wall_ns: timings.total_ns(),
             timings,
+            arb_probes: 0,
             shared_run: true,
             ..base
         };
@@ -297,7 +305,6 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
     } else {
         measure(cell, &cell.coco, timed, "COCO run", "timed COCO sim")?
     };
-    base.arb_probes = cell.arb_probes;
     Ok(Evaluation {
         result: BenchResult { benchmark: b, seq_instrs, seq_cycles, mtcg, coco },
         metrics: vec![base, opt],
@@ -341,38 +348,52 @@ fn measure(
 ) -> Result<(VariantResult, RunMetrics), HarnessError> {
     let w = cell.workload;
     let t = Instant::now();
-    let mut metrics = RunMetrics {
-        benchmark: w.benchmark,
+    let opts = SimOptions::default();
+    let sim = timed
+        .then(|| simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts))
+        .transpose()
+        .map_err(fail(w.benchmark, sim_phase))?;
+    let counts = match &sim {
+        Some(sim) => sim_counts(sim),
+        None => run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+            .map_err(fail(w.benchmark, run_phase))?
+            .totals(),
+    };
+    let metrics = run_record(cell, v, t, counts, sim.as_ref());
+    Ok((VariantResult { counts, cycles: metrics.cycles }, metrics))
+}
+
+/// The run-level record of the one execution of `v` begun at
+/// `started`, which retired `counts`: a timed run `sim` (traced or
+/// not — a sink does not change what the engine does), or a functional
+/// run (`None`: no cycles, stalls or engine steps).
+fn run_record(
+    cell: &CompiledCell,
+    v: &CompiledVariant,
+    started: Instant,
+    counts: DynCounts,
+    sim: Option<&SimResult>,
+) -> RunMetrics {
+    let timings = v.parallelized.timings;
+    let mut stalls = StallCycles::default();
+    for core in sim.into_iter().flat_map(|sim| &sim.cores) {
+        stalls += core.stalls();
+    }
+    RunMetrics {
+        benchmark: cell.workload.benchmark,
         scheduler: cell.kind.name(),
         variant: v.name,
-        wall_ns: 0,
-        instrs: 0,
-        cycles: 0,
-        timings: v.parallelized.timings,
-        arb_probes: 0,
+        wall_ns: timings.total_ns() + started.elapsed().as_nanos() as u64,
+        instrs: counts.total(),
+        cycles: sim.map_or(0, |sim| sim.cycles),
+        timings,
+        arb_probes: if v.name == cell.mtcg.name { cell.arb_probes } else { 0 },
         arb_hits: 0,
-        stalls: StallBreakdown::default(),
-        engine_steps: 0,
-        skipped_cycles: 0,
+        stalls,
+        engine_steps: sim.map_or(0, |sim| sim.engine_steps),
+        skipped_cycles: sim.map_or(0, |sim| sim.skipped_cycles),
         shared_run: false,
-    };
-    let counts = if timed {
-        let opts = SimOptions::default();
-        let sim = simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts)
-            .map_err(fail(w.benchmark, sim_phase))?;
-        metrics.cycles = sim.cycles;
-        metrics.stalls = StallBreakdown::from_cores(&sim.cores);
-        metrics.engine_steps = sim.engine_steps;
-        metrics.skipped_cycles = sim.skipped_cycles;
-        sim_counts(&sim)
-    } else {
-        run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
-            .map_err(fail(w.benchmark, run_phase))?
-            .totals()
-    };
-    metrics.instrs = counts.total();
-    metrics.wall_ns = metrics.timings.total_ns() + t.elapsed().as_nanos() as u64;
-    Ok((VariantResult { counts, cycles: metrics.cycles }, metrics))
+    }
 }
 
 /// Runs a whole figure's worth of measurements on the worker pool

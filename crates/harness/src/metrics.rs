@@ -8,63 +8,14 @@
 //! `gmt-testkit` bench JSON sink) followed by a summary table.
 
 use gmt_core::CompileTimings;
-use gmt_sim::CoreStats;
+use gmt_sim::{StallCycles, StallReason};
 use gmt_testkit::json_escape;
 use std::fmt::Write as _;
 
-/// Stall cycles by [`gmt_sim::StallReason`], summed over a run's
-/// cores. Unlike [`gmt_sim::CycleAttribution`] these are the engine's
-/// raw stall counters (a cycle that both issued and then stalled counts
-/// here), so they need no trace sink — `repro --metrics` gets them for
-/// free from the timed simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StallBreakdown {
-    /// Stall-on-use operand waits.
-    pub operand: u64,
-    /// Issue-slot / FU exhaustion.
-    pub structural: u64,
-    /// SA request-port contention.
-    pub sa_port: u64,
-    /// Produce backpressure (full queue).
-    pub queue_full: u64,
-    /// `consume.sync` token waits (empty queue).
-    pub queue_empty: u64,
-    /// Outstanding-load limit.
-    pub load_limit: u64,
-    /// Front-end refill after a mispredict.
-    pub mispredict: u64,
-}
-
-impl StallBreakdown {
-    /// Sums the per-core stall counters of one run.
-    pub fn from_cores(cores: &[CoreStats]) -> StallBreakdown {
-        let mut b = StallBreakdown::default();
-        for c in cores {
-            b.operand += c.stall_operand;
-            b.structural += c.stall_structural;
-            b.sa_port += c.stall_sa_port;
-            b.queue_full += c.stall_queue_full;
-            b.queue_empty += c.stall_queue_empty;
-            b.load_limit += c.stall_load_limit;
-            b.mispredict += c.stall_mispredict;
-        }
-        b
-    }
-
-    /// All stall cycles.
-    pub fn total(&self) -> u64 {
-        self.operand
-            + self.structural
-            + self.sa_port
-            + self.queue_full
-            + self.queue_empty
-            + self.load_limit
-            + self.mispredict
-    }
-}
-
 /// One (benchmark, scheduler, variant) evaluation's observability
-/// record.
+/// record: the run level of the nested record. A traced run
+/// ([`crate::TracedRun`]) and an explained one ([`crate::ExplainCell`])
+/// carry one of these and append their own keys to its JSON object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Benchmark name (Figure 6b).
@@ -90,8 +41,10 @@ pub struct RunMetrics {
     /// Always 0; kept for its only reader, `benchmark/src/workloads.rs`.
     pub arb_hits: u64,
     /// Per-reason stall cycles summed over cores (all zero if not
-    /// timed).
-    pub stalls: StallBreakdown,
+    /// timed). These are the engine's raw counters — a cycle that both
+    /// issued and then stalled counts here, unlike in a
+    /// [`gmt_sim::CycleAttribution`] — so they need no trace sink.
+    pub stalls: StallCycles,
     /// Engine main-loop iterations actually evaluated by the timed
     /// simulation (0 if not timed). With the event-driven fast-forward
     /// on, `engine_steps + skipped_cycles` equals what a per-cycle run
@@ -110,37 +63,32 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// The record as one JSON object (one JSON-line).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"{}\",\"scheduler\":\"{}\",\"variant\":\"{}\",\
+        let mut out = String::from("{");
+        self.write_keys(&mut out);
+        out + "}"
+    }
+
+    /// Opens the one flat record object every mode emits: the schema
+    /// version, then the run-level keys. Deeper levels append theirs.
+    pub(crate) fn write_keys(&self, out: &mut String) {
+        let id = [self.benchmark, self.scheduler, self.variant].map(json_escape);
+        let t = self.timings;
+        let _ = write!(
+            out,
+            "\"schema\":1,\"benchmark\":\"{}\",\"scheduler\":\"{}\",\"variant\":\"{}\",\
              \"wall_ns\":{},\"instrs\":{},\"cycles\":{},\"pdg_build_ns\":{},\
-             \"partition_ns\":{},\"coco_ns\":{},\"mtcg_ns\":{},\
-             \"arb_probes\":{},\
-             \"stall_operand\":{},\"stall_structural\":{},\"stall_sa_port\":{},\
-             \"stall_queue_full\":{},\"stall_queue_empty\":{},\
-             \"stall_load_limit\":{},\"stall_mispredict\":{},\
-             \"engine_steps\":{},\"skipped_cycles\":{},\"shared_run\":{}}}",
-            json_escape(self.benchmark),
-            json_escape(self.scheduler),
-            json_escape(self.variant),
-            self.wall_ns,
-            self.instrs,
-            self.cycles,
-            self.timings.pdg_build_ns,
-            self.timings.partition_ns,
-            self.timings.coco_ns,
-            self.timings.mtcg_ns,
-            self.arb_probes,
-            self.stalls.operand,
-            self.stalls.structural,
-            self.stalls.sa_port,
-            self.stalls.queue_full,
-            self.stalls.queue_empty,
-            self.stalls.load_limit,
-            self.stalls.mispredict,
-            self.engine_steps,
-            self.skipped_cycles,
-            self.shared_run,
-        )
+             \"partition_ns\":{},\"coco_ns\":{},\"mtcg_ns\":{},\"arb_probes\":{}",
+            id[0], id[1], id[2], self.wall_ns, self.instrs, self.cycles,
+            t.pdg_build_ns, t.partition_ns, t.coco_ns, t.mtcg_ns, self.arb_probes,
+        );
+        for (reason, cycles) in self.stalls.iter() {
+            let _ = write!(out, ",\"stall_{}\":{cycles}", reason.name().replace('-', "_"));
+        }
+        let _ = write!(
+            out,
+            ",\"engine_steps\":{},\"skipped_cycles\":{},\"shared_run\":{}",
+            self.engine_steps, self.skipped_cycles, self.shared_run,
+        );
     }
 
     /// Fraction of simulated cycles the fast-forward skipped, or `None`
@@ -155,32 +103,36 @@ impl RunMetrics {
     }
 }
 
-/// A per-kernel stall-breakdown table (one row per record, cycles per
-/// [`gmt_sim::StallReason`]); printed by `repro --metrics` after the
-/// main summary table. All-zero on untimed runs.
+/// Heading and width of a reason's column in the report tables (the
+/// labels of [`StallReason::name`], shortened to keep rows narrow).
+pub(crate) fn stall_column(reason: StallReason) -> (&'static str, usize) {
+    match reason {
+        StallReason::Operand => ("operand", 10),
+        StallReason::Structural => ("struct", 10),
+        StallReason::SaPort => ("sa-port", 8),
+        StallReason::QueueFull => ("q-full", 10),
+        StallReason::QueueEmpty => ("q-empty", 10),
+        StallReason::LoadLimit => ("load-lim", 9),
+        StallReason::Mispredict => ("mispred", 9),
+    }
+}
+
+/// A per-kernel stall-breakdown table (one row per record, one column
+/// per [`StallReason`]); printed by `repro --metrics` after the main
+/// summary table. All-zero on untimed runs.
 pub fn stall_table(metrics: &[RunMetrics]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:<7} {:<7} {:>10} {:>10} {:>8} {:>10} {:>10} {:>9} {:>9}",
-        "benchmark", "sched", "variant", "operand", "struct", "sa-port", "q-full", "q-empty", "load-lim", "mispred"
-    );
+    let mut out = format!("{:<14} {:<7} {:<7}", "benchmark", "sched", "variant");
+    for reason in StallReason::ALL {
+        let (heading, width) = stall_column(reason);
+        let _ = write!(out, " {heading:>width$}");
+    }
+    out.push('\n');
     for m in metrics {
-        let s = m.stalls;
-        let _ = writeln!(
-            out,
-            "{:<14} {:<7} {:<7} {:>10} {:>10} {:>8} {:>10} {:>10} {:>9} {:>9}",
-            m.benchmark,
-            m.scheduler,
-            m.variant,
-            s.operand,
-            s.structural,
-            s.sa_port,
-            s.queue_full,
-            s.queue_empty,
-            s.load_limit,
-            s.mispredict,
-        );
+        let _ = write!(out, "{:<14} {:<7} {:<7}", m.benchmark, m.scheduler, m.variant);
+        for (reason, cycles) in m.stalls.iter() {
+            let _ = write!(out, " {cycles:>width$}", width = stall_column(reason).1);
+        }
+        out.push('\n');
     }
     out
 }
@@ -243,6 +195,11 @@ mod tests {
     use super::*;
 
     fn sample() -> RunMetrics {
+        // 11 operand cycles, 12 structural, … 17 mispredict.
+        let mut stalls = StallCycles::default();
+        for (n, reason) in (11..).zip(StallReason::ALL) {
+            stalls[reason] = n;
+        }
         RunMetrics {
             benchmark: "ks",
             scheduler: "GREMIO",
@@ -258,15 +215,7 @@ mod tests {
             },
             arb_probes: 8,
             arb_hits: 0,
-            stalls: StallBreakdown {
-                operand: 11,
-                structural: 12,
-                sa_port: 13,
-                queue_full: 14,
-                queue_empty: 15,
-                load_limit: 16,
-                mispredict: 17,
-            },
+            stalls,
             engine_steps: 1420,
             skipped_cycles: 4258,
             shared_run: false,
@@ -275,29 +224,18 @@ mod tests {
 
     #[test]
     fn json_line_shape() {
-        let line = sample().to_json();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"benchmark\":\"ks\""));
-        assert!(line.contains("\"scheduler\":\"GREMIO\""));
-        assert!(line.contains("\"variant\":\"coco\""));
-        assert!(line.contains("\"wall_ns\":1500000"));
-        assert!(line.contains("\"instrs\":1234"));
-        assert!(line.contains("\"cycles\":5678"));
-        assert!(line.contains("\"pdg_build_ns\":100"));
-        assert!(line.contains("\"partition_ns\":200"));
-        assert!(line.contains("\"coco_ns\":300"));
-        assert!(line.contains("\"mtcg_ns\":400"));
-        assert!(line.contains("\"arb_probes\":8"));
-        assert!(!line.contains("arb_hits"), "the dead counter left the record");
-        assert!(line.contains("\"stall_operand\":11"));
-        assert!(line.contains("\"stall_queue_full\":14"));
-        assert!(line.contains("\"stall_mispredict\":17"));
-        assert!(line.contains("\"engine_steps\":1420"));
-        assert!(line.contains("\"skipped_cycles\":4258"));
-        assert!(line.ends_with(",\"shared_run\":false}"), "{line}");
+        // One flat object, the schema version first; the seven stall
+        // keys are the reasons' names in `StallReason::ALL` order.
+        let line = concat!(
+            r#"{"schema":1,"benchmark":"ks","scheduler":"GREMIO","variant":"coco","wall_ns":1500000,"#,
+            r#""instrs":1234,"cycles":5678,"pdg_build_ns":100,"partition_ns":200,"coco_ns":300,"#,
+            r#""mtcg_ns":400,"arb_probes":8,"stall_operand":11,"stall_structural":12,"#,
+            r#""stall_sa_port":13,"stall_queue_full":14,"stall_queue_empty":15,"stall_load_limit":16,"#,
+            r#""stall_mispredict":17,"engine_steps":1420,"skipped_cycles":4258,"shared_run":false}"#,
+        );
+        assert_eq!(sample().to_json(), line);
         let shared = RunMetrics { shared_run: true, ..sample() }.to_json();
         assert!(shared.ends_with(",\"shared_run\":true}"), "{shared}");
-        assert_eq!(line.matches('{').count(), 1, "flat object");
     }
 
     #[test]
@@ -321,17 +259,18 @@ mod tests {
 
     #[test]
     fn stall_breakdown_sums_cores() {
-        let mut a = gmt_sim::CoreStats::default();
-        a.stall_operand = 2;
-        a.stall_queue_empty = 3;
-        let mut b = gmt_sim::CoreStats::default();
-        b.stall_operand = 5;
-        b.stall_queue_full = 7;
-        let s = StallBreakdown::from_cores(&[a, b]);
-        assert_eq!(s.operand, 7);
-        assert_eq!(s.queue_full, 7);
-        assert_eq!(s.queue_empty, 3);
+        use StallReason::{Operand, QueueEmpty, QueueFull};
+        let (mut a, mut b) = (gmt_sim::CoreStats::default(), gmt_sim::CoreStats::default());
+        a.record_stalls(Operand, 2);
+        a.record_stalls(QueueEmpty, 3);
+        b.record_stalls(Operand, 5);
+        b.record_stalls(QueueFull, 7);
+        let mut s = a.stalls();
+        s += b.stalls();
+        assert_eq!((s[Operand], s[QueueFull], s[QueueEmpty]), (7, 7, 3));
         assert_eq!(s.total(), 17);
+        let listed: Vec<_> = s.iter().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(listed, [(Operand, 7), (QueueFull, 7), (QueueEmpty, 3)], "ALL order");
     }
 
     #[test]

@@ -15,36 +15,18 @@
 //!
 //! [`StallReason`]: gmt_sim::StallReason
 
-use crate::{compile_cell, HarnessError, Scale, SchedulerKind};
+use crate::metrics::stall_column;
+use crate::{compile_cell, HarnessError, Scale, SchedulerKind, TracedRun};
 use gmt_mtcg::{CommKind, CommPoint, QueueLabel};
-use gmt_sim::{ChromeTraceSink, CycleAttribution, OccupancySummary, QueueTraceStats};
+use gmt_sim::{ChromeTraceSink, StallReason};
 use gmt_workloads::Workload;
 use std::fmt::Write as _;
 
 /// Everything one traced run produces.
 #[derive(Clone, Debug)]
 pub struct TracedCell {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Scheduler display name.
-    pub scheduler: &'static str,
-    /// Variant traced: `"mtcg"` or `"coco"`.
-    pub variant: &'static str,
-    /// Total cycles of the traced run.
-    pub cycles: u64,
-    /// Per-thread cycle decomposition; each entry sums to `cycles`.
-    pub attribution: Vec<CycleAttribution>,
-    /// Per-queue communication counters (indexed by queue id).
-    pub queues: Vec<QueueTraceStats>,
-    /// Per-queue time-weighted occupancy distribution (p50/p95/max
-    /// dwell levels; indexed by queue id, parallel to `queues`).
-    pub occupancy: Vec<OccupancySummary>,
-    /// Static queue labels from MTCG (one per scheduled occurrence).
-    pub labels: Vec<QueueLabel>,
-    /// Raw events the aggregator's ring buffer dropped (the summary
-    /// tables still cover the whole run; nonzero only means the
-    /// *event log* is a suffix).
-    pub dropped_events: u64,
+    /// The run, its attribution and its queue counters.
+    pub traced: TracedRun,
     /// The run as Chrome-trace-format JSON.
     pub chrome_json: String,
 }
@@ -65,19 +47,8 @@ pub fn trace_cell(
     let cell = compile_cell(w, kind, scale)?;
     let v = cell.variant(coco);
     let chrome = ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues);
-    let (result, aggregator, chrome) = cell.simulate_traced(v, chrome)?;
-    Ok(TracedCell {
-        benchmark: w.benchmark,
-        scheduler: kind.name(),
-        variant: v.name,
-        cycles: result.cycles,
-        attribution: aggregator.core_attribution(),
-        queues: aggregator.queue_stats().to_vec(),
-        occupancy: aggregator.queue_occupancy(),
-        labels: v.parallelized.queue_labels().to_vec(),
-        dropped_events: aggregator.dropped_events(),
-        chrome_json: chrome.into_json(),
-    })
+    let (traced, _, chrome) = cell.simulate_traced(v, chrome)?;
+    Ok(TracedCell { traced, chrome_json: chrome.into_json() })
 }
 
 /// The comm-attribution report: one row per thread splitting the run's
@@ -86,23 +57,29 @@ pub fn trace_cell(
 /// the mtcg and coco variants of a cell to see exactly which stall
 /// bucket a COCO cut reclaimed.
 pub fn comm_attribution_table(cell: &TracedCell) -> String {
+    // The stalls a communication placement moves get a column each;
+    // the rest are summed under `other`.
+    use StallReason::{Operand, QueueEmpty, QueueFull};
+    let run = &cell.traced.run;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "comm attribution: {} / {} / {} ({} cycles)",
-        cell.benchmark, cell.scheduler, cell.variant, cell.cycles
+        run.benchmark, run.scheduler, run.variant, run.cycles
     );
+    let heading = |r| stall_column(r).0;
     let _ = writeln!(
         out,
         "{:<7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "thread", "compute", "operand", "q-full", "q-empty", "other", "idle", "total"
+        "thread", "compute", heading(Operand), heading(QueueFull), heading(QueueEmpty), "other", "idle", "total"
     );
-    for (t, a) in cell.attribution.iter().enumerate() {
-        let other = a.structural + a.sa_port + a.load_limit + a.mispredict;
+    for (t, a) in cell.traced.attribution.iter().enumerate() {
+        let s = &a.stalls;
+        let other = s.total() - s[Operand] - s[QueueFull] - s[QueueEmpty];
         let _ = writeln!(
             out,
             "{:<7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            t, a.compute, a.operand, a.queue_full, a.queue_empty, other, a.idle,
+            t, a.compute, s[Operand], s[QueueFull], s[QueueEmpty], other, a.idle,
             a.total()
         );
     }
@@ -138,6 +115,7 @@ pub fn queue_comm_table(cell: &TracedCell) -> String {
         "occ-dwell", "plan"
     );
     let mut any = false;
+    let cell = &cell.traced;
     for (q, qs) in cell.queues.iter().enumerate() {
         if !qs.is_active() {
             continue;
@@ -184,14 +162,15 @@ mod tests {
     #[test]
     fn attribution_rows_sum_to_total_cycles() {
         let cell = traced(SchedulerKind::Dswp, true);
-        assert!(cell.cycles > 0);
-        assert!(!cell.attribution.is_empty());
-        for a in &cell.attribution {
-            assert_eq!(a.total(), cell.cycles, "decomposition covers every cycle");
+        let cycles = cell.traced.run.cycles;
+        assert!(cycles > 0);
+        assert!(!cell.traced.attribution.is_empty());
+        for a in &cell.traced.attribution {
+            assert_eq!(a.total(), cycles, "decomposition covers every cycle");
         }
         let table = comm_attribution_table(&cell);
         assert!(table.contains("thread"));
-        assert!(table.contains(&cell.cycles.to_string()));
+        assert!(table.contains(&cycles.to_string()));
     }
 
     #[test]
@@ -199,7 +178,7 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = trace_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
         let r = crate::evaluate(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap();
-        assert_eq!(cell.cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
+        assert_eq!(cell.traced.run.cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
     }
 
     #[test]
@@ -218,6 +197,7 @@ mod tests {
     fn queue_table_ties_traffic_to_plan_labels() {
         let cell = traced(SchedulerKind::Gremio, false);
         let active: Vec<usize> = cell
+            .traced
             .queues
             .iter()
             .enumerate()
@@ -231,7 +211,7 @@ mod tests {
         for q in active {
             assert!(table.contains(&format!("q{q}")), "active queue {q} has a row");
             assert!(
-                cell.labels.iter().any(|l| l.queue.0 as usize == q),
+                cell.traced.labels.iter().any(|l| l.queue.0 as usize == q),
                 "active queue {q} is labeled by the plan"
             );
         }
@@ -241,8 +221,9 @@ mod tests {
     #[test]
     fn queue_table_carries_occupancy_distribution() {
         let cell = traced(SchedulerKind::Dswp, false);
-        assert_eq!(cell.occupancy.len(), cell.queues.len(), "one summary per queue");
         let table = queue_comm_table(&cell);
+        let cell = cell.traced;
+        assert_eq!(cell.occupancy.len(), cell.queues.len(), "one summary per queue");
         assert!(table.contains("occ-dwell"), "distribution column present:\n{table}");
         for (q, qs) in cell.queues.iter().enumerate() {
             if qs.is_active() {

@@ -106,9 +106,8 @@ fn verify_variant(cell: &CompiledCell, coco: bool) -> VerifyCell {
 pub fn verify_matrix(jobs: usize) -> Vec<Result<VerifyCell, HarnessError>> {
     let mut pairs: Vec<(Workload, SchedulerKind)> = Vec::new();
     for w in catalog() {
-        let dswp = gmt_workloads::by_benchmark(w.benchmark).expect("catalog name");
-        pairs.push((w, SchedulerKind::Gremio));
-        pairs.push((dswp, SchedulerKind::Dswp));
+        pairs.push((w.clone(), SchedulerKind::Gremio));
+        pairs.push((w, SchedulerKind::Dswp));
     }
     gmt_testkit::par_map(pairs, jobs, |_i, (w, kind)| {
         let cell = compile_cell(&w, kind, Scale::Quick);

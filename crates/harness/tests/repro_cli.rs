@@ -64,13 +64,19 @@ fn explain_option_validation_exits_2() {
     assert_usage_exit(&repro(&["--explain", "ks", "--variant", "fast"]), "bad variant fast");
 }
 
-/// The unsigned integer value of the first `"key":` in a flat JSON
-/// object rendered by `repro` (no JSON crate in this workspace).
-fn json_u64(obj: &str, key: &str) -> u64 {
+/// The text of the first `"key":` value in a flat JSON object rendered
+/// by `repro`, up to the next `,`, `}` or `]` — the scalar values read
+/// here hold none (no JSON crate in this workspace).
+fn json_value<'a>(obj: &'a str, key: &str) -> &'a str {
     let needle = format!("\"{key}\":");
     let at = obj.find(&needle).unwrap_or_else(|| panic!("missing {key}: {obj}")) + needle.len();
-    let digits: String = obj[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().unwrap_or_else(|_| panic!("{key} is not a number: {obj}"))
+    let rest = &obj[at..];
+    &rest[..rest.find([',', '}', ']']).unwrap_or(rest.len())]
+}
+
+/// [`json_value`] as an unsigned integer.
+fn json_u64(obj: &str, key: &str) -> u64 {
+    json_value(obj, key).parse().unwrap_or_else(|_| panic!("{key} is not a number: {obj}"))
 }
 
 fn stdout_of(args: &[&str]) -> String {
@@ -120,6 +126,58 @@ fn explain_emits_conserving_json() {
             let sum = json_u64(t, "compute") + json_u64(t, "stall") + json_u64(t, "idle");
             assert_eq!(sum, cycles, "thread decomposition: {line}");
         }
+    }
+}
+
+/// The nesting law of the run record: for every quick cell, the
+/// `--explain --json` line is the `--metrics` line of the same variant
+/// plus deeper keys. What the run itself determines — identity, counts,
+/// cycles, the raw stall counters, the engine's step accounting — is
+/// equal in both (a sink does not change what the engine does, and a
+/// shared run is the same run); the wall-clock keys, `arb_probes` and
+/// `shared_run` describe how each mode came by the run and need only be
+/// there.
+#[test]
+fn explain_json_nests_the_metrics_line() {
+    const SAME: [&str; 14] = [
+        "benchmark", "scheduler", "variant", "instrs", "cycles", "stall_operand",
+        "stall_structural", "stall_sa_port", "stall_queue_full", "stall_queue_empty",
+        "stall_load_limit", "stall_mispredict", "engine_steps", "skipped_cycles",
+    ];
+    const PRESENT: [&str; 7] = [
+        "wall_ns", "pdg_build_ns", "partition_ns", "coco_ns", "mtcg_ns", "arb_probes", "shared_run",
+    ];
+    let sink = std::env::temp_dir().join("gmt_repro_cli_metrics");
+    std::fs::create_dir_all(&sink).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--metrics", "--quick"])
+        .env_remove("GMT_JOBS")
+        .env("GMT_TESTKIT_BENCH_DIR", &sink)
+        .output()
+        .expect("repro runs");
+    std::fs::remove_dir_all(&sink).ok();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let metrics = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let metrics: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with('{') && json_value(l, "variant") == "\"coco\"")
+        .collect();
+    let explain = stdout_of(&["--explain", "all", "--scheduler", "both", "--quick", "--json"]);
+    let explain: Vec<&str> = explain.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!((metrics.len(), explain.len()), (22, 22), "11 kernels x 2 schedulers");
+    for (m, e) in metrics.iter().zip(&explain) {
+        for line in [m, e] {
+            assert!(line.starts_with("{\"schema\":1,\"benchmark\":"), "{line}");
+        }
+        for key in SAME {
+            assert_eq!(json_value(m, key), json_value(e, key), "{key}:\n{m}\n{e}");
+        }
+        for key in PRESENT {
+            json_value(e, key);
+        }
+        // Every key of the metrics line was named above.
+        assert_eq!(m.matches("\":").count(), 1 + SAME.len() + PRESENT.len(), "{m}");
+        assert!(e.len() > m.len() && e.contains("\"cp_total\":"), "deeper keys follow: {e}");
     }
 }
 

@@ -93,28 +93,6 @@ impl Profile {
     pub fn block_weights(&self, f: &Function) -> Vec<u64> {
         f.blocks().map(|b| self.block_weight(f, b)).collect()
     }
-
-    /// Merges another profile into this one (summing counts).
-    pub fn merge(&mut self, other: &Profile) {
-        self.entries += other.entries;
-        for (&k, &v) in &other.edges {
-            *self.edges.entry(k).or_insert(0) += v;
-        }
-    }
-
-    /// Scales every count by `num/den` (rounding down, min 0). Used to
-    /// mimic train-vs-ref input discrepancies in tests.
-    pub fn scaled(&self, num: u64, den: u64) -> Profile {
-        assert!(den > 0);
-        Profile {
-            entries: self.entries * num / den,
-            edges: self
-                .edges
-                .iter()
-                .map(|(&k, &v)| (k, v * num / den))
-                .collect(),
-        }
-    }
 }
 
 /// The edge counts of one run, in a table indexed by source block. A
@@ -194,11 +172,9 @@ mod tests {
         p.count_entry();
         p.count_edge(BlockId(0), BlockId(1));
         p.count_edge(BlockId(0), BlockId(1));
-        let mut q = p.clone();
-        q.merge(&p);
-        assert_eq!(q.entries(), 2);
-        assert_eq!(q.edge(BlockId(0), BlockId(1)), 4);
-        assert_eq!(q.edge(BlockId(1), BlockId(0)), 0);
+        assert_eq!(p.entries(), 1);
+        assert_eq!(p.edge(BlockId(0), BlockId(1)), 2);
+        assert_eq!(p.edge(BlockId(1), BlockId(0)), 0);
     }
 
     /// The dense table and the hash-map path build the same profile
@@ -223,17 +199,5 @@ mod tests {
             p.count_entry();
             p
         });
-    }
-
-    #[test]
-    fn scaling() {
-        let mut p = Profile::new();
-        p.count_entry();
-        for _ in 0..10 {
-            p.count_edge(BlockId(0), BlockId(1));
-        }
-        let s = p.scaled(3, 2);
-        assert_eq!(s.edge(BlockId(0), BlockId(1)), 15);
-        assert_eq!(s.entries(), 1);
     }
 }

@@ -28,6 +28,14 @@ pub enum StallReason {
 }
 
 impl StallReason {
+    /// Every reason, in declaration order — the order of a
+    /// [`StallCycles`] table and of every report column and JSON key
+    /// generated from it.
+    pub const ALL: [StallReason; 7] = {
+        use StallReason::*;
+        [Operand, Structural, SaPort, QueueFull, QueueEmpty, LoadLimit, Mispredict]
+    };
+
     /// Stable kebab-case label used in trace output and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -38,6 +46,47 @@ impl StallReason {
             StallReason::QueueEmpty => "queue-empty",
             StallReason::LoadLimit => "load-limit",
             StallReason::Mispredict => "mispredict",
+        }
+    }
+}
+
+/// Stall cycles by [`StallReason`]: the one by-reason table behind
+/// [`CoreStats::stalls`], the trace layer's cycle attribution and the
+/// harness's per-run records. Index it with a reason; sum tables with
+/// `+=`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StallCycles([u64; StallReason::ALL.len()]);
+
+impl StallCycles {
+    /// Cycles over all reasons.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// `(reason, cycles)` in [`StallReason::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (StallReason, u64)> + '_ {
+        StallReason::ALL.into_iter().zip(self.0)
+    }
+}
+
+impl std::ops::Index<StallReason> for StallCycles {
+    type Output = u64;
+
+    fn index(&self, r: StallReason) -> &u64 {
+        &self.0[r as usize]
+    }
+}
+
+impl std::ops::IndexMut<StallReason> for StallCycles {
+    fn index_mut(&mut self, r: StallReason) -> &mut u64 {
+        &mut self.0[r as usize]
+    }
+}
+
+impl std::ops::AddAssign for StallCycles {
+    fn add_assign(&mut self, other: StallCycles) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
         }
     }
 }
@@ -86,6 +135,20 @@ impl CoreStats {
             communication: self.communication,
             synchronization: self.synchronization,
         }
+    }
+
+    /// The seven stall counters as one by-reason table
+    /// ([`StallReason::ALL`] order).
+    pub fn stalls(&self) -> StallCycles {
+        StallCycles([
+            self.stall_operand,
+            self.stall_structural,
+            self.stall_sa_port,
+            self.stall_queue_full,
+            self.stall_queue_empty,
+            self.stall_load_limit,
+            self.stall_mispredict,
+        ])
     }
 
     /// Records a stall.

@@ -528,7 +528,7 @@ impl TraceSink for CritPathSink {
             // stream (per-cycle or fast-forwarded spans) carries no
             // extra information once each issue knows its binding
             // edge.
-            TraceEvent::Stall { .. } | TraceEvent::StallSpan { .. } => {}
+            TraceEvent::StallSpan { .. } => {}
         }
     }
 

@@ -780,7 +780,7 @@ fn issue_core<S: TraceSink>(
     }
     if core.fetch_stalled_until > now {
         core.stats.record_stall(StallReason::Mispredict);
-        trace!(TraceEvent::Stall { cycle: now, core: ci, reason: StallReason::Mispredict, queue: None });
+        trace!(TraceEvent::StallSpan { from: now, until: now + 1, core: ci, reason: StallReason::Mispredict, queue: None });
         if S::ENABLED {
             core.last_stall = Some((StallReason::Mispredict, None));
         }
@@ -801,7 +801,7 @@ fn issue_core<S: TraceSink>(
         ($reason:expr, $queue:expr) => {{
             let (r, q): (StallReason, Option<QueueId>) = ($reason, $queue);
             core.stats.record_stall(r);
-            trace!(TraceEvent::Stall { cycle: now, core: ci, reason: r, queue: q.map(|q| q.0) });
+            trace!(TraceEvent::StallSpan { from: now, until: now + 1, core: ci, reason: r, queue: q.map(|q| q.0) });
             if S::ENABLED {
                 core.last_stall = Some((r, q));
             }

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use cache::{Cache, Hierarchy, HitLevel};
 pub use config::{BranchModel, CacheConfig, MachineConfig, SaConfig};
-pub use core::{Core, CoreStats, StallReason};
+pub use core::{Core, CoreStats, StallCycles, StallReason};
 pub use engine::{simulate, simulate_decoded_opts, simulate_decoded_traced_opts, SimOptions};
 pub use sa::{Delivery, PendingConsume, QueueFull, SyncArray};
 pub use sim::{simulate_reference, SimResult};

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is an argument about *where cycles go*:
 //! communication instructions, queue-full/queue-empty stalls, and the
-//! synchronization-array interconnect. End-of-run [`CoreStats`]
+//! synchronization-array interconnect. End-of-run [`crate::CoreStats`]
 //! aggregates cannot answer "which queue backed up, when" — this
 //! module can. The decoded engine
 //! ([`simulate_decoded_traced_opts`](crate::simulate_decoded_traced_opts))
@@ -28,8 +28,12 @@
 //!   `chrome://tracing` / Perfetto interchange format): one track per
 //!   core carrying compute/stall spans, one counter track per active
 //!   queue carrying its occupancy over time.
+//!
+//! Both read what a core did on a cycle off one private fold
+//! (`CycleFold`), so the attribution's buckets are the summed lengths
+//! of the spans the viewer draws.
 
-use crate::core::StallReason;
+use crate::core::{StallCycles, StallReason};
 use crate::sim::SimResult;
 use gmt_ir::InstrId;
 use std::collections::VecDeque;
@@ -91,18 +95,6 @@ pub enum TraceEvent {
         /// The last-arrival edge that determined this issue cycle.
         arrival: Arrival,
     },
-    /// `core` could not issue its next instruction this cycle.
-    Stall {
-        /// Cycle of the stall.
-        cycle: u64,
-        /// Stalled core.
-        core: usize,
-        /// Why issue stopped.
-        reason: StallReason,
-        /// The queue involved, for [`StallReason::QueueFull`] and
-        /// [`StallReason::QueueEmpty`]; `None` otherwise.
-        queue: Option<u32>,
-    },
     /// A `produce`/`produce.sync` put a value into `queue` (or handed
     /// it straight to a pending consume).
     Produce {
@@ -131,21 +123,18 @@ pub enum TraceEvent {
         /// produce).
         deferred: bool,
     },
-    /// `core` stalled for the same reason on every cycle of
-    /// `from..until` — the event-driven engine's batched form of
-    /// [`TraceEvent::Stall`], emitted when the fast-forward skips a
-    /// window of dead ticks. The engine emits a per-cycle `Stall` for
-    /// the cycle it actually evaluated, then one `StallSpan` covering
-    /// the skipped cycles, so `from` always follows a `Stall` of the
-    /// same core and reason at `from - 1`.
+    /// `core` could not issue its next instruction, for the same
+    /// reason, on every cycle of `from..until`. A cycle the engine
+    /// evaluated is the one-cycle span `now..now + 1`; the fast-forward
+    /// follows it with one span over the window of dead ticks it skips.
     StallSpan {
-        /// First skipped cycle (inclusive).
+        /// First stalled cycle (inclusive).
         from: u64,
-        /// One past the last skipped cycle (exclusive; `until > from`).
+        /// One past the last stalled cycle (exclusive; `until > from`).
         until: u64,
         /// Stalled core.
         core: usize,
-        /// Why issue stayed blocked across the whole window.
+        /// Why issue stopped.
         reason: StallReason,
         /// The queue involved, for [`StallReason::QueueFull`] and
         /// [`StallReason::QueueEmpty`]; `None` otherwise.
@@ -166,7 +155,6 @@ impl TraceEvent {
     pub fn cycle(&self) -> u64 {
         match *self {
             TraceEvent::Issue { cycle, .. }
-            | TraceEvent::Stall { cycle, .. }
             | TraceEvent::Produce { cycle, .. }
             | TraceEvent::Consume { cycle, .. }
             | TraceEvent::Finish { cycle, .. } => cycle,
@@ -214,28 +202,16 @@ impl TraceSink for NoTrace {
 }
 
 /// Where one core's cycles went: every cycle of the run is classified
-/// as exactly one of these buckets, so the fields sum to the run's
-/// total cycle count. This is the per-thread decomposition needed to
-/// evaluate a COCO cut: cycles COCO can reclaim show up under
-/// `queue_full`/`queue_empty`/`operand`, not `compute`.
+/// as compute, one [`StallReason`], or idle, so [`CycleAttribution::total`]
+/// equals the run's cycle count. This is the per-thread decomposition
+/// needed to evaluate a COCO cut: cycles COCO can reclaim show up under
+/// the queue-full / queue-empty / operand stalls, not `compute`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CycleAttribution {
     /// Cycles on which the core issued at least one instruction.
     pub compute: u64,
-    /// Issue blocked on an unready source operand.
-    pub operand: u64,
-    /// Issue blocked on an exhausted FU or issue slot.
-    pub structural: u64,
-    /// Issue blocked on the shared SA request ports.
-    pub sa_port: u64,
-    /// Issue blocked on a full queue (produce backpressure).
-    pub queue_full: u64,
-    /// Issue blocked waiting for a `consume.sync` token.
-    pub queue_empty: u64,
-    /// Issue blocked on the outstanding-load limit.
-    pub load_limit: u64,
-    /// Front end refilling after a branch mispredict.
-    pub mispredict: u64,
+    /// Cycles on which issue was blocked, by what blocked it.
+    pub stalls: StallCycles,
     /// Cycles after the core retired its `ret` (a finished core waits
     /// for its siblings).
     pub idle: u64,
@@ -244,31 +220,13 @@ pub struct CycleAttribution {
 impl CycleAttribution {
     /// Sum of all buckets; equals the run's cycle count.
     pub fn total(&self) -> u64 {
-        self.compute
-            + self.operand
-            + self.structural
-            + self.sa_port
-            + self.queue_full
-            + self.queue_empty
-            + self.load_limit
-            + self.mispredict
-            + self.idle
+        self.compute + self.stalls.total() + self.idle
     }
 
-    /// All stall buckets (everything but `compute` and `idle`).
-    pub fn stalled(&self) -> u64 {
-        self.total() - self.compute - self.idle
-    }
-
-    fn bucket(&mut self, r: StallReason) -> &mut u64 {
-        match r {
-            StallReason::Operand => &mut self.operand,
-            StallReason::Structural => &mut self.structural,
-            StallReason::SaPort => &mut self.sa_port,
-            StallReason::QueueFull => &mut self.queue_full,
-            StallReason::QueueEmpty => &mut self.queue_empty,
-            StallReason::LoadLimit => &mut self.load_limit,
-            StallReason::Mispredict => &mut self.mispredict,
+    fn add(&mut self, class: CycleClass, cycles: u64) {
+        match class {
+            CycleClass::Compute => self.compute += cycles,
+            CycleClass::Stalled(r) => self.stalls[r] += cycles,
         }
     }
 }
@@ -370,15 +328,81 @@ impl OccupancyFold {
     }
 }
 
-/// What one core did on one cycle, folded from that cycle's events.
-/// Issue wins over stall (a core that issued three ops and then hit a
-/// structural limit had a compute cycle, not a structural-stall one);
-/// among stalls the first recorded reason — the one that actually
-/// blocked the *next* instruction — wins.
-#[derive(Clone, Copy, Debug)]
+/// What one core did on one cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CycleClass {
     Compute,
     Stalled(StallReason),
+}
+
+/// The core-cycles an event classifies: `(core, from, until, class)`.
+fn classified(ev: &TraceEvent) -> Option<(usize, u64, u64, CycleClass)> {
+    match *ev {
+        TraceEvent::Issue { cycle, core, .. } => Some((core, cycle, cycle + 1, CycleClass::Compute)),
+        TraceEvent::StallSpan { from, until, core, reason, .. } => {
+            Some((core, from, until, CycleClass::Stalled(reason)))
+        }
+        _ => None,
+    }
+}
+
+/// One core's events folded into runs of consecutive same-class
+/// cycles — the only code that decides a core-cycle's class. Issue
+/// wins over stall (a core that issued three ops and then hit a
+/// structural limit had a compute cycle, not a structural-stall one);
+/// otherwise the first class recorded for a cycle stands — among
+/// stalls, the reason that actually blocked the *next* instruction.
+/// One run is open per core; `closed(from, until, class)` receives
+/// each run once no later event can change it, so a sink that sums
+/// run lengths and one that draws runs as spans cannot disagree.
+#[derive(Clone, Copy, Debug, Default)]
+struct CycleFold {
+    open: Option<(u64, u64, CycleClass)>,
+}
+
+impl CycleFold {
+    /// Classifies `from..until` (events arrive in cycle order per
+    /// core; a cycle with no event belongs to no run).
+    fn observe(
+        &mut self,
+        from: u64,
+        until: u64,
+        class: CycleClass,
+        mut closed: impl FnMut(u64, u64, CycleClass),
+    ) {
+        let Some((start, end, open)) = self.open else {
+            self.open = Some((from, until, class));
+            return;
+        };
+        debug_assert!(start <= from, "events arrive in cycle order per core");
+        if class == CycleClass::Compute && open != class && from + 1 == end {
+            // Issue wins: the open run's last cycle, recorded as a
+            // stall, issued after all.
+            if start < from {
+                closed(start, from, open);
+            }
+            self.open = Some((from, until, class));
+            return;
+        }
+        // Cycles classified already keep their class.
+        let from = from.max(end);
+        if from >= until {
+            return;
+        }
+        if class == open && from == end {
+            self.open = Some((start, until, open));
+        } else {
+            closed(start, end, open);
+            self.open = Some((from, until, class));
+        }
+    }
+
+    /// Closes the open run at the end of the run.
+    fn finish(&mut self, mut closed: impl FnMut(u64, u64, CycleClass)) {
+        if let Some((start, end, class)) = self.open.take() {
+            closed(start, end, class);
+        }
+    }
 }
 
 /// A [`TraceSink`] that keeps a bounded ring buffer of the most recent
@@ -393,18 +417,11 @@ pub struct TraceAggregator {
     ring: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    cores: Vec<CycleAttributionFold>,
+    cores: Vec<(CycleFold, CycleAttribution)>,
     queues: Vec<QueueTraceStats>,
     occ: Vec<OccupancyFold>,
     cycles: u64,
     ended: bool,
-}
-
-#[derive(Debug)]
-struct CycleAttributionFold {
-    attr: CycleAttribution,
-    cur: Option<(u64, CycleClass)>,
-    finished_at: Option<u64>,
 }
 
 impl TraceAggregator {
@@ -415,13 +432,7 @@ impl TraceAggregator {
             ring: VecDeque::with_capacity(ring_capacity.min(1 << 16)),
             capacity: ring_capacity,
             dropped: 0,
-            cores: (0..ncores)
-                .map(|_| CycleAttributionFold {
-                    attr: CycleAttribution::default(),
-                    cur: None,
-                    finished_at: None,
-                })
-                .collect(),
+            cores: vec![Default::default(); ncores],
             queues: vec![QueueTraceStats::default(); nqueues],
             occ: vec![OccupancyFold::default(); nqueues],
             cycles: 0,
@@ -451,7 +462,7 @@ impl TraceAggregator {
     /// [`TraceAggregator::cycles`].
     pub fn core_attribution(&self) -> Vec<CycleAttribution> {
         assert!(self.ended, "core_attribution before run_end");
-        self.cores.iter().map(|c| c.attr).collect()
+        self.cores.iter().map(|&(_, attr)| attr).collect()
     }
 
     /// The per-queue communication counters.
@@ -477,82 +488,22 @@ impl TraceAggregator {
         }
         self.ring.push_back(*ev);
     }
-
-    fn fold_core(&mut self, core: usize, cycle: u64, class: CycleClass) {
-        let fold = &mut self.cores[core];
-        match fold.cur {
-            None => fold.cur = Some((cycle, class)),
-            Some((c, prev)) if c == cycle => {
-                // Issue wins over stall; first stall reason wins
-                // among stalls.
-                if matches!(prev, CycleClass::Stalled(_))
-                    && matches!(class, CycleClass::Compute)
-                {
-                    fold.cur = Some((c, class));
-                }
-            }
-            Some((c, prev)) => {
-                debug_assert!(c < cycle, "events arrive in cycle order per core");
-                Self::commit(&mut fold.attr, prev);
-                fold.cur = Some((cycle, class));
-            }
-        }
-    }
-
-    fn commit(attr: &mut CycleAttribution, class: CycleClass) {
-        Self::commit_n(attr, class, 1);
-    }
-
-    fn commit_n(attr: &mut CycleAttribution, class: CycleClass, n: u64) {
-        match class {
-            CycleClass::Compute => attr.compute += n,
-            CycleClass::Stalled(r) => *attr.bucket(r) += n,
-        }
-    }
-
-    /// Batched form of [`TraceAggregator::fold_core`] for a
-    /// [`TraceEvent::StallSpan`]: the span's cycles are all one class
-    /// and can never be reclassified (the engine evaluated nothing on
-    /// them), so they commit directly. Any cycle still pending in `cur`
-    /// precedes the span and commits first.
-    fn fold_core_span(&mut self, core: usize, from: u64, until: u64, class: CycleClass) {
-        let fold = &mut self.cores[core];
-        if let Some((c, prev)) = fold.cur.take() {
-            debug_assert!(c < from, "span starts after the committed cycles");
-            Self::commit(&mut fold.attr, prev);
-        }
-        Self::commit_n(&mut fold.attr, class, until.saturating_sub(from));
-    }
 }
 
 impl TraceSink for TraceAggregator {
     fn event(&mut self, ev: &TraceEvent) {
         self.push_ring(ev);
+        if let Some((core, from, until, class)) = classified(ev) {
+            let (fold, attr) = &mut self.cores[core];
+            fold.observe(from, until, class, |a, b, c| attr.add(c, b - a));
+        }
         match *ev {
-            TraceEvent::Issue { cycle, core, .. } => {
-                self.fold_core(core, cycle, CycleClass::Compute);
-            }
-            TraceEvent::Stall { cycle, core, reason, queue } => {
-                self.fold_core(core, cycle, CycleClass::Stalled(reason));
-                if let Some(q) = queue {
-                    let qs = &mut self.queues[q as usize];
-                    match reason {
-                        StallReason::QueueFull => qs.full_stall_cycles += 1,
-                        StallReason::QueueEmpty => qs.empty_stall_cycles += 1,
-                        _ => {}
-                    }
-                }
-            }
-            TraceEvent::StallSpan { from, until, core, reason, queue } => {
-                self.fold_core_span(core, from, until, CycleClass::Stalled(reason));
-                if let Some(q) = queue {
-                    let n = until.saturating_sub(from);
-                    let qs = &mut self.queues[q as usize];
-                    match reason {
-                        StallReason::QueueFull => qs.full_stall_cycles += n,
-                        StallReason::QueueEmpty => qs.empty_stall_cycles += n,
-                        _ => {}
-                    }
+            TraceEvent::StallSpan { from, until, reason, queue: Some(q), .. } => {
+                let qs = &mut self.queues[q as usize];
+                match reason {
+                    StallReason::QueueFull => qs.full_stall_cycles += until - from,
+                    StallReason::QueueEmpty => qs.empty_stall_cycles += until - from,
+                    _ => {}
                 }
             }
             TraceEvent::Produce { cycle, queue, occupancy, .. } => {
@@ -570,9 +521,7 @@ impl TraceSink for TraceAggregator {
                 qs.max_occupancy = qs.max_occupancy.max(occupancy);
                 self.occ[queue as usize].observe(cycle, occupancy);
             }
-            TraceEvent::Finish { cycle, core } => {
-                self.cores[core].finished_at = Some(cycle + 1);
-            }
+            _ => {}
         }
     }
 
@@ -582,15 +531,10 @@ impl TraceSink for TraceAggregator {
         for occ in &mut self.occ {
             occ.credit(cycles);
         }
-        for fold in &mut self.cores {
-            if let Some((_, class)) = fold.cur.take() {
-                Self::commit(&mut fold.attr, class);
-            }
-            // A finished core idles until the last sibling retires; a
-            // core that never finished (impossible on a completed run)
-            // would under-attribute, caught by the total() invariant.
-            let attributed = fold.attr.total();
-            fold.attr.idle += cycles.saturating_sub(attributed);
+        for (fold, attr) in &mut self.cores {
+            fold.finish(|a, b, c| attr.add(c, b - a));
+            // A finished core idles until the last sibling retires.
+            attr.idle += cycles.saturating_sub(attr.total());
         }
     }
 }
@@ -604,27 +548,19 @@ impl TraceSink for TraceAggregator {
 /// Cycles map to microseconds (`ts`/`dur` are cycle numbers) — the
 /// viewers have no "cycle" unit, so read `1 us = 1 cycle`.
 ///
-/// Spans are folded: consecutive cycles of the same class (compute, or
-/// one stall reason) become one span, so trace size is proportional to
+/// Each run of consecutive same-class cycles (compute, or one stall
+/// reason) is one span, so trace size is proportional to
 /// state *changes*, not cycles. Queue counters are likewise emitted
 /// only when occupancy changes, and only for queues that see traffic.
 ///
 /// [Chrome trace format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 #[derive(Debug)]
 pub struct ChromeTraceSink {
-    cores: Vec<SpanFold>,
+    cores: Vec<CycleFold>,
     queues: Vec<QueueCounter>,
     events: String,
-    first: bool,
     cycles: u64,
     ended: bool,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct SpanFold {
-    start: u64,
-    last: u64,
-    class: Option<CycleClass>,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -642,36 +578,12 @@ impl ChromeTraceSink {
     /// A sink for `ncores` cores and `nqueues` queues.
     pub fn new(ncores: usize, nqueues: usize) -> ChromeTraceSink {
         ChromeTraceSink {
-            cores: vec![SpanFold { start: 0, last: 0, class: None }; ncores],
+            cores: vec![CycleFold::default(); ncores],
             queues: vec![QueueCounter::default(); nqueues],
             events: String::new(),
-            first: true,
             cycles: 0,
             ended: false,
         }
-    }
-
-    fn raw_event(&mut self, body: &str) {
-        if !self.first {
-            self.events.push(',');
-        }
-        self.first = false;
-        self.events.push('\n');
-        self.events.push_str(body);
-    }
-
-    fn span_event(&mut self, core: usize, start: u64, end_exclusive: u64, class: CycleClass) {
-        let name = match class {
-            CycleClass::Compute => "compute",
-            CycleClass::Stalled(r) => r.name(),
-        };
-        let body = format!(
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{start},\"dur\":{dur},\
-             \"pid\":{pid},\"tid\":{core}}}",
-            dur = end_exclusive - start,
-            pid = TRACE_PID_CORES,
-        );
-        self.raw_event(&body);
     }
 
     fn counter_event(&mut self, queue: usize, cycle: u64, occupancy: usize) {
@@ -680,66 +592,7 @@ impl ChromeTraceSink {
              \"tid\":{queue},\"args\":{{\"occupancy\":{occupancy}}}}}",
             pid = TRACE_PID_QUEUES,
         );
-        self.raw_event(&body);
-    }
-
-    fn fold_core(&mut self, core: usize, cycle: u64, class: CycleClass) {
-        let fold = self.cores[core];
-        match fold.class {
-            Some(prev) if same_class(prev, class) && cycle <= fold.last + 1 => {
-                self.cores[core].last = cycle;
-            }
-            Some(prev) => {
-                // Class changed, or a gap (issue-priority fold: a
-                // compute event may overwrite a stall on the same
-                // cycle — handled below).
-                if cycle == fold.last
-                    && matches!(prev, CycleClass::Stalled(_))
-                    && matches!(class, CycleClass::Compute)
-                {
-                    // Same cycle reclassified: issue wins. Shrink the
-                    // stall span by one cycle (dropping it if empty)
-                    // and start/extend a compute span.
-                    if fold.start < fold.last {
-                        self.span_event(core, fold.start, fold.last, prev);
-                    }
-                    self.cores[core] = SpanFold { start: cycle, last: cycle, class: Some(class) };
-                    return;
-                }
-                if cycle == fold.last {
-                    // Stall event on a cycle already classified
-                    // (compute first, or an earlier stall): keep the
-                    // first classification.
-                    return;
-                }
-                self.span_event(core, fold.start, fold.last + 1, prev);
-                self.cores[core] = SpanFold { start: cycle, last: cycle, class: Some(class) };
-            }
-            None => {
-                self.cores[core] = SpanFold { start: cycle, last: cycle, class: Some(class) };
-            }
-        }
-    }
-
-    /// Range form of [`ChromeTraceSink::fold_core`] for a
-    /// [`TraceEvent::StallSpan`] covering `from..until`. The engine
-    /// emits the span right after the per-cycle stall at `from - 1`, so
-    /// the common case merges into the open span of the same class —
-    /// the rendered JSON is byte-identical to per-cycle ticking.
-    fn fold_core_span(&mut self, core: usize, from: u64, until: u64, class: CycleClass) {
-        let fold = self.cores[core];
-        match fold.class {
-            Some(prev) if same_class(prev, class) && from <= fold.last + 1 => {
-                self.cores[core].last = until - 1;
-            }
-            Some(prev) => {
-                self.span_event(core, fold.start, fold.last + 1, prev);
-                self.cores[core] = SpanFold { start: from, last: until - 1, class: Some(class) };
-            }
-            None => {
-                self.cores[core] = SpanFold { start: from, last: until - 1, class: Some(class) };
-            }
-        }
+        raw_event(&mut self.events, &body);
     }
 
     /// The complete trace as a JSON string. Call after the run.
@@ -754,71 +607,78 @@ impl ChromeTraceSink {
                  \"args\":{{\"name\":\"core {core}\"}}}}",
                 pid = TRACE_PID_CORES,
             );
-            self.raw_event(&body);
+            raw_event(&mut self.events, &body);
         }
         let body = format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
              \"args\":{{\"name\":\"cores\"}}}}",
             pid = TRACE_PID_CORES,
         );
-        self.raw_event(&body);
+        raw_event(&mut self.events, &body);
         let body = format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
              \"args\":{{\"name\":\"sa queues\"}}}}",
             pid = TRACE_PID_QUEUES,
         );
-        self.raw_event(&body);
+        raw_event(&mut self.events, &body);
         out.push_str(&self.events);
         let _ = write!(out, "\n],\"otherData\":{{\"cycles\":{}}}}}\n", self.cycles);
         out
     }
 }
 
-fn same_class(a: CycleClass, b: CycleClass) -> bool {
-    match (a, b) {
-        (CycleClass::Compute, CycleClass::Compute) => true,
-        (CycleClass::Stalled(x), CycleClass::Stalled(y)) => x == y,
-        _ => false,
+/// Appends one trace event to the comma-separated event list.
+fn raw_event(events: &mut String, body: &str) {
+    if !events.is_empty() {
+        events.push(',');
     }
+    events.push('\n');
+    events.push_str(body);
+}
+
+/// Appends one closed run of `core` as a complete (`"X"`) event.
+fn span_event(events: &mut String, core: usize, from: u64, until: u64, class: CycleClass) {
+    let name = match class {
+        CycleClass::Compute => "compute",
+        CycleClass::Stalled(r) => r.name(),
+    };
+    let body = format!(
+        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{from},\"dur\":{dur},\
+         \"pid\":{pid},\"tid\":{core}}}",
+        dur = until - from,
+        pid = TRACE_PID_CORES,
+    );
+    raw_event(events, &body);
 }
 
 impl TraceSink for ChromeTraceSink {
     fn event(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::Issue { cycle, core, .. } => {
-                self.fold_core(core, cycle, CycleClass::Compute);
-            }
-            TraceEvent::Stall { cycle, core, reason, .. } => {
-                self.fold_core(core, cycle, CycleClass::Stalled(reason));
-            }
-            TraceEvent::StallSpan { from, until, core, reason, .. } => {
-                self.fold_core_span(core, from, until, CycleClass::Stalled(reason));
-            }
-            TraceEvent::Produce { cycle, queue, occupancy, .. }
-            | TraceEvent::Consume { cycle, queue, occupancy, .. } => {
-                let q = queue as usize;
-                if self.queues[q].last_occupancy != Some(occupancy) {
-                    // Emit a leading zero sample so the counter does
-                    // not interpolate from the start of time.
-                    if self.queues[q].last_occupancy.is_none() && cycle > 0 {
-                        self.counter_event(q, 0, 0);
-                    }
-                    self.counter_event(q, cycle, occupancy);
-                    self.queues[q].last_occupancy = Some(occupancy);
-                    self.queues[q].last_cycle = cycle;
+        if let Some((core, from, until, class)) = classified(ev) {
+            let events = &mut self.events;
+            self.cores[core].observe(from, until, class, |a, b, c| span_event(events, core, a, b, c));
+        }
+        if let TraceEvent::Produce { cycle, queue, occupancy, .. }
+        | TraceEvent::Consume { cycle, queue, occupancy, .. } = *ev
+        {
+            let q = queue as usize;
+            if self.queues[q].last_occupancy != Some(occupancy) {
+                // Emit a leading zero sample so the counter does
+                // not interpolate from the start of time.
+                if self.queues[q].last_occupancy.is_none() && cycle > 0 {
+                    self.counter_event(q, 0, 0);
                 }
+                self.counter_event(q, cycle, occupancy);
+                self.queues[q].last_occupancy = Some(occupancy);
+                self.queues[q].last_cycle = cycle;
             }
-            TraceEvent::Finish { .. } => {}
         }
     }
 
     fn run_end(&mut self, cycles: u64) {
         self.cycles = cycles;
-        for core in 0..self.cores.len() {
-            if let Some(class) = self.cores[core].class.take() {
-                let fold = self.cores[core];
-                self.span_event(core, fold.start, fold.last + 1, class);
-            }
+        for (core, fold) in self.cores.iter_mut().enumerate() {
+            let events = &mut self.events;
+            fold.finish(|a, b, c| span_event(events, core, a, b, c));
         }
         // Close each active counter at the end of the run so the last
         // plateau renders with its real width.
@@ -886,8 +746,13 @@ mod tests {
         TraceEvent::Issue { cycle, core, src: InstrId(0), arrival: Arrival::InOrder }
     }
 
+    /// A stalled cycle as the engine narrates it: a one-cycle span.
+    fn stall_on(cycle: u64, core: usize, reason: StallReason, queue: Option<u32>) -> TraceEvent {
+        TraceEvent::StallSpan { from: cycle, until: cycle + 1, core, reason, queue }
+    }
+
     fn stall(cycle: u64, core: usize, reason: StallReason) -> TraceEvent {
-        TraceEvent::Stall { cycle, core, reason, queue: None }
+        stall_on(cycle, core, reason, None)
     }
 
     #[test]
@@ -900,21 +765,16 @@ mod tests {
         agg.event(&TraceEvent::Finish { cycle: 2, core: 0 });
         // Core 1: queue-empty stalls all the way, finishes at 5.
         for c in 0..4 {
-            agg.event(&TraceEvent::Stall {
-                cycle: c,
-                core: 1,
-                reason: StallReason::QueueEmpty,
-                queue: Some(0),
-            });
+            agg.event(&stall_on(c, 1, StallReason::QueueEmpty, Some(0)));
         }
         agg.event(&issue(4, 1));
         agg.run_end(5);
         let attr = agg.core_attribution();
         assert_eq!(attr[0].compute, 2);
-        assert_eq!(attr[0].operand, 1);
+        assert_eq!(attr[0].stalls[StallReason::Operand], 1);
         assert_eq!(attr[0].idle, 2);
         assert_eq!(attr[0].total(), 5);
-        assert_eq!(attr[1].queue_empty, 4);
+        assert_eq!(attr[1].stalls[StallReason::QueueEmpty], 4);
         assert_eq!(attr[1].compute, 1);
         assert_eq!(attr[1].total(), 5);
         assert_eq!(agg.queue_stats()[0].empty_stall_cycles, 4);
@@ -1038,31 +898,21 @@ mod tests {
         let mut a = TraceAggregator::new(1, 1, 64);
         a.event(&issue(0, 0));
         for c in 1..6 {
-            a.event(&TraceEvent::Stall {
-                cycle: c,
-                core: 0,
-                reason: StallReason::QueueEmpty,
-                queue: Some(0),
-            });
+            a.event(&stall_on(c, 0, StallReason::QueueEmpty, Some(0)));
         }
         a.event(&issue(6, 0));
         a.run_end(8);
 
         let mut b = TraceAggregator::new(1, 1, 64);
         b.event(&issue(0, 0));
-        b.event(&TraceEvent::Stall {
-            cycle: 1,
-            core: 0,
-            reason: StallReason::QueueEmpty,
-            queue: Some(0),
-        });
+        b.event(&stall_on(1, 0, StallReason::QueueEmpty, Some(0)));
         b.event(&span(2, 6, StallReason::QueueEmpty, Some(0)));
         b.event(&issue(6, 0));
         b.run_end(8);
 
         assert_eq!(a.core_attribution(), b.core_attribution());
         assert_eq!(a.queue_stats(), b.queue_stats());
-        assert_eq!(b.core_attribution()[0].queue_empty, 5);
+        assert_eq!(b.core_attribution()[0].stalls[StallReason::QueueEmpty], 5);
         assert_eq!(b.core_attribution()[0].total(), 8);
         assert_eq!(b.queue_stats()[0].empty_stall_cycles, 5);
     }
@@ -1074,7 +924,7 @@ mod tests {
         agg.event(&issue(3, 0));
         agg.run_end(4);
         let attr = agg.core_attribution()[0];
-        assert_eq!(attr.mispredict, 3);
+        assert_eq!(attr.stalls[StallReason::Mispredict], 3);
         assert_eq!(attr.compute, 1);
         assert_eq!(attr.total(), 4);
     }
@@ -1110,6 +960,168 @@ mod tests {
         let json = sink.into_json();
         assert!(json.contains("\"name\":\"compute\",\"ph\":\"X\",\"ts\":0,\"dur\":1"), "{json}");
         assert!(json.contains("\"name\":\"queue-full\",\"ph\":\"X\",\"ts\":1,\"dur\":3"), "{json}");
+    }
+
+    // ---- the fold against a per-cycle reference (property) ----
+
+    /// One step of a generated stream: `(core, shape, length, reason)`.
+    type Step = (u8, u8, u8, u8);
+    const CORES: usize = 3;
+
+    fn steps() -> gmt_testkit::Gen<Vec<Step>> {
+        use gmt_testkit::ranged;
+        let step = ranged(0u8, CORES as u8)
+            .zip(ranged(0u8, 7))
+            .zip(ranged(1u8, 6).zip(ranged(0u8, StallReason::ALL.len() as u8)))
+            .map(|((core, shape), (len, reason))| (core, shape, len, reason));
+        gmt_testkit::vec_of(step, 0, 40)
+    }
+
+    /// Expands steps into the interleaved event stream of `CORES`
+    /// cores, each in cycle order, and the run's length. Every shape
+    /// the fold distinguishes occurs: issue then stall and stall then
+    /// issue within a cycle, multi-issue, multi-cycle spans, a span
+    /// starting on a cycle that is classified already, an issue on the
+    /// last cycle of a span, and cycles with no event at all.
+    fn narrate(steps: &[Step]) -> (Vec<TraceEvent>, u64) {
+        let mut now = [0u64; CORES];
+        let mut events = Vec::new();
+        for &(core, shape, len, reason) in steps {
+            let (core, len) = (core as usize, u64::from(len).max(1)); // shrinking reaches 0
+            let reason = StallReason::ALL[reason as usize];
+            let at = now[core];
+            let stalled = |from, until| TraceEvent::StallSpan { from, until, core, reason, queue: None };
+            now[core] += match shape {
+                0 => {
+                    events.extend([issue(at, core), issue(at, core)]);
+                    1
+                }
+                1 => {
+                    events.extend([issue(at, core), stalled(at, at + 1)]);
+                    1
+                }
+                2 => {
+                    events.extend([stalled(at, at + 1), issue(at, core)]);
+                    1
+                }
+                3 => {
+                    events.push(stalled(at, at + len));
+                    len
+                }
+                4 => len, // nothing happens
+                5 => {
+                    events.push(stalled(at.saturating_sub(1), at + len));
+                    len
+                }
+                _ => {
+                    events.extend([stalled(at, at + len), issue(at + len - 1, core)]);
+                    len
+                }
+            };
+        }
+        (events, now.into_iter().max().unwrap_or(0))
+    }
+
+    /// The naive reference: one slot per core-cycle, written event by
+    /// event. An issue takes the slot; a stall only an empty one.
+    fn per_cycle(events: &[TraceEvent], cycles: u64) -> Vec<Vec<Option<CycleClass>>> {
+        let mut grid = vec![vec![None; cycles as usize]; CORES];
+        for ev in events {
+            match *ev {
+                TraceEvent::Issue { cycle, core, .. } => {
+                    grid[core][cycle as usize] = Some(CycleClass::Compute);
+                }
+                TraceEvent::StallSpan { from, until, core, reason, .. } => {
+                    for slot in &mut grid[core][from as usize..until as usize] {
+                        slot.get_or_insert(CycleClass::Stalled(reason));
+                    }
+                }
+                _ => {}
+            }
+        }
+        grid
+    }
+
+    /// Both sinks, fed `fed`, against the reference's reading of
+    /// `events`: the aggregator's buckets and the summed durations of
+    /// the Chrome spans, per core and class, and every core's total.
+    fn sinks_agree(fed: &[TraceEvent], events: &[TraceEvent], cycles: u64) -> gmt_testkit::PropResult {
+        use gmt_testkit::prop_assert_eq;
+        let mut sinks = (TraceAggregator::new(CORES, 0, 8), ChromeTraceSink::new(CORES, 0));
+        for ev in fed {
+            sinks.event(ev);
+        }
+        sinks.run_end(cycles);
+        let mut want = vec![CycleAttribution::default(); CORES];
+        for (attr, row) in want.iter_mut().zip(per_cycle(events, cycles)) {
+            for slot in row {
+                match slot {
+                    Some(class) => attr.add(class, 1),
+                    None => attr.idle += 1,
+                }
+            }
+        }
+        let buckets = sinks.0.core_attribution();
+        prop_assert_eq!(buckets, want, "aggregator buckets");
+        for attr in &buckets {
+            prop_assert_eq!(attr.total(), cycles, "a core's buckets cover the run");
+        }
+        let mut drawn = vec![CycleAttribution::default(); CORES];
+        let json = sinks.1.into_json();
+        for span in json.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
+            let field = |key: &str| {
+                let rest = &span[span.find(key).expect("field") + key.len()..];
+                &rest[..rest.find([',', '"', '}']).expect("field end")]
+            };
+            let name = field("\"name\":\"");
+            let class = StallReason::ALL
+                .into_iter()
+                .find(|r| r.name() == name)
+                .map_or(CycleClass::Compute, CycleClass::Stalled);
+            let core: usize = field("\"tid\":").parse().expect("tid");
+            drawn[core].add(class, field("\"dur\":").parse().expect("dur"));
+        }
+        for (attr, want) in drawn.iter_mut().zip(&want) {
+            attr.idle = want.idle; // idle cycles are drawn as no span
+        }
+        prop_assert_eq!(drawn, want, "summed Chrome span durations");
+        Ok(())
+    }
+
+    #[test]
+    fn sinks_agree_with_a_per_cycle_reference() {
+        gmt_testkit::Checker::new("trace::sinks_agree_with_a_per_cycle_reference").cases(300).run(
+            &steps(),
+            |steps| {
+                let (events, cycles) = narrate(steps);
+                sinks_agree(&events, &events, cycles)
+            },
+        );
+    }
+
+    /// The property above can fail: without the issue-wins rule the
+    /// fold would discard an issue that lands on a cycle it has
+    /// recorded as a stall, like any other late-comer. Feeding the
+    /// sinks the stream minus exactly those issues is that fold, and
+    /// the reference tells the two apart.
+    #[test]
+    fn dropping_the_issue_wins_rule_is_caught() {
+        let caught = (0..300u64)
+            .filter(|&seed| {
+                let steps = steps().sample(&mut gmt_testkit::TestRng::new(seed));
+                let (events, cycles) = narrate(&steps);
+                let mut seen = Vec::new();
+                let mut fed = events.clone();
+                fed.retain(|ev| {
+                    let lost = matches!(*ev, TraceEvent::Issue { cycle, core, .. }
+                        if matches!(per_cycle(&seen, cycles)[core][cycle as usize], Some(CycleClass::Stalled(_))));
+                    seen.push(*ev);
+                    !lost
+                });
+                fed.len() < events.len() && sinks_agree(&fed, &events, cycles).is_err()
+            })
+            .count();
+        assert!(caught > 50, "only {caught} of 300 streams tell the mutant from the fold");
     }
 
     #[test]

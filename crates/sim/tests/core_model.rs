@@ -170,24 +170,28 @@ fn sa_ports_are_shared_between_cores() {
 
 #[test]
 fn stall_reasons_recorded() {
-    // Smoke-test the stall taxonomy through CoreStats.
+    // The stall taxonomy through CoreStats: a counter per reason, and
+    // the by-reason view reading the same seven in `ALL` order.
     let mut s = gmt_sim::CoreStats::default();
-    for r in [
-        StallReason::Operand,
-        StallReason::Structural,
-        StallReason::SaPort,
-        StallReason::QueueFull,
-        StallReason::QueueEmpty,
-        StallReason::LoadLimit,
-    ] {
-        s.record_stall(r);
+    for (n, r) in (1..).zip(StallReason::ALL) {
+        s.record_stalls(r, n);
     }
-    assert_eq!(s.stall_operand, 1);
-    assert_eq!(s.stall_structural, 1);
-    assert_eq!(s.stall_sa_port, 1);
-    assert_eq!(s.stall_queue_full, 1);
-    assert_eq!(s.stall_queue_empty, 1);
-    assert_eq!(s.stall_load_limit, 1);
+    let fields = [
+        s.stall_operand,
+        s.stall_structural,
+        s.stall_sa_port,
+        s.stall_queue_full,
+        s.stall_queue_empty,
+        s.stall_load_limit,
+        s.stall_mispredict,
+    ];
+    assert_eq!(fields, [1, 2, 3, 4, 5, 6, 7]);
+    let view = s.stalls();
+    for (n, r) in (1..).zip(StallReason::ALL) {
+        assert_eq!(view[r], n, "{}", r.name());
+    }
+    assert_eq!(view.total(), 28);
+    assert!(view.iter().map(|(r, _)| r).eq(StallReason::ALL));
 }
 
 #[test]

@@ -38,6 +38,7 @@ use gmt_ir::interp::{run_with_memory, ExecConfig, Memory, MemoryLayout, RunResul
 use gmt_ir::Function;
 
 /// One benchmark function with its inputs.
+#[derive(Clone)]
 pub struct Workload {
     /// The function name from Figure 6(b) (e.g. `"FindMaxGpAndSwap"`).
     pub name: &'static str,
@@ -93,26 +94,30 @@ pub fn exec_config() -> ExecConfig {
     ExecConfig { max_steps: 200_000_000 }
 }
 
+/// The builder of each Figure 6(b) kernel under its benchmark name, in
+/// the paper's order.
+const KERNELS: [(&str, fn() -> Workload); 11] = [
+    ("adpcmdec", kernels::adpcm::decoder),
+    ("adpcmenc", kernels::adpcm::coder),
+    ("ks", kernels::ks::find_max_gp_and_swap),
+    ("mpeg2enc", kernels::mpeg2::dist1),
+    ("177.mesa", kernels::mesa::general_textured_triangle),
+    ("181.mcf", kernels::mcf::refresh_potential),
+    ("183.equake", kernels::equake::smvp),
+    ("188.ammp", kernels::ammp::mm_fv_update_nonbon),
+    ("300.twolf", kernels::twolf::new_dbox_a),
+    ("435.gromacs", kernels::gromacs::inl1130),
+    ("458.sjeng", kernels::sjeng::std_eval),
+];
+
 /// All 11 workloads of Figure 6(b), in the paper's order.
 pub fn catalog() -> Vec<Workload> {
-    vec![
-        kernels::adpcm::decoder(),
-        kernels::adpcm::coder(),
-        kernels::ks::find_max_gp_and_swap(),
-        kernels::mpeg2::dist1(),
-        kernels::mesa::general_textured_triangle(),
-        kernels::mcf::refresh_potential(),
-        kernels::equake::smvp(),
-        kernels::ammp::mm_fv_update_nonbon(),
-        kernels::twolf::new_dbox_a(),
-        kernels::gromacs::inl1130(),
-        kernels::sjeng::std_eval(),
-    ]
+    KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a workload up by benchmark name.
+/// Looks a workload up by benchmark name (building only that kernel).
 pub fn by_benchmark(name: &str) -> Option<Workload> {
-    catalog().into_iter().find(|w| w.benchmark == name)
+    KERNELS.iter().find(|(benchmark, _)| *benchmark == name).map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -160,7 +165,15 @@ mod tests {
 
     #[test]
     fn lookup_by_benchmark() {
-        assert!(by_benchmark("ks").is_some());
         assert!(by_benchmark("nope").is_none());
+        // Every table entry is filed under the name its kernel carries.
+        for w in catalog() {
+            let found = by_benchmark(w.benchmark).expect("every catalog entry is found");
+            let copy = w.clone();
+            for other in [&found, &copy] {
+                assert_eq!((other.benchmark, other.name), (w.benchmark, w.name));
+                assert_eq!((&other.train_args, &other.ref_args), (&w.train_args, &w.ref_args));
+            }
+        }
     }
 }

@@ -19,10 +19,12 @@ use std::path::Path;
 /// converted the reachable sites (unterminated blocks, oversized memory
 /// layouts, out-of-range queue and points-to indices) to typed errors,
 /// and 30 -> 28 when the single-threaded interpreter loops, each with
-/// an `unreachable!("NoQueues never blocks")`, became the one driver.
+/// an `unreachable!("NoQueues never blocks")`, became the one driver,
+/// and 28 -> 27 when `Profile::scaled`, which had no caller, left with
+/// its `assert!(den > 0)`.
 const BUDGETS: [(&str, &[&str], usize); 2] = [
     ("gmt-mtcg/gmt-sched", &["crates/mtcg/src", "crates/sched/src"], 13),
-    ("gmt-pdg/gmt-ir", &["crates/pdg/src", "crates/ir/src"], 28),
+    ("gmt-pdg/gmt-ir", &["crates/pdg/src", "crates/ir/src"], 27),
 ];
 
 const ANYWHERE: [&str; 4] = [".unwrap()", ".expect(", "panic!(", "unreachable!("];
