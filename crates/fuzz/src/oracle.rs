@@ -27,7 +27,7 @@
 //!   driver loop, the timed engines share none of it, so this edge
 //!   does not go through the code the decoded ≡ reference edges share;
 //! - on a deterministic third of the cases, the **trace layer**: a
-//!   traced run (small event ring) reports the same cycle count as
+//!   traced run reports the same cycle count as
 //!   the untraced engines (no observer effect), its per-core cycle
 //!   attribution sums to the total ([`check_attribution`]), and its
 //!   reconstructed critical path conserves cycles exactly

@@ -71,8 +71,9 @@ pub struct CompiledCell<'w> {
     pub coco: CompiledVariant,
 }
 
-/// Raw events kept by the aggregator's ring buffer (the summary tables
-/// cover the whole run regardless).
+/// The raw-event log size the aggregator counts `dropped_events`
+/// against; it stores no event, and its summary tables cover the whole
+/// run.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
 /// One traced execution of a variant: the run-level record every mode
@@ -92,8 +93,8 @@ pub struct TracedRun {
     pub occupancy: Vec<OccupancySummary>,
     /// Static queue labels from MTCG (one per scheduled occurrence).
     pub labels: Vec<QueueLabel>,
-    /// Raw events the aggregator's ring buffer dropped (the summaries
-    /// above and the critical path cover the whole run regardless).
+    /// Raw events beyond the [`TRACE_RING_CAPACITY`] most recent (the
+    /// summaries above and the critical path cover the whole run).
     pub dropped_events: u64,
 }
 

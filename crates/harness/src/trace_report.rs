@@ -235,8 +235,8 @@ mod tests {
                 assert!(occ.p50 <= occ.p95 && occ.p95 <= occ.max.max(occ.p95));
             }
         }
-        // The summary tables cover the whole run even when the raw
-        // event ring wrapped; the count is surfaced, not hidden.
+        // The summary tables cover the whole run however many raw
+        // events it had; the count is surfaced, not hidden.
         let _ = cell.dropped_events;
     }
 }

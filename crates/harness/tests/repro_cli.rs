@@ -129,6 +129,34 @@ fn explain_emits_conserving_json() {
     }
 }
 
+/// `line` without its wall-clock fields (`"..._ns":N,`), the only ones
+/// that differ from run to run.
+fn without_ns(line: &str) -> String {
+    let mut out = String::new();
+    let mut rest = line;
+    while let Some(at) = rest.find("_ns\":") {
+        let key = rest[..at].rfind('"').expect("the key opens");
+        let end = at + rest[at..].find(',').expect("another field follows") + 1;
+        out.push_str(&rest[..key]);
+        rest = &rest[end..];
+    }
+    out + rest
+}
+
+/// Every `--explain --json` line of the quick matrix — cycles, stall
+/// counters, the estimate, the critical path by kind, per-thread and
+/// per-queue tables — as recorded before the critical-path sink was
+/// rebuilt (PR 21).
+#[test]
+fn explain_json_matches_golden() {
+    let stdout = stdout_of(&["--explain", "all", "--scheduler", "both", "--quick", "--json"]);
+    let golden = include_str!("../../../tests/golden/explain_all_quick_json.txt");
+    assert_eq!(stdout.lines().count(), golden.lines().count());
+    for (line, want) in stdout.lines().zip(golden.lines()) {
+        assert_eq!(without_ns(line), want);
+    }
+}
+
 /// The nesting law of the run record: for every quick cell, the
 /// `--explain --json` line is the `--metrics` line of the same variant
 /// plus deeper keys. What the run itself determines — identity, counts,

@@ -33,7 +33,7 @@ use crate::sim::SimResult;
 use crate::trace::{Arrival, TraceEvent, TraceSink};
 use gmt_ir::decoded::{DecodedOp, DecodedProgram};
 use gmt_ir::{BlockId, InstrId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which kind of last-arrival edge a critical-path segment crossed —
 /// the "why was this cycle spent" classification of the path walk.
@@ -97,13 +97,20 @@ impl CpKind {
         CpKind::Retire,
     ];
 
+    /// Position in [`CpKind::ALL`]: the discriminant.
     fn index(self) -> usize {
-        CpKind::ALL.iter().position(|&k| k == self).unwrap_or(0)
+        self as usize
     }
 }
 
 /// Sentinel for "no queue involved" in a node.
 const NO_QUEUE: u32 = u32::MAX;
+
+/// Sentinel per-core index for "no node".
+const NO_NODE: u32 = u32::MAX;
+
+/// Block of an id no decoded slot carries.
+const NO_BLOCK: BlockId = BlockId(u32::MAX);
 
 /// What a deferred piece of the node's last-arrival edge still needs
 /// from the queue event that follows its issue.
@@ -120,18 +127,68 @@ enum Fill {
     LastPop,
 }
 
-/// One dynamic instruction in the last-arrival graph.
+/// The address of a node: a narrow core tag and a `u32` per-core
+/// index. Only [`NodeRef::new`] narrows, and it checks, so a run too
+/// long or too wide for the encoding ends in
+/// [`CritPathSink::critical_path`]'s `Err`, never in a truncated index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct NodeRef {
+    idx: u32,
+    core: u8,
+}
+
+impl NodeRef {
+    const NONE: NodeRef = NodeRef { idx: NO_NODE, core: 0 };
+
+    fn new(core: usize, idx: usize) -> Option<NodeRef> {
+        let idx = u32::try_from(idx).ok().filter(|&i| i != NO_NODE)?;
+        Some(NodeRef { idx, core: u8::try_from(core).ok()? })
+    }
+}
+
+/// One dynamic instruction in the last-arrival graph. A run pushes one
+/// per issued instruction into freshly allocated memory, so its size is
+/// what the event phase pays in page faults: both node addresses it
+/// holds are stored flat (index and core tag apart) with [`NO_NODE`]
+/// for "none".
 #[derive(Clone, Copy, Debug)]
 struct Node {
     cycle: u64,
     src: InstrId,
-    kind: CpKind,
-    /// The binding predecessor `(core, per-core index)`; `None` only
-    /// for a core's first instruction with no recorded wait.
-    pred: Option<(usize, usize)>,
     queue: u32,
+    /// Per-core index of the binding predecessor; [`NO_NODE`] only for
+    /// a core's first instruction with no recorded wait.
+    pred: u32,
+    /// For a consume, per-core index of the produce that fed it — the
+    /// queue's FIFO pairing, stored in the consume itself.
+    producer: u32,
+    pred_core: u8,
+    producer_core: u8,
+    kind: CpKind,
     is_consume: bool,
     fill: Fill,
+}
+
+/// `size_of::<Node>() <= 32`, checked at compile time (the lengths
+/// differ otherwise).
+const _: [(); 1] = [(); (std::mem::size_of::<Node>() <= 32) as usize];
+
+impl Node {
+    fn pred(&self) -> NodeRef {
+        NodeRef { idx: self.pred, core: self.pred_core }
+    }
+
+    fn set_pred(&mut self, p: NodeRef) {
+        (self.pred, self.pred_core) = (p.idx, p.core);
+    }
+
+    fn producer(&self) -> NodeRef {
+        NodeRef { idx: self.producer, core: self.producer_core }
+    }
+
+    fn set_producer(&mut self, p: NodeRef) {
+        (self.producer, self.producer_core) = (p.idx, p.core);
+    }
 }
 
 /// One aggregated critical-path entry: all walked edges that share a
@@ -158,6 +215,7 @@ pub struct CpSegment {
 /// The reconstructed dynamic critical path of one run, aggregated
 /// three ways. All three decompositions sum to [`CritPath::total`].
 #[derive(Clone, Debug, Default)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct CritPath {
     /// Total cycles covered — equals `SimResult::cycles` on a
     /// conserving walk ([`check_critical_path`]).
@@ -185,71 +243,117 @@ impl CritPath {
     }
 }
 
+/// What the sink knows of a static instruction, per core and
+/// [`InstrId::index`].
+#[derive(Clone, Copy, Debug)]
+struct InstrInfo {
+    /// Its basic block, for report positions.
+    block: BlockId,
+    /// Whether its decoded op is a load (classifies a binding dataflow
+    /// writer as memory latency).
+    load: bool,
+}
+
+/// One queue's FIFO mirror.
+#[derive(Clone, Debug)]
+struct QueueMirror {
+    /// Producer nodes whose values sit in the queue.
+    entries: VecDeque<NodeRef>,
+    /// Register consumes that found the queue empty and went pending
+    /// (pair with the next produce, oldest first).
+    pending: VecDeque<NodeRef>,
+    /// The consume node that most recently freed a slot.
+    last_pop: NodeRef,
+}
+
 /// A [`TraceSink`] that records every issued instruction's last-arrival
 /// edge and mirrors the queues' FIFO pairing, then reconstructs the
 /// dynamic critical path with [`CritPathSink::critical_path`].
 ///
-/// Ignores `Stall`/`StallSpan` events entirely, so it observes the
-/// identical graph whether or not the engine's stall fast-forward is
-/// on.
+/// Ignores `StallSpan` events entirely, so it observes the identical
+/// graph whether or not the engine's stall fast-forward is on.
 #[derive(Debug)]
 pub struct CritPathSink {
     nodes: Vec<Vec<Node>>,
-    /// Per-core: original ids whose decoded op is a load (classifies a
-    /// binding dataflow writer as memory latency).
-    loads: Vec<HashMap<InstrId, ()>>,
-    /// Per-core: original id → basic block, for report positions.
-    blocks: Vec<HashMap<InstrId, BlockId>>,
-    /// Per-queue FIFO mirror: producer nodes whose values sit in the
-    /// queue.
-    entries: Vec<VecDeque<(usize, usize)>>,
-    /// Per-queue: register consumes that found the queue empty and
-    /// went pending (pair with the next produce, oldest first).
-    pending: Vec<VecDeque<(usize, usize)>>,
-    /// Consume node → the produce node that fed it.
-    pairing: HashMap<(usize, usize), (usize, usize)>,
-    /// Per-queue: the consume node that most recently freed a slot.
-    last_pop: Vec<Option<(usize, usize)>>,
+    instrs: Vec<Vec<InstrInfo>>,
+    queues: Vec<QueueMirror>,
     finished_at: Vec<u64>,
     cycles: u64,
     ended: bool,
+    /// The first event the sink could not record: a core or queue it
+    /// was not built for, or a node its index encoding cannot address.
+    fault: Option<String>,
 }
 
 impl CritPathSink {
     /// A sink for a run of `program` on `num_queues` queues.
     pub fn new(program: &DecodedProgram, num_queues: usize) -> CritPathSink {
         let ncores = program.threads().len();
-        let mut loads = Vec::with_capacity(ncores);
-        let mut blocks = Vec::with_capacity(ncores);
+        let mut instrs = Vec::with_capacity(ncores);
         for d in program.threads() {
-            let mut lm = HashMap::new();
-            let mut bm = HashMap::new();
-            for pc in 0..d.num_slots() as u32 {
-                if matches!(d.op(pc), DecodedOp::Load(..)) {
-                    lm.insert(d.src(pc), ());
-                }
-                bm.entry(d.src(pc)).or_insert_with(|| d.block(pc));
+            // The placeholder of an unterminated block carries no arena
+            // id (and never issues); every other slot's id indexes the
+            // function's instruction arena, which bounds the table.
+            let slots =
+                || (0..d.num_slots() as u32).filter(|&pc| !matches!(d.op(pc), DecodedOp::Unterminated));
+            let len = slots().map(|pc| d.src(pc).index() + 1).max().unwrap_or(0);
+            let mut table = vec![InstrInfo { block: NO_BLOCK, load: false }; len];
+            // Back to front, so the first slot carrying an id names its
+            // block.
+            for pc in slots().rev() {
+                let info = &mut table[d.src(pc).index()];
+                info.block = d.block(pc);
+                info.load |= matches!(d.op(pc), DecodedOp::Load(..));
             }
-            loads.push(lm);
-            blocks.push(bm);
+            instrs.push(table);
         }
+        let mirror = QueueMirror {
+            entries: VecDeque::new(),
+            pending: VecDeque::new(),
+            last_pop: NodeRef::NONE,
+        };
         CritPathSink {
             nodes: vec![Vec::new(); ncores],
-            loads,
-            blocks,
-            entries: vec![VecDeque::new(); num_queues],
-            pending: vec![VecDeque::new(); num_queues],
-            pairing: HashMap::new(),
-            last_pop: vec![None; num_queues],
+            instrs,
+            queues: vec![mirror; num_queues],
             finished_at: vec![0; ncores],
             cycles: 0,
             ended: false,
+            fault: None,
         }
     }
 
     /// Dynamic instructions recorded (graph size).
     pub fn num_nodes(&self) -> u64 {
         self.nodes.iter().map(|n| n.len() as u64).sum()
+    }
+
+    fn node(&self, at: NodeRef) -> Option<&Node> {
+        self.nodes.get(usize::from(at.core))?.get(at.idx as usize)
+    }
+
+    fn info(&self, core: usize, src: InstrId) -> InstrInfo {
+        let known = self.instrs[core].get(src.index()).copied();
+        known.unwrap_or(InstrInfo { block: NO_BLOCK, load: false })
+    }
+
+    /// Remembers the first event that could not be recorded;
+    /// [`CritPathSink::critical_path`] returns it.
+    #[cold]
+    fn fail(&mut self, what: std::fmt::Arguments<'_>) {
+        if self.fault.is_none() {
+            self.fault = Some(what.to_string());
+        }
+    }
+
+    /// Whether the sink was built for `core`; an event on any other is
+    /// the fault.
+    fn has_core(&mut self, core: usize) -> bool {
+        let ncores = self.nodes.len();
+        if core >= ncores {
+            self.fail(format_args!("event on core {core}: the sink was built for {ncores}"));
+        }
+        core < ncores
     }
 
     /// Resolves an [`Arrival::Data`] edge at issue time: if the
@@ -259,32 +363,143 @@ impl CritPathSink {
     /// edge is redirected through the FIFO pairing. Otherwise the
     /// writer itself binds (memory latency for loads, compute latency
     /// or local SA delivery for the rest).
-    fn resolve_data(
-        &self,
-        core: usize,
-        writer: u64,
-        fallback: Option<(usize, usize)>,
-    ) -> (CpKind, Option<(usize, usize)>, u32) {
-        let w = writer as usize;
-        if writer == u64::MAX || w >= self.nodes[core].len() {
+    fn resolve_data(&self, core: usize, writer: u64, fallback: NodeRef) -> (CpKind, NodeRef, u32) {
+        // `u64::MAX` (never written) is no index either.
+        let at = usize::try_from(writer).ok().and_then(|w| NodeRef::new(core, w));
+        let Some((at, wn)) = at.and_then(|at| Some((at, self.node(at)?))) else {
             return (CpKind::Dataflow, fallback, NO_QUEUE);
-        }
-        let wn = self.nodes[core][w];
+        };
         if wn.is_consume {
-            if let Some(&prod) = self.pairing.get(&(core, w)) {
-                let pn = self.nodes[prod.0][prod.1];
+            if let Some(pn) = self.node(wn.producer()) {
                 if pn.cycle >= wn.cycle {
-                    return (CpKind::QueueData, Some(prod), pn.queue);
+                    return (CpKind::QueueData, wn.producer(), pn.queue);
                 }
             }
-            return (CpKind::Dataflow, Some((core, w)), wn.queue);
+            return (CpKind::Dataflow, at, wn.queue);
         }
-        let kind = if self.loads[core].contains_key(&wn.src) {
-            CpKind::Load
-        } else {
-            CpKind::Dataflow
+        let kind = if self.info(core, wn.src).load { CpKind::Load } else { CpKind::Dataflow };
+        (kind, at, NO_QUEUE)
+    }
+
+    fn issue(&mut self, cycle: u64, core: usize, src: InstrId, arrival: Arrival) {
+        if !self.has_core(core) {
+            return;
+        }
+        let len = self.nodes[core].len();
+        let Some(here) = NodeRef::new(core, len) else {
+            return self.fail(format_args!(
+                "core {core} node {len} does not fit a u8 core tag and a u32 index"
+            ));
         };
-        (kind, Some((core, w)), NO_QUEUE)
+        let prev = match here.idx.checked_sub(1) {
+            Some(idx) => NodeRef { idx, ..here },
+            None => NodeRef::NONE,
+        };
+        let (kind, pred, queue, fill) = match arrival {
+            Arrival::InOrder => (CpKind::InOrder, prev, NO_QUEUE, Fill::Done),
+            Arrival::Refill => (CpKind::Refill, prev, NO_QUEUE, Fill::Done),
+            Arrival::Resource(r) => {
+                use crate::core::StallReason;
+                let kind = match r {
+                    StallReason::Structural => CpKind::Structural,
+                    StallReason::SaPort => CpKind::SaPort,
+                    StallReason::LoadLimit => CpKind::LoadLimit,
+                    // Unreachable via the engine (those reasons
+                    // map to dedicated arrivals); classify
+                    // sensibly anyway.
+                    StallReason::Operand => CpKind::Dataflow,
+                    StallReason::QueueEmpty => CpKind::QueueData,
+                    StallReason::QueueFull => CpKind::QueueSpace,
+                    StallReason::Mispredict => CpKind::Refill,
+                };
+                (kind, prev, NO_QUEUE, Fill::Done)
+            }
+            Arrival::Data { writer } => {
+                let (kind, pred, queue) = self.resolve_data(core, writer, prev);
+                (kind, pred, queue, Fill::Done)
+            }
+            Arrival::QueueVisible { queue } => (CpKind::QueueData, prev, queue, Fill::Producer),
+            Arrival::QueueSpace { queue } => (CpKind::QueueSpace, prev, queue, Fill::LastPop),
+        };
+        self.nodes[core].push(Node {
+            cycle,
+            src,
+            queue,
+            pred: pred.idx,
+            producer: NO_NODE,
+            pred_core: pred.core,
+            producer_core: 0,
+            kind,
+            is_consume: false,
+            fill,
+        });
+    }
+
+    /// The queue mirror and the issuing core's nodes of a queue event,
+    /// or the fault if the sink was built for fewer of either.
+    fn queue_event(&mut self, core: usize, queue: u32) -> Option<(&mut QueueMirror, &mut Vec<Node>)> {
+        let nqueues = self.queues.len();
+        if !self.has_core(core) {
+            return None;
+        }
+        if queue as usize >= nqueues {
+            self.fail(format_args!("event on queue {queue}: the sink was built for {nqueues}"));
+            return None;
+        }
+        Some((&mut self.queues[queue as usize], &mut self.nodes[core]))
+    }
+
+    fn produce(&mut self, core: usize, queue: u32) {
+        let Some((mirror, nodes)) = self.queue_event(core, queue) else { return };
+        let pending = mirror.pending.pop_front();
+        let Some(here) = nodes.len().checked_sub(1).and_then(|i| NodeRef::new(core, i)) else { return };
+        let node = &mut nodes[here.idx as usize];
+        node.queue = queue;
+        if node.fill == Fill::LastPop {
+            // Backpressured produce: the consume that freed the slot
+            // binds. Keep the in-order fallback if the mirror has no
+            // pop (a defensive case — a full queue can only drain via
+            // a pop).
+            if mirror.last_pop != NodeRef::NONE {
+                node.set_pred(mirror.last_pop);
+            }
+            node.fill = Fill::Done;
+        }
+        match pending {
+            // The value bypasses the queue straight into the oldest
+            // pending register consume.
+            Some(consumer) => {
+                let consumer =
+                    self.nodes.get_mut(usize::from(consumer.core)).and_then(|n| n.get_mut(consumer.idx as usize));
+                if let Some(consumer) = consumer {
+                    consumer.set_producer(here);
+                }
+            }
+            None => mirror.entries.push_back(here),
+        }
+    }
+
+    fn consume(&mut self, core: usize, queue: u32, deferred: bool) {
+        let Some((mirror, nodes)) = self.queue_event(core, queue) else { return };
+        let popped = if deferred { None } else { mirror.entries.pop_front() };
+        let Some(here) = nodes.len().checked_sub(1).and_then(|i| NodeRef::new(core, i)) else { return };
+        let node = &mut nodes[here.idx as usize];
+        node.queue = queue;
+        node.is_consume = true;
+        if node.fill == Fill::Producer {
+            // A consume.sync that waited for visibility: the matching
+            // produce binds.
+            if let Some(p) = popped {
+                node.set_pred(p);
+            }
+            node.fill = Fill::Done;
+        }
+        if deferred {
+            mirror.pending.push_back(here);
+        } else if let Some(prod) = popped {
+            node.set_producer(prod);
+            mirror.last_pop = here;
+        }
     }
 
     /// Reconstructs the critical path: a backward walk over binding
@@ -298,12 +513,17 @@ impl CritPathSink {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency: called before
-    /// `run_end`, an empty graph, a predecessor later than its
-    /// successor, or a walk longer than the node count (a cycle —
-    /// impossible by construction, guarded anyway).
+    /// `run_end`, an event for a core or queue the sink was not built
+    /// for (or a node index past its encoding), an empty graph, a
+    /// predecessor later than its successor, or a walk longer than the
+    /// node count (a cycle — impossible by construction, guarded
+    /// anyway).
     pub fn critical_path(&self) -> Result<CritPath, String> {
         if !self.ended {
             return Err("critical_path before run_end".to_string());
+        }
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
         }
         let mut start_core = None;
         for (ci, &fin) in self.finished_at.iter().enumerate() {
@@ -312,61 +532,84 @@ impl CritPathSink {
             }
         }
         let (start_core, _) = start_core.ok_or("no cores in trace")?;
-        if self.nodes[start_core].is_empty() {
-            return Err(format!("core {start_core} finished last but issued nothing"));
-        }
+        let last = self.nodes[start_core].len().checked_sub(1);
+        let mut cur = last
+            .and_then(|i| NodeRef::new(start_core, i))
+            .ok_or_else(|| format!("core {start_core} finished last but issued nothing"))?;
 
-        let mut cp = CritPath::default();
-        let mut segs: HashMap<(usize, InstrId, CpKind, u32), (u64, u64)> = HashMap::new();
-        let mut blocks: HashMap<(usize, BlockId), u64> = HashMap::new();
-        let mut queues: HashMap<u32, u64> = HashMap::new();
-        let mut add = |cp: &mut CritPath, node: &Node, core: usize, kind: CpKind, len: u64| {
-            cp.total += len;
-            cp.by_kind[kind.index()] += len;
-            let e = segs.entry((core, node.src, kind, node.queue)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += len;
-            let block =
-                self.blocks[core].get(&node.src).copied().unwrap_or(BlockId(u32::MAX));
-            *blocks.entry((core, block)).or_insert(0) += len;
-            if matches!(kind, CpKind::QueueData | CpKind::QueueSpace) && node.queue != NO_QUEUE {
-                *queues.entry(node.queue).or_insert(0) += len;
+        // Walked edges accumulate in cells found without hashing: per
+        // (core, `InstrId::index()`) the head of a short chain of the
+        // (kind, queue) cells of that instruction. One extra slot per
+        // core chains the ids no decoded slot carries.
+        const NO_CELL: usize = usize::MAX;
+        struct Cell {
+            seg: CpSegment,
+            next: usize,
+        }
+        let mut heads: Vec<Vec<usize>> =
+            self.instrs.iter().map(|t| vec![NO_CELL; t.len() + 1]).collect();
+        let mut cells: Vec<Cell> = Vec::new();
+        let mut add = |node: &Node, at: NodeRef, kind: CpKind, len: u64| {
+            let core = usize::from(at.core);
+            let queue = (node.queue != NO_QUEUE).then_some(node.queue);
+            let chain = &mut heads[core];
+            let slot = node.src.index().min(chain.len() - 1);
+            let mut c = chain[slot];
+            while c != NO_CELL {
+                let cell = &mut cells[c];
+                if cell.seg.src == node.src && cell.seg.kind == kind && cell.seg.queue == queue {
+                    cell.seg.count += 1;
+                    cell.seg.cycles += len;
+                    return;
+                }
+                c = cell.next;
             }
+            let seg = CpSegment {
+                core,
+                src: node.src,
+                block: self.info(core, node.src).block,
+                kind,
+                queue,
+                count: 1,
+                cycles: len,
+            };
+            cells.push(Cell { seg, next: chain[slot] });
+            chain[slot] = cells.len() - 1;
         };
 
-        let mut cur = (start_core, self.nodes[start_core].len() - 1);
-        let start = &self.nodes[cur.0][cur.1];
+        let mut cp = CritPath::default();
+        let start = &self.nodes[start_core][cur.idx as usize];
         if start.cycle > self.cycles {
             return Err(format!(
                 "last issue at cycle {} past run end {}",
                 start.cycle, self.cycles
             ));
         }
-        add(&mut cp, start, cur.0, CpKind::Retire, self.cycles - start.cycle);
+        add(start, cur, CpKind::Retire, self.cycles - start.cycle);
         let limit = self.num_nodes() + 1;
         let mut hops = 0u64;
+        let mut n = start;
         loop {
-            let n = self.nodes[cur.0][cur.1];
-            match n.pred {
-                Some(p) => {
-                    let pn = &self.nodes[p.0][p.1];
+            match self.node(n.pred()) {
+                Some(pn) => {
                     if pn.cycle > n.cycle {
                         return Err(format!(
                             "predecessor at cycle {} after successor at cycle {} \
                              (core {} node {} kind {})",
                             pn.cycle,
                             n.cycle,
-                            cur.0,
-                            cur.1,
+                            cur.core,
+                            cur.idx,
                             n.kind.name()
                         ));
                     }
-                    add(&mut cp, &n, cur.0, n.kind, n.cycle - pn.cycle);
+                    add(n, cur, n.kind, n.cycle - pn.cycle);
                     cp.edges += 1;
-                    if p.0 != cur.0 {
+                    if n.pred_core != cur.core {
                         cp.crossings += 1;
                     }
-                    cur = p;
+                    cur = n.pred();
+                    n = pn;
                 }
                 None => {
                     // The path's origin: any cycles before its issue
@@ -374,7 +617,7 @@ impl CritPathSink {
                     // names (e.g. a peer hogging the SA ports), with
                     // no earlier event to anchor to.
                     if n.cycle > 0 {
-                        add(&mut cp, &n, cur.0, n.kind, n.cycle);
+                        add(n, cur, n.kind, n.cycle);
                         cp.edges += 1;
                     }
                     break;
@@ -386,34 +629,36 @@ impl CritPathSink {
             }
         }
 
-        cp.segments = segs
-            .into_iter()
-            .map(|((core, src, kind, queue), (count, cycles))| CpSegment {
-                core,
-                src,
-                block: self.blocks[core].get(&src).copied().unwrap_or(BlockId(u32::MAX)),
-                kind,
-                queue: (queue != NO_QUEUE).then_some(queue),
-                count,
-                cycles,
-            })
-            .collect();
+        // Every decomposition is a regrouping of the cells.
+        for Cell { seg, .. } in &cells {
+            cp.total += seg.cycles;
+            cp.by_kind[seg.kind.index()] += seg.cycles;
+        }
+        cp.by_block = summed_desc(cells.iter().map(|c| ((c.seg.core, c.seg.block), c.seg.cycles)));
+        let queue_edge = |c: &&Cell| matches!(c.seg.kind, CpKind::QueueData | CpKind::QueueSpace);
+        cp.by_queue = summed_desc(
+            cells.iter().filter(queue_edge).filter_map(|c| Some((c.seg.queue?, c.seg.cycles))),
+        );
+        cp.segments = cells.into_iter().map(|c| c.seg).collect();
         cp.segments
             .sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| {
                 (a.core, a.src.0, a.kind, a.queue).cmp(&(b.core, b.src.0, b.kind, b.queue))
             }));
-        cp.by_block = sorted_desc(blocks);
-        cp.by_queue = sorted_desc(queues);
         Ok(cp)
-    }
-
-    fn last_node(&mut self, core: usize) -> Option<&mut Node> {
-        self.nodes[core].last_mut()
     }
 }
 
-fn sorted_desc<K: Ord + Copy>(m: HashMap<K, u64>) -> Vec<(K, u64)> {
-    let mut v: Vec<(K, u64)> = m.into_iter().collect();
+/// Sums `items` by key; most expensive first, then by key.
+fn summed_desc<K: Ord + Copy>(items: impl Iterator<Item = (K, u64)>) -> Vec<(K, u64)> {
+    let mut v: Vec<(K, u64)> = items.collect();
+    v.sort_by_key(|&(k, _)| k);
+    v.dedup_by(|next, sum| {
+        let same = next.0 == sum.0;
+        if same {
+            sum.1 += next.1;
+        }
+        same
+    });
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     v
 }
@@ -421,108 +666,13 @@ fn sorted_desc<K: Ord + Copy>(m: HashMap<K, u64>) -> Vec<(K, u64)> {
 impl TraceSink for CritPathSink {
     fn event(&mut self, ev: &TraceEvent) {
         match *ev {
-            TraceEvent::Issue { cycle, core, src, arrival } => {
-                let idx = self.nodes[core].len();
-                let prev = idx.checked_sub(1).map(|i| (core, i));
-                let (kind, pred, queue, fill) = match arrival {
-                    Arrival::InOrder => (CpKind::InOrder, prev, NO_QUEUE, Fill::Done),
-                    Arrival::Refill => (CpKind::Refill, prev, NO_QUEUE, Fill::Done),
-                    Arrival::Resource(r) => {
-                        use crate::core::StallReason;
-                        let kind = match r {
-                            StallReason::Structural => CpKind::Structural,
-                            StallReason::SaPort => CpKind::SaPort,
-                            StallReason::LoadLimit => CpKind::LoadLimit,
-                            // Unreachable via the engine (those reasons
-                            // map to dedicated arrivals); classify
-                            // sensibly anyway.
-                            StallReason::Operand => CpKind::Dataflow,
-                            StallReason::QueueEmpty => CpKind::QueueData,
-                            StallReason::QueueFull => CpKind::QueueSpace,
-                            StallReason::Mispredict => CpKind::Refill,
-                        };
-                        (kind, prev, NO_QUEUE, Fill::Done)
-                    }
-                    Arrival::Data { writer } => {
-                        let (kind, pred, queue) = self.resolve_data(core, writer, prev);
-                        (kind, pred, queue, Fill::Done)
-                    }
-                    Arrival::QueueVisible { queue } => {
-                        (CpKind::QueueData, prev, queue, Fill::Producer)
-                    }
-                    Arrival::QueueSpace { queue } => {
-                        (CpKind::QueueSpace, prev, queue, Fill::LastPop)
-                    }
-                };
-                self.nodes[core].push(Node {
-                    cycle,
-                    src,
-                    kind,
-                    pred,
-                    queue,
-                    is_consume: false,
-                    fill,
-                });
-            }
-            TraceEvent::Produce { core, queue, .. } => {
-                let q = queue as usize;
-                let pop = self.last_pop[q];
-                let pending = self.pending[q].pop_front();
-                let idx = match self.last_node(core) {
-                    Some(node) => {
-                        node.queue = queue;
-                        if node.fill == Fill::LastPop {
-                            // Backpressured produce: the consume that
-                            // freed the slot binds. Keep the in-order
-                            // fallback if the mirror has no pop (a
-                            // defensive case — a full queue can only
-                            // drain via a pop).
-                            if let Some(p) = pop {
-                                node.pred = Some(p);
-                            }
-                            node.fill = Fill::Done;
-                        }
-                        self.nodes[core].len() - 1
-                    }
-                    None => return,
-                };
-                match pending {
-                    // The value bypasses the queue straight into the
-                    // oldest pending register consume.
-                    Some(consumer) => {
-                        self.pairing.insert(consumer, (core, idx));
-                    }
-                    None => self.entries[q].push_back((core, idx)),
-                }
-            }
-            TraceEvent::Consume { core, queue, deferred, .. } => {
-                let q = queue as usize;
-                let popped = if deferred { None } else { self.entries[q].pop_front() };
-                let idx = match self.last_node(core) {
-                    Some(node) => {
-                        node.queue = queue;
-                        node.is_consume = true;
-                        if node.fill == Fill::Producer {
-                            // A consume.sync that waited for
-                            // visibility: the matching produce binds.
-                            if let Some(p) = popped {
-                                node.pred = Some(p);
-                            }
-                            node.fill = Fill::Done;
-                        }
-                        self.nodes[core].len() - 1
-                    }
-                    None => return,
-                };
-                if deferred {
-                    self.pending[q].push_back((core, idx));
-                } else if let Some(prod) = popped {
-                    self.pairing.insert((core, idx), prod);
-                    self.last_pop[q] = Some((core, idx));
-                }
-            }
+            TraceEvent::Issue { cycle, core, src, arrival } => self.issue(cycle, core, src, arrival),
+            TraceEvent::Produce { core, queue, .. } => self.produce(core, queue),
+            TraceEvent::Consume { core, queue, deferred, .. } => self.consume(core, queue, deferred),
             TraceEvent::Finish { cycle, core } => {
-                self.finished_at[core] = cycle + 1;
+                if self.has_core(core) {
+                    self.finished_at[core] = cycle + 1;
+                }
             }
             // The critical path is about issues, not waits: the stall
             // stream (per-cycle or fast-forwarded spans) carries no
@@ -570,6 +720,7 @@ mod tests {
     use super::*;
     use crate::core::StallReason;
     use gmt_ir::{BinOp, FunctionBuilder};
+    use std::collections::HashMap;
 
     fn program_one_chain() -> DecodedProgram {
         let mut b = FunctionBuilder::new("chain");
@@ -728,5 +879,600 @@ mod tests {
         assert_eq!(cp.kind_cycles(CpKind::Structural), 3);
         assert_eq!(cp.kind_cycles(CpKind::LoadLimit), 6);
         assert_eq!(cp.kind_cycles(CpKind::Retire), 1);
+    }
+
+    // ---- a sink built for less than the run ----
+
+    #[test]
+    fn events_outside_the_sink_end_in_err() {
+        let p = program_one_chain();
+        let finish = |mut s: CritPathSink| {
+            s.event(&issue(0, 0, 0, Arrival::InOrder));
+            s.event(&TraceEvent::Finish { cycle: 0, core: 0 });
+            s.run_end(1);
+            s.critical_path()
+        };
+        // Built for one queue, fed queue 5.
+        let mut s = CritPathSink::new(&p, 1);
+        s.event(&issue(0, 0, 0, Arrival::InOrder));
+        s.event(&TraceEvent::Produce { cycle: 0, core: 0, queue: 5, occupancy: 1 });
+        s.event(&TraceEvent::Consume { cycle: 0, core: 0, queue: 9, occupancy: 0, deferred: false });
+        let err = finish(s).unwrap_err();
+        assert!(err.contains("queue 5") && err.contains("built for 1"), "the first one: {err}");
+        // Built for one core, fed core 1: an issue, a queue event, a finish.
+        for ev in [
+            issue(0, 1, 0, Arrival::InOrder),
+            TraceEvent::Consume { cycle: 0, core: 1, queue: 0, occupancy: 0, deferred: true },
+            TraceEvent::Finish { cycle: 0, core: 1 },
+        ] {
+            let mut s = CritPathSink::new(&p, 1);
+            s.event(&ev);
+            let err = finish(s).unwrap_err();
+            assert!(err.contains("core 1") && err.contains("built for 1"), "{ev:?}: {err}");
+        }
+        assert!(finish(CritPathSink::new(&p, 1)).is_ok(), "the same stream in range");
+    }
+
+    #[test]
+    fn node_addresses_narrow_checked() {
+        assert_eq!(NodeRef::new(255, 7), Some(NodeRef { idx: 7, core: 255 }));
+        assert_eq!(NodeRef::new(256, 7), None, "core tag is a u8");
+        let top = NO_NODE as usize;
+        assert_eq!(NodeRef::new(0, top - 1).map(|r| r.idx), Some(NO_NODE - 1));
+        assert_eq!(NodeRef::new(0, top), None, "the sentinel is no index");
+        assert_eq!(NodeRef::new(0, top + 1), None, "never truncated");
+    }
+
+    #[test]
+    fn kind_index_is_the_position_in_all() {
+        for (i, kind) in CpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{}", kind.name());
+        }
+    }
+
+    // ---- the sink against its pre-change implementation (property) ----
+
+    /// A planted defect in the reference.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Mutant {
+        None,
+        /// Redirect a deferred consume to its producer only when the
+        /// produce is *strictly* later (the rule is "not earlier").
+        StrictRedirect,
+        /// A backpressured produce keeps its in-order predecessor.
+        NoLastPop,
+    }
+
+    /// The sink as it was before the dense rewrite — a 48-byte node
+    /// with `Option<(core, index)>` addresses, the FIFO pairing in a
+    /// hash map keyed by consume node, and a walk that accumulates in
+    /// three more — kept as the differential reference.
+    struct Reference {
+        nodes: Vec<Vec<RefNode>>,
+        loads: Vec<HashMap<InstrId, ()>>,
+        blocks: Vec<HashMap<InstrId, BlockId>>,
+        entries: Vec<VecDeque<(usize, usize)>>,
+        pending: Vec<VecDeque<(usize, usize)>>,
+        pairing: HashMap<(usize, usize), (usize, usize)>,
+        last_pop: Vec<Option<(usize, usize)>>,
+        finished_at: Vec<u64>,
+        cycles: u64,
+        ended: bool,
+        mutant: Mutant,
+    }
+
+    #[derive(Clone, Copy)]
+    struct RefNode {
+        cycle: u64,
+        src: InstrId,
+        kind: CpKind,
+        pred: Option<(usize, usize)>,
+        queue: u32,
+        is_consume: bool,
+        fill: Fill,
+    }
+
+    impl Reference {
+        fn new(program: &DecodedProgram, num_queues: usize, mutant: Mutant) -> Reference {
+            let ncores = program.threads().len();
+            let mut loads = Vec::with_capacity(ncores);
+            let mut blocks = Vec::with_capacity(ncores);
+            for d in program.threads() {
+                let mut lm = HashMap::new();
+                let mut bm = HashMap::new();
+                for pc in 0..d.num_slots() as u32 {
+                    if matches!(d.op(pc), DecodedOp::Load(..)) {
+                        lm.insert(d.src(pc), ());
+                    }
+                    bm.entry(d.src(pc)).or_insert_with(|| d.block(pc));
+                }
+                loads.push(lm);
+                blocks.push(bm);
+            }
+            Reference {
+                nodes: vec![Vec::new(); ncores],
+                loads,
+                blocks,
+                entries: vec![VecDeque::new(); num_queues],
+                pending: vec![VecDeque::new(); num_queues],
+                pairing: HashMap::new(),
+                last_pop: vec![None; num_queues],
+                finished_at: vec![0; ncores],
+                cycles: 0,
+                ended: false,
+                mutant,
+            }
+        }
+
+        fn num_nodes(&self) -> u64 {
+            self.nodes.iter().map(|n| n.len() as u64).sum()
+        }
+
+        fn resolve_data(
+            &self,
+            core: usize,
+            writer: u64,
+            fallback: Option<(usize, usize)>,
+        ) -> (CpKind, Option<(usize, usize)>, u32) {
+            let w = writer as usize;
+            if writer == u64::MAX || w >= self.nodes[core].len() {
+                return (CpKind::Dataflow, fallback, NO_QUEUE);
+            }
+            let wn = self.nodes[core][w];
+            if wn.is_consume {
+                if let Some(&prod) = self.pairing.get(&(core, w)) {
+                    let pn = self.nodes[prod.0][prod.1];
+                    let later = match self.mutant {
+                        Mutant::StrictRedirect => pn.cycle > wn.cycle,
+                        _ => pn.cycle >= wn.cycle,
+                    };
+                    if later {
+                        return (CpKind::QueueData, Some(prod), pn.queue);
+                    }
+                }
+                return (CpKind::Dataflow, Some((core, w)), wn.queue);
+            }
+            let kind = if self.loads[core].contains_key(&wn.src) {
+                CpKind::Load
+            } else {
+                CpKind::Dataflow
+            };
+            (kind, Some((core, w)), NO_QUEUE)
+        }
+
+        fn critical_path(&self) -> Result<CritPath, String> {
+            if !self.ended {
+                return Err("critical_path before run_end".to_string());
+            }
+            let mut start_core = None;
+            for (ci, &fin) in self.finished_at.iter().enumerate() {
+                if start_core.map_or(true, |(_, best)| fin > best) {
+                    start_core = Some((ci, fin));
+                }
+            }
+            let (start_core, _) = start_core.ok_or("no cores in trace")?;
+            if self.nodes[start_core].is_empty() {
+                return Err(format!("core {start_core} finished last but issued nothing"));
+            }
+
+            let mut cp = CritPath::default();
+            let mut segs: HashMap<(usize, InstrId, CpKind, u32), (u64, u64)> = HashMap::new();
+            let mut blocks: HashMap<(usize, BlockId), u64> = HashMap::new();
+            let mut queues: HashMap<u32, u64> = HashMap::new();
+            let mut add = |cp: &mut CritPath, node: &RefNode, core: usize, kind: CpKind, len: u64| {
+                cp.total += len;
+                cp.by_kind[CpKind::ALL.iter().position(|&k| k == kind).unwrap()] += len;
+                let e = segs.entry((core, node.src, kind, node.queue)).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += len;
+                let block =
+                    self.blocks[core].get(&node.src).copied().unwrap_or(BlockId(u32::MAX));
+                *blocks.entry((core, block)).or_insert(0) += len;
+                if matches!(kind, CpKind::QueueData | CpKind::QueueSpace) && node.queue != NO_QUEUE {
+                    *queues.entry(node.queue).or_insert(0) += len;
+                }
+            };
+
+            let mut cur = (start_core, self.nodes[start_core].len() - 1);
+            let start = &self.nodes[cur.0][cur.1];
+            if start.cycle > self.cycles {
+                return Err(format!(
+                    "last issue at cycle {} past run end {}",
+                    start.cycle, self.cycles
+                ));
+            }
+            add(&mut cp, start, cur.0, CpKind::Retire, self.cycles - start.cycle);
+            let limit = self.num_nodes() + 1;
+            let mut hops = 0u64;
+            loop {
+                let n = self.nodes[cur.0][cur.1];
+                match n.pred {
+                    Some(p) => {
+                        let pn = &self.nodes[p.0][p.1];
+                        if pn.cycle > n.cycle {
+                            return Err(format!(
+                                "predecessor at cycle {} after successor at cycle {} \
+                                 (core {} node {} kind {})",
+                                pn.cycle,
+                                n.cycle,
+                                cur.0,
+                                cur.1,
+                                n.kind.name()
+                            ));
+                        }
+                        add(&mut cp, &n, cur.0, n.kind, n.cycle - pn.cycle);
+                        cp.edges += 1;
+                        if p.0 != cur.0 {
+                            cp.crossings += 1;
+                        }
+                        cur = p;
+                    }
+                    None => {
+                        if n.cycle > 0 {
+                            add(&mut cp, &n, cur.0, n.kind, n.cycle);
+                            cp.edges += 1;
+                        }
+                        break;
+                    }
+                }
+                hops += 1;
+                if hops > limit {
+                    return Err("last-arrival walk exceeded node count (cycle in graph)".to_string());
+                }
+            }
+
+            cp.segments = segs
+                .into_iter()
+                .map(|((core, src, kind, queue), (count, cycles))| CpSegment {
+                    core,
+                    src,
+                    block: self.blocks[core].get(&src).copied().unwrap_or(BlockId(u32::MAX)),
+                    kind,
+                    queue: (queue != NO_QUEUE).then_some(queue),
+                    count,
+                    cycles,
+                })
+                .collect();
+            cp.segments
+                .sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| {
+                    (a.core, a.src.0, a.kind, a.queue).cmp(&(b.core, b.src.0, b.kind, b.queue))
+                }));
+            cp.by_block = sorted_desc(blocks);
+            cp.by_queue = sorted_desc(queues);
+            Ok(cp)
+        }
+    }
+
+    fn sorted_desc<K: Ord + Copy>(m: HashMap<K, u64>) -> Vec<(K, u64)> {
+        let mut v: Vec<(K, u64)> = m.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        v
+    }
+
+    impl TraceSink for Reference {
+        fn event(&mut self, ev: &TraceEvent) {
+            match *ev {
+                TraceEvent::Issue { cycle, core, src, arrival } => {
+                    let idx = self.nodes[core].len();
+                    let prev = idx.checked_sub(1).map(|i| (core, i));
+                    let (kind, pred, queue, fill) = match arrival {
+                        Arrival::InOrder => (CpKind::InOrder, prev, NO_QUEUE, Fill::Done),
+                        Arrival::Refill => (CpKind::Refill, prev, NO_QUEUE, Fill::Done),
+                        Arrival::Resource(r) => {
+                            let kind = match r {
+                                StallReason::Structural => CpKind::Structural,
+                                StallReason::SaPort => CpKind::SaPort,
+                                StallReason::LoadLimit => CpKind::LoadLimit,
+                                StallReason::Operand => CpKind::Dataflow,
+                                StallReason::QueueEmpty => CpKind::QueueData,
+                                StallReason::QueueFull => CpKind::QueueSpace,
+                                StallReason::Mispredict => CpKind::Refill,
+                            };
+                            (kind, prev, NO_QUEUE, Fill::Done)
+                        }
+                        Arrival::Data { writer } => {
+                            let (kind, pred, queue) = self.resolve_data(core, writer, prev);
+                            (kind, pred, queue, Fill::Done)
+                        }
+                        Arrival::QueueVisible { queue } => {
+                            (CpKind::QueueData, prev, queue, Fill::Producer)
+                        }
+                        Arrival::QueueSpace { queue } => {
+                            (CpKind::QueueSpace, prev, queue, Fill::LastPop)
+                        }
+                    };
+                    self.nodes[core].push(RefNode {
+                        cycle,
+                        src,
+                        kind,
+                        pred,
+                        queue,
+                        is_consume: false,
+                        fill,
+                    });
+                }
+                TraceEvent::Produce { core, queue, .. } => {
+                    let q = queue as usize;
+                    let pop = self.last_pop[q];
+                    let pending = self.pending[q].pop_front();
+                    let mutant = self.mutant;
+                    let idx = match self.nodes[core].last_mut() {
+                        Some(node) => {
+                            node.queue = queue;
+                            if node.fill == Fill::LastPop {
+                                if let (Some(p), true) = (pop, mutant != Mutant::NoLastPop) {
+                                    node.pred = Some(p);
+                                }
+                                node.fill = Fill::Done;
+                            }
+                            self.nodes[core].len() - 1
+                        }
+                        None => return,
+                    };
+                    match pending {
+                        Some(consumer) => {
+                            self.pairing.insert(consumer, (core, idx));
+                        }
+                        None => self.entries[q].push_back((core, idx)),
+                    }
+                }
+                TraceEvent::Consume { core, queue, deferred, .. } => {
+                    let q = queue as usize;
+                    let popped = if deferred { None } else { self.entries[q].pop_front() };
+                    let idx = match self.nodes[core].last_mut() {
+                        Some(node) => {
+                            node.queue = queue;
+                            node.is_consume = true;
+                            if node.fill == Fill::Producer {
+                                if let Some(p) = popped {
+                                    node.pred = Some(p);
+                                }
+                                node.fill = Fill::Done;
+                            }
+                            self.nodes[core].len() - 1
+                        }
+                        None => return,
+                    };
+                    if deferred {
+                        self.pending[q].push_back((core, idx));
+                    } else if let Some(prod) = popped {
+                        self.pairing.insert((core, idx), prod);
+                        self.last_pop[q] = Some((core, idx));
+                    }
+                }
+                TraceEvent::Finish { cycle, core } => {
+                    self.finished_at[core] = cycle + 1;
+                }
+                TraceEvent::StallSpan { .. } => {}
+            }
+        }
+
+        fn run_end(&mut self, cycles: u64) {
+            self.cycles = cycles;
+            self.ended = true;
+        }
+    }
+
+    const CORES: usize = 3;
+    const QUEUES: usize = 2;
+    const DEPTH: usize = 2;
+    /// Ids 0–3 are decoded slots of every thread (1 is a load); 4 and 5
+    /// are carried by no slot.
+    const SRCS: u32 = 6;
+
+    fn program_with_a_load() -> DecodedProgram {
+        let thread = |name: &str| {
+            let mut b = FunctionBuilder::new(name);
+            let p = b.param();
+            let a = b.bin(BinOp::Add, p, 8i64);
+            let v = b.load(a, 0);
+            let w = b.bin(BinOp::Mul, v, 3i64);
+            b.ret(Some(w.into()));
+            b.finish().unwrap()
+        };
+        DecodedProgram::decode(&[thread("a"), thread("b"), thread("c")]).unwrap()
+    }
+
+    /// One step of a generated stream: `(core, shape, queue, pick)`.
+    type Step = (u8, u8, u8, u16);
+
+    fn steps() -> gmt_testkit::Gen<Vec<Step>> {
+        use gmt_testkit::ranged;
+        let step = ranged(0u8, CORES as u8)
+            .zip(ranged(0u8, 10))
+            .zip(ranged(0u8, QUEUES as u8).zip(ranged(0u16, u16::MAX)))
+            .map(|((core, shape), (queue, pick))| (core, shape, queue, pick));
+        gmt_testkit::vec_of(step, 0, 120)
+    }
+
+    /// What an in-order core that could not issue is waiting to retry.
+    #[derive(Clone, Copy)]
+    enum Blocked {
+        Produce(usize),
+        ConsumeSync(usize),
+    }
+
+    /// Expands steps into the event stream of a `CORES`-core in-order
+    /// machine over `QUEUES` depth-`DEPTH` queues, on one global clock
+    /// (the engine narrates in evaluation order), and the run's length.
+    /// Every shape the sink distinguishes occurs: each `Arrival`
+    /// variant, data edges through loads, through consumes whose value
+    /// was there and through deferred ones paired by a later produce
+    /// (in the same cycle or a later one), a writer index past the
+    /// core's nodes and the never-written `u64::MAX`, a def with the
+    /// `src` of the use it binds to, a `consume.sync` that waited for
+    /// its token, a produce that waited for a pop, ids no decoded slot
+    /// carries, and a core that finishes early.
+    fn narrate(steps: &[Step]) -> (Vec<TraceEvent>, u64) {
+        let mut now = 0u64;
+        let mut events = Vec::new();
+        let mut srcs: [Vec<u32>; CORES] = Default::default();
+        let mut last_consume = [None; CORES];
+        let mut blocked: [Option<Blocked>; CORES] = [None; CORES];
+        let mut finished = [false; CORES];
+        let mut entries = [0usize; QUEUES];
+        let mut pending = [0usize; QUEUES];
+        // Two cores or all three.
+        let cores = CORES - steps.len() % 2;
+        for &(core, shape, queue, pick) in steps {
+            // Shrinking leaves the generated ranges.
+            let (core, queue, pick) = (core as usize % cores, queue as usize % QUEUES, pick as usize);
+            if finished[core] {
+                continue;
+            }
+            // Most steps share a cycle with the one before: a produce
+            // and the consume it feeds often issue on the same one.
+            now += [0, 0, 0, 0, 2][pick % 5];
+            let pick = pick / 5;
+            let mut src = (pick as u32 / 3 + u32::from(shape)) % SRCS;
+            let idx = srcs[core].len() as u64;
+            // A blocked core retries what it could not issue, once (a
+            // generated machine may deadlock; the stream goes on).
+            let retry = blocked[core].take();
+            let (shape, queue, waited) = match retry {
+                Some(Blocked::Produce(q)) => (4, q, true),
+                Some(Blocked::ConsumeSync(q)) => (6, q, true),
+                None => (shape % 10, queue, pick % 5 == 0),
+            };
+            let q = queue as u32;
+            let (arrival, queue_event) = match shape {
+                0 => match pick % 3 {
+                    0 => (Arrival::InOrder, None),
+                    1 => (Arrival::Refill, None),
+                    _ => (Arrival::Resource(StallReason::ALL[pick / 3 % StallReason::ALL.len()]), None),
+                },
+                1 | 2 | 3 | 8 => {
+                    let writer = match last_consume[core] {
+                        Some(c) if shape != 1 => c,
+                        // `idx` itself is past the nodes; one more is
+                        // the never-written tag.
+                        _ => match pick as u64 / 2 % (idx + 2) {
+                            w if w > idx => u64::MAX,
+                            w => w,
+                        },
+                    };
+                    if shape == 8 {
+                        src = srcs[core].get(writer as usize).copied().unwrap_or(src);
+                    }
+                    (Arrival::Data { writer }, None)
+                }
+                4 | 7 => {
+                    if entries[queue] >= DEPTH && pending[queue] == 0 {
+                        if retry.is_none() {
+                            blocked[core] = Some(Blocked::Produce(queue));
+                        }
+                        continue;
+                    }
+                    if pending[queue] > 0 {
+                        pending[queue] -= 1;
+                    } else {
+                        entries[queue] += 1;
+                    }
+                    let arrival =
+                        if waited { Arrival::QueueSpace { queue: q } } else { Arrival::InOrder };
+                    let occupancy = entries[queue];
+                    (arrival, Some(TraceEvent::Produce { cycle: now, core, queue: q, occupancy }))
+                }
+                5 => {
+                    let deferred = entries[queue] == 0;
+                    if deferred {
+                        pending[queue] += 1;
+                    } else {
+                        entries[queue] -= 1;
+                    }
+                    last_consume[core] = Some(idx);
+                    let occupancy = entries[queue];
+                    let ev = TraceEvent::Consume { cycle: now, core, queue: q, occupancy, deferred };
+                    (Arrival::InOrder, Some(ev))
+                }
+                6 => {
+                    if entries[queue] == 0 {
+                        if retry.is_none() {
+                            blocked[core] = Some(Blocked::ConsumeSync(queue));
+                        }
+                        continue;
+                    }
+                    entries[queue] -= 1;
+                    // `waited` without having been blocked: the token
+                    // was in flight (SA latency) when the core got here.
+                    let arrival =
+                        if waited { Arrival::QueueVisible { queue: q } } else { Arrival::InOrder };
+                    let occupancy = entries[queue];
+                    let ev = TraceEvent::Consume { cycle: now, core, queue: q, occupancy, deferred: false };
+                    (arrival, Some(ev))
+                }
+                _ => {
+                    // Finish early, now and then, unless this is the
+                    // last core running.
+                    if pick % 4 == 0 && finished[..cores].iter().filter(|&&f| !f).count() > 1 {
+                        finished[core] = true;
+                    }
+                    (Arrival::InOrder, None)
+                }
+            };
+            events.push(TraceEvent::Issue { cycle: now, core, src: InstrId(src), arrival });
+            srcs[core].push(src);
+            events.extend(queue_event);
+            if finished[core] {
+                events.push(TraceEvent::Finish { cycle: now, core });
+            }
+        }
+        for core in (0..cores).filter(|&c| !finished[c]) {
+            now += 1;
+            events.push(TraceEvent::Issue { cycle: now, core, src: InstrId(3), arrival: Arrival::InOrder });
+            events.push(TraceEvent::Finish { cycle: now, core });
+        }
+        (events, now + 1)
+    }
+
+    /// The path (or error) the sink and the reference each reconstruct
+    /// from `events`.
+    fn both(
+        events: &[TraceEvent],
+        cycles: u64,
+        mutant: Mutant,
+    ) -> (Result<CritPath, String>, Result<CritPath, String>) {
+        let p = program_with_a_load();
+        let mut sinks = (CritPathSink::new(&p, QUEUES), Reference::new(&p, QUEUES, mutant));
+        for ev in events {
+            sinks.event(ev);
+        }
+        sinks.run_end(cycles);
+        (sinks.0.critical_path(), sinks.1.critical_path())
+    }
+
+    #[test]
+    fn sink_agrees_with_its_pre_change_implementation() {
+        gmt_testkit::Checker::new("critpath::sink_agrees_with_its_pre_change_implementation")
+            .cases(400)
+            .run(&steps(), |steps| {
+                let (events, cycles) = narrate(steps);
+                let (new, old) = both(&events, cycles, Mutant::None);
+                gmt_testkit::prop_assert_eq!(&new, &old, "sink vs reference");
+                if let Ok(cp) = &new {
+                    gmt_testkit::prop_assert_eq!(cp.total, cycles, "the path covers the run");
+                }
+                // Cut short, both must refuse alike.
+                let (new, old) = both(&events[..events.len() / 2], cycles, Mutant::None);
+                gmt_testkit::prop_assert_eq!(new, old, "sink vs reference on a truncated stream");
+                Ok(())
+            });
+    }
+
+    /// The property above can fail: each planted defect in the
+    /// reference changes the path of at least a tenth of the streams.
+    #[test]
+    fn planted_defects_are_told_apart() {
+        for mutant in [Mutant::StrictRedirect, Mutant::NoLastPop] {
+            let caught = (0..300u64)
+                .filter(|&seed| {
+                    let steps = steps().sample(&mut gmt_testkit::TestRng::new(seed));
+                    let (events, cycles) = narrate(&steps);
+                    let (new, mutated) = both(&events, cycles, mutant);
+                    new != mutated
+                })
+                .count();
+            assert!(caught >= 30, "only {caught} of 300 streams tell the mutant from the sink");
+        }
     }
 }

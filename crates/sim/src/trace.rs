@@ -18,12 +18,12 @@
 //!
 //! Two sinks ship with the crate:
 //!
-//! - [`TraceAggregator`] — a bounded ring buffer of recent events plus
-//!   running tables: a per-core *cycle attribution* (every cycle of
-//!   every core classified as compute, one of the [`StallReason`]s, or
-//!   idle — the decomposition sums exactly to the run's cycle count)
-//!   and per-queue communication counters (produces, consumes,
-//!   deferred consumes, occupancy high-water mark).
+//! - [`TraceAggregator`] — running tables: a per-core *cycle
+//!   attribution* (every cycle of every core classified as compute, one
+//!   of the [`StallReason`]s, or idle — the decomposition sums exactly
+//!   to the run's cycle count) and per-queue communication counters
+//!   (produces, consumes, deferred consumes, occupancy high-water
+//!   mark).
 //! - [`ChromeTraceSink`] — emits Chrome-trace-format JSON (the
 //!   `chrome://tracing` / Perfetto interchange format): one track per
 //!   core carrying compute/stall spans, one counter track per active
@@ -36,7 +36,6 @@
 use crate::core::{StallCycles, StallReason};
 use crate::sim::SimResult;
 use gmt_ir::InstrId;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// The *last-arrival edge* of an issued instruction: which predecessor
@@ -405,51 +404,46 @@ impl CycleFold {
     }
 }
 
-/// A [`TraceSink`] that keeps a bounded ring buffer of the most recent
-/// events and folds the full stream into summary tables:
-/// [`CycleAttribution`] per core and [`QueueTraceStats`] per queue.
-///
-/// The ring buffer bounds memory on arbitrarily long runs — when full,
-/// the oldest event is dropped ([`TraceAggregator::dropped_events`]
-/// counts how many). The summary tables always cover the *whole* run.
+/// A [`TraceSink`] that folds the full event stream into summary
+/// tables: [`CycleAttribution`] per core and [`QueueTraceStats`] per
+/// queue. It stores no event, so its memory does not grow with the
+/// run; [`TraceAggregator::dropped_events`] counts the events a log of
+/// `ring_capacity` entries would have had to discard.
 #[derive(Debug)]
 pub struct TraceAggregator {
-    ring: VecDeque<TraceEvent>,
     capacity: usize,
-    dropped: u64,
+    seen: u64,
     cores: Vec<(CycleFold, CycleAttribution)>,
     queues: Vec<QueueTraceStats>,
     occ: Vec<OccupancyFold>,
     cycles: u64,
     ended: bool,
+    /// The first event naming a core or queue the tables were not
+    /// sized for; [`check_attribution`] returns it.
+    out_of_range: Option<String>,
 }
 
 impl TraceAggregator {
-    /// An aggregator for `ncores` cores and `nqueues` queues keeping at
-    /// most `ring_capacity` raw events.
+    /// An aggregator for `ncores` cores and `nqueues` queues whose
+    /// [`TraceAggregator::dropped_events`] is counted against a log of
+    /// `ring_capacity` raw events.
     pub fn new(ncores: usize, nqueues: usize, ring_capacity: usize) -> TraceAggregator {
         TraceAggregator {
-            ring: VecDeque::with_capacity(ring_capacity.min(1 << 16)),
             capacity: ring_capacity,
-            dropped: 0,
+            seen: 0,
             cores: vec![Default::default(); ncores],
             queues: vec![QueueTraceStats::default(); nqueues],
             occ: vec![OccupancyFold::default(); nqueues],
             cycles: 0,
             ended: false,
+            out_of_range: None,
         }
     }
 
-    /// The most recent events, oldest first (bounded by the ring
-    /// capacity).
-    pub fn recent_events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Events discarded from the ring because the run outgrew it (the
-    /// summary tables still cover them).
+    /// Events beyond the `ring_capacity` most recent ones (the summary
+    /// tables still cover them).
     pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        self.seen.saturating_sub(self.capacity as u64)
     }
 
     /// Total cycles reported by [`TraceSink::run_end`].
@@ -477,49 +471,62 @@ impl TraceAggregator {
         self.occ.iter().map(|o| o.summary(self.cycles)).collect()
     }
 
-    fn push_ring(&mut self, ev: &TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
+    /// Remembers the first event the tables have no row for.
+    #[cold]
+    fn out_of_range(&mut self, what: &str, index: usize, built_for: usize) {
+        if self.out_of_range.is_none() {
+            self.out_of_range =
+                Some(format!("event on {what} {index}: the aggregator was built for {built_for}"));
         }
-        if self.ring.len() >= self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
+    }
+
+    /// The rows of `queue`, or the fault if there are none.
+    fn queue(&mut self, queue: u32) -> Option<(&mut QueueTraceStats, &mut OccupancyFold)> {
+        let (q, nqueues) = (queue as usize, self.queues.len());
+        if q >= nqueues {
+            self.out_of_range("queue", q, nqueues);
+            return None;
         }
-        self.ring.push_back(*ev);
+        Some((&mut self.queues[q], &mut self.occ[q]))
     }
 }
 
 impl TraceSink for TraceAggregator {
     fn event(&mut self, ev: &TraceEvent) {
-        self.push_ring(ev);
+        self.seen += 1;
         if let Some((core, from, until, class)) = classified(ev) {
-            let (fold, attr) = &mut self.cores[core];
-            fold.observe(from, until, class, |a, b, c| attr.add(c, b - a));
+            let ncores = self.cores.len();
+            match self.cores.get_mut(core) {
+                Some((fold, attr)) => fold.observe(from, until, class, |a, b, c| attr.add(c, b - a)),
+                None => self.out_of_range("core", core, ncores),
+            }
         }
         match *ev {
             TraceEvent::StallSpan { from, until, reason, queue: Some(q), .. } => {
-                let qs = &mut self.queues[q as usize];
-                match reason {
-                    StallReason::QueueFull => qs.full_stall_cycles += until - from,
-                    StallReason::QueueEmpty => qs.empty_stall_cycles += until - from,
-                    _ => {}
+                if let Some((qs, _)) = self.queue(q) {
+                    match reason {
+                        StallReason::QueueFull => qs.full_stall_cycles += until - from,
+                        StallReason::QueueEmpty => qs.empty_stall_cycles += until - from,
+                        _ => {}
+                    }
                 }
             }
             TraceEvent::Produce { cycle, queue, occupancy, .. } => {
-                let qs = &mut self.queues[queue as usize];
-                qs.produces += 1;
-                qs.max_occupancy = qs.max_occupancy.max(occupancy);
-                self.occ[queue as usize].observe(cycle, occupancy);
+                if let Some((qs, occ)) = self.queue(queue) {
+                    qs.produces += 1;
+                    qs.max_occupancy = qs.max_occupancy.max(occupancy);
+                    occ.observe(cycle, occupancy);
+                }
             }
             TraceEvent::Consume { cycle, queue, occupancy, deferred, .. } => {
-                let qs = &mut self.queues[queue as usize];
-                qs.consumes += 1;
-                if deferred {
-                    qs.deferred_consumes += 1;
+                if let Some((qs, occ)) = self.queue(queue) {
+                    qs.consumes += 1;
+                    if deferred {
+                        qs.deferred_consumes += 1;
+                    }
+                    qs.max_occupancy = qs.max_occupancy.max(occupancy);
+                    occ.observe(cycle, occupancy);
                 }
-                qs.max_occupancy = qs.max_occupancy.max(occupancy);
-                self.occ[queue as usize].observe(cycle, occupancy);
             }
             _ => {}
         }
@@ -558,8 +565,9 @@ impl TraceSink for TraceAggregator {
 pub struct ChromeTraceSink {
     cores: Vec<CycleFold>,
     queues: Vec<QueueCounter>,
-    events: String,
-    cycles: u64,
+    /// The JSON so far: the header and every event closed to date.
+    /// Each event is written here once, straight from its fields.
+    json: String,
     ended: bool,
 }
 
@@ -580,115 +588,131 @@ impl ChromeTraceSink {
         ChromeTraceSink {
             cores: vec![CycleFold::default(); ncores],
             queues: vec![QueueCounter::default(); nqueues],
-            events: String::new(),
-            cycles: 0,
+            json: String::from(JSON_HEADER),
             ended: false,
         }
     }
 
-    fn counter_event(&mut self, queue: usize, cycle: u64, occupancy: usize) {
-        let body = format!(
-            "{{\"name\":\"q{queue}\",\"ph\":\"C\",\"ts\":{cycle},\"pid\":{pid},\
-             \"tid\":{queue},\"args\":{{\"occupancy\":{occupancy}}}}}",
-            pid = TRACE_PID_QUEUES,
-        );
-        raw_event(&mut self.events, &body);
-    }
-
     /// The complete trace as a JSON string. Call after the run.
-    pub fn into_json(mut self) -> String {
+    pub fn into_json(self) -> String {
         assert!(self.ended, "into_json before run_end");
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        // Track-naming metadata.
-        let ncores = self.cores.len();
-        for core in 0..ncores {
-            let body = format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{core},\
-                 \"args\":{{\"name\":\"core {core}\"}}}}",
-                pid = TRACE_PID_CORES,
-            );
-            raw_event(&mut self.events, &body);
-        }
-        let body = format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
-             \"args\":{{\"name\":\"cores\"}}}}",
-            pid = TRACE_PID_CORES,
-        );
-        raw_event(&mut self.events, &body);
-        let body = format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
-             \"args\":{{\"name\":\"sa queues\"}}}}",
-            pid = TRACE_PID_QUEUES,
-        );
-        raw_event(&mut self.events, &body);
-        out.push_str(&self.events);
-        let _ = write!(out, "\n],\"otherData\":{{\"cycles\":{}}}}}\n", self.cycles);
-        out
+        self.json
     }
 }
 
-/// Appends one trace event to the comma-separated event list.
-fn raw_event(events: &mut String, body: &str) {
-    if !events.is_empty() {
-        events.push(',');
+/// What the trace opens with; the events follow, comma-separated.
+const JSON_HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+
+/// Appends one trace event, written by `body`, to the comma-separated
+/// event list.
+fn raw_event(json: &mut String, body: std::fmt::Arguments<'_>) {
+    if json.len() > JSON_HEADER.len() {
+        json.push(',');
     }
-    events.push('\n');
-    events.push_str(body);
+    json.push('\n');
+    // Writing to a `String` cannot fail.
+    let _ = json.write_fmt(body);
 }
 
 /// Appends one closed run of `core` as a complete (`"X"`) event.
-fn span_event(events: &mut String, core: usize, from: u64, until: u64, class: CycleClass) {
+fn span_event(json: &mut String, core: usize, from: u64, until: u64, class: CycleClass) {
     let name = match class {
         CycleClass::Compute => "compute",
         CycleClass::Stalled(r) => r.name(),
     };
-    let body = format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{from},\"dur\":{dur},\
-         \"pid\":{pid},\"tid\":{core}}}",
-        dur = until - from,
-        pid = TRACE_PID_CORES,
+    raw_event(
+        json,
+        format_args!(
+            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{from},\"dur\":{dur},\
+             \"pid\":{pid},\"tid\":{core}}}",
+            dur = until - from,
+            pid = TRACE_PID_CORES,
+        ),
     );
-    raw_event(events, &body);
+}
+
+/// Appends one occupancy sample of `queue` as a counter (`"C"`) event.
+fn counter_event(json: &mut String, queue: usize, cycle: u64, occupancy: usize) {
+    raw_event(
+        json,
+        format_args!(
+            "{{\"name\":\"q{queue}\",\"ph\":\"C\",\"ts\":{cycle},\"pid\":{pid},\
+             \"tid\":{queue},\"args\":{{\"occupancy\":{occupancy}}}}}",
+            pid = TRACE_PID_QUEUES,
+        ),
+    );
+}
+
+/// The row of `table` at `index`, grown with defaults to hold it: a
+/// sink built for fewer cores or queues than the run uses draws the
+/// extra tracks rather than indexing out of bounds.
+fn row<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= table.len() {
+        table.resize_with(index + 1, T::default);
+    }
+    &mut table[index]
 }
 
 impl TraceSink for ChromeTraceSink {
     fn event(&mut self, ev: &TraceEvent) {
+        let json = &mut self.json;
         if let Some((core, from, until, class)) = classified(ev) {
-            let events = &mut self.events;
-            self.cores[core].observe(from, until, class, |a, b, c| span_event(events, core, a, b, c));
+            row(&mut self.cores, core)
+                .observe(from, until, class, |a, b, c| span_event(json, core, a, b, c));
         }
         if let TraceEvent::Produce { cycle, queue, occupancy, .. }
         | TraceEvent::Consume { cycle, queue, occupancy, .. } = *ev
         {
             let q = queue as usize;
-            if self.queues[q].last_occupancy != Some(occupancy) {
+            let counter = row(&mut self.queues, q);
+            if counter.last_occupancy != Some(occupancy) {
                 // Emit a leading zero sample so the counter does
                 // not interpolate from the start of time.
-                if self.queues[q].last_occupancy.is_none() && cycle > 0 {
-                    self.counter_event(q, 0, 0);
+                if counter.last_occupancy.is_none() && cycle > 0 {
+                    counter_event(json, q, 0, 0);
                 }
-                self.counter_event(q, cycle, occupancy);
-                self.queues[q].last_occupancy = Some(occupancy);
-                self.queues[q].last_cycle = cycle;
+                counter_event(json, q, cycle, occupancy);
+                counter.last_occupancy = Some(occupancy);
+                counter.last_cycle = cycle;
             }
         }
     }
 
     fn run_end(&mut self, cycles: u64) {
-        self.cycles = cycles;
+        let json = &mut self.json;
         for (core, fold) in self.cores.iter_mut().enumerate() {
-            let events = &mut self.events;
-            fold.finish(|a, b, c| span_event(events, core, a, b, c));
+            fold.finish(|a, b, c| span_event(json, core, a, b, c));
         }
         // Close each active counter at the end of the run so the last
         // plateau renders with its real width.
-        for q in 0..self.queues.len() {
-            if let Some(occ) = self.queues[q].last_occupancy {
-                if self.queues[q].last_cycle < cycles {
-                    self.counter_event(q, cycles, occ);
+        for (q, counter) in self.queues.iter().enumerate() {
+            if let Some(occ) = counter.last_occupancy {
+                if counter.last_cycle < cycles {
+                    counter_event(json, q, cycles, occ);
                 }
             }
         }
+        // Track-naming metadata, then the footer.
+        for core in 0..self.cores.len() {
+            raw_event(
+                json,
+                format_args!(
+                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{core},\
+                     \"args\":{{\"name\":\"core {core}\"}}}}",
+                    pid = TRACE_PID_CORES,
+                ),
+            );
+        }
+        for (pid, name) in [(TRACE_PID_CORES, "cores"), (TRACE_PID_QUEUES, "sa queues")] {
+            raw_event(
+                json,
+                format_args!(
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
+                     \"args\":{{\"name\":\"{name}\"}}}}"
+                ),
+            );
+        }
+        let _ = write!(json, "\n],\"otherData\":{{\"cycles\":{cycles}}}}}\n");
         self.ended = true;
     }
 }
@@ -723,9 +747,13 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
 ///
 /// # Errors
 ///
-/// Returns a description of the first core whose decomposition does
-/// not sum to `result.cycles`.
+/// Returns the first event that named a core or queue the aggregator
+/// was not built for, or a description of the first core whose
+/// decomposition does not sum to `result.cycles`.
 pub fn check_attribution(agg: &TraceAggregator, result: &SimResult) -> Result<(), String> {
+    if let Some(event) = &agg.out_of_range {
+        return Err(event.clone());
+    }
     for (i, attr) in agg.core_attribution().iter().enumerate() {
         if attr.total() != result.cycles {
             return Err(format!(
@@ -805,9 +833,50 @@ mod tests {
         agg.event(&issue(2, 0));
         agg.run_end(3);
         assert_eq!(agg.dropped_events(), 1);
-        let cycles: Vec<u64> = agg.recent_events().map(TraceEvent::cycle).collect();
-        assert_eq!(cycles, vec![1, 2], "oldest dropped");
         assert_eq!(agg.core_attribution()[0].compute, 3, "summary covers dropped events");
+    }
+
+    #[test]
+    fn aggregator_reports_an_event_outside_its_tables() {
+        // Built for one core and one queue, fed queue 5 and core 3.
+        let result = |cycles| SimResult {
+            cycles,
+            cores: Vec::new(),
+            output: Vec::new(),
+            return_value: None,
+            hits_l1: 0,
+            hits_l2: 0,
+            hits_l3: 0,
+            hits_mem: 0,
+            engine_steps: cycles,
+            skipped_cycles: 0,
+        };
+        let mut agg = TraceAggregator::new(1, 1, 8);
+        agg.event(&issue(0, 0));
+        agg.event(&TraceEvent::Produce { cycle: 0, core: 0, queue: 5, occupancy: 1 });
+        agg.event(&stall_on(1, 3, StallReason::QueueFull, Some(7)));
+        agg.run_end(2);
+        let err = check_attribution(&agg, &result(2)).unwrap_err();
+        assert!(err.contains("queue 5") && err.contains("built for 1"), "the first one: {err}");
+        assert_eq!(agg.core_attribution()[0].total(), 2, "in-range events still counted");
+
+        let mut agg = TraceAggregator::new(1, 1, 8);
+        agg.event(&issue(0, 3));
+        agg.run_end(1);
+        let err = check_attribution(&agg, &result(1)).unwrap_err();
+        assert!(err.contains("core 3"), "{err}");
+    }
+
+    #[test]
+    fn chrome_sink_grows_to_the_run_it_sees() {
+        let mut sink = ChromeTraceSink::new(1, 1);
+        sink.event(&issue(0, 2));
+        sink.event(&TraceEvent::Produce { cycle: 1, core: 2, queue: 5, occupancy: 1 });
+        sink.run_end(2);
+        let json = sink.into_json();
+        assert!(json.contains("\"name\":\"compute\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":1,\"tid\":2"), "{json}");
+        assert!(json.contains("\"name\":\"q5\""), "{json}");
+        assert!(json.contains("\"args\":{\"name\":\"core 2\"}"), "the grown track is named: {json}");
     }
 
     #[test]
