@@ -37,12 +37,14 @@ GMT_TESTKIT_BENCH_SMOKE=1 cargo bench --offline -p gmt-bench --bench exec_throug
 GMT_JOBS=8 ./target/release/repro --verify-mt
 
 # Differential-fuzzer smoke: a deterministic-seed run of the pipeline
-# fuzzer (corpus replay + fresh cases; offline, well under 60 s). Any
+# fuzzer (corpus replay + 1000 fresh cases — twice the 500 this step ran
+# before COCO and verify_mt cost what their inputs require, in the same
+# second and a half; offline, well under 60 s). Any
 # finding exits nonzero; its seed is printed and persisted, and
 # `GMT_TESTKIT_SEED=<seed> cargo run --release -p gmt-fuzz --bin fuzz`
 # replays exactly that case (the same replay command works for every
 # entry in tests/fuzz_corpus/corpus.txt).
-./target/release/fuzz --cases 500 --quiet
+./target/release/fuzz --cases 1000 --quiet
 
 # Repository-benchmark smoke: all six workloads once (P=1, no warm-up,
 # no traced run; under 10 s). Exits nonzero on `correct: false`, so a

@@ -7,7 +7,7 @@
 //!
 //! - **thread-aware data-flow analyses** — the safety analysis
 //!   ([`Safety`], Property 3 / equations (1)–(2)) and thread-aware
-//!   liveness ([`LiveMap`]);
+//!   liveness ([`LiveTable`]);
 //! - **graph min-cuts** — each register's communication is one min-cut
 //!   on a flow graph over its live range (§3.1.1), with cost penalties
 //!   steering cuts away from points that would add control flow to the
@@ -71,8 +71,8 @@ mod safety;
 
 pub use coco::{optimize, CocoConfig, CocoStats};
 pub use estimate::SchedEstimate;
-pub use flowgraph::{Gf, GfBuilder, LiveMap};
-pub use mtverify::{verify_mt, verify_mt_uniform, MtVerifyError, WaitStep};
+pub use flowgraph::{BlockTables, Gf, GfBuilder, LiveTable};
+pub use mtverify::{verify_mt, verify_mt_each, verify_mt_uniform, MtVerifyError, WaitStep};
 pub use pipeline::{CompileTimings, Parallelized, Parallelizer, PipelineError, Scheduler};
 pub use pos::{Pos, PosArc, PosGraph};
 pub use safety::Safety;

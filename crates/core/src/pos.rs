@@ -3,7 +3,6 @@
 
 use gmt_ir::{BlockId, Function, InstrId, Profile};
 use gmt_mtcg::CommPoint;
-use std::collections::HashMap;
 
 /// A program position at instruction granularity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,79 +27,125 @@ pub struct PosArc {
     pub weight: u64,
     /// Concrete insertion point, if placeable.
     pub point: Option<CommPoint>,
+    /// [`PosGraph::index_of`] the head position.
+    pub to_index: u32,
+    /// The block `point` lies in — where Property 2 and the §3.1.2
+    /// penalty are looked up (the tail's block when there is no point).
+    pub point_block: BlockId,
 }
 
+/// Index of a position no block holds.
+const NO_POS: u32 = u32::MAX;
+
 /// The instruction-granularity control-flow relation of a function.
+///
+/// Positions carry a dense *layout index*: blocks in index order, each
+/// block's entry, body and terminator in program order. Arcs are stored
+/// in the order of their tail's index, so the arcs leaving a position
+/// are one slice, and the tables COCO keeps per position (live ranges,
+/// flow-graph nodes) are plain vectors.
 #[derive(Clone, Debug)]
 pub struct PosGraph {
     arcs: Vec<PosArc>,
-    /// Block of each position.
-    block_of: HashMap<Pos, BlockId>,
+    /// Layout index of `Entry(b)` at `b` and of `At(i)` at
+    /// `num_blocks + i`.
+    index: Vec<u32>,
+    num_blocks: usize,
+    /// `arcs[out_start[p]..out_start[p + 1]]` leave layout index `p`.
+    out_start: Vec<u32>,
 }
 
 impl PosGraph {
     /// Builds the position graph of `f` under `profile`, whose
     /// [`Profile::block_weights`] the caller has already derived.
     pub fn build(f: &Function, profile: &Profile, block_weights: &[u64]) -> PosGraph {
-        let mut arcs = Vec::new();
-        let mut block_of = HashMap::new();
-        let mut preds_count = vec![0usize; f.num_blocks()];
+        let num_blocks = f.num_blocks();
+        let mut index = vec![NO_POS; num_blocks + f.num_instrs()];
+        let mut preds_count = vec![0usize; num_blocks];
+        let mut positions = 0u32;
         for b in f.blocks() {
             for s in f.successors(b) {
                 preds_count[s.index()] += 1;
             }
+            index[b.index()] = positions;
+            positions += 1;
+            for i in f.block(b).all_instrs() {
+                index[num_blocks + i.index()] = positions;
+                positions += 1;
+            }
         }
+        let mut arcs = Vec::new();
+        let mut out_start = Vec::with_capacity(positions as usize + 1);
         for b in f.blocks() {
             let w = block_weights[b.index()];
             let block = f.block(b);
-            block_of.insert(Pos::Entry(b), b);
             let mut prev = Pos::Entry(b);
-            let mut prev_point: Option<CommPoint> = block
-                .instrs
-                .first()
-                .map(|_| CommPoint::BlockStart(b))
-                .or(Some(CommPoint::BlockStart(b)));
-            for &i in &block.instrs {
-                block_of.insert(Pos::At(i), b);
-                arcs.push(PosArc { from: prev, to: Pos::At(i), weight: w, point: prev_point });
-                prev = Pos::At(i);
-                prev_point = Some(CommPoint::After(i));
-            }
+            let mut prev_point = CommPoint::BlockStart(b);
             let term = block.terminator.expect("verified function");
-            block_of.insert(Pos::At(term), b);
-            arcs.push(PosArc { from: prev, to: Pos::At(term), weight: w, point: prev_point });
+            for i in block.all_instrs() {
+                out_start.push(arcs.len() as u32);
+                arcs.push(PosArc {
+                    from: prev,
+                    to: Pos::At(i),
+                    weight: w,
+                    point: Some(prev_point),
+                    to_index: index[num_blocks + i.index()],
+                    point_block: b,
+                });
+                prev = Pos::At(i);
+                prev_point = CommPoint::After(i);
+            }
             // Block-to-block arcs.
+            out_start.push(arcs.len() as u32);
             let succs = f.successors(b);
             let single_succ = succs.len() == 1;
             for s in succs {
-                let ew = profile.edge(b, s);
-                let point = if single_succ {
+                let (point, point_block) = if single_succ {
                     // The edge fires exactly when the block ends.
-                    Some(CommPoint::Before(term))
+                    (Some(CommPoint::Before(term)), b)
                 } else if preds_count[s.index()] == 1 {
-                    Some(CommPoint::BlockStart(s))
+                    (Some(CommPoint::BlockStart(s)), s)
                 } else {
-                    None // critical edge: not placeable
+                    (None, b) // critical edge: not placeable
                 };
-                arcs.push(PosArc { from: Pos::At(term), to: Pos::Entry(s), weight: ew, point });
+                arcs.push(PosArc {
+                    from: Pos::At(term),
+                    to: Pos::Entry(s),
+                    weight: profile.edge(b, s),
+                    point,
+                    to_index: index[s.index()],
+                    point_block,
+                });
             }
         }
-        PosGraph { arcs, block_of }
+        out_start.push(arcs.len() as u32);
+        PosGraph { arcs, index, num_blocks, out_start }
     }
 
-    /// All arcs.
+    /// All arcs, in the order of their tail's layout index.
     pub fn arcs(&self) -> &[PosArc] {
         &self.arcs
     }
 
-    /// The block containing a position.
-    pub fn block_of(&self, p: Pos) -> BlockId {
-        self.block_of[&p]
+    /// Number of positions (block entries and instruction slots).
+    pub fn num_positions(&self) -> usize {
+        self.out_start.len() - 1
     }
 
-    /// All positions (entries and instruction slots).
-    pub fn positions(&self) -> impl Iterator<Item = Pos> + '_ {
-        self.block_of.keys().copied()
+    /// The layout index of `p`, in `0..num_positions()`; `None` for a
+    /// block or instruction the function does not lay out.
+    pub fn index_of(&self, p: Pos) -> Option<usize> {
+        let slot = match p {
+            Pos::Entry(b) if b.index() < self.num_blocks => b.index(),
+            Pos::Entry(_) => return None,
+            Pos::At(i) => self.num_blocks + i.index(),
+        };
+        self.index.get(slot).filter(|&&at| at != NO_POS).map(|&at| at as usize)
+    }
+
+    /// The arcs leaving the position of layout index `index`.
+    pub fn arcs_from(&self, index: usize) -> &[PosArc] {
+        &self.arcs[self.out_start[index] as usize..self.out_start[index + 1] as usize]
     }
 }
 
@@ -122,6 +167,41 @@ mod tests {
         assert_eq!(g.arcs().len(), 3);
         assert!(g.arcs().iter().all(|a| a.weight == 5));
         assert!(g.arcs().iter().all(|a| a.point.is_some()));
+    }
+
+    /// Layout indices run over the positions in program order, and the
+    /// arcs leaving a position are the slice `arcs_from` hands out.
+    #[test]
+    fn layout_indices_group_the_arcs_by_tail() {
+        let mut b = FunctionBuilder::new("br");
+        let x = b.param();
+        let t = b.block("t");
+        let e = b.block("e");
+        let c = b.bin(BinOp::Lt, x, 3i64);
+        b.branch(c, t, e);
+        b.switch_to(t);
+        b.ret(None);
+        b.switch_to(e);
+        b.ret(None);
+        let f = b.finish().unwrap();
+        let profile = Profile::uniform(&f, 1);
+        let g = PosGraph::build(&f, &profile, &profile.block_weights(&f));
+        // entry, lt, branch, Entry(t), ret, Entry(e), ret.
+        assert_eq!(g.num_positions(), 7);
+        let regrouped: Vec<PosArc> =
+            (0..g.num_positions()).flat_map(|p| g.arcs_from(p).to_vec()).collect();
+        assert_eq!(regrouped, g.arcs());
+        for (p, arc) in (0..g.num_positions()).flat_map(|p| g.arcs_from(p).iter().map(move |a| (p, a))) {
+            assert_eq!(g.index_of(arc.from), Some(p));
+            assert_eq!(g.index_of(arc.to), Some(arc.to_index as usize));
+        }
+        let branch = f.block(f.entry()).terminator.unwrap();
+        assert_eq!(g.index_of(Pos::At(branch)), Some(2));
+        assert_eq!(g.arcs_from(2).len(), 2, "a branch has two leaving arcs");
+        // Single-pred successors take the point into their own block.
+        assert!(g.arcs_from(2).iter().all(|a| Pos::Entry(a.point_block) == a.to));
+        assert_eq!(g.index_of(Pos::Entry(BlockId(9))), None);
+        assert_eq!(g.index_of(Pos::At(InstrId(99))), None);
     }
 
     #[test]

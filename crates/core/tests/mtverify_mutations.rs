@@ -3,9 +3,11 @@
 //! control duplication, depth-sensitive deadlock, stale register
 //! placement, uncovered memory dependence) and assert [`verify_mt`]
 //! catches each class with a queue-level witness — and stays silent on
-//! the unmutated output.
+//! the unmutated output. Every output a test verifies goes through
+//! [`verify`], which also holds the several-depth-vectors entry point
+//! to the answers of separate calls.
 
-use gmt_core::{verify_mt, MtVerifyError};
+use gmt_core::{verify_mt, verify_mt_each, MtVerifyError};
 use gmt_ir::{BinOp, Function, FunctionBuilder, InstrId, Op, QueueId};
 use gmt_mtcg::{CommKind, CommPlan, CommPoint, MtcgOutput, QueueLabel};
 use gmt_pdg::{Partition, Pdg, ThreadId};
@@ -43,6 +45,27 @@ fn kernel() -> (Function, Partition) {
     (f, p)
 }
 
+/// [`verify_mt`] — after checking, on this output, that asking
+/// [`verify_mt_each`] for several depth vectors at once gives the list
+/// each separate call gives, element for element and in order.
+fn verify(
+    f: &Function,
+    p: &Partition,
+    pdg: &Pdg,
+    out: &MtcgOutput,
+    depths: &[usize],
+) -> Vec<MtVerifyError> {
+    let errs = verify_mt(f, p, pdg, out, depths);
+    let per_queue: Vec<usize> = (0..out.num_queues as usize).map(|q| 1 + q % 3).collect();
+    let vectors: [&[usize]; 4] = [&[1], depths, &[32], &per_queue];
+    let together = verify_mt_each(f, p, pdg, out, vectors);
+    for (k, (depths, got)) in vectors.iter().zip(&together).enumerate() {
+        assert_eq!(got, &verify_mt(f, p, pdg, out, depths), "vector {k} of {vectors:?}");
+    }
+    assert_eq!(together[1], errs);
+    errs
+}
+
 fn generate(f: &Function, p: &Partition) -> (Pdg, MtcgOutput) {
     let pdg = Pdg::build(f);
     let out = gmt_mtcg::generate(f, &pdg, p).unwrap();
@@ -54,8 +77,46 @@ fn clean_output_verifies() {
     let (f, p) = kernel();
     let (pdg, out) = generate(&f, &p);
     for depth in [1, 32] {
-        let errs = verify_mt(&f, &p, &pdg, &out, &[depth]);
+        let errs = verify(&f, &p, &pdg, &out, &[depth]);
         assert!(errs.is_empty(), "clean output flagged at depth {depth}: {errs:?}");
+    }
+}
+
+/// An output whose `origins` is shorter than `threads` used to end in
+/// an out-of-bounds panic inside the verifier; a validator answers a
+/// malformed output with a typed error. The thread without a table is
+/// named, and each of its communication ops — which no image can hold
+/// — is reported too.
+#[test]
+fn missing_origin_table_is_a_typed_error() {
+    let (f, p) = kernel();
+    let (pdg, mut out) = generate(&f, &p);
+    assert!(out.num_queues > 0, "the kernel communicates");
+    out.origins.pop();
+    let last = ThreadId(out.threads.len() as u32 - 1);
+    let comm_ops = out.threads[last.index()]
+        .all_instrs()
+        .filter(|&i| out.threads[last.index()].instr(i).is_communication())
+        .count();
+    assert!(comm_ops > 0, "the last thread communicates");
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    assert_eq!(
+        errs.iter()
+            .filter(|e| **e == MtVerifyError::MissingOriginTable { thread: last })
+            .count(),
+        1,
+        "{errs:?}"
+    );
+    let outside = errs
+        .iter()
+        .filter(|e| matches!(e, MtVerifyError::CommOutsideImage { thread, .. } if *thread == last))
+        .count();
+    assert_eq!(outside, comm_ops, "{errs:?}");
+    // No table at all: every thread is named, nothing panics.
+    out.origins.clear();
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    for t in 0..out.threads.len() as u32 {
+        assert!(errs.contains(&MtVerifyError::MissingOriginTable { thread: ThreadId(t) }), "{errs:?}");
     }
 }
 
@@ -72,7 +133,7 @@ fn swapped_produce_consume_caught() {
         .expect("consumer thread has a consume");
     let Op::Consume { dst, queue } = *tf.instr(i) else { unreachable!() };
     *tf.instr_mut(i) = Op::Produce { queue, value: dst.into() };
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -96,7 +157,7 @@ fn off_by_one_queue_caught() {
     let Op::Consume { dst, queue } = *tf.instr(i) else { unreachable!() };
     let wrong = QueueId((queue.0 + 1) % out.num_queues);
     *tf.instr_mut(i) = Op::Consume { dst, queue: wrong };
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -129,7 +190,7 @@ fn dropped_control_duplication_caught() {
         }
     }
     out.plan = stripped;
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -155,7 +216,7 @@ fn stale_register_placement_caught() {
     assert!(pts.remove(&CommPoint::After(redef)), "baseline communicates after the redef");
     pts.insert(CommPoint::Before(redef));
     out.plan.set_points(CommKind::Register(y), ThreadId(0), ThreadId(1), pts);
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -179,7 +240,7 @@ fn uncovered_memory_dep_caught() {
     let mut pts = std::collections::BTreeSet::new();
     pts.insert(CommPoint::After(sink));
     out.plan.set_points(CommKind::Memory, ThreadId(0), ThreadId(1), pts);
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -267,12 +328,12 @@ fn depth_sensitive_deadlock_caught_at_depth_one_only() {
     let q0 = QueueId(0);
     let q1 = QueueId(1);
 
-    let deep = verify_mt(&f, &p, &pdg, &out, &[2]);
+    let deep = verify(&f, &p, &pdg, &out, &[2]);
     assert!(
         !deep.iter().any(|e| matches!(e, MtVerifyError::PotentialDeadlock { .. })),
         "depth 2 buffers the burst; no deadlock expected: {deep:?}"
     );
-    let shallow = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let shallow = verify(&f, &p, &pdg, &out, &[1]);
     let dl = shallow
         .iter()
         .find_map(|e| match e {
@@ -303,12 +364,12 @@ fn depth_sensitive_deadlock_caught_at_allocated_depths() {
     );
     assert_eq!(allocated, vec![1, 1], "entry-block-only traffic is cold");
 
-    let uniform = verify_mt(&f, &p, &pdg, &out, &[32]);
+    let uniform = verify(&f, &p, &pdg, &out, &[32]);
     assert!(
         !uniform.iter().any(|e| matches!(e, MtVerifyError::PotentialDeadlock { .. })),
         "uniform depth 32 buffers the burst: {uniform:?}"
     );
-    let errs = verify_mt(&f, &p, &pdg, &out, &allocated);
+    let errs = verify(&f, &p, &pdg, &out, &allocated);
     assert!(
         errs.iter().any(|e| matches!(e, MtVerifyError::PotentialDeadlock { .. })),
         "allocated depths must expose the burst deadlock: {errs:?}"
@@ -427,7 +488,7 @@ fn cross_block_output(swap: bool) -> (Function, Partition, Pdg, MtcgOutput) {
 #[test]
 fn cross_block_clean_pair_verifies() {
     let (f, p, pdg, out) = cross_block_output(false);
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(errs.is_empty(), "clean cross-block pair flagged: {errs:?}");
 }
 
@@ -437,7 +498,7 @@ fn cross_block_clean_pair_verifies() {
 #[test]
 fn cross_block_deadlock_caught_via_successor_arcs() {
     let (f, p, pdg, out) = cross_block_output(true);
-    let errs = verify_mt(&f, &p, &pdg, &out, &[32]);
+    let errs = verify(&f, &p, &pdg, &out, &[32]);
     let witness = errs
         .iter()
         .find_map(|e| match e {
@@ -480,7 +541,7 @@ fn plan_code_position_mismatch_caught() {
     let b2 = tf.instr(cur).clone();
     *tf.instr_mut(prev) = b2;
     *tf.instr_mut(cur) = a;
-    let errs = verify_mt(&f, &p, &pdg, &out, &[1]);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -546,7 +607,7 @@ fn mediated_branch_condition_delivery_is_not_stale() {
     assert!(forwarded, "expected the branch owner to redistribute the condition");
 
     for depth in [1, 32] {
-        let errs = verify_mt(&f, &p, &pdg, &out, &[depth]);
+        let errs = verify(&f, &p, &pdg, &out, &[depth]);
         assert!(errs.is_empty(), "mediated delivery flagged at depth {depth}: {errs:?}");
     }
 }

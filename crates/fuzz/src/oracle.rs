@@ -41,7 +41,9 @@
 //! reported finding.
 
 use crate::ast::{compile, seeded_partition, FuzzCase, Mode};
-use gmt_core::{verify_mt, verify_mt_uniform, CocoConfig, Parallelized, Parallelizer, Scheduler};
+use gmt_core::{
+    verify_mt_each, CocoConfig, Parallelized, Parallelizer, PipelineError, Scheduler,
+};
 use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp::{DynCounts, ExecConfig, ExecError, RunResult};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, MtRunResult, QueueConfig};
@@ -100,7 +102,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     report.seq_steps = seq.counts.total();
 
     // Phase 2: the pipeline (partition → COCO → MTCG). One PDG serves
-    // the seeded-partition path and both validator calls.
+    // the partitioner of every mode and the validator.
     let pdg = Pdg::build(&f);
     let par = match parallelize(&f, &seq.profile, &pdg, case) {
         Ok(p) => p,
@@ -112,12 +114,12 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     let out = &par.output;
     report.num_queues = out.num_queues;
 
-    // Phase 3: static protocol validation, uniform + allocated.
-    let v1 = verify_mt_uniform(&f, &par.partition, &pdg, out, 1);
+    // Phase 3: static protocol validation, uniform + allocated, in one
+    // verifier call (only the wait graph reads the depths).
+    let [v1, va] = verify_mt_each(&f, &par.partition, &pdg, out, [&[1], &par.queue_depths]);
     if !v1.is_empty() {
         return Err(format!("[verify_mt depth=1] {v1:?}"));
     }
-    let va = verify_mt(&f, &par.partition, &pdg, out, &par.queue_depths);
     if !va.is_empty() {
         return Err(format!(
             "[verify_mt depths={:?}] {va:?}",
@@ -235,7 +237,16 @@ fn parallelize(
             p.parallelize_with_partition(f, profile, pdg, partition)
                 .map_err(|e| format!("pipeline (seeded): {e:?}"))
         }
-        _ => p.parallelize(f, profile).map_err(|e| format!("pipeline: {e:?}")),
+        // `Parallelizer::parallelize` on the PDG the case already has;
+        // both errors keep the text they have as its `PipelineError`.
+        _ => p
+            .scheduler
+            .partition(f, pdg, profile)
+            .map_err(PipelineError::from)
+            .and_then(|partition| {
+                p.parallelize_with_partition(f, profile, pdg, partition).map_err(PipelineError::from)
+            })
+            .map_err(|e| format!("pipeline: {e:?}")),
     }
 }
 

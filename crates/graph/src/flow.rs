@@ -37,6 +37,9 @@ pub struct FlowArc {
     pub capacity: Capacity,
 }
 
+/// End of a node's half-arc list.
+const NO_HALF: u32 = u32::MAX;
+
 /// A directed flow network on which max-flow / min-cut is solved.
 ///
 /// This is the `G_f` of the COCO paper: nodes are program points of a
@@ -46,19 +49,43 @@ pub struct FlowArc {
 ///
 /// Arcs are stored in pairs (forward, residual-reverse) as in standard
 /// max-flow implementations. Only forward arcs are exposed through
-/// [`ArcId`]s.
+/// [`ArcId`]s. The half-arcs leaving a node form a linked list through
+/// flat arrays (`first` / `next` / `last`, insertion order kept), so a
+/// node costs no allocation and a clone is seven `memcpy`s.
 #[derive(Clone, Default)]
 pub struct FlowNetwork {
     /// head node of each half-arc (even = forward, odd = reverse).
     head: Vec<FlowNode>,
     /// residual capacity of each half-arc.
     residual: Vec<Capacity>,
+    /// the half-arc after each half-arc in its tail node's list.
+    next: Vec<u32>,
     /// original capacity of each *forward* arc.
     original: Vec<Capacity>,
     /// tail node of each forward arc.
     tail: Vec<FlowNode>,
-    /// per-node list of half-arc indices leaving the node.
-    adjacency: Vec<Vec<u32>>,
+    /// first half-arc leaving each node.
+    first: Vec<u32>,
+    /// last half-arc leaving each node (where the next one is linked).
+    last: Vec<u32>,
+}
+
+/// The half-arcs leaving one node, in insertion order.
+pub(crate) struct HalfArcs<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for HalfArcs<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let half = self.at;
+        // `NO_HALF` indexes no half-arc, so the list ends here.
+        let after = *self.next.get(half as usize)?;
+        self.at = after;
+        Some(half)
+    }
 }
 
 impl FlowNetwork {
@@ -69,23 +96,20 @@ impl FlowNetwork {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self) -> FlowNode {
-        let id = NodeId(self.adjacency.len() as u32);
-        self.adjacency.push(Vec::new());
-        id
+        self.add_nodes(1)
     }
 
     /// Adds `n` nodes at once, returning the id of the first.
     pub fn add_nodes(&mut self, n: usize) -> FlowNode {
-        let first = NodeId(self.adjacency.len() as u32);
-        for _ in 0..n {
-            self.add_node();
-        }
+        let first = NodeId(self.first.len() as u32);
+        self.first.resize(self.first.len() + n, NO_HALF);
+        self.last.resize(self.last.len() + n, NO_HALF);
         first
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.first.len()
     }
 
     /// Number of forward arcs.
@@ -104,12 +128,16 @@ impl FlowNetwork {
         assert!(from.index() < self.node_count() && to.index() < self.node_count());
         let arc = ArcId(self.original.len() as u32);
         let fwd = self.head.len() as u32;
-        self.head.push(to);
-        self.residual.push(capacity);
-        self.head.push(from);
-        self.residual.push(Capacity::ZERO);
-        self.adjacency[from.index()].push(fwd);
-        self.adjacency[to.index()].push(fwd + 1);
+        self.head.extend([to, from]);
+        self.residual.extend([capacity, Capacity::ZERO]);
+        self.next.extend([NO_HALF, NO_HALF]);
+        for (node, half) in [(from, fwd), (to, fwd + 1)] {
+            match self.last[node.index()] {
+                NO_HALF => self.first[node.index()] = half,
+                last => self.next[last as usize] = half,
+            }
+            self.last[node.index()] = half;
+        }
         self.original.push(capacity);
         self.tail.push(from);
         arc
@@ -156,8 +184,10 @@ impl FlowNetwork {
     /// removal disconnects `sink` from `source`.
     ///
     /// The receiver is not mutated; the solve runs on a clone, so a
-    /// network can be cut repeatedly (the multicut heuristic relies on
-    /// this).
+    /// network can be cut repeatedly. A caller that owns its network and
+    /// is done with it after the cut — COCO builds one per register —
+    /// uses [`min_cut_in_place`](FlowNetwork::min_cut_in_place) and
+    /// saves the copy.
     ///
     /// If every s–t path crosses an infinite-capacity arc the returned
     /// cut has `value == Capacity::INFINITE` and lists no arcs; callers
@@ -170,8 +200,25 @@ impl FlowNetwork {
         sink: FlowNode,
         algo: MaxFlowAlgo,
     ) -> MinCut {
-        let mut solved = self.clone();
-        let value = solved.max_flow(source, sink, algo);
+        self.clone().min_cut_in_place(source, sink, algo)
+    }
+
+    /// [`min_cut_with`](FlowNetwork::min_cut_with) on the receiver's own
+    /// residual state, which is left at the maximum flow found:
+    /// [`reset`](FlowNetwork::reset) before solving again.
+    ///
+    /// The cut reported is the set of arcs leaving the nodes the source
+    /// still reaches in the residual graph. That set is the smallest
+    /// source side any minimum cut has, whichever maximum flow the
+    /// solver arrived at, so the arcs depend neither on the algorithm
+    /// nor on the order arcs were added in.
+    pub fn min_cut_in_place(
+        &mut self,
+        source: FlowNode,
+        sink: FlowNode,
+        algo: MaxFlowAlgo,
+    ) -> MinCut {
+        let value = self.max_flow(source, sink, algo);
         if value.is_infinite() {
             return MinCut {
                 value,
@@ -181,16 +228,16 @@ impl FlowNetwork {
         }
         // Nodes reachable from the source in the residual graph form the
         // source side of the cut.
-        let reachable = solved.residual_reachable(source);
-        let mut arcs = Vec::new();
-        for (id, arc) in self.arcs() {
-            if reachable[arc.from.index()] && !reachable[arc.to.index()] {
+        let reachable = self.residual_reachable(source);
+        let arcs = (0..self.arc_count())
+            .filter(|&a| {
                 // Saturated forward arc crossing the cut.
-                if !arc.capacity.is_zero() {
-                    arcs.push(id);
-                }
-            }
-        }
+                reachable[self.tail[a].index()]
+                    && !reachable[self.head[a * 2].index()]
+                    && !self.original[a].is_zero()
+            })
+            .map(|a| ArcId(a as u32))
+            .collect();
         let source_side = (0..self.node_count())
             .map(|i| NodeId(i as u32))
             .filter(|n| reachable[n.index()])
@@ -217,7 +264,7 @@ impl FlowNetwork {
         let mut stack = vec![start];
         seen[start.index()] = true;
         while let Some(n) = stack.pop() {
-            for &half in &self.adjacency[n.index()] {
+            for half in self.half_arcs_from(n) {
                 if self.residual[half as usize].is_zero() {
                     continue;
                 }
@@ -231,10 +278,58 @@ impl FlowNetwork {
         seen
     }
 
-    // ---- internals shared with the max-flow algorithms ----
+    // ---- internals shared with the max-flow algorithms and multicut ----
 
-    pub(crate) fn half_arcs_from(&self, n: FlowNode) -> &[u32] {
-        &self.adjacency[n.index()]
+    /// Whether `to` is reachable from `from` along forward arcs of
+    /// positive *capacity* (a zero-capacity arc is no program path).
+    /// `seen` and `stack` are the caller's scratch, so a run of queries
+    /// allocates once.
+    pub(crate) fn reaches(
+        &self,
+        from: FlowNode,
+        to: FlowNode,
+        seen: &mut VisitSet,
+        stack: &mut Vec<FlowNode>,
+    ) -> bool {
+        seen.clear();
+        stack.clear();
+        seen.insert(from.index());
+        stack.push(from);
+        while let Some(n) = stack.pop() {
+            if n == to {
+                return true;
+            }
+            for half in self.half_arcs_from(n) {
+                if half % 2 == 1 || self.original[half as usize / 2].is_zero() {
+                    continue;
+                }
+                let s = self.head[half as usize];
+                if seen.insert(s.index()) {
+                    stack.push(s);
+                }
+            }
+        }
+        false
+    }
+
+    /// Replaces the capacity of forward arc `id` (its residuals follow
+    /// at the next [`reset`](FlowNetwork::reset)).
+    pub(crate) fn set_capacity(&mut self, id: ArcId, capacity: Capacity) {
+        self.original[id.index()] = capacity;
+    }
+
+    pub(crate) fn half_arcs_from(&self, n: FlowNode) -> HalfArcs<'_> {
+        HalfArcs { next: &self.next, at: self.first[n.index()] }
+    }
+
+    /// The first half-arc leaving `n`, and the one after `half` in the
+    /// same list: a cursor for solvers that push flow while they walk.
+    pub(crate) fn first_half(&self, n: FlowNode) -> Option<u32> {
+        Some(self.first[n.index()]).filter(|&h| h != NO_HALF)
+    }
+
+    pub(crate) fn half_after(&self, half: u32) -> Option<u32> {
+        Some(self.next[half as usize]).filter(|&h| h != NO_HALF)
     }
 
     pub(crate) fn half_head(&self, half: u32) -> FlowNode {
@@ -251,6 +346,43 @@ impl FlowNetwork {
         let mate = h ^ 1;
         // Reverse residual of an infinite arc saturates harmlessly.
         self.residual[mate] += amount;
+    }
+}
+
+/// A set over `0..n` that empties in O(1): an element is in the set
+/// while its slot holds the current stamp. The visited set of a graph
+/// walk that runs many times over one graph.
+#[derive(Clone, Debug)]
+pub struct VisitSet {
+    mark: Vec<u32>,
+    stamp: u32,
+}
+
+impl VisitSet {
+    /// An empty set over `0..n`.
+    pub fn new(n: usize) -> VisitSet {
+        VisitSet { mark: vec![0; n], stamp: 1 }
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        if self.stamp == u32::MAX {
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    /// Inserts `i`; returns whether it was absent.
+    pub fn insert(&mut self, i: usize) -> bool {
+        let absent = self.mark[i] != self.stamp;
+        self.mark[i] = self.stamp;
+        absent
+    }
+
+    /// Whether `i` is in the set.
+    pub fn contains(&self, i: usize) -> bool {
+        self.mark[i] == self.stamp
     }
 }
 
@@ -285,6 +417,266 @@ impl MinCut {
     /// Whether a finite cut was found.
     pub fn is_feasible(&self) -> bool {
         !self.value.is_infinite()
+    }
+}
+
+/// The pre-change solver, kept as the differential reference: per-node
+/// adjacency lists, a clone per cut, and Edmonds–Karp / Dinic that
+/// allocate their search state per augmenting path or phase. The
+/// generated-network tests here and in `multicut` hold the flat,
+/// in-place solver to its answers.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{ArcId, FlowNode, MinCut};
+    use crate::capacity::Capacity;
+    use crate::digraph::NodeId;
+    use crate::maxflow::MaxFlowAlgo;
+    use std::collections::VecDeque;
+
+    #[derive(Clone, Default)]
+    pub(crate) struct RefNetwork {
+        head: Vec<FlowNode>,
+        residual: Vec<Capacity>,
+        pub(crate) original: Vec<Capacity>,
+        tail: Vec<FlowNode>,
+        adjacency: Vec<Vec<u32>>,
+    }
+
+    impl RefNetwork {
+        pub(crate) fn with_nodes(n: usize) -> RefNetwork {
+            RefNetwork { adjacency: vec![Vec::new(); n], ..RefNetwork::default() }
+        }
+
+        pub(crate) fn node_count(&self) -> usize {
+            self.adjacency.len()
+        }
+
+        pub(crate) fn add_arc(&mut self, from: FlowNode, to: FlowNode, capacity: Capacity) {
+            let fwd = self.head.len() as u32;
+            self.head.extend([to, from]);
+            self.residual.extend([capacity, Capacity::ZERO]);
+            self.adjacency[from.index()].push(fwd);
+            self.adjacency[to.index()].push(fwd + 1);
+            self.original.push(capacity);
+            self.tail.push(from);
+        }
+
+        /// `(from, to, capacity)` of every forward arc, in insertion order.
+        pub(crate) fn arcs(&self) -> impl Iterator<Item = (FlowNode, FlowNode, Capacity)> + '_ {
+            (0..self.original.len()).map(|a| (self.tail[a], self.head[a * 2], self.original[a]))
+        }
+
+        pub(crate) fn min_cut_with(&self, source: FlowNode, sink: FlowNode, algo: MaxFlowAlgo) -> MinCut {
+            let mut solved = self.clone();
+            let value = match algo {
+                MaxFlowAlgo::EdmondsKarp => solved.edmonds_karp(source, sink),
+                MaxFlowAlgo::Dinic => solved.dinic(source, sink),
+            };
+            if value.is_infinite() {
+                return MinCut { value, arcs: Vec::new(), source_side: Vec::new() };
+            }
+            let mut reachable = vec![false; self.node_count()];
+            let mut stack = vec![source];
+            reachable[source.index()] = true;
+            while let Some(n) = stack.pop() {
+                for &half in &solved.adjacency[n.index()] {
+                    let to = solved.head[half as usize];
+                    if !solved.residual[half as usize].is_zero() && !reachable[to.index()] {
+                        reachable[to.index()] = true;
+                        stack.push(to);
+                    }
+                }
+            }
+            let arcs = self
+                .arcs()
+                .enumerate()
+                .filter(|&(_, (from, to, cap))| {
+                    reachable[from.index()] && !reachable[to.index()] && !cap.is_zero()
+                })
+                .map(|(a, _)| ArcId(a as u32))
+                .collect();
+            let source_side =
+                (0..self.node_count() as u32).map(NodeId).filter(|n| reachable[n.index()]).collect();
+            MinCut { value, arcs, source_side }
+        }
+
+        fn push_flow(&mut self, half: u32, amount: Capacity) {
+            let h = half as usize;
+            self.residual[h] = self.residual[h] - amount;
+            self.residual[h ^ 1] += amount;
+        }
+
+        fn edmonds_karp(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
+            let mut total = Capacity::ZERO;
+            loop {
+                let n = self.node_count();
+                let mut pred_half: Vec<Option<u32>> = vec![None; n];
+                let mut visited = vec![false; n];
+                visited[source.index()] = true;
+                let mut queue = VecDeque::from([source]);
+                'bfs: while let Some(u) = queue.pop_front() {
+                    for &half in &self.adjacency[u.index()] {
+                        let v = self.head[half as usize];
+                        if self.residual[half as usize].is_zero() || visited[v.index()] {
+                            continue;
+                        }
+                        visited[v.index()] = true;
+                        pred_half[v.index()] = Some(half);
+                        if v == sink {
+                            break 'bfs;
+                        }
+                        queue.push_back(v);
+                    }
+                }
+                if !visited[sink.index()] {
+                    return total;
+                }
+                let path: Vec<u32> = std::iter::successors(pred_half[sink.index()], |&half| {
+                    pred_half[self.head[half as usize ^ 1].index()]
+                })
+                .collect();
+                let bottleneck = path
+                    .iter()
+                    .fold(Capacity::INFINITE, |b, &half| b.min(self.residual[half as usize]));
+                if bottleneck.is_infinite() {
+                    return Capacity::INFINITE;
+                }
+                for half in path {
+                    self.push_flow(half, bottleneck);
+                }
+                total += bottleneck;
+            }
+        }
+
+        fn dinic(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
+            let n = self.node_count();
+            let mut total = Capacity::ZERO;
+            loop {
+                let mut level = vec![u32::MAX; n];
+                level[source.index()] = 0;
+                let mut queue = VecDeque::from([source]);
+                while let Some(u) = queue.pop_front() {
+                    for &half in &self.adjacency[u.index()] {
+                        let v = self.head[half as usize];
+                        if !self.residual[half as usize].is_zero() && level[v.index()] == u32::MAX {
+                            level[v.index()] = level[u.index()] + 1;
+                            queue.push_back(v);
+                        }
+                    }
+                }
+                if level[sink.index()] == u32::MAX {
+                    return total;
+                }
+                let mut cursor = vec![0usize; n];
+                loop {
+                    let pushed = self.dinic_dfs(source, sink, Capacity::INFINITE, &level, &mut cursor);
+                    if pushed.is_zero() {
+                        break;
+                    }
+                    if pushed.is_infinite() {
+                        return Capacity::INFINITE;
+                    }
+                    total += pushed;
+                }
+            }
+        }
+
+        fn dinic_dfs(
+            &mut self,
+            u: FlowNode,
+            sink: FlowNode,
+            limit: Capacity,
+            level: &[u32],
+            cursor: &mut [usize],
+        ) -> Capacity {
+            if u == sink {
+                return limit;
+            }
+            while cursor[u.index()] < self.adjacency[u.index()].len() {
+                let half = self.adjacency[u.index()][cursor[u.index()]];
+                let v = self.head[half as usize];
+                let res = self.residual[half as usize];
+                if !res.is_zero() && level[v.index()] == level[u.index()] + 1 {
+                    let pushed = self.dinic_dfs(v, sink, limit.min(res), level, cursor);
+                    if !pushed.is_zero() {
+                        if !pushed.is_infinite() {
+                            self.push_flow(half, pushed);
+                        }
+                        return pushed;
+                    }
+                }
+                cursor[u.index()] += 1;
+            }
+            Capacity::ZERO
+        }
+    }
+}
+
+/// Generated networks for the differential tests of this crate: a few
+/// nodes, arcs whose capacities include zero and infinity, self-loops
+/// and parallel arcs, and source–sink pairs that may coincide or be
+/// disconnected from the start.
+#[cfg(test)]
+pub(crate) mod generated {
+    use super::reference::RefNetwork;
+    use super::FlowNetwork;
+    use crate::capacity::Capacity;
+    use crate::digraph::NodeId;
+    use gmt_testkit::{ranged, vec_of, Gen, Shrink};
+
+    #[derive(Clone, Debug)]
+    pub(crate) struct NetDesc {
+        pub(crate) nodes: usize,
+        /// `(from, to, capacity code)`: 0 is zero, 1 is infinite.
+        pub(crate) arcs: Vec<(usize, usize, u64)>,
+        pub(crate) pairs: Vec<(usize, usize)>,
+    }
+
+    impl Shrink for NetDesc {
+        fn shrinks(&self) -> Vec<NetDesc> {
+            let fewer_arcs = self.arcs.shrinks().into_iter().map(|arcs| NetDesc { arcs, ..self.clone() });
+            let fewer_pairs =
+                self.pairs.shrinks().into_iter().map(|pairs| NetDesc { pairs, ..self.clone() });
+            fewer_arcs.chain(fewer_pairs).collect()
+        }
+    }
+
+    pub(crate) fn net_gen() -> Gen<NetDesc> {
+        ranged(2usize, 10).flat_map(|nodes| {
+            let node = move || ranged(0usize, nodes);
+            vec_of(node().zip(node()).zip(ranged(0u64, 12)), 0, 30)
+                .zip(vec_of(node().zip(node()), 1, 5))
+                .map(move |(arcs, pairs)| NetDesc {
+                    nodes,
+                    arcs: arcs.into_iter().map(|((a, b), w)| (a, b, w)).collect(),
+                    pairs,
+                })
+        })
+    }
+
+    impl NetDesc {
+        pub(crate) fn node(&self, k: usize) -> NodeId {
+            NodeId((k % self.nodes) as u32)
+        }
+
+        fn capacity(code: u64) -> Capacity {
+            match code {
+                0 => Capacity::ZERO,
+                1 => Capacity::INFINITE,
+                w => Capacity::finite(w),
+            }
+        }
+
+        pub(crate) fn build(&self) -> (FlowNetwork, RefNetwork) {
+            let mut net = FlowNetwork::new();
+            net.add_nodes(self.nodes);
+            let mut reference = RefNetwork::with_nodes(self.nodes);
+            for &(a, b, w) in &self.arcs {
+                net.add_arc(self.node(a), self.node(b), NetDesc::capacity(w));
+                reference.add_arc(self.node(a), self.node(b), NetDesc::capacity(w));
+            }
+            (net, reference)
+        }
     }
 }
 
@@ -452,5 +844,57 @@ mod tests {
         let mut net = FlowNetwork::new();
         let s = net.add_node();
         net.max_flow(s, s, MaxFlowAlgo::EdmondsKarp);
+    }
+
+    /// The flat in-place solver against the pre-change one, on
+    /// generated networks: the same value, the same cut arcs and the
+    /// same source side from both algorithms, on the caller's network
+    /// and on a clone of it.
+    #[test]
+    fn in_place_min_cut_matches_the_reference_solver() {
+        use gmt_testkit::{prop_assert_eq, Checker};
+        let cut_some = std::cell::Cell::new(0usize);
+        Checker::new("flow::in_place_vs_reference").cases(400).run(&generated::net_gen(), |desc| {
+            let (net, reference) = desc.build();
+            for &(s, t) in &desc.pairs {
+                let (s, t) = (desc.node(s), desc.node(t));
+                if s == t {
+                    continue;
+                }
+                let want = reference.min_cut_with(s, t, MaxFlowAlgo::EdmondsKarp);
+                prop_assert_eq!(&reference.min_cut_with(s, t, MaxFlowAlgo::Dinic), &want);
+                for algo in [MaxFlowAlgo::EdmondsKarp, MaxFlowAlgo::Dinic] {
+                    prop_assert_eq!(&net.min_cut_with(s, t, algo), &want);
+                    let mut owned = net.clone();
+                    prop_assert_eq!(&owned.min_cut_in_place(s, t, algo), &want);
+                    // The residual state it leaves is a maximum flow:
+                    // nothing more can be pushed, and a reset solves anew.
+                    if want.is_feasible() {
+                        prop_assert_eq!(owned.max_flow(s, t, algo), Capacity::ZERO);
+                    }
+                    owned.reset();
+                    prop_assert_eq!(&owned.min_cut_in_place(s, t, algo), &want);
+                }
+                cut_some.set(cut_some.get() + usize::from(!want.arcs.is_empty()));
+            }
+            Ok(())
+        });
+        assert!(cut_some.get() > 100, "only {} generated cuts had arcs", cut_some.get());
+    }
+
+    #[test]
+    fn visit_set_empties_in_one_step() {
+        let mut set = VisitSet::new(3);
+        assert!(set.insert(1));
+        assert!(!set.insert(1));
+        assert!(set.contains(1) && !set.contains(2));
+        set.clear();
+        assert!(!set.contains(1));
+        // The stamp wrapping around must not resurrect old members.
+        set.stamp = u32::MAX - 1;
+        set.insert(2);
+        set.clear();
+        set.clear();
+        assert!(!set.contains(2) && set.insert(2));
     }
 }

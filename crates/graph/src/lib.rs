@@ -42,7 +42,7 @@ mod scc;
 
 pub use capacity::Capacity;
 pub use digraph::{Condensation, DiGraph, NodeId};
-pub use flow::{ArcId, FlowArc, FlowNetwork, FlowNode, MinCut};
+pub use flow::{ArcId, FlowArc, FlowNetwork, FlowNode, MinCut, VisitSet};
 pub use maxflow::MaxFlowAlgo;
 pub use multicut::{multicut, Commodity, MultiCut};
 pub use scc::{strongly_connected_components, Scc};

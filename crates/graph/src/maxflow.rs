@@ -7,8 +7,8 @@
 //! that as "no feasible communication placement on this graph".
 
 use crate::capacity::Capacity;
-use crate::flow::{FlowNetwork, FlowNode};
-use std::collections::VecDeque;
+use crate::digraph::NodeId;
+use crate::flow::{FlowNetwork, FlowNode, VisitSet};
 
 /// Which max-flow algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,40 +28,45 @@ pub(crate) fn edmonds_karp(
     source: FlowNode,
     sink: FlowNode,
 ) -> Capacity {
+    let n = net.node_count();
+    // The half-arc used to enter each node of the current search; read
+    // only for nodes the search visited.
+    let mut pred_half = vec![0u32; n];
+    let mut visited = VisitSet::new(n);
+    let mut queue: Vec<FlowNode> = Vec::with_capacity(n);
     let mut total = Capacity::ZERO;
     loop {
-        // BFS for the shortest residual path, remembering the half-arc
-        // used to enter each node.
-        let n = net.node_count();
-        let mut pred_half: Vec<Option<u32>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[source.index()] = true;
-        let mut queue = VecDeque::from([source]);
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &half in net.half_arcs_from(u) {
+        // BFS for the shortest residual path.
+        visited.clear();
+        visited.insert(source.index());
+        queue.clear();
+        queue.push(source);
+        let mut at = 0;
+        'bfs: while let Some(&u) = queue.get(at) {
+            at += 1;
+            for half in net.half_arcs_from(u) {
                 if net.half_residual(half).is_zero() {
                     continue;
                 }
                 let v = net.half_head(half);
-                if visited[v.index()] {
+                if !visited.insert(v.index()) {
                     continue;
                 }
-                visited[v.index()] = true;
-                pred_half[v.index()] = Some(half);
+                pred_half[v.index()] = half;
                 if v == sink {
                     break 'bfs;
                 }
-                queue.push_back(v);
+                queue.push(v);
             }
         }
-        if !visited[sink.index()] {
+        if !visited.contains(sink.index()) {
             return total;
         }
         // Bottleneck along the path.
         let mut bottleneck = Capacity::INFINITE;
         let mut v = sink;
         while v != source {
-            let half = pred_half[v.index()].expect("path reconstruction");
+            let half = pred_half[v.index()];
             bottleneck = bottleneck.min(net.half_residual(half));
             v = net.half_head(half ^ 1);
         }
@@ -71,7 +76,7 @@ pub(crate) fn edmonds_karp(
         // Apply.
         let mut v = sink;
         while v != source {
-            let half = pred_half[v.index()].expect("path reconstruction");
+            let half = pred_half[v.index()];
             net.push_flow(half, bottleneck);
             v = net.half_head(half ^ 1);
         }
@@ -82,21 +87,27 @@ pub(crate) fn edmonds_karp(
 /// Dinic: BFS level graph, then DFS blocking flow.
 pub(crate) fn dinic(net: &mut FlowNetwork, source: FlowNode, sink: FlowNode) -> Capacity {
     let n = net.node_count();
+    let mut level = vec![u32::MAX; n];
+    let mut cursor: Vec<Option<u32>> = vec![None; n];
+    let mut queue: Vec<FlowNode> = Vec::with_capacity(n);
     let mut total = Capacity::ZERO;
     loop {
         // Level graph via BFS on positive-residual arcs.
-        let mut level = vec![u32::MAX; n];
+        level.fill(u32::MAX);
         level[source.index()] = 0;
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            for &half in net.half_arcs_from(u) {
+        queue.clear();
+        queue.push(source);
+        let mut at = 0;
+        while let Some(&u) = queue.get(at) {
+            at += 1;
+            for half in net.half_arcs_from(u) {
                 if net.half_residual(half).is_zero() {
                     continue;
                 }
                 let v = net.half_head(half);
                 if level[v.index()] == u32::MAX {
                     level[v.index()] = level[u.index()] + 1;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }
@@ -104,7 +115,9 @@ pub(crate) fn dinic(net: &mut FlowNetwork, source: FlowNode, sink: FlowNode) -> 
             return total;
         }
         // Blocking flow with per-node arc cursors (current-arc heuristic).
-        let mut cursor = vec![0usize; n];
+        for (u, c) in cursor.iter_mut().enumerate() {
+            *c = net.first_half(NodeId(u as u32));
+        }
         loop {
             let pushed = dinic_dfs(net, source, sink, Capacity::INFINITE, &level, &mut cursor);
             if pushed.is_zero() {
@@ -126,13 +139,12 @@ fn dinic_dfs(
     sink: FlowNode,
     limit: Capacity,
     level: &[u32],
-    cursor: &mut [usize],
+    cursor: &mut [Option<u32>],
 ) -> Capacity {
     if u == sink {
         return limit;
     }
-    while cursor[u.index()] < net.half_arcs_from(u).len() {
-        let half = net.half_arcs_from(u)[cursor[u.index()]];
+    while let Some(half) = cursor[u.index()] {
         let v = net.half_head(half);
         let res = net.half_residual(half);
         if !res.is_zero() && level[v.index()] == level[u.index()] + 1 {
@@ -145,7 +157,7 @@ fn dinic_dfs(
                 return pushed;
             }
         }
-        cursor[u.index()] += 1;
+        cursor[u.index()] = net.half_after(half);
     }
     Capacity::ZERO
 }

@@ -9,7 +9,8 @@
 //! already paid for help disconnect subsequent pairs for free.
 
 use crate::capacity::Capacity;
-use crate::flow::{ArcId, FlowNetwork, FlowNode};
+use crate::flow::{ArcId, FlowNetwork, FlowNode, VisitSet};
+use crate::maxflow::MaxFlowAlgo;
 
 /// One source–sink pair to disconnect: a single memory dependence arc
 /// from an instruction in `T_s` (source) to one in `T_t` (sink).
@@ -37,8 +38,9 @@ pub struct MultiCut {
 ///
 /// Pairs are processed in the given order. For each pair a single-pair
 /// min-cut (Edmonds–Karp) is computed on the network with all
-/// previously-cut arcs removed; newly cut arcs are appended to the
-/// result and removed from the working network.
+/// previously-cut arcs at capacity zero; newly cut arcs are appended to
+/// the result and zeroed in the working network. One working copy of
+/// `net` serves every solve: its residuals are reset before each.
 ///
 /// A pair whose source equals its sink, or that is already disconnected
 /// by earlier cuts, contributes no new arcs and is reported feasible.
@@ -61,25 +63,20 @@ pub fn multicut(net: &FlowNetwork, commodities: &[Commodity]) -> MultiCut {
             feasible.push(true);
             continue;
         }
-        let cut = work.min_cut(source, sink);
-        if !cut.is_feasible() {
-            feasible.push(false);
-            continue;
-        }
-        feasible.push(true);
-        if cut.arcs.is_empty() {
-            continue; // already disconnected
-        }
+        work.reset();
+        let cut = work.min_cut_in_place(source, sink, MaxFlowAlgo::EdmondsKarp);
+        feasible.push(cut.is_feasible());
+        // Empty when infeasible or already disconnected. A cut arc
+        // leaves the working network so that it helps disconnect
+        // subsequent pairs.
         for id in cut.arcs {
             if !is_cut[id.index()] {
                 is_cut[id.index()] = true;
                 value += net.arc(id).capacity;
                 cut_arcs.push(id);
+                work.set_capacity(id, Capacity::ZERO);
             }
         }
-        // Rebuild the working network with the cut arcs removed so they
-        // help disconnect subsequent pairs.
-        work = rebuild_without(net, &is_cut);
     }
 
     // Redundancy elimination: try restoring each cut arc (cheapest
@@ -87,19 +84,23 @@ pub fn multicut(net: &FlowNetwork, commodities: &[Commodity]) -> MultiCut {
     // the restoration if every feasible commodity stays disconnected.
     let mut order: Vec<usize> = (0..cut_arcs.len()).collect();
     order.sort_by_key(|&k| std::cmp::Reverse(net.arc(cut_arcs[k]).capacity));
+    let mut seen = VisitSet::new(net.node_count());
+    let mut stack = Vec::new();
     for k in order {
         let arc = cut_arcs[k];
-        is_cut[arc.index()] = false;
+        let capacity = net.arc(arc).capacity;
+        work.set_capacity(arc, capacity);
         let still_ok = commodities.iter().zip(&feasible).all(|(c, &ok)| {
-            !ok || c.source == c.sink || !reaches(net, &is_cut, c.source, c.sink)
+            !ok || c.source == c.sink || !work.reaches(c.source, c.sink, &mut seen, &mut stack)
         });
         if still_ok {
-            value = value - net.arc(arc).capacity;
+            is_cut[arc.index()] = false;
+            value = value - capacity;
         } else {
-            is_cut[arc.index()] = true;
+            work.set_capacity(arc, Capacity::ZERO);
         }
     }
-    let cut_arcs: Vec<ArcId> = cut_arcs.into_iter().filter(|a| is_cut[a.index()]).collect();
+    cut_arcs.retain(|a| is_cut[a.index()]);
 
     MultiCut {
         arcs: cut_arcs,
@@ -108,52 +109,136 @@ pub fn multicut(net: &FlowNetwork, commodities: &[Commodity]) -> MultiCut {
     }
 }
 
-/// Whether `to` is reachable from `from` along arcs not flagged in
-/// `removed` (zero-capacity arcs are treated as absent: they cannot be
-/// program paths).
-fn reaches(net: &FlowNetwork, removed: &[bool], from: FlowNode, to: FlowNode) -> bool {
-    let mut adj: Vec<Vec<FlowNode>> = vec![Vec::new(); net.node_count()];
-    for (id, arc) in net.arcs() {
-        if !removed[id.index()] && !arc.capacity.is_zero() {
-            adj[arc.from.index()].push(arc.to);
-        }
-    }
-    let mut seen = vec![false; net.node_count()];
-    let mut stack = vec![from];
-    seen[from.index()] = true;
-    while let Some(n) = stack.pop() {
-        if n == to {
-            return true;
-        }
-        for &s in &adj[n.index()] {
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    false
-}
-
-/// A copy of `net` with the flagged arcs' capacities zeroed. Arc ids are
-/// preserved (arcs are kept with zero capacity rather than removed).
-fn rebuild_without(net: &FlowNetwork, removed: &[bool]) -> FlowNetwork {
-    let mut out = FlowNetwork::new();
-    out.add_nodes(net.node_count());
-    for (id, arc) in net.arcs() {
-        let cap = if removed[id.index()] {
-            Capacity::ZERO
-        } else {
-            arc.capacity
-        };
-        out.add_arc(arc.from, arc.to, cap);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::generated::net_gen;
+    use crate::flow::reference::RefNetwork;
+    use gmt_testkit::{prop_assert_eq, Checker};
+
+    /// A copy of `net` with the flagged arcs' capacities zeroed. Arc ids
+    /// are preserved (arcs are kept with zero capacity rather than
+    /// removed).
+    fn rebuild_without(net: &FlowNetwork, removed: &[bool]) -> FlowNetwork {
+        let mut out = FlowNetwork::new();
+        out.add_nodes(net.node_count());
+        for (id, arc) in net.arcs() {
+            let cap = if removed[id.index()] { Capacity::ZERO } else { arc.capacity };
+            out.add_arc(arc.from, arc.to, cap);
+        }
+        out
+    }
+
+    /// The pre-change heuristic on the pre-change solver: the working
+    /// network is rebuilt after every commodity that cut something, and
+    /// every reachability query of the elimination pass builds its own
+    /// adjacency lists.
+    fn multicut_by_rebuilding(net: &RefNetwork, commodities: &[Commodity]) -> MultiCut {
+        let capacity = |a: ArcId| net.original[a.index()];
+        let without = |is_cut: &[bool]| {
+            let mut out = RefNetwork::with_nodes(net.node_count());
+            for (a, (from, to, cap)) in net.arcs().enumerate() {
+                out.add_arc(from, to, if is_cut[a] { Capacity::ZERO } else { cap });
+            }
+            out
+        };
+        let reaches = |is_cut: &[bool], from: FlowNode, to: FlowNode| {
+            let mut adj: Vec<Vec<FlowNode>> = vec![Vec::new(); net.node_count()];
+            for (a, (tail, head, cap)) in net.arcs().enumerate() {
+                if !is_cut[a] && !cap.is_zero() {
+                    adj[tail.index()].push(head);
+                }
+            }
+            let mut seen = vec![false; net.node_count()];
+            let mut stack = vec![from];
+            seen[from.index()] = true;
+            while let Some(n) = stack.pop() {
+                if n == to {
+                    return true;
+                }
+                for &s in &adj[n.index()] {
+                    if !seen[s.index()] {
+                        seen[s.index()] = true;
+                        stack.push(s);
+                    }
+                }
+            }
+            false
+        };
+        let mut work = net.clone();
+        let mut cut_arcs: Vec<ArcId> = Vec::new();
+        let mut is_cut = vec![false; net.original.len()];
+        let mut feasible = Vec::new();
+        let mut value = Capacity::ZERO;
+        for &Commodity { source, sink } in commodities {
+            if source == sink {
+                feasible.push(true);
+                continue;
+            }
+            let cut = work.min_cut_with(source, sink, MaxFlowAlgo::EdmondsKarp);
+            feasible.push(cut.is_feasible());
+            if cut.arcs.is_empty() {
+                continue;
+            }
+            for id in cut.arcs {
+                if !is_cut[id.index()] {
+                    is_cut[id.index()] = true;
+                    value += capacity(id);
+                    cut_arcs.push(id);
+                }
+            }
+            work = without(&is_cut);
+        }
+        let mut order: Vec<usize> = (0..cut_arcs.len()).collect();
+        order.sort_by_key(|&k| std::cmp::Reverse(capacity(cut_arcs[k])));
+        for k in order {
+            let arc = cut_arcs[k];
+            is_cut[arc.index()] = false;
+            let still_ok = commodities.iter().zip(&feasible).all(|(c, &ok)| {
+                !ok || c.source == c.sink || !reaches(&is_cut, c.source, c.sink)
+            });
+            if still_ok {
+                value = value - capacity(arc);
+            } else {
+                is_cut[arc.index()] = true;
+            }
+        }
+        cut_arcs.retain(|a| is_cut[a.index()]);
+        MultiCut { arcs: cut_arcs, value, feasible }
+    }
+
+    /// One working network, reset and zeroed in place, gives the arcs,
+    /// value and feasibility the rebuild-per-commodity heuristic gave —
+    /// with infinite arcs, zero-capacity arcs, `source == sink` and
+    /// commodities no path connects among the inputs.
+    #[test]
+    fn in_place_multicut_matches_the_rebuilding_one() {
+        let seen = std::cell::Cell::new([0usize; 4]);
+        Checker::new("multicut::in_place_vs_rebuilding").cases(600).run(&net_gen(), |desc| {
+            let (net, reference) = desc.build();
+            let commodities: Vec<Commodity> = desc
+                .pairs
+                .iter()
+                .map(|&(s, t)| Commodity { source: desc.node(s), sink: desc.node(t) })
+                .collect();
+            let got = multicut(&net, &commodities);
+            let want = multicut_by_rebuilding(&reference, &commodities);
+            prop_assert_eq!(&got, &want);
+            let mut n = seen.get();
+            n[0] += usize::from(got.feasible.contains(&false));
+            n[1] += usize::from(commodities.iter().any(|c| c.source == c.sink));
+            n[2] += usize::from(got.arcs.len() > 1);
+            n[3] += usize::from(desc.arcs.iter().any(|a| a.2 == 0));
+            seen.set(n);
+            Ok(())
+        });
+        let [infeasible, trivial, several_arcs, zero_arcs] = seen.get();
+        assert!(
+            infeasible > 20 && trivial > 20 && several_arcs > 20 && zero_arcs > 20,
+            "generated inputs too tame: {:?}",
+            seen.get()
+        );
+    }
 
     /// Two pairs sharing a bottleneck arc: the heuristic should cut the
     /// shared arc once and disconnect both pairs with it.
@@ -273,7 +358,7 @@ mod tests {
         let removed: Vec<bool> = (0..net.arc_count())
             .map(|i| result.arcs.contains(&ArcId(i as u32)))
             .collect();
-        let pruned = super::rebuild_without(&net, &removed);
+        let pruned = rebuild_without(&net, &removed);
         assert_eq!(pruned.min_cut(s1, t1).value, Capacity::ZERO);
     }
 }

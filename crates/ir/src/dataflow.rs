@@ -65,12 +65,13 @@ impl BitSet {
     /// Iterates over the set elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi * 64 + b)
-                } else {
-                    None
-                }
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    wi * 64 + b
+                })
             })
         })
     }
