@@ -39,7 +39,12 @@ GMT_JOBS=8 ./target/release/repro --verify-mt
 # Differential-fuzzer smoke: a deterministic-seed run of the pipeline
 # fuzzer (corpus replay + 1000 fresh cases — twice the 500 this step ran
 # before COCO and verify_mt cost what their inputs require, in the same
-# second and a half; offline, well under 60 s). Any
+# second and a half; offline, well under 60 s). The three timed engines
+# (reference, fast-forward, per-cycle) are held to equal cycles and
+# also to equal stall tables (every `CoreStats` field) and cache hit
+# levels; the first of the five QueueEmpty-vs-SaPort seeds in the corpus
+# is one of these 1000 cases, so a fast-forward that credits a stall
+# cycle to the wrong reason fails here. Any
 # finding exits nonzero; its seed is printed and persisted, and
 # `GMT_TESTKIT_SEED=<seed> cargo run --release -p gmt-fuzz --bin fuzz`
 # replays exactly that case (the same replay command works for every

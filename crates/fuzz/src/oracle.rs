@@ -15,9 +15,10 @@
 //!   other (per-thread dynamic counts) at queue capacities 1 and 32,
 //!   and the dynamic totals are capacity-invariant;
 //! - the **timed** engines — ID-walking reference, decoded with
-//!   fast-forward, decoded without — agree on cycles and outputs at
-//!   both uniform and allocated queue depths, and the fast-forward
-//!   obeys the conservation law
+//!   fast-forward, decoded without — agree on cycles, outputs, every
+//!   per-core `CoreStats` field (stall table included) and the cache
+//!   hit levels at both uniform and allocated queue depths, and the
+//!   fast-forward obeys the conservation law
 //!   `engine_steps + skipped_cycles = noskip steps`;
 //! - **interpreter ↔ simulator**: every core of every timed engine
 //!   retires exactly the computation / communication / synchronization
@@ -317,10 +318,26 @@ fn check_counts(functional: &[DynCounts], cores: &[CoreStats]) -> Result<(), Str
     Ok(())
 }
 
+/// The timing edge between two timed engines: every [`CoreStats`] field
+/// of every core — retired counts, finish cycle, the seven stall
+/// counters, mispredicts — and the four cache hit-level counters must
+/// agree. Equal cycle totals alone would let an engine credit a stall
+/// cycle to the wrong reason.
+fn check_timing(a: &SimResult, b: &SimResult) -> Result<(), String> {
+    if a.cores != b.cores {
+        return Err(format!("per-core stats {:?} vs {:?}", a.cores, b.cores));
+    }
+    let hits = |s: &SimResult| [s.hits_l1, s.hits_l2, s.hits_l3, s.hits_mem];
+    if hits(a) != hits(b) {
+        return Err(format!("hit levels (L1, L2, L3, memory) {:?} vs {:?}", hits(a), hits(b)));
+    }
+    Ok(())
+}
+
 /// Runs the three timed engines and checks full agreement — with each
-/// other, with the sequential observables and with the functional MT
-/// run's per-thread `functional` counts — plus the fast-forward
-/// conservation law.
+/// other (cycles, per-core stats and hit levels), with the sequential
+/// observables and with the functional MT run's per-thread `functional`
+/// counts — plus the fast-forward conservation law.
 fn sim_cross_check(
     program: &DecodedProgram,
     par: &Parallelized,
@@ -364,6 +381,9 @@ fn sim_cross_check(
             "[sim {label}] cycle totals: reference {} / fast-forward {} / no-skip {}",
             refr.cycles, ff.cycles, noskip.cycles
         ));
+    }
+    for (name, sim) in [("fast-forward", &ff), ("no-skip", &noskip)] {
+        check_timing(&refr, sim).map_err(|e| format!("[sim {label}] reference vs {name}: {e}"))?;
     }
     if noskip.skipped_cycles != 0 {
         return Err(format!(
@@ -470,6 +490,48 @@ mod tests {
             check_counts(&functional, &doctored).expect_err("a doctored count must not pass");
         }
         check_counts(&functional, &cores[..1]).expect_err("a missing core must not pass");
+    }
+
+    /// The planted mutation for the engine ↔ engine timing edge: equal
+    /// cycles and counts, but one stall cycle credited to the SA port
+    /// instead of the empty queue (the fast-forward defect the widened
+    /// edge was added for), or one access served by another cache
+    /// level, must be a finding.
+    #[test]
+    fn doctored_stall_table_or_hit_level_is_a_finding() {
+        let core = CoreStats {
+            computation: 40,
+            communication: 6,
+            finished_at: 300,
+            stall_sa_port: 7,
+            stall_queue_empty: 158,
+            ..CoreStats::default()
+        };
+        let sim = SimResult {
+            cycles: 300,
+            cores: vec![core, CoreStats { finished_at: 120, ..core }],
+            output: vec![3],
+            return_value: Some(1),
+            hits_l1: 30,
+            hits_l2: 2,
+            hits_l3: 1,
+            hits_mem: 4,
+            engine_steps: 300,
+            skipped_cycles: 0,
+        };
+        check_timing(&sim, &sim.clone()).expect("equal runs pass");
+
+        let mut moved = sim.clone();
+        moved.cores[0].stall_queue_empty -= 1;
+        moved.cores[0].stall_sa_port += 1;
+        assert_eq!((moved.cycles, moved.cores[0].counts()), (sim.cycles, sim.cores[0].counts()));
+        assert_eq!(moved.cores[0].stalls().total(), sim.cores[0].stalls().total());
+        check_timing(&sim, &moved).expect_err("a stall cycle moved between reasons must not pass");
+
+        let mut level = sim.clone();
+        level.hits_l1 -= 1;
+        level.hits_l2 += 1;
+        check_timing(&sim, &level).expect_err("an access served by another level must not pass");
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! partition in order to time it, so it hands the winner's over with
 //! the partition and only the baseline is left to generate; DSWP, which
 //! arbitrates nothing, compiles both variants here.
+//!
+//! Each distinct run on train inputs is simulated once, too. The
+//! arbitration times its candidates against the sequential program
+//! itself, and on train inputs ([`Scale::Quick`]) the sequential run
+//! and the winner's run are runs the evaluation would make again, so
+//! the cell keeps them (`TrainRuns`) and a timed evaluation reads
+//! them instead of simulating.
 
 use crate::{fail, run_record, sim_counts, HarnessError, RunMetrics, Scale, SchedulerKind};
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
@@ -25,9 +32,9 @@ use gmt_mtcg::QueueLabel;
 use gmt_pdg::{Partition, Pdg, ThreadId};
 use gmt_sched::gremio::GremioConfig;
 use gmt_sim::{
-    check_attribution, simulate_decoded_opts, simulate_decoded_traced_opts, CycleAttribution,
-    MachineConfig, OccupancySummary, QueueTraceStats, SimOptions, SimResult, TraceAggregator,
-    TraceSink,
+    check_attribution, simulate, simulate_decoded_opts, simulate_decoded_traced_opts,
+    CycleAttribution, MachineConfig, OccupancySummary, QueueTraceStats, SimOptions, SimResult,
+    TraceAggregator, TraceSink,
 };
 use gmt_workloads::Workload;
 use std::fmt::Write as _;
@@ -62,13 +69,49 @@ pub struct CompiledCell<'w> {
     pub args: &'w [i64],
     /// The dependence graph both variants were generated from.
     pub pdg: Pdg,
-    /// Candidate schedules GREMIO's arbitration timed on the train
-    /// input (0 for DSWP, which arbitrates nothing).
+    /// Programs GREMIO's arbitration timed on the train input: every
+    /// candidate schedule and the sequential program it is guarded
+    /// against (0 for DSWP, which arbitrates nothing).
     pub arb_probes: u64,
+    /// Programs GREMIO's arbitration compiled: one per candidate
+    /// schedule, plus the single-threaded layout when it wins (0 for
+    /// DSWP).
+    pub arb_compiles: u64,
     /// Baseline MTCG.
     pub mtcg: CompiledVariant,
     /// MTCG + COCO, over the same partition.
     pub coco: CompiledVariant,
+    /// The arbitration's runs of this cell's measured input, for the
+    /// evaluation to read instead of simulating them again; empty on
+    /// ref inputs, which the arbitration never runs, and for DSWP.
+    pub(crate) train_runs: TrainRuns,
+}
+
+/// Runs GREMIO's arbitration simulated on the train input that an
+/// evaluation on train inputs would otherwise simulate again. Each is
+/// the run a fresh simulation of the same program, input and machine
+/// reports, field for field.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TrainRuns {
+    /// The sequential program on the default machine: the baseline the
+    /// candidates were timed against.
+    pub(crate) seq: Option<SimResult>,
+    /// The winning candidate's COCO program on its machine — the run of
+    /// the cell's COCO variant; `None` when the single-threaded layout
+    /// won, whose program no arbitration run executed.
+    pub(crate) coco: Option<SimResult>,
+}
+
+/// What GREMIO's arbitration hands to the cell besides the partition.
+struct Arbitration {
+    /// The COCO variant compiled over the chosen partition.
+    coco: CompiledVariant,
+    /// See [`CompiledCell::arb_probes`].
+    probes: u64,
+    /// See [`CompiledCell::arb_compiles`].
+    compiles: u64,
+    /// The train runs it made that an evaluation would repeat.
+    runs: TrainRuns,
 }
 
 /// The raw-event log size the aggregator counts `dropped_events`
@@ -138,7 +181,7 @@ impl CompiledCell<'_> {
         let (aggregator, extra) = sink;
         check_attribution(&aggregator, &result).map_err(fail(b, "attribution check"))?;
         let traced = TracedRun {
-            run: run_record(self, v, started, sim_counts(&result), Some(&result)),
+            run: run_record(self, v, Some(started), sim_counts(&result), Some(&result)),
             attribution: aggregator.core_attribution(),
             queues: aggregator.queue_stats().to_vec(),
             occupancy: aggregator.queue_occupancy(),
@@ -175,16 +218,15 @@ pub fn compile_cell(
     let pdg = Pdg::build(&w.function);
     let pdg_build_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let (partition, arbitrated, arb_probes) = match kind.scheduler() {
+    let (partition, arbitrated) = match kind.scheduler() {
         Scheduler::Dswp(cfg) => (
             gmt_sched::dswp::partition(&w.function, &pdg, profile, &cfg)
                 .map_err(fail(b, "dswp partition"))?,
             None,
-            0,
         ),
         Scheduler::Gremio(cfg) => {
-            let (partition, coco, probes) = arbitrate(w, profile, &pdg, &cfg)?;
-            (partition, Some(coco), probes)
+            let (partition, arbitrated) = arbitrate(w, profile, &pdg, &cfg)?;
+            (partition, Some(arbitrated))
         }
     };
     let partition_ns = t.elapsed().as_nanos() as u64;
@@ -194,19 +236,27 @@ pub fn compile_cell(
         v.parallelized.timings.partition_ns = partition_ns;
         v
     };
+    let mtcg = with_shared_phases(compile(false)?);
+    let Arbitration { coco, probes, compiles, runs } = match arbitrated {
+        Some(arbitrated) => arbitrated,
+        None => {
+            let coco = compile(true)?;
+            Arbitration { coco, probes: 0, compiles: 0, runs: TrainRuns::default() }
+        }
+    };
+    let (args, train_runs) = match scale {
+        Scale::Quick => (&w.train_args[..], runs),
+        Scale::Full => (&w.ref_args[..], TrainRuns::default()),
+    };
     Ok(CompiledCell {
         workload: w,
         kind,
-        args: match scale {
-            Scale::Quick => &w.train_args,
-            Scale::Full => &w.ref_args,
-        },
-        arb_probes,
-        mtcg: with_shared_phases(compile(false)?),
-        coco: with_shared_phases(match arbitrated {
-            Some(coco) => coco,
-            None => compile(true)?,
-        }),
+        args,
+        arb_probes: probes,
+        arb_compiles: compiles,
+        mtcg,
+        coco: with_shared_phases(coco),
+        train_runs,
         pdg,
     })
 }
@@ -246,17 +296,28 @@ fn compile_variant(
 }
 
 /// GREMIO's timed arbitration: each genuinely parallel candidate is
-/// compiled (with COCO) and simulated on the train input once; the
-/// fastest is kept unless it clearly loses (>10% slower) to running
-/// single-threaded. Returns the chosen partition, the COCO variant
-/// compiled over it to time it — the cell's COCO variant, so nothing
-/// compiles it a second time — and the number of candidates timed.
+/// compiled (with COCO) and simulated on the train input once, and so
+/// is the sequential program — the function itself, decoded once, on
+/// the default machine; the fastest candidate is kept unless it clearly
+/// loses (>10% slower) to the sequential run, in which case the
+/// single-threaded layout (every instruction on thread 0) is compiled
+/// and chosen. That layout's train run equals the sequential run on
+/// every kernel (cycles, core-0 statistics, engine steps, hit levels:
+/// its thread 0 is the function's op stream, its thread 1 a lone
+/// `ret`), so timing the function decides exactly as timing the
+/// compiled layout did, and the layout is compiled only when it wins.
+///
+/// Returns the chosen partition and what the cell takes over: the COCO
+/// variant compiled over it — the cell's COCO variant, so nothing
+/// compiles it a second time — the work counters, and the sequential
+/// and winning runs, which an evaluation on train inputs reads instead
+/// of simulating them again.
 fn arbitrate(
     w: &Workload,
     profile: &Profile,
     pdg: &Pdg,
     cfg: &GremioConfig,
-) -> Result<(Partition, CompiledVariant, u64), HarnessError> {
+) -> Result<(Partition, Arbitration), HarnessError> {
     let candidates = gmt_sched::gremio::candidates(&w.function, pdg, profile, cfg)
         .map_err(fail(w.benchmark, "gremio candidate enumeration"))?;
     // "Genuinely parallel" = the lighter thread owns a meaningful share
@@ -269,66 +330,112 @@ fn arbitrate(
             && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
     };
     let compile = |p: &Partition| compile_variant(w, SchedulerKind::Gremio, profile, pdg, p, true);
-    // A candidate that fails to compile or simulate scores u64::MAX
-    // and loses.
-    let mut probes = 0;
-    let mut timed = |p: Partition| {
-        probes += 1;
-        let compiled = compile(&p);
-        let cycles = compiled
-            .as_ref()
-            .ok()
-            .and_then(|v| {
-                let opts = SimOptions::default();
-                simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts).ok()
-            })
-            .map_or(u64::MAX, |r| r.cycles);
-        (cycles, p, compiled)
-    };
+    // A program that fails to compile or simulate scores u64::MAX and
+    // loses.
+    let cycles = |run: &Option<SimResult>| run.as_ref().map_or(u64::MAX, |r| r.cycles);
+    let mut compiles = 0;
     let best = candidates
         .into_iter()
         .map(|(_, p)| p)
         .filter(|p| meaningful(p))
-        .map(&mut timed)
-        .min_by_key(|(cycles, ..)| *cycles);
-    // Arbitrate against the true single-threaded layout, not a
-    // token-offload candidate.
+        .map(|p| {
+            compiles += 1;
+            let compiled = compile(&p);
+            let run = compiled.as_ref().ok().and_then(|v| {
+                let opts = SimOptions::default();
+                simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts).ok()
+            });
+            (p, compiled, run)
+        })
+        .min_by_key(|(.., run)| cycles(run));
+    let (mut probes, mut seq) = (compiles, None);
+    if let Some((partition, compiled, run)) = best {
+        probes += 1;
+        let function = std::slice::from_ref(&w.function);
+        seq = simulate(function, &w.train_args, w.init, &MachineConfig::default()).ok();
+        if cycles(&run) as f64 <= cycles(&seq) as f64 * 1.10 {
+            let runs = TrainRuns { seq, coco: run };
+            return Ok((partition, Arbitration { coco: compiled?, probes, compiles, runs }));
+        }
+    }
+    // Nothing to time against, or the winner clearly loses: the true
+    // single-threaded layout, not a token-offload candidate.
     let mut single = Partition::new(cfg.num_threads);
     for i in w.function.all_instrs() {
         single.assign(i, ThreadId(0));
     }
-    let (partition, compiled) = match best {
-        Some((cycles, mt, compiled)) => {
-            let (single_cycles, single, single_compiled) = timed(single);
-            if cycles as f64 <= single_cycles as f64 * 1.10 {
-                (mt, compiled)
-            } else {
-                (single, single_compiled)
-            }
-        }
-        // Nothing to time against: single-threaded it is, untimed.
-        None => {
-            let compiled = compile(&single);
-            (single, compiled)
-        }
-    };
-    Ok((partition, compiled?, probes))
+    let coco = compile(&single)?;
+    let runs = TrainRuns { seq, coco: None };
+    Ok((single, Arbitration { coco, probes, compiles: compiles + 1, runs }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The deterministic work counter of GREMIO's arbitration: over the
-    /// 11-kernel matrix every candidate (and the single-thread fallback
-    /// it is guarded against) is compiled and simulated exactly once.
+    /// The deterministic work counters of GREMIO's arbitration: over the
+    /// 11-kernel matrix it simulates 22 candidates + 11 sequential runs
+    /// on train inputs, each exactly once, and compiles the 22
+    /// candidates plus the single-threaded layout on the three kernels
+    /// where that layout wins (it is compiled only then). A cell keeps
+    /// the train runs only when it measures train inputs.
     #[test]
     fn gremio_arbitration_times_33_candidates() {
-        let probes: u64 = gmt_workloads::catalog()
-            .iter()
-            .map(|w| compile_cell(w, SchedulerKind::Gremio, Scale::Quick).unwrap().arb_probes)
-            .sum();
-        assert_eq!(probes, 33);
+        let (mut probes, mut compiles, mut fallbacks) = (0, 0, Vec::new());
+        for w in gmt_workloads::catalog() {
+            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+            probes += cell.arb_probes;
+            compiles += cell.arb_compiles;
+            assert!(cell.train_runs.seq.is_some(), "{}: the sequential run", w.benchmark);
+            let partition = &cell.coco.parallelized.partition;
+            if w.function.all_instrs().all(|i| partition.get(i) == Some(ThreadId(0))) {
+                assert!(cell.train_runs.coco.is_none(), "{}: no run of the layout", w.benchmark);
+                fallbacks.push(w.benchmark);
+            } else {
+                assert!(cell.train_runs.coco.is_some(), "{}: the winner's run", w.benchmark);
+            }
+        }
+        assert_eq!((probes, compiles), (33, 25));
+        assert_eq!(fallbacks, ["adpcmenc", "177.mesa", "183.equake"]);
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let full = compile_cell(&w, SchedulerKind::Gremio, Scale::Full).unwrap();
+        assert_eq!((full.arb_probes, full.arb_compiles), (3, 2));
+        assert!(full.train_runs.seq.is_none() && full.train_runs.coco.is_none(), "ref inputs");
+    }
+
+    /// What licenses timing the sequential program in place of the
+    /// compiled single-threaded layout: on every kernel the layout's
+    /// train run (GREMIO's machine, thread 1 a lone `ret`) equals the
+    /// sequential run on the default machine in cycles, core-0
+    /// statistics, engine steps, hit levels and observables, so the
+    /// arbitration decides as it did when it timed the layout.
+    #[test]
+    fn single_threaded_layout_runs_as_the_sequential_program() {
+        for w in gmt_workloads::catalog() {
+            let b = w.benchmark;
+            let profile = w.run_train().unwrap().profile;
+            let pdg = Pdg::build(&w.function);
+            let mut single = Partition::new(2);
+            for i in w.function.all_instrs() {
+                single.assign(i, ThreadId(0));
+            }
+            let v = compile_variant(&w, SchedulerKind::Gremio, &profile, &pdg, &single, true)
+                .unwrap();
+            let opts = SimOptions::default();
+            let layout = simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts)
+                .unwrap();
+            let function = std::slice::from_ref(&w.function);
+            let seq = simulate(function, &w.train_args, w.init, &MachineConfig::default()).unwrap();
+            assert_eq!(layout.cycles, seq.cycles, "{b}: cycles");
+            assert_eq!(layout.cores[0], seq.cores[0], "{b}: core 0");
+            assert_eq!(layout.cores.len(), 2, "{b}: thread 1 is there");
+            assert_eq!(layout.cores[1].total_instrs(), 1, "{b}: thread 1 retires its `ret` alone");
+            let steps = |r: &SimResult| (r.engine_steps, r.skipped_cycles);
+            assert_eq!(steps(&layout), steps(&seq), "{b}: engine steps");
+            let hits = |r: &SimResult| [r.hits_l1, r.hits_l2, r.hits_l3, r.hits_mem];
+            assert_eq!(hits(&layout), hits(&seq), "{b}: hit levels");
+            assert_eq!((&layout.output, layout.return_value), (&seq.output, seq.return_value), "{b}");
+        }
     }
 
     /// What arbitration hands over is the cell's COCO variant: on every

@@ -21,10 +21,22 @@
 //! a queue's number is not observable by either executor (law:
 //! `tests/queue_renaming.rs`), so the cell runs that program once and
 //! the COCO record, flagged [`RunMetrics::shared_run`], is a copy of
-//! the baseline's. Profiles are always collected on *train* inputs and
-//! measurements on *ref* inputs. Every mode — figures, `--metrics`,
-//! `--trace`, `--explain`, `--verify-mt` — obtains its programs from
-//! the one [`compile_cell`], so they all measure the same code.
+//! the baseline's. Once per evaluation means once per *compiled cell*,
+//! arbitration included: GREMIO's timed arbitration
+//! ([`compile_cell`]) simulates the sequential program and every
+//! candidate on the train input, so a timed evaluation on train inputs
+//! ([`Scale::Quick`]) takes `seq_instrs`/`seq_cycles` from the
+//! arbitration's sequential run and the COCO record — and the baseline
+//! record, when the two variants share a run — from the winner's run
+//! instead of simulating them again (69 simulations for a timed quick
+//! matrix where there were 88; [`Evaluation::simulations`]). A
+//! handed-over record reports every field a fresh run would; its
+//! `wall_ns` is the compile phases only, because the run's host time
+//! is inside `partition_ns`. Profiles are always collected on *train*
+//! inputs and measurements on *ref* inputs. Every mode — figures,
+//! `--metrics`, `--trace`, `--explain`, `--verify-mt` — obtains its
+//! programs from the one [`compile_cell`], so they all measure the
+//! same code.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -236,6 +248,11 @@ pub struct Evaluation {
     pub result: BenchResult,
     /// One record per variant (baseline MTCG, then MTCG+COCO).
     pub metrics: Vec<RunMetrics>,
+    /// Runs of the machine model behind this evaluation, the cell's
+    /// arbitration probes included: a deterministic work counter (69
+    /// over a timed quick matrix, whose sequential and winning GREMIO
+    /// runs the arbitration hands over; 88 over a timed full one).
+    pub simulations: u64,
 }
 
 /// Evaluates one workload under one scheduler: baseline MTCG and
@@ -270,26 +287,41 @@ pub fn evaluate_full(
 }
 
 /// Measures a compiled cell: the sequential program and each distinct
-/// variant, once each.
+/// variant, once each. A timed evaluation on train inputs reads the
+/// sequential run and the winning variant's run from GREMIO's
+/// arbitration, which made them already.
 fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, HarnessError> {
     let w = cell.workload;
     let b = w.benchmark;
-    let (seq_instrs, seq_cycles) = if timed {
-        let sim = simulate(
-            std::slice::from_ref(&w.function),
-            cell.args,
-            w.init,
-            &MachineConfig::default(),
-        )
-        .map_err(fail(b, "sequential sim"))?;
-        (sim_counts(&sim).total(), sim.cycles)
-    } else {
-        let seq = gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
-            .map_err(fail(b, "sequential run"))?;
-        (seq.counts.total(), 0)
+    let mut simulations = cell.arb_probes;
+    let (seq_instrs, seq_cycles) = match (timed, &cell.train_runs.seq) {
+        (true, Some(seq)) => (sim_counts(seq).total(), seq.cycles),
+        (true, None) => {
+            simulations += 1;
+            let sim = simulate(
+                std::slice::from_ref(&w.function),
+                cell.args,
+                w.init,
+                &MachineConfig::default(),
+            )
+            .map_err(fail(b, "sequential sim"))?;
+            (sim_counts(&sim).total(), sim.cycles)
+        }
+        (false, _) => {
+            let seq =
+                gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
+                    .map_err(fail(b, "sequential run"))?;
+            (seq.counts.total(), 0)
+        }
     };
-    let (mtcg, base) = measure(cell, &cell.mtcg, timed, "MTCG run", "timed MTCG sim")?;
-    let (coco, opt) = if same_run(&cell.mtcg, &cell.coco) {
+    let shared = same_run(&cell.mtcg, &cell.coco);
+    // The winner's run is the COCO variant's, and the baseline's too
+    // when the two variants are one program.
+    let winner = cell.train_runs.coco.as_ref().filter(|_| timed);
+    let mtcg_run = winner.filter(|_| shared);
+    let (mtcg, base) =
+        measure(cell, &cell.mtcg, timed, mtcg_run, &mut simulations, "MTCG run", "timed MTCG sim")?;
+    let (coco, opt) = if shared {
         // The run just measured is this variant's too; only compiling
         // it took time of its own.
         let timings = cell.coco.parallelized.timings;
@@ -303,11 +335,12 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
         };
         (mtcg, shared)
     } else {
-        measure(cell, &cell.coco, timed, "COCO run", "timed COCO sim")?
+        measure(cell, &cell.coco, timed, winner, &mut simulations, "COCO run", "timed COCO sim")?
     };
     Ok(Evaluation {
         result: BenchResult { benchmark: b, seq_instrs, seq_cycles, mtcg, coco },
         metrics: vec![base, opt],
+        simulations,
     })
 }
 
@@ -338,39 +371,52 @@ fn sim_counts(sim: &SimResult) -> DynCounts {
 
 /// Measures one variant of a compiled cell by executing it once: on
 /// the machine model when `timed` (cycles, stalls and the retired
-/// counts), otherwise on the functional interpreter (counts only).
+/// counts), otherwise on the functional interpreter (counts only). A
+/// timed run of `v` on the measured input that the arbitration already
+/// made is `handed` over and recorded instead of executing `v` again.
+/// Adds the simulations it runs to `simulations`.
 fn measure(
     cell: &CompiledCell,
     v: &CompiledVariant,
     timed: bool,
+    handed: Option<&SimResult>,
+    simulations: &mut u64,
     run_phase: &'static str,
     sim_phase: &'static str,
 ) -> Result<(VariantResult, RunMetrics), HarnessError> {
     let w = cell.workload;
     let t = Instant::now();
-    let opts = SimOptions::default();
-    let sim = timed
-        .then(|| simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts))
-        .transpose()
-        .map_err(fail(w.benchmark, sim_phase))?;
-    let counts = match &sim {
+    let fresh = if timed && handed.is_none() {
+        *simulations += 1;
+        let opts = SimOptions::default();
+        let sim = simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts)
+            .map_err(fail(w.benchmark, sim_phase))?;
+        Some(sim)
+    } else {
+        None
+    };
+    let sim = handed.or(fresh.as_ref());
+    let counts = match sim {
         Some(sim) => sim_counts(sim),
         None => run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
             .map_err(fail(w.benchmark, run_phase))?
             .totals(),
     };
-    let metrics = run_record(cell, v, t, counts, sim.as_ref());
+    let metrics = run_record(cell, v, handed.is_none().then_some(t), counts, sim);
     Ok((VariantResult { counts, cycles: metrics.cycles }, metrics))
 }
 
 /// The run-level record of the one execution of `v` begun at
 /// `started`, which retired `counts`: a timed run `sim` (traced or
 /// not — a sink does not change what the engine does), or a functional
-/// run (`None`: no cycles, stalls or engine steps).
+/// run (`None`: no cycles, stalls or engine steps). A run the
+/// arbitration handed over has no `started`: its host time is inside
+/// the `partition_ns` of the compile phases already, as a
+/// [`RunMetrics::shared_run`]'s is inside its partner's record.
 fn run_record(
     cell: &CompiledCell,
     v: &CompiledVariant,
-    started: Instant,
+    started: Option<Instant>,
     counts: DynCounts,
     sim: Option<&SimResult>,
 ) -> RunMetrics {
@@ -379,11 +425,12 @@ fn run_record(
     for core in sim.into_iter().flat_map(|sim| &sim.cores) {
         stalls += core.stalls();
     }
+    let run_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
     RunMetrics {
         benchmark: cell.workload.benchmark,
         scheduler: cell.kind.name(),
         variant: v.name,
-        wall_ns: timings.total_ns() + started.elapsed().as_nanos() as u64,
+        wall_ns: timings.total_ns() + run_ns,
         instrs: counts.total(),
         cycles: sim.map_or(0, |sim| sim.cycles),
         timings,
@@ -599,28 +646,58 @@ mod tests {
         ("DSWP", "435.gromacs"),
     ];
 
-    /// Sharing a run is invisible: on every quick cell, timed and
-    /// untimed, an evaluation reports what measuring each variant
-    /// separately reports, in every field but the wall clock and the
-    /// flag — and exactly the pinned cells share, so a plan change that
-    /// adds or loses one is seen. 22 sequential runs + 44 variants − 11
-    /// shared = the 55 programs an evaluation of the matrix executes.
+    /// The GREMIO records of a timed quick evaluation whose run the
+    /// arbitration handed over, in matrix order: the COCO record of
+    /// every cell whose candidate won, or the baseline record where that
+    /// cell shares its run (adpcmdec, 435.gromacs). adpcmenc, 177.mesa
+    /// and 183.equake fall back to the single-threaded layout, whose
+    /// program no arbitration run executed.
+    const HANDED_RECORDS: [(&str, &str); 8] = [
+        ("adpcmdec", "mtcg"),
+        ("ks", "coco"),
+        ("mpeg2enc", "coco"),
+        ("181.mcf", "coco"),
+        ("188.ammp", "coco"),
+        ("300.twolf", "coco"),
+        ("435.gromacs", "mtcg"),
+        ("458.sjeng", "coco"),
+    ];
+
+    /// Sharing or handing over a run is invisible: on every quick cell,
+    /// timed and untimed, an evaluation reports what simulating the
+    /// sequential program and measuring each variant afresh reports, in
+    /// every field but the wall clock and the flag — and exactly the
+    /// pinned records carry no run of their own (their wall clock is
+    /// the compile phases alone): the COCO record of the pinned shared
+    /// cells, so a plan change that adds or loses one is seen, and on a
+    /// timed evaluation the pinned handed-over GREMIO records.
     #[test]
     fn sharing_a_run_is_invisible_on_all_quick_cells() {
         for timed in [true, false] {
-            let mut shared = Vec::new();
+            let (mut shared, mut handed) = (Vec::new(), Vec::new());
             for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
                 for w in catalog() {
                     let cell = compile_cell(&w, kind, Scale::Quick).expect("compiles");
                     let at = format!("{} / {} (timed: {timed})", w.benchmark, kind.name());
                     let e = evaluate_cell(&cell, timed).expect("evaluates");
-                    let (mtcg, base) = measure(&cell, &cell.mtcg, timed, "run", "sim").expect("mtcg");
-                    let (coco, opt) = measure(&cell, &cell.coco, timed, "run", "sim").expect("coco");
+                    let fresh = |v| measure(&cell, v, timed, None, &mut 0, "run", "sim");
+                    let (mtcg, base) = fresh(&cell.mtcg).expect("mtcg");
+                    let (coco, opt) = fresh(&cell.coco).expect("coco");
                     assert_eq!((e.result.mtcg, e.result.coco), (mtcg, coco), "{at}: BenchResult");
-                    let base = RunMetrics { arb_probes: cell.arb_probes, ..base };
+                    if timed {
+                        let machine = MachineConfig::default();
+                        let seq = simulate(std::slice::from_ref(&w.function), cell.args, w.init, &machine)
+                            .expect("sequential");
+                        let want = (sim_counts(&seq).total(), seq.cycles);
+                        assert_eq!((e.result.seq_instrs, e.result.seq_cycles), want, "{at}: sequential");
+                    }
                     for (got, want) in e.metrics.iter().zip([base, opt]) {
                         let want = RunMetrics { wall_ns: got.wall_ns, shared_run: got.shared_run, ..want };
                         assert_eq!(*got, want, "{at}: {} RunMetrics", got.variant);
+                        if got.wall_ns == got.timings.total_ns() && !got.shared_run {
+                            assert_eq!(kind, SchedulerKind::Gremio, "{at}: only arbitration hands over");
+                            handed.push((w.benchmark, got.variant));
+                        }
                     }
                     assert!(!e.metrics[0].shared_run, "{at}: the baseline always runs");
                     if e.metrics[1].shared_run {
@@ -631,6 +708,26 @@ mod tests {
                 }
             }
             assert_eq!(shared, SHARED_CELLS, "timed: {timed}");
+            let want: &[_] = if timed { &HANDED_RECORDS } else { &[] };
+            assert_eq!(handed, want, "timed: {timed}");
+        }
+    }
+
+    /// The deterministic work counter of a timed evaluation, arbitration
+    /// included. A full matrix runs 33 arbitration probes, 22 sequential
+    /// runs and 44 variants less the 11 shared: 88. A quick one reads
+    /// the 11 sequential runs and the 8 handed-over records of GREMIO
+    /// from its arbitration: 69.
+    #[test]
+    fn a_timed_matrix_runs_69_simulations_quick_and_88_full() {
+        for (scale, want) in [(Scale::Quick, 69), (Scale::Full, 88)] {
+            let mut simulations = 0;
+            for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+                for w in catalog() {
+                    simulations += evaluate_full(&w, kind, true, scale).expect("evaluates").simulations;
+                }
+            }
+            assert_eq!(simulations, want, "{scale:?}");
         }
     }
 

@@ -27,7 +27,8 @@ pub struct RunMetrics {
     /// Wall-clock nanoseconds spent evaluating this variant (compile
     /// phases + its one execution: the timed simulation when
     /// requested, the functional run otherwise; compile phases only
-    /// for a [`RunMetrics::shared_run`]).
+    /// for a [`RunMetrics::shared_run`] and for a run GREMIO's
+    /// arbitration handed over, whose host time `partition_ns` holds).
     pub wall_ns: u64,
     /// Dynamic instructions, summed over threads.
     pub instrs: u64,
@@ -35,8 +36,9 @@ pub struct RunMetrics {
     pub cycles: u64,
     /// Compile-phase wall-clock breakdown.
     pub timings: CompileTimings,
-    /// Candidate schedules GREMIO's arbitration timed on the train
-    /// input (carried by the `mtcg` record, 0 elsewhere).
+    /// Programs GREMIO's arbitration timed on the train input — its
+    /// candidate schedules and the sequential program (carried by the
+    /// `mtcg` record, 0 elsewhere).
     pub arb_probes: u64,
     /// Always 0; kept for its only reader, `benchmark/src/workloads.rs`.
     pub arb_hits: u64,

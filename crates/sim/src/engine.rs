@@ -56,11 +56,15 @@
 //!
 //! The fast-forward also memoizes *individual* stalled cores: when a
 //! core's recorded stall has a **stable** self-wakeup — one no peer
-//! action can move earlier (mispredict refill, operand readiness,
-//! load completion, or an already-visible token on a queue with a
-//! single consumer) — its whole stall span is credited up front and
-//! the core sleeps until that cycle, skipping its re-evaluation on
-//! every tick in between. This is what makes mixed cycles cheap: one
+//! action can move earlier or re-label (mispredict refill, operand
+//! readiness, load completion) — its whole stall span is credited up
+//! front and the core sleeps until that cycle, skipping its
+//! re-evaluation on every tick in between. A `consume.sync` waiting
+//! for an in-flight token is not stable even though its token's
+//! visibility cycle is fixed: its `QueueEmpty` check comes after the
+//! SA-port check, so on a cycle where issuing peers took the last port
+//! first the per-cycle engine records `SaPort` for it; such a core is
+//! re-evaluated every cycle. This is what makes mixed cycles cheap: one
 //! core issuing no longer forces full stall re-checks of its blocked
 //! peers. Sleeping is transparent to the global jump (a sleeper's
 //! wakeup is exactly what `skip_target` would compute, and the bulk
@@ -192,13 +196,11 @@ fn run_engine<S: TraceSink>(
     // can move earlier — would replay the identical stall on every
     // cycle before that wakeup, so its whole span is credited up front
     // and the core sleeps until `asleep_until[ci]` while its peers keep
-    // issuing. Stability per reason: Mispredict/Operand/LoadLimit read
-    // only the core's own state (pending-consume operands, which peers
-    // *can* deliver, are excluded by `self_wakeup`); QueueEmpty trusts
-    // the FIFO front entry's fixed visibility cycle, which holds only
-    // when no other core can pop that front mid-sleep.
+    // issuing. Stable are the stalls whose check comes before the
+    // SA-port check and that read only the core's own state:
+    // Mispredict, Operand (pending-consume operands, which peers *can*
+    // deliver, are excluded by `self_wakeup`) and LoadLimit.
     let mut asleep_until: Vec<u64> = vec![0; ncores];
-    let single_consumer = single_consumer_queues(threads, config.sa.num_queues);
     // Cross-core consume deliveries handed back by `issue_core` (which
     // borrows only its own core) — drained after every call.
     let mut deliveries: Vec<CrossDelivery> = Vec::new();
@@ -278,13 +280,11 @@ fn run_engine<S: TraceSink>(
             // same stall on the next, progress-free evaluation.
             if opts.fast_forward && !outcome.progressed {
                 if let Some((reason, queue)) = outcome.stall {
-                    let stable = match reason {
-                        StallReason::QueueEmpty => {
-                            queue.is_some_and(|q| single_consumer[q.index()])
-                        }
-                        _ => true, // remaining reasons are per-core state only
-                    };
-                    if stable {
+                    // A `QueueEmpty` stall is not stable: its check
+                    // comes after the SA-port check, so a cycle on
+                    // which peers take the last port first records
+                    // `SaPort` instead.
+                    if reason != StallReason::QueueEmpty {
                         if let Some(w) =
                             self_wakeup(&cores[ci], &threads[ci], &sa, reason, queue)
                         {
@@ -386,34 +386,6 @@ fn rotation_start(cycle: u64, ncores: usize) -> usize {
     (if n.is_power_of_two() { cycle & (n - 1) } else { cycle % n }) as usize
 }
 
-/// Which queues are consumed by at most one core. A core sleeping on a
-/// `QueueEmpty` stall trusts the front entry's visibility cycle to stay
-/// put; that holds only when no *other* core can pop the front out from
-/// under it mid-sleep. MTCG queues are single-consumer by construction,
-/// but the engine must stay correct for arbitrary decoded programs, so
-/// the property is checked, not assumed.
-fn single_consumer_queues(threads: &[DecodedFunction], num_queues: usize) -> Vec<bool> {
-    let mut consumer: Vec<Option<usize>> = vec![None; num_queues];
-    let mut single = vec![true; num_queues];
-    for (ci, d) in threads.iter().enumerate() {
-        for pc in 0..d.num_slots() as u32 {
-            let q = match d.op(pc) {
-                DecodedOp::Consume { queue, .. } | DecodedOp::ConsumeSync { queue } => queue,
-                _ => continue,
-            };
-            let qi = q.index();
-            if qi < num_queues {
-                match consumer[qi] {
-                    None => consumer[qi] = Some(ci),
-                    Some(owner) if owner == ci => {}
-                    Some(_) => single[qi] = false,
-                }
-            }
-        }
-    }
-    single
-}
-
 /// The earliest cycle at which `core`, stalled at `now` for `reason`,
 /// could possibly issue again *without any peer action* — or `None`
 /// when no such self-wakeup exists (the stall is peer-driven or the
@@ -428,7 +400,9 @@ fn single_consumer_queues(threads: &[DecodedFunction], num_queues: usize) -> Vec
 ///   instruction's uses, unless one is pending on an outstanding
 ///   consume (`u64::MAX`): that delivery needs a peer's produce;
 /// - `QueueEmpty` — the in-flight front token's visibility cycle
-///   ([`SyncArray::next_visible_at`]); an empty queue has none;
+///   ([`SyncArray::next_visible_at`]); an empty queue has none. The
+///   global jump only: a peer that issues can take the SA port first
+///   and re-label the stall, so this core never sleeps on it;
 /// - `LoadLimit` — the earliest in-flight load completion (the set was
 ///   pruned to `> now` when the stall was recorded);
 /// - `QueueFull` — none: only a peer's consume frees an entry.
