@@ -44,7 +44,9 @@ GMT_JOBS=8 ./target/release/repro --verify-mt
 # also to equal stall tables (every `CoreStats` field) and cache hit
 # levels; the first of the five QueueEmpty-vs-SaPort seeds in the corpus
 # is one of these 1000 cases, so a fast-forward that credits a stall
-# cycle to the wrong reason fails here. Any
+# cycle to the wrong reason fails here. On a third of the cases the
+# sequential program itself also runs on the three timed engines, which
+# holds the fast-forward engine's one-core loop to the same checks. Any
 # finding exits nonzero; its seed is printed and persisted, and
 # `GMT_TESTKIT_SEED=<seed> cargo run --release -p gmt-fuzz --bin fuzz`
 # replays exactly that case (the same replay command works for every

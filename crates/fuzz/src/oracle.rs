@@ -27,7 +27,12 @@
 //!   synchronized program). The functional interpreters share one
 //!   driver loop, the timed engines share none of it, so this edge
 //!   does not go through the code the decoded ≡ reference edges share;
-//! - on a deterministic third of the cases, the **trace layer**: a
+//! - on a deterministic third of the cases, the **sequential timed
+//!   edge**: the original one-thread program on the same three timed
+//!   engines, under the same checks against the sequential run's
+//!   counts, so the fast-forward engine's one-core loop is held to the
+//!   per-cycle engine and the reference;
+//! - on another deterministic third, the **trace layer**: a
 //!   traced run reports the same cycle count as
 //!   the untraced engines (no observer effect), its per-core cycle
 //!   attribution sums to the total ([`check_attribution`]), and its
@@ -102,6 +107,17 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     };
     report.seq_steps = seq.counts.total();
 
+    // Phase 1b: the sequential program on the three timed engines — the
+    // fast-forward engine's one-core loop against the per-cycle engine
+    // and the reference — on a deterministic third of the cases, keyed
+    // like the trace-layer third of `sim_cross_check` on another residue.
+    if report.seq_steps % 3 == 1 {
+        let threads = std::slice::from_ref(&f);
+        let program =
+            DecodedProgram::decode(threads).map_err(|e| format!("[decode seq] {e:?}"))?;
+        sim_cross_check(&program, threads, &seq, &[seq.counts], &machine_for(0, vec![1]), "seq")?;
+    }
+
     // Phase 2: the pipeline (partition → COCO → MTCG). One PDG serves
     // the partitioner of every mode and the validator.
     let pdg = Pdg::build(&f);
@@ -150,7 +166,8 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         if par.queue_depths.is_empty() { vec![1] } else { par.queue_depths.clone() },
     );
     for (label, machine) in [("uniform", &uniform), ("allocated", &allocated)] {
-        let sim = sim_cross_check(&program, &par, &seq, &mt32.per_thread, machine, label)?;
+        let sim =
+            sim_cross_check(&program, par.threads(), &seq, &mt32.per_thread, machine, label)?;
         report.cycles = sim.cycles;
     }
 
@@ -334,19 +351,19 @@ fn check_timing(a: &SimResult, b: &SimResult) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the three timed engines and checks full agreement — with each
-/// other (cycles, per-core stats and hit levels), with the sequential
-/// observables and with the functional MT run's per-thread `functional`
-/// counts — plus the fast-forward conservation law.
+/// Runs the three timed engines on `threads` (decoded as `program`) and
+/// checks full agreement — with each other (cycles, per-core stats and
+/// hit levels), with the sequential observables and with the functional
+/// run's per-thread `functional` counts — plus the fast-forward
+/// conservation law.
 fn sim_cross_check(
     program: &DecodedProgram,
-    par: &Parallelized,
+    threads: &[Function],
     seq: &RunResult,
     functional: &[DynCounts],
     machine: &MachineConfig,
     label: &str,
 ) -> Result<SimResult, String> {
-    let threads = par.threads();
     let refr = simulate_reference(threads, &[], |_, _| {}, machine)
         .map_err(|e| format!("[sim {label}] reference: {e:?}"))?;
     machine.validate().map_err(|e| format!("[sim {label}] config: {e}"))?;

@@ -25,13 +25,30 @@
 //! limits, [`DecodedFunction`]'s per-slot
 //! [`SlotTiming`](gmt_ir::decoded::SlotTiming) table, which the 3–33
 //! simulations of one decoded program share); the start core of a step
-//! is a mask of the cycle number at the one- and two-core counts every
-//! figure uses, and the walk from it wraps with a compare; a finished core is counted out once and never
-//! visited again; the structural, operand and SA-port checks read one
-//! 16-byte record, and the 40-byte [`DecodedOp`] is fetched only for
-//! an instruction that passed them; the cross-core delivery list is
-//! drained only when a produce put something on it. None of this
-//! changes which steps run or what a step decides.
+//! is a mask of the cycle number at power-of-two core counts, and the
+//! walk from it wraps with a compare; a finished core is counted out
+//! once and never visited again; the structural, operand and SA-port
+//! checks read one 16-byte record, and the 40-byte [`DecodedOp`] is
+//! fetched only for an instruction that passed them; the cross-core
+//! delivery list is drained only when a produce put something on it.
+//! None of this changes which steps run or what a step decides.
+//!
+//! The loop itself is compiled for the two machines every figure
+//! simulates. A one-core run with the fast-forward on steps in
+//! `Run::solo`: no rotation, no sleep table, no per-core stall vector
+//! and no delivery drain (a lone core's produce delivers in place), and
+//! an all-stall cycle jumps straight to the core's self-wakeup under the
+//! same credit and clamp rules as the lockstep loop. Everything else
+//! steps in `Run::lockstep::<N>`, with the core count a compile-time
+//! constant for two cores, so the rotation, the walk and the bulk
+//! credit unroll; three and more cores (the fuzzer's N = 3 and 4) keep
+//! the count read at run time (`N = 0`), since one instance per count
+//! would multiply the code for machines no figure times. `issue_core` is inlined into each loop, so each loop is one
+//! function the optimizer sees whole. Neither half pays alone: on the
+//! 22 two-core runs of the `exec_only` benchmark, the N = 2 instance
+//! without the inline, or the inline without the instance, was no
+//! faster than the loop before either (EXPERIMENTS.md, "cycle-engine
+//! loops compiled per machine").
 //!
 //! # Event-driven stall fast-forward
 //!
@@ -172,209 +189,317 @@ fn run_engine<S: TraceSink>(
     let mut memory = Memory::for_layout(program.layout())?;
     init(program.layout(), &mut memory);
 
-    let ncores = threads.len();
-    let mut cores: Vec<DCore> = threads.iter().map(|d| DCore::new(d, args)).collect();
+    let cores: Vec<DCore> = threads.iter().map(|d| DCore::new(d, args)).collect();
     for d in threads {
         d.check_args(args)?;
     }
-    let mut hierarchy = Hierarchy::new(ncores, config);
-    let mut sa = SyncArray::new(config.sa.num_queues, &config.sa.depths, config.sa.latency);
-    let mut output = Vec::new();
-    let mut return_value = None;
-    let mut hits = [0u64; 4];
+    let mut run = Run {
+        threads,
+        config,
+        // The functional-unit limits hold for the whole run, so they
+        // are computed here, not per step or per `issue_core` call.
+        limits: [config.alu_units, config.mem_ports, config.fp_units, config.branch_units],
+        sink,
+        cores,
+        memory,
+        hierarchy: Hierarchy::new(threads.len(), config),
+        sa: SyncArray::new(config.sa.num_queues, &config.sa.depths, config.sa.latency),
+        output: Vec::new(),
+        return_value: None,
+        hits: [0; 4],
+        deliveries: Vec::new(),
+    };
+    // The one- and two-core machines every figure simulates each get a
+    // loop compiled for them (see "The cost of a step").
+    let steps = match threads.len() {
+        1 if opts.fast_forward => run.solo()?,
+        2 => run.lockstep::<2>(opts.fast_forward)?,
+        _ => run.lockstep::<0>(opts.fast_forward)?,
+    };
 
-    let mut cycle: u64 = 0;
-    let mut last_progress: u64 = 0;
-    let mut engine_steps: u64 = 0;
-    let mut skipped_cycles: u64 = 0;
-    // What blocked each core on the cycle just evaluated (reason +
-    // queue, exactly as recorded in its stall counters) — the input to
-    // the fast-forward's wakeup computation.
-    let mut stalls: Vec<Option<(StallReason, Option<QueueId>)>> = vec![None; ncores];
-    // Per-core stall memoization (fast-forward only): a core whose
-    // recorded stall has a *stable* self-wakeup — one no peer action
-    // can move earlier — would replay the identical stall on every
-    // cycle before that wakeup, so its whole span is credited up front
-    // and the core sleeps until `asleep_until[ci]` while its peers keep
-    // issuing. Stable are the stalls whose check comes before the
-    // SA-port check and that read only the core's own state:
-    // Mispredict, Operand (pending-consume operands, which peers *can*
-    // deliver, are excluded by `self_wakeup`) and LoadLimit.
-    let mut asleep_until: Vec<u64> = vec![0; ncores];
-    // Cross-core consume deliveries handed back by `issue_core` (which
-    // borrows only its own core) — drained after every call.
-    let mut deliveries: Vec<CrossDelivery> = Vec::new();
+    let cycles = run.cores.iter().map(|c| c.stats.finished_at).max().unwrap_or(0);
+    if S::ENABLED {
+        run.sink.run_end(cycles);
+    }
+    Ok(SimResult {
+        cycles,
+        cores: run.cores.into_iter().map(|c| c.stats).collect(),
+        output: run.output,
+        return_value: run.return_value,
+        hits_l1: run.hits[0],
+        hits_l2: run.hits[1],
+        hits_l3: run.hits[2],
+        hits_mem: run.hits[3],
+        engine_steps: steps.engine,
+        skipped_cycles: steps.skipped,
+    })
+}
 
-    // The issue-loop facts that hold for the whole run are computed
-    // here, not per step or per `issue_core` call: the functional-unit
-    // limits and the number of cores still running (a finished core is
-    // never evaluated again, so the count only changes where a `ret`
-    // retires).
-    let limits = [config.alu_units, config.mem_ports, config.fp_units, config.branch_units];
-    let mut live = ncores;
+const NO_PROGRESS_WINDOW: u64 = 100_000;
 
-    while live > 0 {
-        if cycle >= config.max_cycles {
+/// One run's machine state and the facts that hold for all of it. The
+/// loops ([`Run::solo`], [`Run::lockstep`]) keep the cycle and the work
+/// counters in locals and hand the counters back as [`Steps`].
+struct Run<'a, S> {
+    threads: &'a [DecodedFunction],
+    config: &'a MachineConfig,
+    limits: [usize; 4],
+    sink: &'a mut S,
+    cores: Vec<DCore>,
+    memory: Memory,
+    hierarchy: Hierarchy,
+    sa: SyncArray,
+    output: Vec<i64>,
+    return_value: Option<i64>,
+    hits: [u64; 4],
+    /// Cross-core consume deliveries handed back by `issue_core` (which
+    /// borrows only its own core) — drained after every call.
+    deliveries: Vec<CrossDelivery>,
+}
+
+/// The engine's work counters: [`SimResult::engine_steps`] and
+/// [`SimResult::skipped_cycles`].
+struct Steps {
+    engine: u64,
+    skipped: u64,
+}
+
+impl<S: TraceSink> Run<'_, S> {
+    /// The checks at the top of every step of both loops: the fuel
+    /// bound, then the no-progress window.
+    #[inline]
+    fn check_bounds(&self, cycle: u64, last_progress: u64) -> Result<(), ExecError> {
+        if cycle >= self.config.max_cycles {
             return Err(ExecError::OutOfFuel);
         }
         if cycle - last_progress > NO_PROGRESS_WINDOW {
-            return Err(ExecError::Deadlock(deadlock_info(&cores, threads, &sa, cycle)));
+            return Err(ExecError::Deadlock(deadlock_info(&self.cores, self.threads, &self.sa, cycle)));
         }
-        engine_steps += 1;
-        let mut sa_ports_left = config.sa.ports;
-        let mut any_progress = false;
-        // Rotate the start core for SA-port fairness: core
-        // `cycle % ncores` goes first. The start is derived from the
-        // cycle number itself, so it is right after a fast-forward
-        // jump too; the walk from it wraps with a compare.
-        let start = rotation_start(cycle, ncores);
-        for k in 0..ncores {
-            let ci = if start + k >= ncores { start + k - ncores } else { start + k };
-            // A finished core issues nothing and records nothing. A
-            // sleeping core replays `stalls[ci]` (already credited
-            // through its wakeup) without re-evaluation; it issues
-            // nothing and touches no shared state, exactly like the
-            // per-cycle engine's early-out would.
-            if cores[ci].finished || asleep_until[ci] > cycle {
+        Ok(())
+    }
+
+    /// The one-core loop, for a sequential run with the fast-forward on.
+    /// With one core there is no rotation, no peer to sleep beside and
+    /// no delivery to another core, so the core's stall of an all-stall
+    /// cycle is the only one: the loop jumps straight to its
+    /// [`self_wakeup`], clamped by [`jump_bound`] as in [`skip_target`],
+    /// and credits the span exactly as [`Run::lockstep`] would with one
+    /// core — through the wakeup for a stable stall (its per-core
+    /// sleep), through the jump target for `QueueEmpty` (the global jump
+    /// alone). The two differ only when a clamp cuts the span short,
+    /// and then the run ends in an error on arrival either way.
+    fn solo(&mut self) -> Result<Steps, ExecError> {
+        let config = self.config;
+        let mut cycle: u64 = 0;
+        let mut last_progress: u64 = 0;
+        let mut steps = Steps { engine: 0, skipped: 0 };
+        loop {
+            self.check_bounds(cycle, last_progress)?;
+            steps.engine += 1;
+            let mut sa_ports_left = config.sa.ports;
+            let outcome = issue_core(self, 0, &mut sa_ports_left, cycle)?;
+            debug_assert!(self.deliveries.is_empty(), "a lone core's produce delivers in place");
+            if outcome.progressed {
+                if self.cores[0].finished {
+                    return Ok(steps);
+                }
+                last_progress = cycle;
+                cycle += 1;
                 continue;
             }
-            let outcome = issue_core(
-                ci,
-                &mut cores[ci],
-                &mut deliveries,
-                threads,
-                &mut memory,
-                &mut hierarchy,
-                &mut sa,
-                &mut sa_ports_left,
-                &mut output,
-                &mut return_value,
-                &mut hits,
-                config,
-                &limits,
-                cycle,
-                sink,
-            )?;
-            // Only a produce that found a peer's consume waiting leaves
-            // anything here.
-            if !deliveries.is_empty() {
-                for del in deliveries.drain(..) {
-                    cores[del.core].deliver(del.dst, del.token, del.value, del.ready_at);
-                }
-            }
-            if outcome.progressed {
-                last_progress = cycle;
-                any_progress = true;
-                if cores[ci].finished {
-                    live -= 1;
-                }
-            }
-            stalls[ci] = outcome.stall;
-            // Memoize the stall when its wakeup is stable (see
-            // `asleep_until`): credit the whole span now and skip
-            // re-evaluating this core until the wakeup. Cycles that
-            // also issued are left alone — their trailing stall is
-            // usually a one-cycle stall-on-use bubble, so attempting
-            // to memoize there would tax every issuing cycle for
-            // nothing; a window worth sleeping through re-records the
-            // same stall on the next, progress-free evaluation.
-            if opts.fast_forward && !outcome.progressed {
-                if let Some((reason, queue)) = outcome.stall {
-                    // A `QueueEmpty` stall is not stable: its check
-                    // comes after the SA-port check, so a cycle on
-                    // which peers take the last port first records
-                    // `SaPort` instead.
-                    if reason != StallReason::QueueEmpty {
-                        if let Some(w) =
-                            self_wakeup(&cores[ci], &threads[ci], &sa, reason, queue)
-                        {
-                            debug_assert!(w > cycle, "core {ci}: stale self-wakeup {w} at {cycle}");
-                            if w > cycle + 1 {
-                                cores[ci].stats.record_stalls(reason, w - cycle - 1);
-                                if S::ENABLED {
-                                    sink.event(&TraceEvent::StallSpan {
-                                        from: cycle + 1,
-                                        until: w,
-                                        core: ci,
-                                        reason,
-                                        queue: queue.map(|q| q.0),
-                                    });
-                                }
-                                asleep_until[ci] = w;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if opts.fast_forward && !any_progress {
-            if let Some(target) =
-                skip_target(&cores, threads, &sa, &stalls, cycle, last_progress, config)
-            {
-                // Every cycle in (cycle, target) would replay exactly
-                // the stalls just recorded: nothing issued anywhere, so
-                // no queue, scoreboard, or memory state can change
-                // before the earliest wakeup. Credit the whole window
-                // at once and resume at the wakeup (or at the deadlock
-                // / fuel boundary, whichever comes first — the loop-top
-                // checks then fire exactly as the per-cycle engine's
-                // would).
-                let span = target - cycle - 1;
-                for (ci, core) in cores.iter_mut().enumerate() {
-                    if core.finished {
-                        continue;
-                    }
-                    // A sleeping core was already credited through its
-                    // wakeup when it was memoized, and the jump target
-                    // cannot pass that wakeup (`skip_target` minimizes
-                    // over the same stable per-core wakeups) — crediting
-                    // it again here would double-count the window.
-                    if asleep_until[ci] > cycle {
-                        debug_assert!(target <= asleep_until[ci]);
-                        continue;
-                    }
-                    // `skip_target` returned Some, so every unfinished
-                    // core has a recorded stall.
-                    if let Some((reason, queue)) = stalls[ci] {
-                        core.stats.record_stalls(reason, span);
+            if let Some((reason, queue)) = outcome.stall {
+                let core = &mut self.cores[0];
+                if let Some(w) = self_wakeup(core, &self.threads[0], &self.sa, reason, queue) {
+                    debug_assert!(w > cycle, "stale self-wakeup {w} at {cycle}");
+                    let target = w.min(jump_bound(last_progress, config));
+                    let until = if reason == StallReason::QueueEmpty { target } else { w };
+                    if until > cycle + 1 {
+                        core.stats.record_stalls(reason, until - cycle - 1);
                         if S::ENABLED {
-                            sink.event(&TraceEvent::StallSpan {
+                            self.sink.event(&TraceEvent::StallSpan {
                                 from: cycle + 1,
-                                until: target,
-                                core: ci,
+                                until,
+                                core: 0,
                                 reason,
                                 queue: queue.map(|q| q.0),
                             });
                         }
                     }
+                    if target > cycle + 1 {
+                        steps.skipped += target - cycle - 1;
+                        cycle = target;
+                        continue;
+                    }
                 }
-                skipped_cycles += span;
-                cycle = target;
-                continue;
             }
+            cycle += 1;
         }
-        cycle += 1;
     }
 
-    let cycles = cores.iter().map(|c| c.stats.finished_at).max().unwrap_or(cycle);
-    if S::ENABLED {
-        sink.run_end(cycles);
+    /// The lockstep loop: every cycle evaluates the running cores in
+    /// rotation, and an all-stall cycle jumps to the earliest wakeup of
+    /// any of them. `N` is the core count as a compile-time constant —
+    /// the two-core machine — or 0 for a count read at run time: three
+    /// and more cores, and a one-core run with the fast-forward off.
+    fn lockstep<const N: usize>(&mut self, fast_forward: bool) -> Result<Steps, ExecError> {
+        let ncores = if N == 0 { self.cores.len() } else { N };
+        debug_assert_eq!(ncores, self.cores.len());
+        let config = self.config;
+        let mut cycle: u64 = 0;
+        let mut last_progress: u64 = 0;
+        let mut steps = Steps { engine: 0, skipped: 0 };
+        // What blocked each core on the cycle just evaluated (reason +
+        // queue, exactly as recorded in its stall counters) — the input
+        // to the fast-forward's wakeup computation.
+        let mut stalls: Vec<Option<(StallReason, Option<QueueId>)>> = vec![None; ncores];
+        // Per-core stall memoization (fast-forward only): a core whose
+        // recorded stall has a *stable* self-wakeup — one no peer
+        // action can move earlier — would replay the identical stall on
+        // every cycle before that wakeup, so its whole span is credited
+        // up front and the core sleeps until `asleep_until[ci]` while
+        // its peers keep issuing. Stable are the stalls whose check
+        // comes before the SA-port check and that read only the core's
+        // own state: Mispredict, Operand (pending-consume operands,
+        // which peers *can* deliver, are excluded by `self_wakeup`) and
+        // LoadLimit.
+        let mut asleep_until: Vec<u64> = vec![0; ncores];
+        // The number of cores still running: a finished core is never
+        // evaluated again, so the count only changes where a `ret`
+        // retires.
+        let mut live = ncores;
+
+        while live > 0 {
+            self.check_bounds(cycle, last_progress)?;
+            steps.engine += 1;
+            let mut sa_ports_left = config.sa.ports;
+            let mut any_progress = false;
+            // Rotate the start core for SA-port fairness: core
+            // `cycle % ncores` goes first. The start is derived from the
+            // cycle number itself, so it is right after a fast-forward
+            // jump too; the walk from it wraps with a compare.
+            let start = rotation_start(cycle, ncores);
+            for k in 0..ncores {
+                let ci = if start + k >= ncores { start + k - ncores } else { start + k };
+                // A finished core issues nothing and records nothing. A
+                // sleeping core replays `stalls[ci]` (already credited
+                // through its wakeup) without re-evaluation; it issues
+                // nothing and touches no shared state, exactly like the
+                // per-cycle engine's early-out would.
+                if self.cores[ci].finished || asleep_until[ci] > cycle {
+                    continue;
+                }
+                let outcome = issue_core(self, ci, &mut sa_ports_left, cycle)?;
+                // Only a produce that found a peer's consume waiting
+                // leaves anything here.
+                if !self.deliveries.is_empty() {
+                    for del in self.deliveries.drain(..) {
+                        self.cores[del.core].deliver(del.dst, del.token, del.value, del.ready_at);
+                    }
+                }
+                if outcome.progressed {
+                    last_progress = cycle;
+                    any_progress = true;
+                    if self.cores[ci].finished {
+                        live -= 1;
+                    }
+                }
+                stalls[ci] = outcome.stall;
+                // Memoize the stall when its wakeup is stable (see
+                // `asleep_until`): credit the whole span now and skip
+                // re-evaluating this core until the wakeup. Cycles that
+                // also issued are left alone — their trailing stall is
+                // usually a one-cycle stall-on-use bubble, so attempting
+                // to memoize there would tax every issuing cycle for
+                // nothing; a window worth sleeping through re-records
+                // the same stall on the next, progress-free evaluation.
+                if fast_forward && !outcome.progressed {
+                    if let Some((reason, queue)) = outcome.stall {
+                        // A `QueueEmpty` stall is not stable: its check
+                        // comes after the SA-port check, so a cycle on
+                        // which peers take the last port first records
+                        // `SaPort` instead.
+                        if reason != StallReason::QueueEmpty {
+                            let core = &mut self.cores[ci];
+                            if let Some(w) =
+                                self_wakeup(core, &self.threads[ci], &self.sa, reason, queue)
+                            {
+                                debug_assert!(w > cycle, "core {ci}: stale self-wakeup {w} at {cycle}");
+                                if w > cycle + 1 {
+                                    core.stats.record_stalls(reason, w - cycle - 1);
+                                    if S::ENABLED {
+                                        self.sink.event(&TraceEvent::StallSpan {
+                                            from: cycle + 1,
+                                            until: w,
+                                            core: ci,
+                                            reason,
+                                            queue: queue.map(|q| q.0),
+                                        });
+                                    }
+                                    asleep_until[ci] = w;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if fast_forward && !any_progress {
+                if let Some(target) = skip_target(
+                    &self.cores,
+                    self.threads,
+                    &self.sa,
+                    &stalls,
+                    cycle,
+                    last_progress,
+                    config,
+                ) {
+                    // Every cycle in (cycle, target) would replay
+                    // exactly the stalls just recorded: nothing issued
+                    // anywhere, so no queue, scoreboard, or memory state
+                    // can change before the earliest wakeup. Credit the
+                    // whole window at once and resume at the wakeup (or
+                    // at the deadlock / fuel boundary, whichever comes
+                    // first — the loop-top checks then fire exactly as
+                    // the per-cycle engine's would).
+                    let span = target - cycle - 1;
+                    for (ci, core) in self.cores.iter_mut().enumerate() {
+                        if core.finished {
+                            continue;
+                        }
+                        // A sleeping core was already credited through
+                        // its wakeup when it was memoized, and the jump
+                        // target cannot pass that wakeup (`skip_target`
+                        // minimizes over the same stable per-core
+                        // wakeups) — crediting it again here would
+                        // double-count the window.
+                        if asleep_until[ci] > cycle {
+                            debug_assert!(target <= asleep_until[ci]);
+                            continue;
+                        }
+                        // `skip_target` returned Some, so every
+                        // unfinished core has a recorded stall.
+                        if let Some((reason, queue)) = stalls[ci] {
+                            core.stats.record_stalls(reason, span);
+                            if S::ENABLED {
+                                self.sink.event(&TraceEvent::StallSpan {
+                                    from: cycle + 1,
+                                    until: target,
+                                    core: ci,
+                                    reason,
+                                    queue: queue.map(|q| q.0),
+                                });
+                            }
+                        }
+                    }
+                    steps.skipped += span;
+                    cycle = target;
+                    continue;
+                }
+            }
+            cycle += 1;
+        }
+        Ok(steps)
     }
-    Ok(SimResult {
-        cycles,
-        cores: cores.into_iter().map(|c| c.stats).collect(),
-        output,
-        return_value,
-        hits_l1: hits[0],
-        hits_l2: hits[1],
-        hits_l3: hits[2],
-        hits_mem: hits[3],
-        engine_steps,
-        skipped_cycles,
-    })
 }
-
-const NO_PROGRESS_WINDOW: u64 = 100_000;
 
 /// Which core is evaluated first on a cycle: `cycle % ncores`, so the
 /// synchronization-array ports are handed out round-robin. The one- and
@@ -468,10 +593,17 @@ fn skip_target(
             min_wakeup = Some(min_wakeup.map_or(w, |m| m.min(w)));
         }
     }
-    let target = min_wakeup?
-        .min(last_progress + NO_PROGRESS_WINDOW + 1)
-        .min(config.max_cycles);
+    let target = min_wakeup?.min(jump_bound(last_progress, config));
     (target > now + 1).then_some(target)
+}
+
+/// The furthest a fast-forward jump may land: the cycle on which the
+/// deadlock window closes or the fuel runs out, whichever comes first,
+/// so that the loop-top checks fire there exactly as the per-cycle
+/// engine's would.
+#[inline]
+fn jump_bound(last_progress: u64, config: &MachineConfig) -> u64 {
+    (last_progress + NO_PROGRESS_WINDOW + 1).min(config.max_cycles)
 }
 
 fn sa_overflow() -> String {
@@ -723,26 +855,31 @@ struct IssueOutcome {
 /// returns whether at least one instruction issued and what (if
 /// anything) ended the issue group. Mirrors the reference `issue_core`
 /// decision-for-decision (stall order, stat updates, issue-group
-/// breaks).
-#[allow(clippy::too_many_arguments)]
+/// breaks). Inlined into each loop, so every loop is one function the
+/// optimizer sees whole (see "The cost of a step").
+#[inline(always)]
 fn issue_core<S: TraceSink>(
+    run: &mut Run<'_, S>,
     ci: usize,
-    core: &mut DCore,
-    deliveries: &mut Vec<CrossDelivery>,
-    threads: &[DecodedFunction],
-    memory: &mut Memory,
-    hierarchy: &mut Hierarchy,
-    sa: &mut SyncArray,
     sa_ports_left: &mut usize,
-    output: &mut Vec<i64>,
-    return_value: &mut Option<i64>,
-    hits: &mut [u64; 4],
-    config: &MachineConfig,
-    limits: &[usize; 4],
     now: u64,
-    sink: &mut S,
 ) -> Result<IssueOutcome, ExecError> {
+    let Run {
+        threads,
+        config,
+        limits,
+        sink,
+        cores,
+        memory,
+        hierarchy,
+        sa,
+        output,
+        return_value,
+        hits,
+        deliveries,
+    } = run;
     let d = &threads[ci];
+    let core = &mut cores[ci];
     // Event emission is gated on the sink's compile-time switch, so
     // the NoTrace instantiation carries no tracing code at all.
     macro_rules! trace {

@@ -3,12 +3,18 @@
 //! register-file token guarding a redefinition that overtakes a
 //! pending consume's delivery, and pinned per-`StallReason` counts for
 //! one kernel under both engines (the ID-walking reference and the
-//! decoded engine must tell the same story, stall for stall).
+//! decoded engine must tell the same story, stall for stall). The
+//! one-core cases hold the fast-forward engine's one-core loop to the
+//! per-cycle engine and the reference on fuel bounds inside a skipped
+//! span, deadlocks, and a core stalling on its own queues.
 
 use gmt_ir::decoded::DecodedProgram;
-use gmt_ir::{BinOp, FunctionBuilder, Op, QueueId, Reg};
+use gmt_ir::interp::{BlockedOp, DeadlockInfo, ExecError};
+use gmt_ir::{BinOp, Function, FunctionBuilder, Op, QueueId, Reg};
 use gmt_sim::{
-    simulate, simulate_reference, MachineConfig, PendingConsume, QueueFull, SyncArray,
+    simulate, simulate_decoded_opts, simulate_decoded_traced_opts, simulate_reference,
+    BranchModel, MachineConfig, PendingConsume, QueueFull, SaConfig, SimOptions, SimResult,
+    StallReason, SyncArray, TraceEvent, TraceSink,
 };
 
 fn pc(core: usize) -> PendingConsume {
@@ -246,4 +252,214 @@ fn three_cores_contending_for_one_sa_port_agree_across_engines() {
 #[test]
 fn four_cores_contending_for_one_sa_port_agree_across_engines() {
     one_port_contention(4);
+}
+
+/// The machines every one-core case runs under: ideal branches and
+/// static BTFN prediction, both with depth-1 queues.
+fn one_core_machines() -> [MachineConfig; 2] {
+    let ideal = MachineConfig::default().with_queue_depth(1);
+    let btfn = MachineConfig { branch_model: BranchModel::StaticBtfn { penalty: 6 }, ..ideal.clone() };
+    [ideal, btfn]
+}
+
+/// Which stall reasons a decoded run recorded, in first-seen order.
+#[derive(Default)]
+struct Reasons(Vec<StallReason>);
+
+impl TraceSink for Reasons {
+    fn event(&mut self, ev: &TraceEvent) {
+        if let TraceEvent::StallSpan { reason, .. } = *ev {
+            if !self.0.contains(&reason) {
+                self.0.push(reason);
+            }
+        }
+    }
+
+    fn run_end(&mut self, _cycles: u64) {}
+}
+
+/// Runs a one-thread program on the fast-forward engine (its one-core
+/// loop), the per-cycle engine and the reference. All three must return
+/// the same result — cycles, output, every `CoreStats` field and the hit
+/// levels, with the conservation law `engine_steps + skipped_cycles` =
+/// per-cycle steps — or the same error. Returns the one-core loop's
+/// outcome and the stall reasons it traced.
+fn one_core(thread: &Function, config: &MachineConfig) -> (Result<SimResult, ExecError>, Vec<StallReason>) {
+    let threads = std::slice::from_ref(thread);
+    let program = DecodedProgram::decode(threads).unwrap();
+    let mut reasons = Reasons::default();
+    let opts = SimOptions { fast_forward: true };
+    let solo = simulate_decoded_traced_opts(&program, &[], |_, _| {}, config, &mut reasons, opts);
+    let untraced = simulate_decoded_opts(&program, &[], |_, _| {}, config, opts);
+    let opts = SimOptions { fast_forward: false };
+    let per_cycle = simulate_decoded_opts(&program, &[], |_, _| {}, config, opts);
+    let reference = simulate_reference(threads, &[], |_, _| {}, config);
+    assert_eq!(solo, untraced, "tracing the one-core loop changed it");
+    match (&solo, &per_cycle, &reference) {
+        (Ok(s), Ok(p), Ok(r)) => {
+            let observed = |x: &SimResult| {
+                (x.cycles, x.cores.clone(), x.output.clone(), x.return_value, [x.hits_l1, x.hits_l2, x.hits_l3, x.hits_mem])
+            };
+            assert_eq!(observed(s), observed(r), "one-core loop vs reference");
+            assert_eq!(observed(p), observed(r), "per-cycle vs reference");
+            assert_eq!(s.engine_steps + s.skipped_cycles, p.engine_steps, "conservation law");
+        }
+        _ => {
+            assert_eq!(solo.as_ref().err(), reference.as_ref().err(), "one-core loop vs reference");
+            assert_eq!(per_cycle.as_ref().err(), reference.as_ref().err(), "per-cycle vs reference");
+        }
+    }
+    (solo, reasons.0)
+}
+
+/// Three trips of a loop whose body loads a cold line (memory latency)
+/// and uses it at once: three long operand-stall spans, which the
+/// one-core loop jumps over in one step each.
+fn load_miss_chain() -> Function {
+    let mut b = FunctionBuilder::new("misses");
+    let a = b.object("a", 64);
+    let base = b.lea(a, 0);
+    let (i, acc) = (b.fresh_reg(), b.fresh_reg());
+    let (head, body, exit) = (b.block("head"), b.block("body"), b.block("exit"));
+    b.const_into(i, 0);
+    b.const_into(acc, 1);
+    b.jump(head);
+    b.switch_to(head);
+    let more = b.bin(BinOp::Lt, i, 3i64);
+    b.branch(more, body, exit);
+    b.switch_to(body);
+    let cell = b.bin(BinOp::Mul, i, 16i64); // a new 128-byte line per trip
+    let at = b.bin(BinOp::Add, base, cell);
+    let v = b.load(at, 0);
+    b.bin_into(BinOp::Add, acc, acc, v);
+    b.bin_into(BinOp::Add, i, i, 1i64);
+    b.jump(head);
+    b.switch_to(exit);
+    b.output(acc);
+    b.ret(Some(acc.into()));
+    b.finish().unwrap()
+}
+
+/// A fuel bound that lands inside a skipped stall span stops every
+/// engine on the same cycle: with `max_cycles` at each cycle of the run
+/// (and one past its end), the run ends in `OutOfFuel` exactly when the
+/// bound is below the cycle count, in all three engines alike.
+#[test]
+fn one_core_out_of_fuel_inside_a_load_miss_span_fires_on_the_same_cycle() {
+    let f = load_miss_chain();
+    for machine in one_core_machines() {
+        let full = one_core(&f, &machine).0.expect("the chain completes");
+        assert!(full.cores[0].stall_operand > 3 * 100, "three memory-latency spans: {:?}", full.cores[0]);
+        assert!(full.skipped_cycles > 3 * 100, "the one-core loop jumps the spans");
+        for max_cycles in 1..=full.cycles + 1 {
+            let bounded = MachineConfig { max_cycles, ..machine.clone() };
+            match one_core(&f, &bounded).0 {
+                Ok(r) => assert!(max_cycles >= full.cycles && r.cycles == full.cycles, "bound {max_cycles}"),
+                Err(e) => {
+                    assert!(max_cycles < full.cycles, "bound {max_cycles}: {e:?}");
+                    assert_eq!(e, ExecError::OutOfFuel, "bound {max_cycles}");
+                }
+            }
+        }
+    }
+}
+
+/// A stall span longer than the no-progress window (a memory latency of
+/// 250k cycles against the 100k-cycle window) ends in `Deadlock` inside
+/// the span, not in `OutOfFuel` at the 200k-cycle fuel bound: the jump
+/// is clamped to the window before the fuel bound is reached.
+#[test]
+fn one_core_deadlock_window_closes_inside_a_longer_stall_span() {
+    let f = load_miss_chain();
+    for machine in one_core_machines() {
+        let slow = MachineConfig { mem_latency: 250_000, max_cycles: 200_000, ..machine };
+        assert_eq!(one_core(&f, &slow).0, Err(ExecError::Deadlock(None)));
+    }
+}
+
+/// A lone core waiting on a queue nobody produces deadlocks with the
+/// same witness in every engine, whether it blocks at a `consume.sync`
+/// or on the use of a register `consume`'s value.
+#[test]
+fn one_core_consume_deadlocks_report_the_same_witness() {
+    let mut b = FunctionBuilder::new("sync");
+    let x = b.const_(4);
+    b.emit(Op::ConsumeSync { queue: QueueId(0) });
+    b.ret(Some(x.into()));
+    let sync = b.finish().unwrap();
+
+    let mut b = FunctionBuilder::new("data");
+    let r = b.fresh_reg();
+    b.emit(Op::Consume { dst: r, queue: QueueId(1) });
+    let y = b.bin(BinOp::Add, r, 1i64);
+    b.output(y);
+    b.ret(Some(y.into()));
+    let data = b.finish().unwrap();
+
+    for machine in one_core_machines() {
+        for (f, queue, reason) in [(&sync, 0, StallReason::QueueEmpty), (&data, 1, StallReason::Operand)] {
+            let (result, reasons) = one_core(f, &machine);
+            let witness = DeadlockInfo { core: 0, queue: QueueId(queue), op: BlockedOp::ConsumeEmpty };
+            assert_eq!(result, Err(ExecError::Deadlock(Some(witness))), "{}", f.name);
+            assert_eq!(reasons, [reason], "{}", f.name);
+        }
+    }
+}
+
+/// One core talking to itself through a depth-1 queue and a sync queue,
+/// on a machine with two SA ports and a 4-cycle array: each trip loses
+/// the port to its own earlier communication (`SaPort`) and waits for
+/// the token it just produced (`QueueEmpty`, a span the one-core loop
+/// jumps). With `overfill` the program then produces
+/// twice into the depth-1 queue, which only a consume could drain
+/// (`QueueFull` until the deadlock window closes).
+fn self_talk(overfill: bool) -> Function {
+    let (data, sync) = (QueueId(0), QueueId(1));
+    let mut b = FunctionBuilder::new(if overfill { "self_talk_overfill" } else { "self_talk" });
+    let (i, acc) = (b.fresh_reg(), b.fresh_reg());
+    let (head, body, exit) = (b.block("head"), b.block("body"), b.block("exit"));
+    b.const_into(i, 0);
+    b.const_into(acc, 0);
+    b.jump(head);
+    b.switch_to(head);
+    let more = b.bin(BinOp::Lt, i, 4i64);
+    b.branch(more, body, exit);
+    b.switch_to(body);
+    b.emit(Op::ProduceSync { queue: sync });
+    b.emit(Op::ConsumeSync { queue: sync }); // QueueEmpty: the token is a cycle away
+    b.emit(Op::Produce { queue: data, value: i.into() });
+    let v = b.fresh_reg();
+    b.emit(Op::Consume { dst: v, queue: data }); // SaPort: both ports taken this cycle
+    b.bin_into(BinOp::Add, acc, acc, v);
+    b.bin_into(BinOp::Add, i, i, 1i64);
+    b.jump(head);
+    b.switch_to(exit);
+    if overfill {
+        b.emit(Op::Produce { queue: data, value: acc.into() });
+        b.emit(Op::Produce { queue: data, value: acc.into() });
+    }
+    b.output(acc);
+    b.ret(Some(acc.into()));
+    b.finish().unwrap()
+}
+
+#[test]
+fn one_core_on_its_own_queues_stalls_on_full_empty_and_port_alike_in_every_engine() {
+    for machine in one_core_machines() {
+        let machine =
+            MachineConfig { sa: SaConfig { ports: 2, latency: 4, ..machine.sa.clone() }, ..machine };
+        let (result, reasons) = one_core(&self_talk(false), &machine);
+        let r = result.expect("the round trips complete");
+        assert_eq!(r.output, vec![6]);
+        assert!(r.cores[0].stall_sa_port > 0 && r.cores[0].stall_queue_empty > 4, "{:?}", r.cores[0]);
+        assert!(r.skipped_cycles > 0, "the one-core loop jumps the token waits");
+        assert!(reasons.contains(&StallReason::SaPort) && reasons.contains(&StallReason::QueueEmpty), "{reasons:?}");
+
+        let (result, reasons) = one_core(&self_talk(true), &machine);
+        let witness = DeadlockInfo { core: 0, queue: QueueId(0), op: BlockedOp::ProduceFull };
+        assert_eq!(result, Err(ExecError::Deadlock(Some(witness))));
+        for reason in [StallReason::QueueFull, StallReason::QueueEmpty, StallReason::SaPort] {
+            assert!(reasons.contains(&reason), "{reason:?} missing from {reasons:?}");
+        }
+    }
 }
