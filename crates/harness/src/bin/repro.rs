@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's figures from the command line.
 //!
 //! ```text
-//! repro --fig 1|6a|6b|7|8|scaling|all [--quick] [--scheduler gremio|dswp|both]
+//! repro --fig 1|6a|6b|7|8|scaling|ablations|all [--quick] [--scheduler gremio|dswp|both]
 //! repro --metrics [--quick] [--scheduler gremio|dswp|both]
 //! repro --verify-mt
 //! repro --fuzz SECS
@@ -17,11 +17,15 @@
 //! (`GMT_JOBS=1` is the serial reference path — output is
 //! byte-identical either way).
 //!
+//! `--fig all` prints Figures 6a, 6b, 1, 7 and 8. `--fig scaling` (the
+//! thread-scaling extension) and `--fig ablations` (the design-choice
+//! ablations, always on train inputs and over both schedulers, so
+//! `--quick` and `--scheduler` do not change it) print only on request.
+//!
 //! `--metrics` evaluates the full timed matrix and emits one JSON-line
 //! per (benchmark, scheduler, variant) — wall-clock, instruction and
 //! cycle counts, compile-phase timings, per-reason stall cycles — to
-//! stdout and to `BENCH_repro_metrics.json` (in
-//! `GMT_TESTKIT_BENCH_DIR`), then summary and stall-breakdown tables.
+//! stdout, then summary and stall-breakdown tables.
 //!
 //! `--fuzz SECS` runs the differential pipeline fuzzer (the `fuzz` bin
 //! from `gmt-fuzz`) for the given wall-clock budget: corpus replay
@@ -50,7 +54,7 @@ use gmt_harness::{
 };
 use std::collections::HashSet;
 
-const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "scaling", "all"];
+const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "scaling", "ablations", "all"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -249,6 +253,9 @@ fn main() {
             println!();
         }
     }
+    if fig == "ablations" {
+        print!("{}", figures::ablation_tables());
+    }
 }
 
 /// The `--trace` mode: one traced cell, Chrome JSON to `path`, tables
@@ -361,9 +368,7 @@ fn run_metrics(scheds: &[SchedulerKind], scale: Scale) {
         }
     }
     for m in &records {
-        let line = m.to_json();
-        println!("{line}");
-        gmt_testkit::append_json_line("repro_metrics", &line);
+        println!("{}", m.to_json());
     }
     println!();
     print!("{}", metrics_table(&records));
@@ -396,7 +401,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--fig 1|6a|6b|7|8|scaling|all] [--metrics] [--verify-mt] [--fuzz SECS] \
+        "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] [--verify-mt] \
+         [--fuzz SECS] \
          [--quick] [--scheduler gremio|dswp|both]\n\
          \x20      repro --trace <out.json> [--bench NAME] [--scheduler gremio|dswp] \
          [--variant mtcg|coco] [--quick]\n\

@@ -357,7 +357,7 @@ mod tests {
     fn explain_agrees_with_untraced_timing() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
-        let r = crate::evaluate(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap();
+        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
         assert_eq!(cell.traced.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
     }
 

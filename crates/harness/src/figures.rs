@@ -5,9 +5,12 @@
 //! benchmark that failed renders as a `FAILED (<phase>: <error>)` line
 //! in its row position; averages are taken over the successful rows.
 
-use crate::{mean, BenchResult, HarnessError, SchedulerKind};
-use gmt_sim::MachineConfig;
-use gmt_workloads::catalog;
+use crate::{mean, BenchResult, HarnessError, Scale, SchedulerKind};
+use gmt_core::CocoConfig;
+use gmt_mtcg::QueueBudget;
+use gmt_pdg::Pdg;
+use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
+use gmt_workloads::{catalog, Workload};
 use std::fmt::Write as _;
 
 /// One benchmark's outcome within a figure.
@@ -170,30 +173,159 @@ pub fn thread_scaling_table(kind: SchedulerKind) -> String {
         "{:<14} {:>7} {:>12} {:>12} {:>10} {:>9}",
         "benchmark", "threads", "MTCG comm", "COCO comm", "comm frac", "reduction"
     );
-    let studies = gmt_testkit::par_map(catalog(), gmt_testkit::num_jobs(), |_i, w| {
-        let points = crate::thread_scaling(&w, kind, &[2, 4]);
-        (w.benchmark, points)
+    kernel_rows(&mut out, |w| crate::thread_scaling(w, kind, &[2, 4]), |out, benchmark, points| {
+        for p in points {
+            let red = if p.mtcg_comm == 0 {
+                0.0
+            } else {
+                100.0 - p.coco_comm as f64 * 100.0 / p.mtcg_comm as f64
+            };
+            let _ = writeln!(
+                out,
+                "{:<14} {:>7} {:>12} {:>12} {:>9.1}% {:>8.1}%",
+                benchmark, p.threads, p.mtcg_comm, p.coco_comm, p.comm_fraction_pct, red
+            );
+        }
     });
-    for (benchmark, points) in studies {
-        match points {
-            Ok(points) => {
-                for p in points {
-                    let red = if p.mtcg_comm == 0 {
-                        0.0
-                    } else {
-                        100.0 - p.coco_comm as f64 * 100.0 / p.mtcg_comm as f64
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{:<14} {:>7} {:>12} {:>12} {:>9.1}% {:>8.1}%",
-                        benchmark, p.threads, p.mtcg_comm, p.coco_comm, p.comm_fraction_pct, red
-                    );
-                }
-            }
-            Err(e) => failed_line(&mut out, &e),
+    out
+}
+
+/// Appends a table's rows for every catalog kernel: `study` runs per
+/// kernel on the worker pool, and `rows` writes the rows of each kernel
+/// in catalog order, or a failure line in their place.
+fn kernel_rows<R: Send>(
+    out: &mut String,
+    study: impl Fn(&Workload) -> Result<R, HarnessError> + Sync,
+    rows: impl Fn(&mut String, &str, R),
+) {
+    let studies =
+        gmt_testkit::par_map(catalog(), gmt_testkit::num_jobs(), |_i, w| (w.benchmark, study(&w)));
+    for (benchmark, study) in studies {
+        match study {
+            Ok(r) => rows(out, benchmark, r),
+            Err(e) => failed_line(out, &e),
         }
     }
+}
+
+/// `after` relative to `before`, in percent (0 when `before` is 0).
+fn change_pct(before: u64, after: u64) -> f64 {
+    if before == 0 {
+        0.0
+    } else {
+        after as f64 * 100.0 / before as f64 - 100.0
+    }
+}
+
+/// The ablations of the paper's design choices, all on train inputs:
+///
+/// 1. COCO with the §3.1.2 control-flow penalties off, and with the
+///    §3.1.3 shared memory multicut replaced by independent per-dependence
+///    cuts, beside baseline MTCG and full COCO — dynamic communication
+///    over the analytic partitions of `--fig scaling`;
+/// 2. uniform queue depth 1 vs §4's 32 under the two-thread DSWP + COCO
+///    programs the figures measure — cycles;
+/// 3. queue allocation (footnote 1): MTCG's four-thread DSWP baseline
+///    plan, one queue per communication point vs folded onto a 16-queue
+///    synchronization array — queues and cycles.
+///
+/// A failing kernel prints a failure line in place of its rows.
+pub fn ablation_tables() -> String {
+    let mut out = String::from("Ablation: COCO design choices, dynamic communication\n");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>9} {:>7} {:>9} {:>9} {:>12} {:>11}",
+        "benchmark", "scheduler", "threads", "MTCG", "COCO", "no penalties", "indep. cuts"
+    );
+    let configs = [
+        CocoConfig::default(),
+        CocoConfig { control_penalties: false, ..CocoConfig::default() },
+        CocoConfig { shared_memory_multicut: false, ..CocoConfig::default() },
+    ];
+    for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+        let study = |w: &Workload| crate::comm_by_coco_config(w, kind, &[2, 4], &configs);
+        kernel_rows(&mut out, study, |out, benchmark, points| {
+            for (n, base, [coco, no_penalties, independent]) in points {
+                let _ = writeln!(
+                    out,
+                    "{:<14} {:>9} {:>7} {:>9} {:>9} {:>12} {:>11}",
+                    benchmark,
+                    kind.name(),
+                    n,
+                    base.comm_total(),
+                    coco,
+                    no_penalties,
+                    independent
+                );
+            }
+        });
+    }
+
+    out.push_str("\nAblation: queue depth, cycles of the DSWP + COCO programs\n");
+    let _ = writeln!(out, "{:<14} {:>9} {:>9} {:>8}", "benchmark", "depth 1", "depth 32", "change");
+    kernel_rows(&mut out, queue_depth_cycles, |out, benchmark, (d1, d32)| {
+        let _ = writeln!(out, "{benchmark:<14} {d1:>9} {d32:>9} {:>+7.1}%", change_pct(d1, d32));
+    });
+
+    out.push_str("\nAblation: queue budget, four-thread DSWP baseline plan\n");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>6} {:>7} {:>10} {:>7} {:>10} {:>8}",
+        "benchmark", "points", "queues", "queues@16", "cycles", "cycles@16", "change"
+    );
+    kernel_rows(&mut out, queue_budget_row, |out, benchmark, (points, [unlimited, budget])| {
+        let _ = writeln!(
+            out,
+            "{benchmark:<14} {points:>6} {:>7} {:>10} {:>7} {:>10} {:>+7.1}%",
+            unlimited.0,
+            budget.0,
+            unlimited.1,
+            budget.1,
+            change_pct(unlimited.1, budget.1)
+        );
+    });
     out
+}
+
+/// Cycles of `w`'s two-thread DSWP + COCO program on the train input,
+/// with every queue 1 and 32 entries deep.
+fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
+    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick)?;
+    let v = &cell.coco;
+    let cycles = |depth| {
+        let machine = v.machine.clone().with_queue_depth(depth);
+        simulate_decoded_opts(&v.program, cell.args, w.init, &machine, SimOptions::default())
+            .map(|r| r.cycles)
+            .map_err(crate::fail(w.benchmark, "queue depth sim"))
+    };
+    Ok((cycles(1)?, cycles(32)?))
+}
+
+/// `w`'s four-thread DSWP baseline plan: its communication points, and
+/// the queues and train-input cycles of the code generated from it with
+/// unlimited queues on the default machine, then with at most 16 queues
+/// on a 16-queue synchronization array.
+fn queue_budget_row(w: &Workload) -> Result<(usize, [(u32, u64); 2]), HarnessError> {
+    let (f, b) = (&w.function, w.benchmark);
+    let train = w.run_train().map_err(crate::fail(b, "train run"))?;
+    let pdg = Pdg::build(f);
+    let partition = SchedulerKind::Dswp
+        .scheduler_n(4)
+        .partition(f, &pdg, &train.profile)
+        .map_err(crate::fail(b, "partition"))?;
+    let plan = gmt_mtcg::baseline_plan(f, &pdg, &partition).map_err(crate::fail(b, "baseline plan"))?;
+    let points = plan.total_points();
+    let run = |budget, num_queues| -> Result<(u32, u64), HarnessError> {
+        let out = gmt_mtcg::generate_with_plan_budgeted(f, &pdg, &partition, plan.clone(), budget)
+            .map_err(crate::fail(b, "budgeted MTCG"))?;
+        let mut machine = MachineConfig::default();
+        machine.sa.num_queues = num_queues;
+        let sim = simulate(&out.threads, &w.train_args, w.init, &machine)
+            .map_err(crate::fail(b, "queue budget sim"))?;
+        Ok((out.num_queues, sim.cycles))
+    };
+    let unlimited = run(QueueBudget::Unlimited, MachineConfig::default().sa.num_queues)?;
+    Ok((points, [unlimited, run(QueueBudget::Limit(16), 16)?]))
 }
 
 #[cfg(test)]
@@ -227,6 +359,25 @@ mod tests {
             assert!(text.contains("FAILED (train run: missing arguments)"), "{text}");
             assert!(text.contains("average"), "summary line still prints: {text}");
         }
+    }
+
+    /// The per-kernel tables (`--fig scaling`, `--fig ablations`) put a
+    /// failing kernel's failure line where its rows would be.
+    #[test]
+    fn failed_kernel_rows_render_in_place() {
+        let mut out = String::new();
+        let study = |w: &Workload| match w.benchmark {
+            "ks" => Err(HarnessError { benchmark: "ks", phase: "partition", source: "no".into() }),
+            _ => Ok(()),
+        };
+        kernel_rows(&mut out, study, |out, benchmark, ()| {
+            let _ = writeln!(out, "{benchmark} ok");
+        });
+        let lines: Vec<&str> = out.lines().collect();
+        let at = catalog().iter().position(|w| w.benchmark == "ks").unwrap();
+        assert_eq!(lines.len(), catalog().len());
+        assert_eq!(lines[at], format!("{:<14} FAILED (partition: no)", "ks"));
+        assert_eq!(lines[at + 1], format!("{} ok", catalog()[at + 1].benchmark));
     }
 
     #[test]

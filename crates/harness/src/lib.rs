@@ -129,7 +129,7 @@ impl SchedulerKind {
 /// phase, and the underlying error rendered as text.
 ///
 /// One failing kernel must not abort a whole figure, so every
-/// fallible step of [`evaluate`] maps into this type instead of
+/// fallible step of [`evaluate_full`] maps into this type instead of
 /// panicking; [`run_all`] returns it per-slot and the figure renderers
 /// print a failure line in the benchmark's row position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -256,22 +256,8 @@ pub struct Evaluation {
 }
 
 /// Evaluates one workload under one scheduler: baseline MTCG and
-/// MTCG+COCO, dynamic counts, and (when `timed`) cycles.
-///
-/// # Errors
-///
-/// Returns a [`HarnessError`] naming the benchmark and the failing
-/// phase if parallelization or execution fails.
-pub fn evaluate(
-    w: &Workload,
-    kind: SchedulerKind,
-    timed: bool,
-    scale: Scale,
-) -> Result<BenchResult, HarnessError> {
-    evaluate_full(w, kind, timed, scale).map(|e| e.result)
-}
-
-/// [`evaluate`], also returning the per-variant [`RunMetrics`].
+/// MTCG+COCO, dynamic counts, (when `timed`) cycles, and the
+/// per-variant [`RunMetrics`].
 ///
 /// # Errors
 ///
@@ -485,6 +471,28 @@ pub fn thread_scaling(
     kind: SchedulerKind,
     threads: &[u32],
 ) -> Result<Vec<ScalingPoint>, HarnessError> {
+    let points = comm_by_coco_config(w, kind, threads, &[CocoConfig::default()])?;
+    Ok(points
+        .into_iter()
+        .map(|(n, base, [coco])| ScalingPoint {
+            threads: n,
+            mtcg_comm: base.comm_total(),
+            coco_comm: coco,
+            comm_fraction_pct: base.comm_total() as f64 * 100.0 / base.total().max(1) as f64,
+        })
+        .collect())
+}
+
+/// The loop behind [`thread_scaling`] and the COCO ablation: per thread
+/// count, GREMIO's or DSWP's analytic partition on the train profile,
+/// then baseline MTCG's dynamic counts and the dynamic communication of
+/// MTCG+COCO under each of `configs`, all on the train input.
+pub(crate) fn comm_by_coco_config<const N: usize>(
+    w: &Workload,
+    kind: SchedulerKind,
+    threads: &[u32],
+    configs: &[CocoConfig; N],
+) -> Result<Vec<(u32, DynCounts, [u64; N])>, HarnessError> {
     let b = w.benchmark;
     let train = w.run_train().map_err(fail(b, "train run"))?;
     let pdg = gmt_pdg::Pdg::build(&w.function);
@@ -495,13 +503,6 @@ pub fn thread_scaling(
             let partition = scheduler
                 .partition(&w.function, &pdg, &train.profile)
                 .map_err(fail(b, "partition"))?;
-            let base = Parallelizer::new(scheduler.clone())
-                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
-                .map_err(fail(b, "baseline parallelization"))?;
-            let coco = Parallelizer::new(scheduler)
-                .with_coco(CocoConfig::default())
-                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition)
-                .map_err(fail(b, "coco parallelization"))?;
             let run = |p: &Parallelized| {
                 run_mt(
                     p.threads(),
@@ -516,14 +517,19 @@ pub fn thread_scaling(
                 .map(|r| r.totals())
                 .map_err(fail(b, "mt run"))
             };
-            let bt = run(&base)?;
-            let c = run(&coco)?;
-            Ok(ScalingPoint {
-                threads: n,
-                mtcg_comm: bt.comm_total(),
-                coco_comm: c.comm_total(),
-                comm_fraction_pct: bt.comm_total() as f64 * 100.0 / bt.total().max(1) as f64,
-            })
+            let base = Parallelizer::new(scheduler.clone())
+                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
+                .map_err(fail(b, "baseline parallelization"))?;
+            let base = run(&base)?;
+            let mut coco = [0; N];
+            for (comm, config) in coco.iter_mut().zip(configs) {
+                let p = Parallelizer::new(scheduler.clone())
+                    .with_coco(config.clone())
+                    .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
+                    .map_err(fail(b, "coco parallelization"))?;
+                *comm = run(&p)?.comm_total();
+            }
+            Ok((n, base, coco))
         })
         .collect()
 }
@@ -591,7 +597,7 @@ mod tests {
     #[test]
     fn evaluate_one_quick() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let r = evaluate(&w, SchedulerKind::Gremio, false, Scale::Quick).expect("evaluates");
+        let r = evaluate_full(&w, SchedulerKind::Gremio, false, Scale::Quick).expect("evaluates").result;
         assert!(r.mtcg.counts.total() > 0);
         assert!(r.relative_comm_pct() <= 100.0);
     }
@@ -599,7 +605,7 @@ mod tests {
     #[test]
     fn evaluate_timed_quick() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
-        let r = evaluate(&w, SchedulerKind::Dswp, true, Scale::Quick).expect("evaluates");
+        let r = evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).expect("evaluates").result;
         assert!(r.seq_cycles > 0);
         assert!(r.mtcg.cycles > 0);
         assert!(r.coco.cycles > 0);
@@ -809,7 +815,7 @@ mod tests {
     #[test]
     fn untimed_speedups_are_none_not_inf() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let r = evaluate(&w, SchedulerKind::Dswp, false, Scale::Quick).expect("evaluates");
+        let r = evaluate_full(&w, SchedulerKind::Dswp, false, Scale::Quick).expect("evaluates").result;
         assert_eq!(r.seq_cycles, 0);
         assert_eq!(r.speedup_mtcg(), None);
         assert_eq!(r.speedup_coco(), None);

@@ -4,8 +4,7 @@
 //! [`RunMetrics`]: wall-clock time, dynamic-instruction and cycle
 //! counts, and the compile-phase breakdown (PDG build, partition,
 //! COCO, MTCG) measured by `gmt-core`'s pipeline. `repro --metrics`
-//! prints the records as JSON-lines (and appends them to the
-//! `gmt-testkit` bench JSON sink) followed by a summary table.
+//! prints the records as JSON-lines followed by a summary table.
 
 use gmt_core::CompileTimings;
 use gmt_sim::{StallCycles, StallReason};

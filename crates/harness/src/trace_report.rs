@@ -177,7 +177,7 @@ mod tests {
     fn traced_cycles_match_untraced_run() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = trace_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
-        let r = crate::evaluate(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap();
+        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
         assert_eq!(cell.traced.run.cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
     }
 

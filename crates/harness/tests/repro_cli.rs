@@ -175,17 +175,7 @@ fn explain_json_nests_the_metrics_line() {
     const PRESENT: [&str; 7] = [
         "wall_ns", "pdg_build_ns", "partition_ns", "coco_ns", "mtcg_ns", "arb_probes", "shared_run",
     ];
-    let sink = std::env::temp_dir().join("gmt_repro_cli_metrics");
-    std::fs::create_dir_all(&sink).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--metrics", "--quick"])
-        .env_remove("GMT_JOBS")
-        .env("GMT_TESTKIT_BENCH_DIR", &sink)
-        .output()
-        .expect("repro runs");
-    std::fs::remove_dir_all(&sink).ok();
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let metrics = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let metrics = stdout_of(&["--metrics", "--quick"]);
     let metrics: Vec<&str> = metrics
         .lines()
         .filter(|l| l.starts_with('{') && json_value(l, "variant") == "\"coco\"")
@@ -215,6 +205,20 @@ fn quick_figure7_matches_golden() {
     assert_eq!(
         stdout_of(&["--quick", "--fig", "7"]),
         include_str!("../../../tests/golden/fig7_quick.txt")
+    );
+}
+
+/// The ablation claims of EXPERIMENTS.md "Ablations", byte for byte:
+/// control-flow penalties and independent cuts each move one GREMIO
+/// four-thread kernel (mpeg2enc, 183.equake) and nothing at two
+/// threads, depth 32 beats depth 1 on all DSWP kernels but mpeg2enc
+/// (equal) and 177.mesa (slower), and a 16-queue budget folds ks's 27
+/// points onto 16 queues at 7189 → 7184 cycles.
+#[test]
+fn ablations_match_golden() {
+    assert_eq!(
+        stdout_of(&["--fig", "ablations"]),
+        include_str!("../../../tests/golden/ablations.txt")
     );
 }
 

@@ -13,8 +13,9 @@
 //! sink and gates every event behind the associated constant
 //! [`TraceSink::ENABLED`]. The [`NoTrace`] sink sets it to `false`, so
 //! the untraced instantiation compiles to exactly the code it had
-//! before this module existed — the CI golden-figure diff and the
-//! `exec_throughput` bench hold that path to the pre-trace behavior.
+//! before this module existed — the figure goldens and the repository
+//! benchmark's `exec_only` / `exec_traced` workloads hold that path to
+//! the pre-trace behavior.
 //!
 //! Two sinks ship with the crate:
 //!

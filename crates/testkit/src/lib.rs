@@ -1,8 +1,8 @@
-//! Hermetic test & bench infrastructure for the GMT workspace.
+//! Hermetic test infrastructure for the GMT workspace.
 //!
-//! The offline build environment cannot fetch registry crates, so this
-//! crate replaces the three external dev-dependencies the seed relied
-//! on with small in-tree equivalents:
+//! The build needs no registry crates, so this crate provides small
+//! in-tree equivalents of the external dev-dependencies a Rust project
+//! would usually pull in:
 //!
 //! - [`TestRng`] — a deterministic splitmix64/xorshift64* PRNG
 //!   (replaces `rand`);
@@ -10,9 +10,10 @@
 //!   [`Shrink`]-based minimization, failure persistence to a
 //!   `testkit-regressions` file, and `GMT_TESTKIT_SEED` /
 //!   `GMT_TESTKIT_CASES` env overrides (replaces `proptest`);
-//! - [`BenchGroup`] — warmup + timed samples with mean/median/stddev
-//!   and JSON-lines output to `BENCH_<target>.json` (replaces
-//!   `criterion`).
+//! - [`json_escape`] for the hand-written JSON-lines records.
+//!
+//! Performance is measured by the repository benchmark
+//! (`benchmark/`), not here.
 //!
 //! It also hosts the workspace's parallel job runner: [`par_map`], a
 //! scoped-thread worker pool with a shared work queue and
@@ -45,7 +46,7 @@ mod pool;
 mod rng;
 mod shrink;
 
-pub use bench::{append_json_line, json_escape, BenchGroup, BenchStats};
+pub use bench::json_escape;
 pub use check::{Checker, PropResult};
 pub use gen::{full_u64, one_of, ranged, recursive, vec_of, weighted, Gen};
 pub use pool::{num_jobs, num_jobs_checked, par_map, parse_jobs};

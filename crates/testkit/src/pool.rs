@@ -73,7 +73,7 @@ pub fn num_jobs_checked() -> Result<usize, String> {
 
 /// [`num_jobs_checked`], exiting with status 2 on an invalid
 /// `GMT_JOBS` after printing the problem to stderr — the behavior every
-/// `GMT_JOBS`-reading binary (`repro`, the bench runners) wants.
+/// `GMT_JOBS`-reading binary (`repro`) wants.
 pub fn num_jobs() -> usize {
     num_jobs_checked().unwrap_or_else(|e| {
         eprintln!("error: {e}");
