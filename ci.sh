@@ -1,11 +1,15 @@
 #!/bin/sh
 # The tier-1 gate, runnable with no network access and no registry
-# cache: hermetic build, full test suite, the figures on ref inputs
-# against their golden, and smoke passes of the protocol validator,
-# the fuzzer and the repository benchmark. Every step can fail.
+# cache: hermetic build, warning-free docs, full test suite, the
+# figures on ref inputs against their golden, and smoke passes of the
+# protocol validator, the fuzzer and the repository benchmark. Every
+# step can fail.
 set -eux
 
 cargo build --release --offline --workspace
+# Every intra-doc link resolves to a public item (about 5 s), so a
+# deleted or private item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 # The suite includes the panic-site budget (tests/panic_budget.rs) and
 # the quick Figure 7, ablation, trace and explain goldens
 # (crates/harness/tests/repro_cli.rs); that the parallel and serial

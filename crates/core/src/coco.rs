@@ -4,18 +4,19 @@
 use crate::flowgraph::{BlockTables, GfBuilder, LiveTable};
 use crate::pos::PosGraph;
 use crate::safety::Safety;
-use gmt_graph::{multicut, DiGraph, MaxFlowAlgo, NodeId};
+use gmt_graph::{multicut, DiGraph, NodeId};
 use gmt_ir::{Function, InstrId, Liveness, Profile, Reg};
 use gmt_mtcg::{CommKind, CommPlan, CommPoint};
 use gmt_pdg::{DepKind, Partition, Pdg, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Configuration of the COCO optimizer.
+/// Bound on the `repeat-until` iterations of Algorithm 2.
+const MAX_ITERATIONS: usize = 10;
+
+/// Configuration of the COCO optimizer: the two design choices the
+/// ablations switch off.
 #[derive(Clone, Debug)]
 pub struct CocoConfig {
-    /// Max-flow algorithm (the paper uses Edmonds–Karp; Dinic is the
-    /// "faster algorithm" suggested for production compilers).
-    pub algo: MaxFlowAlgo,
     /// Apply the §3.1.2 control-flow penalties that steer cuts away
     /// from points requiring extra branches in the target thread.
     pub control_penalties: bool,
@@ -23,18 +24,11 @@ pub struct CocoConfig {
     /// the shared multicut heuristic (§3.1.3). When `false`, each
     /// memory dependence is cut independently (ablation).
     pub shared_memory_multicut: bool,
-    /// Bound on the `repeat-until` iterations of Algorithm 2.
-    pub max_iterations: usize,
 }
 
 impl Default for CocoConfig {
     fn default() -> CocoConfig {
-        CocoConfig {
-            algo: MaxFlowAlgo::EdmondsKarp,
-            control_penalties: true,
-            shared_memory_multicut: true,
-            max_iterations: 10,
-        }
+        CocoConfig { control_penalties: true, shared_memory_multicut: true }
     }
 }
 
@@ -265,7 +259,7 @@ fn optimize_tracking(
     let mut live: Vec<Derived<LiveTable>> = Derived::per_thread(n);
     let mut solved: BTreeMap<(ThreadId, ThreadId), Solved> = BTreeMap::new();
 
-    for iter in 0..config.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         stats.iterations = iter + 1;
         let mut changed = false;
 
@@ -350,7 +344,6 @@ fn optimize_tracking(
                     &live[t.index()].value,
                     defs,
                     &need.uses,
-                    config.algo,
                 );
                 let new_points = match points {
                     Some(p) if !p.is_empty() => {
@@ -390,7 +383,7 @@ fn optimize_tracking(
                 } else {
                     // Ablation: cut each dependence independently.
                     for (k, c) in commodities.iter().enumerate() {
-                        let cut = gf.net.min_cut_with(c.source, c.sink, config.algo);
+                        let cut = gf.net.min_cut(c.source, c.sink);
                         if cut.is_feasible() {
                             pair_stats.memory_deps_optimized += 1;
                             points.extend(gf.cut_points(&cut));
@@ -486,7 +479,7 @@ mod tests {
         let mut plan = CommPlan::new(n);
         let mut relevant: Vec<BTreeSet<InstrId>> =
             gmt_mtcg::relevant_branches(f, cdeps, partition, &plan);
-        for iter in 0..config.max_iterations {
+        for iter in 0..MAX_ITERATIONS {
             stats.iterations = iter + 1;
             let mut changed = false;
             let executes = |t: ThreadId, i: InstrId| {
@@ -544,8 +537,8 @@ mod tests {
                     let uses: Vec<InstrId> = sinks[&(s, t, r)].iter().copied().collect();
                     let defs = defs_of.get(&(r, s)).map_or(&[][..], Vec::as_slice);
                     let live = LiveMap::project(f, &liveness[t.index()], r, |i| executes(t, i));
-                    let points = builder
-                        .optimize_register(r, &safety[s.index()], &live, defs, &uses, config.algo);
+                    let points =
+                        builder.optimize_register(r, &safety[s.index()], &live, defs, &uses);
                     let new_points = match points {
                         Some(p) if !p.is_empty() => {
                             stats.registers_optimized += 1;
@@ -577,7 +570,7 @@ mod tests {
                         }
                     } else {
                         for (k, c) in commodities.iter().enumerate() {
-                            let cut = gf.net.min_cut_with(c.source, c.sink, config.algo);
+                            let cut = gf.net.min_cut(c.source, c.sink);
                             if cut.is_feasible() {
                                 stats.memory_deps_optimized += 1;
                                 points.extend(gf.cut_points(&cut));
@@ -621,7 +614,7 @@ mod tests {
     fn configs() -> [CocoConfig; 3] {
         [
             CocoConfig::default(),
-            CocoConfig { algo: MaxFlowAlgo::Dinic, control_penalties: false, ..Default::default() },
+            CocoConfig { control_penalties: false, ..Default::default() },
             CocoConfig { shared_memory_multicut: false, ..Default::default() },
         ]
     }

@@ -10,7 +10,7 @@
 
 use crate::pos::{Pos, PosArc, PosGraph};
 use crate::safety::Safety;
-use gmt_graph::{Capacity, Commodity, FlowNetwork, FlowNode, MaxFlowAlgo, MinCut, NodeId};
+use gmt_graph::{Capacity, Commodity, FlowNetwork, FlowNode, MinCut, NodeId};
 use gmt_ir::{BitSet, BlockId, ControlDeps, Function, InstrId, Liveness, Reg};
 use gmt_mtcg::CommPoint;
 use std::collections::BTreeSet;
@@ -341,10 +341,9 @@ impl GfBuilder<'_> {
         live: &LiveTable,
         defs_in_s: &[InstrId],
         uses_in_t: &[InstrId],
-        algo: MaxFlowAlgo,
     ) -> Option<BTreeSet<CommPoint>> {
         let (mut gf, source, sink) = self.build_register(r, safety, live, defs_in_s, uses_in_t)?;
-        let cut = gf.net.min_cut_in_place(source, sink, algo);
+        let cut = gf.net.min_cut_in_place(source, sink);
         if !cut.is_feasible() {
             return None;
         }
@@ -375,7 +374,7 @@ pub(crate) mod reference {
     use super::{scaled_cost, Gf};
     use crate::pos::{Pos, PosArc, PosGraph};
     use crate::safety::Safety;
-    use gmt_graph::{Capacity, Commodity, FlowNetwork, FlowNode, MaxFlowAlgo};
+    use gmt_graph::{Capacity, Commodity, FlowNetwork, FlowNode};
     use gmt_ir::{BlockId, ControlDeps, Function, InstrId, Liveness, Reg};
     use gmt_mtcg::CommPoint;
     use gmt_pdg::ThreadId;
@@ -476,7 +475,6 @@ pub(crate) mod reference {
             live: &LiveMap,
             defs_in_s: &[InstrId],
             uses_in_t: &[InstrId],
-            algo: MaxFlowAlgo,
         ) -> Option<BTreeSet<CommPoint>> {
             if defs_in_s.is_empty() || uses_in_t.is_empty() {
                 return None;
@@ -521,7 +519,7 @@ pub(crate) mod reference {
             if connected != [true; 2] {
                 return None;
             }
-            let cut = net.min_cut_with(source, sink, algo);
+            let cut = net.min_cut(source, sink);
             cut.is_feasible().then(|| Gf { net, arc_point }.cut_points(&cut))
         }
 
@@ -572,8 +570,8 @@ pub(crate) mod tests {
             let profile = w.run_train().expect("train run").profile;
             let pdg = Pdg::build(f);
             for n in [2u32, 3, 4] {
-                let dswp = dswp::DswpConfig { num_threads: n, ..Default::default() };
-                let gremio = gremio::GremioConfig { num_threads: n, ..Default::default() };
+                let dswp = dswp::DswpConfig { num_threads: n };
+                let gremio = gremio::GremioConfig { num_threads: n };
                 for partition in [
                     dswp::partition(f, &pdg, &profile, &dswp).expect("dswp"),
                     gremio::partition(f, &pdg, &profile, &gremio).expect("gremio"),

@@ -337,19 +337,6 @@ fn comm_op(op: &Op) -> Option<(QueueId, bool)> {
     }
 }
 
-/// [`verify_mt`] at one uniform queue depth (every queue gets
-/// `queue_depth` entries) — the pre-allocation behavior, still what the
-/// pipeline's depth-1 debug gate wants.
-pub fn verify_mt_uniform(
-    f: &Function,
-    partition: &Partition,
-    pdg: &Pdg,
-    out: &MtcgOutput,
-    queue_depth: usize,
-) -> Vec<MtVerifyError> {
-    verify_mt(f, partition, pdg, out, &[queue_depth])
-}
-
 /// Statically validates the queue protocol of `out` against the
 /// original function, partition, and PDG, under the *per-queue* hardware
 /// depths in `queue_depths` (a single element broadcasts to every queue,

@@ -88,12 +88,12 @@ pub enum Scheduler {
 impl Scheduler {
     /// DSWP with `n` pipeline stages.
     pub fn dswp(n: u32) -> Scheduler {
-        Scheduler::Dswp(dswp::DswpConfig { num_threads: n, comm_latency: 1 })
+        Scheduler::Dswp(dswp::DswpConfig { num_threads: n })
     }
 
     /// GREMIO with `n` threads.
     pub fn gremio(n: u32) -> Scheduler {
-        Scheduler::Gremio(gremio::GremioConfig { num_threads: n, comm_latency: 1 })
+        Scheduler::Gremio(gremio::GremioConfig { num_threads: n })
     }
 
     /// Partitions `f`, whose PDG is `pdg`, under `profile`.
@@ -224,7 +224,7 @@ impl Parallelizer {
         // be correct for any queue depth >= 1.
         #[cfg(debug_assertions)]
         {
-            let violations = crate::mtverify::verify_mt_uniform(f, &partition, pdg, &output, 1);
+            let violations = crate::mtverify::verify_mt(f, &partition, pdg, &output, &[1]);
             debug_assert!(
                 violations.is_empty(),
                 "generated code violates the queue protocol: {violations:?}"

@@ -4,7 +4,6 @@
 //! known exactly.
 
 use gmt_core::{BlockTables, GfBuilder, LiveTable, Pos, PosGraph, Safety};
-use gmt_graph::MaxFlowAlgo;
 use gmt_ir::{BinOp, Function, FunctionBuilder, InstrId, Liveness, Profile, Reg};
 use gmt_mtcg::CommPoint;
 use gmt_pdg::{Partition, Pdg, ThreadId};
@@ -91,9 +90,8 @@ fn register_gf_min_cut_is_the_single_link() {
     let builder = pair_builder(&g, &tables, 0, 1);
     let safety = Safety::compute(&f, &p, ThreadId(0));
     let live = live_table(&f, &g, |i| p.thread_of(i) == ThreadId(1));
-    let points = builder
-        .optimize_register(r1, &safety, &live, &[def], &[usei], MaxFlowAlgo::EdmondsKarp)
-        .expect("feasible");
+    let points =
+        builder.optimize_register(r1, &safety, &live, &[def], &[usei]).expect("feasible");
     assert_eq!(points.len(), 1);
     assert_eq!(points.into_iter().next(), Some(CommPoint::After(def)));
 }
@@ -123,14 +121,7 @@ fn register_gf_respects_safety_kill() {
     assert!(!safety.safe_after(instrs[1], r1), "stale after T1's redef");
     let live = live_table(&f, &g, |i| p.thread_of(i) == ThreadId(1));
     let points = builder
-        .optimize_register(
-            r1,
-            &safety,
-            &live,
-            &[instrs[0]],
-            &[instrs[1]],
-            MaxFlowAlgo::EdmondsKarp,
-        )
+        .optimize_register(r1, &safety, &live, &[instrs[0]], &[instrs[1]])
         .expect("feasible");
     assert_eq!(points.into_iter().next(), Some(CommPoint::After(instrs[0])));
 }
@@ -142,9 +133,7 @@ fn register_gf_none_when_no_defs_in_source() {
     let builder = pair_builder(&g, &tables, 1, 0); // wrong direction: T1 has no defs of r1
     let safety = Safety::compute(&f, &p, ThreadId(1));
     let live = live_table(&f, &g, |i| p.thread_of(i) == ThreadId(0));
-    assert!(builder
-        .optimize_register(r1, &safety, &live, &[], &[usei], MaxFlowAlgo::EdmondsKarp)
-        .is_none());
+    assert!(builder.optimize_register(r1, &safety, &live, &[], &[usei]).is_none());
 }
 
 #[test]

@@ -60,12 +60,12 @@ fn render() -> String {
             let partitions = [
                 (
                     "dswp",
-                    dswp::partition(f, &pdg, &profile, &dswp::DswpConfig { num_threads: n, ..Default::default() })
+                    dswp::partition(f, &pdg, &profile, &dswp::DswpConfig { num_threads: n })
                         .expect("dswp"),
                 ),
                 (
                     "gremio",
-                    gremio::partition(f, &pdg, &profile, &gremio::GremioConfig { num_threads: n, ..Default::default() })
+                    gremio::partition(f, &pdg, &profile, &gremio::GremioConfig { num_threads: n })
                         .expect("gremio"),
                 ),
             ];

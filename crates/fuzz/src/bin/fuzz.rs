@@ -1,7 +1,7 @@
 //! The differential fuzzing driver.
 //!
 //! ```text
-//! fuzz [--cases N] [--secs S] [--seed BASE] [--corpus PATH] [--replay SEED] [--quiet]
+//! fuzz [--cases N] [--secs S] [--seed BASE] [--corpus PATH] [--quiet]
 //! ```
 //!
 //! Replays every corpus entry first, then generates fresh cases from
@@ -9,9 +9,8 @@
 //! is shrunk greedily, persisted to the corpus, and reported with a
 //! one-command repro line. Exit status: 0 clean, 1 findings, 2 usage.
 //!
-//! `GMT_TESTKIT_SEED=<seed>` (or `--replay`) runs exactly that one
-//! case and prints its full report — the replay path for corpus
-//! entries.
+//! `GMT_TESTKIT_SEED=<seed>` runs exactly that one case and prints its
+//! full report — the replay path for findings and corpus entries.
 
 use gmt_fuzz::ast::{case_from_seed, FuzzCase};
 use gmt_fuzz::oracle::run_case;
@@ -19,24 +18,14 @@ use gmt_fuzz::{corpus, fuzz_run, FuzzOptions};
 use gmt_testkit::eval_prop;
 use std::path::PathBuf;
 
-struct Options {
-    fuzz: FuzzOptions,
-    replay: Option<u64>,
-}
-
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: fuzz [--cases N] [--secs S] [--seed BASE] [--corpus PATH] [--replay SEED] [--quiet]"
-    );
+    eprintln!("usage: fuzz [--cases N] [--secs S] [--seed BASE] [--corpus PATH] [--quiet]");
     std::process::exit(2)
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        fuzz: FuzzOptions::default(),
-        replay: std::env::var("GMT_TESTKIT_SEED").ok().and_then(|s| corpus::parse_seed(&s)),
-    };
+fn parse_args() -> FuzzOptions {
+    let mut opts = FuzzOptions::default();
     let mut args = std::env::args().skip(1);
     let mut seen: Vec<String> = Vec::new();
     let once = |flag: &str, seen: &mut Vec<String>| {
@@ -53,35 +42,28 @@ fn parse_args() -> Options {
             "--cases" => {
                 once("--cases", &mut seen);
                 let v = value("--cases");
-                opts.fuzz.cases =
+                opts.cases =
                     Some(v.parse().unwrap_or_else(|_| usage(&format!("bad --cases {v:?}"))));
             }
             "--secs" => {
                 once("--secs", &mut seen);
                 let v = value("--secs");
-                opts.fuzz.secs =
+                opts.secs =
                     Some(v.parse().unwrap_or_else(|_| usage(&format!("bad --secs {v:?}"))));
             }
             "--seed" => {
                 once("--seed", &mut seen);
                 let v = value("--seed");
-                opts.fuzz.seed = corpus::parse_seed(&v)
+                opts.seed = corpus::parse_seed(&v)
                     .unwrap_or_else(|| usage(&format!("bad --seed {v:?}")));
             }
             "--corpus" => {
                 once("--corpus", &mut seen);
-                opts.fuzz.corpus = PathBuf::from(value("--corpus"));
-            }
-            "--replay" => {
-                once("--replay", &mut seen);
-                let v = value("--replay");
-                opts.replay = Some(
-                    corpus::parse_seed(&v).unwrap_or_else(|| usage(&format!("bad --replay {v:?}"))),
-                );
+                opts.corpus = PathBuf::from(value("--corpus"));
             }
             "--quiet" => {
                 once("--quiet", &mut seen);
-                opts.fuzz.quiet = true;
+                opts.quiet = true;
             }
             other => usage(&format!("unknown argument {other:?}")),
         }
@@ -92,8 +74,10 @@ fn parse_args() -> Options {
 fn main() {
     let opts = parse_args();
 
-    // Explicit replay: exactly that case, verbose, no corpus writes.
-    if let Some(seed) = opts.replay {
+    // Replay: exactly the case `GMT_TESTKIT_SEED` names, verbose, no
+    // corpus writes.
+    let replay = std::env::var("GMT_TESTKIT_SEED").ok().and_then(|s| corpus::parse_seed(&s));
+    if let Some(seed) = replay {
         let case = case_from_seed(seed);
         println!("replaying seed {seed:#x}: {case:#?}");
         match eval_prop(&|c: &FuzzCase| run_case(c), &case) {
@@ -108,7 +92,7 @@ fn main() {
         }
     }
 
-    let stats = match fuzz_run(&opts.fuzz) {
+    let stats = match fuzz_run(&opts) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -116,7 +100,7 @@ fn main() {
         }
     };
     println!("{}", stats.summary());
-    if !opts.fuzz.quiet {
+    if !opts.quiet {
         println!("modes: {}", stats.mode_breakdown());
     }
     if stats.findings > 0 {

@@ -22,11 +22,8 @@ pub struct CorpusEntry {
 }
 
 /// The in-repo corpus file: `tests/fuzz_corpus/corpus.txt` at the
-/// workspace root, overridable with `GMT_FUZZ_CORPUS`.
+/// workspace root (the `fuzz` bin's `--corpus` names another).
 pub fn default_path() -> PathBuf {
-    if let Ok(p) = std::env::var("GMT_FUZZ_CORPUS") {
-        return PathBuf::from(p);
-    }
     // crates/fuzz/ -> workspace root. Compile-time, so the binary
     // finds the checkout it was built from regardless of cwd.
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus/corpus.txt")

@@ -2,7 +2,7 @@
 
 use crate::capacity::Capacity;
 use crate::digraph::NodeId;
-use crate::maxflow::{self, MaxFlowAlgo};
+use crate::maxflow;
 use std::fmt;
 
 /// Index of a *forward* arc in a [`FlowNetwork`], stable across solves.
@@ -157,27 +157,16 @@ impl FlowNetwork {
         (0..self.arc_count() as u32).map(move |i| (ArcId(i), self.arc(ArcId(i))))
     }
 
-    /// Computes a maximum s–t flow with the requested algorithm and
-    /// returns its value. The network's residual state is updated; call
+    /// Computes a maximum s–t flow (Edmonds–Karp) and returns its value.
+    /// The network's residual state is updated; call
     /// [`FlowNetwork::reset`] to solve again from scratch.
     ///
     /// # Panics
     ///
     /// Panics if `source == sink`.
-    pub fn max_flow(&mut self, source: FlowNode, sink: FlowNode, algo: MaxFlowAlgo) -> Capacity {
+    pub fn max_flow(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
         assert_ne!(source, sink, "source and sink must differ");
-        match algo {
-            MaxFlowAlgo::EdmondsKarp => maxflow::edmonds_karp(self, source, sink),
-            MaxFlowAlgo::Dinic => maxflow::dinic(self, source, sink),
-        }
-    }
-
-    /// Computes a minimum s–t cut using Edmonds–Karp (the paper's
-    /// algorithm). Equivalent to
-    /// [`min_cut_with`](FlowNetwork::min_cut_with) with
-    /// [`MaxFlowAlgo::EdmondsKarp`].
-    pub fn min_cut(&self, source: FlowNode, sink: FlowNode) -> MinCut {
-        self.min_cut_with(source, sink, MaxFlowAlgo::EdmondsKarp)
+        maxflow::edmonds_karp(self, source, sink)
     }
 
     /// Computes a minimum s–t cut: the cheapest set of forward arcs whose
@@ -194,17 +183,12 @@ impl FlowNetwork {
     /// treat that as "no feasible placement" (COCO then falls back to the
     /// MTCG placement, which the paper proves always yields a finite
     /// cut).
-    pub fn min_cut_with(
-        &self,
-        source: FlowNode,
-        sink: FlowNode,
-        algo: MaxFlowAlgo,
-    ) -> MinCut {
-        self.clone().min_cut_in_place(source, sink, algo)
+    pub fn min_cut(&self, source: FlowNode, sink: FlowNode) -> MinCut {
+        self.clone().min_cut_in_place(source, sink)
     }
 
-    /// [`min_cut_with`](FlowNetwork::min_cut_with) on the receiver's own
-    /// residual state, which is left at the maximum flow found:
+    /// [`min_cut`](FlowNetwork::min_cut) on the receiver's own residual
+    /// state, which is left at the maximum flow found:
     /// [`reset`](FlowNetwork::reset) before solving again.
     ///
     /// The cut reported is the set of arcs leaving the nodes the source
@@ -212,13 +196,8 @@ impl FlowNetwork {
     /// source side any minimum cut has, whichever maximum flow the
     /// solver arrived at, so the arcs depend neither on the algorithm
     /// nor on the order arcs were added in.
-    pub fn min_cut_in_place(
-        &mut self,
-        source: FlowNode,
-        sink: FlowNode,
-        algo: MaxFlowAlgo,
-    ) -> MinCut {
-        let value = self.max_flow(source, sink, algo);
+    pub fn min_cut_in_place(&mut self, source: FlowNode, sink: FlowNode) -> MinCut {
+        let value = self.max_flow(source, sink);
         if value.is_infinite() {
             return MinCut {
                 value,
@@ -278,7 +257,7 @@ impl FlowNetwork {
         seen
     }
 
-    // ---- internals shared with the max-flow algorithms and multicut ----
+    // ---- internals shared with the max-flow solver and multicut ----
 
     /// Whether `to` is reachable from `from` along forward arcs of
     /// positive *capacity* (a zero-capacity arc is no program path).
@@ -320,16 +299,6 @@ impl FlowNetwork {
 
     pub(crate) fn half_arcs_from(&self, n: FlowNode) -> HalfArcs<'_> {
         HalfArcs { next: &self.next, at: self.first[n.index()] }
-    }
-
-    /// The first half-arc leaving `n`, and the one after `half` in the
-    /// same list: a cursor for solvers that push flow while they walk.
-    pub(crate) fn first_half(&self, n: FlowNode) -> Option<u32> {
-        Some(self.first[n.index()]).filter(|&h| h != NO_HALF)
-    }
-
-    pub(crate) fn half_after(&self, half: u32) -> Option<u32> {
-        Some(self.next[half as usize]).filter(|&h| h != NO_HALF)
     }
 
     pub(crate) fn half_head(&self, half: u32) -> FlowNode {
@@ -420,17 +389,17 @@ impl MinCut {
     }
 }
 
-/// The pre-change solver, kept as the differential reference: per-node
-/// adjacency lists, a clone per cut, and Edmonds–Karp / Dinic that
-/// allocate their search state per augmenting path or phase. The
-/// generated-network tests here and in `multicut` hold the flat,
-/// in-place solver to its answers.
+/// The differential reference: per-node adjacency lists, a clone per
+/// cut, and two solvers that allocate their search state per augmenting
+/// path or phase — the pre-change Edmonds–Karp and Dinic, an algorithm
+/// independent of the one the crate ships. The generated-network tests
+/// here and in `multicut` hold the flat, in-place solver to their
+/// answers.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{ArcId, FlowNode, MinCut};
     use crate::capacity::Capacity;
     use crate::digraph::NodeId;
-    use crate::maxflow::MaxFlowAlgo;
     use std::collections::VecDeque;
 
     #[derive(Clone, Default)]
@@ -466,12 +435,20 @@ pub(crate) mod reference {
             (0..self.original.len()).map(|a| (self.tail[a], self.head[a * 2], self.original[a]))
         }
 
-        pub(crate) fn min_cut_with(&self, source: FlowNode, sink: FlowNode, algo: MaxFlowAlgo) -> MinCut {
+        /// The minimum cut by Dinic.
+        pub(crate) fn min_cut(&self, source: FlowNode, sink: FlowNode) -> MinCut {
+            self.min_cut_by(source, sink, RefNetwork::dinic)
+        }
+
+        /// The minimum cut with the maximum flow `solve` pushes.
+        pub(crate) fn min_cut_by(
+            &self,
+            source: FlowNode,
+            sink: FlowNode,
+            solve: fn(&mut RefNetwork, FlowNode, FlowNode) -> Capacity,
+        ) -> MinCut {
             let mut solved = self.clone();
-            let value = match algo {
-                MaxFlowAlgo::EdmondsKarp => solved.edmonds_karp(source, sink),
-                MaxFlowAlgo::Dinic => solved.dinic(source, sink),
-            };
+            let value = solve(&mut solved, source, sink);
             if value.is_infinite() {
                 return MinCut { value, arcs: Vec::new(), source_side: Vec::new() };
             }
@@ -506,7 +483,7 @@ pub(crate) mod reference {
             self.residual[h ^ 1] += amount;
         }
 
-        fn edmonds_karp(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
+        pub(crate) fn edmonds_karp(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
             let mut total = Capacity::ZERO;
             loop {
                 let n = self.node_count();
@@ -548,7 +525,7 @@ pub(crate) mod reference {
             }
         }
 
-        fn dinic(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
+        pub(crate) fn dinic(&mut self, source: FlowNode, sink: FlowNode) -> Capacity {
             let n = self.node_count();
             let mut total = Capacity::ZERO;
             loop {
@@ -684,21 +661,19 @@ pub(crate) mod generated {
 mod tests {
     use super::*;
 
-    fn check_both_algos(build: impl Fn() -> (FlowNetwork, FlowNode, FlowNode), expect: Capacity) {
-        for algo in [MaxFlowAlgo::EdmondsKarp, MaxFlowAlgo::Dinic] {
-            let (net, s, t) = build();
-            let cut = net.min_cut_with(s, t, algo);
-            assert_eq!(cut.value, expect, "algo {:?}", algo);
-            if cut.is_feasible() {
-                let total: Capacity = cut.arcs.iter().map(|&a| net.arc(a).capacity).sum();
-                assert_eq!(total, expect, "cut arcs must sum to cut value ({:?})", algo);
-            }
+    fn check_cut(build: impl Fn() -> (FlowNetwork, FlowNode, FlowNode), expect: Capacity) {
+        let (net, s, t) = build();
+        let cut = net.min_cut(s, t);
+        assert_eq!(cut.value, expect);
+        if cut.is_feasible() {
+            let total: Capacity = cut.arcs.iter().map(|&a| net.arc(a).capacity).sum();
+            assert_eq!(total, expect, "cut arcs must sum to cut value");
         }
     }
 
     #[test]
     fn single_path() {
-        check_both_algos(
+        check_cut(
             || {
                 let mut net = FlowNetwork::new();
                 let s = net.add_node();
@@ -715,7 +690,7 @@ mod tests {
     #[test]
     fn classic_clrs_network() {
         // CLRS figure 26.6-style network, max flow 23.
-        check_both_algos(
+        check_cut(
             || {
                 let mut net = FlowNetwork::new();
                 let s = net.add_node();
@@ -780,7 +755,7 @@ mod tests {
 
     #[test]
     fn parallel_arcs_add() {
-        check_both_algos(
+        check_cut(
             || {
                 let mut net = FlowNetwork::new();
                 let s = net.add_node();
@@ -832,10 +807,10 @@ mod tests {
         let s = net.add_node();
         let t = net.add_node();
         net.add_arc(s, t, Capacity::finite(7));
-        assert_eq!(net.max_flow(s, t, MaxFlowAlgo::EdmondsKarp), Capacity::finite(7));
-        assert_eq!(net.max_flow(s, t, MaxFlowAlgo::EdmondsKarp), Capacity::ZERO);
+        assert_eq!(net.max_flow(s, t), Capacity::finite(7));
+        assert_eq!(net.max_flow(s, t), Capacity::ZERO);
         net.reset();
-        assert_eq!(net.max_flow(s, t, MaxFlowAlgo::Dinic), Capacity::finite(7));
+        assert_eq!(net.max_flow(s, t), Capacity::finite(7));
     }
 
     #[test]
@@ -843,16 +818,18 @@ mod tests {
     fn max_flow_rejects_equal_endpoints() {
         let mut net = FlowNetwork::new();
         let s = net.add_node();
-        net.max_flow(s, s, MaxFlowAlgo::EdmondsKarp);
+        net.max_flow(s, s);
     }
 
-    /// The flat in-place solver against the pre-change one, on
+    /// The flat in-place Edmonds–Karp against the reference solvers, on
     /// generated networks: the same value, the same cut arcs and the
-    /// same source side from both algorithms, on the caller's network
-    /// and on a clone of it.
+    /// same source side from the reference Dinic, the reference
+    /// Edmonds–Karp and the crate's solver, on the caller's network and
+    /// on a clone of it.
     #[test]
     fn in_place_min_cut_matches_the_reference_solver() {
         use gmt_testkit::{prop_assert_eq, Checker};
+        use reference::RefNetwork;
         let cut_some = std::cell::Cell::new(0usize);
         Checker::new("flow::in_place_vs_reference").cases(400).run(&generated::net_gen(), |desc| {
             let (net, reference) = desc.build();
@@ -861,20 +838,18 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let want = reference.min_cut_with(s, t, MaxFlowAlgo::EdmondsKarp);
-                prop_assert_eq!(&reference.min_cut_with(s, t, MaxFlowAlgo::Dinic), &want);
-                for algo in [MaxFlowAlgo::EdmondsKarp, MaxFlowAlgo::Dinic] {
-                    prop_assert_eq!(&net.min_cut_with(s, t, algo), &want);
-                    let mut owned = net.clone();
-                    prop_assert_eq!(&owned.min_cut_in_place(s, t, algo), &want);
-                    // The residual state it leaves is a maximum flow:
-                    // nothing more can be pushed, and a reset solves anew.
-                    if want.is_feasible() {
-                        prop_assert_eq!(owned.max_flow(s, t, algo), Capacity::ZERO);
-                    }
-                    owned.reset();
-                    prop_assert_eq!(&owned.min_cut_in_place(s, t, algo), &want);
+                let want = reference.min_cut(s, t);
+                prop_assert_eq!(&reference.min_cut_by(s, t, RefNetwork::edmonds_karp), &want);
+                prop_assert_eq!(&net.min_cut(s, t), &want);
+                let mut owned = net.clone();
+                prop_assert_eq!(&owned.min_cut_in_place(s, t), &want);
+                // The residual state it leaves is a maximum flow: nothing
+                // more can be pushed, and a reset solves anew.
+                if want.is_feasible() {
+                    prop_assert_eq!(owned.max_flow(s, t), Capacity::ZERO);
                 }
+                owned.reset();
+                prop_assert_eq!(&owned.min_cut_in_place(s, t), &want);
                 cut_some.set(cut_some.get() + usize::from(!want.arcs.is_empty()));
             }
             Ok(())

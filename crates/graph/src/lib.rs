@@ -7,12 +7,9 @@
 //! COCO's Algorithm 2), and s–t flow networks with max-flow/min-cut solvers
 //! (used to place communication instructions).
 //!
-//! Two max-flow algorithms are provided behind one interface:
-//! [`MaxFlowAlgo::EdmondsKarp`] — the algorithm the paper uses, with
-//! worst-case `O(V·E²)` — and [`MaxFlowAlgo::Dinic`] with `O(V²·E)`. Both
-//! compute identical cut values (`tests/graph_properties.rs`,
-//! `tests/random_programs.rs`); the repository benchmark's
-//! `graph.mincut_ms` row times the default solver.
+//! The max-flow solver is Edmonds–Karp, the algorithm the paper uses
+//! (worst-case `O(V·E²)`); the repository benchmark's `graph.mincut_ms`
+//! row times it.
 //!
 //! # Example
 //!
@@ -43,6 +40,5 @@ mod scc;
 pub use capacity::Capacity;
 pub use digraph::{Condensation, DiGraph, NodeId};
 pub use flow::{ArcId, FlowArc, FlowNetwork, FlowNode, MinCut, VisitSet};
-pub use maxflow::MaxFlowAlgo;
 pub use multicut::{multicut, Commodity, MultiCut};
 pub use scc::{strongly_connected_components, Scc};

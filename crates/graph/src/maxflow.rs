@@ -1,26 +1,15 @@
-//! Max-flow algorithms: Edmonds–Karp and Dinic.
+//! Max-flow by Edmonds–Karp, the algorithm the paper uses (§4: "Our
+//! current implementation of COCO uses Edmonds-Karp's min-cut
+//! algorithm"); `O(V·E²)`.
 //!
-//! Both operate on the residual representation inside
+//! It operates on the residual representation inside
 //! [`FlowNetwork`](crate::FlowNetwork). If an augmenting path consists
 //! entirely of infinite-capacity arcs the flow value is infinite and the
 //! solve returns [`Capacity::INFINITE`] immediately — COCO interprets
 //! that as "no feasible communication placement on this graph".
 
 use crate::capacity::Capacity;
-use crate::digraph::NodeId;
 use crate::flow::{FlowNetwork, FlowNode, VisitSet};
-
-/// Which max-flow algorithm to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MaxFlowAlgo {
-    /// BFS augmenting paths; `O(V·E²)`. The algorithm used in the paper
-    /// (§4: "Our current implementation of COCO uses Edmonds-Karp's
-    /// min-cut algorithm").
-    EdmondsKarp,
-    /// Level graphs + blocking flows; `O(V²·E)`. The "faster min-cut
-    /// algorithm" the paper suggests for production compilers.
-    Dinic,
-}
 
 /// Edmonds–Karp: repeatedly push along a shortest augmenting path.
 pub(crate) fn edmonds_karp(
@@ -84,148 +73,59 @@ pub(crate) fn edmonds_karp(
     }
 }
 
-/// Dinic: BFS level graph, then DFS blocking flow.
-pub(crate) fn dinic(net: &mut FlowNetwork, source: FlowNode, sink: FlowNode) -> Capacity {
-    let n = net.node_count();
-    let mut level = vec![u32::MAX; n];
-    let mut cursor: Vec<Option<u32>> = vec![None; n];
-    let mut queue: Vec<FlowNode> = Vec::with_capacity(n);
-    let mut total = Capacity::ZERO;
-    loop {
-        // Level graph via BFS on positive-residual arcs.
-        level.fill(u32::MAX);
-        level[source.index()] = 0;
-        queue.clear();
-        queue.push(source);
-        let mut at = 0;
-        while let Some(&u) = queue.get(at) {
-            at += 1;
-            for half in net.half_arcs_from(u) {
-                if net.half_residual(half).is_zero() {
-                    continue;
-                }
-                let v = net.half_head(half);
-                if level[v.index()] == u32::MAX {
-                    level[v.index()] = level[u.index()] + 1;
-                    queue.push(v);
-                }
-            }
-        }
-        if level[sink.index()] == u32::MAX {
-            return total;
-        }
-        // Blocking flow with per-node arc cursors (current-arc heuristic).
-        for (u, c) in cursor.iter_mut().enumerate() {
-            *c = net.first_half(NodeId(u as u32));
-        }
-        loop {
-            let pushed = dinic_dfs(net, source, sink, Capacity::INFINITE, &level, &mut cursor);
-            if pushed.is_zero() {
-                break;
-            }
-            if pushed.is_infinite() {
-                return Capacity::INFINITE;
-            }
-            total += pushed;
-        }
-    }
-}
-
-/// DFS one augmenting path through the level graph; returns the amount
-/// pushed (zero when no path remains).
-fn dinic_dfs(
-    net: &mut FlowNetwork,
-    u: FlowNode,
-    sink: FlowNode,
-    limit: Capacity,
-    level: &[u32],
-    cursor: &mut [Option<u32>],
-) -> Capacity {
-    if u == sink {
-        return limit;
-    }
-    while let Some(half) = cursor[u.index()] {
-        let v = net.half_head(half);
-        let res = net.half_residual(half);
-        if !res.is_zero() && level[v.index()] == level[u.index()] + 1 {
-            let pushed = dinic_dfs(net, v, sink, limit.min(res), level, cursor);
-            if !pushed.is_zero() {
-                if pushed.is_infinite() {
-                    return Capacity::INFINITE;
-                }
-                net.push_flow(half, pushed);
-                return pushed;
-            }
-        }
-        cursor[u.index()] = net.half_after(half);
-    }
-    Capacity::ZERO
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::capacity::Capacity;
+    use crate::digraph::NodeId;
+    use crate::flow::reference::RefNetwork;
+    use crate::flow::FlowNetwork;
 
-    /// Random-ish deterministic networks; both algorithms must agree.
+    /// The same arcs as a flow network and as the reference network.
+    fn both(nodes: usize, arcs: &[(u32, u32, Capacity)]) -> (FlowNetwork, RefNetwork) {
+        let mut net = FlowNetwork::new();
+        net.add_nodes(nodes);
+        let mut reference = RefNetwork::with_nodes(nodes);
+        for &(a, b, cap) in arcs {
+            net.add_arc(NodeId(a), NodeId(b), cap);
+            reference.add_arc(NodeId(a), NodeId(b), cap);
+        }
+        (net, reference)
+    }
+
+    /// Edmonds–Karp and the reference's Dinic agree on a 4x4 grid.
     #[test]
     fn algorithms_agree_on_grid() {
         // 4x4 grid, capacities derived from position.
-        let build = || {
-            let mut net = FlowNetwork::new();
-            let nodes: Vec<Vec<FlowNode>> = (0..4)
-                .map(|_| (0..4).map(|_| net.add_node()).collect())
-                .collect();
-            for r in 0..4 {
-                for c in 0..4 {
-                    if c + 1 < 4 {
-                        net.add_arc(
-                            nodes[r][c],
-                            nodes[r][c + 1],
-                            Capacity::finite(((r * 7 + c * 3) % 9 + 1) as u64),
-                        );
-                    }
-                    if r + 1 < 4 {
-                        net.add_arc(
-                            nodes[r][c],
-                            nodes[r + 1][c],
-                            Capacity::finite(((r * 5 + c * 11) % 9 + 1) as u64),
-                        );
-                    }
+        let at = |r: usize, c: usize| (r * 4 + c) as u32;
+        let cap = |k: usize| Capacity::finite((k % 9 + 1) as u64);
+        let mut arcs = Vec::new();
+        for r in 0..4 {
+            for c in 0..4 {
+                if c + 1 < 4 {
+                    arcs.push((at(r, c), at(r, c + 1), cap(r * 7 + c * 3)));
+                }
+                if r + 1 < 4 {
+                    arcs.push((at(r, c), at(r + 1, c), cap(r * 5 + c * 11)));
                 }
             }
-            (net, nodes[0][0], nodes[3][3])
-        };
-        let (net1, s1, t1) = build();
-        let (net2, s2, t2) = build();
-        let ek = net1.min_cut_with(s1, t1, MaxFlowAlgo::EdmondsKarp);
-        let di = net2.min_cut_with(s2, t2, MaxFlowAlgo::Dinic);
-        assert_eq!(ek.value, di.value);
+        }
+        let (net, reference) = both(16, &arcs);
+        let (s, t) = (NodeId(at(0, 0)), NodeId(at(3, 3)));
+        assert_eq!(net.min_cut(s, t), reference.min_cut(s, t));
     }
 
     #[test]
     fn infinite_path_detected_by_both() {
-        for algo in [MaxFlowAlgo::EdmondsKarp, MaxFlowAlgo::Dinic] {
-            let mut net = FlowNetwork::new();
-            let s = net.add_node();
-            let a = net.add_node();
-            let t = net.add_node();
-            net.add_arc(s, a, Capacity::INFINITE);
-            net.add_arc(a, t, Capacity::INFINITE);
-            assert_eq!(net.max_flow(s, t, algo), Capacity::INFINITE, "{:?}", algo);
-        }
+        let (mut net, reference) =
+            both(3, &[(0, 1, Capacity::INFINITE), (1, 2, Capacity::INFINITE)]);
+        assert_eq!(reference.min_cut(NodeId(0), NodeId(2)).value, Capacity::INFINITE);
+        assert_eq!(net.max_flow(NodeId(0), NodeId(2)), Capacity::INFINITE);
     }
 
     #[test]
     fn finite_and_infinite_mix() {
         // Infinite arc into a finite bottleneck: flow is finite.
-        for algo in [MaxFlowAlgo::EdmondsKarp, MaxFlowAlgo::Dinic] {
-            let mut net = FlowNetwork::new();
-            let s = net.add_node();
-            let a = net.add_node();
-            let t = net.add_node();
-            net.add_arc(s, a, Capacity::INFINITE);
-            net.add_arc(a, t, Capacity::finite(4));
-            assert_eq!(net.max_flow(s, t, algo), Capacity::finite(4), "{:?}", algo);
-        }
+        let (mut net, _) = both(3, &[(0, 1, Capacity::INFINITE), (1, 2, Capacity::finite(4))]);
+        assert_eq!(net.max_flow(NodeId(0), NodeId(2)), Capacity::finite(4));
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::capacity::Capacity;
 use crate::flow::{ArcId, FlowNetwork, FlowNode, VisitSet};
-use crate::maxflow::MaxFlowAlgo;
 
 /// One source–sink pair to disconnect: a single memory dependence arc
 /// from an instruction in `T_s` (source) to one in `T_t` (sink).
@@ -64,7 +63,7 @@ pub fn multicut(net: &FlowNetwork, commodities: &[Commodity]) -> MultiCut {
             continue;
         }
         work.reset();
-        let cut = work.min_cut_in_place(source, sink, MaxFlowAlgo::EdmondsKarp);
+        let cut = work.min_cut_in_place(source, sink);
         feasible.push(cut.is_feasible());
         // Empty when infeasible or already disconnected. A cut arc
         // leaves the working network so that it helps disconnect
@@ -129,7 +128,7 @@ mod tests {
         out
     }
 
-    /// The pre-change heuristic on the pre-change solver: the working
+    /// The pre-change heuristic on the reference solver: the working
     /// network is rebuilt after every commodity that cut something, and
     /// every reachability query of the elimination pass builds its own
     /// adjacency lists.
@@ -175,7 +174,7 @@ mod tests {
                 feasible.push(true);
                 continue;
             }
-            let cut = work.min_cut_with(source, sink, MaxFlowAlgo::EdmondsKarp);
+            let cut = work.min_cut(source, sink);
             feasible.push(cut.is_feasible());
             if cut.arcs.is_empty() {
                 continue;

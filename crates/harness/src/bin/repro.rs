@@ -11,8 +11,9 @@
 //!       [--variant mtcg|coco] [--quick] [--json]
 //! ```
 //!
-//! The six modes are mutually exclusive; conflicting or repeated
-//! flags exit 2 with usage. The experiment matrix runs on the
+//! The six modes are mutually exclusive, and `--verify-mt` and
+//! `--fuzz` take no other flag; conflicting, ignored or repeated flags
+//! exit 2 with usage. The experiment matrix runs on the
 //! `gmt-testkit` worker pool; set `GMT_JOBS=N` to pin the worker count
 //! (`GMT_JOBS=1` is the serial reference path — output is
 //! byte-identical either way).
@@ -139,9 +140,8 @@ fn main() {
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    // Mode conflicts: --fig / --metrics / --trace are mutually
-    // exclusive; --bench and --variant only mean something under
-    // --trace.
+    // Mode conflicts: the six modes are mutually exclusive, and each
+    // flag below only means something under the modes it names.
     if metrics && fig.is_some() {
         usage("--fig conflicts with --metrics");
     }
@@ -158,6 +158,11 @@ fn main() {
         && (verify || metrics || fig.is_some() || trace.is_some() || explain.is_some())
     {
         usage("--fuzz conflicts with --fig, --metrics, --trace, --explain, and --verify-mt");
+    }
+    // --verify-mt always checks the whole matrix and --fuzz generates
+    // its own programs, so a scale or a scheduler would go unread.
+    if (verify || fuzz_secs.is_some()) && (matches!(scale, Scale::Quick) || scheds.is_some()) {
+        usage("--verify-mt and --fuzz take neither --quick nor --scheduler");
     }
     if trace.is_none() && bench.is_some() {
         usage("--bench requires --trace");
@@ -401,15 +406,15 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] [--verify-mt] \
-         [--fuzz SECS] \
+        "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] \
          [--quick] [--scheduler gremio|dswp|both]\n\
+         \x20      repro --verify-mt | --fuzz SECS\n\
          \x20      repro --trace <out.json> [--bench NAME] [--scheduler gremio|dswp] \
          [--variant mtcg|coco] [--quick]\n\
          \x20      repro --explain <NAME|all> [--scheduler gremio|dswp|both] \
          [--variant mtcg|coco] [--quick] [--json]\n\
          modes --fig / --metrics / --trace / --explain / --verify-mt / --fuzz are mutually \
-         exclusive; each flag may appear once\n\
+         exclusive; --verify-mt and --fuzz take no other flag; each flag may appear once\n\
          env: GMT_JOBS=N pins the worker-pool size (default: available parallelism)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

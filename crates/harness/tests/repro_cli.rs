@@ -54,6 +54,17 @@ fn conflicting_modes_exit_2() {
         &repro(&["--explain", "ks", "--trace", "/tmp/x.json"]),
         "--explain conflicts",
     );
+    // Flags the mode would silently ignore: the parsing rejects them
+    // before any work, so these cases cost no verification or fuzzing.
+    for args in [
+        &["--verify-mt", "--quick"][..],
+        &["--verify-mt", "--scheduler", "dswp"],
+        &["--verify-mt", "--scheduler", "dswp", "--quick"],
+        &["--fuzz", "1", "--quick"],
+        &["--fuzz", "1", "--scheduler", "both"],
+    ] {
+        assert_usage_exit(&repro(args), "take neither --quick nor --scheduler");
+    }
 }
 
 #[test]

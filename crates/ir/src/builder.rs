@@ -62,11 +62,6 @@ impl FunctionBuilder {
         self.current = b;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// The entry block.
     pub fn entry(&self) -> BlockId {
         self.func.entry()

@@ -147,11 +147,6 @@ impl ControlDeps {
             })
         })
     }
-
-    /// The blocks on whose branches `b` is (directly) control dependent.
-    pub fn controlling_blocks(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
-        self.deps[b.index()].iter().map(|d| d.block)
-    }
 }
 
 #[cfg(test)]

@@ -251,8 +251,8 @@ mod tests {
             let profile = w.run_train().expect("train run").profile;
             let pdg = Pdg::build(f);
             for n in [2u32, 3, 4] {
-                let dswp = gmt_sched::dswp::DswpConfig { num_threads: n, ..Default::default() };
-                let gremio = gmt_sched::gremio::GremioConfig { num_threads: n, ..Default::default() };
+                let dswp = gmt_sched::dswp::DswpConfig { num_threads: n };
+                let gremio = gmt_sched::gremio::GremioConfig { num_threads: n };
                 for partition in [
                     gmt_sched::dswp::partition(f, &pdg, &profile, &dswp).expect("dswp"),
                     gmt_sched::gremio::partition(f, &pdg, &profile, &gremio).expect("gremio"),

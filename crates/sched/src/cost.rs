@@ -23,6 +23,11 @@ use crate::weights::InstrWeights;
 use gmt_ir::Function;
 use gmt_pdg::{Partition, Pdg, ThreadId};
 
+/// Estimated one-way communication latency in cycles: the
+/// synchronization-array access latency of Figure 6a's machine, which
+/// both partitioners assume.
+pub(crate) const COMM_LATENCY: u64 = 1;
+
 /// The assignment-independent half of the score, in flat arrays.
 pub(crate) struct CostModel {
     /// The placed instructions as `(instruction index, block index)`.

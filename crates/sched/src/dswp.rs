@@ -19,7 +19,7 @@
 //! the defining DSWP invariant, checked by
 //! [`is_pipeline`](crate::metrics::is_pipeline).
 
-use crate::cost::{to_partition, CostModel, Scratch};
+use crate::cost::{to_partition, CostModel, Scratch, COMM_LATENCY};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_ir::{Function, Profile};
@@ -30,13 +30,11 @@ use gmt_pdg::{Partition, Pdg};
 pub struct DswpConfig {
     /// Number of pipeline stages (threads) to produce.
     pub num_threads: u32,
-    /// Estimated per-value communication occupancy in cycles.
-    pub comm_latency: u64,
 }
 
 impl Default for DswpConfig {
     fn default() -> DswpConfig {
-        DswpConfig { num_threads: 2, comm_latency: 1 }
+        DswpConfig { num_threads: 2 }
     }
 }
 
@@ -88,7 +86,7 @@ fn search(
     }
     let n = config.num_threads as usize;
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
-    let model = CostModel::new(f, pdg, &weights, config.comm_latency);
+    let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
 
     let (g, _index) = pdg.as_digraph();
     let cond = g.condensation();
@@ -335,7 +333,7 @@ mod tests {
         let f = b.finish().unwrap();
         let pdg = Pdg::build(&f);
         let profile = Profile::uniform(&f, 1);
-        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 4, comm_latency: 1 }).unwrap();
+        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 4 }).unwrap();
         assert!(p.validate(&f).is_ok());
         assert!(is_pipeline(&pdg, &p));
     }
@@ -344,7 +342,7 @@ mod tests {
     fn single_stage_degenerates_to_single_thread() {
         let (f, profile) = producer_consumer_loop();
         let pdg = Pdg::build(&f);
-        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 1, comm_latency: 1 }).unwrap();
+        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 1 }).unwrap();
         assert_eq!(p.static_sizes()[0], f.placed_instr_count());
     }
 
@@ -352,7 +350,7 @@ mod tests {
     fn four_stage_pipeline_still_valid() {
         let (f, profile) = producer_consumer_loop();
         let pdg = Pdg::build(&f);
-        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 4, comm_latency: 1 }).unwrap();
+        let p = partition(&f, &pdg, &profile, &DswpConfig { num_threads: 4 }).unwrap();
         assert!(p.validate(&f).is_ok());
         assert!(is_pipeline(&pdg, &p));
     }
@@ -362,7 +360,7 @@ mod tests {
     #[test]
     fn pruning_never_changes_the_partition() {
         crate::testutil::for_catalog_and_generated("dswp::pruning", |f, pdg, profile, n| {
-            let config = DswpConfig { num_threads: n, comm_latency: 1 };
+            let config = DswpConfig { num_threads: n };
             let pruned = search(f, pdg, profile, &config, true);
             let exhaustive = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);

@@ -29,7 +29,7 @@
 //! Unlike DSWP, nothing constrains dependences to flow forward: the
 //! chosen partition may have cyclic inter-thread dependences.
 
-use crate::cost::{to_partition, CostModel, Scratch};
+use crate::cost::{to_partition, CostModel, Scratch, COMM_LATENCY};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_graph::{Condensation, DiGraph, NodeId};
@@ -42,14 +42,11 @@ use std::collections::HashMap;
 pub struct GremioConfig {
     /// Number of threads to produce.
     pub num_threads: u32,
-    /// Estimated one-way communication latency in cycles
-    /// (synchronization-array access), used in the ready-time estimate.
-    pub comm_latency: u64,
 }
 
 impl Default for GremioConfig {
     fn default() -> GremioConfig {
-        GremioConfig { num_threads: 2, comm_latency: 1 }
+        GremioConfig { num_threads: 2 }
     }
 }
 
@@ -149,7 +146,7 @@ fn search(
         return Err(SchedError::NoThreads);
     }
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
-    let model = CostModel::new(f, pdg, &weights, config.comm_latency);
+    let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
 
     // Cluster over the intra-iteration dependence graph: carried arcs
     // do not constrain the schedule (cyclic inter-thread dependences
@@ -315,7 +312,7 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
                 let arrival = if assignment[pi] as usize == t {
                     finish[pi]
                 } else {
-                    finish[pi] + cluster_count[pi].max(1) * config.comm_latency
+                    finish[pi] + cluster_count[pi].max(1) * COMM_LATENCY
                 };
                 ready = ready.max(arrival);
             }
@@ -505,7 +502,7 @@ mod tests {
     fn single_thread_config_degenerates() {
         let (f, profile) = two_independent_loops();
         let pdg = Pdg::build(&f);
-        let p = partition(&f, &pdg, &profile, &GremioConfig { num_threads: 1, comm_latency: 1 }).unwrap();
+        let p = partition(&f, &pdg, &profile, &GremioConfig { num_threads: 1 }).unwrap();
         assert_eq!(p.static_sizes()[0], f.placed_instr_count());
     }
 
@@ -536,7 +533,7 @@ mod tests {
     fn four_thread_hill_climb_is_pinned_quirk_included() {
         let (f, profile) = two_independent_loops();
         let pdg = Pdg::build(&f);
-        let config = GremioConfig { num_threads: 4, comm_latency: 1 };
+        let config = GremioConfig { num_threads: 4 };
         let got: Vec<(u64, Vec<u32>)> = candidates(&f, &pdg, &profile, &config)
             .unwrap()
             .iter()
@@ -560,7 +557,7 @@ mod tests {
     #[test]
     fn pruning_never_changes_the_candidates() {
         crate::testutil::for_catalog_and_generated("gremio::pruning", |f, pdg, profile, n| {
-            let config = GremioConfig { num_threads: n, comm_latency: 1 };
+            let config = GremioConfig { num_threads: n };
             let pruned = search(f, pdg, profile, &config, true);
             let exhaustive = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);

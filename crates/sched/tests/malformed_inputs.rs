@@ -19,67 +19,34 @@ fn zero_threads_is_an_error_not_a_panic() {
         let f = compile(program);
         let pdg = Pdg::build(&f);
         let profile = Profile::uniform(&f, 10);
-        let d = dswp::partition(
-            &f,
-            &pdg,
-            &profile,
-            &dswp::DswpConfig { num_threads: 0, comm_latency: 1 },
-        );
+        let d = dswp::partition(&f, &pdg, &profile, &dswp::DswpConfig { num_threads: 0 });
         prop_assert!(matches!(d, Err(SchedError::NoThreads)), "dswp accepted 0 threads: {d:?}");
-        let g = gremio::partition(
-            &f,
-            &pdg,
-            &profile,
-            &gremio::GremioConfig { num_threads: 0, comm_latency: 1 },
-        );
+        let g = gremio::partition(&f, &pdg, &profile, &gremio::GremioConfig { num_threads: 0 });
         prop_assert!(matches!(g, Err(SchedError::NoThreads)), "gremio accepted 0 threads: {g:?}");
-        let c = gremio::candidates(
-            &f,
-            &pdg,
-            &profile,
-            &gremio::GremioConfig { num_threads: 0, comm_latency: 1 },
-        );
+        let c = gremio::candidates(&f, &pdg, &profile, &gremio::GremioConfig { num_threads: 0 });
         prop_assert!(matches!(c, Err(SchedError::NoThreads)), "candidates accepted 0: {c:?}");
         Ok(())
     });
 }
 
-/// Any positive thread count and latency yields a complete partition:
-/// the partitioners must not fail or leave instructions unassigned on
+/// Any positive thread count yields a complete partition: the
+/// partitioners must not fail or leave instructions unassigned on
 /// extreme-but-legal configurations.
 #[test]
 fn arbitrary_positive_configs_always_partition() {
-    let gen: Gen<(Vec<Stmt>, u32, u64)> = program_gen()
-        .zip(ranged(1u32, 9))
-        .zip(ranged(0u64, 17))
-        .map(|((p, n), lat)| (p, n, lat));
-    Checker::new("sched_malformed::positive_configs").cases(32).run(
-        &gen,
-        |(program, n, lat)| {
-            let f = compile(program);
-            let pdg = Pdg::build(&f);
-            let profile = Profile::uniform(&f, 10);
-            let d = dswp::partition(
-                &f,
-                &pdg,
-                &profile,
-                &dswp::DswpConfig { num_threads: *n, comm_latency: *lat },
-            );
-            match d {
-                Ok(p) => prop_assert!(p.validate(&f).is_ok(), "dswp left holes"),
-                Err(e) => return Err(format!("dswp failed on legal config: {e}")),
-            }
-            let g = gremio::partition(
-                &f,
-                &pdg,
-                &profile,
-                &gremio::GremioConfig { num_threads: *n, comm_latency: *lat },
-            );
-            match g {
-                Ok(p) => prop_assert!(p.validate(&f).is_ok(), "gremio left holes"),
-                Err(e) => return Err(format!("gremio failed on legal config: {e}")),
-            }
-            Ok(())
-        },
-    );
+    let gen: Gen<(Vec<Stmt>, u32)> = program_gen().zip(ranged(1u32, 9));
+    Checker::new("sched_malformed::positive_configs").cases(32).run(&gen, |(program, n)| {
+        let f = compile(program);
+        let pdg = Pdg::build(&f);
+        let profile = Profile::uniform(&f, 10);
+        match dswp::partition(&f, &pdg, &profile, &dswp::DswpConfig { num_threads: *n }) {
+            Ok(p) => prop_assert!(p.validate(&f).is_ok(), "dswp left holes"),
+            Err(e) => return Err(format!("dswp failed on legal config: {e}")),
+        }
+        match gremio::partition(&f, &pdg, &profile, &gremio::GremioConfig { num_threads: *n }) {
+            Ok(p) => prop_assert!(p.validate(&f).is_ok(), "gremio left holes"),
+            Err(e) => return Err(format!("gremio failed on legal config: {e}")),
+        }
+        Ok(())
+    });
 }

@@ -36,10 +36,7 @@ fn render() -> String {
         let profile = w.run_train().expect("train run").profile;
         let pdg = Pdg::build(f);
         for n in [2u32, 3, 4] {
-            let config = dswp::DswpConfig {
-                num_threads: n,
-                ..Default::default()
-            };
+            let config = dswp::DswpConfig { num_threads: n };
             let p = dswp::partition(f, &pdg, &profile, &config).expect("dswp");
             writeln!(
                 out,
@@ -49,10 +46,7 @@ fn render() -> String {
                 structural_hash(f, &p)
             )
             .unwrap();
-            let config = gremio::GremioConfig {
-                num_threads: n,
-                ..Default::default()
-            };
+            let config = gremio::GremioConfig { num_threads: n };
             let cands = gremio::candidates(f, &pdg, &profile, &config).expect("gremio");
             for (k, (score, p)) in cands.iter().enumerate() {
                 writeln!(

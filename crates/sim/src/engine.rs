@@ -103,9 +103,8 @@ use gmt_ir::{Function, Operand, QueueId, Reg};
 pub struct SimOptions {
     /// Event-driven stall fast-forward: on an all-stall cycle, jump to
     /// the earliest core wakeup instead of ticking through the dead
-    /// window (see the [module docs](crate::engine)). On by default;
-    /// results are byte-identical either way — turn off only for A/B
-    /// debugging of the engine itself.
+    /// window. On by default; results are byte-identical either way —
+    /// turn off only for A/B debugging of the engine itself.
     pub fast_forward: bool,
 }
 

@@ -85,8 +85,9 @@ impl SyncArray {
 
     /// Whether queue `q` can accept a produce this cycle. A queue id
     /// outside the array can never accept one; the simulators reject
-    /// such programs at load ([`crate::sim::check_queue_ids`]), so this
-    /// answer is only ever a conservative backstop.
+    /// such programs at load (the decoded engine through
+    /// [`DecodedProgram::check_queue_ids`](gmt_ir::decoded::DecodedProgram::check_queue_ids)),
+    /// so this answer is only ever a conservative backstop.
     pub fn can_produce(&self, q: usize) -> bool {
         self.queues.get(q).is_some_and(|queue| queue.entries.len() < queue.depth)
     }

@@ -39,14 +39,6 @@ pub struct SimResult {
     pub skipped_cycles: u64,
 }
 
-impl SimResult {
-    /// Instructions per cycle, across all cores.
-    pub fn ipc(&self) -> f64 {
-        let instrs: u64 = self.cores.iter().map(CoreStats::total_instrs).sum();
-        instrs as f64 / self.cycles.max(1) as f64
-    }
-}
-
 /// How an instruction classifies for issue resources.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Unit {

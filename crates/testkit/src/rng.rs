@@ -44,11 +44,6 @@ impl TestRng {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// The next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[lo, hi)`. `hi` must be greater than `lo`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo < hi, "empty range");
@@ -74,12 +69,6 @@ impl TestRng {
     /// A fair coin flip.
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
-    }
-
-    /// An independent child generator (forking keeps sibling draws
-    /// stable when one subtree changes how much randomness it uses).
-    pub fn fork(&mut self) -> TestRng {
-        TestRng::new(self.next_u64())
     }
 }
 

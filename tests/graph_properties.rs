@@ -1,9 +1,9 @@
 //! Property tests of the graph substrate: min-cut correctness on
-//! random flow networks (duality with disconnection, algorithm
-//! agreement, multicut soundness), on the `gmt-testkit` harness with
-//! fixed default seeds.
+//! random flow networks (duality with disconnection, minimality,
+//! multicut soundness), on the `gmt-testkit` harness with fixed default
+//! seeds.
 
-use gmt_graph::{multicut, Capacity, Commodity, FlowNetwork, MaxFlowAlgo, NodeId};
+use gmt_graph::{multicut, Capacity, Commodity, FlowNetwork, NodeId};
 use gmt_testkit::{prop_assert, prop_assert_eq, ranged, vec_of, Checker, Gen, Shrink};
 
 /// A random sparse network description: node count and weighted arcs.
@@ -86,9 +86,8 @@ fn reaches_without(net: &FlowNetwork, removed: &[gmt_graph::ArcId], s: NodeId, t
     false
 }
 
-/// Edmonds–Karp and Dinic compute the same max-flow value, and the
-/// extracted cut (a) sums to that value and (b) disconnects sink
-/// from source.
+/// The extracted cut (a) sums to the max-flow value and (b)
+/// disconnects sink from source.
 #[test]
 fn mincut_duality_and_disconnection() {
     Checker::new("graph_properties::mincut_duality_and_disconnection").cases(128).run(
@@ -97,13 +96,12 @@ fn mincut_duality_and_disconnection() {
             let net = build(desc);
             let s = NodeId(0);
             let t = NodeId((desc.nodes - 1) as u32);
-            let ek = net.min_cut_with(s, t, MaxFlowAlgo::EdmondsKarp);
-            let di = net.min_cut_with(s, t, MaxFlowAlgo::Dinic);
-            prop_assert_eq!(ek.value, di.value);
-            if ek.is_feasible() {
-                let total: Capacity = ek.arcs.iter().map(|&a| net.arc(a).capacity).sum();
-                prop_assert_eq!(total, ek.value);
-                prop_assert!(!reaches_without(&net, &ek.arcs, s, t), "cut must disconnect");
+            let cut = net.min_cut(s, t);
+            prop_assert_eq!(net.clone().max_flow(s, t), cut.value);
+            if cut.is_feasible() {
+                let total: Capacity = cut.arcs.iter().map(|&a| net.arc(a).capacity).sum();
+                prop_assert_eq!(total, cut.value);
+                prop_assert!(!reaches_without(&net, &cut.arcs, s, t), "cut must disconnect");
             }
             Ok(())
         },
