@@ -19,7 +19,7 @@
 //! the defining DSWP invariant, checked by
 //! [`is_pipeline`](crate::metrics::is_pipeline).
 
-use crate::cost::{to_partition, CostModel, Scratch, COMM_LATENCY};
+use crate::cost::{to_partition, CostModel, Live, SearchWork, COMM_LATENCY};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_ir::{Function, Profile};
@@ -68,19 +68,19 @@ pub fn partition(
     profile: &Profile,
     config: &DswpConfig,
 ) -> Result<Partition, SchedError> {
-    search(f, pdg, profile, config, true).map(|(_, p)| p)
+    search(f, pdg, profile, config, true).map(|((_, p), _)| p)
 }
 
-/// The search behind [`partition`], returning the winner's score too.
-/// `prune` is `true` outside tests: skipping candidates by their
-/// compute-weight bound never changes the result.
+/// The search behind [`partition`], returning the winner's score and
+/// the work it did too. `prune` is `true` outside tests: skipping
+/// candidates by their compute-weight bound never changes the result.
 fn search(
     f: &Function,
     pdg: &Pdg,
     profile: &Profile,
     config: &DswpConfig,
     prune: bool,
-) -> Result<(u64, Partition), SchedError> {
+) -> Result<((u64, Partition), SearchWork), SchedError> {
     if config.num_threads == 0 {
         return Err(SchedError::NoThreads);
     }
@@ -124,8 +124,13 @@ fn search(
         }
     };
 
-    let mut scratch = Scratch::default();
-    let mut thread_of = vec![0u32; f.num_instrs()];
+    // `live` holds the candidate last scored, whose stage `k` is
+    // `order[held[k].0..held[k].1]`: a survivor moves only the
+    // instructions whose stage differs from it.
+    let mut live = Live::new(&model, vec![0u32; f.num_instrs()], n);
+    let mut held = vec![(order.len(), order.len()); n];
+    held[0].0 = 0;
+    let mut work = SearchWork::default();
     let mut best: Option<(u64, Vec<u32>)> = None;
     for granularity in [None, Some(false), Some(true)] {
         // `starts[ci]` is the position in `order` where cluster `ci`
@@ -144,7 +149,7 @@ fn search(
         // Evaluate every contiguous cut of the sequence.
         for_each_cut_vector(&starts, n, |cuts| {
             // Stage `k` runs from its cut (the sequence start for stage
-            // 0) to the next stage's.
+            // 0) to the next stage's; a stage past the last cut is empty.
             let bounds = |k: usize| {
                 let at = |j: usize| cuts.get(j).map_or(order.len(), |&c| starts[c]);
                 (if k == 0 { 0 } else { at(k - 1) }, at(k))
@@ -158,28 +163,35 @@ fn search(
                     .max()
                     .unwrap_or(0);
                 if heaviest >= *best_score {
+                    work.pruned += 1;
                     return;
                 }
             }
-            for k in 0..=cuts.len() {
+            for (k, was) in held.iter_mut().enumerate() {
+                // What the stage's run gains: its parts before and after
+                // the run it held.
                 let (from, to) = bounds(k);
-                for &i in &order[from..to] {
-                    thread_of[i] = k as u32;
-                }
+                live.move_to(&order[from..to.min(was.0).max(from)], k as u32);
+                live.move_to(&order[from.max(was.1).min(to)..to], k as u32);
+                *was = (from, to);
             }
-            let s = model.eval(&thread_of, n, &mut scratch);
+            work.scored += 1;
+            let s = live.score();
             match &mut best {
                 Some((best_score, threads)) if s < *best_score => {
                     *best_score = s;
-                    threads.copy_from_slice(&thread_of);
+                    threads.copy_from_slice(live.thread_of());
                 }
                 Some(_) => {}
-                None => best = Some((s, thread_of.clone())),
+                None => best = Some((s, live.thread_of().to_vec())),
             }
         });
     }
     let (score, threads) = best.ok_or(SchedError::NoCandidates)?;
-    Ok((score, to_partition(pdg, &threads, config.num_threads)))
+    Ok((
+        (score, to_partition(pdg, &threads, config.num_threads)),
+        work,
+    ))
 }
 
 /// Enumerates pipeline shapes over a sequence of `starts.len() - 1`
@@ -254,6 +266,18 @@ mod tests {
     use super::*;
     use crate::metrics::is_pipeline;
     use gmt_ir::{BinOp, FunctionBuilder};
+
+    /// The winner [`super::search`] returns, without its work: what
+    /// pruning must leave alone.
+    fn search(
+        f: &Function,
+        pdg: &Pdg,
+        profile: &Profile,
+        config: &DswpConfig,
+        prune: bool,
+    ) -> Result<(u64, Partition), SchedError> {
+        super::search(f, pdg, profile, config, prune).map(|(best, _)| best)
+    }
 
     /// Classic DSWP loop: a cheap recurrence feeding an expensive pure
     /// consumer — the recurrence and the consumer must split cleanly.
@@ -366,5 +390,16 @@ mod tests {
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
             Ok(())
         });
+    }
+
+    /// Cut vectors scored and skipped by the bound, summed over the 11
+    /// catalog kernels at N = 2, 3, 4: a change to what the search
+    /// scores or prunes moves them.
+    #[test]
+    fn search_work_is_pinned_on_the_catalog() {
+        let work = crate::testutil::catalog_work(|f, pdg, profile, n| {
+            super::search(f, pdg, profile, &DswpConfig { num_threads: n }, true).map(|(_, w)| w)
+        });
+        assert_eq!(work, [(2, 352, 226), (3, 4032, 4336), (4, 7456, 2312)]);
     }
 }

@@ -29,7 +29,7 @@
 //! Unlike DSWP, nothing constrains dependences to flow forward: the
 //! chosen partition may have cyclic inter-thread dependences.
 
-use crate::cost::{to_partition, CostModel, Scratch, COMM_LATENCY};
+use crate::cost::{to_partition, CostModel, Live, SearchWork, COMM_LATENCY};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_graph::{Condensation, DiGraph, NodeId};
@@ -129,19 +129,19 @@ pub fn candidates(
     profile: &Profile,
     config: &GremioConfig,
 ) -> Result<Vec<(u64, Partition)>, SchedError> {
-    search(f, pdg, profile, config, true)
+    search(f, pdg, profile, config, true).map(|(cands, _)| cands)
 }
 
-/// The search behind [`candidates`]. `prune` is `true` outside tests:
-/// skipping hill-climb probes by their compute-load bound never changes
-/// the result.
+/// The search behind [`candidates`], with the work it did. `prune` is
+/// `true` outside tests: skipping hill-climb probes by their
+/// compute-load bound never changes the result.
 fn search(
     f: &Function,
     pdg: &Pdg,
     profile: &Profile,
     config: &GremioConfig,
     prune: bool,
-) -> Result<Vec<(u64, Partition)>, SchedError> {
+) -> Result<(Vec<(u64, Partition)>, SearchWork), SchedError> {
     if config.num_threads == 0 {
         return Err(SchedError::NoThreads);
     }
@@ -169,10 +169,10 @@ fn search(
         prune,
     };
 
-    let mut scratch = Scratch::default();
+    let mut work = SearchWork::default();
     let mut out: Vec<(u64, Partition)> = Vec::new();
     for gran in GRANULARITIES {
-        let (score, thread_of) = schedule(&cx, gran, &mut scratch);
+        let (score, thread_of) = schedule(&cx, gran, &mut work);
         let candidate = to_partition(pdg, &thread_of, config.num_threads);
         if !out.iter().any(|(_, p)| *p == candidate) {
             out.push((score, candidate));
@@ -182,10 +182,11 @@ fn search(
     let everything_on_0 = vec![0u32; f.num_instrs()];
     let single = to_partition(pdg, &everything_on_0, config.num_threads);
     if !out.iter().any(|(_, p)| *p == single) {
-        let score = model.eval(&everything_on_0, config.num_threads as usize, &mut scratch);
+        let score = Live::new(&model, everything_on_0, config.num_threads as usize).score();
+        work.scored += 1;
         out.push((score, single));
     }
-    Ok(out)
+    Ok((out, work))
 }
 
 /// What the schedules of all granularities share.
@@ -204,7 +205,7 @@ struct Context<'a> {
 
 /// Builds, list-schedules and hill-climbs one candidate clustering;
 /// returns its score and the thread of every instruction (by index).
-fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64, Vec<u32>) {
+fn schedule(cx: &Context<'_>, gran: Granularity, work: &mut SearchWork) -> (u64, Vec<u32>) {
     let Context { f, pdg, config, weights, model, cond, scc_of, prune } = *cx;
     let (loops, cdeps) = (pdg.loops(), pdg.control_deps());
     let n = config.num_threads as usize;
@@ -333,8 +334,8 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
     // one thread; decoupled execution overlaps stages across outer
     // iterations (pipeline parallelism), which the throughput-style
     // score captures. Move clusters between threads while the score
-    // improves. `thread_of` and `load` (per-thread compute weight)
-    // follow `assignment` by delta per move.
+    // improves. `load` (per-thread compute weight) follows `assignment`
+    // by delta per probe, `live` by delta per scored probe.
     let mut thread_of = vec![0u32; f.num_instrs()];
     let mut load = vec![0u64; n];
     for c in 0..m {
@@ -343,8 +344,10 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
         }
         load[assignment[c] as usize] += cluster_weight[c];
     }
-    let mut current_score = model.eval(&thread_of, n, scratch);
-    let mut current = thread_of.clone();
+    let mut live = Live::new(model, thread_of, n);
+    let mut current_score = live.score();
+    work.scored += 1;
+    let mut current = live.thread_of().to_vec();
     let mut improved = true;
     while improved {
         improved = false;
@@ -356,7 +359,7 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
             // `assignment` (the base later probes start from) lags
             // `current` (what is returned, and what `current_score`
             // scores). Repairing it changes N=4 partitions; see
-            // DESIGN.md "Partitioner search cost" and ROADMAP item 5.
+            // DESIGN.md "Partitioner search cost" and ROADMAP item 3.
             let original = assignment[c];
             let w = cluster_weight[c];
             for t in 0..n as u32 {
@@ -371,26 +374,27 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
                 // cannot score strictly less.
                 let bounded = prune && load.iter().any(|&l| l >= current_score);
                 let score = if bounded {
+                    work.pruned += 1;
                     u64::MAX
                 } else {
-                    for &i in &members[c] {
-                        thread_of[i] = t;
-                    }
-                    model.eval(&thread_of, n, scratch)
+                    work.scored += 1;
+                    live.move_to(&members[c], t);
+                    live.score()
                 };
                 if score < current_score {
                     current_score = score;
-                    current.copy_from_slice(&thread_of);
+                    current.copy_from_slice(live.thread_of());
                     improved = true;
                 } else {
                     load[t as usize] -= w;
                     load[original as usize] += w;
                     assignment[c] = original;
-                    for &i in &members[c] {
-                        thread_of[i] = original;
-                    }
                 }
             }
+            // `live` keeps `c` wherever the last scored probe put it (the
+            // next probe moves it anyway) and settles it on its final
+            // thread, quirk included, once.
+            live.move_to(&members[c], assignment[c]);
         }
     }
     (current_score, current)
@@ -400,6 +404,18 @@ fn schedule(cx: &Context<'_>, gran: Granularity, scratch: &mut Scratch) -> (u64,
 mod tests {
     use super::*;
     use gmt_ir::{BinOp, FunctionBuilder};
+
+    /// The candidates [`super::search`] returns, without its work: what
+    /// pruning must leave alone.
+    fn search(
+        f: &Function,
+        pdg: &Pdg,
+        profile: &Profile,
+        config: &GremioConfig,
+        prune: bool,
+    ) -> Result<Vec<(u64, Partition)>, SchedError> {
+        super::search(f, pdg, profile, config, prune).map(|(cands, _)| cands)
+    }
 
     /// Two independent reduction loops over disjoint arrays — ideal for
     /// GREMIO: each loop goes to its own thread, no communication in
@@ -563,5 +579,16 @@ mod tests {
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
             Ok(())
         });
+    }
+
+    /// Probes scored and skipped by the bound, summed over the 11
+    /// catalog kernels at N = 2, 3, 4: a change to what the search
+    /// scores or prunes moves them.
+    #[test]
+    fn search_work_is_pinned_on_the_catalog() {
+        let work = crate::testutil::catalog_work(|f, pdg, profile, n| {
+            super::search(f, pdg, profile, &GremioConfig { num_threads: n }, true).map(|(_, w)| w)
+        });
+        assert_eq!(work, [(2, 2476, 91), (3, 3446, 386), (4, 5193, 432)]);
     }
 }

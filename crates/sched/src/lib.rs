@@ -82,11 +82,37 @@ impl std::error::Error for SchedError {}
 
 #[cfg(test)]
 mod testutil {
+    use crate::cost::SearchWork;
+    use crate::SchedError;
     use gmt_integration_tests::{compile, program_gen};
     use gmt_ir::interp::{run, ExecConfig};
     use gmt_ir::{Function, Profile};
     use gmt_pdg::Pdg;
     use gmt_testkit::{Checker, PropResult};
+
+    /// `(N, scored, pruned)` of `search` summed over the 11 catalog
+    /// kernels under their train profiles, for N ∈ {2,3,4}.
+    pub(crate) fn catalog_work(
+        search: impl Fn(&Function, &Pdg, &Profile, u32) -> Result<SearchWork, SchedError>,
+    ) -> [(u32, u64, u64); 3] {
+        let kernels: Vec<_> = gmt_workloads::catalog()
+            .into_iter()
+            .map(|w| {
+                let profile = w.run_train().expect("train run").profile;
+                let pdg = Pdg::build(&w.function);
+                (w.function, pdg, profile)
+            })
+            .collect();
+        [2, 3, 4].map(|n| {
+            let (mut scored, mut pruned) = (0, 0);
+            for (f, pdg, profile) in &kernels {
+                let work = search(f, pdg, profile, n).expect("search");
+                scored += work.scored;
+                pruned += work.pruned;
+            }
+            (n, scored, pruned)
+        })
+    }
 
     /// Runs `prop` on the 11 catalog kernels under their train profiles
     /// and on 200 generated functions under the profile of one

@@ -7,27 +7,10 @@
 //! cover N ∈ {2,4} and only the candidate that survives arbitration;
 //! this covers every candidate and N=3.
 
-use gmt_ir::Function;
-use gmt_pdg::{Partition, Pdg};
+use gmt_integration_tests::structural_hash;
+use gmt_pdg::Pdg;
 use gmt_sched::{dswp, gremio};
 use std::fmt::Write;
-
-/// FNV-1a over `(instruction id, thread)` in layout order: equal
-/// exactly when every instruction sits on the same thread.
-fn structural_hash(f: &Function, p: &Partition) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u32| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(p.num_threads());
-    for i in f.all_instrs() {
-        mix(i.0);
-        mix(p.thread_of(i).0);
-    }
-    h
-}
 
 fn render() -> String {
     let mut out = String::new();

@@ -278,6 +278,24 @@ pub fn seeded_partition(f: &Function, n: u32, seed: u64) -> gmt_pdg::Partition {
     p
 }
 
+/// FNV-1a over `(instruction id, thread)` in layout order: equal
+/// exactly when every instruction sits on the same thread. The
+/// partition goldens pin it.
+pub fn structural_hash(f: &Function, p: &gmt_pdg::Partition) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u32| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(p.num_threads());
+    for i in f.all_instrs() {
+        mix(i.0);
+        mix(p.thread_of(i).0);
+    }
+    h
+}
+
 /// A partition assigning whole blocks to threads by seed.
 pub fn block_partition(f: &Function, n: u32, seed: u64) -> gmt_pdg::Partition {
     let mut p = gmt_pdg::Partition::new(n);
