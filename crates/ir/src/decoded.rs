@@ -23,7 +23,9 @@
 
 use crate::function::Function;
 use crate::instr::Op;
-use crate::interp::{BlockedOp, ExecError, Memory, MemoryLayout, QueueAccess, StepOutcome, Thread};
+use crate::interp::{
+    BlockedOp, DynCounts, ExecError, Memory, MemoryLayout, QueueAccess, Stop, Thread,
+};
 use crate::types::{AddrMode, BinOp, BlockId, InstrId, Operand, QueueId, Reg, UnOp};
 
 /// One pre-decoded instruction: operands inline, control-flow targets
@@ -308,6 +310,11 @@ impl DecodedFunction {
         self.ops.len()
     }
 
+    /// Number of blocks: the last slot belongs to the last block.
+    pub(crate) fn num_blocks(&self) -> usize {
+        self.block.last().map_or(0, |b| b.index() + 1)
+    }
+
     /// The pc of the entry block's first instruction.
     pub fn entry_pc(&self) -> u32 {
         self.entry_pc
@@ -528,19 +535,17 @@ pub(crate) struct DecodedThread<'a> {
     pc: u32,
 }
 
-impl DecodedThread<'_> {
-    #[inline]
-    fn operand(&self, o: Operand) -> i64 {
-        match o {
-            Operand::Reg(r) => self.regs[r.index()],
-            Operand::Imm(v) => v,
-        }
+#[inline]
+fn value(regs: &[i64], o: Operand) -> i64 {
+    match o {
+        Operand::Reg(r) => regs[r.index()],
+        Operand::Imm(v) => v,
     }
+}
 
-    #[inline]
-    fn addr(&self, a: AddrMode) -> i64 {
-        self.regs[a.base.index()].wrapping_add(a.offset)
-    }
+#[inline]
+fn address(regs: &[i64], a: AddrMode) -> i64 {
+    regs[a.base.index()].wrapping_add(a.offset)
 }
 
 impl<'a> Thread<'a> for DecodedThread<'a> {
@@ -563,69 +568,115 @@ impl<'a> Thread<'a> for DecodedThread<'a> {
         self.d.op(self.pc).queue_op()
     }
 
-    /// Executes one decoded instruction (or reports a queue block) —
-    /// the flat-stream mirror of `ThreadState::step`.
+    /// One flat loop over the stream. The pc and the fuel left live in
+    /// locals and are written back once, when the run stops, with the
+    /// computation count they imply; communication and synchronization
+    /// are counted where they execute.
     #[inline]
-    fn step<Q: QueueAccess>(
+    fn run<Q: QueueAccess, E: FnMut(BlockId, BlockId)>(
         &mut self,
         memory: &mut Memory,
         output: &mut Vec<i64>,
         queues: &mut Q,
-    ) -> Result<StepOutcome, ExecError> {
+        fuel: &mut u64,
+        counts: &mut DynCounts,
+        on_edge: &mut E,
+    ) -> Result<Stop, ExecError> {
         let d = self.d;
-        let mut kind = InstrKind::Computation;
-        match d.op(self.pc) {
-            DecodedOp::Const(dst, v) => self.regs[dst.index()] = v,
-            DecodedOp::LeaAbs(dst, addr) => self.regs[dst.index()] = addr,
-            DecodedOp::Bin(op, dst, a, b) => {
-                self.regs[dst.index()] = op.eval(self.operand(a), self.operand(b));
+        let (ops, regs) = (&d.ops[..], &mut self.regs[..]);
+        let mut pc = self.pc as usize;
+        let mut left = *fuel;
+        let communicated = counts.comm_total();
+        let stop = loop {
+            if left == 0 {
+                return Err(ExecError::OutOfFuel);
             }
-            DecodedOp::Un(op, dst, a) => self.regs[dst.index()] = op.eval(self.operand(a)),
-            DecodedOp::Load(dst, a) => self.regs[dst.index()] = memory.read(self.addr(a))?,
-            DecodedOp::Store(a, v) => memory.write(self.addr(a), self.operand(v))?,
-            DecodedOp::Output(v) => output.push(self.operand(v)),
-            DecodedOp::Branch { cond, then_pc, else_pc, .. } => {
-                let from = d.block(self.pc);
-                self.pc = if self.regs[cond.index()] != 0 { then_pc } else { else_pc };
-                return Ok(StepOutcome::TookEdge(from, d.block(self.pc)));
-            }
-            DecodedOp::Jump(t) => {
-                let from = d.block(self.pc);
-                self.pc = t;
-                return Ok(StepOutcome::TookEdge(from, d.block(t)));
-            }
-            DecodedOp::Ret(v) => return Ok(StepOutcome::Returned(v.map(|o| self.operand(o)))),
-            DecodedOp::Produce { queue, value } => {
-                if !queues.try_produce(queue.index(), self.operand(value), d.src(self.pc))? {
-                    return Ok(StepOutcome::Blocked);
+            // A straight-line op falls through to `pc + 1`, which is
+            // always a slot: every block ends in its terminator's slot,
+            // `Unterminated` standing in for a missing terminator.
+            pc = match ops[pc] {
+                DecodedOp::Const(dst, v) => {
+                    regs[dst.index()] = v;
+                    pc + 1
                 }
-                kind = InstrKind::Communication;
-            }
-            DecodedOp::Consume { dst, queue } => {
-                match queues.try_consume(queue.index(), d.src(self.pc))? {
-                    Some(v) => self.regs[dst.index()] = v,
-                    None => return Ok(StepOutcome::Blocked),
+                DecodedOp::LeaAbs(dst, addr) => {
+                    regs[dst.index()] = addr;
+                    pc + 1
                 }
-                kind = InstrKind::Communication;
-            }
-            DecodedOp::ProduceSync { queue } => {
-                if !queues.try_produce(queue.index(), 1, d.src(self.pc))? {
-                    return Ok(StepOutcome::Blocked);
+                DecodedOp::Bin(op, dst, a, b) => {
+                    regs[dst.index()] = op.eval(value(regs, a), value(regs, b));
+                    pc + 1
                 }
-                kind = InstrKind::Synchronization;
-            }
-            DecodedOp::ConsumeSync { queue } => {
-                if queues.try_consume(queue.index(), d.src(self.pc))?.is_none() {
-                    return Ok(StepOutcome::Blocked);
+                DecodedOp::Un(op, dst, a) => {
+                    regs[dst.index()] = op.eval(value(regs, a));
+                    pc + 1
                 }
-                kind = InstrKind::Synchronization;
-            }
-            DecodedOp::Nop => {}
-            DecodedOp::Unterminated => return Err(crate::interp::unterminated(d.block(self.pc))),
-        }
-        // Every straight-line op falls through to the next slot.
-        self.pc += 1;
-        Ok(StepOutcome::Continue(kind))
+                DecodedOp::Load(dst, a) => {
+                    regs[dst.index()] = memory.read(address(regs, a))?;
+                    pc + 1
+                }
+                DecodedOp::Store(a, v) => {
+                    memory.write(address(regs, a), value(regs, v))?;
+                    pc + 1
+                }
+                DecodedOp::Output(v) => {
+                    output.push(value(regs, v));
+                    pc + 1
+                }
+                DecodedOp::Branch { cond, then_pc, else_pc, .. } => {
+                    let to = if regs[cond.index()] != 0 { then_pc } else { else_pc } as usize;
+                    on_edge(d.block[pc], d.block[to]);
+                    to
+                }
+                DecodedOp::Jump(to) => {
+                    let to = to as usize;
+                    on_edge(d.block[pc], d.block[to]);
+                    to
+                }
+                DecodedOp::Ret(v) => {
+                    left -= 1;
+                    break Stop::Returned(v.map(|o| value(regs, o)));
+                }
+                DecodedOp::Produce { queue, value: v } => {
+                    if !queues.try_produce(queue.index(), value(regs, v), d.src[pc])? {
+                        break Stop::Blocked;
+                    }
+                    counts.communication += 1;
+                    pc + 1
+                }
+                DecodedOp::Consume { dst, queue } => {
+                    let Some(v) = queues.try_consume(queue.index(), d.src[pc])? else {
+                        break Stop::Blocked;
+                    };
+                    regs[dst.index()] = v;
+                    counts.communication += 1;
+                    pc + 1
+                }
+                DecodedOp::ProduceSync { queue } => {
+                    if !queues.try_produce(queue.index(), 1, d.src[pc])? {
+                        break Stop::Blocked;
+                    }
+                    counts.synchronization += 1;
+                    pc + 1
+                }
+                DecodedOp::ConsumeSync { queue } => {
+                    if queues.try_consume(queue.index(), d.src[pc])?.is_none() {
+                        break Stop::Blocked;
+                    }
+                    counts.synchronization += 1;
+                    pc + 1
+                }
+                DecodedOp::Nop => pc + 1,
+                DecodedOp::Unterminated => return Err(crate::interp::unterminated(d.block[pc])),
+            };
+            left -= 1;
+        };
+        self.pc = pc as u32;
+        // Every instruction executed took one unit of fuel; those that
+        // communicated were counted as they executed, the rest computed.
+        counts.computation += (*fuel - left) - (counts.comm_total() - communicated);
+        *fuel = left;
+        Ok(stop)
     }
 }
 

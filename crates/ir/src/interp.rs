@@ -6,12 +6,16 @@
 //! ID-walking stepper, which the `decoded_equivalence` tests hold
 //! byte-identical to the decoded path.
 //!
-//! There is no single-threaded execution loop: every entry point here
-//! is the multi-threaded driver (`interp_mt::drive`) with one thread,
-//! `NoQueues` and an edge observer that fills the [`Profile`]. The
-//! two code forms meet only at the `Thread` trait, so what decoded ≡
-//! reference compares is the decoder and the two steppers; the
-//! round-robin, fuel and deadlock logic is shared by construction.
+//! There is no single-threaded scheduler: every entry point here hands
+//! the multi-threaded one (`interp_mt::drive`) one thread, `NoQueues`
+//! and an edge observer that fills the [`Profile`], and since nothing
+//! can block that thread, the run is one `Thread::run` from entry to
+//! `ret`. Each code form executes its own loop: the decoded form one
+//! flat loop over the stream, the reference form one step at a time.
+//! Each charges its own fuel and counts its own instructions, so
+//! decoded ≡ reference compares the decoder, both loops and both
+//! classifications; only the run order and the deadlock witness are
+//! shared.
 
 use crate::decoded::{DecodedFunction, DecodedThread, InstrKind};
 use crate::function::Function;
@@ -112,6 +116,7 @@ impl Memory {
     /// # Errors
     ///
     /// [`ExecError::MemoryFault`] if out of bounds.
+    #[inline]
     pub fn read(&self, addr: i64) -> Result<i64, ExecError> {
         self.cells
             .get(usize::try_from(addr).map_err(|_| ExecError::MemoryFault { addr })?)
@@ -124,6 +129,7 @@ impl Memory {
     /// # Errors
     ///
     /// [`ExecError::MemoryFault`] if out of bounds.
+    #[inline]
     pub fn write(&mut self, addr: i64, value: i64) -> Result<(), ExecError> {
         let idx = usize::try_from(addr).map_err(|_| ExecError::MemoryFault { addr })?;
         match self.cells.get_mut(idx) {
@@ -316,7 +322,7 @@ pub fn run_decoded_with_memory(
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &ExecConfig,
 ) -> Result<RunResult, ExecError> {
-    run_single::<DecodedThread>(d, d.layout(), args, init, config)
+    run_single::<DecodedThread>(d, d.layout(), d.num_blocks(), args, init, config)
 }
 
 /// The ID-walking reference executor ([`run_with_memory`] without
@@ -331,14 +337,16 @@ pub fn run_with_memory_reference(
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &ExecConfig,
 ) -> Result<RunResult, ExecError> {
-    run_single::<ThreadState>(f, &MemoryLayout::of(f), args, init, config)
+    run_single::<ThreadState>(f, &MemoryLayout::of(f), f.num_blocks(), args, init, config)
 }
 
 /// A single-threaded run is a multi-threaded run of one thread that has
-/// no queues, with the edge observer filling the profile.
+/// no queues, with the edge observer filling the profile: one
+/// [`Thread::run`] to `ret`, fuel or a fault.
 fn run_single<'a, T: Thread<'a>>(
     code: &'a T::Code,
     layout: &'a MemoryLayout,
+    blocks: usize,
     args: &[i64],
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &ExecConfig,
@@ -346,7 +354,7 @@ fn run_single<'a, T: Thread<'a>>(
     let mut memory = Memory::for_layout(layout)?;
     init(layout, &mut memory);
     let mut thread = [Running::new(T::start(code, args, layout)?)];
-    let mut edges = EdgeCounts::default();
+    let mut edges = EdgeCounts::new(blocks);
     let on_edge = |from, to| edges.count(from, to);
     let (return_value, output) =
         drive(&mut thread, &mut memory, &mut NoQueues, config, on_edge)?;
@@ -354,9 +362,9 @@ fn run_single<'a, T: Thread<'a>>(
     Ok(RunResult { return_value, output, counts, profile: edges.into_profile(), memory })
 }
 
-/// Queue access used by [`Thread::step`]; single-threaded runs use
+/// Queue access used by [`Thread::run`]; single-threaded runs use
 /// [`NoQueues`], the multi-threaded interpreter supplies real queues.
-/// `instr` is the stepping instruction, for the error a bad access
+/// `instr` is the executing instruction, for the error a bad access
 /// reports.
 pub(crate) trait QueueAccess {
     /// Attempts to push; `Ok(true)` on success, `Ok(false)` when full.
@@ -378,13 +386,10 @@ impl QueueAccess for NoQueues {
     }
 }
 
-/// What one interpreter step did.
-pub(crate) enum StepOutcome {
-    /// Executed a straight-line instruction of the given kind.
-    Continue(InstrKind),
-    /// Executed a terminator, traversing the given CFG edge.
-    TookEdge(BlockId, BlockId),
-    /// Blocked on a queue; the program counter did not advance.
+/// Why a [`Thread::run`] stopped without an error.
+pub(crate) enum Stop {
+    /// Blocked on a queue; the program counter stays on the blocking
+    /// op.
     Blocked,
     /// Executed `ret`.
     Returned(Option<i64>),
@@ -394,7 +399,8 @@ pub(crate) enum StepOutcome {
 /// [`drive`] needs of it. The two implementations — [`DecodedThread`]
 /// over the flat stream, [`ThreadState`] walking block and instruction
 /// ids — share nothing below this trait, which is what the
-/// decoded ≡ reference comparison relies on.
+/// decoded ≡ reference comparison relies on: each keeps its own fuel
+/// and its own count of what it executed.
 pub(crate) trait Thread<'a>: Sized {
     /// The code form the thread executes.
     type Code;
@@ -406,17 +412,44 @@ pub(crate) trait Thread<'a>: Sized {
         layout: &'a MemoryLayout,
     ) -> Result<Self, ExecError>;
 
-    /// Executes one instruction (or reports a queue block).
-    fn step<Q: QueueAccess>(
+    /// Executes instructions until the thread blocks on a queue or
+    /// executes `ret`. Each executed instruction takes one unit of
+    /// `fuel` and is added to `counts` by its kind (`ret` and every
+    /// branch and jump are computation); a poll that finds its queue
+    /// blocked executes nothing and costs nothing. `on_edge` sees every
+    /// CFG edge a branch or jump takes.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::OutOfFuel`] when `fuel` is 0 before an instruction,
+    /// including a poll, and whatever fault an instruction raises. An
+    /// error ends the whole execution: nothing reads `fuel`, `counts`
+    /// or the thread after one.
+    fn run<Q: QueueAccess, E: FnMut(BlockId, BlockId)>(
         &mut self,
         memory: &mut Memory,
         output: &mut Vec<i64>,
         queues: &mut Q,
-    ) -> Result<StepOutcome, ExecError>;
+        fuel: &mut u64,
+        counts: &mut DynCounts,
+        on_edge: &mut E,
+    ) -> Result<Stop, ExecError>;
 
     /// The queue the next instruction addresses and the direction it
     /// blocks in, when it is a communication instruction.
     fn next_queue_op(&self) -> Option<(QueueId, BlockedOp)>;
+}
+
+/// What one step of the reference stepper did.
+enum StepOutcome {
+    /// Executed a straight-line instruction of the given kind.
+    Continue(InstrKind),
+    /// Executed a terminator, traversing the given CFG edge.
+    TookEdge(BlockId, BlockId),
+    /// Blocked on a queue; the program counter did not advance.
+    Blocked,
+    /// Executed `ret`.
+    Returned(Option<i64>),
 }
 
 /// Architectural state of one thread walking a [`Function`] by block
@@ -491,6 +524,46 @@ impl<'a> Thread<'a> for ThreadState<'a> {
         Some((op.queue()?, blocked))
     }
 
+    /// One [`ThreadState::step`] at a time, with the fuel and count
+    /// rules applied to each outcome.
+    fn run<Q: QueueAccess, E: FnMut(BlockId, BlockId)>(
+        &mut self,
+        memory: &mut Memory,
+        output: &mut Vec<i64>,
+        queues: &mut Q,
+        fuel: &mut u64,
+        counts: &mut DynCounts,
+        on_edge: &mut E,
+    ) -> Result<Stop, ExecError> {
+        loop {
+            if *fuel == 0 {
+                return Err(ExecError::OutOfFuel);
+            }
+            let kind = match self.step(memory, output, queues)? {
+                StepOutcome::Blocked => return Ok(Stop::Blocked),
+                StepOutcome::Continue(kind) => kind,
+                StepOutcome::TookEdge(from, to) => {
+                    on_edge(from, to);
+                    InstrKind::Computation
+                }
+                StepOutcome::Returned(v) => {
+                    *fuel -= 1;
+                    counts.computation += 1;
+                    return Ok(Stop::Returned(v));
+                }
+            };
+            *fuel -= 1;
+            match kind {
+                InstrKind::Computation => counts.computation += 1,
+                InstrKind::Communication => counts.communication += 1,
+                InstrKind::Synchronization => counts.synchronization += 1,
+            }
+        }
+    }
+}
+
+impl ThreadState<'_> {
+    /// Executes one instruction (or reports a queue block).
     fn step<Q: QueueAccess>(
         &mut self,
         memory: &mut Memory,

@@ -7,21 +7,27 @@
 //! synchronization instructions exactly, independent of timing. The
 //! cycle-accurate model lives in the `gmt-sim` crate.
 //!
-//! Scheduling is deterministic round-robin (one instruction per
-//! runnable thread per round). Any correctly synchronized program
-//! produces the same memory/output/return results under every
-//! interleaving; determinism here just makes tests reproducible.
+//! Scheduling is deterministic: in each round every unfinished thread,
+//! in index order, runs until it blocks on a queue or returns. This is
+//! exact because produce and consume are blocking FIFOs: any correctly
+//! synchronized program executes the same instructions, produces the
+//! same memory/output/return results and counts, and deadlocks at the
+//! same point under every interleaving, so the scheduler may pick the
+//! cheapest one — the one that switches threads only when one must
+//! wait. The interpreter ↔ simulator edge of the fuzz oracle holds
+//! these counts to a machine that interleaves cycle by cycle.
 //!
-//! `drive` is the only functional execution loop of the crate. The
-//! decoded and the ID-walking reference entry points, here and in
-//! [`crate::interp`] (one thread, no queues), differ in the
-//! `Thread` implementation they hand it and in nothing else.
+//! `drive` is the only functional scheduler of the crate. The decoded
+//! and the ID-walking reference entry points, here and in
+//! [`crate::interp`] (one thread, no queues), differ in the `Thread`
+//! implementation they hand it: each executes, charges fuel and counts
+//! in its own loop.
 
-use crate::decoded::{DecodedProgram, DecodedThread, InstrKind};
+use crate::decoded::{DecodedProgram, DecodedThread};
 use crate::function::Function;
 use crate::interp::{
     check_queue_id, DeadlockInfo, DynCounts, ExecConfig, ExecError, Memory, MemoryLayout,
-    QueueAccess, StepOutcome, Thread, ThreadState,
+    QueueAccess, Stop, Thread, ThreadState,
 };
 use crate::types::{BlockId, InstrId};
 use std::collections::VecDeque;
@@ -66,6 +72,7 @@ fn queue_file(threads: usize, config: &QueueConfig) -> Result<Queues, ExecError>
 }
 
 impl QueueAccess for Queues {
+    #[inline]
     fn try_produce(&mut self, queue: usize, value: i64, instr: InstrId) -> Result<bool, ExecError> {
         let q = self.queues.get_mut(queue).ok_or(ExecError::BadQueue(instr))?;
         if q.len() >= self.capacity {
@@ -76,6 +83,7 @@ impl QueueAccess for Queues {
         }
     }
 
+    #[inline]
     fn try_consume(&mut self, queue: usize, instr: InstrId) -> Result<Option<i64>, ExecError> {
         let q = self.queues.get_mut(queue).ok_or(ExecError::BadQueue(instr))?;
         Ok(q.pop_front())
@@ -204,24 +212,29 @@ impl<T> Running<T> {
     }
 }
 
-/// The one functional execution loop: `threads` over one shared
-/// `memory`, round-robin, one instruction per unfinished thread per
-/// round, until all have returned. Yields the return value and the
-/// merged output trace. `max_steps` bounds the instructions executed
-/// over all threads; a poll that finds its queue blocked executes
-/// nothing and costs nothing. `on_edge` sees every CFG edge taken.
+/// The one functional scheduler: `threads` over one shared `memory`,
+/// in rounds, each of which runs every unfinished thread in index order
+/// until it blocks or returns ([`Thread::run`]), until all have
+/// returned. Yields the return value and the merged output trace.
+/// `max_steps` bounds the instructions executed over all threads; a
+/// poll that finds its queue blocked executes nothing and costs
+/// nothing. `on_edge` sees every CFG edge taken.
 ///
-/// The threads are the caller's so that a single-threaded run can keep
-/// its one thread on the stack: inlined there, the thread loop unrolls
-/// (a plain `for` with `continue` does, a `.filter()` adapter did not),
-/// the thread state lives in registers and what is left is the
-/// fetch-step-count loop of a sequential interpreter.
+/// Running a thread until it blocks is exact, not an approximation of
+/// an instruction-by-instruction interleaving: a produce or consume
+/// blocks exactly when its FIFO is full or empty, and a thread sees
+/// its peers only through those FIFOs and memory that a correctly
+/// synchronized program orders by them. Every interleaving therefore
+/// executes the same instructions with the same values, and a
+/// deadlock blocks every thread on the same op. Only a faulting run
+/// can tell orders apart: which fault it reports, or whether fuel ran
+/// out before the fault, can depend on which thread ran first.
 ///
 /// # Errors
 ///
-/// [`ExecError::Deadlock`] when a round moves no thread,
+/// [`ExecError::Deadlock`] when a round executes no instruction,
 /// [`ExecError::OutOfFuel`] past the budget, and whatever
-/// [`Thread::step`] reports.
+/// [`Thread::run`] reports.
 #[inline]
 pub(crate) fn drive<'a, T: Thread<'a>, Q: QueueAccess>(
     threads: &mut [Running<T>],
@@ -236,39 +249,24 @@ pub(crate) fn drive<'a, T: Thread<'a>, Q: QueueAccess>(
     let mut live = threads.len();
 
     while live > 0 {
-        let mut any_progress = false;
+        // Fuel falls by one per instruction executed, so a round that
+        // leaves it where it was moved no thread.
+        let round_fuel = fuel;
         for t in threads.iter_mut() {
             if t.finished {
                 continue;
             }
-            if fuel == 0 {
-                return Err(ExecError::OutOfFuel);
-            }
-            let kind = match t.thread.step(memory, &mut output, queues)? {
-                StepOutcome::Blocked => continue,
-                StepOutcome::Continue(kind) => kind,
-                StepOutcome::TookEdge(from, to) => {
-                    on_edge(from, to);
-                    InstrKind::Computation
+            let stop =
+                t.thread.run(memory, &mut output, queues, &mut fuel, &mut t.counts, &mut on_edge)?;
+            if let Stop::Returned(v) = stop {
+                t.finished = true;
+                live -= 1;
+                if v.is_some() {
+                    return_value = v;
                 }
-                StepOutcome::Returned(v) => {
-                    t.finished = true;
-                    live -= 1;
-                    if v.is_some() {
-                        return_value = v;
-                    }
-                    InstrKind::Computation
-                }
-            };
-            fuel -= 1;
-            any_progress = true;
-            match kind {
-                InstrKind::Computation => t.counts.computation += 1,
-                InstrKind::Communication => t.counts.communication += 1,
-                InstrKind::Synchronization => t.counts.synchronization += 1,
             }
         }
-        if !any_progress {
+        if fuel == round_fuel {
             return Err(ExecError::Deadlock(deadlock_info(threads)));
         }
     }
@@ -277,7 +275,7 @@ pub(crate) fn drive<'a, T: Thread<'a>, Q: QueueAccess>(
 
 /// Attributes a deadlock to the first unfinished thread (every
 /// unfinished thread is blocked on its next queue operation when a
-/// round makes no progress).
+/// round executes nothing).
 fn deadlock_info<'a, T: Thread<'a>>(threads: &[Running<T>]) -> Option<DeadlockInfo> {
     let core = threads.iter().position(|t| !t.finished)?;
     let (queue, op) = threads[core].thread.next_queue_op()?;
@@ -404,9 +402,10 @@ mod tests {
         let qc = QueueConfig { num_queues: 2, capacity: 1 };
         // Both executors reject the misallocated queue id before any
         // thread takes a step.
-        let err = run_mt(&[f.clone()], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let threads = std::slice::from_ref(&f);
+        let err = run_mt(threads, &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::InvalidConfig(_)));
-        let err = run_mt_reference(&[f], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let err = run_mt_reference(threads, &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::InvalidConfig(_)));
     }
 
@@ -431,21 +430,22 @@ mod tests {
         let b = FunctionBuilder::new("stub");
         let f = b.finish_unverified(); // entry block, no terminator
         let qc = QueueConfig::default();
-        let err = run_mt(&[f.clone()], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let threads = std::slice::from_ref(&f);
+        let err = run_mt(threads, &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "decoded: {err:?}"
         );
-        let err = run_mt_reference(&[f], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let err = run_mt_reference(threads, &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "reference: {err:?}"
         );
     }
 
-    /// The fuel, deadlock and no-queues boundaries, with the entry point
-    /// as the input: whatever holds at a decoded entry point holds at
-    /// its reference twin, to the instruction.
+    /// The fuel, deadlock, fault and no-queues boundaries, with the
+    /// entry point as the input: whatever holds at a decoded entry point
+    /// holds at its reference twin, to the instruction.
     #[test]
     fn boundaries_hold_at_every_entry_point() {
         use crate::interp::{run_with_memory, run_with_memory_reference, RunResult};
@@ -538,6 +538,119 @@ mod tests {
                 "{name}"
             );
         }
+
+        // At capacity 32 a producer of 40 values runs ahead of its
+        // consumer and fills the queue. The budget is still exactly the
+        // instructions executed; one less runs out with both threads
+        // unfinished, whatever stretch of a thread it lands in.
+        let deep = QueueConfig { num_queues: 4, capacity: 32 };
+        let mut p = FunctionBuilder::new("producer");
+        counted_loop(&mut p, 40, |p, i| {
+            p.emit(Op::Produce { queue: there, value: i.into() });
+        });
+        p.ret(None);
+        let threads = [p.finish().unwrap(), summer(40)];
+        let expected = [
+            DynCounts { computation: 165, communication: 40, synchronization: 0 },
+            DynCounts { computation: 206, communication: 40, synchronization: 0 },
+        ];
+        let total: u64 = expected.iter().map(DynCounts::total).sum();
+        for (name, run) in mt {
+            let r = run(&threads, &deep, &ExecConfig { max_steps: total }).expect(name);
+            assert_eq!(r.return_value, Some((0..40).sum()), "{name}");
+            assert_eq!(r.per_thread, expected, "{name}");
+            let short = run(&threads, &deep, &ExecConfig { max_steps: total - 1 });
+            assert_eq!(short.unwrap_err(), ExecError::OutOfFuel, "{name}");
+        }
+
+        // A deadlock both threads reach only after exchanging a value:
+        // `left` then waits on a queue nobody feeds and `right` on a
+        // queue nobody drains. The witness is still the first thread.
+        let (fed, drained) = (QueueId(2), QueueId(3));
+        let mut left = FunctionBuilder::new("left");
+        left.emit(Op::Produce { queue: there, value: 1i64.into() });
+        let a = left.fresh_reg();
+        left.emit(Op::Consume { dst: a, queue: back });
+        let c = left.fresh_reg();
+        left.emit(Op::Consume { dst: c, queue: fed });
+        left.ret(Some(c.into()));
+        let mut right = FunctionBuilder::new("right");
+        let x = right.fresh_reg();
+        right.emit(Op::Consume { dst: x, queue: there });
+        let y = right.bin(BinOp::Mul, x, 2i64);
+        right.emit(Op::Produce { queue: back, value: y.into() });
+        right.emit(Op::Produce { queue: drained, value: y.into() });
+        right.emit(Op::Produce { queue: drained, value: y.into() });
+        right.ret(None);
+        let threads = [left.finish().unwrap(), right.finish().unwrap()];
+        for (name, run) in mt {
+            assert_eq!(
+                run(&threads, &qc, &ExecConfig::default()).unwrap_err(),
+                ExecError::Deadlock(Some(DeadlockInfo {
+                    core: 0,
+                    queue: fed,
+                    op: BlockedOp::ConsumeEmpty,
+                })),
+                "{name}"
+            );
+        }
+
+        // A store walking down from address 1 faults at -1 on its third
+        // iteration, in the middle of a stretch of straight execution:
+        // alone, and as a producer whose consumer never faults.
+        let walker = |produces: bool| {
+            let mut b = FunctionBuilder::new("walker");
+            let cell = b.object("cell", 4);
+            let base = b.lea(cell, 0);
+            counted_loop(&mut b, 10, |b, i| {
+                if produces {
+                    b.emit(Op::Produce { queue: there, value: i.into() });
+                }
+                let addr = b.bin(BinOp::Sub, base, i);
+                b.store(addr, 0, i);
+            });
+            b.ret(None);
+            b.finish().unwrap()
+        };
+        let fault = ExecError::MemoryFault { addr: -1 };
+        for (name, run) in st {
+            assert_eq!(run(&walker(false), &ExecConfig::default()).unwrap_err(), fault, "{name}");
+        }
+        let threads = [walker(true), summer(10)];
+        for (name, run) in mt {
+            assert_eq!(run(&threads, &deep, &ExecConfig::default()).unwrap_err(), fault, "{name}");
+        }
+    }
+
+    /// Emits `for i in 0..n { body(b, i) }` and leaves `b` in the exit
+    /// block: 2 + 2(n + 1) + 2n instructions besides the body's.
+    fn counted_loop(b: &mut FunctionBuilder, n: i64, body: impl FnOnce(&mut FunctionBuilder, Reg)) {
+        let i = b.fresh_reg();
+        let (header, looped, exit) = (b.block("h"), b.block("body"), b.block("x"));
+        b.const_into(i, 0);
+        b.jump(header);
+        b.switch_to(header);
+        let c = b.bin(BinOp::Lt, i, n);
+        b.branch(c, looped, exit);
+        b.switch_to(looped);
+        body(b, i);
+        b.bin_into(BinOp::Add, i, i, 1i64);
+        b.jump(header);
+        b.switch_to(exit);
+    }
+
+    /// A consumer that sums `n` values from queue 0 and returns the sum.
+    fn summer(n: i64) -> Function {
+        let mut b = FunctionBuilder::new("summer");
+        let sum = b.fresh_reg();
+        b.const_into(sum, 0);
+        counted_loop(&mut b, n, |b, _| {
+            let v = b.fresh_reg();
+            b.emit(Op::Consume { dst: v, queue: QueueId(0) });
+            b.bin_into(BinOp::Add, sum, sum, v);
+        });
+        b.ret(Some(sum.into()));
+        b.finish().unwrap()
     }
 
     #[test]

@@ -100,19 +100,21 @@ impl Profile {
 /// per block hold every edge and counting one is an index and a
 /// compare — the interpreter's per-branch cost, where a
 /// [`Profile::count_edge`] is a hash-map probe.
-#[derive(Default)]
 pub(crate) struct EdgeCounts {
     /// A slot with count 0 is free.
     slots: Vec<[(BlockId, u64); 2]>,
 }
 
 impl EdgeCounts {
-    /// Records one traversal of `from -> to`.
+    /// An empty table for a function of `blocks` blocks.
+    pub(crate) fn new(blocks: usize) -> EdgeCounts {
+        EdgeCounts { slots: vec![[(BlockId(0), 0); 2]; blocks] }
+    }
+
+    /// Records one traversal of `from -> to`; `from` is one of the
+    /// function's blocks.
     #[inline]
     pub(crate) fn count(&mut self, from: BlockId, to: BlockId) {
-        if from.index() >= self.slots.len() {
-            self.slots.resize(from.index() + 1, [(BlockId(0), 0); 2]);
-        }
         let [first, second] = &mut self.slots[from.index()];
         let slot = if first.1 == 0 || first.0 == to { first } else { second };
         debug_assert!(slot.1 == 0 || slot.0 == to, "{from:?} has a third successor {to:?}");
@@ -183,7 +185,7 @@ mod tests {
     #[test]
     fn dense_counts_equal_count_edge() {
         let stream = [(0, 1), (1, 1), (1, 1), (1, 4), (4, 1), (1, 4), (4, 9), (9, 0), (0, 1), (1, 4)];
-        let mut dense = EdgeCounts::default();
+        let mut dense = EdgeCounts::new(10);
         let mut hashed = Profile::new();
         hashed.count_entry();
         for (from, to) in stream {
@@ -194,7 +196,7 @@ mod tests {
         assert_eq!(dense, hashed);
         assert_eq!(dense.edge(BlockId(1), BlockId(1)), 2);
         assert_eq!(dense.edge(BlockId(1), BlockId(4)), 3);
-        assert_eq!(EdgeCounts::default().into_profile(), {
+        assert_eq!(EdgeCounts::new(3).into_profile(), {
             let mut p = Profile::new();
             p.count_entry();
             p

@@ -245,6 +245,7 @@ impl BinOp {
     }
 
     /// Evaluates the operation on two values.
+    #[inline]
     pub fn eval(self, lhs: i64, rhs: i64) -> i64 {
         match self {
             BinOp::Add | BinOp::FAdd => lhs.wrapping_add(rhs),
