@@ -112,6 +112,16 @@ impl Scheduler {
             Scheduler::Gremio(cfg) => gremio::partition(f, pdg, profile, cfg),
         }
     }
+
+    /// The paper's depth for this scheduler's queues (§4): 1 for
+    /// GREMIO's single-element synchronization-array queues, 32 for
+    /// DSWP.
+    pub fn queue_depth(&self) -> usize {
+        match self {
+            Scheduler::Gremio(_) => 1,
+            Scheduler::Dswp(_) => 32,
+        }
+    }
 }
 
 /// The full GMT parallelization pipeline.
@@ -123,18 +133,15 @@ pub struct Parallelizer {
     pub coco: Option<CocoConfig>,
     /// Depth granted to *hot* queues (those with a communication point
     /// inside a loop) by the per-queue depth allocator; cold queues get
-    /// 1 entry. Defaults to the scheduler's paper depth: 1 for GREMIO's
-    /// base synchronization array, 32 for DSWP.
+    /// 1 entry. Defaults to the scheduler's paper depth,
+    /// [`Scheduler::queue_depth`].
     pub hot_queue_depth: usize,
 }
 
 impl Parallelizer {
     /// A pipeline with the given scheduler and no COCO.
     pub fn new(scheduler: Scheduler) -> Parallelizer {
-        let hot_queue_depth = match &scheduler {
-            Scheduler::Gremio(_) => 1,
-            Scheduler::Dswp(_) => 32,
-        };
+        let hot_queue_depth = scheduler.queue_depth();
         Parallelizer { scheduler, coco: None, hot_queue_depth }
     }
 

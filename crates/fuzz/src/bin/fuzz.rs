@@ -14,8 +14,8 @@
 
 use gmt_fuzz::ast::{case_from_seed, FuzzCase};
 use gmt_fuzz::oracle::run_case;
-use gmt_fuzz::{corpus, fuzz_run, FuzzOptions};
-use gmt_testkit::eval_prop;
+use gmt_fuzz::{fuzz_run, FuzzOptions};
+use gmt_testkit::{eval_prop, parse_seed};
 use std::path::PathBuf;
 
 fn usage(msg: &str) -> ! {
@@ -54,7 +54,7 @@ fn parse_args() -> FuzzOptions {
             "--seed" => {
                 once("--seed", &mut seen);
                 let v = value("--seed");
-                opts.seed = corpus::parse_seed(&v)
+                opts.seed = parse_seed(&v)
                     .unwrap_or_else(|| usage(&format!("bad --seed {v:?}")));
             }
             "--corpus" => {
@@ -76,7 +76,7 @@ fn main() {
 
     // Replay: exactly the case `GMT_TESTKIT_SEED` names, verbose, no
     // corpus writes.
-    let replay = std::env::var("GMT_TESTKIT_SEED").ok().and_then(|s| corpus::parse_seed(&s));
+    let replay = std::env::var("GMT_TESTKIT_SEED").ok().and_then(|s| parse_seed(&s));
     if let Some(seed) = replay {
         let case = case_from_seed(seed);
         println!("replaying seed {seed:#x}: {case:#?}");

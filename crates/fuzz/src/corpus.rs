@@ -8,6 +8,7 @@
 //! to the exact [`crate::ast::FuzzCase`], so replay needs no
 //! serialized program format.
 
+use gmt_testkit::parse_seed;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -90,15 +91,6 @@ pub fn append(path: &Path, seed: u64, label: &str) -> Result<(), String> {
     writeln!(file, "{seed:#018x}  # {label}").map_err(|e| e.to_string())
 }
 
-/// Accepts `0x`-prefixed hex or plain decimal.
-pub fn parse_seed(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,8 +131,12 @@ mod tests {
 
     #[test]
     fn seed_parsing_accepts_hex_and_decimal() {
-        assert_eq!(parse_seed("0x10"), Some(16));
-        assert_eq!(parse_seed("16"), Some(16));
-        assert_eq!(parse_seed("zz"), None);
+        let dir = std::env::temp_dir().join("gmt_fuzz_corpus_test_formats");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.txt");
+        fs::write(&path, "0x10  # hex\n16 # decimal\n").unwrap();
+        let seeds: Vec<u64> = load(&path).unwrap().iter().map(|e| e.seed).collect();
+        assert_eq!(seeds, [16, 16]);
+        let _ = fs::remove_file(&path);
     }
 }

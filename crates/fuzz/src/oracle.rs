@@ -159,7 +159,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     }
 
     // Phase 5: timed engines at uniform hot depth and allocated depths.
-    let hot = hot_depth(case.mode());
+    let hot = scheduler(case).queue_depth();
     let uniform = machine_for(out.num_queues, vec![hot]);
     let allocated = machine_for(
         out.num_queues,
@@ -172,14 +172,6 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     }
 
     Ok(report)
-}
-
-/// The paper depth hot queues get under each mode's scheduler.
-fn hot_depth(mode: Mode) -> usize {
-    match mode {
-        Mode::Gremio | Mode::GremioCoco => 1,
-        _ => 32,
-    }
 }
 
 /// Runs both sequential interpreters; diverging results are an error,
@@ -230,6 +222,17 @@ fn seq_cross_check(
     }
 }
 
+/// The partitioner a case's mode drives; the seeded modes take DSWP's
+/// pipeline and queue depth.
+fn scheduler(case: &FuzzCase) -> Scheduler {
+    match case.mode() {
+        Mode::Dswp | Mode::DswpCoco | Mode::SeededMtcg | Mode::SeededCoco => {
+            Scheduler::dswp(case.threads)
+        }
+        Mode::Gremio | Mode::GremioCoco => Scheduler::gremio(case.threads),
+    }
+}
+
 /// Drives the pipeline for the case's mode. `Err` is a *typed*
 /// rejection (acceptable); panics propagate to the driver.
 fn parallelize(
@@ -239,13 +242,7 @@ fn parallelize(
     case: &FuzzCase,
 ) -> Result<Parallelized, String> {
     let mode = case.mode();
-    let scheduler = match mode {
-        Mode::Dswp | Mode::DswpCoco | Mode::SeededMtcg | Mode::SeededCoco => {
-            Scheduler::dswp(case.threads)
-        }
-        Mode::Gremio | Mode::GremioCoco => Scheduler::gremio(case.threads),
-    };
-    let mut p = Parallelizer::new(scheduler);
+    let mut p = Parallelizer::new(scheduler(case));
     if matches!(mode, Mode::DswpCoco | Mode::GremioCoco | Mode::SeededCoco) {
         p = p.with_coco(CocoConfig::default());
     }

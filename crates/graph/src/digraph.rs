@@ -202,21 +202,6 @@ impl DiGraph {
         }
     }
 
-    /// All nodes reachable from `start`, including `start` itself.
-    pub fn reachable_from(&self, start: NodeId) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![start];
-        seen[start.index()] = true;
-        while let Some(n) = stack.pop() {
-            for &s in self.succs(n) {
-                if !seen[s.index()] {
-                    seen[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        seen
-    }
 }
 
 impl fmt::Debug for DiGraph {
@@ -320,15 +305,6 @@ mod tests {
         assert!(!cond.dag.is_cyclic());
         assert_eq!(cond.component_of[a.index()], cond.component_of[b.index()]);
         assert_ne!(cond.component_of[a.index()], cond.component_of[c.index()]);
-    }
-
-    #[test]
-    fn reachability() {
-        let (g, [a, _b, _c, d]) = diamond();
-        let from_a = g.reachable_from(a);
-        assert!(from_a.iter().all(|&r| r));
-        let from_d = g.reachable_from(d);
-        assert_eq!(from_d.iter().filter(|&&r| r).count(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp_mt::QueueConfig;
 use gmt_ir::Profile;
 use gmt_mtcg::QueueLabel;
-use gmt_pdg::{Partition, Pdg, ThreadId};
+use gmt_pdg::{Partition, Pdg};
 use gmt_sched::gremio::GremioConfig;
 use gmt_sim::{
     check_attribution, simulate, simulate_decoded_opts, simulate_decoded_traced_opts,
@@ -360,10 +360,7 @@ fn arbitrate(
     }
     // Nothing to time against, or the winner clearly loses: the true
     // single-threaded layout, not a token-offload candidate.
-    let mut single = Partition::new(cfg.num_threads);
-    for i in w.function.all_instrs() {
-        single.assign(i, ThreadId(0));
-    }
+    let single = Partition::single_threaded(&w.function, cfg.num_threads);
     let coco = compile(&single)?;
     let runs = TrainRuns { seq, coco: None };
     Ok((single, Arbitration { coco, probes, compiles: compiles + 1, runs }))
@@ -372,6 +369,7 @@ fn arbitrate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmt_pdg::ThreadId;
 
     /// The deterministic work counters of GREMIO's arbitration: over the
     /// 11-kernel matrix it simulates 22 candidates + 11 sequential runs
@@ -415,10 +413,7 @@ mod tests {
             let b = w.benchmark;
             let profile = w.run_train().unwrap().profile;
             let pdg = Pdg::build(&w.function);
-            let mut single = Partition::new(2);
-            for i in w.function.all_instrs() {
-                single.assign(i, ThreadId(0));
-            }
+            let single = Partition::single_threaded(&w.function, 2);
             let v = compile_variant(&w, SchedulerKind::Gremio, &profile, &pdg, &single, true)
                 .unwrap();
             let opts = SimOptions::default();

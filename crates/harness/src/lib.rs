@@ -107,13 +107,9 @@ impl SchedulerKind {
         }
     }
 
-    /// Queue depth per the paper (§4: single-element queues in the SA;
-    /// 32-element queues for DSWP).
+    /// Queue depth per the paper, [`Scheduler::queue_depth`].
     pub fn queue_depth(self) -> usize {
-        match self {
-            SchedulerKind::Gremio => 1,
-            SchedulerKind::Dswp => 32,
-        }
+        self.scheduler().queue_depth()
     }
 
     /// Display name.
@@ -510,7 +506,7 @@ pub(crate) fn comm_by_coco_config<const N: usize>(
                     w.init,
                     &QueueConfig {
                         num_queues: p.num_queues().max(1) as usize,
-                        capacity: kind.queue_depth().max(8),
+                        capacity: kind.queue_depth(),
                     },
                     &exec_config(),
                 )

@@ -115,11 +115,6 @@ impl ControlDeps {
         &self.deps[b.index()]
     }
 
-    /// The control dependences of instruction `i` (those of its block).
-    pub fn of_instr(&self, f: &Function, i: InstrId) -> &[ControlDep] {
-        self.of_block(f.block_of(i))
-    }
-
     /// Every branch some block is control dependent on, sorted by id:
     /// the index space of [`ControlDeps::closure_row`].
     pub fn branches(&self) -> &[InstrId] {
@@ -256,12 +251,4 @@ mod tests {
         assert!(closure(0).is_empty() && closure(4).is_empty());
     }
 
-    #[test]
-    fn instr_deps_match_block_deps() {
-        let f = diamond();
-        let pdom = PostDominators::compute(&f);
-        let cd = ControlDeps::compute(&f, &pdom);
-        let i = f.block(BlockId(1)).terminator.unwrap();
-        assert_eq!(cd.of_instr(&f, i), cd.of_block(BlockId(1)));
-    }
 }

@@ -252,58 +252,6 @@ impl Function {
         id
     }
 
-    /// Inserts `op` into `b` immediately before `before`. If `before` is
-    /// the terminator, the instruction becomes the last body
-    /// instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `before` is not in `b` or `op` is a terminator.
-    pub fn insert_before(&mut self, b: BlockId, before: InstrId, op: Op) -> InstrId {
-        assert!(!op.is_terminator());
-        let id = self.intern(b, op);
-        let block = &mut self.blocks[b.index()];
-        if block.terminator == Some(before) {
-            block.instrs.push(id);
-        } else {
-            let pos = block
-                .instrs
-                .iter()
-                .position(|&i| i == before)
-                .unwrap_or_else(|| panic!("{before:?} not in {b:?}"));
-            block.instrs.insert(pos, id);
-        }
-        id
-    }
-
-    /// Inserts `op` into `b` immediately after `after`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `after` is a terminator or not in `b`, or if `op` is a
-    /// terminator.
-    pub fn insert_after(&mut self, b: BlockId, after: InstrId, op: Op) -> InstrId {
-        assert!(!op.is_terminator());
-        let id = self.intern(b, op);
-        let block = &mut self.blocks[b.index()];
-        assert_ne!(block.terminator, Some(after), "cannot insert after a terminator");
-        let pos = block
-            .instrs
-            .iter()
-            .position(|&i| i == after)
-            .unwrap_or_else(|| panic!("{after:?} not in {b:?}"));
-        block.instrs.insert(pos + 1, id);
-        id
-    }
-
-    /// Inserts `op` as the first instruction of block `b`.
-    pub fn insert_at_start(&mut self, b: BlockId, op: Op) -> InstrId {
-        assert!(!op.is_terminator());
-        let id = self.intern(b, op);
-        self.blocks[b.index()].instrs.insert(0, id);
-        id
-    }
-
     fn intern(&mut self, b: BlockId, op: Op) -> InstrId {
         if let Some(d) = op.def() {
             self.ensure_reg(d);
@@ -356,22 +304,6 @@ mod tests {
         assert_eq!(f.placed_instr_count(), 3);
         let first = f.block(f.entry()).instrs[0];
         assert_eq!(f.block_of(first), f.entry());
-    }
-
-    #[test]
-    fn insert_before_and_after_preserve_order() {
-        let mut f = two_block_fn();
-        let entry = f.entry();
-        let first = f.block(entry).instrs[0];
-        let a = f.insert_before(entry, first, Op::Nop);
-        let b = f.insert_after(entry, first, Op::Nop);
-        assert_eq!(f.block(entry).instrs, vec![a, first, b]);
-        // Insert before the terminator appends to the body.
-        let term = f.block(entry).terminator.unwrap();
-        let c = f.insert_before(entry, term, Op::Nop);
-        assert_eq!(f.block(entry).instrs, vec![a, first, b, c]);
-        let d = f.insert_at_start(entry, Op::Nop);
-        assert_eq!(f.block(entry).instrs[0], d);
     }
 
     #[test]

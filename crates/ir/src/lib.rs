@@ -47,10 +47,8 @@ mod dom;
 mod function;
 mod instr;
 mod loops;
-mod parser;
 mod printer;
 mod profile;
-mod static_profile;
 mod transform;
 mod types;
 mod verify;
@@ -66,10 +64,8 @@ pub use dom::{Dominators, PostDominators};
 pub use function::{Block, Function, MemObject};
 pub use instr::{Op, Successors};
 pub use loops::{Loop, LoopForest};
-pub use parser::{parse, ParseError};
 pub use printer::{display, FunctionDisplay};
 pub use profile::Profile;
-pub use static_profile::estimate_profile;
 pub use transform::{has_critical_edges, split_critical_edges};
 pub use types::{AddrMode, BinOp, BlockId, InstrId, ObjectId, Operand, QueueId, Reg, UnOp};
 pub use verify::{verify, VerifyError};

@@ -112,10 +112,6 @@ impl LoopForest {
         self.innermost[b.index()].map_or(0, |i| self.loops[i].depth)
     }
 
-    /// The innermost loop containing `b`, if any.
-    pub fn innermost_loop(&self, b: BlockId) -> Option<&Loop> {
-        self.innermost[b.index()].map(|i| &self.loops[i])
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +176,6 @@ mod tests {
         assert_eq!(forest.depth_of(BlockId(1)), 1);
         assert_eq!(forest.depth_of(BlockId(3)), 2);
         assert_eq!(forest.depth_of(BlockId(5)), 0);
-        assert_eq!(forest.innermost_loop(BlockId(3)).unwrap().header, BlockId(2));
     }
 
     #[test]

@@ -47,17 +47,6 @@ impl Profile {
         self.entries += 1;
     }
 
-    /// Sets the weight of arc `from -> to` directly (used by static
-    /// estimation).
-    pub fn set_edge(&mut self, from: BlockId, to: BlockId, count: u64) {
-        self.edges.insert((from, to), count);
-    }
-
-    /// Sets the entry count directly (used by static estimation).
-    pub fn set_entries(&mut self, count: u64) {
-        self.entries = count;
-    }
-
     /// The weight of arc `from -> to` (zero if never seen).
     pub fn edge(&self, from: BlockId, to: BlockId) -> u64 {
         self.edges.get(&(from, to)).copied().unwrap_or(0)

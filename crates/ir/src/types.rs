@@ -117,16 +117,6 @@ pub enum Operand {
     Imm(i64),
 }
 
-impl Operand {
-    /// The register, if this operand is one.
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        }
-    }
-}
-
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Operand {
         Operand::Reg(r)
@@ -345,9 +335,9 @@ mod tests {
     fn operand_conversions() {
         let r = Reg(4);
         let o: Operand = r.into();
-        assert_eq!(o.as_reg(), Some(r));
+        assert_eq!(o, Operand::Reg(r));
         let i: Operand = 7i64.into();
-        assert_eq!(i.as_reg(), None);
+        assert_eq!(i, Operand::Imm(7));
     }
 
     #[test]

@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn single_thread_needs_no_communication() {
         let (f, _, pdg) = figure3_like();
-        let p = Partition::single_threaded(&f);
+        let p = Partition::single_threaded(&f, 1);
         let plan = baseline_plan(&f, &pdg, &p).unwrap();
         assert_eq!(plan.total_points(), 0);
     }

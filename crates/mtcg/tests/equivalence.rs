@@ -317,7 +317,7 @@ fn output_ordering_across_threads() {
 #[test]
 fn single_thread_partition_is_identity_behavior() {
     let f = counted_loop();
-    assert_equivalent(&f, &Partition::single_threaded(&f), &[5]);
+    assert_equivalent(&f, &Partition::single_threaded(&f, 1), &[5]);
 }
 
 #[test]

@@ -68,10 +68,14 @@ impl Partition {
         Partition { thread_of: Vec::new(), num_threads }
     }
 
-    /// A partition placing every instruction of `f` on thread 0 —
-    /// the degenerate single-threaded "partition".
-    pub fn single_threaded(f: &Function) -> Partition {
-        let mut p = Partition::new(1);
+    /// A partition over `num_threads` threads placing every instruction
+    /// of `f` on thread 0 — the degenerate single-threaded layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_threads == 0`.
+    pub fn single_threaded(f: &Function, num_threads: u32) -> Partition {
+        let mut p = Partition::new(num_threads);
         for i in f.all_instrs() {
             p.assign(i, ThreadId(0));
         }
@@ -179,7 +183,7 @@ mod tests {
     #[test]
     fn single_threaded_covers_everything() {
         let f = tiny();
-        let p = Partition::single_threaded(&f);
+        let p = Partition::single_threaded(&f, 1);
         assert!(p.validate(&f).is_ok());
         assert_eq!(p.num_threads(), 1);
         assert_eq!(p.static_sizes(), vec![3]);
@@ -219,7 +223,7 @@ mod tests {
     #[test]
     fn instrs_of_filters_by_thread() {
         let f = tiny();
-        let p = Partition::single_threaded(&f);
+        let p = Partition::single_threaded(&f, 1);
         let ids: Vec<InstrId> = f.all_instrs().collect();
         assert_eq!(p.instrs_of(ThreadId(0)).collect::<Vec<_>>(), ids);
         let mut q = Partition::new(2);

@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn balance_of_lopsided_partition() {
         let (f, _) = chain();
-        let p = Partition::single_threaded(&f);
+        let p = Partition::single_threaded(&f, 1);
         let profile = Profile::uniform(&f, 10);
         let b = balance(&f, &profile.block_weights(&f), &p);
         assert_eq!(b.max_share_pct, 100);

@@ -57,14 +57,6 @@ impl Checker {
         self
     }
 
-    /// Disables writing failing seeds to the regressions file (used by
-    /// tests of the harness itself).
-    #[must_use]
-    pub fn no_persistence(mut self) -> Checker {
-        self.persist = false;
-        self
-    }
-
     /// Runs `prop` against persisted regression cases, then fresh
     /// generated cases.
     ///
@@ -132,7 +124,7 @@ impl Checker {
                 if name != self.name || line.starts_with('#') {
                     return None;
                 }
-                parse_u64(seed.trim())
+                parse_seed(seed)
             })
             .collect()
     }
@@ -167,10 +159,14 @@ fn regressions_path() -> PathBuf {
 }
 
 fn env_u64(name: &str) -> Option<u64> {
-    parse_u64(&std::env::var(name).ok()?)
+    parse_seed(&std::env::var(name).ok()?)
 }
 
-fn parse_u64(s: &str) -> Option<u64> {
+/// Parses a seed or count: `0x`-prefixed hex or plain decimal,
+/// surrounding whitespace ignored. The one parser for every seed a
+/// user types — `GMT_TESTKIT_SEED`, the regressions file, the fuzzer's
+/// `--seed` and its corpus.
+pub fn parse_seed(s: &str) -> Option<u64> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
@@ -234,6 +230,15 @@ mod tests {
     use super::*;
     use crate::gen::{ranged, vec_of};
 
+    impl Checker {
+        /// Disables writing failing seeds to the regressions file, so a
+        /// test of the runner itself leaves no seed behind.
+        fn no_persistence(mut self) -> Checker {
+            self.persist = false;
+            self
+        }
+    }
+
     #[test]
     fn passing_property_runs_all_cases() {
         let mut count = 0u32;
@@ -296,9 +301,9 @@ mod tests {
 
     #[test]
     fn seed_parsing() {
-        assert_eq!(parse_u64("42"), Some(42));
-        assert_eq!(parse_u64("0xff"), Some(255));
-        assert_eq!(parse_u64(" 0X10 "), Some(16));
-        assert_eq!(parse_u64("nope"), None);
+        assert_eq!(parse_seed("42"), Some(42));
+        assert_eq!(parse_seed("0xff"), Some(255));
+        assert_eq!(parse_seed(" 0X10 "), Some(16));
+        assert_eq!(parse_seed("nope"), None);
     }
 }

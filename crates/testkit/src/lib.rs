@@ -47,7 +47,7 @@ mod rng;
 mod shrink;
 
 pub use bench::json_escape;
-pub use check::{Checker, PropResult};
+pub use check::{parse_seed, Checker, PropResult};
 pub use gen::{full_u64, one_of, ranged, recursive, vec_of, weighted, Gen};
 pub use pool::{num_jobs, num_jobs_checked, par_map, parse_jobs};
 pub use rng::TestRng;

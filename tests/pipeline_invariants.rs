@@ -167,52 +167,6 @@ fn coco_converges_quickly() {
     }
 }
 
-/// Static profile estimation (the paper's [28] alternative) drives the
-/// whole pipeline correctly, and preserves the headline ks win.
-#[test]
-fn static_profiles_work_end_to_end() {
-    for w in catalog() {
-        let estimated = gmt_ir::estimate_profile(&w.function);
-        let r = Parallelizer::new(Scheduler::dswp(2))
-            .with_coco(CocoConfig::default())
-            .parallelize(&w.function, &estimated)
-            .unwrap();
-        let seq = w.run_train().unwrap();
-        let mt = run_mt(
-            r.threads(),
-            &w.train_args,
-            w.init,
-            &QueueConfig { num_queues: r.num_queues().max(1) as usize, capacity: 32 },
-            &exec_config(),
-        )
-        .unwrap();
-        assert_eq!(mt.return_value, seq.return_value, "{}", w.benchmark);
-        assert_eq!(mt.output, seq.output, "{}", w.benchmark);
-    }
-    // The Figure-4 sinking still happens with estimated weights.
-    let w = gmt_workloads::by_benchmark("ks").unwrap();
-    let estimated = gmt_ir::estimate_profile(&w.function);
-    let pdg = Pdg::build(&w.function);
-    let partition = gmt_sched::gremio::partition(
-        &w.function,
-        &pdg,
-        &estimated,
-        &gmt_sched::gremio::GremioConfig::default(),
-    ).unwrap();
-    let base = gmt_mtcg::baseline_plan(&w.function, &pdg, &partition).unwrap();
-    let (coco, _) = gmt_core::optimize(
-        &w.function,
-        &pdg,
-        &partition,
-        &estimated,
-        &CocoConfig::default(),
-    );
-    assert!(
-        coco.dynamic_cost(&w.function, &estimated) <= base.dynamic_cost(&w.function, &estimated),
-        "COCO must not cost more under static estimates either"
-    );
-}
-
 /// COCO on *arbitrary* block partitions of the real kernels — not
 /// just the partitions DSWP/GREMIO would pick — preserves semantics
 /// and never estimates worse than the baseline plan.

@@ -134,30 +134,6 @@ fn partitioners_preserve_semantics() {
     );
 }
 
-/// The textual printer/parser round-trip preserves semantics and
-/// reaches a fixed point after one iteration (labels are the only
-/// lossy part).
-#[test]
-fn printer_parser_roundtrip() {
-    Checker::new("random_programs::printer_parser_roundtrip").cases(64).run(
-        &program_gen(),
-        |program| {
-            let f = compile(program);
-            let text1 = gmt_ir::display(&f).to_string();
-            let g = gmt_ir::parse(&text1).expect("parse printed IR");
-            let text2 = gmt_ir::display(&g).to_string();
-            let h = gmt_ir::parse(&text2).expect("parse round-tripped IR");
-            prop_assert_eq!(&gmt_ir::display(&h).to_string(), &text2, "fixed point");
-            let rf = run(&f, &[], &exec()).expect("original runs");
-            let rg = run(&g, &[], &exec()).expect("round-tripped runs");
-            prop_assert_eq!(rf.return_value, rg.return_value);
-            prop_assert_eq!(&rf.output, &rg.output);
-            prop_assert_eq!(rf.counts.total(), rg.counts.total());
-            Ok(())
-        },
-    );
-}
-
 /// Under an *exact* profile (same input), a plan's estimated
 /// dynamic cost must equal the measured dynamic communication —
 /// the planner's cost model and the generated code agree, both for
