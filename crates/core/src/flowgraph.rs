@@ -550,7 +550,7 @@ pub(crate) mod reference {
 pub(crate) mod tests {
     use super::reference::LiveMap;
     use super::*;
-    use gmt_integration_tests::{compile, program_gen, seeded_partition};
+    use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition};
     use gmt_ir::{interp, Profile};
     use gmt_pdg::{Partition, Pdg};
     use gmt_sched::{dswp, gremio};
@@ -581,8 +581,8 @@ pub(crate) mod tests {
                 }
             }
         }
-        Checker::new(name).cases(cases).run(&program_gen().zip(full_u64()), |(program, seed)| {
-            let f = compile(program);
+        Checker::new(name).cases(cases).run(&fprogram_gen().zip(full_u64()), |(program, seed)| {
+            let f = compile(program)?;
             let pdg = Pdg::build(&f);
             let profile = interp::run(&f, &[], &interp::ExecConfig::default())
                 .map_err(|e| format!("generated program does not run: {e:?}"))?

@@ -1,14 +1,16 @@
-//! The fuzzer's structured program space: a statement AST that is
-//! strictly richer than the integration tests' generator, its
-//! [`Gen`]erators, [`Shrink`] candidates, and compilation to verified
-//! `gmt-ir`.
+//! The repository's one program grammar: a statement AST, its
+//! [`Gen`]erators, [`Shrink`] candidates, compilation to verified
+//! `gmt-ir`, and the seeded instruction partition. The fuzzer's cases
+//! and every generated-program property test (the integration tests and
+//! the crate-level reference oracles of `gmt-sched`, `gmt-mtcg` and
+//! `gmt-core`, through a dev-dependency) draw from it.
 //!
 //! Every program terminates by construction (all loops have static
 //! trip counts), every memory access is masked in bounds, and the
 //! compiled function always passes `gmt_ir::verify` — so any failure
-//! downstream is a pipeline bug, not a generator artifact. On top of
-//! the shapes the integration generator covers (hammocks, fixed-trip
-//! nests, register/memory recurrences), this grammar adds:
+//! downstream is a pipeline bug, not a generator artifact. Besides
+//! hammocks, fixed-trip nests and register/memory recurrences, the
+//! grammar generates:
 //!
 //! - **multiple arrays** with may-alias index patterns (`arr[k]`
 //!   random-indexed, fixed-cell, and affine accesses over the same

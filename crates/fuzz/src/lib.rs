@@ -2,13 +2,14 @@
 //!
 //! Three pieces:
 //!
-//! - [`ast`] — a structured program generator strictly richer than the
-//!   integration tests' (nested/sibling loops with register and memory
-//!   recurrences, may-alias accesses over multiple arrays and a
-//!   select-pointer diamond, profile-skewed branches, and degenerate
-//!   shapes: empty blocks, self-loops, dead registers, zero-trip
-//!   loops), compiled to *verified* IR so downstream failures are
-//!   pipeline bugs by construction;
+//! - [`ast`] — the repository's one structured program generator
+//!   (nested/sibling loops with register and memory recurrences,
+//!   may-alias accesses over multiple arrays and a select-pointer
+//!   diamond, profile-skewed branches, and degenerate shapes: empty
+//!   blocks, self-loops, dead registers, zero-trip loops), compiled to
+//!   *verified* IR so downstream failures are pipeline bugs by
+//!   construction; every generated-program property test draws from it
+//!   too;
 //! - [`oracle`] — per case runs compile → verify → profile → PDG →
 //!   {DSWP, GREMIO, seeded} → {baseline, COCO} → MTCG → `verify_mt`
 //!   and cross-checks all five executors (sequential decoded +
@@ -28,7 +29,9 @@
 //! generator lives here rather than in `gmt-testkit`: the testkit is
 //! deliberately dependency-free (every crate, including `gmt-ir`,
 //! uses it for property tests, so an IR generator there would be a
-//! dependency cycle).
+//! dependency cycle). `gmt-sched`, `gmt-mtcg` and `gmt-core` reach
+//! [`ast`] through a dev-dependency; only `gmt-ir` and `gmt-pdg` types
+//! cross it (DESIGN.md, "Why the generator lives here").
 
 pub mod ast;
 pub mod corpus;

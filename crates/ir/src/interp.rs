@@ -307,22 +307,7 @@ pub fn run_with_memory(
     config: &ExecConfig,
 ) -> Result<RunResult, ExecError> {
     let d = DecodedFunction::decode(f);
-    run_decoded_with_memory(&d, args, init, config)
-}
-
-/// Runs an already-decoded function after letting `init` populate
-/// memory.
-///
-/// # Errors
-///
-/// See [`ExecError`].
-pub fn run_decoded_with_memory(
-    d: &DecodedFunction,
-    args: &[i64],
-    init: impl FnOnce(&MemoryLayout, &mut Memory),
-    config: &ExecConfig,
-) -> Result<RunResult, ExecError> {
-    run_single::<DecodedThread>(d, d.layout(), d.num_blocks(), args, init, config)
+    run_single::<DecodedThread>(&d, d.layout(), d.num_blocks(), args, init, config)
 }
 
 /// The ID-walking reference executor ([`run_with_memory`] without

@@ -273,10 +273,10 @@ mod tests {
 
     #[test]
     fn closure_rows_match_the_worklist_on_generated_programs() {
-        use gmt_integration_tests::{compile, program_gen, seeded_partition};
-        let gen = program_gen().zip(gmt_testkit::full_u64());
+        use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition};
+        let gen = fprogram_gen().zip(gmt_testkit::full_u64());
         gmt_testkit::Checker::new("relevance::closure_vs_worklist").cases(200).run(&gen, |(program, seed)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let pdg = Pdg::build(&f);
             (2..=4).try_for_each(|n| {
                 check_against_worklist(&f, &pdg, &seeded_partition(&f, n, *seed))

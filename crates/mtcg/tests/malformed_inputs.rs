@@ -4,7 +4,7 @@
 //!
 //! Replay a failure with `GMT_TESTKIT_SEED=<seed from the message>`.
 
-use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
+use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition, FStmt};
 use gmt_ir::{BlockId, InstrId, Reg};
 use gmt_mtcg::{CommKind, CommPlan, CommPoint, MtcgError};
 use gmt_pdg::{Partition, Pdg, ThreadId};
@@ -30,12 +30,12 @@ fn holed_partition(f: &gmt_ir::Function, n: u32, seed: u64) -> Partition {
 /// `Unassigned`, by both the baseline planner and code generation.
 #[test]
 fn partial_partitions_are_rejected() {
-    let gen: Gen<(Vec<Stmt>, u64, u32)> =
-        program_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
+    let gen: Gen<(Vec<FStmt>, u64, u32)> =
+        fprogram_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
     Checker::new("mtcg_malformed::partial_partitions").cases(32).run(
         &gen,
         |(program, seed, n)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let partition = holed_partition(&f, *n, *seed);
             if partition.validate(&f).is_ok() {
                 return Ok(()); // subset happened to be empty: nothing to test
@@ -60,9 +60,9 @@ fn partial_partitions_are_rejected() {
 /// `PlanThreadOutOfRange` before any indexing can panic.
 #[test]
 fn plan_thread_out_of_range_rejected() {
-    let gen: Gen<(Vec<Stmt>, u64)> = program_gen().zip(full_u64());
+    let gen: Gen<(Vec<FStmt>, u64)> = fprogram_gen().zip(full_u64());
     Checker::new("mtcg_malformed::plan_thread_oob").cases(24).run(&gen, |(program, seed)| {
-        let f = compile(program);
+        let f = compile(program)?;
         let pdg = Pdg::build(&f);
         let partition = seeded_partition(&f, 2, *seed);
         let ghost = ThreadId(2 + (seed % 7) as u32); // partition has threads 0..2
@@ -86,10 +86,10 @@ fn plan_thread_out_of_range_rejected() {
 /// are rejected with `PlanPointOutOfRange`.
 #[test]
 fn plan_point_out_of_range_rejected() {
-    let gen: Gen<(Vec<Stmt>, u64, u32)> =
-        program_gen().zip(full_u64()).zip(ranged(0u32, 3)).map(|((p, s), k)| (p, s, k));
+    let gen: Gen<(Vec<FStmt>, u64, u32)> =
+        fprogram_gen().zip(full_u64()).zip(ranged(0u32, 3)).map(|((p, s), k)| (p, s, k));
     Checker::new("mtcg_malformed::plan_point_oob").cases(24).run(&gen, |(program, seed, k)| {
-        let f = compile(program);
+        let f = compile(program)?;
         let pdg = Pdg::build(&f);
         let partition = seeded_partition(&f, 2, *seed);
         let beyond = f.num_instrs() as u32 + 1 + (seed % 100) as u32;

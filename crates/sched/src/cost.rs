@@ -409,7 +409,7 @@ pub(crate) fn to_partition(pdg: &Pdg, thread_of: &[u32], num_threads: u32) -> Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
+    use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition, FStmt};
     use gmt_ir::interp::{run, ExecConfig};
     use gmt_testkit::{full_u64, prop_assert_eq, ranged, Checker, Gen, TestRng};
     use std::collections::{BTreeSet, HashMap};
@@ -488,11 +488,11 @@ mod tests {
     /// assignment spans N = `1 + threads % 4` threads of which the last
     /// `idle % N` start with nothing. Decoded in [`scores`] so every
     /// shrunken case stays legal.
-    type Case = (Vec<Stmt>, u64, (u32, u32, u64));
+    type Case = (Vec<FStmt>, u64, (u32, u32, u64));
 
     fn case_gen() -> Gen<Case> {
         let shape = ranged(0u32, 4).zip(ranged(0u32, 4)).zip(ranged(0u64, 4));
-        program_gen()
+        fprogram_gen()
             .zip(full_u64())
             .zip(shape)
             .map(|((p, seed), ((threads, idle), lat))| (p, seed, (threads, idle, lat)))
@@ -510,7 +510,7 @@ mod tests {
     ) -> Vec<(u64, u64)> {
         let n = 1 + threads % 4;
         let used = n - idle % n;
-        let f = compile(program);
+        let f = compile(program).expect("generated program verifies");
         let profile = run(
             &f,
             &[],

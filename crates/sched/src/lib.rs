@@ -84,7 +84,7 @@ impl std::error::Error for SchedError {}
 mod testutil {
     use crate::cost::SearchWork;
     use crate::SchedError;
-    use gmt_integration_tests::{compile, program_gen};
+    use gmt_fuzz::ast::{compile, fprogram_gen};
     use gmt_ir::interp::{run, ExecConfig};
     use gmt_ir::{Function, Profile};
     use gmt_pdg::Pdg;
@@ -130,8 +130,8 @@ mod testutil {
                 }
             }
         }
-        Checker::new(name).cases(200).run(&program_gen(), |program| {
-            let f = compile(program);
+        Checker::new(name).cases(200).run(&fprogram_gen(), |program| {
+            let f = compile(program)?;
             let profile = run(&f, &[], &ExecConfig { max_steps: 5_000_000 })
                 .map_err(|e| e.to_string())?
                 .profile;

@@ -4,7 +4,7 @@
 //!
 //! Replay a failure with `GMT_TESTKIT_SEED=<seed from the message>`.
 
-use gmt_integration_tests::{compile, program_gen, Stmt};
+use gmt_fuzz::ast::{compile, fprogram_gen, FStmt};
 use gmt_ir::Profile;
 use gmt_pdg::Pdg;
 use gmt_sched::{dswp, gremio, SchedError};
@@ -14,9 +14,9 @@ use gmt_testkit::{prop_assert, ranged, Checker, Gen};
 /// arithmetic underflow inside the partitioner.
 #[test]
 fn zero_threads_is_an_error_not_a_panic() {
-    let gen = program_gen();
+    let gen = fprogram_gen();
     Checker::new("sched_malformed::zero_threads").cases(24).run(&gen, |program| {
-        let f = compile(program);
+        let f = compile(program)?;
         let pdg = Pdg::build(&f);
         let profile = Profile::uniform(&f, 10);
         let d = dswp::partition(&f, &pdg, &profile, &dswp::DswpConfig { num_threads: 0 });
@@ -34,9 +34,9 @@ fn zero_threads_is_an_error_not_a_panic() {
 /// extreme-but-legal configurations.
 #[test]
 fn arbitrary_positive_configs_always_partition() {
-    let gen: Gen<(Vec<Stmt>, u32)> = program_gen().zip(ranged(1u32, 9));
+    let gen: Gen<(Vec<FStmt>, u32)> = fprogram_gen().zip(ranged(1u32, 9));
     Checker::new("sched_malformed::positive_configs").cases(32).run(&gen, |(program, n)| {
-        let f = compile(program);
+        let f = compile(program)?;
         let pdg = Pdg::build(&f);
         let profile = Profile::uniform(&f, 10);
         match dswp::partition(&f, &pdg, &profile, &dswp::DswpConfig { num_threads: *n }) {

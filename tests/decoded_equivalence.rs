@@ -13,9 +13,9 @@
 //! single-element queues). A final regression sweeps every catalog
 //! kernel on its train input.
 
-use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
-use gmt_ir::decoded::{DecodedFunction, DecodedProgram};
-use gmt_ir::interp::{run_decoded_with_memory, run_with_memory_reference, ExecConfig};
+use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition, FStmt};
+use gmt_ir::decoded::DecodedProgram;
+use gmt_ir::interp::{run_with_memory, run_with_memory_reference, ExecConfig};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, QueueConfig};
 use gmt_pdg::Pdg;
 use gmt_sim::{
@@ -97,14 +97,12 @@ fn assert_skip_equivalence(
 #[test]
 fn st_interpreter_matches_reference() {
     Checker::new("decoded_equivalence::st_interpreter_matches_reference").cases(64).run(
-        &program_gen(),
+        &fprogram_gen(),
         |program| {
-            let f = compile(program);
+            let f = compile(program)?;
             let reference =
                 run_with_memory_reference(&f, &[], |_, _| {}, &exec()).expect("reference run");
-            let d = DecodedFunction::decode(&f);
-            let decoded =
-                run_decoded_with_memory(&d, &[], |_, _| {}, &exec()).expect("decoded run");
+            let decoded = run_with_memory(&f, &[], |_, _| {}, &exec()).expect("decoded run");
             prop_assert_eq!(decoded.return_value, reference.return_value);
             prop_assert_eq!(&decoded.output, &reference.output);
             prop_assert_eq!(decoded.counts, reference.counts);
@@ -119,12 +117,12 @@ fn st_interpreter_matches_reference() {
 /// results, per-thread counts, and memory at both queue depths.
 #[test]
 fn mt_interpreter_matches_reference() {
-    let gen: Gen<(Vec<Stmt>, u64, u32)> =
-        program_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
+    let gen: Gen<(Vec<FStmt>, u64, u32)> =
+        fprogram_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
     Checker::new("decoded_equivalence::mt_interpreter_matches_reference").cases(48).run(
         &gen,
         |(program, seed, n)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let partition = seeded_partition(&f, *n, *seed);
             let pdg = Pdg::build(&f);
             let out = gmt_mtcg::generate(&f, &pdg, &partition).expect("mtcg");
@@ -152,11 +150,11 @@ fn mt_interpreter_matches_reference() {
 /// machine.
 #[test]
 fn simulator_matches_reference() {
-    let gen: Gen<(Vec<Stmt>, u64)> = program_gen().zip(full_u64());
+    let gen: Gen<(Vec<FStmt>, u64)> = fprogram_gen().zip(full_u64());
     Checker::new("decoded_equivalence::simulator_matches_reference").cases(32).run(
         &gen,
         |(program, seed)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let partition = seeded_partition(&f, 2, *seed);
             let pdg = Pdg::build(&f);
             let out = gmt_mtcg::generate(&f, &pdg, &partition).expect("mtcg");
@@ -196,8 +194,7 @@ fn catalog_kernels_match_reference() {
             &cfg,
         )
         .unwrap_or_else(|e| panic!("{}: reference run: {e}", w.benchmark));
-        let d = DecodedFunction::decode(&w.function);
-        let decoded = gmt_ir::interp::run_decoded_with_memory(&d, &w.train_args, w.init, &cfg)
+        let decoded = run_with_memory(&w.function, &w.train_args, w.init, &cfg)
             .unwrap_or_else(|e| panic!("{}: decoded run: {e}", w.benchmark));
         assert_eq!(decoded.return_value, reference.return_value, "{}", w.benchmark);
         assert_eq!(decoded.output, reference.output, "{}", w.benchmark);

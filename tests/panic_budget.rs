@@ -1,5 +1,5 @@
 //! Panic-site budget: untrusted inputs must surface as typed errors
-//! (`SchedError`/`MtcgError`/`PdgError`/`ExecError`), never a panic.
+//! (`SchedError`/`MtcgError`/`ExecError`/`VerifyError`), never a panic.
 //! The pinned counts cover the remaining internal-invariant assertions
 //! only; a new unwrap/expect/panic/assert in non-test code of a covered
 //! crate fails this test. If you removed one, re-pin that budget
@@ -44,14 +44,24 @@ use std::path::Path;
 /// gmt-harness (library and the `repro` bin under `src/bin`) entered
 /// at 0, its count when the arbitration began handing its train
 /// runs to the cell: every failure there is a `HarnessError` in its
-/// benchmark's row.
-const BUDGETS: [(&str, &[&str], usize); 6] = [
+/// benchmark's row. gmt-fuzz entered at 0, when every generated-program
+/// property test began drawing from its grammar: `ast::compile` and the
+/// oracle report a failure as a finding, never by panicking. gmt-testkit
+/// entered at 9 (the empty-choice assertions of `one_of`/`weighted`,
+/// the worker pool's poisoned-lock `expect`s, the checker's failure
+/// `panic!`) and gmt-workloads at 6 (the kernels' must-verify `expect`s,
+/// the seeded RNG's positive bound, the crate doc's example), their
+/// counts when they joined the gate.
+const BUDGETS: [(&str, &[&str], usize); 9] = [
     ("gmt-mtcg/gmt-sched", &["crates/mtcg/src", "crates/sched/src"], 13),
     ("gmt-pdg/gmt-ir", &["crates/pdg/src", "crates/ir/src"], 19),
     ("gmt-sim", &["crates/sim/src"], 5),
     ("gmt-core", &["crates/core/src"], 7),
     ("gmt-graph", &["crates/graph/src"], 10),
     ("gmt-harness", &["crates/harness/src"], 0),
+    ("gmt-fuzz", &["crates/fuzz/src"], 0),
+    ("gmt-testkit", &["crates/testkit/src"], 9),
+    ("gmt-workloads", &["crates/workloads/src"], 6),
 ];
 
 const ANYWHERE: [&str; 4] = [".unwrap()", ".expect(", "panic!(", "unreachable!("];

@@ -7,7 +7,7 @@
 //! shrunken failures live on as `tests/regression_*.rs`.
 
 use gmt_core::{optimize, CocoConfig};
-use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
+use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition, FStmt};
 use gmt_ir::interp::{run, ExecConfig};
 use gmt_ir::interp_mt::{run_mt, QueueConfig};
 use gmt_pdg::Pdg;
@@ -21,12 +21,12 @@ fn exec() -> ExecConfig {
 /// instruction-granularity partitions and both queue depths.
 #[test]
 fn mtcg_preserves_semantics() {
-    let gen: Gen<(Vec<Stmt>, u64, u32)> =
-        program_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
+    let gen: Gen<(Vec<FStmt>, u64, u32)> =
+        fprogram_gen().zip(full_u64()).zip(ranged(2u32, 4)).map(|((p, s), n)| (p, s, n));
     Checker::new("random_programs::mtcg_preserves_semantics").cases(48).run(
         &gen,
         |(program, seed, n)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let seq = run(&f, &[], &exec()).expect("sequential");
             let partition = seeded_partition(&f, *n, *seed);
             let pdg = Pdg::build(&f);
@@ -53,14 +53,14 @@ fn mtcg_preserves_semantics() {
 /// dynamic communication than the baseline.
 #[test]
 fn coco_preserves_semantics_and_never_costs_more() {
-    let gen: Gen<(Vec<Stmt>, u64, bool)> = program_gen()
+    let gen: Gen<(Vec<FStmt>, u64, bool)> = fprogram_gen()
         .zip(full_u64())
         .zip(ranged(0u8, 2))
         .map(|((p, s), penalties)| (p, s, penalties != 0));
     Checker::new("random_programs::coco_preserves_semantics_and_never_costs_more")
         .cases(48)
         .run(&gen, |(program, seed, penalties)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let seq = run(&f, &[], &exec()).expect("sequential");
             let partition = seeded_partition(&f, 2, *seed);
             let pdg = Pdg::build(&f);
@@ -100,12 +100,12 @@ fn coco_preserves_semantics_and_never_costs_more() {
 /// semantics on random programs.
 #[test]
 fn partitioners_preserve_semantics() {
-    let gen: Gen<(Vec<Stmt>, bool)> =
-        program_gen().zip(ranged(0u8, 2)).map(|(p, g)| (p, g != 0));
+    let gen: Gen<(Vec<FStmt>, bool)> =
+        fprogram_gen().zip(ranged(0u8, 2)).map(|(p, g)| (p, g != 0));
     Checker::new("random_programs::partitioners_preserve_semantics").cases(48).run(
         &gen,
         |(program, use_gremio)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let seq = run(&f, &[], &exec()).expect("sequential");
             let scheduler = if *use_gremio {
                 gmt_core::Scheduler::gremio(2)
@@ -140,11 +140,11 @@ fn partitioners_preserve_semantics() {
 /// baseline MTCG and for COCO plans.
 #[test]
 fn plan_cost_equals_measured_communication() {
-    let gen: Gen<(Vec<Stmt>, u64)> = program_gen().zip(full_u64());
+    let gen: Gen<(Vec<FStmt>, u64)> = fprogram_gen().zip(full_u64());
     Checker::new("random_programs::plan_cost_equals_measured_communication").cases(40).run(
         &gen,
         |(program, seed)| {
-            let f = compile(program);
+            let f = compile(program)?;
             let seq = run(&f, &[], &exec()).expect("sequential");
             let partition = seeded_partition(&f, 2, *seed);
             let pdg = Pdg::build(&f);
