@@ -20,8 +20,12 @@ use gmt_pdg::{Partition, ThreadId};
 /// The safety sets of one source thread over a whole function.
 #[derive(Clone, Debug)]
 pub struct Safety {
-    /// SAFE set just after each instruction (indexed by instruction id).
-    safe_out: Vec<BitSet>,
+    /// Words per instruction in `safe_out`: `ceil(num_regs / 64)`.
+    stride: usize,
+    /// SAFE set just after each instruction, one flat table: the set of
+    /// instruction `i` is the `BitSet` words
+    /// `safe_out[i * stride..(i + 1) * stride]`.
+    safe_out: Vec<u64>,
     /// SAFE set at each block entry.
     safe_entry: Vec<BitSet>,
 }
@@ -93,20 +97,22 @@ impl Safety {
         }
 
         // Final pass: per-instruction SAFE_out.
-        let mut safe_out = vec![BitSet::new(nr); f.num_instrs()];
+        let stride = nr.div_ceil(64);
+        let mut safe_out = vec![0; f.num_instrs() * stride];
         for b in f.blocks() {
             let mut cur = safe_entry[b.index()].clone();
             for i in f.block(b).all_instrs() {
                 step(f, partition, s, i, &mut cur);
-                safe_out[i.index()] = cur.clone();
+                safe_out[i.index() * stride..][..stride].copy_from_slice(cur.words());
             }
         }
-        Safety { safe_out, safe_entry }
+        Safety { stride, safe_out, safe_entry }
     }
 
     /// Whether `r` is safe just after instruction `i`.
     pub fn safe_after(&self, i: InstrId, r: Reg) -> bool {
-        self.safe_out[i.index()].contains(r.index())
+        let (w, b) = (r.index() / 64, r.index() % 64);
+        w < self.stride && self.safe_out[i.index() * self.stride + w] & (1 << b) != 0
     }
 
     /// Whether `r` is safe at the entry of block `b`.
@@ -136,7 +142,99 @@ fn step(f: &Function, partition: &Partition, s: ThreadId, i: InstrId, cur: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowgraph::tests::for_catalog_and_generated_partitions;
     use gmt_ir::{BinOp, FunctionBuilder};
+    use gmt_testkit::prop_assert_eq;
+
+    /// Equations (1)–(2) solved per instruction, one `BitSet` each, by
+    /// round-robin iteration from "everything safe" (the entry block
+    /// starts from the parameters): the layout the flat table replaced.
+    /// Returns SAFE_out per instruction id and SAFE_in per block.
+    fn per_instruction_reference(
+        f: &Function,
+        partition: &Partition,
+        s: ThreadId,
+    ) -> (Vec<BitSet>, Vec<BitSet>) {
+        let nr = f.num_regs() as usize;
+        let mut full = BitSet::new(nr);
+        for r in 0..nr {
+            full.insert(r);
+        }
+        let preds = f.predecessors();
+        let mut out = vec![full.clone(); f.num_instrs()];
+        let mut entry = vec![full.clone(); f.num_blocks()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in f.blocks() {
+                let mut cur = if b == f.entry() {
+                    let mut params = BitSet::new(nr);
+                    for p in &f.params {
+                        params.insert(p.index());
+                    }
+                    params
+                } else {
+                    full.clone()
+                };
+                for &p in &preds[b.index()] {
+                    let last = f.block(p).all_instrs().last();
+                    cur.intersect_with(last.map_or(&entry[p.index()], |t| &out[t.index()]));
+                }
+                changed |= cur != entry[b.index()];
+                entry[b.index()] = cur.clone();
+                for i in f.block(b).all_instrs() {
+                    let op = f.instr(i);
+                    let mine = partition.get(i) == Some(s);
+                    if let Some(d) = op.def() {
+                        if mine {
+                            cur.insert(d.index());
+                        } else {
+                            cur.remove(d.index());
+                        }
+                    }
+                    if mine {
+                        for u in op.uses() {
+                            cur.insert(u.index());
+                        }
+                    }
+                    changed |= cur != out[i.index()];
+                    out[i.index()] = cur.clone();
+                }
+            }
+        }
+        (out, entry)
+    }
+
+    /// The flat SAFE_out table answers exactly as one `BitSet` per
+    /// instruction: every register after every instruction and at
+    /// every block entry, for every source thread of the catalog's and
+    /// generated programs' partitions.
+    #[test]
+    fn flat_table_matches_a_bitset_per_instruction() {
+        let name = "safety::flat_vs_per_instruction";
+        for_catalog_and_generated_partitions(name, 40, |f, _, partition, _| {
+            for t in 0..partition.num_threads() {
+                let s = ThreadId(t);
+                let safety = Safety::compute(f, partition, s);
+                let (out, entry) = per_instruction_reference(f, partition, s);
+                for r in (0..f.num_regs()).map(Reg) {
+                    for i in f.all_instrs() {
+                        let want = out[i.index()].contains(r.index());
+                        prop_assert_eq!(safety.safe_after(i, r), want, "{s:?} after {i:?}, {r:?}");
+                    }
+                    for b in f.blocks() {
+                        let want = entry[b.index()].contains(r.index());
+                        prop_assert_eq!(
+                            safety.safe_at_entry(b, r),
+                            want,
+                            "{s:?} entering {b:?}, {r:?}"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
 
     /// r defined by T0, then redefined by T1: safe for T0 only between
     /// its def and T1's redef.

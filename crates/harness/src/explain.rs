@@ -43,6 +43,9 @@ pub struct ExplainCell {
     pub estimate: SchedEstimate,
     /// The run's dynamic critical path (conservation-checked).
     pub critpath: CritPath,
+    /// The measured input. The estimate always comes from the train
+    /// profile, so it compares with the run only on [`Scale::Quick`].
+    pub scale: Scale,
 }
 
 /// Runs one kernel × scheduler × variant cell with the aggregator and
@@ -67,7 +70,7 @@ pub fn explain_cell(
     let (traced, result, walker) = cell.simulate_traced(v, walker)?;
     let critpath = check_critical_path(&walker, &result)
         .map_err(fail(w.benchmark, "critical-path check"))?;
-    Ok(ExplainCell { traced, estimate: v.parallelized.estimate.clone(), critpath })
+    Ok(ExplainCell { traced, estimate: v.parallelized.estimate.clone(), critpath, scale })
 }
 
 /// What limits the schedule, by critical-path edge-kind groups.
@@ -163,13 +166,23 @@ pub fn explain_report(cell: &ExplainCell) -> String {
             a.idle,
         );
     }
-    let _ = writeln!(
-        out,
-        "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
-        est.bottleneck(),
-        run.cycles,
-        pct(run.cycles, est.bottleneck().max(1)),
-    );
+    // The estimate is of the train input's profile: a ratio against a
+    // run on any other input says nothing about the scheduler.
+    let _ = match cell.scale {
+        Scale::Quick => writeln!(
+            out,
+            "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
+            est.bottleneck(),
+            run.cycles,
+            pct(run.cycles, est.bottleneck().max(1)),
+        ),
+        Scale::Full => writeln!(
+            out,
+            "estimated bottleneck {} cycles on the train input; measured {} on the ref input",
+            est.bottleneck(),
+            run.cycles,
+        ),
+    };
     let _ = writeln!(
         out,
         "cut: {} register / {} memory / {} control arcs; {} sync tokens; \
@@ -375,6 +388,23 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains('\n'), "one JSON line");
+    }
+
+    /// On ref inputs the train-profile estimate is printed without a
+    /// ratio to the ref run (adpcmdec / GREMIO / mtcg read "2290% of
+    /// estimate" before).
+    #[test]
+    fn a_ref_input_report_does_not_rate_the_train_estimate() {
+        let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
+        let cell = explain_cell(&w, SchedulerKind::Gremio, false, Scale::Full).unwrap();
+        let report = explain_report(&cell);
+        let line = format!(
+            "estimated bottleneck {} cycles on the train input; measured {} on the ref input\n",
+            cell.estimate.bottleneck(),
+            cell.traced.run.cycles,
+        );
+        assert!(report.contains(&line), "{report}");
+        assert!(!report.contains("of estimate"), "{report}");
     }
 
     #[test]

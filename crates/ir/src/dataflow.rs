@@ -85,6 +85,12 @@ impl BitSet {
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
+
+    /// The backing words: element `i` is bit `i % 64` of word `i / 64`,
+    /// and a set made by [`BitSet::new`]`(n)` has `ceil(n / 64)` words.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
 }
 
 /// Per-block liveness of registers, with a *use filter*.

@@ -157,14 +157,7 @@ impl Function {
     /// All instructions of the function in layout order (blocks in index
     /// order, body then terminator).
     pub fn all_instrs(&self) -> impl Iterator<Item = InstrId> + '_ {
-        self.blocks().flat_map(move |b| {
-            self.block(b)
-                .instrs
-                .iter()
-                .copied()
-                .chain(self.block(b).terminator)
-                .collect::<Vec<_>>()
-        })
+        self.blocks().flat_map(move |b| self.block(b).all_instrs())
     }
 
     /// Reverse post-order of the CFG from the entry block. Unreachable

@@ -6,6 +6,23 @@
 //! simulator runs is properly synchronized by construction (MTCG
 //! inserts synchronization for every inter-thread memory dependence),
 //! so data values never depend on cache timing.
+//!
+//! # Sized to the memory image
+//!
+//! A [`Hierarchy`] is built for one program's memory image of `bytes`
+//! bytes, and each [`Cache`] stores only the sets that image can reach:
+//! `min(num_sets, ceil(bytes / line_bytes))`. The geometry (set count,
+//! set index, tag, LRU order) stays the configured one; only storage
+//! shrinks, and exactly so. Both engines check every load and store
+//! against the functional [`Memory`](gmt_ir::interp::Memory) before it
+//! reaches the hierarchy, so every address is below `bytes` and every
+//! line number below `ceil(bytes / line_bytes)`. A line's set index
+//! (its line number masked by, or taken modulo, `num_sets`) is never
+//! larger than the line number, so no access touches a set that is not
+//! stored, and no latency, hit level or counter differs from the
+//! full-size cache. A generated program's image is under 1 KB, so its
+//! simulations allocate and zero a few hundred entries, not the ≈ 17k
+//! of the two-core Figure 6(a) hierarchy.
 
 use crate::config::CacheConfig;
 
@@ -25,9 +42,8 @@ pub struct Cache {
     line_shift: Option<u32>,
     /// `Some(mask)` when `num_sets` is a power of two.
     set_mask: Option<u64>,
-    /// `tags[set * ways + way]`, holding `tag + 1` (0 = empty way) so
-    /// a fresh cache is all-zero and the allocation stays a lazy
-    /// `calloc` — no eager touch of hundreds of KB per simulation.
+    /// `tags[set * ways + way]`, holding `tag + 1` (0 = empty way), for
+    /// the sets the memory image can reach (see the module doc).
     tags: Vec<u64>,
     lru: Vec<u64>,
     tick: u64,
@@ -42,11 +58,13 @@ fn pow2_log(v: u64) -> Option<u32> {
 }
 
 impl Cache {
-    /// An empty cache with the given geometry.
-    pub fn new(config: CacheConfig) -> Cache {
-        let sets = config.num_sets() as usize;
+    /// An empty cache with the given geometry that stores only the sets
+    /// an address below `bytes` can map to (see the module doc). Pass
+    /// `u64::MAX` for the full geometry.
+    pub fn new(config: CacheConfig, bytes: u64) -> Cache {
         let ways = config.assoc as usize;
         let line_bytes = config.line_bytes.max(1);
+        let sets = config.num_sets().min(bytes.div_ceil(line_bytes)) as usize;
         Cache {
             latency: config.latency,
             ways,
@@ -155,13 +173,14 @@ pub enum HitLevel {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy for `cores` cores.
-    pub fn new(cores: usize, config: &crate::config::MachineConfig) -> Hierarchy {
+    /// Builds the hierarchy for `cores` cores running a program whose
+    /// memory image is `bytes` bytes; every access must be below it.
+    pub fn new(cores: usize, config: &crate::config::MachineConfig, bytes: u64) -> Hierarchy {
         Hierarchy {
             private: (0..cores)
-                .map(|_| (Cache::new(config.l1d), Cache::new(config.l2)))
+                .map(|_| (Cache::new(config.l1d, bytes), Cache::new(config.l2, bytes)))
                 .collect(),
-            l3: Cache::new(config.l3),
+            l3: Cache::new(config.l3, bytes),
             mem_latency: config.mem_latency,
         }
     }
@@ -218,10 +237,14 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use gmt_testkit::{full_u64, prop_assert_eq, vec_of, Checker, Gen};
 
     #[test]
     fn repeated_access_hits() {
-        let mut c = Cache::new(CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, latency: 1 });
+        let mut c = Cache::new(
+            CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, latency: 1 },
+            u64::MAX,
+        );
         assert!(!c.access(0));
         c.fill(0);
         assert!(c.access(0));
@@ -236,7 +259,7 @@ mod tests {
         // 2-way set: fill three conflicting lines, first one evicted.
         let cfg = CacheConfig { size_bytes: 128, assoc: 2, line_bytes: 64, latency: 1 };
         assert_eq!(cfg.num_sets(), 1);
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::new(cfg, u64::MAX);
         c.fill(0);
         c.fill(64);
         assert!(c.access(0)); // touch 0 so 64 is LRU
@@ -248,7 +271,7 @@ mod tests {
     #[test]
     fn hierarchy_miss_then_hit() {
         let cfg = MachineConfig::default();
-        let mut h = Hierarchy::new(2, &cfg);
+        let mut h = Hierarchy::new(2, &cfg, u64::MAX);
         let (lat, level) = h.load(0, 0x1000);
         assert_eq!(level, HitLevel::Memory);
         assert_eq!(lat, cfg.mem_latency);
@@ -263,7 +286,7 @@ mod tests {
     #[test]
     fn store_invalidates_other_core() {
         let cfg = MachineConfig::default();
-        let mut h = Hierarchy::new(2, &cfg);
+        let mut h = Hierarchy::new(2, &cfg, u64::MAX);
         let _ = h.load(0, 0x40);
         assert_eq!(h.load(0, 0x40).1, HitLevel::L1);
         h.store(1, 0x40);
@@ -273,7 +296,10 @@ mod tests {
 
     #[test]
     fn zero_way_cache_never_holds_lines() {
-        let mut c = Cache::new(CacheConfig { size_bytes: 0, assoc: 0, line_bytes: 0, latency: 1 });
+        let mut c = Cache::new(
+            CacheConfig { size_bytes: 0, assoc: 0, line_bytes: 0, latency: 1 },
+            u64::MAX,
+        );
         c.fill(0);
         assert!(!c.access(0));
         assert!(!c.invalidate(0));
@@ -281,9 +307,96 @@ mod tests {
 
     #[test]
     fn invalidate_reports_presence() {
-        let mut c = Cache::new(CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, latency: 1 });
+        let mut c = Cache::new(
+            CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, latency: 1 },
+            u64::MAX,
+        );
         c.fill(0);
         assert!(c.invalidate(0));
         assert!(!c.invalidate(0));
+    }
+
+    fn tag_entries(h: &Hierarchy) -> usize {
+        h.private.iter().map(|(l1, l2)| l1.tags.len() + l2.tags.len()).sum::<usize>()
+            + h.l3.tags.len()
+    }
+
+    /// The Figure 6(a) machine for a 64-cell program: each level keeps
+    /// the four or eight lines 512 bytes can reach, not its full array.
+    #[test]
+    fn a_small_image_stores_only_its_reachable_sets() {
+        let cfg = MachineConfig::default();
+        // L1 8 sets × 4 ways, L2 4 × 8, per core; L3 4 × 12.
+        assert_eq!(tag_entries(&Hierarchy::new(2, &cfg, 64 * 8)), 2 * (32 + 32) + 48);
+        // L1 64 × 4, L2 256 × 8, per core; L3 1024 × 12.
+        assert_eq!(tag_entries(&Hierarchy::new(2, &cfg, u64::MAX)), 16_896);
+        assert_eq!(tag_entries(&Hierarchy::new(2, &cfg, 0)), 0);
+    }
+
+    /// A cache level as three raw draws (sets, ways, line size).
+    type Level = (u64, u64, u64);
+
+    /// One cache level from its draws: 1–24 sets (powers of two and
+    /// not), 1–4 ways and 1–96-byte lines.
+    fn level((sets, ways, line): Level, latency: u64) -> CacheConfig {
+        let (sets, assoc, line_bytes) = (1 + sets % 24, 1 + ways % 4, 1 + line % 96);
+        CacheConfig { size_bytes: sets * assoc * line_bytes, assoc, line_bytes, latency }
+    }
+
+    /// The sizing is exact: a hierarchy built for `bytes` answers every
+    /// access below `bytes` — latency, hit level, and each cache's hit
+    /// and miss counters — exactly as the full-size one does, on random
+    /// geometries with 1–4 cores and an image smaller than, equal to or
+    /// larger than a cache.
+    #[test]
+    fn sized_hierarchy_matches_the_full_geometry() {
+        let geometry: Gen<(Level, Level, Level)> = Gen::new(|rng| {
+            let mut level = || (rng.next_u64(), rng.next_u64(), rng.next_u64());
+            (level(), level(), level())
+        });
+        // (cores, which size, offset): the image size is drawn below,
+        // at or above one of the three cache sizes.
+        let image = Gen::new(|rng| (rng.next_u64(), rng.next_u64(), rng.next_u64()));
+        let stream = vec_of(full_u64().zip(full_u64()), 1, 400);
+        let input = geometry.zip(image).zip(stream);
+        Checker::new("cache::sized_hierarchy_matches_the_full_geometry").cases(300).run(
+            &input,
+            |((levels, (cores, pick, offset)), accesses)| {
+                let cfg = MachineConfig {
+                    l1d: level(levels.0, 1),
+                    l2: level(levels.1, 7),
+                    l3: level(levels.2, 12),
+                    ..MachineConfig::default()
+                };
+                let cores = 1 + (*cores % 4) as usize;
+                let size = [cfg.l1d, cfg.l2, cfg.l3][(*pick % 3) as usize].size_bytes;
+                let bytes = match (*pick / 3) % 3 {
+                    0 => 1 + offset % size,
+                    1 => size,
+                    _ => size + 1 + offset % (2 * size),
+                };
+                let mut sized = Hierarchy::new(cores, &cfg, bytes);
+                let mut full = Hierarchy::new(cores, &cfg, u64::MAX);
+                for &(op, addr) in accesses {
+                    let (core, addr) = (((op >> 1) % cores as u64) as usize, addr % bytes);
+                    if op & 1 == 0 {
+                        prop_assert_eq!(sized.load(core, addr), full.load(core, addr));
+                    } else {
+                        prop_assert_eq!(sized.store(core, addr), full.store(core, addr));
+                    }
+                }
+                let counters = |h: &Hierarchy| {
+                    let mut c: Vec<(u64, u64)> = h
+                        .private
+                        .iter()
+                        .flat_map(|(l1, l2)| [(l1.hits, l1.misses), (l2.hits, l2.misses)])
+                        .collect();
+                    c.push((h.l3.hits, h.l3.misses));
+                    c
+                };
+                prop_assert_eq!(counters(&sized), counters(&full));
+                Ok(())
+            },
+        );
     }
 }

@@ -201,7 +201,9 @@ fn run_engine<S: TraceSink>(
         sink,
         cores,
         memory,
-        hierarchy: Hierarchy::new(threads.len(), config),
+        // `Memory::for_layout` bounds the cell count, so the byte size
+        // cannot overflow; every access the hierarchy sees is below it.
+        hierarchy: Hierarchy::new(threads.len(), config, program.layout().total_cells() * 8),
         sa: SyncArray::new(config.sa.num_queues, &config.sa.depths, config.sa.latency),
         output: Vec::new(),
         return_value: None,

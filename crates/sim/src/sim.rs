@@ -115,7 +115,7 @@ pub fn simulate_reference(
             return Err(ExecError::MissingArguments);
         }
     }
-    let mut hierarchy = Hierarchy::new(ncores, config);
+    let mut hierarchy = Hierarchy::new(ncores, config, layout.total_cells() * 8);
     let mut sa = SyncArray::new(config.sa.num_queues, &config.sa.depths, config.sa.latency);
     let mut output = Vec::new();
     let mut return_value = None;
