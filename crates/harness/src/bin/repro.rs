@@ -5,13 +5,11 @@
 //! repro --metrics [--quick] [--scheduler gremio|dswp|both]
 //! repro --verify-mt
 //! repro --fuzz SECS
-//! repro --trace out.json [--bench ks] [--scheduler gremio|dswp] \
-//!       [--variant mtcg|coco] [--quick]
 //! repro --explain ks|all [--scheduler gremio|dswp|both] \
-//!       [--variant mtcg|coco] [--quick] [--json]
+//!       [--variant mtcg|coco] [--quick] [--json] [--trace out.json]
 //! ```
 //!
-//! The six modes are mutually exclusive, and `--verify-mt` and
+//! The five modes are mutually exclusive, and `--verify-mt` and
 //! `--fuzz` take no other flag; conflicting, ignored or repeated flags
 //! exit 2 with usage. The experiment matrix runs on the
 //! `gmt-testkit` worker pool; set `GMT_JOBS=N` to pin the worker count
@@ -33,26 +31,24 @@
 //! first, then fresh cases; findings shrink, persist to
 //! `tests/fuzz_corpus/corpus.txt`, and fail the run.
 //!
-//! `--trace` runs one kernel × scheduler × variant cell on the decoded
-//! engine with tracing attached, writes Chrome-trace-format JSON (open
-//! in `chrome://tracing` or Perfetto; one track per core, one counter
-//! track per SA queue, 1 µs = 1 cycle) to the given path, and prints
-//! the comm-attribution and per-queue communication tables (see
-//! EXPERIMENTS.md).
-//!
 //! `--explain` joins the pipeline's static schedule estimate against a
-//! traced run with the critical-path sink attached: per-thread and
-//! per-queue estimate-vs-measurement, the dynamic critical path by
-//! edge kind, the top path segments, and a one-line verdict
-//! (recurrence- / queue- / balance- / mispredict-bound). `--json`
-//! emits one JSON object per cell instead of the human report.
+//! traced run with the critical-path sink attached: per-thread cycle
+//! attribution (compute, per-reason stalls, idle) and per-queue
+//! communication counters tied to the plan, each against the estimate,
+//! the dynamic critical path by edge kind, the top path segments, and
+//! a one-line verdict (recurrence- / queue- / balance- /
+//! mispredict-bound). `--json` emits one JSON object per cell instead
+//! of the human report. `--trace PATH` (one benchmark, one
+//! `--scheduler`) also writes the same run as Chrome-trace-format JSON
+//! (open in `chrome://tracing` or Perfetto; one track per core, one
+//! counter track per SA queue, 1 µs = 1 cycle; see EXPERIMENTS.md).
 
 use gmt_harness::figures;
 use gmt_harness::{
-    comm_attribution_table, explain_cell, explain_json, explain_report, metrics_table,
-    queue_comm_table, run_all, run_workloads, stall_table, trace_cell, verify_matrix,
-    verify_table, Scale, SchedulerKind,
+    explain_cell_with, explain_json, explain_report, metrics_table, run_all, run_workloads,
+    stall_table, verify_matrix, verify_table, CompiledVariant, Scale, SchedulerKind,
 };
+use gmt_sim::{ChromeTraceSink, NoTrace, TraceSink};
 use std::collections::HashSet;
 
 const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "scaling", "ablations", "all"];
@@ -67,7 +63,6 @@ fn main() {
     let mut trace: Option<String> = None;
     let mut explain: Option<String> = None;
     let mut json = false;
-    let mut bench: Option<String> = None;
     let mut variant: Option<String> = None;
     let mut scheds: Option<Vec<SchedulerKind>> = None;
     let mut seen: HashSet<&'static str> = HashSet::new();
@@ -118,11 +113,6 @@ fn main() {
                 once("--json");
                 json = true;
             }
-            "--bench" => {
-                once("--bench");
-                bench =
-                    Some(it.next().cloned().unwrap_or_else(|| usage("missing benchmark name")));
-            }
             "--variant" => {
                 once("--variant");
                 variant = Some(it.next().cloned().unwrap_or_else(|| usage("missing variant")));
@@ -140,48 +130,40 @@ fn main() {
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    // Mode conflicts: the six modes are mutually exclusive, and each
+    // Mode conflicts: the five modes are mutually exclusive, and each
     // flag below only means something under the modes it names.
     if metrics && fig.is_some() {
         usage("--fig conflicts with --metrics");
     }
-    if trace.is_some() && (metrics || fig.is_some()) {
-        usage("--trace conflicts with --fig and --metrics");
+    if explain.is_some() && (metrics || fig.is_some()) {
+        usage("--explain conflicts with --fig and --metrics");
     }
-    if explain.is_some() && (metrics || fig.is_some() || trace.is_some()) {
-        usage("--explain conflicts with --fig, --metrics, and --trace");
+    if verify && (metrics || fig.is_some() || explain.is_some()) {
+        usage("--verify-mt conflicts with --fig, --metrics, and --explain");
     }
-    if verify && (metrics || fig.is_some() || trace.is_some() || explain.is_some()) {
-        usage("--verify-mt conflicts with --fig, --metrics, --trace, and --explain");
-    }
-    if fuzz_secs.is_some()
-        && (verify || metrics || fig.is_some() || trace.is_some() || explain.is_some())
-    {
-        usage("--fuzz conflicts with --fig, --metrics, --trace, --explain, and --verify-mt");
+    if fuzz_secs.is_some() && (verify || metrics || fig.is_some() || explain.is_some()) {
+        usage("--fuzz conflicts with --fig, --metrics, --explain, and --verify-mt");
     }
     // --verify-mt always checks the whole matrix and --fuzz generates
     // its own programs, so a scale or a scheduler would go unread.
     if (verify || fuzz_secs.is_some()) && (matches!(scale, Scale::Quick) || scheds.is_some()) {
         usage("--verify-mt and --fuzz take neither --quick nor --scheduler");
     }
-    if trace.is_none() && bench.is_some() {
-        usage("--bench requires --trace");
-    }
-    if trace.is_none() && explain.is_none() && variant.is_some() {
-        usage("--variant requires --trace or --explain");
-    }
-    if explain.is_none() && json {
-        usage("--json requires --explain");
-    }
-    // Default scheduler set: gremio alone under --trace (one cell),
-    // both for the figure/metrics matrix.
-    let scheds = scheds.unwrap_or_else(|| {
-        if trace.is_some() {
-            vec![SchedulerKind::Gremio]
-        } else {
-            vec![SchedulerKind::Gremio, SchedulerKind::Dswp]
+    let explain_only =
+        [(variant.is_some(), "--variant"), (json, "--json"), (trace.is_some(), "--trace")];
+    for (given, flag) in explain_only {
+        if given && explain.is_none() {
+            usage(&format!("{flag} requires --explain"));
         }
-    });
+    }
+    // A trace file holds one run.
+    if trace.is_some() && explain.as_deref() == Some("all") {
+        usage("--trace needs one benchmark, not all");
+    }
+    if trace.is_some() && scheds.as_ref().is_none_or(|s| s.len() != 1) {
+        usage("--trace needs a single --scheduler (gremio or dswp)");
+    }
+    let scheds = scheds.unwrap_or_else(|| vec![SchedulerKind::Gremio, SchedulerKind::Dswp]);
     if let Some(f) = &fig {
         if !KNOWN_FIGS.contains(&f.as_str()) {
             usage(&format!("unknown figure id {f} (known: {})", KNOWN_FIGS.join(", ")));
@@ -194,20 +176,21 @@ fn main() {
             Some("mtcg") => false,
             Some(v) => usage(&format!("bad variant {v} (known: mtcg, coco)")),
         };
-        run_explain(&target, &scheds, coco, scale, json);
-        return;
-    }
-
-    if let Some(path) = trace {
-        if scheds.len() != 1 {
-            usage("--trace needs a single --scheduler (gremio or dswp)");
-        }
-        let coco = match variant.as_deref() {
-            None | Some("coco") => true,
-            Some("mtcg") => false,
-            Some(v) => usage(&format!("bad variant {v} (known: mtcg, coco)")),
+        let Some(path) = trace else {
+            run_explain(&target, &scheds, coco, scale, json, |_| NoTrace);
+            return;
         };
-        run_trace(&path, bench.as_deref().unwrap_or("ks"), scheds[0], coco, scale);
+        let chrome = |v: &CompiledVariant| {
+            ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues)
+        };
+        // The checks above leave one cell, so one trace.
+        for chrome in run_explain(&target, &scheds, coco, scale, json, chrome) {
+            if let Err(e) = std::fs::write(&path, chrome.into_json()) {
+                eprintln!("error: writing {path}: {e}");
+                std::process::exit(1);
+            }
+            eprintln!("trace written to {path}");
+        }
         return;
     }
 
@@ -263,34 +246,20 @@ fn main() {
     }
 }
 
-/// The `--trace` mode: one traced cell, Chrome JSON to `path`, tables
-/// to stdout.
-fn run_trace(path: &str, bench: &str, kind: SchedulerKind, coco: bool, scale: Scale) {
-    let Some(w) = gmt_workloads::by_benchmark(bench) else {
-        usage(&format!("unknown benchmark {bench}"));
-    };
-    let cell = match trace_cell(&w, kind, coco, scale) {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(path, &cell.chrome_json) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    print!("{}", comm_attribution_table(&cell));
-    println!();
-    print!("{}", queue_comm_table(&cell));
-    println!("trace written to {path}");
-}
-
 /// The `--explain` mode: the estimate-vs-measurement join for one
 /// benchmark (or `all`), per requested scheduler. Human report by
-/// default, one JSON line per cell with `--json`. Exits 1 if any cell
-/// fails (including a trace-invariant violation).
-fn run_explain(target: &str, scheds: &[SchedulerKind], coco: bool, scale: Scale, json: bool) {
+/// default, one JSON line per cell with `--json`. Each cell's run also
+/// feeds the sink `sink` builds for it; the sinks come back in cell
+/// order. Exits 1 if any cell fails (including a trace-invariant
+/// violation).
+fn run_explain<S: TraceSink>(
+    target: &str,
+    scheds: &[SchedulerKind],
+    coco: bool,
+    scale: Scale,
+    json: bool,
+    sink: impl Fn(&CompiledVariant) -> S,
+) -> Vec<S> {
     let workloads = if target == "all" {
         gmt_workloads::catalog()
     } else {
@@ -300,16 +269,18 @@ fn run_explain(target: &str, scheds: &[SchedulerKind], coco: bool, scale: Scale,
         }
     };
     let mut failed = false;
+    let mut sinks = Vec::new();
     for &kind in scheds {
         for w in &workloads {
-            match explain_cell(w, kind, coco, scale) {
-                Ok(cell) => {
+            match explain_cell_with(w, kind, coco, scale, &sink) {
+                Ok((cell, extra)) => {
                     if json {
                         println!("{}", explain_json(&cell));
                     } else {
                         print!("{}", explain_report(&cell));
                         println!();
                     }
+                    sinks.push(extra);
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -321,6 +292,7 @@ fn run_explain(target: &str, scheds: &[SchedulerKind], coco: bool, scale: Scale,
     if failed {
         std::process::exit(1);
     }
+    sinks
 }
 
 /// The `--verify-mt` mode: the static queue-protocol validator over the
@@ -409,12 +381,11 @@ fn usage(err: &str) -> ! {
         "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] \
          [--quick] [--scheduler gremio|dswp|both]\n\
          \x20      repro --verify-mt | --fuzz SECS\n\
-         \x20      repro --trace <out.json> [--bench NAME] [--scheduler gremio|dswp] \
-         [--variant mtcg|coco] [--quick]\n\
          \x20      repro --explain <NAME|all> [--scheduler gremio|dswp|both] \
-         [--variant mtcg|coco] [--quick] [--json]\n\
-         modes --fig / --metrics / --trace / --explain / --verify-mt / --fuzz are mutually \
-         exclusive; --verify-mt and --fuzz take no other flag; each flag may appear once\n\
+         [--variant mtcg|coco] [--quick] [--json] [--trace <out.json>]\n\
+         modes --fig / --metrics / --explain / --verify-mt / --fuzz are mutually exclusive; \
+         --verify-mt and --fuzz take no other flag; --trace needs one NAME and one \
+         --scheduler; each flag may appear once\n\
          env: GMT_JOBS=N pins the worker-pool size (default: available parallelism)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

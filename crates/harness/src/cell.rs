@@ -4,11 +4,10 @@
 //! profile on the train input, build the PDG, partition, generate
 //! baseline MTCG and MTCG+COCO code over that partition, measure.
 //! [`compile_cell`] is that recipe, spelled once; every mode of the
-//! harness ([`crate::evaluate_full`], [`crate::trace_cell`],
-//! [`crate::explain_cell`], [`crate::verify_cell`]) obtains its
-//! programs, machine and queue file from it, so what `--verify-mt`
-//! verifies and `--explain` explains is exactly what the figures
-//! measure.
+//! harness ([`crate::evaluate_full`], [`crate::explain_cell`],
+//! [`crate::verify_cell`]) obtains its programs, machine and queue
+//! file from it, so what `--verify-mt` verifies and `--explain`
+//! explains is exactly what the figures measure.
 //!
 //! Each distinct program of a cell is compiled once. GREMIO's timed
 //! arbitration already compiles the COCO variant of every candidate
@@ -120,9 +119,8 @@ struct Arbitration {
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
 /// One traced execution of a variant: the run-level record every mode
-/// reports, plus what the [`TraceAggregator`] saw of the run. `--trace`
-/// ([`crate::TracedCell`]) and `--explain` ([`crate::ExplainCell`])
-/// each wrap one.
+/// reports, plus what the [`TraceAggregator`] saw of the run.
+/// `--explain` ([`crate::ExplainCell`]) wraps one.
 #[derive(Clone, Debug)]
 pub struct TracedRun {
     /// The run level: identity, counts, cycles, raw stall counters.

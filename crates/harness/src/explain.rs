@@ -1,4 +1,5 @@
-//! The static↔dynamic "explain" layer (`repro --explain`).
+//! The static↔dynamic "explain" layer (`repro --explain`), the one
+//! traced-cell mode of the harness.
 //!
 //! One cell = one kernel × scheduler × variant, evaluated twice:
 //!
@@ -9,15 +10,20 @@
 //!   [`gmt_sim::TraceAggregator`] (cycle attribution, queue counters,
 //!   occupancy distributions) and the [`CritPathSink`] (the run's
 //!   dynamic critical path, reconstructed from last-arrival edges)
-//!   attached.
+//!   attached, plus one caller-chosen sink ([`explain_cell_with`]):
+//!   `repro --explain … --trace PATH` attaches a
+//!   [`gmt_sim::ChromeTraceSink`] and writes the timeline of the very
+//!   run the report explains.
 //!
 //! [`explain_report`] joins the two sides into one deterministic
-//! human-readable report: per-thread estimated vs. measured cycles,
-//! per-queue estimated vs. measured traffic and occupancy, the
-//! critical path decomposed by edge kind, the top path segments with
-//! their static positions, and a one-line verdict naming what limits
-//! the schedule. [`explain_json`] emits the same join as one JSON
-//! object for machine consumers.
+//! human-readable report: per-thread estimated vs. measured cycles
+//! (compute, one column per [`StallReason`] under the `--metrics`
+//! stall table's headings, idle), per-queue estimated vs. measured
+//! traffic, stall pressure and occupancy tied back to the plan's
+//! [`QueueLabel`]s, the critical path decomposed by edge kind, the top
+//! path segments with their static positions, and a one-line verdict
+//! naming what limits the schedule. [`explain_json`] emits the same
+//! join as one JSON object for machine consumers.
 //!
 //! Both trace invariants are enforced on every cell:
 //! [`gmt_sim::check_attribution`] (per-core decompositions sum to the
@@ -25,9 +31,13 @@
 //! edges sum to the cycle count exactly) — a violation is an engine
 //! bug and surfaces as a [`HarnessError`].
 
-use crate::{compile_cell, fail, HarnessError, Scale, SchedulerKind, TracedRun};
+use crate::metrics::stall_column;
+use crate::{compile_cell, fail, CompiledVariant, HarnessError, Scale, SchedulerKind, TracedRun};
 use gmt_core::SchedEstimate;
-use gmt_sim::{check_critical_path, CpKind, CritPath, CritPathSink};
+use gmt_mtcg::{CommKind, CommPoint, QueueLabel};
+use gmt_sim::{
+    check_critical_path, CpKind, CritPath, CritPathSink, NoTrace, StallReason, TraceSink,
+};
 use gmt_workloads::Workload;
 use std::fmt::Write as _;
 
@@ -64,13 +74,32 @@ pub fn explain_cell(
     coco: bool,
     scale: Scale,
 ) -> Result<ExplainCell, HarnessError> {
+    explain_cell_with(w, kind, coco, scale, |_| NoTrace).map(|(cell, _)| cell)
+}
+
+/// [`explain_cell`] with one more sink observing the same run: `sink`
+/// builds it from the compiled variant (say, a
+/// [`gmt_sim::ChromeTraceSink`] sized to its threads and queues), and
+/// it comes back after the run beside the cell.
+///
+/// # Errors
+///
+/// As [`explain_cell`].
+pub fn explain_cell_with<S: TraceSink>(
+    w: &Workload,
+    kind: SchedulerKind,
+    coco: bool,
+    scale: Scale,
+    sink: impl FnOnce(&CompiledVariant) -> S,
+) -> Result<(ExplainCell, S), HarnessError> {
     let cell = compile_cell(w, kind, scale)?;
     let v = cell.variant(coco);
     let walker = CritPathSink::new(&v.program, v.machine.sa.num_queues);
-    let (traced, result, walker) = cell.simulate_traced(v, walker)?;
+    let (traced, result, (walker, extra)) = cell.simulate_traced(v, (walker, sink(v)))?;
     let critpath = check_critical_path(&walker, &result)
         .map_err(fail(w.benchmark, "critical-path check"))?;
-    Ok(ExplainCell { traced, estimate: v.parallelized.estimate.clone(), critpath, scale })
+    let estimate = v.parallelized.estimate.clone();
+    Ok((ExplainCell { traced, estimate, critpath, scale }, extra))
 }
 
 /// What limits the schedule, by critical-path edge-kind groups.
@@ -147,24 +176,24 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     let _ = writeln!(out);
 
     // Per-thread: the scheduler's ideal stall-free estimate against
-    // the measured decomposition. A thread whose measured compute sits
-    // far under its estimate spent its life stalled or idle.
+    // the measured decomposition, which sums to the cycle count. A
+    // thread whose measured compute sits far under its estimate spent
+    // its life stalled (by reason, under the `--metrics` stall table's
+    // headings) or idle.
     let est = &cell.estimate;
-    let _ = writeln!(
-        out,
-        "{:<7} {:>10} {:>10} {:>10} {:>10}",
-        "thread", "est", "compute", "stall", "idle"
-    );
+    let _ = write!(out, "{:<7} {:>10} {:>10}", "thread", "est", "compute");
+    for reason in StallReason::ALL {
+        let (heading, width) = stall_column(reason);
+        let _ = write!(out, " {heading:>width$}");
+    }
+    let _ = writeln!(out, " {:>10}", "idle");
     for (t, a) in traced.attribution.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{:<7} {:>10} {:>10} {:>10} {:>10}",
-            t,
-            est.thread_cycles.get(t).copied().unwrap_or(0),
-            a.compute,
-            a.stalls.total(),
-            a.idle,
-        );
+        let est_t = est.thread_cycles.get(t).copied().unwrap_or(0);
+        let _ = write!(out, "{t:<7} {est_t:>10} {:>10}", a.compute);
+        for (reason, cycles) in a.stalls.iter() {
+            let _ = write!(out, " {cycles:>width$}", width = stall_column(reason).1);
+        }
+        let _ = writeln!(out, " {:>10}", a.idle);
     }
     // The estimate is of the train input's profile: a ratio against a
     // run on any other input says nothing about the scheduler.
@@ -192,11 +221,15 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     let _ = writeln!(out);
 
     // Per-queue: estimated traffic (occurrence weight) vs. measured
-    // produces, plus the dwell-time occupancy distribution.
+    // produces and consumes, stall pressure, the occupancy high-water
+    // mark and dwell-time distribution (p50/p95/max of the cycles
+    // dwelled; its max can undershoot max-occ when a level lasted zero
+    // cycles), and the plan occurrence(s) MTCG assigned to the queue.
     let _ = writeln!(
         out,
-        "{:<6} {:>11} {:>9} {:>11} {:>11} {:>11}",
-        "queue", "est-traffic", "produces", "full-stall", "empty-stall", "occ-dwell"
+        "{:<6} {:>11} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>11}  plan",
+        "queue", "est-traffic", "produces", "consumes", "deferred", "full-stall", "empty-stall",
+        "max-occ", "occ-dwell"
     );
     let mut any = false;
     for (q, qs) in traced.queues.iter().enumerate() {
@@ -206,15 +239,21 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         }
         any = true;
         let occ = traced.occupancy.get(q).copied().unwrap_or_default();
+        let labels: Vec<String> =
+            traced.labels.iter().filter(|l| l.queue.0 as usize == q).map(label_text).collect();
         let _ = writeln!(
             out,
-            "{:<6} {:>11} {:>9} {:>11} {:>11} {:>11}",
+            "{:<6} {:>11} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>11}  {}",
             format!("q{q}"),
             est_q,
             qs.produces,
+            qs.consumes,
+            qs.deferred_consumes,
             qs.full_stall_cycles,
             qs.empty_stall_cycles,
+            qs.max_occupancy,
             format!("{}/{}/{}", occ.p50, occ.p95, occ.max),
+            labels.join("; "),
         );
     }
     if !any {
@@ -257,6 +296,21 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         );
     }
     out
+}
+
+/// Renders one queue label compactly: what travels, between which
+/// threads, at which original-CFG point.
+fn label_text(l: &QueueLabel) -> String {
+    let what = match l.kind {
+        CommKind::Register(r) => format!("r{}", r.0),
+        CommKind::Memory => "sync".to_string(),
+    };
+    let at = match l.point {
+        CommPoint::Before(i) => format!("before i{}", i.0),
+        CommPoint::After(i) => format!("after i{}", i.0),
+        CommPoint::BlockStart(b) => format!("start B{}", b.index()),
+    };
+    format!("{what} t{}->t{} {at}", l.from.0, l.to.0)
 }
 
 /// The explain join as one JSON object (one line): the keys of the
@@ -342,15 +396,27 @@ pub fn explain_json(cell: &ExplainCell) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmt_sim::ChromeTraceSink;
 
-    fn explained(bench: &str, kind: SchedulerKind) -> ExplainCell {
+    fn explained(bench: &str, kind: SchedulerKind, coco: bool) -> ExplainCell {
         let w = gmt_workloads::by_benchmark(bench).unwrap();
-        explain_cell(&w, kind, true, Scale::Quick).expect("explains")
+        explain_cell(&w, kind, coco, Scale::Quick).expect("explains")
+    }
+
+    /// `ks` on the train input with a [`ChromeTraceSink`] attached
+    /// beside the explain sinks; returns the cell and the trace JSON.
+    fn explained_with_chrome(kind: SchedulerKind, coco: bool) -> (ExplainCell, String) {
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let chrome = |v: &CompiledVariant| {
+            ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues)
+        };
+        let (cell, chrome) = explain_cell_with(&w, kind, coco, Scale::Quick, chrome).unwrap();
+        (cell, chrome.into_json())
     }
 
     #[test]
     fn conservation_holds_and_report_is_complete() {
-        let cell = explained("adpcmdec", SchedulerKind::Dswp);
+        let cell = explained("adpcmdec", SchedulerKind::Dswp, true);
         let cp = &cell.critpath;
         let cycles = cell.traced.run.cycles;
         assert_eq!(cp.total, cycles, "path edges sum to the run");
@@ -376,7 +442,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_machine_readable() {
-        let cell = explained("ks", SchedulerKind::Dswp);
+        let cell = explained("ks", SchedulerKind::Dswp, true);
         let json = explain_json(&cell);
         assert!(json.starts_with("{\"schema\":1,\"benchmark\":") && json.ends_with('}'), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -425,7 +491,7 @@ mod tests {
             ("ks", SchedulerKind::Dswp, 7100, 7321, 3, "recurrence-bound"),
             ("ks", SchedulerKind::Gremio, 9727, 9784, 13, "recurrence-bound"),
         ] {
-            let cell = explained(bench, kind);
+            let cell = explained(bench, kind, true);
             let cp = &cell.critpath;
             let tag = format!("{bench}/{}", kind.name());
             assert_eq!(cp.total, cell.traced.run.cycles, "{tag}");
@@ -434,5 +500,88 @@ mod tests {
             assert_eq!(cp.crossings, crossings, "{tag} crossings");
             assert_eq!(verdict(cp), v, "{tag} verdict");
         }
+    }
+
+    #[test]
+    fn attribution_rows_sum_to_total_cycles() {
+        let cell = explained("ks", SchedulerKind::Dswp, true);
+        let cycles = cell.traced.run.cycles;
+        assert!(cycles > 0);
+        assert!(!cell.traced.attribution.is_empty());
+        for a in &cell.traced.attribution {
+            assert_eq!(a.total(), cycles, "decomposition covers every cycle");
+        }
+        let report = explain_report(&cell);
+        assert!(report.contains("thread"));
+        assert!(report.contains(&cycles.to_string()));
+    }
+
+    /// Attaching the Chrome sink beside the explain sinks leaves the
+    /// run's timing alone.
+    #[test]
+    fn traced_cycles_match_untraced_run() {
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let (cell, _) = explained_with_chrome(SchedulerKind::Dswp, false);
+        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
+        let cycles = cell.traced.run.cycles;
+        assert_eq!(cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
+    }
+
+    #[test]
+    fn chrome_json_has_core_and_queue_tracks() {
+        let (_, json) = explained_with_chrome(SchedulerKind::Dswp, true);
+        assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("\"name\":\"compute\""));
+        assert!(json.contains("\"name\":\"core 0\""));
+        assert!(json.contains("\"name\":\"core 1\""));
+        assert!(json.contains("\"ph\":\"C\""), "queue counter track present");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn queue_table_ties_traffic_to_plan_labels() {
+        let cell = explained("ks", SchedulerKind::Gremio, false);
+        let active: Vec<usize> = cell
+            .traced
+            .queues
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| q.produces > 0)
+            .map(|(i, _)| i)
+            .collect();
+        if active.is_empty() {
+            return; // single-threaded arbitration outcome: no traffic
+        }
+        let report = explain_report(&cell);
+        for q in active {
+            assert!(report.contains(&format!("q{q}")), "active queue {q} has a row");
+            assert!(
+                cell.traced.labels.iter().any(|l| l.queue.0 as usize == q),
+                "active queue {q} is labeled by the plan"
+            );
+        }
+        assert!(report.contains("->"), "labels name the thread pair");
+    }
+
+    #[test]
+    fn queue_table_carries_occupancy_distribution() {
+        let cell = explained("ks", SchedulerKind::Dswp, false);
+        let report = explain_report(&cell);
+        let cell = cell.traced;
+        assert_eq!(cell.occupancy.len(), cell.queues.len(), "one summary per queue");
+        assert!(report.contains("occ-dwell"), "distribution column present:\n{report}");
+        for (q, qs) in cell.queues.iter().enumerate() {
+            if qs.is_active() {
+                let occ = cell.occupancy[q];
+                assert!(
+                    report.contains(&format!("{}/{}/{}", occ.p50, occ.p95, occ.max)),
+                    "queue {q} row shows its p50/p95/max"
+                );
+                assert!(occ.p50 <= occ.p95 && occ.p95 <= occ.max.max(occ.p95));
+            }
+        }
+        // The summary tables cover the whole run however many raw
+        // events it had; the count is surfaced, not hidden.
+        let _ = cell.dropped_events;
     }
 }

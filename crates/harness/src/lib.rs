@@ -34,7 +34,7 @@
 //! `wall_ns` is the compile phases only, because the run's host time
 //! is inside `partition_ns`. Profiles are always collected on *train*
 //! inputs and measurements on *ref* inputs. Every mode — figures,
-//! `--metrics`, `--trace`, `--explain`, `--verify-mt` — obtains its
+//! `--metrics`, `--explain`, `--verify-mt` — obtains its
 //! programs from the one [`compile_cell`], so they all measure the
 //! same code.
 //!
@@ -51,10 +51,11 @@
 //! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`],
 //! emitted as JSON-lines by `repro --metrics`. Records nest by the
 //! depth a run was observed at: a traced run is a [`TracedRun`] around
-//! its [`RunMetrics`], and a [`TracedCell`] (`--trace`) or an
-//! [`ExplainCell`] (`--explain`) is built around that, so
-//! `--explain --json` prints the `--metrics` keys of its run followed
-//! by the deeper ones, in one flat object that starts with `"schema":1`.
+//! its [`RunMetrics`], and an [`ExplainCell`] (`--explain`, whose
+//! `--trace PATH` also writes the run's Chrome trace) is built around
+//! that, so `--explain --json` prints the `--metrics` keys of its run
+//! followed by the deeper ones, in one flat object that starts with
+//! `"schema":1`.
 //!
 //! The `repro` binary prints any of the figures:
 //!
@@ -78,11 +79,11 @@ use std::time::Instant;
 
 pub use cell::{compile_cell, CompiledCell, CompiledVariant, TracedRun, TRACE_RING_CAPACITY};
 pub use explain::{
-    explain_cell, explain_json, explain_report, verdict, ExplainCell, EXPLAIN_TOP_K,
+    explain_cell, explain_cell_with, explain_json, explain_report, verdict, ExplainCell,
+    EXPLAIN_TOP_K,
 };
 pub use metrics::{metrics_table, stall_table, RunMetrics};
 pub use verify::{verify_cell, verify_matrix, verify_table, VerifyCell};
-pub use trace_report::{comm_attribution_table, queue_comm_table, trace_cell, TracedCell};
 
 /// Which partitioner an experiment uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -575,7 +576,6 @@ pub mod cell;
 pub mod explain;
 pub mod figures;
 mod metrics;
-pub mod trace_report;
 mod verify;
 
 #[cfg(test)]

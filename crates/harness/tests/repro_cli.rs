@@ -2,13 +2,15 @@
 //! and malformed invocations exit 2 with usage on stderr; valid ones
 //! succeed. Every case here runs the real binary
 //! (`CARGO_BIN_EXE_repro`), so the tests cover argument parsing,
-//! `GMT_JOBS` validation, and the `--trace` pipeline end to end.
+//! `GMT_JOBS` validation, and the `--explain --trace` pipeline end to
+//! end.
 //!
 //! Regression tests for the PR-4 CLI fixes: pre-fix, `--fig 7
 //! --metrics` silently ignored the figure, a repeated `--scheduler`
 //! silently kept the last value, and `GMT_JOBS=0` silently ran at full
 //! parallelism.
 
+use std::collections::HashMap;
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -37,6 +39,8 @@ fn help_exits_zero_with_usage() {
 fn unknown_argument_exits_2() {
     assert_usage_exit(&repro(&["--fig", "7", "trailing-junk"]), "trailing-junk");
     assert_usage_exit(&repro(&["--bogus"]), "--bogus");
+    // `--explain` names the kernel; there is no second way to.
+    assert_usage_exit(&repro(&["--bench", "ks"]), "unknown argument --bench");
 }
 
 #[test]
@@ -47,13 +51,11 @@ fn unknown_figure_exits_2() {
 #[test]
 fn conflicting_modes_exit_2() {
     assert_usage_exit(&repro(&["--fig", "7", "--metrics"]), "--fig conflicts with --metrics");
-    assert_usage_exit(&repro(&["--trace", "/tmp/x.json", "--metrics"]), "--trace conflicts");
-    assert_usage_exit(&repro(&["--trace", "/tmp/x.json", "--fig", "7"]), "--trace conflicts");
     assert_usage_exit(&repro(&["--explain", "ks", "--metrics"]), "--explain conflicts");
-    assert_usage_exit(
-        &repro(&["--explain", "ks", "--trace", "/tmp/x.json"]),
-        "--explain conflicts",
-    );
+    for mode in [&["--metrics"][..], &["--fig", "7"]] {
+        let args = [&["--explain", "ks", "--scheduler", "dswp", "--trace", "/tmp/x.json"], mode];
+        assert_usage_exit(&repro(&args.concat()), "--explain conflicts");
+    }
     // Flags the mode would silently ignore: the parsing rejects them
     // before any work, so these cases cost no verification or fuzzing.
     for args in [
@@ -252,23 +254,27 @@ fn repeated_flags_exit_2() {
     assert_usage_exit(&repro(&["--quick", "--quick"]), "duplicate flag --quick");
 }
 
+/// `--trace` is an option of `--explain` and writes one run: one
+/// benchmark under one scheduler.
 #[test]
 fn trace_option_validation_exits_2() {
-    assert_usage_exit(&repro(&["--bench", "ks"]), "--bench requires --trace");
-    assert_usage_exit(&repro(&["--variant", "coco"]), "--variant requires --trace or --explain");
+    assert_usage_exit(&repro(&["--variant", "coco"]), "--variant requires --explain");
+    assert_usage_exit(&repro(&["--trace", "/tmp/x.json"]), "--trace requires --explain");
     assert_usage_exit(
-        &repro(&["--trace", "/tmp/x.json", "--scheduler", "both"]),
-        "single --scheduler",
+        &repro(&["--trace", "/tmp/x.json", "--scheduler", "dswp", "--metrics"]),
+        "--trace requires --explain",
     );
+    let explain =
+        |args: &[&str]| repro(&[&["--explain"], args, &["--trace", "/tmp/x.json"]].concat());
+    assert_usage_exit(&explain(&["all", "--scheduler", "dswp"]), "one benchmark, not all");
+    assert_usage_exit(&explain(&["ks", "--scheduler", "both"]), "single --scheduler");
+    assert_usage_exit(&explain(&["ks"]), "single --scheduler");
     assert_usage_exit(
-        &repro(&["--trace", "/tmp/x.json", "--variant", "fast"]),
+        &explain(&["ks", "--scheduler", "dswp", "--variant", "fast"]),
         "bad variant fast",
     );
-    assert_usage_exit(
-        &repro(&["--trace", "/tmp/x.json", "--bench", "nosuch"]),
-        "unknown benchmark nosuch",
-    );
-    assert_usage_exit(&repro(&["--trace"]), "missing --trace path");
+    assert_usage_exit(&explain(&["nosuch", "--scheduler", "dswp"]), "unknown benchmark nosuch");
+    assert_usage_exit(&repro(&["--explain", "ks", "--trace"]), "missing --trace path");
 }
 
 #[test]
@@ -290,25 +296,14 @@ fn invalid_gmt_jobs_exits_2_before_any_work() {
     }
 }
 
-/// One traced cell reproduces the pinned attribution and per-queue
-/// tables, and writes Chrome-trace JSON with the expected schema: core
-/// spans on pid 1, queue counters on pid 2, both processes named, and
-/// a cycle count.
+/// `--explain … --trace PATH` prints the pinned report of the cell and
+/// writes the same run as Chrome-trace JSON with the expected schema:
+/// core spans on pid 1, queue counters on pid 2, both processes named,
+/// and a cycle count.
 #[test]
-fn trace_cell_writes_chrome_json_and_attribution() {
-    let dir = std::env::temp_dir().join("gmt_repro_cli_trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.json");
-    let path_str = path.to_str().unwrap();
-    let stdout = stdout_of(&[
-        "--trace", path_str, "--bench", "adpcmdec", "--scheduler", "dswp", "--quick",
-    ]);
-    assert_eq!(
-        stdout.replace(path_str, "TRACE_PATH"),
-        include_str!("../../../tests/golden/trace_adpcmdec_dswp_quick.txt")
-    );
-    let json = std::fs::read_to_string(&path).expect("trace file written");
-    std::fs::remove_file(&path).ok();
+fn explain_trace_writes_chrome_json() {
+    let (stdout, json) = explain_with_trace("adpcmdec", "dswp", "explain_trace");
+    assert_eq!(stdout, include_str!("../../../tests/golden/explain_adpcmdec_dswp_quick.txt"));
     assert!(json.contains("\"traceEvents\""));
     let event = |ph: &str, pid: u32| {
         json.lines().any(|l| {
@@ -324,4 +319,109 @@ fn trace_cell_writes_chrome_json_and_attribution() {
     assert!(process_names[1].contains("\"args\":{\"name\":\"sa queues\"}"), "{process_names:?}");
     let other = json.split("\"otherData\":").nth(1).expect("otherData");
     assert!(json_u64(other, "cycles") > 0, "cycle count recorded");
+}
+
+/// Runs `--explain BENCH --scheduler SCHED --quick --trace PATH` and
+/// returns its stdout and the trace file it wrote (`tag` names the
+/// file, so tests running in parallel do not share one).
+fn explain_with_trace(bench: &str, sched: &str, tag: &str) -> (String, String) {
+    let dir = std::env::temp_dir().join("gmt_repro_cli_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}_{bench}_{sched}.json"));
+    let path_str = path.to_str().unwrap();
+    let stdout =
+        stdout_of(&["--explain", bench, "--scheduler", sched, "--quick", "--trace", path_str]);
+    let json = std::fs::read_to_string(&path).expect("trace file written");
+    std::fs::remove_file(&path).ok();
+    (stdout, json)
+}
+
+/// The `--explain` per-thread table's stall headings and the Chrome
+/// span names of the same reasons.
+const SPAN_OF_COLUMN: [(&str, &str); 8] = [
+    ("compute", "compute"),
+    ("operand", "operand"),
+    ("struct", "structural"),
+    ("sa-port", "sa-port"),
+    ("q-full", "queue-full"),
+    ("q-empty", "queue-empty"),
+    ("load-lim", "load-limit"),
+    ("mispred", "mispredict"),
+];
+
+/// The rows of the report's table whose header line starts with
+/// `first`: one map from heading to cell per row (`t` or `qN` first).
+/// The last column, `plan`, keeps only its first word.
+fn report_table(report: &str, first: &str) -> Vec<HashMap<String, String>> {
+    let mut lines = report.lines().skip_while(|l| !l.starts_with(first));
+    let header: Vec<&str> = lines.next().expect("table present").split_whitespace().collect();
+    lines
+        .take_while(|l| l.trim_start_matches('q').starts_with(|c: char| c.is_ascii_digit()))
+        .map(|l| {
+            let cells = l.split_whitespace().map(String::from);
+            header.iter().map(|h| h.to_string()).zip(cells).collect()
+        })
+        .collect()
+}
+
+/// The Chrome export law: the file `--explain … --trace` writes is the
+/// run its report explains. Per core, the pid-1 span durations summed
+/// by span name are that thread's `compute` and per-reason stall
+/// columns (idle cycles draw no span); each pid-2 queue track peaks at
+/// that queue's `max-occ`; `otherData.cycles` is the report's cycle
+/// count.
+#[test]
+fn chrome_trace_agrees_with_the_explain_report() {
+    for (bench, sched) in [("ks", "gremio"), ("adpcmdec", "dswp")] {
+        let (report, json) = explain_with_trace(bench, sched, "law");
+        let tag = format!("{bench}/{sched}");
+        let cycles: u64 = report
+            .lines()
+            .next()
+            .and_then(|l| l.rsplit('(').next())
+            .and_then(|c| c.strip_suffix(" cycles)"))
+            .and_then(|c| c.parse().ok())
+            .unwrap_or_else(|| panic!("{tag}: no cycle count in {report}"));
+        let other = json.split("\"otherData\":").nth(1).expect("otherData");
+        assert_eq!(json_u64(other, "cycles"), cycles, "{tag}: otherData.cycles");
+
+        // Span cycles by (core, name), and each queue track's peak.
+        let mut spans: HashMap<(u64, String), u64> = HashMap::new();
+        let mut peaks: HashMap<String, u64> = HashMap::new();
+        for l in json.lines().filter(|l| l.starts_with("{\"name\":")) {
+            let name = json_value(l, "name").trim_matches('"').to_string();
+            match (json_value(l, "ph"), json_u64(l, "pid")) {
+                ("\"X\"", 1) => {
+                    *spans.entry((json_u64(l, "tid"), name)).or_default() += json_u64(l, "dur");
+                }
+                ("\"C\"", 2) => {
+                    let peak = peaks.entry(name).or_default();
+                    *peak = (*peak).max(json_u64(l, "occupancy"));
+                }
+                ("\"M\"", _) => {}
+                other => panic!("{tag}: unexpected event {other:?}: {l}"),
+            }
+        }
+
+        let threads = report_table(&report, "thread");
+        assert!(!threads.is_empty(), "{tag}: {report}");
+        for row in &threads {
+            let core: u64 = row["thread"].parse().unwrap();
+            for (column, span) in SPAN_OF_COLUMN {
+                let want: u64 = row[column].parse().unwrap();
+                let got = spans.remove(&(core, span.to_string())).unwrap_or(0);
+                assert_eq!(got, want, "{tag}: core {core} {span} spans vs the `{column}` column");
+            }
+        }
+        assert!(spans.is_empty(), "{tag}: spans the report has no column for: {spans:?}");
+
+        let queues = report_table(&report, "queue");
+        assert!(!queues.is_empty(), "{tag}: {report}");
+        for row in &queues {
+            let want: u64 = row["max-occ"].parse().unwrap();
+            let got = peaks.remove(&row["queue"]).unwrap_or(0);
+            assert_eq!(got, want, "{tag}: {} track peak vs `max-occ`", row["queue"]);
+        }
+        assert!(peaks.is_empty(), "{tag}: queue tracks the report has no row for: {peaks:?}");
+    }
 }

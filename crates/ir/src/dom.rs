@@ -25,8 +25,6 @@ impl Dominators {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_pos[b.index()] = i as u32;
         }
-        let succs_of = |b: BlockId| f.successors(b);
-        let _ = succs_of;
         let mut idom = vec![UNDEF; n];
         idom[f.entry().index()] = f.entry().0;
         let mut changed = true;
