@@ -210,8 +210,10 @@ pub fn compile_cell(
     scale: Scale,
 ) -> Result<CompiledCell<'_>, HarnessError> {
     let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
-    let profile = &train.profile;
+    // Only the profile is kept: the run's final memory image (512 KB
+    // for mpeg2enc) would otherwise stay live through the arbitration.
+    let profile = w.run_train().map_err(fail(b, "train run"))?.profile;
+    let profile = &profile;
     let t = Instant::now();
     let pdg = Pdg::build(&w.function);
     let pdg_build_ns = t.elapsed().as_nanos() as u64;

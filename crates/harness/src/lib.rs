@@ -46,6 +46,20 @@
 //! workload produces a [`HarnessError`] naming the benchmark and the
 //! phase that failed; the remaining rows of the figure still print.
 //!
+//! A single [`evaluate_full`] call — one cell, as a client that
+//! evaluates cell by cell makes it — overlaps one pair of runs instead.
+//! Timed on ref inputs, the sequential program's simulation (the
+//! Figure 8 baseline, read only when the [`Evaluation`] is assembled)
+//! runs on a second thread while the calling thread compiles the cell
+//! and measures its MTCG and COCO variants; the result, the
+//! [`Evaluation::simulations`] count and the order in which errors are
+//! reported are the serial evaluation's. Only ref inputs: on train
+//! inputs GREMIO's arbitration hands the sequential run over, and a
+//! DSWP helper measured no gain for more peak memory. Only outside the
+//! pool: [`run_workloads`] already keeps every CPU busy with one cell
+//! per worker, so its evaluations never start the helper, and
+//! `GMT_JOBS=1` starts no thread anywhere.
+//!
 //! Each evaluation also records per-run observability — wall-clock
 //! time, dynamic-instruction and cycle counts, and compile-phase
 //! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`],
@@ -254,7 +268,10 @@ pub struct Evaluation {
 
 /// Evaluates one workload under one scheduler: baseline MTCG and
 /// MTCG+COCO, dynamic counts, (when `timed`) cycles, and the
-/// per-variant [`RunMetrics`].
+/// per-variant [`RunMetrics`]. With more than one worker (`GMT_JOBS`,
+/// default available parallelism), a timed evaluation on ref inputs
+/// simulates the sequential program on a second thread while this one
+/// compiles and measures the cell (see the module docs).
 ///
 /// # Errors
 ///
@@ -266,7 +283,38 @@ pub fn evaluate_full(
     timed: bool,
     scale: Scale,
 ) -> Result<Evaluation, HarnessError> {
-    evaluate_cell(&compile_cell(w, kind, scale)?, timed)
+    evaluate_on(w, kind, timed, scale, gmt_testkit::num_jobs())
+}
+
+/// [`evaluate_full`] on `jobs` workers: with more than one, a timed
+/// evaluation on ref inputs runs its sequential simulation on a helper
+/// thread beside the cell's compile and measurements. Either way the
+/// evaluation and its errors are the serial one's: the compile phases
+/// fail first, then `sequential sim`, then the variants' runs.
+fn evaluate_on(
+    w: &Workload,
+    kind: SchedulerKind,
+    timed: bool,
+    scale: Scale,
+    jobs: usize,
+) -> Result<Evaluation, HarnessError> {
+    if !timed || scale == Scale::Quick || jobs <= 1 {
+        return evaluate_cell(&compile_cell(w, kind, scale)?, timed);
+    }
+    std::thread::scope(|s| {
+        let helper = s.spawn(|| simulate_sequential(w, &w.ref_args));
+        let compiled = compile_cell(w, kind, scale).map(|cell| {
+            let variants = measure_variants(&cell, timed);
+            (cell, variants)
+        });
+        // Joined here rather than by the scope, so that the helper has
+        // exited — and handed its allocator arena back for the next
+        // helper to reuse — before this returns; its panic, if any,
+        // unwinds on through the scope.
+        let seq = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let (cell, variants) = compiled?;
+        Ok(assemble(&cell, timed, seq?, variants?))
+    })
 }
 
 /// Measures a compiled cell: the sequential program and each distinct
@@ -275,28 +323,42 @@ pub fn evaluate_full(
 /// arbitration, which made them already.
 fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, HarnessError> {
     let w = cell.workload;
-    let b = w.benchmark;
-    let mut simulations = cell.arb_probes;
-    let (seq_instrs, seq_cycles) = match (timed, &cell.train_runs.seq) {
+    let seq = match (timed, &cell.train_runs.seq) {
         (true, Some(seq)) => (sim_counts(seq).total(), seq.cycles),
-        (true, None) => {
-            simulations += 1;
-            let sim = simulate(
-                std::slice::from_ref(&w.function),
-                cell.args,
-                w.init,
-                &MachineConfig::default(),
-            )
-            .map_err(fail(b, "sequential sim"))?;
-            (sim_counts(&sim).total(), sim.cycles)
-        }
+        (true, None) => simulate_sequential(w, cell.args)?,
         (false, _) => {
             let seq =
                 gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
-                    .map_err(fail(b, "sequential run"))?;
+                    .map_err(fail(w.benchmark, "sequential run"))?;
             (seq.counts.total(), 0)
         }
     };
+    Ok(assemble(cell, timed, seq, measure_variants(cell, timed)?))
+}
+
+/// The sequential program — the function itself on the default
+/// machine — simulated on `args`: its retired instructions and cycles.
+fn simulate_sequential(w: &Workload, args: &[i64]) -> Result<(u64, u64), HarnessError> {
+    let function = std::slice::from_ref(&w.function);
+    let sim = simulate(function, args, w.init, &MachineConfig::default())
+        .map_err(fail(w.benchmark, "sequential sim"))?;
+    Ok((sim_counts(&sim).total(), sim.cycles))
+}
+
+/// A cell's two variants, measured: the figure-facing results, their
+/// records (baseline MTCG, then MTCG+COCO) and the simulations run.
+struct Variants {
+    mtcg: VariantResult,
+    coco: VariantResult,
+    metrics: Vec<RunMetrics>,
+    simulations: u64,
+}
+
+/// Measures each distinct variant of `cell` once; a timed evaluation
+/// on train inputs reads the winning variant's run from GREMIO's
+/// arbitration.
+fn measure_variants(cell: &CompiledCell, timed: bool) -> Result<Variants, HarnessError> {
+    let mut simulations = 0;
     let shared = same_run(&cell.mtcg, &cell.coco);
     // The winner's run is the COCO variant's, and the baseline's too
     // when the two variants are one program.
@@ -320,11 +382,27 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
     } else {
         measure(cell, &cell.coco, timed, winner, &mut simulations, "COCO run", "timed COCO sim")?
     };
-    Ok(Evaluation {
-        result: BenchResult { benchmark: b, seq_instrs, seq_cycles, mtcg, coco },
-        metrics: vec![base, opt],
-        simulations,
-    })
+    Ok(Variants { mtcg, coco, metrics: vec![base, opt], simulations })
+}
+
+/// The evaluation of `cell` from its sequential run's `(instructions,
+/// cycles)` and its measured variants. The simulations count the
+/// arbitration's probes and the sequential run when it was simulated
+/// rather than handed over.
+fn assemble(cell: &CompiledCell, timed: bool, seq: (u64, u64), v: Variants) -> Evaluation {
+    let seq_simulated = u64::from(timed && cell.train_runs.seq.is_none());
+    let (seq_instrs, seq_cycles) = seq;
+    Evaluation {
+        result: BenchResult {
+            benchmark: cell.workload.benchmark,
+            seq_instrs,
+            seq_cycles,
+            mtcg: v.mtcg,
+            coco: v.coco,
+        },
+        metrics: v.metrics,
+        simulations: cell.arb_probes + seq_simulated + v.simulations,
+    }
 }
 
 /// Whether executing `a` and executing `b` on one input are the same
@@ -444,7 +522,9 @@ pub fn run_all(
 /// Evaluates an explicit workload list on `jobs` workers, preserving
 /// input order (1 worker = serial in-thread). The building block
 /// behind [`run_all`], and what a caller that wants the metrics, an
-/// explicit worker count or its own workload list calls directly.
+/// explicit worker count or its own workload list calls directly. The
+/// pool keeps the workers busy, so no evaluation here starts
+/// [`evaluate_full`]'s sequential helper.
 pub fn run_workloads(
     workloads: Vec<Workload>,
     kind: SchedulerKind,
@@ -452,7 +532,7 @@ pub fn run_workloads(
     scale: Scale,
     jobs: usize,
 ) -> Vec<Result<Evaluation, HarnessError>> {
-    gmt_testkit::par_map(workloads, jobs, |_i, w| evaluate_full(&w, kind, timed, scale))
+    gmt_testkit::par_map(workloads, jobs, |_i, w| evaluate_on(&w, kind, timed, scale, 1))
 }
 
 /// The multi-thread extension study (the paper's conclusion: "we expect
@@ -712,6 +792,48 @@ mod tests {
             assert_eq!(shared, SHARED_CELLS, "timed: {timed}");
             let want: &[_] = if timed { &HANDED_RECORDS } else { &[] };
             assert_eq!(handed, want, "timed: {timed}");
+        }
+    }
+
+    /// The sequential helper is invisible: a timed evaluation on ref
+    /// inputs reports the same figures, simulation count and records
+    /// (but for host time) with the sequential run on a second thread
+    /// as without it, on cells whose variants share a run (mpeg2enc
+    /// under DSWP) and cells whose variants do not; and a planted
+    /// failure surfaces as the same error, in the serial precedence.
+    #[test]
+    fn the_sequential_helper_changes_no_result_and_no_error() {
+        let host_time_masked = |m: &RunMetrics| RunMetrics {
+            wall_ns: 0,
+            timings: gmt_core::CompileTimings::default(),
+            ..*m
+        };
+        let full = |w: &Workload, kind, jobs| evaluate_on(w, kind, true, Scale::Full, jobs);
+        for name in ["ks", "mpeg2enc", "181.mcf"] {
+            let w = gmt_workloads::by_benchmark(name).unwrap();
+            for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+                let at = format!("{name} / {}", kind.name());
+                let [serial, helper] = [1, 2].map(|jobs| full(&w, kind, jobs).expect("evaluates"));
+                let figures = |e: &Evaluation| {
+                    let r = &e.result;
+                    (r.benchmark, r.seq_instrs, r.seq_cycles, r.mtcg, r.coco)
+                };
+                assert_eq!(figures(&helper), figures(&serial), "{at}: BenchResult");
+                assert_eq!(helper.simulations, serial.simulations, "{at}: simulations");
+                let records = |e: &Evaluation| -> Vec<_> {
+                    e.metrics.iter().map(host_time_masked).collect()
+                };
+                assert_eq!(records(&helper), records(&serial), "{at}: RunMetrics");
+            }
+        }
+        let ks = gmt_workloads::by_benchmark("ks").unwrap();
+        let no_ref = Workload { ref_args: Vec::new(), ..ks.clone() };
+        let no_train = Workload { train_args: Vec::new(), ..ks };
+        for (w, phase) in [(no_ref, "sequential sim"), (no_train, "train run")] {
+            let [serial, helper] =
+                [1, 2].map(|jobs| full(&w, SchedulerKind::Dswp, jobs).unwrap_err());
+            assert_eq!(serial.phase, phase, "{serial}");
+            assert_eq!(helper, serial);
         }
     }
 

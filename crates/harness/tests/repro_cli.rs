@@ -221,6 +221,13 @@ fn quick_figure7_matches_golden() {
     );
 }
 
+/// Every figure on ref inputs (`--fig all`: Figures 6, 1, 7 and 8), on
+/// the worker pool, byte for byte.
+#[test]
+fn full_figures_match_golden() {
+    assert_eq!(stdout_of(&["--fig", "all"]), include_str!("../../../repro_full.txt"));
+}
+
 /// The ablation claims of EXPERIMENTS.md "Ablations", byte for byte:
 /// control-flow penalties and independent cuts each move one GREMIO
 /// four-thread kernel (mpeg2enc, 183.equake) and nothing at two

@@ -19,8 +19,8 @@
 //! line number below `ceil(bytes / line_bytes)`. A line's set index
 //! (its line number masked by, or taken modulo, `num_sets`) is never
 //! larger than the line number, so no access touches a set that is not
-//! stored, and no latency, hit level or counter differs from the
-//! full-size cache. A generated program's image is under 1 KB, so its
+//! stored, and no latency, hit level, tag or LRU entry differs from
+//! the full-size cache. A generated program's image is under 1 KB, so its
 //! simulations allocate and zero a few hundred entries, not the ≈ 17k
 //! of the two-core Figure 6(a) hierarchy.
 
@@ -40,17 +40,14 @@ pub struct Cache {
     line_bytes: u64,
     /// `Some(shift)` when `line_bytes` is a power of two.
     line_shift: Option<u32>,
-    /// `Some(mask)` when `num_sets` is a power of two.
-    set_mask: Option<u64>,
+    /// `Some((mask, width))` when `num_sets` is a power of two: the set
+    /// is `line & mask`, the tag `line >> width`.
+    set_bits: Option<(u64, u32)>,
     /// `tags[set * ways + way]`, holding `tag + 1` (0 = empty way), for
     /// the sets the memory image can reach (see the module doc).
     tags: Vec<u64>,
     lru: Vec<u64>,
     tick: u64,
-    /// Statistics.
-    pub hits: u64,
-    /// Statistics.
-    pub misses: u64,
 }
 
 fn pow2_log(v: u64) -> Option<u32> {
@@ -71,12 +68,10 @@ impl Cache {
             num_sets: config.num_sets(),
             line_bytes,
             line_shift: pow2_log(line_bytes),
-            set_mask: pow2_log(config.num_sets()).map(|s| (1u64 << s) - 1),
+            set_bits: pow2_log(config.num_sets()).map(|s| ((1u64 << s) - 1, s)),
             tags: vec![0; sets * ways],
             lru: vec![0; sets * ways],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -86,8 +81,8 @@ impl Cache {
             Some(s) => addr >> s,
             None => addr / self.line_bytes,
         };
-        match self.set_mask {
-            Some(m) => ((line & m) as usize, line >> m.count_ones()),
+        match self.set_bits {
+            Some((mask, width)) => ((line & mask) as usize, line >> width),
             None => ((line % self.num_sets) as usize, line / self.num_sets),
         }
     }
@@ -100,11 +95,9 @@ impl Cache {
         for way in base..base + self.ways {
             if self.tags[way] == tag + 1 {
                 self.lru[way] = self.tick;
-                self.hits += 1;
                 return true;
             }
         }
-        self.misses += 1;
         false
     }
 
@@ -237,7 +230,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use gmt_testkit::{full_u64, prop_assert_eq, vec_of, Checker, Gen};
+    use gmt_testkit::{full_u64, prop_assert, prop_assert_eq, vec_of, Checker, Gen};
 
     #[test]
     fn repeated_access_hits() {
@@ -245,13 +238,11 @@ mod tests {
             CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, latency: 1 },
             u64::MAX,
         );
-        assert!(!c.access(0));
+        let probes = [0, 8, 64].map(|addr| c.access(addr));
+        assert_eq!(probes, [false; 3], "empty");
         c.fill(0);
-        assert!(c.access(0));
-        assert!(c.access(8), "same line");
-        assert!(!c.access(64), "next line");
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.misses, 2);
+        let probes = [0, 8, 64, 0].map(|addr| c.access(addr));
+        assert_eq!(probes, [true, true, false, true], "line 0 twice, not line 1, line 0 again");
     }
 
     #[test]
@@ -344,10 +335,12 @@ mod tests {
     }
 
     /// The sizing is exact: a hierarchy built for `bytes` answers every
-    /// access below `bytes` — latency, hit level, and each cache's hit
-    /// and miss counters — exactly as the full-size one does, on random
-    /// geometries with 1–4 cores and an image smaller than, equal to or
-    /// larger than a cache.
+    /// access below `bytes` — latency and hit level — exactly as the
+    /// full-size one does, and afterwards each sized cache holds the
+    /// tags and LRU stamps of the full cache's first sets while the
+    /// full cache's other sets are empty, on random geometries with 1–4
+    /// cores and an image smaller than, equal to or larger than a
+    /// cache.
     #[test]
     fn sized_hierarchy_matches_the_full_geometry() {
         let geometry: Gen<(Level, Level, Level)> = Gen::new(|rng| {
@@ -385,16 +378,18 @@ mod tests {
                         prop_assert_eq!(sized.store(core, addr), full.store(core, addr));
                     }
                 }
-                let counters = |h: &Hierarchy| {
-                    let mut c: Vec<(u64, u64)> = h
-                        .private
-                        .iter()
-                        .flat_map(|(l1, l2)| [(l1.hits, l1.misses), (l2.hits, l2.misses)])
-                        .collect();
-                    c.push((h.l3.hits, h.l3.misses));
-                    c
+                let caches = |h: &Hierarchy| {
+                    let private = h.private.iter().flat_map(|(l1, l2)| [l1, l2]);
+                    private.chain([&h.l3]).cloned().collect::<Vec<_>>()
                 };
-                prop_assert_eq!(counters(&sized), counters(&full));
+                for (sized, full) in caches(&sized).iter().zip(&caches(&full)) {
+                    let stored = sized.tags.len();
+                    prop_assert_eq!(sized.tick, full.tick);
+                    prop_assert_eq!(&sized.tags[..], &full.tags[..stored]);
+                    prop_assert_eq!(&sized.lru[..], &full.lru[..stored]);
+                    prop_assert!(full.tags[stored..].iter().all(|&t| t == 0));
+                    prop_assert!(full.lru[stored..].iter().all(|&t| t == 0));
+                }
                 Ok(())
             },
         );

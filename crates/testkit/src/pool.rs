@@ -2,12 +2,12 @@
 //!
 //! The experiment matrix behind the paper's figures is embarrassingly
 //! parallel — every (benchmark, scheduler, variant) evaluation is
-//! independent — so [`par_map`] fans a job list out over
-//! `std::thread::scope` workers pulling indices from a shared atomic
-//! counter. Results are written into per-index slots, so the returned
-//! vector is **always in input order**: callers that format results
-//! sequentially produce byte-identical output whether the map ran on
-//! one worker or sixteen.
+//! independent — so [`par_map`] fans a job list out over workers (the
+//! calling thread and `std::thread::scope` threads) pulling indices
+//! from a shared atomic counter. Results are written into per-index
+//! slots, so the returned vector is **always in input order**: callers
+//! that format results sequentially produce byte-identical output
+//! whether the map ran on one worker or sixteen.
 //!
 //! The worker count comes from [`num_jobs`]: the `GMT_JOBS` environment
 //! variable when set, otherwise
@@ -84,9 +84,10 @@ pub fn num_jobs() -> usize {
 /// Applies `f` to every item on a pool of `jobs` workers and returns
 /// the results **in input order**.
 ///
-/// `f` receives the item's index and the item. With `jobs <= 1` (or a
-/// single item) the map runs serially in the caller's thread with no
-/// pool at all — identical semantics, zero threading.
+/// `f` receives the item's index and the item. The calling thread is
+/// one of the `jobs` workers, so `jobs - 1` threads are spawned. With
+/// `jobs <= 1` (or a single item) the map runs serially in the caller's
+/// thread with no pool at all — identical semantics, zero threading.
 pub fn par_map<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -102,22 +103,28 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("pool slot poisoned")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let r = f(i, item);
-                *results[i].lock().expect("pool result slot poisoned") = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let item = slots[i]
+            .lock()
+            .expect("pool slot poisoned")
+            .take()
+            .expect("each index is claimed exactly once");
+        let r = f(i, item);
+        *results[i].lock().expect("pool result slot poisoned") = Some(r);
+    };
+    // The caller is the last of the `jobs` workers rather than idling
+    // until the others finish; `scope` still joins every spawned
+    // worker before it returns or propagates a panic, the caller's
+    // included.
+    std::thread::scope(|s| {
+        for _ in 1..jobs {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -173,6 +180,19 @@ mod tests {
                 assert_eq!(*r, Ok(i + 1));
             }
         }
+    }
+
+    /// Two workers, two jobs that each wait for the other: each worker
+    /// runs exactly one, and the calling thread is one of the two.
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let barrier = std::sync::Barrier::new(2);
+        let ran_on = par_map(vec![(), ()], 2, |_i, ()| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&std::thread::current().id()), "{ran_on:?}");
     }
 
     #[test]
