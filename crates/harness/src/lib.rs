@@ -89,6 +89,7 @@ use gmt_sim::{
     simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult, StallCycles,
 };
 use gmt_workloads::{catalog, exec_config, Workload};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub use cell::{compile_cell, CompiledCell, CompiledVariant, TracedRun, TRACE_RING_CAPACITY};
@@ -276,17 +277,31 @@ pub struct Evaluation {
 /// # Errors
 ///
 /// Returns a [`HarnessError`] naming the benchmark and the failing
-/// phase if parallelization or execution fails.
+/// phase if parallelization or execution fails. A timed evaluation on
+/// ref inputs also fails, in phase `worker count`, when `GMT_JOBS` is
+/// set but malformed ([`gmt_testkit::parse_jobs`]).
 pub fn evaluate_full(
     w: &Workload,
     kind: SchedulerKind,
     timed: bool,
     scale: Scale,
 ) -> Result<Evaluation, HarnessError> {
-    evaluate_on(w, kind, timed, scale, gmt_testkit::num_jobs())
+    let helper = timed
+        && scale == Scale::Full
+        && more_than_one_worker().map_err(fail(w.benchmark, "worker count"))?;
+    evaluate_on(w, kind, timed, scale, helper)
 }
 
-/// [`evaluate_full`] on `jobs` workers: with more than one, a timed
+/// Whether the process has more than one worker
+/// ([`gmt_testkit::num_jobs_checked`]). Read once, so that every
+/// evaluation of a process decides alike and none re-reads the
+/// environment or the machine's CPU limits.
+fn more_than_one_worker() -> Result<bool, &'static String> {
+    static JOBS: OnceLock<Result<usize, String>> = OnceLock::new();
+    JOBS.get_or_init(gmt_testkit::num_jobs_checked).as_ref().map(|&jobs| jobs > 1)
+}
+
+/// [`evaluate_full`], with `helper` deciding whether a timed
 /// evaluation on ref inputs runs its sequential simulation on a helper
 /// thread beside the cell's compile and measurements. Either way the
 /// evaluation and its errors are the serial one's: the compile phases
@@ -296,9 +311,9 @@ fn evaluate_on(
     kind: SchedulerKind,
     timed: bool,
     scale: Scale,
-    jobs: usize,
+    helper: bool,
 ) -> Result<Evaluation, HarnessError> {
-    if !timed || scale == Scale::Quick || jobs <= 1 {
+    if !helper || !timed || scale == Scale::Quick {
         return evaluate_cell(&compile_cell(w, kind, scale)?, timed);
     }
     std::thread::scope(|s| {
@@ -532,7 +547,7 @@ pub fn run_workloads(
     scale: Scale,
     jobs: usize,
 ) -> Vec<Result<Evaluation, HarnessError>> {
-    gmt_testkit::par_map(workloads, jobs, |_i, w| evaluate_on(&w, kind, timed, scale, 1))
+    gmt_testkit::par_map(workloads, jobs, |_i, w| evaluate_on(&w, kind, timed, scale, false))
 }
 
 /// The multi-thread extension study (the paper's conclusion: "we expect
@@ -808,12 +823,12 @@ mod tests {
             timings: gmt_core::CompileTimings::default(),
             ..*m
         };
-        let full = |w: &Workload, kind, jobs| evaluate_on(w, kind, true, Scale::Full, jobs);
+        let full = |w: &Workload, kind, helper| evaluate_on(w, kind, true, Scale::Full, helper);
         for name in ["ks", "mpeg2enc", "181.mcf"] {
             let w = gmt_workloads::by_benchmark(name).unwrap();
             for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
                 let at = format!("{name} / {}", kind.name());
-                let [serial, helper] = [1, 2].map(|jobs| full(&w, kind, jobs).expect("evaluates"));
+                let [serial, helper] = [false, true].map(|on| full(&w, kind, on).expect("evaluates"));
                 let figures = |e: &Evaluation| {
                     let r = &e.result;
                     (r.benchmark, r.seq_instrs, r.seq_cycles, r.mtcg, r.coco)
@@ -831,7 +846,7 @@ mod tests {
         let no_train = Workload { train_args: Vec::new(), ..ks };
         for (w, phase) in [(no_ref, "sequential sim"), (no_train, "train run")] {
             let [serial, helper] =
-                [1, 2].map(|jobs| full(&w, SchedulerKind::Dswp, jobs).unwrap_err());
+                [false, true].map(|on| full(&w, SchedulerKind::Dswp, on).unwrap_err());
             assert_eq!(serial.phase, phase, "{serial}");
             assert_eq!(helper, serial);
         }
