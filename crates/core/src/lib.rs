@@ -72,7 +72,7 @@ mod safety;
 pub use coco::{optimize, CocoConfig, CocoStats};
 pub use estimate::SchedEstimate;
 pub use flowgraph::{BlockTables, Gf, GfBuilder, LiveTable};
-pub use mtverify::{verify_mt, verify_mt_each, MtVerifyError, WaitStep};
+pub use mtverify::{verify_mt, MtVerifyError, WaitStep};
 pub use pipeline::{CompileTimings, Parallelized, Parallelizer, PipelineError, Scheduler};
 pub use pos::{Pos, PosArc, PosGraph};
 pub use safety::Safety;

@@ -34,7 +34,7 @@ pub struct WaitStep {
     /// `true` for produce/produce.sync (blocked on a full queue),
     /// `false` for consume/consume.sync (blocked on an empty one).
     pub produce: bool,
-    /// The depth the queue was verified at (its allocated capacity).
+    /// The depth the queue was verified at.
     pub depth: usize,
 }
 
@@ -142,7 +142,7 @@ pub enum MtVerifyError {
         owner: ThreadId,
     },
     /// The inter-thread wait graph (queue dependences plus per-queue
-    /// back-pressure at each queue's allocated depth, chained across
+    /// back-pressure at each queue's depth, chained across
     /// blocks along each thread's generated CFG) has a cycle: every
     /// thread on the witness path can block waiting for the next.
     PotentialDeadlock {
@@ -274,7 +274,7 @@ impl std::fmt::Display for MtVerifyError {
                 "thread {thread:?} duplicates {branch:?} but {owner:?} never sends its condition"
             ),
             MtVerifyError::PotentialDeadlock { witness } => {
-                write!(f, "potential deadlock at the allocated queue depths:")?;
+                write!(f, "potential deadlock at the checked queue depths:")?;
                 for s in witness {
                     write!(
                         f,
@@ -339,10 +339,14 @@ fn comm_op(op: &Op) -> Option<(QueueId, bool)> {
 
 /// Statically validates the queue protocol of `out` against the
 /// original function, partition, and PDG, under the *per-queue* hardware
-/// depths in `queue_depths` (a single element broadcasts to every queue,
-/// matching `SaConfig::depths`; queue `q` otherwise gets
-/// `queue_depths[q]`, missing entries defaulting to 1). Returns every
-/// violation found (empty = verified).
+/// depths in `queue_depths` (a single element broadcasts to every queue;
+/// queue `q` otherwise gets `queue_depths[q]`, missing entries
+/// defaulting to 1). Returns every violation found (empty = verified).
+///
+/// Only the wait graph's back-pressure arcs read the depths; every
+/// other check is a fact of the program alone. The check is
+/// depth-monotone: a wait-graph cycle at some depths is a cycle at
+/// depth 1 too, so `[1]` is the harshest vector.
 pub fn verify_mt(
     f: &Function,
     partition: &Partition,
@@ -350,26 +354,6 @@ pub fn verify_mt(
     out: &MtcgOutput,
     queue_depths: &[usize],
 ) -> Vec<MtVerifyError> {
-    let [errs] = verify_mt_each(f, partition, pdg, out, [queue_depths]);
-    errs
-}
-
-/// [`verify_mt`] under several depth vectors at once: answer `k` is,
-/// element for element, what `verify_mt(.., queue_depths[k])` returns.
-///
-/// Only the wait graph's back-pressure arcs read the depths — labels,
-/// endpoints, sequences, control alignment, Definition 1's closure, the
-/// plan↔code replay, staleness and memory coverage are facts of the
-/// program alone — so everything else, the wait graph's nodes and its
-/// other arcs included, is computed once however many vectors are
-/// asked.
-pub fn verify_mt_each<const N: usize>(
-    f: &Function,
-    partition: &Partition,
-    pdg: &Pdg,
-    out: &MtcgOutput,
-    queue_depths: [&[usize]; N],
-) -> [Vec<MtVerifyError>; N] {
     let mut errs = Vec::new();
     let nt = out.threads.len();
     let items: Vec<CommItem> = out.plan.items().collect();
@@ -547,30 +531,23 @@ pub fn verify_mt_each<const N: usize>(
     // positions, branch duplication exactly where marked.
     errs.extend(plan_code_check(f, partition, out, &items, &images));
 
-    // ---- wait graph: potential deadlocks under the allocated
-    // per-queue depths, with arcs chained across blocks. The one check
-    // that reads the depths; its errors sit between the ones above and
-    // the ones below.
-    let wait = WaitGraph::build(&images);
+    // ---- wait graph: potential deadlocks under the per-queue depths,
+    // with arcs chained across blocks. The one check that reads the
+    // depths.
+    let depth_of = |q: QueueId| -> usize {
+        let d = if queue_depths.len() == 1 {
+            queue_depths[0]
+        } else {
+            queue_depths.get(q.index()).copied().unwrap_or(1)
+        };
+        d.max(1)
+    };
+    errs.extend(WaitGraph::build(&images).deadlocks(depth_of));
 
     // ---- Definitions 1–2 for moved points: register staleness and
     // memory-dependence coverage on the original CFG.
-    let after = defs12_check(f, partition, pdg, out, &items);
-
-    queue_depths.map(|depths| {
-        let depth_of = |q: QueueId| -> usize {
-            let d = if depths.len() == 1 {
-                depths[0]
-            } else {
-                depths.get(q.index()).copied().unwrap_or(1)
-            };
-            d.max(1)
-        };
-        let mut all = errs.clone();
-        all.extend(wait.deadlocks(&depth_of));
-        all.extend(after.iter().cloned());
-        all
-    })
+    errs.extend(defs12_check(f, partition, pdg, out, &items));
+    errs
 }
 
 /// One communication instruction of a block image that passed the
@@ -917,8 +894,9 @@ struct QueueOccurrences {
     consumes: Vec<NodeId>,
 }
 
-/// The inter-thread wait graph over static communication operations,
-/// less its back-pressure arcs — the part no queue depth enters.
+/// The inter-thread wait graph over static communication operations.
+/// [`WaitGraph::build`] adds every arc no queue depth enters;
+/// [`WaitGraph::deadlocks`] adds the back-pressure arcs in place.
 ///
 /// Nodes are the per-block communication occurrences (aligned by the
 /// sequence check). Arcs mean "must complete first": program order
@@ -1032,21 +1010,21 @@ impl WaitGraph {
     }
 
     /// Adds consume(k)→produce(k+depth_of(q)) back-pressure on each
-    /// queue at its allocated depth and reports each cycle of the
-    /// completed graph as a potential deadlock.
-    fn deadlocks(&self, depth_of: &dyn Fn(QueueId) -> usize) -> Vec<MtVerifyError> {
-        let mut g = self.graph.clone();
+    /// queue at its depth and reports each cycle of the completed graph
+    /// as a potential deadlock.
+    fn deadlocks(mut self, depth_of: impl Fn(QueueId) -> usize) -> Vec<MtVerifyError> {
         for occ in &self.queues {
             let depth = depth_of(occ.queue);
             // produce k+depth waits on consume k freeing a slot.
             for (k, &c) in occ.consumes.iter().enumerate() {
                 if let Some(&later) = k.checked_add(depth).and_then(|at| occ.produces.get(at)) {
-                    g.add_arc(c, later);
+                    self.graph.add_arc(c, later);
                 }
             }
         }
+        let g = &self.graph;
         let mut errs = Vec::new();
-        for scc in strongly_connected_components(&g) {
+        for scc in strongly_connected_components(g) {
             if !scc.is_nontrivial() {
                 continue;
             }

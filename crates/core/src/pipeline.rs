@@ -227,8 +227,9 @@ impl Parallelizer {
         );
         // Debug builds statically validate the queue protocol of every
         // generated program at the most conservative uniform depth (1),
-        // which subsumes any allocated depths >= 1 — MTCG output must
-        // be correct for any queue depth >= 1.
+        // which subsumes every depth >= 1 (`verify_mt` is
+        // depth-monotone) — MTCG output must be correct for any queue
+        // depth >= 1.
         #[cfg(debug_assertions)]
         {
             let violations = crate::mtverify::verify_mt(f, &partition, pdg, &output, &[1]);
@@ -267,7 +268,9 @@ pub struct Parallelized {
     pub timings: CompileTimings,
     /// Profile-weighted per-queue depth allocation (one entry per
     /// queue; hot loop-carried queues get [`Parallelizer::hot_queue_depth`],
-    /// cold control queues get 1). What `verify_mt` checks at.
+    /// cold control queues get 1). No figure, executor or check of the
+    /// workspace reads it; the repository benchmark times its
+    /// allocation.
     pub queue_depths: Vec<usize>,
     /// Static estimates captured at partition time (per-thread loads,
     /// cut edges, per-queue traffic) — the "what the scheduler

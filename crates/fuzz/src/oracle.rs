@@ -8,8 +8,8 @@
 //! - the decoded and reference **sequential** interpreters agree on
 //!   return value, output trace, dynamic counts, edge profile, and
 //!   final memory (or return the *same* typed error);
-//! - `verify_mt` accepts the generated code at uniform depth 1 and at
-//!   the profile-allocated per-queue depths;
+//! - `verify_mt` accepts the generated code at depth 1, which subsumes
+//!   every depth ≥ 1 (the check is depth-monotone);
 //! - the decoded and reference **functional MT** interpreters agree
 //!   with the sequential run (return/output/memory) and with each
 //!   other (per-thread dynamic counts) at queue capacities 1 and 32,
@@ -17,8 +17,9 @@
 //! - the **timed** engines — ID-walking reference, decoded with
 //!   fast-forward, decoded without — agree on cycles, outputs, every
 //!   per-core `CoreStats` field (stall table included) and the cache
-//!   hit levels at both uniform and allocated queue depths, and the
-//!   fast-forward obeys the conservation law
+//!   hit levels on the machine at the scheduler's queue depth (1 for
+//!   GREMIO, 32 for DSWP), and the fast-forward obeys the conservation
+//!   law
 //!   `engine_steps + skipped_cycles = noskip steps`;
 //! - **interpreter ↔ simulator**: every core of every timed engine
 //!   retires exactly the computation / communication / synchronization
@@ -47,9 +48,7 @@
 //! reported finding.
 
 use crate::ast::{compile, seeded_partition, FuzzCase, Mode};
-use gmt_core::{
-    verify_mt_each, CocoConfig, Parallelized, Parallelizer, PipelineError, Scheduler,
-};
+use gmt_core::{verify_mt, CocoConfig, Parallelized, Parallelizer, PipelineError, Scheduler};
 use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp::{DynCounts, ExecConfig, ExecError, RunResult};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, MtRunResult, QueueConfig};
@@ -78,7 +77,8 @@ pub struct CaseReport {
     pub num_queues: u32,
     /// Dynamic instructions of the sequential run.
     pub seq_steps: u64,
-    /// Cycles of the timed run at allocated depths (0 if rejected).
+    /// Cycles of the timed run at the scheduler's queue depth (0 if
+    /// rejected).
     pub cycles: u64,
 }
 
@@ -115,7 +115,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         let threads = std::slice::from_ref(&f);
         let program =
             DecodedProgram::decode(threads).map_err(|e| format!("[decode seq] {e:?}"))?;
-        sim_cross_check(&program, threads, &seq, &[seq.counts], &machine_for(0, vec![1]), "seq")?;
+        sim_cross_check(&program, threads, &seq, &[seq.counts], &machine_for(0, 1), "seq")?;
     }
 
     // Phase 2: the pipeline (partition → COCO → MTCG). One PDG serves
@@ -131,17 +131,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     let out = &par.output;
     report.num_queues = out.num_queues;
 
-    // Phase 3: static protocol validation, uniform + allocated, in one
-    // verifier call (only the wait graph reads the depths).
-    let [v1, va] = verify_mt_each(&f, &par.partition, &pdg, out, [&[1], &par.queue_depths]);
-    if !v1.is_empty() {
-        return Err(format!("[verify_mt depth=1] {v1:?}"));
-    }
-    if !va.is_empty() {
-        return Err(format!(
-            "[verify_mt depths={:?}] {va:?}",
-            par.queue_depths
-        ));
+    // Phase 3: static protocol validation at depth 1, the harshest.
+    let violations = verify_mt(&f, &par.partition, &pdg, out, &[1]);
+    if !violations.is_empty() {
+        return Err(format!("[verify_mt depth=1] {violations:?}"));
     }
 
     // Phase 4: functional MT at capacities 1 and 32, on the one decoded
@@ -158,18 +151,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         ));
     }
 
-    // Phase 5: timed engines at uniform hot depth and allocated depths.
-    let hot = scheduler(case).queue_depth();
-    let uniform = machine_for(out.num_queues, vec![hot]);
-    let allocated = machine_for(
-        out.num_queues,
-        if par.queue_depths.is_empty() { vec![1] } else { par.queue_depths.clone() },
-    );
-    for (label, machine) in [("uniform", &uniform), ("allocated", &allocated)] {
-        let sim =
-            sim_cross_check(&program, par.threads(), &seq, &mt32.per_thread, machine, label)?;
-        report.cycles = sim.cycles;
-    }
+    // Phase 5: timed engines at the scheduler's queue depth.
+    let machine = machine_for(out.num_queues, scheduler(case).queue_depth());
+    let sim = sim_cross_check(&program, par.threads(), &seq, &mt32.per_thread, &machine, "mt")?;
+    report.cycles = sim.cycles;
 
     Ok(report)
 }
@@ -312,10 +297,10 @@ fn mt_cross_check(
     Ok(dec)
 }
 
-/// A machine sized for the generated program's queue file with the
-/// fuzzer's cycle budget.
-fn machine_for(num_queues: u32, depths: Vec<usize>) -> MachineConfig {
-    let mut m = MachineConfig::default().with_queue_depths(depths);
+/// A machine sized for the generated program's queue file, `depth`
+/// entries per queue, with the fuzzer's cycle budget.
+fn machine_for(num_queues: u32, depth: usize) -> MachineConfig {
+    let mut m = MachineConfig::default().with_queue_depth(depth);
     m.sa.num_queues = num_queues.max(1) as usize;
     m.max_cycles = MAX_CYCLES;
     m

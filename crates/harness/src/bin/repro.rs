@@ -3,18 +3,17 @@
 //! ```text
 //! repro --fig 1|6a|6b|7|8|scaling|ablations|all [--quick] [--scheduler gremio|dswp|both]
 //! repro --metrics [--quick] [--scheduler gremio|dswp|both]
-//! repro --verify-mt
 //! repro --fuzz SECS
 //! repro --explain ks|all [--scheduler gremio|dswp|both] \
 //!       [--variant mtcg|coco] [--quick] [--json] [--trace out.json]
 //! ```
 //!
-//! The five modes are mutually exclusive, and `--verify-mt` and
-//! `--fuzz` take no other flag; conflicting, ignored or repeated flags
-//! exit 2 with usage. The experiment matrix runs on the
-//! `gmt-testkit` worker pool; set `GMT_JOBS=N` to pin the worker count
-//! (`GMT_JOBS=1` is the serial reference path — output is
-//! byte-identical either way).
+//! The four modes are mutually exclusive, and `--fuzz` takes no other
+//! flag; conflicting, ignored or repeated flags exit 2 with usage. The
+//! experiment matrix runs on the `gmt-testkit` worker pool; set
+//! `GMT_JOBS=N` to pin the worker count (`GMT_JOBS=1` is the serial
+//! reference path — output is byte-identical either way). A malformed
+//! `GMT_JOBS` exits 2 before any mode runs.
 //!
 //! `--fig all` prints Figures 6a, 6b, 1, 7 and 8. `--fig scaling` (the
 //! thread-scaling extension) and `--fig ablations` (the design-choice
@@ -46,7 +45,7 @@
 use gmt_harness::figures;
 use gmt_harness::{
     explain_cell_with, explain_json, explain_report, metrics_table, run_all, run_workloads,
-    stall_table, verify_matrix, verify_table, CompiledVariant, Scale, SchedulerKind,
+    stall_table, CompiledVariant, Scale, SchedulerKind,
 };
 use gmt_sim::{ChromeTraceSink, NoTrace, TraceSink};
 use std::collections::HashSet;
@@ -58,7 +57,6 @@ fn main() {
     let mut fig: Option<String> = None;
     let mut scale = Scale::Full;
     let mut metrics = false;
-    let mut verify = false;
     let mut fuzz_secs: Option<u64> = None;
     let mut trace: Option<String> = None;
     let mut explain: Option<String> = None;
@@ -87,10 +85,6 @@ fn main() {
             "--metrics" => {
                 once("--metrics");
                 metrics = true;
-            }
-            "--verify-mt" => {
-                once("--verify-mt");
-                verify = true;
             }
             "--fuzz" => {
                 once("--fuzz");
@@ -130,7 +124,7 @@ fn main() {
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    // Mode conflicts: the five modes are mutually exclusive, and each
+    // Mode conflicts: the four modes are mutually exclusive, and each
     // flag below only means something under the modes it names.
     if metrics && fig.is_some() {
         usage("--fig conflicts with --metrics");
@@ -138,16 +132,13 @@ fn main() {
     if explain.is_some() && (metrics || fig.is_some()) {
         usage("--explain conflicts with --fig and --metrics");
     }
-    if verify && (metrics || fig.is_some() || explain.is_some()) {
-        usage("--verify-mt conflicts with --fig, --metrics, and --explain");
+    if fuzz_secs.is_some() && (metrics || fig.is_some() || explain.is_some()) {
+        usage("--fuzz conflicts with --fig, --metrics, and --explain");
     }
-    if fuzz_secs.is_some() && (verify || metrics || fig.is_some() || explain.is_some()) {
-        usage("--fuzz conflicts with --fig, --metrics, --explain, and --verify-mt");
-    }
-    // --verify-mt always checks the whole matrix and --fuzz generates
-    // its own programs, so a scale or a scheduler would go unread.
-    if (verify || fuzz_secs.is_some()) && (matches!(scale, Scale::Quick) || scheds.is_some()) {
-        usage("--verify-mt and --fuzz take neither --quick nor --scheduler");
+    // --fuzz generates its own programs, so a scale or a scheduler
+    // would go unread.
+    if fuzz_secs.is_some() && (matches!(scale, Scale::Quick) || scheds.is_some()) {
+        usage("--fuzz takes neither --quick nor --scheduler");
     }
     let explain_only =
         [(variant.is_some(), "--variant"), (json, "--json"), (trace.is_some(), "--trace")];
@@ -169,6 +160,8 @@ fn main() {
             usage(&format!("unknown figure id {f} (known: {})", KNOWN_FIGS.join(", ")));
         }
     }
+    // Checked once, before any mode prints or computes anything.
+    let jobs = gmt_testkit::num_jobs();
 
     if let Some(target) = explain {
         let coco = match variant.as_deref() {
@@ -194,18 +187,13 @@ fn main() {
         return;
     }
 
-    if verify {
-        run_verify();
-        return;
-    }
-
     if let Some(secs) = fuzz_secs {
         run_fuzz(secs);
         return;
     }
 
     if metrics {
-        run_metrics(&scheds, scale);
+        run_metrics(&scheds, scale, jobs);
         return;
     }
 
@@ -295,22 +283,6 @@ fn run_explain<S: TraceSink>(
     sinks
 }
 
-/// The `--verify-mt` mode: the static queue-protocol validator over the
-/// full kernel × scheduler × ±COCO matrix at the paper's queue depths.
-/// Exits 1 if any configuration fails to parallelize or violates the
-/// protocol.
-fn run_verify() {
-    let results = verify_matrix(gmt_testkit::num_jobs());
-    print!("{}", verify_table(&results));
-    let cells = results.len();
-    let bad = results.iter().filter(|r| !matches!(r, Ok(c) if c.ok())).count();
-    if bad > 0 {
-        eprintln!("error: {bad}/{cells} configurations failed queue-protocol verification");
-        std::process::exit(1);
-    }
-    println!("all {cells} configurations verify");
-}
-
 /// The `--fuzz` mode: the time-budgeted differential pipeline fuzzer.
 /// Exits 1 on any finding (which is also shrunk and persisted to the
 /// corpus by the driver).
@@ -332,8 +304,7 @@ fn run_fuzz(secs: u64) {
 }
 
 /// The `--metrics` mode: full timed matrix, JSON-lines, summary table.
-fn run_metrics(scheds: &[SchedulerKind], scale: Scale) {
-    let jobs = gmt_testkit::num_jobs();
+fn run_metrics(scheds: &[SchedulerKind], scale: Scale, jobs: usize) {
     let mut records = Vec::new();
     let mut failures = Vec::new();
     for &k in scheds {
@@ -380,11 +351,11 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] \
          [--quick] [--scheduler gremio|dswp|both]\n\
-         \x20      repro --verify-mt | --fuzz SECS\n\
+         \x20      repro --fuzz SECS\n\
          \x20      repro --explain <NAME|all> [--scheduler gremio|dswp|both] \
          [--variant mtcg|coco] [--quick] [--json] [--trace <out.json>]\n\
-         modes --fig / --metrics / --explain / --verify-mt / --fuzz are mutually exclusive; \
-         --verify-mt and --fuzz take no other flag; --trace needs one NAME and one \
+         modes --fig / --metrics / --explain / --fuzz are mutually exclusive; \
+         --fuzz takes no other flag; --trace needs one NAME and one \
          --scheduler; each flag may appear once\n\
          env: GMT_JOBS=N pins the worker-pool size (default: available parallelism)"
     );

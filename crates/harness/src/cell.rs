@@ -5,9 +5,9 @@
 //! baseline MTCG and MTCG+COCO code over that partition, measure.
 //! [`compile_cell`] is that recipe, spelled once; every mode of the
 //! harness ([`crate::evaluate_full`], [`crate::explain_cell`],
-//! [`crate::verify_cell`]) obtains its programs, machine and queue
-//! file from it, so what `--verify-mt` verifies and `--explain`
-//! explains is exactly what the figures measure.
+//! [`crate::verify_matrix`]) obtains its programs, machine and queue
+//! file from it, so what the verification matrix verifies and
+//! `--explain` explains is exactly what the figures measure.
 //!
 //! Each distinct program of a cell is compiled once. GREMIO's timed
 //! arbitration already compiles the COCO variant of every candidate
@@ -468,6 +468,6 @@ mod tests {
         assert_eq!(cell.mtcg.parallelized.partition, cell.coco.parallelized.partition);
         assert_eq!((cell.mtcg.name, cell.coco.name), ("mtcg", "coco"));
         assert_eq!(cell.coco.queues.capacity, 32);
-        assert_eq!(cell.coco.machine.sa.depth_of(0), 32);
+        assert_eq!(cell.coco.machine.sa.depth, 32);
     }
 }

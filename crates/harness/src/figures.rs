@@ -307,11 +307,11 @@ fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
 /// on a 16-queue synchronization array.
 fn queue_budget_row(w: &Workload) -> Result<(usize, [(u32, u64); 2]), HarnessError> {
     let (f, b) = (&w.function, w.benchmark);
-    let train = w.run_train().map_err(crate::fail(b, "train run"))?;
+    let profile = w.run_train().map_err(crate::fail(b, "train run"))?.profile;
     let pdg = Pdg::build(f);
     let partition = SchedulerKind::Dswp
         .scheduler_n(4)
-        .partition(f, &pdg, &train.profile)
+        .partition(f, &pdg, &profile)
         .map_err(crate::fail(b, "partition"))?;
     let plan = gmt_mtcg::baseline_plan(f, &pdg, &partition).map_err(crate::fail(b, "baseline plan"))?;
     let points = plan.total_points();

@@ -34,7 +34,7 @@
 //! `wall_ns` is the compile phases only, because the run's host time
 //! is inside `partition_ns`. Profiles are always collected on *train*
 //! inputs and measurements on *ref* inputs. Every mode — figures,
-//! `--metrics`, `--explain`, `--verify-mt` — obtains its
+//! `--metrics`, `--explain`, and [`verify_matrix`] — obtains its
 //! programs from the one [`compile_cell`], so they all measure the
 //! same code.
 //!
@@ -98,7 +98,7 @@ pub use explain::{
     EXPLAIN_TOP_K,
 };
 pub use metrics::{metrics_table, stall_table, RunMetrics};
-pub use verify::{verify_cell, verify_matrix, verify_table, VerifyCell};
+pub use verify::{verify_matrix, VerifyCell};
 
 /// Which partitioner an experiment uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -422,16 +422,12 @@ fn assemble(cell: &CompiledCell, timed: bool, seq: (u64, u64), v: Variants) -> E
 
 /// Whether executing `a` and executing `b` on one input are the same
 /// run under either executor: one program up to the names of its
-/// queues, on equal machines and equal functional queue files, with
-/// every queue as deep as the one it is renamed to.
+/// queues, on equal machines (so every queue has one depth) and equal
+/// functional queue files.
 fn same_run(a: &CompiledVariant, b: &CompiledVariant) -> bool {
     a.machine == b.machine
         && a.queues == b.queues
-        && a.program.queue_renaming(&b.program).is_some_and(|pairs| {
-            pairs.iter().all(|&(qa, qb)| {
-                a.machine.sa.depth_of(qa.index()) == b.machine.sa.depth_of(qb.index())
-            })
-        })
+        && a.program.queue_renaming(&b.program).is_some()
 }
 
 /// The dynamic instruction counts of a timed run: what its cores
@@ -586,14 +582,16 @@ pub(crate) fn comm_by_coco_config<const N: usize>(
     configs: &[CocoConfig; N],
 ) -> Result<Vec<(u32, DynCounts, [u64; N])>, HarnessError> {
     let b = w.benchmark;
-    let train = w.run_train().map_err(fail(b, "train run"))?;
+    // Only the profile is kept: the run's final memory image would
+    // otherwise stay live through every partition and run.
+    let profile = w.run_train().map_err(fail(b, "train run"))?.profile;
     let pdg = gmt_pdg::Pdg::build(&w.function);
     threads
         .iter()
         .map(|&n| {
             let scheduler = kind.scheduler_n(n);
             let partition = scheduler
-                .partition(&w.function, &pdg, &train.profile)
+                .partition(&w.function, &pdg, &profile)
                 .map_err(fail(b, "partition"))?;
             let run = |p: &Parallelized| {
                 run_mt(
@@ -610,14 +608,14 @@ pub(crate) fn comm_by_coco_config<const N: usize>(
                 .map_err(fail(b, "mt run"))
             };
             let base = Parallelizer::new(scheduler.clone())
-                .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
+                .parallelize_with_partition(&w.function, &profile, &pdg, partition.clone())
                 .map_err(fail(b, "baseline parallelization"))?;
             let base = run(&base)?;
             let mut coco = [0; N];
             for (comm, config) in coco.iter_mut().zip(configs) {
                 let p = Parallelizer::new(scheduler.clone())
                     .with_coco(config.clone())
-                    .parallelize_with_partition(&w.function, &train.profile, &pdg, partition.clone())
+                    .parallelize_with_partition(&w.function, &profile, &pdg, partition.clone())
                     .map_err(fail(b, "coco parallelization"))?;
                 *comm = run(&p)?.comm_total();
             }
@@ -885,19 +883,6 @@ mod tests {
         let mut other = b.clone();
         other.queues.capacity += 1;
         assert!(!same_run(a, &other), "another functional queue file");
-        // Depths that differ between a queue and its partner: only the
-        // renaming tells which queues have to agree.
-        let pairs = a.program.queue_renaming(&b.program).expect("alike");
-        let &(qa, qb) = pairs.iter().find(|(qa, qb)| qa != qb).expect("a renamed queue");
-        let mut depths = vec![32; a.machine.sa.num_queues];
-        depths[qa.index()] = 1;
-        let (mut x, mut y) = (a.clone(), b.clone());
-        x.machine = x.machine.with_queue_depths(depths.clone());
-        y.machine = y.machine.with_queue_depths(depths.clone());
-        assert!(!same_run(&x, &y), "{qa:?} is shallow, its partner {qb:?} is not");
-        depths.swap(qa.index(), qb.index());
-        y.machine = y.machine.with_queue_depths(depths);
-        assert!(!same_run(&x, &y), "depths permuted along, but the machines now differ");
         let ks = gmt_workloads::by_benchmark("ks").unwrap();
         let ks = compile_cell(&ks, SchedulerKind::Dswp, Scale::Quick).unwrap();
         assert!(!same_run(&ks.mtcg, &ks.coco), "COCO moved communication: another program");

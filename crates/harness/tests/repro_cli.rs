@@ -41,6 +41,8 @@ fn unknown_argument_exits_2() {
     assert_usage_exit(&repro(&["--bogus"]), "--bogus");
     // `--explain` names the kernel; there is no second way to.
     assert_usage_exit(&repro(&["--bench", "ks"]), "unknown argument --bench");
+    // The verification matrix is a test, not a mode.
+    assert_usage_exit(&repro(&["--verify-mt"]), "unknown argument --verify-mt");
 }
 
 #[test]
@@ -57,15 +59,13 @@ fn conflicting_modes_exit_2() {
         assert_usage_exit(&repro(&args.concat()), "--explain conflicts");
     }
     // Flags the mode would silently ignore: the parsing rejects them
-    // before any work, so these cases cost no verification or fuzzing.
+    // before any work, so these cases cost no fuzzing.
     for args in [
-        &["--verify-mt", "--quick"][..],
-        &["--verify-mt", "--scheduler", "dswp"],
-        &["--verify-mt", "--scheduler", "dswp", "--quick"],
-        &["--fuzz", "1", "--quick"],
+        &["--fuzz", "1", "--quick"][..],
         &["--fuzz", "1", "--scheduler", "both"],
+        &["--fuzz", "1", "--scheduler", "dswp", "--quick"],
     ] {
-        assert_usage_exit(&repro(args), "take neither --quick nor --scheduler");
+        assert_usage_exit(&repro(args), "takes neither --quick nor --scheduler");
     }
 }
 
@@ -297,22 +297,27 @@ fn trace_option_validation_exits_2() {
     assert_usage_exit(&repro(&["--explain", "ks", "--trace"]), "missing --trace path");
 }
 
+/// Every mode checks `GMT_JOBS` before it prints or computes anything:
+/// `--fig all` used to print Figure 6 first, and `--fig 6a`, which
+/// needs no pool, used to ignore the value.
 #[test]
 fn invalid_gmt_jobs_exits_2_before_any_work() {
-    for bad in ["0", "zero", "-1"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--metrics", "--quick"])
-            .env("GMT_JOBS", bad)
-            .output()
-            .expect("repro runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "GMT_JOBS={bad}: {stderr}");
-        assert!(stderr.contains("GMT_JOBS"), "names the variable: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "rejected before producing output: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+    for args in [&["--metrics", "--quick"][..], &["--fig", "all"], &["--fig", "6a"]] {
+        for bad in ["0", "zero", "-1"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(args)
+                .env("GMT_JOBS", bad)
+                .output()
+                .expect("repro runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} GMT_JOBS={bad}: {stderr}");
+            assert!(stderr.contains("GMT_JOBS"), "names the variable: {stderr}");
+            assert!(
+                out.stdout.is_empty(),
+                "{args:?}: rejected before producing output: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
     }
 }
 

@@ -53,37 +53,13 @@ pub enum BranchModel {
 pub struct SaConfig {
     /// Number of queues.
     pub num_queues: usize,
-    /// Per-queue entry capacities. A single element is broadcast to
-    /// every queue — the uniform configuration (depth 1 in the base SA;
-    /// 32 for DSWP) — otherwise queue `q` gets `depths[q]`, as produced
-    /// by the profile-weighted allocator in `gmt_mtcg::queues`.
-    /// [`MachineConfig::validate`] rejects any other length.
-    pub depths: Vec<usize>,
+    /// Entry capacity of every queue: 1 in the base SA used for
+    /// GREMIO, 32 for DSWP.
+    pub depth: usize,
     /// Access latency in cycles.
     pub latency: u64,
     /// Request ports shared between all cores per cycle.
     pub ports: usize,
-}
-
-impl SaConfig {
-    /// The capacity of queue `q` under the broadcast rule.
-    pub fn depth_of(&self, q: usize) -> usize {
-        if self.depths.len() == 1 {
-            self.depths[0]
-        } else {
-            self.depths.get(q).copied().unwrap_or(1)
-        }
-    }
-
-    /// Compact rendering of the depth vector: `[32]` when uniform,
-    /// the full vector otherwise.
-    pub fn depths_summary(&self) -> String {
-        if self.depths.windows(2).all(|w| w[0] == w[1]) {
-            format!("[{}]", self.depths.first().copied().unwrap_or(1))
-        } else {
-            format!("{:?}", self.depths)
-        }
-    }
 }
 
 /// Full machine description.
@@ -140,7 +116,7 @@ impl Default for MachineConfig {
                 latency: 12,
             },
             mem_latency: 141,
-            sa: SaConfig { num_queues: 256, depths: vec![32], latency: 1, ports: 4 },
+            sa: SaConfig { num_queues: 256, depth: 32, latency: 1, ports: 4 },
             branch_model: BranchModel::Ideal,
             max_cycles: 2_000_000_000,
         }
@@ -148,23 +124,11 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Sets a *uniform default* depth: every queue gets `depth` entries
-    /// (the base single-element synchronization array used for GREMIO
-    /// is `with_queue_depth(1)`). Per-queue heterogeneous capacities go
-    /// through [`MachineConfig::with_queue_depths`] instead.
+    /// Sets the depth of every queue (the base single-element
+    /// synchronization array used for GREMIO is `with_queue_depth(1)`).
     #[must_use]
     pub fn with_queue_depth(mut self, depth: usize) -> MachineConfig {
-        self.sa.depths = vec![depth];
-        self
-    }
-
-    /// Sets heterogeneous per-queue depths, e.g. the profile-weighted
-    /// allocation from `gmt_mtcg::queues::allocate_depths`. The vector
-    /// must hold one entry per queue (or a single broadcast element);
-    /// [`MachineConfig::validate`] enforces this.
-    #[must_use]
-    pub fn with_queue_depths(mut self, depths: Vec<usize>) -> MachineConfig {
-        self.sa.depths = depths;
+        self.sa.depth = depth;
         self
     }
 
@@ -192,20 +156,8 @@ impl MachineConfig {
         // A depth-0 queue can never accept a produce: the producing
         // core would spin on queue-full stalls until `max_cycles` —
         // a 2-billion-cycle hang, not a simulation.
-        if self.sa.num_queues > 0 {
-            if self.sa.depths.is_empty() {
-                return Err("sa.depths must hold at least one entry".to_string());
-            }
-            if self.sa.depths.len() != 1 && self.sa.depths.len() != self.sa.num_queues {
-                return Err(format!(
-                    "sa.depths must hold 1 (broadcast) or num_queues ({}) entries, got {}",
-                    self.sa.num_queues,
-                    self.sa.depths.len()
-                ));
-            }
-            if self.sa.depths.iter().any(|&d| d == 0) {
-                return Err("sa.depth must be at least 1 for every queue".to_string());
-            }
+        if self.sa.num_queues > 0 && self.sa.depth == 0 {
+            return Err("sa.depth must be at least 1".to_string());
         }
         // The event-driven fast-forward requires every self-wakeup to
         // be strictly in the future: a zero mispredict penalty makes
@@ -242,7 +194,7 @@ impl MachineConfig {
              Shared L3   | {} cycles, {} KB, {}-way, {}B lines\n\
              Main Memory | {} cycles\n\
              Coherence   | snoop-based write-invalidate\n\
-             Sync Array  | {} queues x {} entries, {}-cycle, {} ports",
+             Sync Array  | {} queues x [{}] entries, {}-cycle, {} ports",
             self.issue_width,
             self.alu_units,
             self.mem_ports,
@@ -262,7 +214,7 @@ impl MachineConfig {
             self.l3.line_bytes,
             self.mem_latency,
             self.sa.num_queues,
-            self.sa.depths_summary(),
+            self.sa.depth,
             self.sa.latency,
             self.sa.ports,
         )
@@ -320,22 +272,10 @@ mod tests {
         // Depth 0 would hang every produce on queue-full; queue-less
         // machines (pure single-thread) legitimately have no depth.
         let mut m = MachineConfig::default();
-        m.sa.depths = vec![0];
+        m.sa.depth = 0;
         assert!(m.validate().unwrap_err().contains("sa.depth"));
         m.sa.num_queues = 0;
         assert_eq!(m.validate(), Ok(()));
-
-        // A per-queue vector must cover every queue (or broadcast).
-        let mut m = MachineConfig::default();
-        m.sa.depths = vec![32, 1];
-        assert!(m.validate().unwrap_err().contains("sa.depths"));
-        let mut m = MachineConfig::default();
-        m.sa.depths = Vec::new();
-        assert!(m.validate().unwrap_err().contains("sa.depths"));
-        let mut m = MachineConfig::default();
-        m.sa.depths = vec![1; 256];
-        m.sa.depths[17] = 0;
-        assert!(m.validate().unwrap_err().contains("sa.depth"));
     }
 
     #[test]
@@ -364,28 +304,15 @@ mod tests {
     #[test]
     fn queue_depth_override() {
         let m = MachineConfig::default().with_queue_depth(1);
-        assert_eq!(m.sa.depths, vec![1], "uniform default broadcasts");
-        assert_eq!(m.sa.depth_of(0), 1);
-        assert_eq!(m.sa.depth_of(255), 1);
-    }
-
-    #[test]
-    fn per_queue_depths_override() {
-        let mut depths = vec![1; 256];
-        depths[3] = 32;
-        let m = MachineConfig::default().with_queue_depths(depths);
+        assert_eq!(m.sa.depth, 1);
         assert_eq!(m.validate(), Ok(()));
-        assert_eq!(m.sa.depth_of(3), 32);
-        assert_eq!(m.sa.depth_of(4), 1);
-        let d = m.describe();
-        assert!(d.contains("entries"), "{d}");
     }
 
     #[test]
     fn describe_prints_depth_vector() {
         let d = MachineConfig::default().describe();
         assert!(d.contains("256 queues x [32] entries"), "{d}");
-        let m = MachineConfig::default().with_queue_depths(vec![2, 5]);
-        assert!(m.describe().contains("[2, 5] entries"), "{}", m.describe());
+        let m = MachineConfig::default().with_queue_depth(1);
+        assert!(m.describe().contains("256 queues x [1] entries"), "{}", m.describe());
     }
 }

@@ -48,39 +48,23 @@ pub struct QueueFull;
 struct Queue {
     entries: VecDeque<Entry>,
     pending: VecDeque<PendingConsume>,
-    depth: usize,
 }
 
 /// The synchronization array.
 #[derive(Clone, Debug)]
 pub struct SyncArray {
     queues: Vec<Queue>,
+    /// Entry capacity of every queue.
+    depth: usize,
     latency: u64,
 }
 
 impl SyncArray {
-    /// An empty array with per-queue entry capacities. A single-element
-    /// `depths` slice is broadcast to every queue (the uniform
-    /// configuration); otherwise queue `q` gets `depths[q]`. Missing or
-    /// zero entries clamp to depth 1 — a depth-0 queue would stall every
+    /// An empty array of `num_queues` queues of `depth` entries each. A
+    /// zero depth clamps to 1 — a depth-0 queue would stall every
     /// produce forever.
-    pub fn new(num_queues: usize, depths: &[usize], latency: u64) -> SyncArray {
-        let depth_at = |q: usize| -> usize {
-            let d = if depths.len() == 1 { depths[0] } else { depths.get(q).copied().unwrap_or(1) };
-            d.max(1)
-        };
-        SyncArray {
-            queues: (0..num_queues)
-                .map(|q| Queue { depth: depth_at(q), ..Queue::default() })
-                .collect(),
-            latency,
-        }
-    }
-
-    /// The entry capacity allocated to queue `q`, or 0 when `q` is not
-    /// a queue of this array — a nonexistent queue holds nothing.
-    pub fn depth_of(&self, q: usize) -> usize {
-        self.queues.get(q).map_or(0, |queue| queue.depth)
+    pub fn new(num_queues: usize, depth: usize, latency: u64) -> SyncArray {
+        SyncArray { queues: vec![Queue::default(); num_queues], depth: depth.max(1), latency }
     }
 
     /// Whether queue `q` can accept a produce this cycle. A queue id
@@ -89,7 +73,7 @@ impl SyncArray {
     /// [`DecodedProgram::check_queue_ids`](gmt_ir::decoded::DecodedProgram::check_queue_ids)),
     /// so this answer is only ever a conservative backstop.
     pub fn can_produce(&self, q: usize) -> bool {
-        self.queues.get(q).is_some_and(|queue| queue.entries.len() < queue.depth)
+        self.queues.get(q).is_some_and(|queue| queue.entries.len() < self.depth)
     }
 
     /// Produces `value` into queue `q` at cycle `now` (commit at
@@ -110,7 +94,7 @@ impl SyncArray {
         if let Some(pending) = queue.pending.pop_front() {
             return Ok(Some(Delivery { pending, value, ready_at: avail }));
         }
-        if queue.entries.len() >= queue.depth {
+        if queue.entries.len() >= self.depth {
             return Err(QueueFull);
         }
         queue.entries.push_back(Entry { value, avail });
@@ -196,7 +180,7 @@ mod tests {
 
     #[test]
     fn produce_then_consume() {
-        let mut sa = SyncArray::new(4, &[2], 1);
+        let mut sa = SyncArray::new(4, 2, 1);
         assert!(sa.can_produce(0));
         assert!(sa.produce(0, 42, 10).unwrap().is_none());
         let (v, ready) = sa.consume(0, 20, pc(1)).unwrap();
@@ -206,7 +190,7 @@ mod tests {
 
     #[test]
     fn consume_before_produce_is_pending() {
-        let mut sa = SyncArray::new(4, &[2], 1);
+        let mut sa = SyncArray::new(4, 2, 1);
         assert!(sa.consume(0, 5, pc(1)).is_err());
         let d = sa.produce(0, 7, 9).unwrap().expect("matches pending");
         assert_eq!(d.value, 7);
@@ -216,7 +200,7 @@ mod tests {
 
     #[test]
     fn backpressure_at_depth() {
-        let mut sa = SyncArray::new(1, &[1], 1);
+        let mut sa = SyncArray::new(1, 1, 1);
         assert!(sa.produce(0, 1, 0).unwrap().is_none());
         assert!(!sa.can_produce(0));
         assert!(matches!(sa.produce(0, 2, 0), Err(QueueFull)), "full queue rejects, not panics");
@@ -226,7 +210,7 @@ mod tests {
 
     #[test]
     fn sync_token_visibility() {
-        let mut sa = SyncArray::new(1, &[1], 1);
+        let mut sa = SyncArray::new(1, 1, 1);
         assert!(sa.produce(0, 1, 10).unwrap().is_none()); // visible at 12
         assert!(!sa.has_visible_entry(0, 11));
         assert!(sa.has_visible_entry(0, 12));
@@ -236,7 +220,7 @@ mod tests {
 
     #[test]
     fn next_visible_at_reports_front_entry() {
-        let mut sa = SyncArray::new(2, &[4], 1);
+        let mut sa = SyncArray::new(2, 4, 1);
         assert_eq!(sa.next_visible_at(0), None, "empty queue has no self-wakeup");
         assert!(sa.produce(0, 1, 10).unwrap().is_none()); // visible at 12
         assert!(sa.produce(0, 2, 20).unwrap().is_none()); // behind the first
@@ -250,28 +234,10 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut sa = SyncArray::new(1, &[4], 1);
+        let mut sa = SyncArray::new(1, 4, 1);
         assert!(sa.produce(0, 1, 0).unwrap().is_none());
         assert!(sa.produce(0, 2, 0).unwrap().is_none());
         assert_eq!(sa.consume(0, 9, pc(0)).unwrap().0, 1);
         assert_eq!(sa.consume(0, 9, pc(0)).unwrap().0, 2);
-    }
-
-    #[test]
-    fn heterogeneous_depths() {
-        let mut sa = SyncArray::new(3, &[1, 4, 0], 1);
-        assert_eq!(sa.depth_of(0), 1);
-        assert_eq!(sa.depth_of(1), 4);
-        assert_eq!(sa.depth_of(2), 1, "depth 0 clamps to 1");
-        assert!(sa.produce(0, 1, 0).unwrap().is_none());
-        assert!(!sa.can_produce(0), "queue 0 fills at its own depth");
-        assert!(sa.produce(1, 1, 0).unwrap().is_none());
-        assert!(sa.can_produce(1), "queue 1 still has 3 slots");
-    }
-
-    #[test]
-    fn single_depth_broadcasts() {
-        let sa = SyncArray::new(4, &[7], 1);
-        assert!((0..4).all(|q| sa.depth_of(q) == 7));
     }
 }

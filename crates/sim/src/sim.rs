@@ -116,7 +116,7 @@ pub fn simulate_reference(
         }
     }
     let mut hierarchy = Hierarchy::new(ncores, config, layout.total_cells() * 8);
-    let mut sa = SyncArray::new(config.sa.num_queues, &config.sa.depths, config.sa.latency);
+    let mut sa = SyncArray::new(config.sa.num_queues, config.sa.depth, config.sa.latency);
     let mut output = Vec::new();
     let mut return_value = None;
     let mut hits = [0u64; 4];

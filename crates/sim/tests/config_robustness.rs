@@ -62,7 +62,7 @@ fn machine(raw: &RawCfg) -> MachineConfig {
         fp_units: 1,
         branch_units: 1,
         l1d: CacheConfig { size_bytes: 1024, assoc, line_bytes: lb, latency: 1 },
-        sa: SaConfig { num_queues: nq, depths: vec![d], latency: 1, ports: p },
+        sa: SaConfig { num_queues: nq, depth: d, latency: 1, ports: p },
         // Bound the run so pathological-but-valid machines terminate
         // through OutOfFuel/Deadlock instead of spinning.
         max_cycles: 500_000,
@@ -179,9 +179,8 @@ fn empty_thread_sets_are_rejected() {
 #[test]
 fn sync_array_out_of_range_queue_ids_are_total() {
     use gmt_sim::{PendingConsume, QueueFull, SyncArray};
-    let mut sa = SyncArray::new(2, &[1], 1);
+    let mut sa = SyncArray::new(2, 1, 1);
     let q = 7; // not a queue of this array
-    assert_eq!(sa.depth_of(q), 0);
     assert_eq!(sa.occupancy(q), 0);
     assert!(!sa.can_produce(q), "a nonexistent queue never accepts a produce");
     assert!(matches!(sa.produce(q, 42, 0), Err(QueueFull)));

@@ -27,7 +27,7 @@ fn pc(core: usize) -> PendingConsume {
 /// same cycle refuses the produce without corrupting the queue.
 #[test]
 fn same_cycle_produce_consume_at_exact_depth() {
-    let mut sa = SyncArray::new(1, &[2], 1);
+    let mut sa = SyncArray::new(1, 2, 1);
     assert!(sa.produce(0, 1, 0).unwrap().is_none());
     assert!(sa.produce(0, 2, 0).unwrap().is_none());
     assert_eq!(sa.occupancy(0), 2, "at exactly depth");
@@ -59,7 +59,7 @@ fn same_cycle_produce_consume_at_exact_depth() {
 /// coexist in one queue.
 #[test]
 fn pending_consumes_bypass_depth_limit() {
-    let mut sa = SyncArray::new(1, &[1], 1);
+    let mut sa = SyncArray::new(1, 1, 1);
     assert!(sa.consume(0, 0, pc(1)).is_err(), "empty queue: consume goes pending");
     assert!(sa.consume(0, 0, pc(1)).is_err(), "two pendings on a depth-1 queue");
     let d1 = sa.produce(0, 10, 3).unwrap().expect("delivers to first pending");

@@ -1,8 +1,7 @@
 //! The metamorphic law behind `evaluate_full`'s shared runs: **queue
 //! names are not observable**. Renaming the queues of a multi-threaded
-//! program through any injection into the synchronization array —
-//! carrying each queue's depth along with it — changes nothing either
-//! executor reports: every field of the simulator's `SimResult`
+//! program through any injection into the synchronization array
+//! changes nothing either executor reports on the same machine: every field of the simulator's `SimResult`
 //! (cycles, per-core `CoreStats`, output, hit levels, `engine_steps`,
 //! `skipped_cycles`) with the fast-forward on and off, and the
 //! functional interpreter's return value, output, per-thread counts and
@@ -11,8 +10,7 @@
 //! The law needs no second implementation: the program is its own
 //! reference. It is checked on the 44 programs the figures measure
 //! (every quick cell, both variants) and on a population from
-//! `gmt-fuzz`'s generator, at uniform and at profile-allocated
-//! (non-uniform) depths, and it agrees with
+//! `gmt-fuzz`'s generator, and it agrees with
 //! `DecodedProgram::queue_renaming`, which must recover exactly the
 //! injection applied. The negative controls show that the law and the
 //! comparison can both fail.
@@ -60,16 +58,6 @@ fn injection(rng: &mut TestRng, n: usize) -> Vec<u32> {
     file
 }
 
-/// The whole-file depth vector with `depths` permuted along `map`:
-/// queue `map[q]` gets `depths[q]`, every other queue depth 1.
-fn carried(depths: &[usize], map: &[u32]) -> Vec<usize> {
-    let mut file = vec![1; FILE];
-    for (q, &depth) in depths.iter().enumerate() {
-        file[map[q] as usize] = depth;
-    }
-    file
-}
-
 /// Everything the executors report about one program on one input.
 #[derive(PartialEq)]
 struct Observed {
@@ -111,16 +99,13 @@ struct Subject<'a, I> {
     num_queues: usize,
     args: &'a [i64],
     init: I,
-    /// The machine at its uniform depth, 256 queues.
+    /// The machine at the scheduler's depth, 256 queues.
     machine: MachineConfig,
     /// Functional queue capacity.
     capacity: usize,
-    /// The profile-allocated depth per queue (non-uniform for DSWP).
-    allocated: &'a [usize],
 }
 
-/// Checks the law on `s` under `injections` random renamings, at the
-/// uniform depth and at the allocated depths carried along.
+/// Checks the law on `s` under `injections` random renamings.
 fn check_law<I: Fn(&MemoryLayout, &mut Memory) + Copy>(
     s: &Subject<'_, I>,
     rng: &mut TestRng,
@@ -130,12 +115,8 @@ fn check_law<I: Fn(&MemoryLayout, &mut Memory) + Copy>(
     let original = DecodedProgram::decode(s.threads).expect("decodes");
     let own_file = QueueConfig { num_queues: s.num_queues.max(1), capacity: s.capacity };
     let whole_file = QueueConfig { num_queues: FILE, capacity: s.capacity };
-    let identity: Vec<u32> = (0..FILE as u32).collect();
-    let at_allocated = s.machine.clone().with_queue_depths(carried(s.allocated, &identity));
-    let uniform = observe(&original, s.args, s.init, &s.machine, &own_file)
+    let base = observe(&original, s.args, s.init, &s.machine, &own_file)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let allocated = observe(&original, s.args, s.init, &at_allocated, &own_file)
-        .unwrap_or_else(|e| panic!("{label}: allocated depths: {e}"));
     for _ in 0..injections {
         let map = injection(rng, s.num_queues);
         let renamed = DecodedProgram::decode(&rename(s.threads, &map)).expect("decodes");
@@ -146,11 +127,7 @@ fn check_law<I: Fn(&MemoryLayout, &mut Memory) + Copy>(
         assert!(pairs.iter().all(|&(q, to)| map[q.index()] == to.0), "{label}: {pairs:?} vs {map:?}");
         let got = observe(&renamed, s.args, s.init, &s.machine, &whole_file)
             .unwrap_or_else(|e| panic!("{label}: renamed by {map:?}: {e}"));
-        assert!(got == uniform, "{label}: observable renaming {map:?} at uniform depth");
-        let carried = s.machine.clone().with_queue_depths(carried(s.allocated, &map));
-        let got = observe(&renamed, s.args, s.init, &carried, &whole_file)
-            .unwrap_or_else(|e| panic!("{label}: renamed by {map:?}, depths carried: {e}"));
-        assert!(got == allocated, "{label}: observable renaming {map:?} at allocated depths");
+        assert!(got == base, "{label}: observable renaming {map:?}");
     }
 }
 
@@ -168,7 +145,6 @@ fn law_holds_on_quick_cells(kind: SchedulerKind) {
                 init: w.init,
                 machine: v.machine.clone(),
                 capacity: v.queues.capacity,
-                allocated: &v.parallelized.queue_depths,
             };
             check_law(&subject, &mut rng, 2);
         }
@@ -191,7 +167,7 @@ fn law_holds_on_every_dswp_quick_cell() {
 fn law_holds_on_the_generated_population() {
     let mut rng = TestRng::new(0xC0C0);
     let mut stream = gmt_fuzz::runner::DEFAULT_SEED;
-    let (mut checked, mut with_unequal_depths) = (0, 0);
+    let mut checked = 0;
     while checked < 200 {
         let seed = splitmix64(&mut stream);
         let case = case_from_seed(seed);
@@ -231,13 +207,10 @@ fn law_holds_on_the_generated_population() {
             init: |_: &MemoryLayout, _: &mut Memory| {},
             machine,
             capacity: hot,
-            allocated: &par.queue_depths,
         };
         check_law(&subject, &mut rng, 1);
         checked += 1;
-        with_unequal_depths += usize::from(par.queue_depths.iter().any(|&d| d != par.queue_depths[0]));
     }
-    assert!(with_unequal_depths >= 20, "only {with_unequal_depths} non-uniform depth vectors");
 }
 
 // ---------------------------------------------------------------------
@@ -276,24 +249,24 @@ fn burst_pair(data: u32, done: u32, burst: i64) -> Vec<Function> {
     vec![p.finish().unwrap(), c.finish().unwrap()]
 }
 
-fn observe_pair(threads: &[Function], depths: Vec<usize>) -> Result<Observed, String> {
+fn observe_pair(threads: &[Function], depth: usize) -> Result<Observed, String> {
     let program = DecodedProgram::decode(threads).unwrap();
-    let machine = MachineConfig::default().with_queue_depths(depths);
+    let machine = MachineConfig::default().with_queue_depth(depth);
     let queues = QueueConfig { num_queues: FILE, capacity: 32 };
     observe(&program, &[], |_, _| {}, &machine, &queues)
 }
 
-/// Dropping the depth permutation is observable on a depth-sensitive
-/// pair, and the sharing condition's depth clause says so: the
-/// comparison pairs the deep queue with a shallow one.
+/// The renamed program keeps its observables only on the machine the
+/// original ran on: the depth is observable on a depth-sensitive pair,
+/// which is why sharing a run needs equal machines, and not only a
+/// renaming.
 #[test]
 fn control_depths_must_follow_the_renaming() {
     let (original, swapped) = (burst_pair(0, 1, 8), burst_pair(1, 0, 8));
-    let depths = carried(&[32, 1], &[0, 1]);
-    let base = observe_pair(&original, depths.clone()).unwrap();
-    let followed = observe_pair(&swapped, carried(&[32, 1], &[1, 0])).unwrap();
-    assert!(followed == base, "the law holds when the depths follow");
-    let dropped = observe_pair(&swapped, depths.clone()).unwrap();
+    let base = observe_pair(&original, 32).unwrap();
+    let followed = observe_pair(&swapped, 32).unwrap();
+    assert!(followed == base, "the law holds when the depth follows");
+    let dropped = observe_pair(&swapped, 1).unwrap();
     assert_ne!(dropped.sims[0].cycles, base.sims[0].cycles, "the pair is depth-sensitive");
     assert!(dropped.sims[0].cycles > base.sims[0].cycles + 40 * 12 / 2, "the chains serialized");
     assert_eq!(dropped.output, base.output, "only the timing can tell");
@@ -301,9 +274,6 @@ fn control_depths_must_follow_the_renaming() {
     let (a, b) = (DecodedProgram::decode(&original).unwrap(), DecodedProgram::decode(&swapped).unwrap());
     let pairs = a.queue_renaming(&b).expect("one program, two namings");
     assert_eq!(pairs, [(QueueId(0), QueueId(1)), (QueueId(1), QueueId(0))]);
-    let sa = MachineConfig::default().with_queue_depths(depths).sa;
-    let alike = pairs.iter().all(|&(x, y)| sa.depth_of(x.index()) == sa.depth_of(y.index()));
-    assert!(!alike, "at one depth vector for both, the paired queues differ in depth");
 }
 
 /// Merging two queues is not a renaming: the comparison rejects it and
@@ -328,8 +298,8 @@ fn control_merging_two_queues_is_observable() {
     let (a, b) = (DecodedProgram::decode(&two).unwrap(), DecodedProgram::decode(&one).unwrap());
     assert_eq!(a.queue_renaming(&b), None, "not injective");
     assert_eq!(b.queue_renaming(&a), None, "not a function");
-    let two = observe_pair(&two, vec![32]).unwrap();
-    let one = observe_pair(&one, vec![32]).unwrap();
+    let two = observe_pair(&two, 32).unwrap();
+    let one = observe_pair(&one, 32).unwrap();
     assert_eq!((&two.output[..], &one.output[..]), (&[2, 1][..], &[1, 2][..]));
     assert!(two != one);
 }
@@ -341,18 +311,18 @@ fn control_merging_two_queues_is_observable() {
 fn control_other_differences_are_not_renamings() {
     let original = burst_pair(0, 1, 4);
     let a = DecodedProgram::decode(&original).unwrap();
-    let base = observe_pair(&original, vec![32]).unwrap();
+    let base = observe_pair(&original, 32).unwrap();
 
     let mut other_value = original.clone();
     let f = &mut other_value[0];
     let first = f.all_instrs().next().unwrap();
     *f.instr_mut(first) = Op::Produce { queue: QueueId(0), value: 99i64.into() };
     assert_eq!(a.queue_renaming(&DecodedProgram::decode(&other_value).unwrap()), None);
-    assert!(observe_pair(&other_value, vec![32]).unwrap() != base, "another value arrives");
+    assert!(observe_pair(&other_value, 32).unwrap() != base, "another value arrives");
 
     let swapped_threads = vec![original[1].clone(), original[0].clone()];
     assert_eq!(a.queue_renaming(&DecodedProgram::decode(&swapped_threads).unwrap()), None);
-    let swapped = observe_pair(&swapped_threads, vec![32]).unwrap();
+    let swapped = observe_pair(&swapped_threads, 32).unwrap();
     assert!(swapped != base, "per-core statistics are per thread position");
     assert_eq!(swapped.sims[0].cores[0], base.sims[0].cores[1], "the cores traded places");
 }
