@@ -22,6 +22,7 @@
 //!
 //! ```
 //! use gmt_core::{Parallelizer, Scheduler, CocoConfig};
+//! use gmt_ir::interp_mt::{run_mt, QueueConfig};
 //! use gmt_ir::{FunctionBuilder, BinOp, Profile, interp};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,11 +50,22 @@
 //! let f = b.finish()?;
 //!
 //! // Profile on a "train" input, then parallelize with DSWP + COCO.
-//! let profile = interp::run(&f, &[10], &interp::ExecConfig::default())?.profile;
+//! let config = interp::ExecConfig::default();
+//! let profile = interp::run(&f, &[10], &config)?.profile;
 //! let result = Parallelizer::new(Scheduler::dswp(2))
 //!     .with_coco(CocoConfig::default())
 //!     .parallelize(&f, &profile)?;
-//! assert_eq!(result.threads().len(), 2);
+//!
+//! // The two generated threads, run on a larger input over DSWP's
+//! // 32-entry queues, return what the sequential function returns.
+//! let seq = interp::run(&f, &[500], &config)?;
+//! let queues = QueueConfig { num_queues: result.num_queues().max(1) as usize, capacity: 32 };
+//! let mt = run_mt(result.threads(), &[500], |_, _| {}, &queues, &config)?;
+//! let expected = Some(3 * (0..500).sum::<i64>());
+//! if result.threads().len() != 2 || seq.return_value != expected || mt.return_value != expected {
+//!     let (threads, seq, mt) = (result.threads().len(), seq.return_value, mt.return_value);
+//!     return Err(format!("{threads} threads: sequential {seq:?}, parallel {mt:?}").into());
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -62,7 +74,6 @@
 #![warn(missing_docs)]
 
 mod coco;
-mod estimate;
 mod flowgraph;
 pub mod mtverify;
 mod pipeline;
@@ -70,7 +81,6 @@ mod pos;
 mod safety;
 
 pub use coco::{optimize, CocoConfig, CocoStats};
-pub use estimate::SchedEstimate;
 pub use flowgraph::{BlockTables, Gf, GfBuilder, LiveTable};
 pub use mtverify::{verify_mt, MtVerifyError, WaitStep};
 pub use pipeline::{CompileTimings, Parallelized, Parallelizer, PipelineError, Scheduler};

@@ -3,7 +3,6 @@
 //! paper).
 
 use crate::coco::{optimize, CocoConfig, CocoStats};
-use crate::estimate::SchedEstimate;
 use gmt_ir::{Function, Profile};
 use gmt_mtcg::{CommPlan, MtcgError, MtcgOutput, QueueBudget};
 use gmt_pdg::{Partition, Pdg};
@@ -177,7 +176,38 @@ impl Parallelizer {
 
     /// Parallelizes `f` with a caller-supplied partition (for custom
     /// partitioners — the "plugging different partitioners" framework
-    /// property of Figure 2).
+    /// property of Figure 2). Any partition that assigns every
+    /// instruction to a thread plugs in; the scheduler is not run.
+    ///
+    /// ```
+    /// use gmt_core::{Parallelizer, Scheduler};
+    /// use gmt_ir::interp_mt::{run_mt, QueueConfig};
+    /// use gmt_pdg::{Partition, Pdg, ThreadId};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let w = gmt_workloads::by_benchmark("ks").ok_or("ks is in the catalog")?;
+    /// let f = &w.function;
+    /// // A partition by hand: the blocks alternate between two threads.
+    /// let mut partition = Partition::new(2);
+    /// for i in f.all_instrs() {
+    ///     partition.assign(i, ThreadId(f.block_of(i).index() as u32 % 2));
+    /// }
+    /// let profile = w.run_train()?.profile;
+    /// let result = Parallelizer::new(Scheduler::gremio(2))
+    ///     .parallelize_with_partition(f, &profile, &Pdg::build(f), partition)?;
+    ///
+    /// // Over GREMIO's one-entry queues, the two threads compute what
+    /// // the sequential kernel computes.
+    /// let seq = w.run_train()?;
+    /// let queues = QueueConfig { num_queues: result.num_queues().max(1) as usize, capacity: 1 };
+    /// let config = gmt_workloads::exec_config();
+    /// let mt = run_mt(result.threads(), &w.train_args, w.init, &queues, &config)?;
+    /// if (mt.return_value, &mt.output) != (seq.return_value, &seq.output) {
+    ///     return Err("the threads diverge from the sequential run".into());
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -238,18 +268,7 @@ impl Parallelizer {
                 "generated code violates the queue protocol: {violations:?}"
             );
         }
-        // Snapshot the static estimate against the realized labeling:
-        // what the scheduler believed each thread and queue would cost,
-        // for the harness's estimate-vs-measurement join.
-        let estimate = SchedEstimate::compute(
-            f,
-            profile,
-            pdg,
-            &partition,
-            &output.queue_labels,
-            output.num_queues,
-        );
-        Ok(Parallelized { output, partition, coco_stats, baseline_plan, timings, queue_depths, estimate })
+        Ok(Parallelized { output, partition, coco_stats, baseline_plan, timings, queue_depths })
     }
 }
 
@@ -272,10 +291,6 @@ pub struct Parallelized {
     /// workspace reads it; the repository benchmark times its
     /// allocation.
     pub queue_depths: Vec<usize>,
-    /// Static estimates captured at partition time (per-thread loads,
-    /// cut edges, per-queue traffic) — the "what the scheduler
-    /// thought" side of an estimate-vs-measurement report.
-    pub estimate: SchedEstimate,
 }
 
 impl Parallelized {

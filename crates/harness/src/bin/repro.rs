@@ -30,10 +30,11 @@
 //! first, then fresh cases; findings shrink, persist to
 //! `tests/fuzz_corpus/corpus.txt`, and fail the run.
 //!
-//! `--explain` joins the pipeline's static schedule estimate against a
-//! traced run with the critical-path sink attached: per-thread cycle
-//! attribution (compute, per-reason stalls, idle) and per-queue
-//! communication counters tied to the plan, each against the estimate,
+//! `--explain` joins the scheduler's static schedule estimate, under
+//! the profile of the measured input, against a traced run with the
+//! critical-path sink attached: per-thread cycle attribution (compute,
+//! per-reason stalls, idle) and per-queue communication counters tied
+//! to the plan, each against the estimate,
 //! the dynamic critical path by edge kind, the top path segments, and
 //! a one-line verdict (recurrence- / queue- / balance- /
 //! mispredict-bound). `--json` emits one JSON object per cell instead

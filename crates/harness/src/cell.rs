@@ -7,7 +7,9 @@
 //! harness ([`crate::evaluate_full`], [`crate::explain_cell`],
 //! [`crate::verify_matrix`]) obtains its programs, machine and queue
 //! file from it, so what the verification matrix verifies and
-//! `--explain` explains is exactly what the figures measure.
+//! `--explain` explains is exactly what the figures measure. The
+//! profile that guides a cell's partition is always train's; `--explain`
+//! estimates under a profile of the input it measures.
 //!
 //! Each distinct program of a cell is compiled once. GREMIO's timed
 //! arbitration already compiles the COCO variant of every candidate
@@ -22,21 +24,15 @@
 //! the cell keeps them (`TrainRuns`) and a timed evaluation reads
 //! them instead of simulating.
 
-use crate::{fail, run_record, sim_counts, HarnessError, RunMetrics, Scale, SchedulerKind};
+use crate::{fail, HarnessError, Scale, SchedulerKind};
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
 use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp_mt::QueueConfig;
 use gmt_ir::Profile;
-use gmt_mtcg::QueueLabel;
 use gmt_pdg::{Partition, Pdg};
 use gmt_sched::gremio::GremioConfig;
-use gmt_sim::{
-    check_attribution, simulate, simulate_decoded_opts, simulate_decoded_traced_opts,
-    CycleAttribution, MachineConfig, OccupancySummary, QueueTraceStats, SimOptions, SimResult,
-    TraceAggregator, TraceSink,
-};
+use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult};
 use gmt_workloads::Workload;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One generated program of a cell, ready for every executor.
@@ -44,7 +40,7 @@ use std::time::Instant;
 pub struct CompiledVariant {
     /// `"mtcg"` (baseline) or `"coco"`.
     pub name: &'static str,
-    /// The pipeline's output: threads, plan, timings, static estimate.
+    /// The pipeline's output: threads, plan, partition, timings.
     pub parallelized: Parallelized,
     /// The threads lowered once for the decoded executors.
     pub program: DecodedProgram,
@@ -64,7 +60,8 @@ pub struct CompiledCell<'w> {
     /// The scheduler that partitioned it.
     pub kind: SchedulerKind,
     /// Arguments of the measured input (train for [`Scale::Quick`], ref
-    /// for [`Scale::Full`]); the profile always comes from train.
+    /// for [`Scale::Full`]); the profile that guided the partition
+    /// always comes from train.
     pub args: &'w [i64],
     /// The dependence graph both variants were generated from.
     pub pdg: Pdg,
@@ -113,41 +110,6 @@ struct Arbitration {
     runs: TrainRuns,
 }
 
-/// The raw-event log size the aggregator counts `dropped_events`
-/// against; it stores no event, and its summary tables cover the whole
-/// run.
-pub const TRACE_RING_CAPACITY: usize = 4096;
-
-/// One traced execution of a variant: the run-level record every mode
-/// reports, plus what the [`TraceAggregator`] saw of the run.
-/// `--explain` ([`crate::ExplainCell`]) wraps one.
-#[derive(Clone, Debug)]
-pub struct TracedRun {
-    /// The run level: identity, counts, cycles, raw stall counters.
-    pub run: RunMetrics,
-    /// Per-thread cycle decomposition; each entry sums to `run.cycles`.
-    pub attribution: Vec<CycleAttribution>,
-    /// Per-queue communication counters (indexed by queue id).
-    pub queues: Vec<QueueTraceStats>,
-    /// Per-queue time-weighted occupancy distribution (p50/p95/max
-    /// dwell levels; indexed by queue id, parallel to `queues`).
-    pub occupancy: Vec<OccupancySummary>,
-    /// Static queue labels from MTCG (one per scheduled occurrence).
-    pub labels: Vec<QueueLabel>,
-    /// Raw events beyond the [`TRACE_RING_CAPACITY`] most recent (the
-    /// summaries above and the critical path cover the whole run).
-    pub dropped_events: u64,
-}
-
-impl TracedRun {
-    /// Appends the traced level's keys after the run's (see
-    /// [`RunMetrics::to_json`]).
-    pub(crate) fn write_keys(&self, out: &mut String) {
-        self.run.write_keys(out);
-        let _ = write!(out, ",\"dropped_events\":{}", self.dropped_events);
-    }
-}
-
 impl CompiledCell<'_> {
     /// The COCO variant if `coco`, else baseline MTCG.
     pub fn variant(&self, coco: bool) -> &CompiledVariant {
@@ -156,37 +118,6 @@ impl CompiledCell<'_> {
         } else {
             &self.mtcg
         }
-    }
-
-    /// Simulates `v` on the measured input with a [`TraceAggregator`]
-    /// and `extra` attached, and checks the attribution invariant
-    /// (every core's decomposition sums to the run's cycle count).
-    /// The one place a [`TracedRun`] is built.
-    pub(crate) fn simulate_traced<S: TraceSink>(
-        &self,
-        v: &CompiledVariant,
-        extra: S,
-    ) -> Result<(TracedRun, SimResult, S), HarnessError> {
-        let (w, b) = (self.workload, self.workload.benchmark);
-        let started = Instant::now();
-        let ncores = v.program.threads().len();
-        let aggregator = TraceAggregator::new(ncores, v.machine.sa.num_queues, TRACE_RING_CAPACITY);
-        let mut sink = (aggregator, extra);
-        let opts = SimOptions::default();
-        let result =
-            simulate_decoded_traced_opts(&v.program, self.args, w.init, &v.machine, &mut sink, opts)
-                .map_err(fail(b, "traced sim"))?;
-        let (aggregator, extra) = sink;
-        check_attribution(&aggregator, &result).map_err(fail(b, "attribution check"))?;
-        let traced = TracedRun {
-            run: run_record(self, v, Some(started), sim_counts(&result), Some(&result)),
-            attribution: aggregator.core_attribution(),
-            queues: aggregator.queue_stats().to_vec(),
-            occupancy: aggregator.queue_occupancy(),
-            labels: v.parallelized.queue_labels().to_vec(),
-            dropped_events: aggregator.dropped_events(),
-        };
-        Ok((traced, result, extra))
     }
 }
 

@@ -1,16 +1,19 @@
 //! The static↔dynamic "explain" layer (`repro --explain`), the one
 //! traced-cell mode of the harness.
 //!
-//! One cell = one kernel × scheduler × variant, evaluated twice:
+//! One cell = one kernel × scheduler × variant, evaluated twice, both
+//! times on the input the cell measures (train for [`Scale::Quick`],
+//! ref for [`Scale::Full`]):
 //!
-//! - **statically** — the [`SchedEstimate`] the pipeline captured when
-//!   the partition and communication plan were fixed (per-thread
-//!   compute+comm cycles, cut edges, per-queue traffic);
+//! - **statically** — the scheduler's profile-weighted view of the
+//!   compiled partition and plan under that input's profile
+//!   (per-thread compute+comm cycles, cut edges, per-queue traffic);
+//!   on train inputs that is the profile the cell was partitioned with;
 //! - **dynamically** — a traced run of the decoded engine with the
-//!   [`gmt_sim::TraceAggregator`] (cycle attribution, queue counters,
-//!   occupancy distributions) and the [`CritPathSink`] (the run's
-//!   dynamic critical path, reconstructed from last-arrival edges)
-//!   attached, plus one caller-chosen sink ([`explain_cell_with`]):
+//!   [`TraceAggregator`] (cycle attribution, queue counters, occupancy
+//!   distributions) and the [`CritPathSink`] (the run's dynamic
+//!   critical path, reconstructed from last-arrival edges) attached,
+//!   plus one caller-chosen sink ([`explain_cell_with`]):
 //!   `repro --explain … --trace PATH` attaches a
 //!   [`gmt_sim::ChromeTraceSink`] and writes the timeline of the very
 //!   run the report explains.
@@ -26,41 +29,60 @@
 //! join as one JSON object for machine consumers.
 //!
 //! Both trace invariants are enforced on every cell:
-//! [`gmt_sim::check_attribution`] (per-core decompositions sum to the
-//! cycle count) and [`gmt_sim::check_critical_path`] (the walked path
-//! edges sum to the cycle count exactly) — a violation is an engine
-//! bug and surfaces as a [`HarnessError`].
+//! [`check_attribution`] (per-core decompositions sum to the cycle
+//! count) and [`check_critical_path`] (the walked path edges sum to the
+//! cycle count exactly) — a violation is an engine bug and surfaces as
+//! a [`HarnessError`].
 
+use crate::estimate::SchedEstimate;
 use crate::metrics::stall_column;
-use crate::{compile_cell, fail, CompiledVariant, HarnessError, Scale, SchedulerKind, TracedRun};
-use gmt_core::SchedEstimate;
+use crate::{
+    compile_cell, fail, run_record, sim_counts, CompiledVariant, HarnessError, RunMetrics, Scale,
+    SchedulerKind,
+};
+use gmt_ir::interp::run_with_memory;
 use gmt_mtcg::{CommKind, CommPoint, QueueLabel};
 use gmt_sim::{
-    check_critical_path, CpKind, CritPath, CritPathSink, NoTrace, StallReason, TraceSink,
+    check_attribution, check_critical_path, simulate_decoded_traced_opts, CpKind, CritPath,
+    CritPathSink, CycleAttribution, NoTrace, OccupancySummary, QueueTraceStats, SimOptions,
+    StallReason, TraceAggregator, TraceSink,
 };
-use gmt_workloads::Workload;
+use gmt_workloads::{exec_config, Workload};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Path segments printed in the report's top-segments table.
 pub const EXPLAIN_TOP_K: usize = 8;
 
-/// One kernel × scheduler × variant, measured both ways.
+/// The raw-event capacity the [`TraceAggregator`] is built with. It
+/// stores no event: its summary tables cover the whole run.
+pub const TRACE_RING_CAPACITY: usize = 4096;
+
+/// One kernel × scheduler × variant, measured both ways: the record
+/// every mode reports for the run, what the traced run saw, and what
+/// the scheduler estimated for the same input.
 #[derive(Clone, Debug)]
 pub struct ExplainCell {
-    /// The dynamic side: the run, its attribution and queue counters.
-    pub traced: TracedRun,
-    /// The static side: what the pipeline estimated at partition time.
-    pub estimate: SchedEstimate,
+    /// The run level: identity, counts, cycles, raw stall counters.
+    pub run: RunMetrics,
+    /// Per-thread cycle decomposition; each entry sums to `run.cycles`.
+    pub attribution: Vec<CycleAttribution>,
+    /// Per-queue communication counters (indexed by queue id).
+    pub queues: Vec<QueueTraceStats>,
+    /// Per-queue time-weighted occupancy distribution (p50/p95/max
+    /// dwell levels; indexed by queue id, parallel to `queues`).
+    pub occupancy: Vec<OccupancySummary>,
+    /// Static queue labels from MTCG (one per scheduled occurrence).
+    pub labels: Vec<QueueLabel>,
     /// The run's dynamic critical path (conservation-checked).
     pub critpath: CritPath,
-    /// The measured input. The estimate always comes from the train
-    /// profile, so it compares with the run only on [`Scale::Quick`].
-    pub scale: Scale,
+    /// The static side, under the measured input's profile.
+    pub(crate) estimate: SchedEstimate,
 }
 
 /// Runs one kernel × scheduler × variant cell with the aggregator and
 /// critical-path sinks attached and joins the result with the
-/// pipeline's static estimate.
+/// scheduler's static estimate for the same input.
 ///
 /// # Errors
 ///
@@ -92,14 +114,36 @@ pub fn explain_cell_with<S: TraceSink>(
     scale: Scale,
     sink: impl FnOnce(&CompiledVariant) -> S,
 ) -> Result<(ExplainCell, S), HarnessError> {
+    let b = w.benchmark;
     let cell = compile_cell(w, kind, scale)?;
     let v = cell.variant(coco);
-    let walker = CritPathSink::new(&v.program, v.machine.sa.num_queues);
-    let (traced, result, (walker, extra)) = cell.simulate_traced(v, (walker, sink(v)))?;
-    let critpath = check_critical_path(&walker, &result)
-        .map_err(fail(w.benchmark, "critical-path check"))?;
-    let estimate = v.parallelized.estimate.clone();
-    Ok((ExplainCell { traced, estimate, critpath, scale }, extra))
+    let profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
+        .map_err(fail(b, "explain profile run"))?
+        .profile;
+    let estimate = SchedEstimate::compute(&w.function, &profile, &cell.pdg, &v.parallelized);
+    let num_queues = v.machine.sa.num_queues;
+    let walker = CritPathSink::new(&v.program, num_queues);
+    let started = Instant::now();
+    let aggregator =
+        TraceAggregator::new(v.program.threads().len(), num_queues, TRACE_RING_CAPACITY);
+    let mut sinks = (aggregator, (walker, sink(v)));
+    let opts = SimOptions::default();
+    let result =
+        simulate_decoded_traced_opts(&v.program, cell.args, w.init, &v.machine, &mut sinks, opts)
+            .map_err(fail(b, "traced sim"))?;
+    let (aggregator, (walker, extra)) = sinks;
+    check_attribution(&aggregator, &result).map_err(fail(b, "attribution check"))?;
+    let critpath = check_critical_path(&walker, &result).map_err(fail(b, "critical-path check"))?;
+    let explained = ExplainCell {
+        run: run_record(&cell, v, Some(started), sim_counts(&result), Some(&result)),
+        attribution: aggregator.core_attribution(),
+        queues: aggregator.queue_stats().to_vec(),
+        occupancy: aggregator.queue_occupancy(),
+        labels: v.parallelized.queue_labels().to_vec(),
+        critpath,
+        estimate,
+    };
+    Ok((explained, extra))
 }
 
 /// What limits the schedule, by critical-path edge-kind groups.
@@ -163,7 +207,7 @@ fn pct(part: u64, total: u64) -> u64 {
 pub fn explain_report(cell: &ExplainCell) -> String {
     let mut out = String::new();
     let cp = &cell.critpath;
-    let (run, traced) = (&cell.traced.run, &cell.traced);
+    let run = &cell.run;
     let _ = writeln!(
         out,
         "explain: {} / {} / {} ({} cycles)",
@@ -187,7 +231,7 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         let _ = write!(out, " {heading:>width$}");
     }
     let _ = writeln!(out, " {:>10}", "idle");
-    for (t, a) in traced.attribution.iter().enumerate() {
+    for (t, a) in cell.attribution.iter().enumerate() {
         let est_t = est.thread_cycles.get(t).copied().unwrap_or(0);
         let _ = write!(out, "{t:<7} {est_t:>10} {:>10}", a.compute);
         for (reason, cycles) in a.stalls.iter() {
@@ -195,23 +239,13 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         }
         let _ = writeln!(out, " {:>10}", a.idle);
     }
-    // The estimate is of the train input's profile: a ratio against a
-    // run on any other input says nothing about the scheduler.
-    let _ = match cell.scale {
-        Scale::Quick => writeln!(
-            out,
-            "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
-            est.bottleneck(),
-            run.cycles,
-            pct(run.cycles, est.bottleneck().max(1)),
-        ),
-        Scale::Full => writeln!(
-            out,
-            "estimated bottleneck {} cycles on the train input; measured {} on the ref input",
-            est.bottleneck(),
-            run.cycles,
-        ),
-    };
+    let _ = writeln!(
+        out,
+        "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
+        est.bottleneck(),
+        run.cycles,
+        pct(run.cycles, est.bottleneck().max(1)),
+    );
     let _ = writeln!(
         out,
         "cut: {} register / {} memory / {} control arcs; {} sync tokens; \
@@ -232,15 +266,15 @@ pub fn explain_report(cell: &ExplainCell) -> String {
         "max-occ", "occ-dwell"
     );
     let mut any = false;
-    for (q, qs) in traced.queues.iter().enumerate() {
+    for (q, qs) in cell.queues.iter().enumerate() {
         let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
         }
         any = true;
-        let occ = traced.occupancy.get(q).copied().unwrap_or_default();
+        let occ = cell.occupancy.get(q).copied().unwrap_or_default();
         let labels: Vec<String> =
-            traced.labels.iter().filter(|l| l.queue.0 as usize == q).map(label_text).collect();
+            cell.labels.iter().filter(|l| l.queue.0 as usize == q).map(label_text).collect();
         let _ = writeln!(
             out,
             "{:<6} {:>11} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>11}  {}",
@@ -314,15 +348,15 @@ fn label_text(l: &QueueLabel) -> String {
 }
 
 /// The explain join as one JSON object (one line): the keys of the
-/// run's `--metrics` line and of its traced level (see
-/// [`crate::RunMetrics::to_json`]), then the join's own — scalars flat,
-/// per-thread and per-queue data as arrays of flat objects, the
-/// critical-path kind decomposition as `cp_<kind>` keys.
+/// run's `--metrics` line (see [`crate::RunMetrics::to_json`]), then
+/// the join's own — scalars flat, per-thread and per-queue data as
+/// arrays of flat objects, the critical-path kind decomposition as
+/// `cp_<kind>` keys.
 pub fn explain_json(cell: &ExplainCell) -> String {
     let cp = &cell.critpath;
     let est = &cell.estimate;
     let mut out = String::from("{");
-    cell.traced.write_keys(&mut out);
+    cell.run.write_keys(&mut out);
     let _ = write!(
         out,
         ",\"verdict\":\"{}\",\
@@ -350,7 +384,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
         );
     }
     let _ = write!(out, ",\"threads\":[");
-    for (t, a) in cell.traced.attribution.iter().enumerate() {
+    for (t, a) in cell.attribution.iter().enumerate() {
         if t > 0 {
             let _ = write!(out, ",");
         }
@@ -365,7 +399,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
     }
     let _ = write!(out, "],\"queues\":[");
     let mut first = true;
-    for (q, qs) in cell.traced.queues.iter().enumerate() {
+    for (q, qs) in cell.queues.iter().enumerate() {
         let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
@@ -374,7 +408,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
             let _ = write!(out, ",");
         }
         first = false;
-        let occ = cell.traced.occupancy.get(q).copied().unwrap_or_default();
+        let occ = cell.occupancy.get(q).copied().unwrap_or_default();
         let _ = write!(
             out,
             "{{\"queue\":{q},\"est_traffic\":{est_q},\"produces\":{},\"consumes\":{},\
@@ -418,12 +452,12 @@ mod tests {
     fn conservation_holds_and_report_is_complete() {
         let cell = explained("adpcmdec", SchedulerKind::Dswp, true);
         let cp = &cell.critpath;
-        let cycles = cell.traced.run.cycles;
+        let cycles = cell.run.cycles;
         assert_eq!(cp.total, cycles, "path edges sum to the run");
         let kinds: u64 = CpKind::ALL.iter().map(|&k| cp.kind_cycles(k)).sum();
         assert_eq!(kinds, cp.total);
         // The path can never beat the busiest core.
-        let busy = cell.traced.attribution.iter().map(|a| a.compute).max().unwrap_or(0);
+        let busy = cell.attribution.iter().map(|a| a.compute).max().unwrap_or(0);
         assert!(cp.total >= busy, "{} >= {busy}", cp.total);
         let report = explain_report(&cell);
         assert!(report.contains("verdict:"));
@@ -437,7 +471,7 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
         let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
-        assert_eq!(cell.traced.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
+        assert_eq!(cell.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
     }
 
     #[test]
@@ -449,28 +483,36 @@ mod tests {
         for key in [
             "\"benchmark\":", "\"verdict\":", "\"cp_total\":", "\"cp_dataflow\":",
             "\"cp_queue_data\":", "\"threads\":[", "\"queues\":[", "\"est_bottleneck\":",
-            "\"dropped_events\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains('\n'), "one JSON line");
     }
 
-    /// On ref inputs the train-profile estimate is printed without a
-    /// ratio to the ref run (adpcmdec / GREMIO / mtcg read "2290% of
-    /// estimate" before).
+    /// On ref inputs the estimate is of the ref input's profile, the
+    /// input the run measures, and not of the train profile the cell
+    /// was partitioned with: adpcmdec / GREMIO / mtcg estimates a
+    /// 126 986-cycle bottleneck for its 182 039-cycle ref run, where
+    /// the train profile gave 7 946.
     #[test]
-    fn a_ref_input_report_does_not_rate_the_train_estimate() {
+    fn a_ref_input_report_estimates_from_the_ref_profile() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Gremio, false, Scale::Full).unwrap();
-        let report = explain_report(&cell);
+        let compiled = compile_cell(&w, SchedulerKind::Gremio, Scale::Full).unwrap();
+        let estimate = |profile: &gmt_ir::Profile| {
+            SchedEstimate::compute(&w.function, profile, &compiled.pdg, &compiled.mtcg.parallelized)
+        };
+        let on_ref = estimate(&w.run_ref().unwrap().profile);
+        let on_train = estimate(&w.run_train().unwrap().profile);
+        assert_eq!(cell.estimate, on_ref);
+        assert_ne!(on_ref.bottleneck(), on_train.bottleneck());
         let line = format!(
-            "estimated bottleneck {} cycles on the train input; measured {} on the ref input\n",
-            cell.estimate.bottleneck(),
-            cell.traced.run.cycles,
+            "estimated bottleneck {} cycles; measured {} ({}% of estimate)\n",
+            on_ref.bottleneck(),
+            cell.run.cycles,
+            pct(cell.run.cycles, on_ref.bottleneck()),
         );
-        assert!(report.contains(&line), "{report}");
-        assert!(!report.contains("of estimate"), "{report}");
+        assert!(explain_report(&cell).contains(&line), "{}", explain_report(&cell));
     }
 
     #[test]
@@ -494,8 +536,8 @@ mod tests {
             let cell = explained(bench, kind, true);
             let cp = &cell.critpath;
             let tag = format!("{bench}/{}", kind.name());
-            assert_eq!(cp.total, cell.traced.run.cycles, "{tag}");
-            assert_eq!(cell.traced.run.cycles, cycles, "{tag} cycles");
+            assert_eq!(cp.total, cell.run.cycles, "{tag}");
+            assert_eq!(cell.run.cycles, cycles, "{tag} cycles");
             assert_eq!(cp.edges, edges, "{tag} edges");
             assert_eq!(cp.crossings, crossings, "{tag} crossings");
             assert_eq!(verdict(cp), v, "{tag} verdict");
@@ -505,10 +547,10 @@ mod tests {
     #[test]
     fn attribution_rows_sum_to_total_cycles() {
         let cell = explained("ks", SchedulerKind::Dswp, true);
-        let cycles = cell.traced.run.cycles;
+        let cycles = cell.run.cycles;
         assert!(cycles > 0);
-        assert!(!cell.traced.attribution.is_empty());
-        for a in &cell.traced.attribution {
+        assert!(!cell.attribution.is_empty());
+        for a in &cell.attribution {
             assert_eq!(a.total(), cycles, "decomposition covers every cycle");
         }
         let report = explain_report(&cell);
@@ -523,7 +565,7 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let (cell, _) = explained_with_chrome(SchedulerKind::Dswp, false);
         let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
-        let cycles = cell.traced.run.cycles;
+        let cycles = cell.run.cycles;
         assert_eq!(cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
     }
 
@@ -542,7 +584,6 @@ mod tests {
     fn queue_table_ties_traffic_to_plan_labels() {
         let cell = explained("ks", SchedulerKind::Gremio, false);
         let active: Vec<usize> = cell
-            .traced
             .queues
             .iter()
             .enumerate()
@@ -556,7 +597,7 @@ mod tests {
         for q in active {
             assert!(report.contains(&format!("q{q}")), "active queue {q} has a row");
             assert!(
-                cell.traced.labels.iter().any(|l| l.queue.0 as usize == q),
+                cell.labels.iter().any(|l| l.queue.0 as usize == q),
                 "active queue {q} is labeled by the plan"
             );
         }
@@ -567,7 +608,6 @@ mod tests {
     fn queue_table_carries_occupancy_distribution() {
         let cell = explained("ks", SchedulerKind::Dswp, false);
         let report = explain_report(&cell);
-        let cell = cell.traced;
         assert_eq!(cell.occupancy.len(), cell.queues.len(), "one summary per queue");
         assert!(report.contains("occ-dwell"), "distribution column present:\n{report}");
         for (q, qs) in cell.queues.iter().enumerate() {
@@ -580,8 +620,5 @@ mod tests {
                 assert!(occ.p50 <= occ.p95 && occ.p95 <= occ.max.max(occ.p95));
             }
         }
-        // The summary tables cover the whole run however many raw
-        // events it had; the count is surfaced, not hidden.
-        let _ = cell.dropped_events;
     }
 }

@@ -64,12 +64,12 @@
 //! time, dynamic-instruction and cycle counts, and compile-phase
 //! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`],
 //! emitted as JSON-lines by `repro --metrics`. Records nest by the
-//! depth a run was observed at: a traced run is a [`TracedRun`] around
-//! its [`RunMetrics`], and an [`ExplainCell`] (`--explain`, whose
-//! `--trace PATH` also writes the run's Chrome trace) is built around
-//! that, so `--explain --json` prints the `--metrics` keys of its run
-//! followed by the deeper ones, in one flat object that starts with
-//! `"schema":1`.
+//! depth a run was observed at: an [`ExplainCell`] (`--explain`, whose
+//! `--trace PATH` also writes the run's Chrome trace) is a traced run's
+//! [`RunMetrics`] with what the trace and the scheduler's estimate for
+//! the same input add, so `--explain --json` prints the `--metrics`
+//! keys of its run followed by the deeper ones, in one flat object
+//! that starts with `"schema":1`.
 //!
 //! The `repro` binary prints any of the figures:
 //!
@@ -92,10 +92,10 @@ use gmt_workloads::{catalog, exec_config, Workload};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-pub use cell::{compile_cell, CompiledCell, CompiledVariant, TracedRun, TRACE_RING_CAPACITY};
+pub use cell::{compile_cell, CompiledCell, CompiledVariant};
 pub use explain::{
     explain_cell, explain_cell_with, explain_json, explain_report, verdict, ExplainCell,
-    EXPLAIN_TOP_K,
+    EXPLAIN_TOP_K, TRACE_RING_CAPACITY,
 };
 pub use metrics::{metrics_table, stall_table, RunMetrics};
 pub use verify::{verify_matrix, VerifyCell};
@@ -666,6 +666,7 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 pub mod cell;
+mod estimate;
 pub mod explain;
 pub mod figures;
 mod metrics;

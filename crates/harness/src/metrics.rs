@@ -12,9 +12,9 @@ use gmt_testkit::json_escape;
 use std::fmt::Write as _;
 
 /// One (benchmark, scheduler, variant) evaluation's observability
-/// record: the run level of the nested record. A traced run
-/// ([`crate::TracedRun`]) and an explained one ([`crate::ExplainCell`])
-/// carry one of these and append their own keys to its JSON object.
+/// record: the run level of the nested record. An explained run
+/// ([`crate::ExplainCell`]) carries one of these and appends its own
+/// keys to its JSON object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Benchmark name (Figure 6b).

@@ -130,7 +130,7 @@ fn explain_emits_conserving_json() {
     for line in rows {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         for key in [
-            "benchmark", "scheduler", "variant", "cycles", "verdict", "dropped_events",
+            "benchmark", "scheduler", "variant", "cycles", "verdict",
             "est_bottleneck", "est_total", "max_share_pct", "cut_register", "cut_memory",
             "cut_control", "sync_points", "cp_total", "cp_edges", "cp_crossings", "threads",
             "queues",

@@ -40,8 +40,9 @@ use std::path::Path;
 /// predecessor table holds half-arcs, not `Option`s to `expect`), so
 /// that the dense tables COCO, the solver and the verifier now index —
 /// layout positions, flow-graph nodes, half-arc lists — are narrowed by
-/// sentinels and `Option`-returning look-ups, not by `unwrap`.
-/// gmt-harness (library and the `repro` bin under `src/bin`) entered
+/// sentinels and `Option`-returning look-ups, not by `unwrap`; it went
+/// 7 -> 6 when its doc examples began checking their runs by returning
+/// an error instead of by `assert_eq!`. gmt-harness (library and the `repro` bin under `src/bin`) entered
 /// at 0, its count when the arbitration began handing its train
 /// runs to the cell: every failure there is a `HarnessError` in its
 /// benchmark's row. gmt-fuzz entered at 0, when every generated-program
@@ -56,7 +57,7 @@ const BUDGETS: [(&str, &[&str], usize); 9] = [
     ("gmt-mtcg/gmt-sched", &["crates/mtcg/src", "crates/sched/src"], 13),
     ("gmt-pdg/gmt-ir", &["crates/pdg/src", "crates/ir/src"], 19),
     ("gmt-sim", &["crates/sim/src"], 5),
-    ("gmt-core", &["crates/core/src"], 7),
+    ("gmt-core", &["crates/core/src"], 6),
     ("gmt-graph", &["crates/graph/src"], 10),
     ("gmt-harness", &["crates/harness/src"], 0),
     ("gmt-fuzz", &["crates/fuzz/src"], 0),

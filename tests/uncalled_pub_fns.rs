@@ -1,8 +1,8 @@
 //! Every public function has a caller: a `pub fn NAME` in the non-test
 //! code of a crate (`crates/*/src`, the text before the first
 //! `#[cfg(test)]` of each `.rs` file) must be named in some *other*
-//! `.rs` file under `crates/`, `tests/`, `examples/` or
-//! `benchmark/src/`, or again in its own file's non-test code (a
+//! `.rs` file under `crates/`, `tests/` or `benchmark/src/`, or again
+//! in its own file's non-test code (a
 //! function only its own module calls is live, merely wider than it
 //! needs to be). A function that only its own file's unit tests call
 //! fails this test: delete it, or move it into that test module.
@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 /// The trees whose files count as callers.
-const CALLER_ROOTS: [&str; 4] = ["crates", "tests", "examples", "benchmark/src"];
+const CALLER_ROOTS: [&str; 3] = ["crates", "tests", "benchmark/src"];
 
 struct SourceFile {
     path: PathBuf,
@@ -120,7 +120,7 @@ fn gate_flags_a_planted_uncalled_function() {
             true,
         ),
         file("crates/a/tests/t.rs", "fn t() { a::used(); a::lonely_not(); }", false),
-        file("examples/x.rs", "pub fn example_only() {}", false),
+        file("tests/x.rs", "pub fn example_only() {}", false),
     ];
     assert_eq!(uncalled(&files), BTreeSet::from(["crates/a/src/lib.rs: lonely".to_string()]));
     assert_eq!(pub_fns("pub fn f<T>(x: T) {} pub fn g() {} xpub fn h() {}"), ["f", "g"]);
