@@ -10,6 +10,9 @@
 //!   final memory (or return the *same* typed error);
 //! - `verify_mt` accepts the generated code at depth 1, which subsumes
 //!   every depth ≥ 1 (the check is depth-monotone);
+//! - on the DSWP modes, every queue goes from an earlier pipeline stage
+//!   to a later one, so no queue closes a cross-thread cycle (the
+//!   seeded modes' partitions are not pipelines);
 //! - the decoded and reference **functional MT** interpreters agree
 //!   with the sequential run (return/output/memory) and with each
 //!   other (per-thread dynamic counts) at queue capacities 1 and 32,
@@ -53,6 +56,7 @@ use gmt_ir::decoded::DecodedProgram;
 use gmt_ir::interp::{DynCounts, ExecConfig, ExecError, RunResult};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, MtRunResult, QueueConfig};
 use gmt_ir::{Function, Profile};
+use gmt_mtcg::QueueLabel;
 use gmt_pdg::Pdg;
 use gmt_sim::{
     check_attribution, check_critical_path, simulate_decoded_opts, simulate_decoded_traced_opts,
@@ -131,7 +135,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
     let out = &par.output;
     report.num_queues = out.num_queues;
 
-    // Phase 3: static protocol validation at depth 1, the harshest.
+    // Phase 3: static checks — a DSWP program's queues all go forward,
+    // and the queue protocol validates at depth 1, the harshest.
+    if matches!(case.mode(), Mode::Dswp | Mode::DswpCoco) {
+        check_forward(par.queue_labels())?;
+    }
     let violations = verify_mt(&f, &par.partition, &pdg, out, &[1]);
     if !violations.is_empty() {
         return Err(format!("[verify_mt depth=1] {violations:?}"));
@@ -295,6 +303,15 @@ fn mt_cross_check(
         return Err(format!("[mt cap={capacity}] final memory diverges from sequential"));
     }
     Ok(dec)
+}
+
+/// The pipeline edge of a DSWP program: every queue label goes from a
+/// lower-numbered stage to a higher-numbered one.
+fn check_forward(labels: &[QueueLabel]) -> Result<(), String> {
+    match labels.iter().find(|l| l.from >= l.to) {
+        Some(l) => Err(format!("[dswp] queue goes backward: {l:?}")),
+        None => Ok(()),
+    }
 }
 
 /// A machine sized for the generated program's queue file, `depth`
@@ -531,6 +548,33 @@ mod tests {
         level.hits_l1 -= 1;
         level.hits_l2 += 1;
         check_timing(&sim, &level).expect_err("an access served by another level must not pass");
+    }
+
+    /// The planted mutation for the pipeline edge: the labels of a
+    /// generated DSWP program pass, and the same labels with one queue
+    /// reversed must be a finding.
+    #[test]
+    fn a_reversed_dswp_queue_is_a_finding() {
+        let (labels, seed) = (0..64u64)
+            .find_map(|seed| {
+                let case = case_from_seed(seed);
+                if !matches!(case.mode(), Mode::Dswp | Mode::DswpCoco) {
+                    return None;
+                }
+                let f = compile(&case.program).ok()?;
+                let profile = gmt_ir::interp::run(&f, &[], &ExecConfig { max_steps: FUEL })
+                    .ok()?
+                    .profile;
+                let par = parallelize(&f, &profile, &Pdg::build(&f), &case).ok()?;
+                let labels = par.queue_labels().to_vec();
+                (!labels.is_empty()).then_some((labels, seed))
+            })
+            .expect("a DSWP case with queues among 64 seeds");
+        check_forward(&labels).unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let mut reversed = labels;
+        let l = reversed.last_mut().expect("labels are not empty");
+        std::mem::swap(&mut l.from, &mut l.to);
+        check_forward(&reversed).expect_err("a backward queue must not pass");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! times on the input the cell measures (train for [`Scale::Quick`],
 //! ref for [`Scale::Full`]):
 //!
-//! - **statically** — the scheduler's profile-weighted view of the
-//!   compiled partition and plan under that input's profile
-//!   (per-thread compute+comm cycles, cut edges, per-queue traffic);
+//! - **statically** — the partitioners' own cost model
+//!   ([`gmt_sched::thread_loads`]: per-thread compute plus
+//!   communication occupancy) of the compiled partition, its cut edges
+//!   and the plan's per-queue traffic, all under that input's profile;
 //!   on train inputs that is the profile the cell was partitioned with;
 //! - **dynamically** — a traced run of the decoded engine with the
 //!   [`TraceAggregator`] (cycle attribution, queue counters, occupancy
@@ -34,7 +35,6 @@
 //! cycle count exactly) — a violation is an engine bug and surfaces as
 //! a [`HarnessError`].
 
-use crate::estimate::SchedEstimate;
 use crate::metrics::stall_column;
 use crate::{
     compile_cell, fail, run_record, sim_counts, CompiledVariant, HarnessError, RunMetrics, Scale,
@@ -42,6 +42,7 @@ use crate::{
 };
 use gmt_ir::interp::run_with_memory;
 use gmt_mtcg::{CommKind, CommPoint, QueueLabel};
+use gmt_sched::{cut_summary, thread_loads, CutSummary};
 use gmt_sim::{
     check_attribution, check_critical_path, simulate_decoded_traced_opts, CpKind, CritPath,
     CritPathSink, CycleAttribution, NoTrace, OccupancySummary, QueueTraceStats, SimOptions,
@@ -76,8 +77,36 @@ pub struct ExplainCell {
     pub labels: Vec<QueueLabel>,
     /// The run's dynamic critical path (conservation-checked).
     pub critpath: CritPath,
-    /// The static side, under the measured input's profile.
-    pub(crate) estimate: SchedEstimate,
+    /// Per-thread load of the partition under the partitioners' cost
+    /// model and the measured input's profile
+    /// ([`gmt_sched::thread_loads`]): the static estimate.
+    pub(crate) loads: Vec<u64>,
+    /// Estimated values per queue under the same profile
+    /// ([`gmt_mtcg::estimated_traffic`]), indexed by queue id.
+    pub(crate) traffic: Vec<u64>,
+    /// Inter-thread dependence arcs the partition cuts, by kind.
+    pub(crate) cut: CutSummary,
+}
+
+impl ExplainCell {
+    /// The heaviest thread's estimated load: the score the partitioner
+    /// ranked the partition by, the static prediction of the run's
+    /// cycles.
+    fn bottleneck(&self) -> u64 {
+        self.loads.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The heaviest thread's share of the summed loads, percent (100
+    /// when nothing is loaded).
+    fn max_share_pct(&self) -> u64 {
+        self.bottleneck().saturating_mul(100).checked_div(self.loads.iter().sum()).unwrap_or(100)
+    }
+
+    /// How many of the plan's communicated items are memory
+    /// synchronization tokens rather than register values.
+    fn sync_points(&self) -> usize {
+        self.labels.iter().filter(|l| l.kind == CommKind::Memory).count()
+    }
 }
 
 /// Runs one kernel × scheduler × variant cell with the aggregator and
@@ -120,7 +149,12 @@ pub fn explain_cell_with<S: TraceSink>(
     let profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
         .map_err(fail(b, "explain profile run"))?
         .profile;
-    let estimate = SchedEstimate::compute(&w.function, &profile, &cell.pdg, &v.parallelized);
+    let (f, p) = (&w.function, &v.parallelized);
+    let loads = thread_loads(f, &cell.pdg, &profile, &p.partition)
+        .map_err(|i| format!("{i:?} unassigned"))
+        .map_err(fail(b, "explain estimate"))?;
+    let traffic =
+        gmt_mtcg::estimated_traffic(f, &profile.block_weights(f), p.queue_labels(), p.num_queues());
     let num_queues = v.machine.sa.num_queues;
     let walker = CritPathSink::new(&v.program, num_queues);
     let started = Instant::now();
@@ -139,9 +173,11 @@ pub fn explain_cell_with<S: TraceSink>(
         attribution: aggregator.core_attribution(),
         queues: aggregator.queue_stats().to_vec(),
         occupancy: aggregator.queue_occupancy(),
-        labels: v.parallelized.queue_labels().to_vec(),
+        labels: p.queue_labels().to_vec(),
         critpath,
-        estimate,
+        loads,
+        traffic,
+        cut: cut_summary(&cell.pdg, &p.partition),
     };
     Ok((explained, extra))
 }
@@ -219,12 +255,11 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     let _ = writeln!(out, "verdict: {v} ({share}% of the critical path)");
     let _ = writeln!(out);
 
-    // Per-thread: the scheduler's ideal stall-free estimate against
-    // the measured decomposition, which sums to the cycle count. A
-    // thread whose measured compute sits far under its estimate spent
-    // its life stalled (by reason, under the `--metrics` stall table's
-    // headings) or idle.
-    let est = &cell.estimate;
+    // Per-thread: the partitioner's estimated load against the
+    // measured decomposition, which sums to the cycle count. A thread
+    // whose measured compute sits far under its estimate spent its life
+    // stalled (by reason, under the `--metrics` stall table's headings)
+    // or idle.
     let _ = write!(out, "{:<7} {:>10} {:>10}", "thread", "est", "compute");
     for reason in StallReason::ALL {
         let (heading, width) = stall_column(reason);
@@ -232,7 +267,7 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     }
     let _ = writeln!(out, " {:>10}", "idle");
     for (t, a) in cell.attribution.iter().enumerate() {
-        let est_t = est.thread_cycles.get(t).copied().unwrap_or(0);
+        let est_t = cell.loads.get(t).copied().unwrap_or(0);
         let _ = write!(out, "{t:<7} {est_t:>10} {:>10}", a.compute);
         for (reason, cycles) in a.stalls.iter() {
             let _ = write!(out, " {cycles:>width$}", width = stall_column(reason).1);
@@ -242,15 +277,19 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     let _ = writeln!(
         out,
         "estimated bottleneck {} cycles; measured {} ({}% of estimate)",
-        est.bottleneck(),
+        cell.bottleneck(),
         run.cycles,
-        pct(run.cycles, est.bottleneck().max(1)),
+        pct(run.cycles, cell.bottleneck().max(1)),
     );
     let _ = writeln!(
         out,
         "cut: {} register / {} memory / {} control arcs; {} sync tokens; \
          max thread share {}%",
-        est.cut.register, est.cut.memory, est.cut.control, est.sync_points, est.max_share_pct,
+        cell.cut.register,
+        cell.cut.memory,
+        cell.cut.control,
+        cell.sync_points(),
+        cell.max_share_pct(),
     );
     let _ = writeln!(out);
 
@@ -267,7 +306,7 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     );
     let mut any = false;
     for (q, qs) in cell.queues.iter().enumerate() {
-        let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
+        let est_q = cell.traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
         }
@@ -354,7 +393,6 @@ fn label_text(l: &QueueLabel) -> String {
 /// `cp_<kind>` keys.
 pub fn explain_json(cell: &ExplainCell) -> String {
     let cp = &cell.critpath;
-    let est = &cell.estimate;
     let mut out = String::from("{");
     cell.run.write_keys(&mut out);
     let _ = write!(
@@ -364,13 +402,13 @@ pub fn explain_json(cell: &ExplainCell) -> String {
          \"cut_register\":{},\"cut_memory\":{},\"cut_control\":{},\"sync_points\":{},\
          \"cp_total\":{},\"cp_edges\":{},\"cp_crossings\":{}",
         verdict(cp),
-        est.bottleneck(),
-        est.total(),
-        est.max_share_pct,
-        est.cut.register,
-        est.cut.memory,
-        est.cut.control,
-        est.sync_points,
+        cell.bottleneck(),
+        cell.loads.iter().sum::<u64>(),
+        cell.max_share_pct(),
+        cell.cut.register,
+        cell.cut.memory,
+        cell.cut.control,
+        cell.sync_points(),
         cp.total,
         cp.edges,
         cp.crossings,
@@ -391,7 +429,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
         let _ = write!(
             out,
             "{{\"thread\":{t},\"est\":{},\"compute\":{},\"stall\":{},\"idle\":{}}}",
-            est.thread_cycles.get(t).copied().unwrap_or(0),
+            cell.loads.get(t).copied().unwrap_or(0),
             a.compute,
             a.stalls.total(),
             a.idle,
@@ -400,7 +438,7 @@ pub fn explain_json(cell: &ExplainCell) -> String {
     let _ = write!(out, "],\"queues\":[");
     let mut first = true;
     for (q, qs) in cell.queues.iter().enumerate() {
-        let est_q = est.queue_traffic.get(q).copied().unwrap_or(0);
+        let est_q = cell.traffic.get(q).copied().unwrap_or(0);
         if !qs.is_active() && est_q == 0 {
             continue;
         }
@@ -492,25 +530,27 @@ mod tests {
     /// On ref inputs the estimate is of the ref input's profile, the
     /// input the run measures, and not of the train profile the cell
     /// was partitioned with: adpcmdec / GREMIO / mtcg estimates a
-    /// 126 986-cycle bottleneck for its 182 039-cycle ref run, where
-    /// the train profile gave 7 946.
+    /// 135 171-cycle bottleneck for its 182 039-cycle ref run, where
+    /// the train profile gave 8 451.
     #[test]
     fn a_ref_input_report_estimates_from_the_ref_profile() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Gremio, false, Scale::Full).unwrap();
         let compiled = compile_cell(&w, SchedulerKind::Gremio, Scale::Full).unwrap();
-        let estimate = |profile: &gmt_ir::Profile| {
-            SchedEstimate::compute(&w.function, profile, &compiled.pdg, &compiled.mtcg.parallelized)
+        let partition = &compiled.mtcg.parallelized.partition;
+        let loads = |profile: &gmt_ir::Profile| {
+            thread_loads(&w.function, &compiled.pdg, profile, partition).unwrap()
         };
-        let on_ref = estimate(&w.run_ref().unwrap().profile);
-        let on_train = estimate(&w.run_train().unwrap().profile);
-        assert_eq!(cell.estimate, on_ref);
-        assert_ne!(on_ref.bottleneck(), on_train.bottleneck());
+        let on_ref = loads(&w.run_ref().unwrap().profile);
+        let on_train = loads(&w.run_train().unwrap().profile);
+        assert_eq!(cell.loads, on_ref);
+        let peak = |loads: &[u64]| loads.iter().copied().max().unwrap_or(0);
+        assert_ne!(peak(&on_ref), peak(&on_train));
         let line = format!(
             "estimated bottleneck {} cycles; measured {} ({}% of estimate)\n",
-            on_ref.bottleneck(),
+            peak(&on_ref),
             cell.run.cycles,
-            pct(cell.run.cycles, on_ref.bottleneck()),
+            pct(cell.run.cycles, peak(&on_ref)),
         );
         assert!(explain_report(&cell).contains(&line), "{}", explain_report(&cell));
     }

@@ -666,7 +666,6 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 pub mod cell;
-mod estimate;
 pub mod explain;
 pub mod figures;
 mod metrics;

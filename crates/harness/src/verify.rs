@@ -107,7 +107,7 @@ mod tests {
                     crate::explain_cell(&w, SchedulerKind::Gremio, coco, Scale::Quick).unwrap();
                 assert_eq!(
                     verified.queues as usize,
-                    explained.estimate.queue_traffic.len(),
+                    explained.traffic.len(),
                     "{bench}/coco={coco}: verify and explain disagree on the plan"
                 );
             }

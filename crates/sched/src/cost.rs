@@ -12,6 +12,22 @@
 //! communication latency, so occupancy — not latency — is what bounds
 //! pipeline throughput.
 //!
+//! That premise was measured by simulating the figures' programs again
+//! with only the synchronization array's latency raised from 1 to 64
+//! cycles (ROADMAP item 17's table). It holds for DSWP, whose 22
+//! programs slow by at most 0.73 %, and fails for GREMIO, whose
+//! programs slow by up to 575 %: a queue that closes a cross-thread
+//! cycle pays its latency on every trip. DSWP's half is pinned
+//! statically: every queue of a DSWP program goes forward in stage
+//! order (`tests/pipeline_invariants.rs` on the kernels, the fuzz
+//! oracle on every DSWP case), so no queue closes a cycle.
+//!
+//! [`thread_loads`] is the one public view of the model: the per-thread
+//! loads of a given partition, whose maximum is the score the searches
+//! rank by. `repro --explain` prints them as its static estimate, so
+//! the estimate it joins against the measured run is the model the
+//! partitioner optimised, not a second one.
+//!
 //! A search probes thousands of assignments of one function, each a
 //! small move away from the last. Everything that does not depend on
 //! the assignment is computed once into the flat arrays of
@@ -27,7 +43,7 @@
 //! made panics there.
 
 use crate::weights::InstrWeights;
-use gmt_ir::Function;
+use gmt_ir::{Function, InstrId, Profile};
 use gmt_pdg::{Partition, Pdg, ThreadId};
 
 /// Estimated one-way communication latency in cycles: the
@@ -395,6 +411,31 @@ pub(crate) struct SearchWork {
     pub(crate) pruned: u64,
 }
 
+/// Every thread's load under the model both partitioners search: the
+/// compute weight of `partition`'s threads under `profile`, plus the
+/// communication occupancy the assignment induces. The largest entry is
+/// the score DSWP's search minimises and [`crate::gremio::candidates`]
+/// ranks by; `repro --explain` prints the entries as its `est` column.
+///
+/// # Errors
+///
+/// The first instruction of `f` that `partition` leaves unassigned, as
+/// [`Partition::validate`] reports it.
+pub fn thread_loads(
+    f: &Function,
+    pdg: &Pdg,
+    profile: &Profile,
+    partition: &Partition,
+) -> Result<Vec<u64>, InstrId> {
+    let mut thread_of = vec![0u32; f.num_instrs()];
+    for i in f.all_instrs() {
+        thread_of[i.index()] = partition.get(i).ok_or(i)?.0;
+    }
+    let weights = InstrWeights::compute(f, &profile.block_weights(f));
+    let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
+    Ok(Live::new(&model, thread_of, partition.num_threads() as usize).load)
+}
+
 /// Materialises a dense assignment (indexed by
 /// [`gmt_ir::InstrId::index`]) of `pdg`'s instructions as a
 /// [`Partition`] over `num_threads` threads.
@@ -595,5 +636,29 @@ mod tests {
             caught(|m| m.pred_start.fill(0)) > 0,
             "no case distinguished the tampered model"
         );
+    }
+
+    /// `thread_loads` names the first unassigned instruction instead of
+    /// panicking, and gives a total partition one load per thread, an
+    /// idle thread included.
+    #[test]
+    fn thread_loads_names_an_unassigned_instruction() {
+        let mut b = gmt_ir::FunctionBuilder::new("f");
+        let x = b.param();
+        let y = b.bin(gmt_ir::BinOp::Mul, x, 3i64);
+        b.output(y);
+        b.ret(None);
+        let f = b.finish().unwrap();
+        let (pdg, profile) = (Pdg::build(&f), Profile::uniform(&f, 10));
+        let instrs: Vec<InstrId> = f.all_instrs().collect();
+        let mut partition = Partition::new(2);
+        for &i in &instrs[1..] {
+            partition.assign(i, ThreadId(0));
+        }
+        assert_eq!(thread_loads(&f, &pdg, &profile, &partition), Err(instrs[0]));
+        partition.assign(instrs[0], ThreadId(0));
+        let weights = InstrWeights::compute(&f, &profile.block_weights(&f));
+        let compute = instrs.iter().map(|&i| weights.weight(i)).sum::<u64>();
+        assert_eq!(thread_loads(&f, &pdg, &profile, &partition), Ok(vec![compute, 0]));
     }
 }

@@ -381,6 +381,8 @@ mod tests {
 
     /// The compute-weight bound only skips candidates that could not
     /// have won: with it disabled the partition and score are the same.
+    /// And there is one model: [`crate::thread_loads`] of the winner
+    /// peaks at the score the search ranked it by.
     #[test]
     fn pruning_never_changes_the_partition() {
         crate::testutil::for_catalog_and_generated("dswp::pruning", |f, pdg, profile, n| {
@@ -388,6 +390,10 @@ mod tests {
             let pruned = search(f, pdg, profile, &config, true);
             let exhaustive = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
+            if let Ok((score, winner)) = &pruned {
+                let peak = crate::testutil::peak_load(f, pdg, profile, winner)?;
+                gmt_testkit::prop_assert_eq!(peak, *score);
+            }
             Ok(())
         });
     }

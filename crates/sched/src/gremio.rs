@@ -570,6 +570,8 @@ mod tests {
 
     /// The compute-load bound only skips probes the climb would have
     /// rejected: with it disabled every candidate and score is the same.
+    /// And there is one model: [`crate::thread_loads`] of every
+    /// candidate peaks at the score the search reports for it.
     #[test]
     fn pruning_never_changes_the_candidates() {
         crate::testutil::for_catalog_and_generated("gremio::pruning", |f, pdg, profile, n| {
@@ -577,6 +579,10 @@ mod tests {
             let pruned = search(f, pdg, profile, &config, true);
             let exhaustive = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
+            for (score, candidate) in pruned.iter().flatten() {
+                let peak = crate::testutil::peak_load(f, pdg, profile, candidate)?;
+                gmt_testkit::prop_assert_eq!(peak, *score);
+            }
             Ok(())
         });
     }

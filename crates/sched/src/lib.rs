@@ -48,7 +48,8 @@ pub mod gremio;
 pub mod metrics;
 pub mod weights;
 
-pub use metrics::{balance, cut_summary, has_cyclic_inter_thread_deps, is_pipeline, Balance, CutSummary};
+pub use cost::thread_loads;
+pub use metrics::{cut_summary, has_cyclic_inter_thread_deps, is_pipeline, CutSummary};
 
 /// Partitioner failures on untrusted configurations or inputs.
 ///
@@ -87,7 +88,7 @@ mod testutil {
     use gmt_fuzz::ast::{compile, fprogram_gen};
     use gmt_ir::interp::{run, ExecConfig};
     use gmt_ir::{Function, Profile};
-    use gmt_pdg::Pdg;
+    use gmt_pdg::{Partition, Pdg};
     use gmt_testkit::{Checker, PropResult};
 
     /// `(N, scored, pruned)` of `search` summed over the 11 catalog
@@ -112,6 +113,19 @@ mod testutil {
             }
             (n, scored, pruned)
         })
+    }
+
+    /// The largest of [`crate::thread_loads`] of `partition`: the one
+    /// model says it equals the score the search gave the partition.
+    pub(crate) fn peak_load(
+        f: &Function,
+        pdg: &Pdg,
+        profile: &Profile,
+        partition: &Partition,
+    ) -> Result<u64, String> {
+        let loads = crate::thread_loads(f, pdg, profile, partition)
+            .map_err(|i| format!("{i:?} unassigned"))?;
+        Ok(loads.into_iter().max().unwrap_or(0))
     }
 
     /// Runs `prop` on the 11 catalog kernels under their train profiles

@@ -1,7 +1,5 @@
 //! Partition quality metrics and structural checks.
 
-use crate::weights::InstrWeights;
-use gmt_ir::Function;
 use gmt_pdg::{Partition, Pdg};
 
 /// Whether `partition` forms a pipeline over `pdg`: every inter-thread
@@ -31,29 +29,6 @@ pub fn has_cyclic_inter_thread_deps(pdg: &Pdg, partition: &Partition) -> bool {
         }
     }
     g.is_cyclic()
-}
-
-/// Load-balance summary of a partition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Balance {
-    /// Dynamic weight per thread.
-    pub per_thread: Vec<u64>,
-    /// Heaviest thread's share of the total, in percent (100 = one
-    /// thread does everything; 50 = perfect 2-thread balance).
-    pub max_share_pct: u32,
-}
-
-/// Computes the dynamic load balance of `partition` under the profile
-/// whose block weights ([`gmt_ir::Profile::block_weights`]) are given.
-pub fn balance(f: &Function, block_weights: &[u64], partition: &Partition) -> Balance {
-    let weights = InstrWeights::compute(f, block_weights);
-    let per_thread = partition.dynamic_sizes(|i| weights.weight(i));
-    let total: u64 = per_thread.iter().sum();
-    let max = per_thread.iter().copied().max().unwrap_or(0);
-    let max_share_pct = (max * 100)
-        .checked_div(total)
-        .map_or(100, |v| u32::try_from(v).unwrap_or(100));
-    Balance { per_thread, max_share_pct }
 }
 
 /// Count of inter-thread dependence arcs, by kind.
@@ -86,7 +61,7 @@ pub fn cut_summary(pdg: &Pdg, partition: &Partition) -> CutSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmt_ir::{BinOp, FunctionBuilder, Profile};
+    use gmt_ir::{BinOp, Function, FunctionBuilder};
     use gmt_pdg::ThreadId;
 
     fn chain() -> (Function, Pdg) {
@@ -121,16 +96,6 @@ mod tests {
         p.assign(instrs[1], ThreadId(0));
         p.assign(instrs[2], ThreadId(0));
         assert!(!is_pipeline(&pdg, &p));
-    }
-
-    #[test]
-    fn balance_of_lopsided_partition() {
-        let (f, _) = chain();
-        let p = Partition::single_threaded(&f, 1);
-        let profile = Profile::uniform(&f, 10);
-        let b = balance(&f, &profile.block_weights(&f), &p);
-        assert_eq!(b.max_share_pct, 100);
-        assert_eq!(b.per_thread.len(), 1);
     }
 
     #[test]

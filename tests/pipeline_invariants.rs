@@ -15,17 +15,33 @@ use gmt_workloads::{catalog, exec_config};
 
 /// DSWP output always satisfies the pipeline property (Property 1
 /// discussion: a violated pipeline would create inter-thread dependence
-/// cycles).
+/// cycles), and so does the program generated from it: at every thread
+/// count and in both variants, every queue goes from an earlier stage
+/// to a later one. No queue closes a cross-thread cycle, which is why
+/// DSWP's cycles do not depend on the synchronization array's latency.
 #[test]
 fn dswp_is_always_a_pipeline() {
     for w in catalog() {
         let train = w.run_train().unwrap();
-        let pdg = Pdg::build(&w.function);
-        let r = Parallelizer::new(Scheduler::dswp(2))
-            .parallelize(&w.function, &train.profile)
-            .unwrap();
-        assert!(is_pipeline(&pdg, &r.partition), "{}", w.benchmark);
-        assert!(!has_cyclic_inter_thread_deps(&pdg, &r.partition), "{}", w.benchmark);
+        let (f, profile) = (&w.function, &train.profile);
+        let pdg = Pdg::build(f);
+        for n in [2, 3, 4] {
+            let scheduler = Scheduler::dswp(n);
+            let partition = scheduler.partition(f, &pdg, profile).unwrap();
+            let at = format!("{} N={n}", w.benchmark);
+            assert!(is_pipeline(&pdg, &partition), "{at}");
+            assert!(!has_cyclic_inter_thread_deps(&pdg, &partition), "{at}");
+            for coco in [false, true] {
+                let mut p = Parallelizer::new(scheduler.clone());
+                if coco {
+                    p = p.with_coco(CocoConfig::default());
+                }
+                let r = p.parallelize_with_partition(f, profile, &pdg, partition.clone()).unwrap();
+                for l in r.queue_labels() {
+                    assert!(l.from < l.to, "{at} coco={coco}: queue goes backward: {l:?}");
+                }
+            }
+        }
     }
 }
 
