@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's figures from the command line.
 //!
 //! ```text
-//! repro --fig 1|6a|6b|7|8|scaling|ablations|all [--quick] [--scheduler gremio|dswp|both]
+//! repro --fig 1|6a|6b|7|8|ablations|all [--quick] [--scheduler gremio|dswp|both]
 //! repro --metrics [--quick] [--scheduler gremio|dswp|both]
 //! repro --fuzz SECS
 //! repro --explain ks|all [--scheduler gremio|dswp|both] \
@@ -15,10 +15,11 @@
 //! reference path — output is byte-identical either way). A malformed
 //! `GMT_JOBS` exits 2 before any mode runs.
 //!
-//! `--fig all` prints Figures 6a, 6b, 1, 7 and 8. `--fig scaling` (the
-//! thread-scaling extension) and `--fig ablations` (the design-choice
-//! ablations, always on train inputs and over both schedulers, so
-//! `--quick` and `--scheduler` do not change it) print only on request.
+//! `--fig all` prints Figures 6a, 6b, 1, 7 and 8. `--fig ablations`
+//! prints only on request: the design-choice ablations and the
+//! thread-scaling extension (COCO at two and four threads), always on
+//! train inputs and over both schedulers, so `--quick` and
+//! `--scheduler` do not change it.
 //!
 //! `--metrics` evaluates the full timed matrix and emits one JSON-line
 //! per (benchmark, scheduler, variant) — wall-clock, instruction and
@@ -51,7 +52,7 @@ use gmt_harness::{
 use gmt_sim::{ChromeTraceSink, NoTrace, TraceSink};
 use std::collections::HashSet;
 
-const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "scaling", "ablations", "all"];
+const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "ablations", "all"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -224,12 +225,6 @@ fn main() {
         print_figure("7", figures::render_figure7);
         print_figure("8", figures::render_figure8);
     }
-    if fig == "scaling" {
-        for &k in &scheds {
-            print!("{}", figures::thread_scaling_table(k));
-            println!();
-        }
-    }
     if fig == "ablations" {
         print!("{}", figures::ablation_tables());
     }
@@ -350,7 +345,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--fig 1|6a|6b|7|8|scaling|ablations|all] [--metrics] \
+        "usage: repro [--fig 1|6a|6b|7|8|ablations|all] [--metrics] \
          [--quick] [--scheduler gremio|dswp|both]\n\
          \x20      repro --fuzz SECS\n\
          \x20      repro --explain <NAME|all> [--scheduler gremio|dswp|both] \

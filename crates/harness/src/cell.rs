@@ -3,11 +3,13 @@
 //! The paper's §4 methodology is one recipe per kernel × scheduler:
 //! profile on the train input, build the PDG, partition, generate
 //! baseline MTCG and MTCG+COCO code over that partition, measure.
-//! [`compile_cell`] is that recipe, spelled once; every mode of the
-//! harness ([`crate::evaluate_full`], [`crate::explain_cell`],
-//! [`crate::verify_matrix`]) obtains its programs, machine and queue
-//! file from it, so what the verification matrix verifies and
-//! `--explain` explains is exactly what the figures measure. The
+//! [`compile_cell`] is that recipe, spelled once, for any thread count;
+//! every mode of the harness ([`crate::evaluate_full`],
+//! [`crate::explain_cell`], [`crate::verify_matrix`], all at two
+//! threads, and [`crate::coco_study`] at two and four) obtains its
+//! programs, machine and queue file from it, so what the verification
+//! matrix verifies, `--explain` explains and the ablations count is
+//! exactly what the figures measure. The
 //! profile that guides a cell's partition is always train's; `--explain`
 //! estimates under a profile of the input it measures.
 //!
@@ -65,6 +67,8 @@ pub struct CompiledCell<'w> {
     pub args: &'w [i64],
     /// The dependence graph both variants were generated from.
     pub pdg: Pdg,
+    /// The train profile that guided the partition and COCO.
+    pub(crate) profile: Profile,
     /// Programs GREMIO's arbitration timed on the train input: every
     /// candidate schedule and the sequential program it is guarded
     /// against (0 for DSWP, which arbitrates nothing).
@@ -121,7 +125,9 @@ impl CompiledCell<'_> {
     }
 }
 
-/// Compiles one kernel under one scheduler (see the module docs).
+/// Compiles one kernel under one scheduler for `threads` threads (see
+/// the module docs). The figures, `--metrics`, `--explain` and the
+/// verification matrix compile two-thread cells.
 ///
 /// DSWP uses the analytic partitioner directly. For GREMIO — whose
 /// candidate schedules' real throughput depends on queue round-trips
@@ -131,7 +137,9 @@ impl CompiledCell<'_> {
 /// only when the fastest candidate is more than 10 % slower than the
 /// sequential program. A candidate up to 10 % slower is kept, so the
 /// chosen partition can lose to sequential: `repro --quick --fig 8`
-/// ships ks at 0.95× and 435.gromacs at 0.94×.
+/// ships ks at 0.95× and 435.gromacs at 0.94×. A candidate is timed
+/// only if each of its threads that holds code holds at least 10 % of
+/// the dynamic weight; at four threads 4 of the 11 kernels fall back.
 ///
 /// # Errors
 ///
@@ -142,39 +150,41 @@ pub fn compile_cell(
     w: &Workload,
     kind: SchedulerKind,
     scale: Scale,
+    threads: u32,
 ) -> Result<CompiledCell<'_>, HarnessError> {
     let b = w.benchmark;
     // Only the profile is kept: the run's final memory image (512 KB
     // for mpeg2enc) would otherwise stay live through the arbitration.
     let profile = w.run_train().map_err(fail(b, "train run"))?.profile;
-    let profile = &profile;
     let t = Instant::now();
     let pdg = Pdg::build(&w.function);
     let pdg_build_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let (partition, arbitrated) = match kind.scheduler() {
+    let (partition, arbitrated) = match kind.scheduler_n(threads) {
         Scheduler::Dswp(cfg) => (
-            gmt_sched::dswp::partition(&w.function, &pdg, profile, &cfg)
+            gmt_sched::dswp::partition(&w.function, &pdg, &profile, &cfg)
                 .map_err(fail(b, "dswp partition"))?,
             None,
         ),
         Scheduler::Gremio(cfg) => {
-            let (partition, arbitrated) = arbitrate(w, profile, &pdg, &cfg)?;
+            let (partition, arbitrated) = arbitrate(w, &profile, &pdg, &cfg)?;
             (partition, Some(arbitrated))
         }
     };
     let partition_ns = t.elapsed().as_nanos() as u64;
-    let compile = |coco: bool| compile_variant(w, kind, profile, &pdg, &partition, coco);
+    let compile = |coco: Option<&CocoConfig>| {
+        compile_variant(w, kind, threads, &profile, &pdg, &partition, coco)
+    };
     let with_shared_phases = |mut v: CompiledVariant| {
         v.parallelized.timings.pdg_build_ns = pdg_build_ns;
         v.parallelized.timings.partition_ns = partition_ns;
         v
     };
-    let mtcg = with_shared_phases(compile(false)?);
+    let mtcg = with_shared_phases(compile(None)?);
     let Arbitration { coco, probes, compiles, runs } = match arbitrated {
         Some(arbitrated) => arbitrated,
         None => {
-            let coco = compile(true)?;
+            let coco = compile(Some(&CocoConfig::default()))?;
             Arbitration { coco, probes: 0, compiles: 0, runs: TrainRuns::default() }
         }
     };
@@ -192,27 +202,30 @@ pub fn compile_cell(
         coco: with_shared_phases(coco),
         train_runs,
         pdg,
+        profile,
     })
 }
 
-/// Generates, decodes and configures one variant over `partition`.
-fn compile_variant(
+/// Generates, decodes and configures one variant over `partition`:
+/// baseline MTCG, or MTCG+COCO under `coco`.
+pub(crate) fn compile_variant(
     w: &Workload,
     kind: SchedulerKind,
+    threads: u32,
     profile: &Profile,
     pdg: &Pdg,
     partition: &Partition,
-    coco: bool,
+    coco: Option<&CocoConfig>,
 ) -> Result<CompiledVariant, HarnessError> {
     let b = w.benchmark;
-    let (name, phase) = if coco {
+    let (name, phase) = if coco.is_some() {
         ("coco", "coco parallelization")
     } else {
         ("mtcg", "baseline parallelization")
     };
-    let mut parallelizer = Parallelizer::new(kind.scheduler());
-    if coco {
-        parallelizer = parallelizer.with_coco(CocoConfig::default());
+    let mut parallelizer = Parallelizer::new(kind.scheduler_n(threads));
+    if let Some(config) = coco {
+        parallelizer = parallelizer.with_coco(config.clone());
     }
     let parallelized = parallelizer
         .parallelize_with_partition(&w.function, profile, pdg, partition.clone())
@@ -254,16 +267,20 @@ fn arbitrate(
 ) -> Result<(Partition, Arbitration), HarnessError> {
     let candidates = gmt_sched::gremio::candidates(&w.function, pdg, profile, cfg)
         .map_err(fail(w.benchmark, "gremio candidate enumeration"))?;
-    // "Genuinely parallel" = the lighter thread owns a meaningful share
-    // of the code, not a token offload.
+    // "Genuinely parallel" = at least two threads hold code, and the
+    // lightest of them owns a meaningful share of it, not a token
+    // offload. Threads left empty do not count: at two threads that is
+    // the same rule, at four it keeps a two-thread split.
     let block_weights = profile.block_weights(&w.function);
     let meaningful = |p: &Partition| {
         let sizes = p.dynamic_sizes(|i| block_weights[w.function.block_of(i).index()].max(1));
-        let total: u64 = sizes.iter().sum();
-        sizes.iter().filter(|&&s| s > 0).count() > 1
-            && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
+        let used = || sizes.iter().copied().filter(|&s| s > 0);
+        used().count() > 1 && used().min().unwrap_or(0) * 10 >= used().sum::<u64>()
     };
-    let compile = |p: &Partition| compile_variant(w, SchedulerKind::Gremio, profile, pdg, p, true);
+    let (threads, coco) = (cfg.num_threads, CocoConfig::default());
+    let compile = |p: &Partition| {
+        compile_variant(w, SchedulerKind::Gremio, threads, profile, pdg, p, Some(&coco))
+    };
     // A program that fails to compile or simulate scores u64::MAX and
     // loses.
     let cycles = |run: &Option<SimResult>| run.as_ref().map_or(u64::MAX, |r| r.cycles);
@@ -294,7 +311,7 @@ fn arbitrate(
     }
     // Nothing to time against, or the winner clearly loses: the true
     // single-threaded layout, not a token-offload candidate.
-    let single = Partition::single_threaded(&w.function, cfg.num_threads);
+    let single = Partition::single_threaded(&w.function, threads);
     let coco = compile(&single)?;
     let runs = TrainRuns { seq, coco: None };
     Ok((single, Arbitration { coco, probes, compiles: compiles + 1, runs }))
@@ -306,31 +323,51 @@ mod tests {
     use gmt_pdg::ThreadId;
 
     /// The deterministic work counters of GREMIO's arbitration: over the
-    /// 11-kernel matrix it simulates 22 candidates + 11 sequential runs
-    /// on train inputs, each exactly once, and compiles the 22
-    /// candidates plus the single-threaded layout on the three kernels
-    /// where that layout wins (it is compiled only then). A cell keeps
-    /// the train runs only when it measures train inputs.
+    /// 11-kernel matrix at two threads it simulates 22 candidates + 11
+    /// sequential runs on train inputs, each exactly once, and compiles
+    /// the 22 candidates plus the single-threaded layout on the three
+    /// kernels where that layout wins (it is compiled only then). At
+    /// four threads it simulates 15 candidates + 10 sequential runs and
+    /// compiles the layout on four kernels: the fastest candidate of
+    /// adpcmdec, 183.equake and 458.sjeng is more than 10 % slower than
+    /// sequential, and 177.mesa has no candidate whose threads that
+    /// hold code all hold 10 % of it, so nothing is timed there. A cell
+    /// keeps the train runs only when it measures train inputs.
     #[test]
     fn gremio_arbitration_times_33_candidates() {
-        let (mut probes, mut compiles, mut fallbacks) = (0, 0, Vec::new());
-        for w in gmt_workloads::catalog() {
-            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
-            probes += cell.arb_probes;
-            compiles += cell.arb_compiles;
-            assert!(cell.train_runs.seq.is_some(), "{}: the sequential run", w.benchmark);
-            let partition = &cell.coco.parallelized.partition;
-            if w.function.all_instrs().all(|i| partition.get(i) == Some(ThreadId(0))) {
-                assert!(cell.train_runs.coco.is_none(), "{}: no run of the layout", w.benchmark);
-                fallbacks.push(w.benchmark);
-            } else {
-                assert!(cell.train_runs.coco.is_some(), "{}: the winner's run", w.benchmark);
+        // (threads, (probes, compiles), fallbacks, kernels with no
+        // candidate to time, whose sequential run is not needed either)
+        let pins: [(u32, (u64, u64), &[&str], &[&str]); 2] = [
+            (2, (33, 25), &["adpcmenc", "177.mesa", "183.equake"], &[]),
+            (4, (25, 19), &["adpcmdec", "177.mesa", "183.equake", "458.sjeng"], &["177.mesa"]),
+        ];
+        for (threads, work, want, want_untimed) in pins {
+            let (mut probes, mut compiles) = (0, 0);
+            let (mut fallbacks, mut untimed) = (Vec::new(), Vec::new());
+            for w in gmt_workloads::catalog() {
+                let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick, threads).unwrap();
+                probes += cell.arb_probes;
+                compiles += cell.arb_compiles;
+                let at = format!("{} at {threads} threads", w.benchmark);
+                if cell.train_runs.seq.is_none() {
+                    assert_eq!(cell.arb_probes, 0, "{at}: the sequential run");
+                    untimed.push(w.benchmark);
+                }
+                let partition = &cell.coco.parallelized.partition;
+                assert_eq!(partition.num_threads(), threads, "{at}");
+                if w.function.all_instrs().all(|i| partition.get(i) == Some(ThreadId(0))) {
+                    assert!(cell.train_runs.coco.is_none(), "{at}: no run of the layout");
+                    fallbacks.push(w.benchmark);
+                } else {
+                    assert!(cell.train_runs.coco.is_some(), "{at}: the winner's run");
+                }
             }
+            assert_eq!((probes, compiles), work, "{threads} threads");
+            assert_eq!(fallbacks, want, "{threads} threads");
+            assert_eq!(untimed, want_untimed, "{threads} threads");
         }
-        assert_eq!((probes, compiles), (33, 25));
-        assert_eq!(fallbacks, ["adpcmenc", "177.mesa", "183.equake"]);
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let full = compile_cell(&w, SchedulerKind::Gremio, Scale::Full).unwrap();
+        let full = compile_cell(&w, SchedulerKind::Gremio, Scale::Full, 2).unwrap();
         assert_eq!((full.arb_probes, full.arb_compiles), (3, 2));
         assert!(full.train_runs.seq.is_none() && full.train_runs.coco.is_none(), "ref inputs");
     }
@@ -348,7 +385,8 @@ mod tests {
             let profile = w.run_train().unwrap().profile;
             let pdg = Pdg::build(&w.function);
             let single = Partition::single_threaded(&w.function, 2);
-            let v = compile_variant(&w, SchedulerKind::Gremio, &profile, &pdg, &single, true)
+            let coco = Some(&CocoConfig::default());
+            let v = compile_variant(&w, SchedulerKind::Gremio, 2, &profile, &pdg, &single, coco)
                 .unwrap();
             let opts = SimOptions::default();
             let layout = simulate_decoded_opts(&v.program, &w.train_args, w.init, &v.machine, opts)
@@ -373,12 +411,14 @@ mod tests {
     #[test]
     fn arbitration_hands_over_the_chosen_partitions_coco_variant() {
         for w in gmt_workloads::catalog() {
-            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick, 2).unwrap();
             let chosen = &cell.mtcg.parallelized.partition;
             assert_eq!(&cell.coco.parallelized.partition, chosen, "{}", w.benchmark);
             let profile = w.run_train().unwrap().profile;
+            let coco = Some(&CocoConfig::default());
             let afresh =
-                compile_variant(&w, SchedulerKind::Gremio, &profile, &cell.pdg, chosen, true).unwrap();
+                compile_variant(&w, SchedulerKind::Gremio, 2, &profile, &cell.pdg, chosen, coco)
+                    .unwrap();
             assert_eq!(cell.coco.program, afresh.program, "{}", w.benchmark);
             assert_eq!(cell.coco.name, "coco");
             assert_eq!((&cell.coco.machine, &cell.coco.queues), (&afresh.machine, &afresh.queues));
@@ -396,7 +436,7 @@ mod tests {
     #[test]
     fn dswp_builds_one_partition_for_both_variants() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Full).unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Full, 2).unwrap();
         assert_eq!(cell.arb_probes, 0, "DSWP arbitrates nothing");
         assert_eq!(cell.args, &w.ref_args[..]);
         assert_eq!(cell.mtcg.parallelized.partition, cell.coco.parallelized.partition);

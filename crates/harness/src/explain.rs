@@ -144,7 +144,7 @@ pub fn explain_cell_with<S: TraceSink>(
     sink: impl FnOnce(&CompiledVariant) -> S,
 ) -> Result<(ExplainCell, S), HarnessError> {
     let b = w.benchmark;
-    let cell = compile_cell(w, kind, scale)?;
+    let cell = compile_cell(w, kind, scale, 2)?;
     let v = cell.variant(coco);
     let profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
         .map_err(fail(b, "explain profile run"))?
@@ -536,7 +536,7 @@ mod tests {
     fn a_ref_input_report_estimates_from_the_ref_profile() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
         let cell = explain_cell(&w, SchedulerKind::Gremio, false, Scale::Full).unwrap();
-        let compiled = compile_cell(&w, SchedulerKind::Gremio, Scale::Full).unwrap();
+        let compiled = compile_cell(&w, SchedulerKind::Gremio, Scale::Full, 2).unwrap();
         let partition = &compiled.mtcg.parallelized.partition;
         let loads = |profile: &gmt_ir::Profile| {
             thread_loads(&w.function, &compiled.pdg, profile, partition).unwrap()

@@ -6,7 +6,6 @@
 //! in its row position; averages are taken over the successful rows.
 
 use crate::{mean, BenchResult, HarnessError, Scale, SchedulerKind};
-use gmt_core::CocoConfig;
 use gmt_mtcg::QueueBudget;
 use gmt_pdg::Pdg;
 use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
@@ -157,39 +156,6 @@ pub fn render_figure8(rows: &[FigureRow], kind: SchedulerKind) -> String {
     out
 }
 
-/// Extension study (paper §6): communication growth and COCO savings as
-/// the thread count scales — "as more threads are created, the larger
-/// the number of inter-thread dependences to be respected, and
-/// therefore the larger the fraction of communication instructions."
-///
-/// The per-benchmark studies are independent, so they fan out over the
-/// worker pool; a failing benchmark prints a failure line in place of
-/// its rows.
-pub fn thread_scaling_table(kind: SchedulerKind) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Extension: thread scaling, {}", kind.name());
-    let _ = writeln!(
-        out,
-        "{:<14} {:>7} {:>12} {:>12} {:>10} {:>9}",
-        "benchmark", "threads", "MTCG comm", "COCO comm", "comm frac", "reduction"
-    );
-    kernel_rows(&mut out, |w| crate::thread_scaling(w, kind, &[2, 4]), |out, benchmark, points| {
-        for p in points {
-            let red = if p.mtcg_comm == 0 {
-                0.0
-            } else {
-                100.0 - p.coco_comm as f64 * 100.0 / p.mtcg_comm as f64
-            };
-            let _ = writeln!(
-                out,
-                "{:<14} {:>7} {:>12} {:>12} {:>9.1}% {:>8.1}%",
-                benchmark, p.threads, p.mtcg_comm, p.coco_comm, p.comm_fraction_pct, red
-            );
-        }
-    });
-    out
-}
-
 /// Appends a table's rows for every catalog kernel: `study` runs per
 /// kernel on the worker pool, and `rows` writes the rows of each kernel
 /// in catalog order, or a failure line in their place.
@@ -221,8 +187,10 @@ fn change_pct(before: u64, after: u64) -> f64 {
 ///
 /// 1. COCO with the §3.1.2 control-flow penalties off, and with the
 ///    §3.1.3 shared memory multicut replaced by independent per-dependence
-///    cuts, beside baseline MTCG and full COCO — dynamic communication
-///    over the analytic partitions of `--fig scaling`;
+///    cuts, beside baseline MTCG (and its communication share) and full
+///    COCO — dynamic communication of [`crate::coco_study`] at two and
+///    four threads, over the partitions [`crate::compile_cell`] ships
+///    (at two threads Figure 7's quick rows);
 /// 2. uniform queue depth 1 vs §4's 32 under the two-thread DSWP + COCO
 ///    programs the figures measure — cycles;
 /// 3. queue allocation (footnote 1): MTCG's four-thread DSWP baseline
@@ -234,28 +202,31 @@ pub fn ablation_tables() -> String {
     let mut out = String::from("Ablation: COCO design choices, dynamic communication\n");
     let _ = writeln!(
         out,
-        "{:<14} {:>9} {:>7} {:>9} {:>9} {:>12} {:>11}",
-        "benchmark", "scheduler", "threads", "MTCG", "COCO", "no penalties", "indep. cuts"
+        "{:<14} {:>9} {:>7} {:>9} {:>10} {:>9} {:>12} {:>11}",
+        "benchmark",
+        "scheduler",
+        "threads",
+        "MTCG",
+        "comm frac",
+        "COCO",
+        "no penalties",
+        "indep. cuts"
     );
-    let configs = [
-        CocoConfig::default(),
-        CocoConfig { control_penalties: false, ..CocoConfig::default() },
-        CocoConfig { shared_memory_multicut: false, ..CocoConfig::default() },
-    ];
     for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
-        let study = |w: &Workload| crate::comm_by_coco_config(w, kind, &[2, 4], &configs);
-        kernel_rows(&mut out, study, |out, benchmark, points| {
-            for (n, base, [coco, no_penalties, independent]) in points {
+        let study = |w: &Workload| crate::coco_study(w, kind, &[2, 4]);
+        kernel_rows(&mut out, study, |out, benchmark, rows| {
+            for r in rows {
                 let _ = writeln!(
                     out,
-                    "{:<14} {:>9} {:>7} {:>9} {:>9} {:>12} {:>11}",
+                    "{:<14} {:>9} {:>7} {:>9} {:>9.1}% {:>9} {:>12} {:>11}",
                     benchmark,
                     kind.name(),
-                    n,
-                    base.comm_total(),
-                    coco,
-                    no_penalties,
-                    independent
+                    r.threads,
+                    r.mtcg.comm_total(),
+                    r.comm_fraction_pct(),
+                    r.coco,
+                    r.no_penalties,
+                    r.independent_cuts
                 );
             }
         });
@@ -290,7 +261,7 @@ pub fn ablation_tables() -> String {
 /// Cycles of `w`'s two-thread DSWP + COCO program on the train input,
 /// with every queue 1 and 32 entries deep.
 fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
-    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick)?;
+    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick, 2)?;
     let v = &cell.coco;
     let cycles = |depth| {
         let machine = v.machine.clone().with_queue_depth(depth);
@@ -361,7 +332,7 @@ mod tests {
         }
     }
 
-    /// The per-kernel tables (`--fig scaling`, `--fig ablations`) put a
+    /// The per-kernel tables of `--fig ablations` put a
     /// failing kernel's failure line where its rows would be.
     #[test]
     fn failed_kernel_rows_render_in_place() {

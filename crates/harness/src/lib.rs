@@ -34,9 +34,9 @@
 //! `wall_ns` is the compile phases only, because the run's host time
 //! is inside `partition_ns`. Profiles are always collected on *train*
 //! inputs and measurements on *ref* inputs. Every mode — figures,
-//! `--metrics`, `--explain`, and [`verify_matrix`] — obtains its
-//! programs from the one [`compile_cell`], so they all measure the
-//! same code.
+//! `--metrics`, `--explain`, [`verify_matrix`] and the ablations'
+//! [`coco_study`] — obtains its programs from the one [`compile_cell`],
+//! so they all measure the same code.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -82,9 +82,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gmt_core::{CocoConfig, Parallelized, Parallelizer, Scheduler};
+use gmt_core::{CocoConfig, Scheduler};
 use gmt_ir::interp::DynCounts;
-use gmt_ir::interp_mt::{run_mt, run_mt_decoded, QueueConfig};
+use gmt_ir::interp_mt::run_mt_decoded;
 use gmt_sim::{
     simulate, simulate_decoded_opts, MachineConfig, SimOptions, SimResult, StallCycles,
 };
@@ -110,11 +110,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// The scheduler configuration for two threads.
-    pub fn scheduler(self) -> Scheduler {
-        self.scheduler_n(2)
-    }
-
     /// The scheduler configuration for `n` threads.
     pub fn scheduler_n(self, n: u32) -> Scheduler {
         match self {
@@ -123,9 +118,10 @@ impl SchedulerKind {
         }
     }
 
-    /// Queue depth per the paper, [`Scheduler::queue_depth`].
+    /// Queue depth per the paper, [`Scheduler::queue_depth`] (the same
+    /// at every thread count).
     pub fn queue_depth(self) -> usize {
-        self.scheduler().queue_depth()
+        self.scheduler_n(2).queue_depth()
     }
 
     /// Display name.
@@ -314,11 +310,11 @@ fn evaluate_on(
     helper: bool,
 ) -> Result<Evaluation, HarnessError> {
     if !helper || !timed || scale == Scale::Quick {
-        return evaluate_cell(&compile_cell(w, kind, scale)?, timed);
+        return evaluate_cell(&compile_cell(w, kind, scale, 2)?, timed);
     }
     std::thread::scope(|s| {
         let helper = s.spawn(|| simulate_sequential(w, &w.ref_args));
-        let compiled = compile_cell(w, kind, scale).map(|cell| {
+        let compiled = compile_cell(w, kind, scale, 2).map(|cell| {
             let variants = measure_variants(&cell, timed);
             (cell, variants)
         });
@@ -546,95 +542,77 @@ pub fn run_workloads(
     gmt_testkit::par_map(workloads, jobs, |_i, w| evaluate_on(&w, kind, timed, scale, false))
 }
 
-/// The multi-thread extension study (the paper's conclusion: "we expect
-/// the benefits from COCO to be more pronounced when more threads are
-/// generated"): per benchmark, the communication fraction under
-/// baseline MTCG and the COCO reduction, as the thread count grows.
+/// The COCO study behind `repro --fig ablations`, on train inputs: per
+/// thread count, the [`compile_cell`] cell at [`Scale::Quick`] — at two
+/// threads the very cell Figure 7's quick rows measure, GREMIO's
+/// partition arbitrated — with its MTCG and COCO variants run on the
+/// functional interpreter as an untimed evaluation runs them, and
+/// MTCG+COCO compiled again over the cell's PDG and partition under
+/// each ablated [`CocoConfig`]. It also measures the paper's
+/// conclusion: "we expect the benefits from COCO to be more pronounced
+/// when more threads are generated".
 ///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] naming the benchmark and failing phase.
-pub fn thread_scaling(
+pub fn coco_study(
     w: &Workload,
     kind: SchedulerKind,
     threads: &[u32],
-) -> Result<Vec<ScalingPoint>, HarnessError> {
-    let points = comm_by_coco_config(w, kind, threads, &[CocoConfig::default()])?;
-    Ok(points
-        .into_iter()
-        .map(|(n, base, [coco])| ScalingPoint {
-            threads: n,
-            mtcg_comm: base.comm_total(),
-            coco_comm: coco,
-            comm_fraction_pct: base.comm_total() as f64 * 100.0 / base.total().max(1) as f64,
-        })
-        .collect())
-}
-
-/// The loop behind [`thread_scaling`] and the COCO ablation: per thread
-/// count, GREMIO's or DSWP's analytic partition on the train profile,
-/// then baseline MTCG's dynamic counts and the dynamic communication of
-/// MTCG+COCO under each of `configs`, all on the train input.
-pub(crate) fn comm_by_coco_config<const N: usize>(
-    w: &Workload,
-    kind: SchedulerKind,
-    threads: &[u32],
-    configs: &[CocoConfig; N],
-) -> Result<Vec<(u32, DynCounts, [u64; N])>, HarnessError> {
-    let b = w.benchmark;
-    // Only the profile is kept: the run's final memory image would
-    // otherwise stay live through every partition and run.
-    let profile = w.run_train().map_err(fail(b, "train run"))?.profile;
-    let pdg = gmt_pdg::Pdg::build(&w.function);
+) -> Result<Vec<StudyRow>, HarnessError> {
     threads
         .iter()
         .map(|&n| {
-            let scheduler = kind.scheduler_n(n);
-            let partition = scheduler
-                .partition(&w.function, &pdg, &profile)
-                .map_err(fail(b, "partition"))?;
-            let run = |p: &Parallelized| {
-                run_mt(
-                    p.threads(),
-                    &w.train_args,
-                    w.init,
-                    &QueueConfig {
-                        num_queues: p.num_queues().max(1) as usize,
-                        capacity: kind.queue_depth(),
-                    },
-                    &exec_config(),
-                )
-                .map(|r| r.totals())
-                .map_err(fail(b, "mt run"))
+            let cell = compile_cell(w, kind, Scale::Quick, n)?;
+            let Variants { mtcg, coco, .. } = measure_variants(&cell, false)?;
+            let partition = &cell.mtcg.parallelized.partition;
+            let ablated = |config: CocoConfig| -> Result<u64, HarnessError> {
+                let (profile, pdg) = (&cell.profile, &cell.pdg);
+                let v = cell::compile_variant(w, kind, n, profile, pdg, partition, Some(&config))?;
+                let (run, _) = measure(&cell, &v, false, None, &mut 0, "COCO run", "COCO sim")?;
+                Ok(run.counts.comm_total())
             };
-            let base = Parallelizer::new(scheduler.clone())
-                .parallelize_with_partition(&w.function, &profile, &pdg, partition.clone())
-                .map_err(fail(b, "baseline parallelization"))?;
-            let base = run(&base)?;
-            let mut coco = [0; N];
-            for (comm, config) in coco.iter_mut().zip(configs) {
-                let p = Parallelizer::new(scheduler.clone())
-                    .with_coco(config.clone())
-                    .parallelize_with_partition(&w.function, &profile, &pdg, partition.clone())
-                    .map_err(fail(b, "coco parallelization"))?;
-                *comm = run(&p)?.comm_total();
-            }
-            Ok((n, base, coco))
+            Ok(StudyRow {
+                threads: n,
+                mtcg: mtcg.counts,
+                coco: coco.counts.comm_total(),
+                no_penalties: ablated(CocoConfig {
+                    control_penalties: false,
+                    ..CocoConfig::default()
+                })?,
+                independent_cuts: ablated(CocoConfig {
+                    shared_memory_multicut: false,
+                    ..CocoConfig::default()
+                })?,
+            })
         })
         .collect()
 }
 
-/// One point of the thread-scaling study.
+/// One thread count of [`coco_study`]: dynamic counts on the train
+/// input.
 #[derive(Clone, Copy, Debug)]
-pub struct ScalingPoint {
+pub struct StudyRow {
     /// Thread count.
     pub threads: u32,
-    /// Dynamic communication under baseline MTCG.
-    pub mtcg_comm: u64,
+    /// Baseline MTCG's dynamic instructions.
+    pub mtcg: DynCounts,
     /// Dynamic communication under MTCG+COCO.
-    pub coco_comm: u64,
-    /// Communication share of all dynamic instructions (baseline).
-    pub comm_fraction_pct: f64,
+    pub coco: u64,
+    /// Dynamic communication under MTCG+COCO with the §3.1.2
+    /// control-flow penalties off.
+    pub no_penalties: u64,
+    /// Dynamic communication under MTCG+COCO with the §3.1.3 shared
+    /// memory multicut replaced by independent per-dependence cuts.
+    pub independent_cuts: u64,
+}
+
+impl StudyRow {
+    /// Communication share of baseline MTCG's dynamic instructions, in
+    /// percent.
+    pub fn comm_fraction_pct(&self) -> f64 {
+        self.mtcg.comm_total() as f64 * 100.0 / self.mtcg.total().max(1) as f64
+    }
 }
 
 /// Geometric mean (used for speedup averages).
@@ -772,7 +750,7 @@ mod tests {
             let (mut shared, mut handed) = (Vec::new(), Vec::new());
             for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
                 for w in catalog() {
-                    let cell = compile_cell(&w, kind, Scale::Quick).expect("compiles");
+                    let cell = compile_cell(&w, kind, Scale::Quick, 2).expect("compiles");
                     let at = format!("{} / {} (timed: {timed})", w.benchmark, kind.name());
                     let e = evaluate_cell(&cell, timed).expect("evaluates");
                     let fresh = |v| measure(&cell, v, timed, None, &mut 0, "run", "sim");
@@ -874,7 +852,7 @@ mod tests {
     #[test]
     fn same_run_needs_equal_machines_queue_files_and_programs() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
-        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Quick).unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Quick, 2).unwrap();
         let (a, b) = (&cell.mtcg, &cell.coco);
         assert!(same_run(a, b) && same_run(b, a));
         let mut other = b.clone();
@@ -884,7 +862,7 @@ mod tests {
         other.queues.capacity += 1;
         assert!(!same_run(a, &other), "another functional queue file");
         let ks = gmt_workloads::by_benchmark("ks").unwrap();
-        let ks = compile_cell(&ks, SchedulerKind::Dswp, Scale::Quick).unwrap();
+        let ks = compile_cell(&ks, SchedulerKind::Dswp, Scale::Quick, 2).unwrap();
         assert!(!same_run(&ks.mtcg, &ks.coco), "COCO moved communication: another program");
     }
 
@@ -894,7 +872,7 @@ mod tests {
     #[test]
     fn sim_counts_mutant_dropping_synchronization_is_caught() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick, 2).unwrap();
         let v = &cell.mtcg;
         let functional = run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
             .unwrap()
@@ -908,26 +886,25 @@ mod tests {
         assert_ne!(mutant(&sim), functional);
     }
 
-    /// The `repro --fig scaling` rows DESIGN.md quotes (GREMIO; N = 2
-    /// and 4), recorded before `thread_scaling` partitioned from its
-    /// one PDG: `(threads, MTCG comm, COCO comm, comm fraction)`.
+    /// One GREMIO in the harness: at two threads the COCO study counts
+    /// the communication Figure 7's quick rows print, for both
+    /// schedulers on every kernel, because its cells are the figures'
+    /// cells, GREMIO's arbitrated partition and fallbacks included.
     #[test]
-    fn quoted_scaling_rows_are_pinned() {
-        let pinned = [
-            ("adpcmdec", [(2, 3076, 3076, "21.8"), (4, 13326, 12810, "50.0")]),
-            ("458.sjeng", [(2, 12434, 11976, "30.0"), (4, 15554, 12120, "34.9")]),
-            ("188.ammp", [(2, 3450, 3312, "27.1"), (4, 3686, 2526, "29.0")]),
-        ];
-        for (benchmark, rows) in pinned {
-            let w = gmt_workloads::by_benchmark(benchmark).unwrap();
-            let points = thread_scaling(&w, SchedulerKind::Gremio, &[2, 4]).expect("scales");
-            let got: Vec<_> = points
-                .iter()
-                .map(|p| (p.threads, p.mtcg_comm, p.coco_comm, format!("{:.1}", p.comm_fraction_pct)))
-                .collect();
-            let want: Vec<_> = rows.iter().map(|&(n, m, c, pct)| (n, m, c, pct.to_string())).collect();
-            assert_eq!(got, want, "{benchmark}");
+    fn the_study_at_two_threads_counts_figure_7() {
+        let mut differ = Vec::new();
+        for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+            for (w, row) in catalog().iter().zip(run_all(kind, false, Scale::Quick)) {
+                let row = row.expect("evaluates");
+                let study = coco_study(w, kind, &[2]).expect("studies");
+                let got = (study[0].mtcg.comm_total(), study[0].coco);
+                let want = (row.mtcg.counts.comm_total(), row.coco.counts.comm_total());
+                if got != want {
+                    differ.push((kind.name(), w.benchmark, got, want));
+                }
+            }
         }
+        assert_eq!(differ, [], "(scheduler, kernel, study, Figure 7)");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn verify_matrix(jobs: usize) -> Vec<Result<VerifyCell, HarnessError>> {
     }
     gmt_testkit::par_map(pairs, jobs, |_i, (w, kind)| {
         // Verification runs nothing, so the input scale is moot.
-        let cell = compile_cell(&w, kind, Scale::Quick);
+        let cell = compile_cell(&w, kind, Scale::Quick, 2);
         [false, true].map(|coco| match &cell {
             Ok(cell) => Ok(verify_variant(cell, coco)),
             Err(e) => Err(e.clone()),
@@ -100,7 +100,7 @@ mod tests {
     fn verified_cell_is_the_evaluated_cell() {
         for bench in ["188.ammp", "300.twolf"] {
             let w = gmt_workloads::by_benchmark(bench).unwrap();
-            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick).unwrap();
+            let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick, 2).unwrap();
             for coco in [false, true] {
                 let verified = verify_variant(&cell, coco);
                 let explained =

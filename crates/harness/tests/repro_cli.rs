@@ -48,6 +48,8 @@ fn unknown_argument_exits_2() {
 #[test]
 fn unknown_figure_exits_2() {
     assert_usage_exit(&repro(&["--fig", "9"]), "unknown figure id 9");
+    // The thread-scaling rows are `--fig ablations`' first table.
+    assert_usage_exit(&repro(&["--fig", "scaling"]), "unknown figure id scaling");
 }
 
 #[test]
@@ -241,12 +243,15 @@ fn full_figures_match_golden() {
     assert_eq!(stdout_on("8", &["--fig", "all"]), include_str!("../../../repro_full.txt"));
 }
 
-/// The ablation claims of EXPERIMENTS.md "Ablations", byte for byte:
-/// control-flow penalties and independent cuts each move one GREMIO
-/// four-thread kernel (mpeg2enc, 183.equake) and nothing at two
-/// threads, depth 32 beats depth 1 on all DSWP kernels but mpeg2enc
-/// (equal) and 177.mesa (slower), and a 16-queue budget folds ks's 27
-/// points onto 16 queues at 7189 → 7184 cycles.
+/// The ablation and thread-scaling claims of EXPERIMENTS.md, byte for
+/// byte: over the partitions the pipeline ships, neither the
+/// control-flow penalties nor the shared memory multicut changes any
+/// cell at two or four threads; the two-thread rows are Figure 7's
+/// quick rows (GREMIO falls back on adpcmenc, 177.mesa and 183.equake)
+/// and at four threads GREMIO falls back on adpcmdec, 177.mesa,
+/// 183.equake and 458.sjeng; depth 32 beats depth 1 on all DSWP
+/// kernels but mpeg2enc (equal) and 177.mesa (slower); and a 16-queue
+/// budget folds ks's 27 points onto 16 queues at 7189 → 7184 cycles.
 #[test]
 fn ablations_match_golden() {
     assert_eq!(

@@ -234,7 +234,7 @@ fn catalog_mt_kernels_match_reference_with_fast_forward() {
             [(SchedulerKind::Dswp, &[32usize, 1][..]), (SchedulerKind::Gremio, &[1][..])]
         {
             let tag = format!("{}/{}", w.benchmark, kind.name());
-            let cell = compile_cell(&w, kind, Scale::Quick)
+            let cell = compile_cell(&w, kind, Scale::Quick, 2)
                 .unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
             let p = &cell.coco;
             for &depth in depths {

@@ -227,15 +227,15 @@ fn coco_on_random_block_partitions() {
 fn more_threads_more_communication() {
     for bench in ["ks", "adpcmdec", "458.sjeng"] {
         let w = gmt_workloads::by_benchmark(bench).unwrap();
-        let points = gmt_harness::thread_scaling(&w, gmt_harness::SchedulerKind::Dswp, &[2, 4])
+        let points = gmt_harness::coco_study(&w, gmt_harness::SchedulerKind::Dswp, &[2, 4])
             .expect("thread scaling");
         assert_eq!(points.len(), 2);
         assert!(
-            points[1].comm_fraction_pct >= points[0].comm_fraction_pct * 0.8,
+            points[1].comm_fraction_pct() >= points[0].comm_fraction_pct() * 0.8,
             "{bench}: comm fraction should not collapse with more threads: {points:?}"
         );
         for p in &points {
-            assert!(p.coco_comm <= p.mtcg_comm, "{bench}: {points:?}");
+            assert!(p.coco <= p.mtcg.comm_total(), "{bench}: {points:?}");
         }
     }
 }

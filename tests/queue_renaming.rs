@@ -135,7 +135,7 @@ fn check_law<I: Fn(&MemoryLayout, &mut Memory) + Copy>(
 fn law_holds_on_quick_cells(kind: SchedulerKind) {
     let mut rng = TestRng::new(0x51AB + kind.queue_depth() as u64);
     for w in catalog() {
-        let cell = compile_cell(&w, kind, Scale::Quick).expect("compiles");
+        let cell = compile_cell(&w, kind, Scale::Quick, 2).expect("compiles");
         for v in [&cell.mtcg, &cell.coco] {
             let subject = Subject {
                 label: format!("{} / {} / {}", w.benchmark, kind.name(), v.name),

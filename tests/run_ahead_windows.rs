@@ -52,7 +52,8 @@ fn global_events_are_too_close_for_run_ahead() {
     for w in gmt_workloads::catalog() {
         for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
             let tag = format!("{}/{}", w.benchmark, kind.name());
-            let cell = compile_cell(&w, kind, Scale::Quick).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let cell =
+                compile_cell(&w, kind, Scale::Quick, 2).unwrap_or_else(|e| panic!("{tag}: {e}"));
             let v = &cell.coco;
             let threads = v.parallelized.threads();
             assert_eq!(threads.len(), 2, "{tag}");
