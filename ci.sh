@@ -12,7 +12,7 @@ cargo build --release --offline --workspace
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 # The suite includes the panic-site budget (tests/panic_budget.rs) and
 # the full figure set on ref inputs against repro_full.txt plus the
-# quick Figure 7, ablation, trace and explain goldens
+# quick Figure 7, ablation and explain (text and JSON) goldens
 # (crates/harness/tests/repro_cli.rs); that the parallel and serial
 # paths render the same bytes is held by parallel_determinism.rs, and
 # skip ≡ per-cycle ≡ reference by tests/decoded_equivalence.rs. The

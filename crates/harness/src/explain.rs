@@ -146,11 +146,20 @@ pub fn explain_cell_with<S: TraceSink>(
     let b = w.benchmark;
     let cell = compile_cell(w, kind, scale, 2)?;
     let v = cell.variant(coco);
-    let profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
-        .map_err(fail(b, "explain profile run"))?
-        .profile;
+    // On train inputs the cell already holds the measured input's
+    // profile: the one it was partitioned with.
+    let ref_profile;
+    let profile = match scale {
+        Scale::Quick => &cell.profile,
+        Scale::Full => {
+            ref_profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
+                .map_err(fail(b, "explain profile run"))?
+                .profile;
+            &ref_profile
+        }
+    };
     let (f, p) = (&w.function, &v.parallelized);
-    let loads = thread_loads(f, &cell.pdg, &profile, &p.partition)
+    let loads = thread_loads(f, &cell.pdg, profile, &p.partition)
         .map_err(|i| format!("{i:?} unassigned"))
         .map_err(fail(b, "explain estimate"))?;
     let traffic =

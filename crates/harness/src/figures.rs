@@ -7,7 +7,6 @@
 
 use crate::{mean, BenchResult, HarnessError, Scale, SchedulerKind};
 use gmt_mtcg::QueueBudget;
-use gmt_pdg::Pdg;
 use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
 use gmt_workloads::{catalog, Workload};
 use std::fmt::Write as _;
@@ -272,26 +271,23 @@ fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
     Ok((cycles(1)?, cycles(32)?))
 }
 
-/// `w`'s four-thread DSWP baseline plan: its communication points, and
-/// the queues and train-input cycles of the code generated from it with
-/// unlimited queues on the default machine, then with at most 16 queues
-/// on a 16-queue synchronization array.
+/// The baseline plan of `w`'s four-thread DSWP cell, over the
+/// partition [`compile_cell`](crate::compile_cell) measures: its
+/// communication points, and the queues and train-input cycles of the
+/// code generated from it with unlimited queues on the default machine,
+/// then with at most 16 queues on a 16-queue synchronization array.
 fn queue_budget_row(w: &Workload) -> Result<(usize, [(u32, u64); 2]), HarnessError> {
-    let (f, b) = (&w.function, w.benchmark);
-    let profile = w.run_train().map_err(crate::fail(b, "train run"))?.profile;
-    let pdg = Pdg::build(f);
-    let partition = SchedulerKind::Dswp
-        .scheduler_n(4)
-        .partition(f, &pdg, &profile)
-        .map_err(crate::fail(b, "partition"))?;
-    let plan = gmt_mtcg::baseline_plan(f, &pdg, &partition).map_err(crate::fail(b, "baseline plan"))?;
+    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick, 4)?;
+    let (f, b, pdg) = (&w.function, w.benchmark, &cell.pdg);
+    let partition = &cell.mtcg.parallelized.partition;
+    let plan = gmt_mtcg::baseline_plan(f, pdg, partition).map_err(crate::fail(b, "baseline plan"))?;
     let points = plan.total_points();
     let run = |budget, num_queues| -> Result<(u32, u64), HarnessError> {
-        let out = gmt_mtcg::generate_with_plan_budgeted(f, &pdg, &partition, plan.clone(), budget)
+        let out = gmt_mtcg::generate_with_plan_budgeted(f, pdg, partition, plan.clone(), budget)
             .map_err(crate::fail(b, "budgeted MTCG"))?;
         let mut machine = MachineConfig::default();
         machine.sa.num_queues = num_queues;
-        let sim = simulate(&out.threads, &w.train_args, w.init, &machine)
+        let sim = simulate(&out.threads, cell.args, w.init, &machine)
             .map_err(crate::fail(b, "queue budget sim"))?;
         Ok((out.num_queues, sim.cycles))
     };

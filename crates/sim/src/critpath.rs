@@ -112,8 +112,10 @@ const NO_NODE: u32 = u32::MAX;
 /// Block of an id no decoded slot carries.
 const NO_BLOCK: BlockId = BlockId(u32::MAX);
 
-/// What a deferred piece of the node's last-arrival edge still needs
-/// from the queue event that follows its issue.
+/// What a deferred piece of a core's newest node's last-arrival edge
+/// still needs from the queue event that follows its issue. Only the
+/// newest node can await anything, so this is state of the core
+/// ([`CoreNodes`]), not of the node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fill {
     /// Edge fully resolved at issue.
@@ -146,14 +148,14 @@ impl NodeRef {
     }
 }
 
-/// One dynamic instruction in the last-arrival graph. A run pushes one
-/// per issued instruction into freshly allocated memory, so its size is
-/// what the event phase pays in page faults: both node addresses it
-/// holds are stored flat (index and core tag apart) with [`NO_NODE`]
-/// for "none".
+/// One dynamic instruction in the last-arrival graph. A run stores one
+/// per issued instruction, so its size is most of the sink's memory:
+/// both node addresses it holds are stored flat (index and core tag
+/// apart) with [`NO_NODE`] for "none", and the issue cycle is narrowed
+/// to a `u32` at issue, checked like [`NodeRef::new`]'s index.
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    cycle: u64,
+    cycle: u32,
     src: InstrId,
     queue: u32,
     /// Per-core index of the binding predecessor; [`NO_NODE`] only for
@@ -166,12 +168,11 @@ struct Node {
     producer_core: u8,
     kind: CpKind,
     is_consume: bool,
-    fill: Fill,
 }
 
-/// `size_of::<Node>() <= 32`, checked at compile time (the lengths
+/// `size_of::<Node>() <= 24`, checked at compile time (the lengths
 /// differ otherwise).
-const _: [(); 1] = [(); (std::mem::size_of::<Node>() <= 32) as usize];
+const _: [(); 1] = [(); (std::mem::size_of::<Node>() <= 24) as usize];
 
 impl Node {
     fn pred(&self) -> NodeRef {
@@ -188,6 +189,70 @@ impl Node {
 
     fn set_producer(&mut self, p: NodeRef) {
         (self.producer, self.producer_core) = (p.idx, p.core);
+    }
+}
+
+/// log2 of the nodes per chunk of a [`CoreNodes`] arena.
+const CHUNK_BITS: u32 = 11;
+
+/// Nodes per chunk (48 KiB of 24-byte nodes).
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// One core's nodes, in a chunked arena, and what its newest node
+/// still awaits. Every chunk is allocated with room for exactly
+/// [`CHUNK`] nodes and never grown, so a push moves no node and the
+/// slack is the unfilled part of the chunk being filled (`tail`).
+/// Node `i` is slot `i % CHUNK` of chunk `i / CHUNK`; the chunks
+/// before `tail` are full.
+#[derive(Debug)]
+struct CoreNodes {
+    full: Vec<Vec<Node>>,
+    tail: Vec<Node>,
+    awaiting: Fill,
+}
+
+impl CoreNodes {
+    fn new() -> CoreNodes {
+        CoreNodes { full: Vec::new(), tail: Vec::new(), awaiting: Fill::Done }
+    }
+
+    fn len(&self) -> usize {
+        (self.full.len() << CHUNK_BITS) + self.tail.len()
+    }
+
+    fn push(&mut self, node: Node) {
+        if self.tail.len() == self.tail.capacity() {
+            self.next_chunk();
+        }
+        self.tail.push(node);
+    }
+
+    /// Files the full `tail` away and starts an empty chunk.
+    #[cold]
+    #[inline(never)]
+    fn next_chunk(&mut self) {
+        let full = std::mem::replace(&mut self.tail, Vec::with_capacity(CHUNK));
+        if !full.is_empty() {
+            self.full.push(full);
+        }
+    }
+
+    fn get(&self, idx: u32) -> Option<&Node> {
+        let (chunk, slot) = ((idx >> CHUNK_BITS) as usize, idx as usize % CHUNK);
+        if chunk == self.full.len() {
+            self.tail.get(slot)
+        } else {
+            self.full.get(chunk)?.get(slot)
+        }
+    }
+
+    fn get_mut(&mut self, idx: u32) -> Option<&mut Node> {
+        let (chunk, slot) = ((idx >> CHUNK_BITS) as usize, idx as usize % CHUNK);
+        if chunk == self.full.len() {
+            self.tail.get_mut(slot)
+        } else {
+            self.full.get_mut(chunk)?.get_mut(slot)
+        }
     }
 }
 
@@ -274,14 +339,15 @@ struct QueueMirror {
 /// graph whether or not the engine's stall fast-forward is on.
 #[derive(Debug)]
 pub struct CritPathSink {
-    nodes: Vec<Vec<Node>>,
+    nodes: Vec<CoreNodes>,
     instrs: Vec<Vec<InstrInfo>>,
     queues: Vec<QueueMirror>,
     finished_at: Vec<u64>,
     cycles: u64,
     ended: bool,
     /// The first event the sink could not record: a core or queue it
-    /// was not built for, or a node its index encoding cannot address.
+    /// was not built for, a node its index encoding cannot address, or
+    /// an issue cycle past `u32::MAX`.
     fault: Option<String>,
 }
 
@@ -313,7 +379,7 @@ impl CritPathSink {
             last_pop: NodeRef::NONE,
         };
         CritPathSink {
-            nodes: vec![Vec::new(); ncores],
+            nodes: (0..ncores).map(|_| CoreNodes::new()).collect(),
             instrs,
             queues: vec![mirror; num_queues],
             finished_at: vec![0; ncores],
@@ -329,7 +395,7 @@ impl CritPathSink {
     }
 
     fn node(&self, at: NodeRef) -> Option<&Node> {
-        self.nodes.get(usize::from(at.core))?.get(at.idx as usize)
+        self.nodes.get(usize::from(at.core))?.get(at.idx)
     }
 
     fn info(&self, core: usize, src: InstrId) -> InstrInfo {
@@ -391,6 +457,9 @@ impl CritPathSink {
                 "core {core} node {len} does not fit a u8 core tag and a u32 index"
             ));
         };
+        let Ok(cycle) = u32::try_from(cycle) else {
+            return self.fail(format_args!("core {core} issue at cycle {cycle} does not fit a u32"));
+        };
         let prev = match here.idx.checked_sub(1) {
             Some(idx) => NodeRef { idx, ..here },
             None => NodeRef::NONE,
@@ -431,13 +500,13 @@ impl CritPathSink {
             producer_core: 0,
             kind,
             is_consume: false,
-            fill,
         });
+        self.nodes[core].awaiting = fill;
     }
 
     /// The queue mirror and the issuing core's nodes of a queue event,
     /// or the fault if the sink was built for fewer of either.
-    fn queue_event(&mut self, core: usize, queue: u32) -> Option<(&mut QueueMirror, &mut Vec<Node>)> {
+    fn queue_event(&mut self, core: usize, queue: u32) -> Option<(&mut QueueMirror, &mut CoreNodes)> {
         let nqueues = self.queues.len();
         if !self.has_core(core) {
             return None;
@@ -453,9 +522,9 @@ impl CritPathSink {
         let Some((mirror, nodes)) = self.queue_event(core, queue) else { return };
         let pending = mirror.pending.pop_front();
         let Some(here) = nodes.len().checked_sub(1).and_then(|i| NodeRef::new(core, i)) else { return };
-        let node = &mut nodes[here.idx as usize];
+        let Some(node) = nodes.tail.last_mut() else { return };
         node.queue = queue;
-        if node.fill == Fill::LastPop {
+        if nodes.awaiting == Fill::LastPop {
             // Backpressured produce: the consume that freed the slot
             // binds. Keep the in-order fallback if the mirror has no
             // pop (a defensive case — a full queue can only drain via
@@ -463,14 +532,14 @@ impl CritPathSink {
             if mirror.last_pop != NodeRef::NONE {
                 node.set_pred(mirror.last_pop);
             }
-            node.fill = Fill::Done;
+            nodes.awaiting = Fill::Done;
         }
         match pending {
             // The value bypasses the queue straight into the oldest
             // pending register consume.
             Some(consumer) => {
                 let consumer =
-                    self.nodes.get_mut(usize::from(consumer.core)).and_then(|n| n.get_mut(consumer.idx as usize));
+                    self.nodes.get_mut(usize::from(consumer.core)).and_then(|n| n.get_mut(consumer.idx));
                 if let Some(consumer) = consumer {
                     consumer.set_producer(here);
                 }
@@ -483,16 +552,16 @@ impl CritPathSink {
         let Some((mirror, nodes)) = self.queue_event(core, queue) else { return };
         let popped = if deferred { None } else { mirror.entries.pop_front() };
         let Some(here) = nodes.len().checked_sub(1).and_then(|i| NodeRef::new(core, i)) else { return };
-        let node = &mut nodes[here.idx as usize];
+        let Some(node) = nodes.tail.last_mut() else { return };
         node.queue = queue;
         node.is_consume = true;
-        if node.fill == Fill::Producer {
+        if nodes.awaiting == Fill::Producer {
             // A consume.sync that waited for visibility: the matching
             // produce binds.
             if let Some(p) = popped {
                 node.set_pred(p);
             }
-            node.fill = Fill::Done;
+            nodes.awaiting = Fill::Done;
         }
         if deferred {
             mirror.pending.push_back(here);
@@ -514,10 +583,10 @@ impl CritPathSink {
     ///
     /// Returns a description of the first inconsistency: called before
     /// `run_end`, an event for a core or queue the sink was not built
-    /// for (or a node index past its encoding), an empty graph, a
-    /// predecessor later than its successor, or a walk longer than the
-    /// node count (a cycle — impossible by construction, guarded
-    /// anyway).
+    /// for (or a node index or issue cycle past its encoding), an
+    /// empty graph, a predecessor later than its successor, or a walk
+    /// longer than the node count (a cycle — impossible by
+    /// construction, guarded anyway).
     pub fn critical_path(&self) -> Result<CritPath, String> {
         if !self.ended {
             return Err("critical_path before run_end".to_string());
@@ -533,8 +602,9 @@ impl CritPathSink {
         }
         let (start_core, _) = start_core.ok_or("no cores in trace")?;
         let last = self.nodes[start_core].len().checked_sub(1);
-        let mut cur = last
+        let (mut cur, start) = last
             .and_then(|i| NodeRef::new(start_core, i))
+            .and_then(|at| Some((at, self.node(at)?)))
             .ok_or_else(|| format!("core {start_core} finished last but issued nothing"))?;
 
         // Walked edges accumulate in cells found without hashing: per
@@ -578,14 +648,13 @@ impl CritPathSink {
         };
 
         let mut cp = CritPath::default();
-        let start = &self.nodes[start_core][cur.idx as usize];
-        if start.cycle > self.cycles {
+        if u64::from(start.cycle) > self.cycles {
             return Err(format!(
                 "last issue at cycle {} past run end {}",
                 start.cycle, self.cycles
             ));
         }
-        add(start, cur, CpKind::Retire, self.cycles - start.cycle);
+        add(start, cur, CpKind::Retire, self.cycles - u64::from(start.cycle));
         let limit = self.num_nodes() + 1;
         let mut hops = 0u64;
         let mut n = start;
@@ -603,7 +672,7 @@ impl CritPathSink {
                             n.kind.name()
                         ));
                     }
-                    add(n, cur, n.kind, n.cycle - pn.cycle);
+                    add(n, cur, n.kind, u64::from(n.cycle - pn.cycle));
                     cp.edges += 1;
                     if n.pred_core != cur.core {
                         cp.crossings += 1;
@@ -617,7 +686,7 @@ impl CritPathSink {
                     // names (e.g. a peer hogging the SA ports), with
                     // no earlier event to anchor to.
                     if n.cycle > 0 {
-                        add(n, cur, n.kind, n.cycle);
+                        add(n, cur, n.kind, u64::from(n.cycle));
                         cp.edges += 1;
                     }
                     break;
@@ -921,6 +990,42 @@ mod tests {
         assert_eq!(NodeRef::new(0, top - 1).map(|r| r.idx), Some(NO_NODE - 1));
         assert_eq!(NodeRef::new(0, top), None, "the sentinel is no index");
         assert_eq!(NodeRef::new(0, top + 1), None, "never truncated");
+    }
+
+    #[test]
+    fn issue_cycles_narrow_checked() {
+        let p = program_one_chain();
+        let run = |last: u64| {
+            let mut s = CritPathSink::new(&p, 0);
+            s.event(&issue(0, 0, 0, Arrival::InOrder));
+            s.event(&issue(last, 0, 1, Arrival::InOrder));
+            s.event(&TraceEvent::Finish { cycle: last, core: 0 });
+            s.run_end(last + 1);
+            s.critical_path()
+        };
+        let top = u64::from(u32::MAX);
+        assert_eq!(run(top).map(|cp| cp.total), Ok(top + 1), "u32::MAX itself fits");
+        for past in [top + 1, 1 << 40] {
+            let err = run(past).unwrap_err();
+            assert!(err.contains(&format!("cycle {past} does not fit a u32")), "never truncated: {err}");
+        }
+    }
+
+    #[test]
+    fn a_core_holds_one_chunk_per_chunk_of_nodes() {
+        let p = program_one_chain();
+        let mut s = CritPathSink::new(&p, 0);
+        s.event(&issue(0, 0, 0, Arrival::InOrder));
+        let first = s.nodes[0].tail.as_ptr();
+        for n in 2..=3 * CHUNK + 1 {
+            s.event(&issue(n as u64, 0, (n % 3) as u32, Arrival::InOrder));
+            let CoreNodes { full, tail, .. } = &s.nodes[0];
+            assert_eq!(full.len() + 1, n.div_ceil(CHUNK), "after {n} nodes");
+            assert!(full.iter().all(|c| c.len() == CHUNK), "after {n} nodes");
+            assert_eq!(tail.capacity(), CHUNK, "allocated whole, never grown");
+        }
+        assert_eq!(s.nodes[0].full[0].as_ptr(), first, "no node moved");
+        assert_eq!(s.num_nodes(), 3 * CHUNK as u64 + 1);
     }
 
     #[test]
@@ -1473,6 +1578,62 @@ mod tests {
                 })
                 .count();
             assert!(caught >= 30, "only {caught} of 300 streams tell the mutant from the sink");
+        }
+    }
+
+    /// Steps of a stream long enough to fill more than three arena
+    /// chunks on each of the three cores. No step finishes a core
+    /// early (shape 9), so every core keeps issuing to the end.
+    fn long_steps(seed: u64) -> Vec<Step> {
+        let mut rng = gmt_testkit::TestRng::new(seed);
+        // An even length: `narrate` runs all three cores.
+        (0..27_000)
+            .map(|_| {
+                let core = rng.range_u64(0, CORES as u64) as u8;
+                let shape = rng.range_u64(0, 9) as u8;
+                let queue = rng.range_u64(0, QUEUES as u64) as u8;
+                (core, shape, queue, rng.range_u64(0, u64::from(u16::MAX)) as u16)
+            })
+            .collect()
+    }
+
+    /// The sink against the reference on streams of several chunks per
+    /// core, whose FIFO pairings, deferred consumes and data edges
+    /// reach across chunk boundaries; the property streams above never
+    /// fill one chunk.
+    #[test]
+    fn arena_streams_agree_with_the_reference_across_chunks() {
+        for seed in 0..3 {
+            let (events, cycles) = narrate(&long_steps(seed));
+            let mut nodes = [0u64; CORES];
+            let (mut deferred, mut popped) = (0, 0);
+            // Data edges from an earlier chunk, and those from the tail
+            // of the chunk just before the reader's.
+            let (mut across, mut adjacent) = (0, 0);
+            for ev in &events {
+                match *ev {
+                    TraceEvent::Issue { core, arrival, .. } => {
+                        let idx = nodes[core];
+                        if let Arrival::Data { writer } = arrival {
+                            let chunk = |i: u64| i >> CHUNK_BITS;
+                            if writer < idx && chunk(writer) < chunk(idx) {
+                                across += 1;
+                                adjacent += u32::from(idx - writer <= 8);
+                            }
+                        }
+                        nodes[core] += 1;
+                    }
+                    TraceEvent::Consume { deferred: true, .. } => deferred += 1,
+                    TraceEvent::Consume { .. } => popped += 1,
+                    _ => {}
+                }
+            }
+            assert!(nodes.iter().all(|&n| n > 3 * CHUNK as u64), "seed {seed}: {nodes:?} nodes");
+            assert!(deferred > 100 && popped > 100, "seed {seed}: {deferred} deferred, {popped} popped");
+            assert!(across > 1000 && adjacent > 0, "seed {seed}: {across} across, {adjacent} adjacent");
+            let (new, old) = both(&events, cycles, Mutant::None);
+            assert_eq!(new, old, "seed {seed}: sink vs reference");
+            assert_eq!(new.map(|cp| cp.total), Ok(cycles), "seed {seed}: the path covers the run");
         }
     }
 }
