@@ -5,7 +5,7 @@
 //! benchmark that failed renders as a `FAILED (<phase>: <error>)` line
 //! in its row position; averages are taken over the successful rows.
 
-use crate::{mean, BenchResult, HarnessError, Scale, SchedulerKind};
+use crate::{mean, BenchResult, CompiledCell, HarnessError, Scale, SchedulerKind, StudyRow};
 use gmt_mtcg::QueueBudget;
 use gmt_sim::{simulate, simulate_decoded_opts, MachineConfig, SimOptions};
 use gmt_workloads::{catalog, Workload};
@@ -155,20 +155,73 @@ pub fn render_figure8(rows: &[FigureRow], kind: SchedulerKind) -> String {
     out
 }
 
-/// Appends a table's rows for every catalog kernel: `study` runs per
-/// kernel on the worker pool, and `rows` writes the rows of each kernel
-/// in catalog order, or a failure line in their place.
-fn kernel_rows<R: Send>(
+/// `study` of every catalog kernel, run on the worker pool, in catalog
+/// order.
+fn per_kernel<R: Send>(study: impl Fn(&Workload) -> R + Sync) -> Vec<(&'static str, R)> {
+    gmt_testkit::par_map(catalog(), gmt_testkit::num_jobs(), |_i, w| (w.benchmark, study(&w)))
+}
+
+/// Appends a table's rows for every kernel of `studies`: `rows` writes
+/// the rows of each kernel in order, or a failure line stands in their
+/// place.
+fn write_rows<'a, R: 'a>(
     out: &mut String,
-    study: impl Fn(&Workload) -> Result<R, HarnessError> + Sync,
-    rows: impl Fn(&mut String, &str, R),
+    studies: impl IntoIterator<Item = (&'a str, &'a Result<R, HarnessError>)>,
+    rows: impl Fn(&mut String, &str, &R),
 ) {
-    let studies =
-        gmt_testkit::par_map(catalog(), gmt_testkit::num_jobs(), |_i, w| (w.benchmark, study(&w)));
     for (benchmark, study) in studies {
         match study {
             Ok(r) => rows(out, benchmark, r),
-            Err(e) => failed_line(out, &e),
+            Err(e) => failed_line(out, e),
+        }
+    }
+}
+
+/// One kernel's DSWP rows of [`ablation_tables`]. Its two- and
+/// four-thread cells are each compiled once and read by every table
+/// that needs them.
+struct DswpAblation {
+    /// The COCO study at two and four threads.
+    study: Result<Vec<StudyRow>, HarnessError>,
+    /// [`queue_depth_cycles`] of the two-thread cell.
+    depth: Result<(u64, u64), HarnessError>,
+    /// [`queue_budget_row`] of the four-thread cell.
+    budget: Result<(usize, [(u32, u64); 2]), HarnessError>,
+}
+
+/// The DSWP rows of `w`: its two-thread cell is dropped before the
+/// four-thread one is compiled.
+fn dswp_ablation(w: &Workload) -> DswpAblation {
+    let compile = |n| crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick, n);
+    let two = compile(2);
+    let study_two = two.as_ref().map_err(Clone::clone).and_then(|c| crate::study_row(c, 2));
+    let depth = two.as_ref().map_err(Clone::clone).and_then(queue_depth_cycles);
+    drop(two);
+    let four = compile(4);
+    let study_four = four.as_ref().map_err(Clone::clone).and_then(|c| crate::study_row(c, 4));
+    DswpAblation {
+        study: study_two.and_then(|two| Ok(vec![two, study_four?])),
+        depth,
+        budget: four.as_ref().map_err(Clone::clone).and_then(queue_budget_row),
+    }
+}
+
+/// Writes the COCO-study rows of one scheduler.
+fn study_rows(kind: SchedulerKind) -> impl Fn(&mut String, &str, &Vec<StudyRow>) {
+    move |out, benchmark, rows| {
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<14} {:>9} {:>7} {:>9} {:>9.1}% {:>9} {:>12} {:>11}",
+                benchmark,
+                kind.name(),
+                r.threads,
+                r.mtcg.comm_total(),
+                r.comm_fraction_pct(),
+                r.coco,
+                r.no_penalties,
+                r.independent_cuts
+            );
         }
     }
 }
@@ -211,29 +264,14 @@ pub fn ablation_tables() -> String {
         "no penalties",
         "indep. cuts"
     );
-    for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
-        let study = |w: &Workload| crate::coco_study(w, kind, &[2, 4]);
-        kernel_rows(&mut out, study, |out, benchmark, rows| {
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:>9} {:>7} {:>9} {:>9.1}% {:>9} {:>12} {:>11}",
-                    benchmark,
-                    kind.name(),
-                    r.threads,
-                    r.mtcg.comm_total(),
-                    r.comm_fraction_pct(),
-                    r.coco,
-                    r.no_penalties,
-                    r.independent_cuts
-                );
-            }
-        });
-    }
+    let gremio = per_kernel(|w| crate::coco_study(w, SchedulerKind::Gremio, &[2, 4]));
+    write_rows(&mut out, gremio.iter().map(|(b, s)| (*b, s)), study_rows(SchedulerKind::Gremio));
+    let dswp = per_kernel(dswp_ablation);
+    write_rows(&mut out, dswp.iter().map(|(b, a)| (*b, &a.study)), study_rows(SchedulerKind::Dswp));
 
     out.push_str("\nAblation: queue depth, cycles of the DSWP + COCO programs\n");
     let _ = writeln!(out, "{:<14} {:>9} {:>9} {:>8}", "benchmark", "depth 1", "depth 32", "change");
-    kernel_rows(&mut out, queue_depth_cycles, |out, benchmark, (d1, d32)| {
+    write_rows(&mut out, dswp.iter().map(|(b, a)| (*b, &a.depth)), |out, benchmark, &(d1, d32)| {
         let _ = writeln!(out, "{benchmark:<14} {d1:>9} {d32:>9} {:>+7.1}%", change_pct(d1, d32));
     });
 
@@ -243,7 +281,8 @@ pub fn ablation_tables() -> String {
         "{:<14} {:>6} {:>7} {:>10} {:>7} {:>10} {:>8}",
         "benchmark", "points", "queues", "queues@16", "cycles", "cycles@16", "change"
     );
-    kernel_rows(&mut out, queue_budget_row, |out, benchmark, (points, [unlimited, budget])| {
+    let budgets = dswp.iter().map(|(b, a)| (*b, &a.budget));
+    write_rows(&mut out, budgets, |out, benchmark, &(points, [unlimited, budget])| {
         let _ = writeln!(
             out,
             "{benchmark:<14} {points:>6} {:>7} {:>10} {:>7} {:>10} {:>+7.1}%",
@@ -257,11 +296,10 @@ pub fn ablation_tables() -> String {
     out
 }
 
-/// Cycles of `w`'s two-thread DSWP + COCO program on the train input,
-/// with every queue 1 and 32 entries deep.
-fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
-    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick, 2)?;
-    let v = &cell.coco;
+/// Cycles of the two-thread DSWP cell's COCO program on the train
+/// input, with every queue 1 and 32 entries deep.
+fn queue_depth_cycles(cell: &CompiledCell<'_>) -> Result<(u64, u64), HarnessError> {
+    let (w, v) = (cell.workload, &cell.coco);
     let cycles = |depth| {
         let machine = v.machine.clone().with_queue_depth(depth);
         simulate_decoded_opts(&v.program, cell.args, w.init, &machine, SimOptions::default())
@@ -271,13 +309,13 @@ fn queue_depth_cycles(w: &Workload) -> Result<(u64, u64), HarnessError> {
     Ok((cycles(1)?, cycles(32)?))
 }
 
-/// The baseline plan of `w`'s four-thread DSWP cell, over the
-/// partition [`compile_cell`](crate::compile_cell) measures: its
-/// communication points, and the queues and train-input cycles of the
-/// code generated from it with unlimited queues on the default machine,
-/// then with at most 16 queues on a 16-queue synchronization array.
-fn queue_budget_row(w: &Workload) -> Result<(usize, [(u32, u64); 2]), HarnessError> {
-    let cell = crate::compile_cell(w, SchedulerKind::Dswp, Scale::Quick, 4)?;
+/// The baseline plan of the four-thread DSWP cell, over the partition
+/// [`compile_cell`](crate::compile_cell) measures: its communication
+/// points, and the queues and train-input cycles of the code generated
+/// from it with unlimited queues on the default machine, then with at
+/// most 16 queues on a 16-queue synchronization array.
+fn queue_budget_row(cell: &CompiledCell<'_>) -> Result<(usize, [(u32, u64); 2]), HarnessError> {
+    let w = cell.workload;
     let (f, b, pdg) = (&w.function, w.benchmark, &cell.pdg);
     let partition = &cell.mtcg.parallelized.partition;
     let plan = gmt_mtcg::baseline_plan(f, pdg, partition).map_err(crate::fail(b, "baseline plan"))?;
@@ -337,7 +375,8 @@ mod tests {
             "ks" => Err(HarnessError { benchmark: "ks", phase: "partition", source: "no".into() }),
             _ => Ok(()),
         };
-        kernel_rows(&mut out, study, |out, benchmark, ()| {
+        let studies = per_kernel(study);
+        write_rows(&mut out, studies.iter().map(|(b, s)| (*b, s)), |out, benchmark, ()| {
             let _ = writeln!(out, "{benchmark} ok");
         });
         let lines: Vec<&str> = out.lines().collect();

@@ -560,33 +560,34 @@ pub fn coco_study(
     kind: SchedulerKind,
     threads: &[u32],
 ) -> Result<Vec<StudyRow>, HarnessError> {
-    threads
-        .iter()
-        .map(|&n| {
-            let cell = compile_cell(w, kind, Scale::Quick, n)?;
-            let Variants { mtcg, coco, .. } = measure_variants(&cell, false)?;
-            let partition = &cell.mtcg.parallelized.partition;
-            let ablated = |config: CocoConfig| -> Result<u64, HarnessError> {
-                let (profile, pdg) = (&cell.profile, &cell.pdg);
-                let v = cell::compile_variant(w, kind, n, profile, pdg, partition, Some(&config))?;
-                let (run, _) = measure(&cell, &v, false, None, &mut 0, "COCO run", "COCO sim")?;
-                Ok(run.counts.comm_total())
-            };
-            Ok(StudyRow {
-                threads: n,
-                mtcg: mtcg.counts,
-                coco: coco.counts.comm_total(),
-                no_penalties: ablated(CocoConfig {
-                    control_penalties: false,
-                    ..CocoConfig::default()
-                })?,
-                independent_cuts: ablated(CocoConfig {
-                    shared_memory_multicut: false,
-                    ..CocoConfig::default()
-                })?,
-            })
-        })
-        .collect()
+    threads.iter().map(|&n| study_row(&compile_cell(w, kind, Scale::Quick, n)?, n)).collect()
+}
+
+/// The [`coco_study`] row of the [`Scale::Quick`] cell at `n` threads,
+/// compiled already.
+pub(crate) fn study_row(cell: &CompiledCell<'_>, n: u32) -> Result<StudyRow, HarnessError> {
+    let Variants { mtcg, coco, .. } = measure_variants(cell, false)?;
+    let (w, kind) = (cell.workload, cell.kind);
+    let partition = &cell.mtcg.parallelized.partition;
+    let ablated = |config: CocoConfig| -> Result<u64, HarnessError> {
+        let (profile, pdg) = (&cell.profile, &cell.pdg);
+        let v = cell::compile_variant(w, kind, n, profile, pdg, partition, Some(&config))?;
+        let (run, _) = measure(cell, &v, false, None, &mut 0, "COCO run", "COCO sim")?;
+        Ok(run.counts.comm_total())
+    };
+    Ok(StudyRow {
+        threads: n,
+        mtcg: mtcg.counts,
+        coco: coco.counts.comm_total(),
+        no_penalties: ablated(CocoConfig {
+            control_penalties: false,
+            ..CocoConfig::default()
+        })?,
+        independent_cuts: ablated(CocoConfig {
+            shared_memory_multicut: false,
+            ..CocoConfig::default()
+        })?,
+    })
 }
 
 /// One thread count of [`coco_study`]: dynamic counts on the train

@@ -32,10 +32,19 @@
 //! small move away from the last. Everything that does not depend on
 //! the assignment is computed once into the flat arrays of
 //! [`CostModel`]; [`Live`] holds one assignment with its per-thread
-//! loads and re-costs only what a move touches. Communication only ever
-//! *adds* to a thread's load, so the heaviest thread's pure compute
-//! weight is an exact lower bound on the score — the searches use it to
-//! skip candidates that cannot beat their incumbent.
+//! loads and re-costs only what a move touches.
+//!
+//! Both searches skip candidates that cannot beat their incumbent by one
+//! lower bound on a thread's load, [`Live::bound`], that depends only on
+//! the instructions the thread holds: its compute weight, the pair
+//! charges it pays as a consumer (exact), for each of its own sources
+//! the costliest arc that leaves the thread (the load charges the sum
+//! over foreign threads, which is no less), and the replication charges
+//! it pays as a consumer (exact; the owner side is left out). A
+//! candidate whose heaviest bound reaches the incumbent's score scores
+//! at least that much, so it cannot win the searches' strict `<`.
+//! DSWP reads the bound of each stage from [`StageBounds`], GREMIO the
+//! bound of a thread a cluster joins from [`Live::bound_joined`].
 //!
 //! Every subtraction in [`Live`] takes off a charge an earlier addition
 //! put on, so in a debug build (overflow checks on) the unit tests below
@@ -71,8 +80,9 @@ pub(crate) struct CostModel {
     /// when the arc is the costliest one from `src` into `dst`'s thread.
     arcs: Vec<(u32, u64)>,
     out: Vec<u32>,
-    /// The sources with an arc into `i`: `preds[pred_start[i]..pred_start[i + 1]]`.
-    preds: Vec<u32>,
+    /// The same arcs as `(src, occupancy)`, grouped by destination: the
+    /// arcs into `i` are `preds[pred_start[i]..pred_start[i + 1]]`.
+    preds: Vec<(u32, u64)>,
     pred_start: Vec<u32>,
     /// Every branch some block is control dependent on, as
     /// `(instruction index, occupancy of one replicated copy)`.
@@ -126,7 +136,7 @@ impl CostModel {
         arcs.sort_unstable();
         arcs.dedup();
         let out = offsets(n, arcs.iter().map(|a| a.0));
-        let mut into: Vec<(u32, u32)> = arcs.iter().map(|&(s, d, _)| (d, s)).collect();
+        let mut into: Vec<(u32, u32, u64)> = arcs.iter().map(|&(s, d, c)| (d, s, c)).collect();
         into.sort_unstable();
         let pred_start = offsets(n, into.iter().map(|a| a.0));
 
@@ -147,7 +157,7 @@ impl CostModel {
             branch_of,
             arcs: arcs.into_iter().map(|(_, d, c)| (d, c)).collect(),
             out,
-            preds: into.into_iter().map(|(_, s)| s).collect(),
+            preds: into.into_iter().map(|(_, s, c)| (s, c)).collect(),
             pred_start,
             branches,
             relevant,
@@ -156,15 +166,125 @@ impl CostModel {
         }
     }
 
-    /// Compute weight of the instruction with index `i`.
-    pub(crate) fn weight(&self, i: usize) -> u64 {
-        self.weight[i]
-    }
-
     /// The index in `branches` of instruction `i`, if it is one.
     fn branch(&self, i: usize) -> Option<usize> {
         let k = self.branch_of[i];
         (k != NOT_A_BRANCH).then_some(k as usize)
+    }
+
+    /// The arcs out of instruction `i`, as `(dst, occupancy)`.
+    fn arcs_from(&self, i: usize) -> &[(u32, u64)] {
+        &self.arcs[self.out[i] as usize..self.out[i + 1] as usize]
+    }
+
+    /// The arcs into instruction `i`, as `(src, occupancy)`.
+    fn arcs_into(&self, i: usize) -> &[(u32, u64)] {
+        &self.preds[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
+    }
+
+    /// Block `b`'s row of the control-dependence closure, as a bitset
+    /// over `branches`.
+    fn relevant_row(&self, b: u32) -> &[u64] {
+        &self.relevant[b as usize * self.words..][..self.words]
+    }
+
+    /// What moving each cluster of `members` onto another thread does to
+    /// that thread's bound, read from the cluster's own arcs, for
+    /// [`Live::bound_joined`]. `cluster_of` gives the cluster of each
+    /// member instruction (by index).
+    pub(crate) fn joinings(&self, members: &[Vec<usize>], cluster_of: Vec<u32>) -> Joinings {
+        let mut j = Joinings {
+            weight: Vec::with_capacity(members.len()),
+            ceiling: Vec::with_capacity(members.len()),
+            feeders: Vec::new(),
+            branches: Vec::new(),
+            start: Vec::with_capacity(members.len() + 1),
+            relevant: vec![0; members.len() * self.words],
+            words: self.words,
+            cluster_of,
+        };
+        let mut costliest = vec![0u64; self.weight.len()];
+        let mut seen_block = vec![false; self.num_blocks];
+        j.start.push((0, 0));
+        for (cluster, c) in members.iter().zip(0usize..) {
+            let (feeders, branches) = (j.feeders.len(), j.branches.len());
+            let relevant = &mut j.relevant[c * self.words..][..self.words];
+            let (mut weight, mut ceiling) = (0, 0);
+            for &i in cluster {
+                weight += self.weight[i];
+                for &(s, cost) in self.arcs_into(i) {
+                    if j.cluster_of[s as usize] as usize != c {
+                        let best = &mut costliest[s as usize];
+                        if *best == 0 {
+                            j.feeders.push((s, 0));
+                        }
+                        *best = (*best).max(cost);
+                    }
+                }
+                ceiling += self.arcs_from(i).iter().map(|&(_, cost)| cost).max().unwrap_or(0);
+                let b = self.block_of[i];
+                if !std::mem::replace(&mut seen_block[b as usize], true) {
+                    for (w, &row) in relevant.iter_mut().zip(self.relevant_row(b)) {
+                        *w |= row;
+                    }
+                }
+                if let Some(k) = self.branch(i) {
+                    j.branches.push(k as u32);
+                }
+            }
+            for (s, best) in &mut j.feeders[feeders..] {
+                *best = std::mem::take(&mut costliest[*s as usize]);
+                ceiling += *best;
+            }
+            for &i in cluster {
+                seen_block[self.block_of[i] as usize] = false;
+            }
+            for &k in &j.branches[branches..] {
+                relevant[k as usize / 64] &= !(1 << (k % 64));
+            }
+            for (w, &row) in relevant.iter().enumerate() {
+                let mut bits = row;
+                while bits != 0 {
+                    ceiling += 2 * self.branches[w * 64 + bits.trailing_zeros() as usize].1;
+                    bits &= bits - 1;
+                }
+            }
+            j.weight.push(weight);
+            j.ceiling.push(weight + ceiling);
+            j.start.push((j.feeders.len() as u32, j.branches.len() as u32));
+        }
+        j
+    }
+}
+
+/// Per cluster of a clustering, what [`Live::bound_joined`] reads: what
+/// the cluster brings to any thread it joins, independent of the
+/// assignment. Cluster `c`'s entries of the lists lie between
+/// `start[c]` and `start[c + 1]`.
+pub(crate) struct Joinings {
+    /// The members' compute weight.
+    weight: Vec<u64>,
+    /// The most the cluster can add to the bound of a thread it joins.
+    ceiling: Vec<u64>,
+    /// Every source outside the cluster with an arc into it, with the
+    /// costliest such arc.
+    feeders: Vec<(u32, u64)>,
+    /// The cluster's own branches, as indices into `branches`.
+    branches: Vec<u32>,
+    /// Where each cluster's `feeders` and `branches` start.
+    start: Vec<(u32, u32)>,
+    /// The branches the members' blocks make relevant, less the
+    /// cluster's own, as a bitset row of `words` words per cluster.
+    relevant: Vec<u64>,
+    words: usize,
+    /// The cluster of each clustered instruction, by index.
+    cluster_of: Vec<u32>,
+}
+
+impl Joinings {
+    /// The most cluster `c` can add to the bound of a thread it joins.
+    pub(crate) fn ceiling(&self, c: usize) -> u64 {
+        self.ceiling[c]
     }
 }
 
@@ -206,6 +326,10 @@ pub(crate) struct Live<'m> {
     /// Per branch: the move in progress took its replication charges
     /// off, because it moves the branch to another owner.
     detached: Vec<bool>,
+    /// Per thread, the part of its load [`Live::bound`] leaves out: the
+    /// owner side of replication, and for each of its sources the pair
+    /// charges beyond the costliest.
+    slack: Vec<u64>,
 }
 
 impl<'m> Live<'m> {
@@ -224,6 +348,7 @@ impl<'m> Live<'m> {
             off: Vec::new(),
             is_off: vec![false; n],
             detached: vec![false; model.branches.len()],
+            slack: vec![0; nt],
         };
         for &i in &model.placed {
             let t = live.thread_of[i as usize];
@@ -246,6 +371,83 @@ impl<'m> Live<'m> {
         &self.thread_of
     }
 
+    /// A lower bound on thread `t`'s load that depends only on the
+    /// instructions `t` holds (see the module docs): its load less its
+    /// slack.
+    pub(crate) fn bound(&self, t: usize) -> u64 {
+        self.load[t] - self.slack[t]
+    }
+
+    /// [`Live::bound`] of thread `t` once cluster `c` of `j` joins it, or
+    /// a lower bound on it: the cluster is on a thread `l`
+    /// other than `t`, every other instruction where it will be after
+    /// the move. Only the cluster's own arcs are read, so one charge is
+    /// under-counted: a source on `t` that feeds the cluster and also
+    /// feeds the rest of `l` keeps only its arcs to threads other than
+    /// `t` and `l`.
+    pub(crate) fn bound_joined(
+        &self,
+        j: &Joinings,
+        c: usize,
+        members: &[usize],
+        t: usize,
+        l: usize,
+    ) -> u64 {
+        let m = self.model;
+        let nt = self.nt;
+        let site = |s: u32| &self.site[s as usize * nt..][..nt];
+        let (from, to) = (j.start[c], j.start[c + 1]);
+        let (mut gain, mut loss) = (j.weight[c], 0);
+        for &(s, into_cluster) in &j.feeders[from.0 as usize..to.0 as usize] {
+            let row = site(s);
+            if self.thread_of[s as usize] as usize != t {
+                // `t` consumes `s` at its costliest arc into `t` or the
+                // cluster.
+                gain += into_cluster.saturating_sub(row[t]);
+            } else {
+                // `s` produces on `t`: its arcs into the cluster stop
+                // leaving `t`.
+                let leaving = |skip: usize| {
+                    (0..nt).filter(|&u| u != t && u != skip).map(|u| row[u]).max().unwrap_or(0)
+                };
+                loss += leaving(t) - leaving(l);
+            }
+        }
+        for &i in members {
+            // A member stops being a source `t` consumes and becomes
+            // one it produces from.
+            loss += site(i as u32)[t];
+            gain += m
+                .arcs_from(i)
+                .iter()
+                .filter(|&&(d, _)| {
+                    j.cluster_of[d as usize] as usize != c
+                        && self.thread_of[d as usize] as usize != t
+                })
+                .map(|&(_, cost)| cost)
+                .max()
+                .unwrap_or(0);
+        }
+        let refs = &self.refs[t * m.branches.len()..][..m.branches.len()];
+        for (w, &row) in j.relevant[c * j.words..][..j.words].iter().enumerate() {
+            let mut bits = row;
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (br, c) = m.branches[k];
+                if refs[k] == 0 && self.thread_of[br as usize] as usize != t {
+                    gain += 2 * c;
+                }
+            }
+        }
+        for &k in &j.branches[from.1 as usize..to.1 as usize] {
+            if refs[k as usize] > 0 {
+                loss += 2 * m.branches[k as usize].1;
+            }
+        }
+        self.bound(t) + gain - loss
+    }
+
     /// Moves `members` (instruction indices) to thread `t`; members
     /// already there stay.
     pub(crate) fn move_to(&mut self, members: &[usize], t: u32) {
@@ -258,7 +460,7 @@ impl<'m> Live<'m> {
                 continue;
             }
             self.uncharge(i);
-            for &s in &m.preds[m.pred_start[i] as usize..m.pred_start[i + 1] as usize] {
+            for &(s, _) in m.arcs_into(i) {
                 self.uncharge(s as usize);
             }
             if let Some(k) = m.branch(i) {
@@ -300,16 +502,20 @@ impl<'m> Live<'m> {
         self.is_off[s] = false;
         let ts = self.thread_of[s] as usize;
         let site = &mut self.site[s * self.nt..][..self.nt];
-        for &(d, c) in &m.arcs[m.out[s] as usize..m.out[s + 1] as usize] {
+        for &(d, c) in m.arcs_from(s) {
             let td = self.thread_of[d as usize] as usize;
             if td != ts {
                 site[td] = site[td].max(c);
             }
         }
+        let (mut sum, mut max) = (0, 0);
         for (td, &c) in site.iter().enumerate() {
             self.load[ts] += c;
             self.load[td] += c;
+            sum += c;
+            max = max.max(c);
         }
+        self.slack[ts] += sum - max;
     }
 
     /// Takes source `s`'s pair charges off until the move in progress
@@ -322,11 +528,15 @@ impl<'m> Live<'m> {
         self.is_off[s] = true;
         self.off.push(s);
         let ts = self.thread_of[s] as usize;
+        let (mut sum, mut max) = (0, 0);
         for (td, c) in self.site[s * self.nt..][..self.nt].iter_mut().enumerate() {
             let c = std::mem::take(c);
             self.load[ts] -= c;
             self.load[td] -= c;
+            sum += c;
+            max = max.max(c);
         }
+        self.slack[ts] -= sum - max;
     }
 
     /// One more instruction of block `b` on thread `t`.
@@ -353,7 +563,7 @@ impl<'m> Live<'m> {
     fn count_row(&mut self, t: usize, b: usize, on: bool) {
         let m = self.model;
         let nb = m.branches.len();
-        for (w, &row) in m.relevant[b * m.words..][..m.words].iter().enumerate() {
+        for (w, &row) in m.relevant_row(b as u32).iter().enumerate() {
             let mut bits = row;
             while bits != 0 {
                 let k = w * 64 + bits.trailing_zeros() as usize;
@@ -396,19 +606,258 @@ impl<'m> Live<'m> {
         if on {
             self.load[u] += 2 * c;
             self.load[owner] += c;
+            self.slack[owner] += c;
         } else {
             self.load[u] -= 2 * c;
             self.load[owner] -= c;
+            self.slack[owner] -= c;
         }
     }
 }
 
-/// What one partitioner search did: candidates scored, and candidates
-/// the compute-weight bound skipped unscored.
+/// [`Live::bound`] of every stage a pipeline search can form: a run of
+/// consecutive clusters of an order in which every arc between two
+/// clusters runs forward, as it does when clusters are unions of SCCs
+/// laid out in topological order. The bound depends only on the
+/// instructions a thread holds, so a stage's bound depends only on its
+/// cluster range, and a range's bound is computed once: the stages that
+/// end the order in one backward sweep, the first time one is asked
+/// for; the other stages that start at cluster `a` in one forward sweep,
+/// the first time one of them is asked for.
+pub(crate) struct StageBounds<'m> {
+    model: &'m CostModel,
+    order: &'m [usize],
+    /// The position in `order` of each instruction, by index.
+    pos: Vec<u32>,
+    /// Where each cluster starts in `order`, and a trailing `order.len()`.
+    starts: &'m [usize],
+    /// Per first cluster `a`, once swept: the bounds of the stages `a..b`
+    /// for `b` in `a + 1..clusters`.
+    rows: Vec<Vec<u64>>,
+    /// Per first cluster, once swept: the bound of the stage that runs to
+    /// the end of the order.
+    last: Vec<u64>,
+    /// Per source outside the run being swept, its costliest arc into
+    /// the run; zero for every other instruction between sweeps.
+    costliest: Vec<u64>,
+    /// Per source inside the run being swept, its costliest arc out of
+    /// the run.
+    leaving: Vec<u64>,
+    /// Per instruction and per block, the step that last visited it.
+    mark: Vec<u32>,
+    block_mark: Vec<u32>,
+    step: u32,
+    /// The branches the run's blocks make relevant, as a bitset.
+    refset: Vec<u64>,
+}
+
+impl<'m> StageBounds<'m> {
+    /// The table for stages over `order`, which holds each instruction at
+    /// most once, cut into clusters: cluster `c` is
+    /// `order[starts[c]..starts[c + 1]]`, and the last entry of `starts`
+    /// is `order.len()`.
+    pub(crate) fn new(model: &'m CostModel, order: &'m [usize], starts: &'m [usize]) -> Self {
+        let n = model.weight.len();
+        let mut pos = vec![u32::MAX; n];
+        for (p, &i) in (0u32..).zip(order) {
+            pos[i] = p;
+        }
+        StageBounds {
+            model,
+            order,
+            pos,
+            starts,
+            rows: vec![Vec::new(); starts.len().saturating_sub(1)],
+            last: Vec::new(),
+            costliest: vec![0; n],
+            leaving: vec![0; n],
+            mark: vec![0; n],
+            block_mark: vec![0; model.num_blocks],
+            step: 0,
+            refset: vec![0; model.words],
+        }
+    }
+
+    /// The bound of the stage of clusters `a..b`; 0 when it is empty.
+    pub(crate) fn get(&mut self, a: usize, b: usize) -> u64 {
+        let clusters = self.rows.len();
+        if a >= b {
+            0
+        } else if b == clusters {
+            if self.last.is_empty() {
+                self.last = self.sweep_back();
+            }
+            self.last[a]
+        } else {
+            if self.rows[a].is_empty() {
+                self.rows[a] = self.sweep_from(a);
+            }
+            self.rows[a][b - a - 1]
+        }
+    }
+
+    /// A fresh step number for `mark` and `block_mark`.
+    fn next_step(&mut self) -> u32 {
+        self.step += 1;
+        self.step
+    }
+
+    /// Puts on source `s`'s arc of occupancy `c` into the run: the run
+    /// consumes `s` at its costliest one.
+    fn consume(&mut self, s: u32, c: u64, touched: &mut Vec<u32>) -> u64 {
+        let best = &mut self.costliest[s as usize];
+        if *best == 0 {
+            touched.push(s);
+        }
+        let more = c.saturating_sub(*best);
+        *best += more;
+        more
+    }
+
+    /// The costliest arc of source `s` to an instruction at position
+    /// `end` or later.
+    fn leaving_from(&self, s: usize, end: usize) -> u64 {
+        let arcs = self.model.arcs_from(s).iter();
+        let leaving = arcs.filter(|&&(d, _)| self.pos[d as usize] as usize >= end);
+        leaving.map(|&(_, c)| c).max().unwrap_or(0)
+    }
+
+    /// Counts the blocks of `order[from..to]` that `sweep` has not seen
+    /// into the run's relevant branches, and returns the replication
+    /// charges of the branches that become relevant while their owner
+    /// lies outside the positions `owned`.
+    fn refer(&mut self, from: usize, to: usize, owned: std::ops::Range<usize>, sweep: u32) -> u64 {
+        let m = self.model;
+        let mut charges = 0;
+        for &i in &self.order[from..to] {
+            let b = m.block_of[i];
+            if std::mem::replace(&mut self.block_mark[b as usize], sweep) == sweep {
+                continue;
+            }
+            for (w, &row) in m.relevant_row(b).iter().enumerate() {
+                let mut bits = row & !self.refset[w];
+                self.refset[w] |= row;
+                while bits != 0 {
+                    let k = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (br, c) = m.branches[k];
+                    if !owned.contains(&(self.pos[br as usize] as usize)) {
+                        charges += 2 * c;
+                    }
+                }
+            }
+        }
+        charges
+    }
+
+    /// The replication charges the run stops paying when the branches of
+    /// `order[from..to]` join it: those it already finds relevant.
+    fn owned(&self, from: usize, to: usize) -> u64 {
+        let m = self.model;
+        let held = |k: usize| self.refset[k / 64] >> (k % 64) & 1 == 1;
+        self.order[from..to]
+            .iter()
+            .filter_map(|&i| m.branch(i))
+            .filter(|&k| held(k))
+            .map(|k| 2 * m.branches[k].1)
+            .sum()
+    }
+
+    /// The bounds of the stages `a..b` for `b` in `a + 1..clusters`, in
+    /// one sweep that appends cluster after cluster. Arcs into the run
+    /// come from before it; a source of the run whose arcs reach an
+    /// appended cluster has its costliest leaving arc taken again.
+    fn sweep_from(&mut self, a: usize) -> Vec<u64> {
+        let (m, order) = (self.model, self.order);
+        let clusters = self.rows.len();
+        let begin = self.starts[a];
+        self.refset.fill(0);
+        let sweep = self.next_step();
+        let (mut weight, mut consumed, mut produced, mut replicated) = (0, 0, 0, 0);
+        let (mut touched, mut dirty) = (Vec::new(), Vec::new());
+        let mut row = Vec::with_capacity(clusters - 1 - a);
+        for b in a + 1..clusters {
+            let (from, to) = (self.starts[b - 1], self.starts[b]);
+            let step = self.next_step();
+            dirty.clear();
+            for &i in &order[from..to] {
+                weight += m.weight[i];
+                for &(s, c) in m.arcs_into(i) {
+                    let at = self.pos[s as usize] as usize;
+                    if at < begin {
+                        consumed += self.consume(s, c, &mut touched);
+                    } else if at < from
+                        && c == self.leaving[s as usize]
+                        && std::mem::replace(&mut self.mark[s as usize], step) != step
+                    {
+                        // Only an arc as costly as the source's costliest
+                        // leaving one can lower it.
+                        dirty.push(s as usize);
+                    }
+                }
+            }
+            replicated -= self.owned(from, to);
+            replicated += self.refer(from, to, begin..to, sweep);
+            for &i in &order[from..to] {
+                self.leaving[i] = self.leaving_from(i, to);
+                produced += self.leaving[i];
+            }
+            for &s in &dirty {
+                produced -= self.leaving[s];
+                self.leaving[s] = self.leaving_from(s, to);
+                produced += self.leaving[s];
+            }
+            row.push(weight + consumed + produced + replicated);
+        }
+        for s in touched {
+            self.costliest[s as usize] = 0;
+        }
+        row
+    }
+
+    /// The bounds of the stages `a..clusters` for every `a`, in one sweep
+    /// that prepends cluster after cluster. No arc leaves such a stage.
+    fn sweep_back(&mut self) -> Vec<u64> {
+        let (m, order) = (self.model, self.order);
+        let clusters = self.rows.len();
+        self.refset.fill(0);
+        let sweep = self.next_step();
+        let (mut weight, mut consumed, mut replicated) = (0, 0, 0);
+        let mut touched = Vec::new();
+        let mut last = vec![0; clusters];
+        for a in (0..clusters).rev() {
+            let (from, to) = (self.starts[a], self.starts[a + 1]);
+            for &i in &order[from..to] {
+                weight += m.weight[i];
+                consumed -= std::mem::take(&mut self.costliest[i]);
+            }
+            for &i in &order[from..to] {
+                for &(s, c) in m.arcs_into(i) {
+                    if (self.pos[s as usize] as usize) < from {
+                        consumed += self.consume(s, c, &mut touched);
+                    }
+                }
+            }
+            replicated -= self.owned(from, to);
+            replicated += self.refer(from, to, from..order.len(), sweep);
+            last[a] = weight + consumed + replicated;
+        }
+        for s in touched {
+            self.costliest[s as usize] = 0;
+        }
+        last
+    }
+}
+
+/// What one partitioner search did: candidates scored, candidates the
+/// bound skipped unscored, and scored candidates whose score came out
+/// below the bound the search took for them — 0 unless the bound is
+/// wrong.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SearchWork {
     pub(crate) scored: u64,
     pub(crate) pruned: u64,
+    pub(crate) below_bound: u64,
 }
 
 /// Every thread's load under the model both partitioners search: the
@@ -448,7 +897,7 @@ pub(crate) fn to_partition(pdg: &Pdg, thread_of: &[u32], num_threads: u32) -> Pa
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gmt_fuzz::ast::{compile, fprogram_gen, seeded_partition, FStmt};
     use gmt_ir::interp::{run, ExecConfig};
@@ -602,6 +1051,16 @@ mod tests {
                 }
                 Ok(())
             });
+    }
+
+    /// A planted over-estimate for the searches' bound laws to catch:
+    /// every arc read from the destination's side, as only the bounds
+    /// read arcs, costs one more than the load charges for it, so a
+    /// thread's consumer side comes out above its load's.
+    pub(crate) fn overcharge_consumers(m: &mut CostModel) {
+        for (_, c) in &mut m.preds {
+            *c += 1;
+        }
     }
 
     /// How many of 64 seeded cases a tampered model disagrees with the

@@ -19,7 +19,7 @@
 //! the defining DSWP invariant, checked by
 //! [`is_pipeline`](crate::metrics::is_pipeline).
 
-use crate::cost::{to_partition, CostModel, Live, SearchWork, COMM_LATENCY};
+use crate::cost::{to_partition, CostModel, Live, SearchWork, StageBounds, COMM_LATENCY};
 use crate::weights::InstrWeights;
 use crate::SchedError;
 use gmt_ir::{Function, Profile};
@@ -73,7 +73,7 @@ pub fn partition(
 
 /// The search behind [`partition`], returning the winner's score and
 /// the work it did too. `prune` is `true` outside tests: skipping
-/// candidates by their compute-weight bound never changes the result.
+/// candidates by their stages' bounds never changes the result.
 fn search(
     f: &Function,
     pdg: &Pdg,
@@ -84,9 +84,20 @@ fn search(
     if config.num_threads == 0 {
         return Err(SchedError::NoThreads);
     }
-    let n = config.num_threads as usize;
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
     let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
+    search_model(f, pdg, &model, config, prune)
+}
+
+/// [`search`] over a given cost model.
+fn search_model(
+    f: &Function,
+    pdg: &Pdg,
+    model: &CostModel,
+    config: &DswpConfig,
+    prune: bool,
+) -> Result<((u64, Partition), SearchWork), SchedError> {
+    let n = config.num_threads as usize;
 
     let (g, _index) = pdg.as_digraph();
     let cond = g.condensation();
@@ -98,17 +109,12 @@ fn search(
 
     // The pipeline order: instructions SCC by SCC in topological order.
     // A stage is a contiguous run of `order`, so a candidate is fully
-    // described by where its stages start, and a stage's compute weight
-    // is a difference of two entries of `weight_before`.
+    // described by where its stages start.
     let mut order: Vec<usize> = Vec::with_capacity(nodes.len());
     let mut scc_start: Vec<usize> = Vec::with_capacity(topo.len());
     for &c in &topo {
         scc_start.push(order.len());
         order.extend(cond.components[c.index()].nodes.iter().map(|k| nodes[k.index()].index()));
-    }
-    let mut weight_before = vec![0u64; order.len() + 1];
-    for (k, &i) in order.iter().enumerate() {
-        weight_before[k + 1] = weight_before[k] + model.weight(i);
     }
 
     // Candidate cluster sequences: SCCs in topological order, merged at
@@ -127,11 +133,12 @@ fn search(
     // `live` holds the candidate last scored, whose stage `k` is
     // `order[held[k].0..held[k].1]`: a survivor moves only the
     // instructions whose stage differs from it.
-    let mut live = Live::new(&model, vec![0u32; f.num_instrs()], n);
+    let mut live = Live::new(model, vec![0u32; f.num_instrs()], n);
     let mut held = vec![(order.len(), order.len()); n];
     held[0].0 = 0;
     let mut work = SearchWork::default();
     let mut best: Option<(u64, Vec<u32>)> = None;
+    let mut enumerated = false;
     for granularity in [None, Some(false), Some(true)] {
         // `starts[ci]` is the position in `order` where cluster `ci`
         // begins; a trailing entry closes the last cluster.
@@ -145,38 +152,63 @@ fn search(
             last_key = key;
         }
         starts.push(order.len());
+        // Cluster boundaries nest (loop ⊂ block ⊂ SCC), so once a finer
+        // sequence has had every combination of cuts, each cut vector of
+        // a coarser one that has them all too is one already scored.
+        let clusters = starts.len() - 1;
+        let all = enumerates_all(clusters, n);
+        if all {
+            if enumerated {
+                continue;
+            }
+            enumerated = true;
+        }
+        // With three stages or more each stage recurs in many cut
+        // vectors, so its bound is worth a table. With two, each prefix
+        // and suffix is in one cut vector and consecutive cuts differ by
+        // one cluster: scoring one costs a cluster's move, about what
+        // working out its bounds would, so two-stage cut vectors, like
+        // the one greedy vector, are all scored.
+        let mut stages = (all && n > 2).then(|| StageBounds::new(model, &order, &starts));
 
         // Evaluate every contiguous cut of the sequence.
         for_each_cut_vector(&starts, n, |cuts| {
-            // Stage `k` runs from its cut (the sequence start for stage
-            // 0) to the next stage's; a stage past the last cut is empty.
-            let bounds = |k: usize| {
-                let at = |j: usize| cuts.get(j).map_or(order.len(), |&c| starts[c]);
+            // Stage `k` holds the clusters from its cut (the sequence
+            // start for stage 0) to the next stage's; a stage past the
+            // last cut is empty.
+            let range = |k: usize| {
+                let at = |j: usize| cuts.get(j).copied().unwrap_or(clusters);
                 (if k == 0 { 0 } else { at(k - 1) }, at(k))
             };
-            // Communication only adds load, so a candidate whose
-            // heaviest stage already computes for as long as the
+            // A candidate whose heaviest stage bound reaches the
             // incumbent's score cannot be strictly better.
-            if let (true, Some((best_score, _))) = (prune, &best) {
-                let heaviest = (0..=cuts.len())
-                    .map(|k| weight_before[bounds(k).1] - weight_before[bounds(k).0])
-                    .max()
-                    .unwrap_or(0);
-                if heaviest >= *best_score {
-                    work.pruned += 1;
-                    return;
+            let mut bound = 0;
+            if let Some(stages) = &mut stages {
+                for k in 0..n {
+                    let (a, b) = range(k);
+                    bound = bound.max(stages.get(a, b));
+                    if let (true, Some((best_score, _))) = (prune, &best) {
+                        if bound >= *best_score {
+                            work.pruned += 1;
+                            return;
+                        }
+                    }
                 }
             }
             for (k, was) in held.iter_mut().enumerate() {
                 // What the stage's run gains: its parts before and after
                 // the run it held.
-                let (from, to) = bounds(k);
+                let (a, b) = range(k);
+                let (from, to) = (starts[a], starts[b]);
                 live.move_to(&order[from..to.min(was.0).max(from)], k as u32);
                 live.move_to(&order[from.max(was.1).min(to)..to], k as u32);
                 *was = (from, to);
             }
             work.scored += 1;
             let s = live.score();
+            if s < bound {
+                work.below_bound += 1;
+            }
             match &mut best {
                 Some((best_score, threads)) if s < *best_score => {
                     *best_score = s;
@@ -192,6 +224,13 @@ fn search(
         (score, to_partition(pdg, &threads, config.num_threads)),
         work,
     ))
+}
+
+/// Whether [`for_each_cut_vector`] visits every combination of `n - 1`
+/// distinct cuts of `clusters` clusters: for two stages always, for
+/// more while there are at most 3000 combinations.
+fn enumerates_all(clusters: usize, n: usize) -> bool {
+    n >= 2 && clusters >= n && (n == 2 || n_choose_k(clusters - 1, n - 1) <= 3000)
 }
 
 /// Enumerates pipeline shapes over a sequence of `starts.len() - 1`
@@ -212,7 +251,7 @@ fn for_each_cut_vector(starts: &[usize], n: usize, mut visit: impl FnMut(&[usize
     // equal-size chunking.
     let cuts_needed = n - 1;
     let positions = clusters - 1;
-    if positions >= cuts_needed && n_choose_k(positions, cuts_needed) <= 3000 {
+    if enumerates_all(clusters, n) {
         let mut cut = (1..=cuts_needed).collect::<Vec<usize>>();
         loop {
             visit(&cut);
@@ -268,15 +307,19 @@ mod tests {
     use gmt_ir::{BinOp, FunctionBuilder};
 
     /// The winner [`super::search`] returns, without its work: what
-    /// pruning must leave alone.
+    /// pruning must leave alone; and how many scored candidates came
+    /// out below their bound.
     fn search(
         f: &Function,
         pdg: &Pdg,
         profile: &Profile,
         config: &DswpConfig,
         prune: bool,
-    ) -> Result<(u64, Partition), SchedError> {
-        super::search(f, pdg, profile, config, prune).map(|(best, _)| best)
+    ) -> (Result<(u64, Partition), SchedError>, u64) {
+        match super::search(f, pdg, profile, config, prune) {
+            Ok((best, work)) => (Ok(best), work.below_bound),
+            Err(e) => (Err(e), 0),
+        }
     }
 
     /// Classic DSWP loop: a cheap recurrence feeding an expensive pure
@@ -379,23 +422,38 @@ mod tests {
         assert!(is_pipeline(&pdg, &p));
     }
 
-    /// The compute-weight bound only skips candidates that could not
-    /// have won: with it disabled the partition and score are the same.
-    /// And there is one model: [`crate::thread_loads`] of the winner
-    /// peaks at the score the search ranked it by.
+    /// The stage bounds only skip candidates that could not have won:
+    /// with pruning disabled the partition and score are the same. No
+    /// scored candidate, pruning on or off, scores below its bound. And
+    /// there is one model: [`crate::thread_loads`] of the winner peaks
+    /// at the score the search ranked it by.
     #[test]
     fn pruning_never_changes_the_partition() {
         crate::testutil::for_catalog_and_generated("dswp::pruning", |f, pdg, profile, n| {
             let config = DswpConfig { num_threads: n };
-            let pruned = search(f, pdg, profile, &config, true);
-            let exhaustive = search(f, pdg, profile, &config, false);
+            let (pruned, pruned_below) = search(f, pdg, profile, &config, true);
+            let (exhaustive, exhaustive_below) = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
+            gmt_testkit::prop_assert_eq!((pruned_below, exhaustive_below), (0, 0));
             if let Ok((score, winner)) = &pruned {
                 let peak = crate::testutil::peak_load(f, pdg, profile, winner)?;
                 gmt_testkit::prop_assert_eq!(peak, *score);
             }
             Ok(())
         });
+    }
+
+    /// The bound law above can fail: stage bounds that overcharge the
+    /// consumer side come out above some candidate's score.
+    #[test]
+    fn an_overestimating_stage_bound_is_caught() {
+        let search = |f: &Function, pdg: &Pdg, _: &InstrWeights, model: &CostModel, n, prune| {
+            let config = DswpConfig { num_threads: n };
+            super::search_model(f, pdg, model, &config, prune)
+                .map_or_else(|_| SearchWork::default(), |(_, w)| w)
+        };
+        let caught = crate::testutil::caught(search, crate::cost::tests::overcharge_consumers);
+        assert!(caught > 0, "no case distinguished the tampered bound");
     }
 
     /// Cut vectors scored and skipped by the bound, summed over the 11
@@ -406,6 +464,6 @@ mod tests {
         let work = crate::testutil::catalog_work(|f, pdg, profile, n| {
             super::search(f, pdg, profile, &DswpConfig { num_threads: n }, true).map(|(_, w)| w)
         });
-        assert_eq!(work, [(2, 352, 226), (3, 4032, 4336), (4, 7456, 2312)]);
+        assert_eq!(work, [(2, 386, 0), (3, 388, 6853), (4, 1058, 7859)]);
     }
 }

@@ -133,8 +133,8 @@ pub fn candidates(
 }
 
 /// The search behind [`candidates`], with the work it did. `prune` is
-/// `true` outside tests: skipping hill-climb probes by their
-/// compute-load bound never changes the result.
+/// `true` outside tests: skipping hill-climb probes by the threads'
+/// bounds never changes the result.
 fn search(
     f: &Function,
     pdg: &Pdg,
@@ -147,7 +147,18 @@ fn search(
     }
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
     let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
+    search_model(f, pdg, &weights, &model, config, prune)
+}
 
+/// [`search`] over a given cost model.
+fn search_model(
+    f: &Function,
+    pdg: &Pdg,
+    weights: &InstrWeights,
+    model: &CostModel,
+    config: &GremioConfig,
+    prune: bool,
+) -> Result<(Vec<(u64, Partition)>, SearchWork), SchedError> {
     // Cluster over the intra-iteration dependence graph: carried arcs
     // do not constrain the schedule (cyclic inter-thread dependences
     // are GREMIO's defining freedom), but they still cost communication
@@ -162,8 +173,8 @@ fn search(
         f,
         pdg,
         config,
-        weights: &weights,
-        model: &model,
+        weights,
+        model,
         cond: &cond,
         scc_of: &scc_of,
         prune,
@@ -171,8 +182,17 @@ fn search(
 
     let mut work = SearchWork::default();
     let mut out: Vec<(u64, Partition)> = Vec::new();
+    let mut seen: Vec<Vec<usize>> = Vec::with_capacity(GRANULARITIES.len());
     for gran in GRANULARITIES {
-        let (score, thread_of) = schedule(&cx, gran, &mut work);
+        // The schedule depends on the granularity only through the
+        // clustering, so a clustering an earlier granularity produced
+        // would only rebuild a candidate `out` already holds.
+        let cluster_of = clustering(&cx, gran);
+        if seen.contains(&cluster_of) {
+            continue;
+        }
+        let (score, thread_of) = schedule(&cx, &cluster_of, &mut work);
+        seen.push(cluster_of);
         let candidate = to_partition(pdg, &thread_of, config.num_threads);
         if !out.iter().any(|(_, p)| *p == candidate) {
             out.push((score, candidate));
@@ -182,7 +202,7 @@ fn search(
     let everything_on_0 = vec![0u32; f.num_instrs()];
     let single = to_partition(pdg, &everything_on_0, config.num_threads);
     if !out.iter().any(|(_, p)| *p == single) {
-        let score = Live::new(&model, everything_on_0, config.num_threads as usize).score();
+        let score = Live::new(model, everything_on_0, config.num_threads as usize).score();
         work.scored += 1;
         out.push((score, single));
     }
@@ -203,12 +223,11 @@ struct Context<'a> {
     prune: bool,
 }
 
-/// Builds, list-schedules and hill-climbs one candidate clustering;
-/// returns its score and the thread of every instruction (by index).
-fn schedule(cx: &Context<'_>, gran: Granularity, work: &mut SearchWork) -> (u64, Vec<u32>) {
-    let Context { f, pdg, config, weights, model, cond, scc_of, prune } = *cx;
+/// The cluster of every SCC of `cx.cond` at granularity `gran`:
+/// clusters are numbered `0..m` in order of first appearance.
+fn clustering(cx: &Context<'_>, gran: Granularity) -> Vec<usize> {
+    let Context { f, pdg, cond, .. } = *cx;
     let (loops, cdeps) = (pdg.loops(), pdg.control_deps());
-    let n = config.num_threads as usize;
     let nodes = pdg.nodes();
 
     // ---- merge SCCs into region clusters.
@@ -267,17 +286,29 @@ fn schedule(cx: &Context<'_>, gran: Granularity, work: &mut SearchWork) -> (u64,
             m - 1
         });
     }
+    cluster_of
+}
+
+/// List-schedules and hill-climbs one clustering of the SCCs; returns
+/// its score and the thread of every instruction (by index).
+fn schedule(cx: &Context<'_>, cluster_of: &[usize], work: &mut SearchWork) -> (u64, Vec<u32>) {
+    let Context { f, pdg, config, weights, model, scc_of, prune, .. } = *cx;
+    let n = config.num_threads as usize;
+    let nodes = pdg.nodes();
+    let m = cluster_of.iter().max().map_or(0, |&c| c + 1);
 
     // ---- cluster members, weights and dependence graph (possibly
     // cyclic).
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut cluster_weight = vec![0u64; m];
     let mut cluster_count = vec![0u64; m]; // max exec count inside
+    let mut cluster_of_instr = vec![0u32; f.num_instrs()];
     for &i in nodes {
         let c = cluster_of[scc_of[i.index()]];
         members[c].push(i.index());
         cluster_weight[c] += weights.weight(i);
         cluster_count[c] = cluster_count[c].max(weights.exec_count(i));
+        cluster_of_instr[i.index()] = c as u32;
     }
     let mut cg = DiGraph::with_nodes(m);
     for d in pdg.deps() {
@@ -336,6 +367,7 @@ fn schedule(cx: &Context<'_>, gran: Granularity, work: &mut SearchWork) -> (u64,
     // score captures. Move clusters between threads while the score
     // improves. `load` (per-thread compute weight) follows `assignment`
     // by delta per probe, `live` by delta per scored probe.
+    let joinings = model.joinings(&members, cluster_of_instr);
     let mut thread_of = vec![0u32; f.num_instrs()];
     let mut load = vec![0u64; n];
     for c in 0..m {
@@ -369,17 +401,36 @@ fn schedule(cx: &Context<'_>, gran: Granularity, work: &mut SearchWork) -> (u64,
                 load[assignment[c] as usize] -= w;
                 load[t as usize] += w;
                 assignment[c] = t;
-                // Communication only adds load: with some thread
-                // already computing for `current_score`, the probe
-                // cannot score strictly less.
-                let bounded = prune && load.iter().any(|&l| l >= current_score);
-                let score = if bounded {
+                // The probe's bound: a thread other than `t` and the one
+                // `live` holds `c` on (`held`) holds what it will hold,
+                // so its bound stands; `load` has what `held` and `t`
+                // will compute; `t`'s bound follows from `c`'s own arcs. A
+                // probe whose bound reaches `current_score` cannot score
+                // less. `held` is `original` or a thread probed earlier
+                // in this loop, so never `t`.
+                let (t, held) = (t as usize, live.thread_of()[members[c][0]] as usize);
+                let mut bound = load[held].max(load[t]);
+                for u in (0..n).filter(|&u| u != t && u != held) {
+                    bound = bound.max(live.bound(u));
+                }
+                // `t`'s bound is worth working out only if it can reach
+                // `current_score`.
+                let reach = live.bound(t) + joinings.ceiling(c);
+                if !prune || (bound < current_score && reach >= current_score) {
+                    bound = bound.max(live.bound_joined(&joinings, c, &members[c], t, held));
+                }
+                let t = t as u32;
+                let score = if prune && bound >= current_score {
                     work.pruned += 1;
                     u64::MAX
                 } else {
                     work.scored += 1;
                     live.move_to(&members[c], t);
-                    live.score()
+                    let s = live.score();
+                    if s < bound {
+                        work.below_bound += 1;
+                    }
+                    s
                 };
                 if score < current_score {
                     current_score = score;
@@ -406,15 +457,19 @@ mod tests {
     use gmt_ir::{BinOp, FunctionBuilder};
 
     /// The candidates [`super::search`] returns, without its work: what
-    /// pruning must leave alone.
+    /// pruning must leave alone; and how many scored probes came out
+    /// below their bound.
     fn search(
         f: &Function,
         pdg: &Pdg,
         profile: &Profile,
         config: &GremioConfig,
         prune: bool,
-    ) -> Result<Vec<(u64, Partition)>, SchedError> {
-        super::search(f, pdg, profile, config, prune).map(|(cands, _)| cands)
+    ) -> (Result<Vec<(u64, Partition)>, SchedError>, u64) {
+        match super::search(f, pdg, profile, config, prune) {
+            Ok((cands, work)) => (Ok(cands), work.below_bound),
+            Err(e) => (Err(e), 0),
+        }
     }
 
     /// Two independent reduction loops over disjoint arrays — ideal for
@@ -568,23 +623,39 @@ mod tests {
         }
     }
 
-    /// The compute-load bound only skips probes the climb would have
-    /// rejected: with it disabled every candidate and score is the same.
+    /// The threads' bounds only skip probes the climb would have
+    /// rejected: with pruning disabled every candidate and score is the
+    /// same. No scored probe, pruning on or off, scores below its bound.
     /// And there is one model: [`crate::thread_loads`] of every
     /// candidate peaks at the score the search reports for it.
     #[test]
     fn pruning_never_changes_the_candidates() {
         crate::testutil::for_catalog_and_generated("gremio::pruning", |f, pdg, profile, n| {
             let config = GremioConfig { num_threads: n };
-            let pruned = search(f, pdg, profile, &config, true);
-            let exhaustive = search(f, pdg, profile, &config, false);
+            let (pruned, pruned_below) = search(f, pdg, profile, &config, true);
+            let (exhaustive, exhaustive_below) = search(f, pdg, profile, &config, false);
             gmt_testkit::prop_assert_eq!(pruned, exhaustive);
+            gmt_testkit::prop_assert_eq!((pruned_below, exhaustive_below), (0, 0));
             for (score, candidate) in pruned.iter().flatten() {
                 let peak = crate::testutil::peak_load(f, pdg, profile, candidate)?;
                 gmt_testkit::prop_assert_eq!(peak, *score);
             }
             Ok(())
         });
+    }
+
+    /// The bound law above can fail: a joining thread's bound that
+    /// overcharges the consumer side comes out above some probe's score.
+    #[test]
+    fn an_overestimating_thread_bound_is_caught() {
+        let search =
+            |f: &Function, pdg: &Pdg, weights: &InstrWeights, model: &CostModel, n, prune| {
+                let config = GremioConfig { num_threads: n };
+                super::search_model(f, pdg, weights, model, &config, prune)
+                    .map_or_else(|_| SearchWork::default(), |(_, w)| w)
+            };
+        let caught = crate::testutil::caught(search, crate::cost::tests::overcharge_consumers);
+        assert!(caught > 0, "no case distinguished the tampered bound");
     }
 
     /// Probes scored and skipped by the bound, summed over the 11
@@ -595,6 +666,6 @@ mod tests {
         let work = crate::testutil::catalog_work(|f, pdg, profile, n| {
             super::search(f, pdg, profile, &GremioConfig { num_threads: n }, true).map(|(_, w)| w)
         });
-        assert_eq!(work, [(2, 2476, 91), (3, 3446, 386), (4, 5193, 432)]);
+        assert_eq!(work, [(2, 1403, 1070), (3, 1826, 1808), (4, 2711, 2620)]);
     }
 }

@@ -83,13 +83,14 @@ impl std::error::Error for SchedError {}
 
 #[cfg(test)]
 mod testutil {
-    use crate::cost::SearchWork;
+    use crate::cost::{CostModel, SearchWork, COMM_LATENCY};
+    use crate::weights::InstrWeights;
     use crate::SchedError;
     use gmt_fuzz::ast::{compile, fprogram_gen};
     use gmt_ir::interp::{run, ExecConfig};
     use gmt_ir::{Function, Profile};
     use gmt_pdg::{Partition, Pdg};
-    use gmt_testkit::{Checker, PropResult};
+    use gmt_testkit::{Checker, PropResult, TestRng};
 
     /// `(N, scored, pruned)` of `search` summed over the 11 catalog
     /// kernels under their train profiles, for N ∈ {2,3,4}.
@@ -126,6 +127,35 @@ mod testutil {
         let loads = crate::thread_loads(f, pdg, profile, partition)
             .map_err(|i| format!("{i:?} unassigned"))?;
         Ok(loads.into_iter().max().unwrap_or(0))
+    }
+
+    /// How many of 24 seeded generated functions `search`, over a model
+    /// `tamper` has changed, scores some candidate of below the bound it
+    /// took for it, at N ∈ {2,3,4} with pruning on or off.
+    pub(crate) fn caught(
+        search: impl Fn(&Function, &Pdg, &InstrWeights, &CostModel, u32, bool) -> SearchWork,
+        tamper: impl Fn(&mut CostModel),
+    ) -> usize {
+        let gen = fprogram_gen();
+        (0..24u64)
+            .filter(|&seed| {
+                let Ok(f) = compile(&gen.sample(&mut TestRng::new(seed))) else {
+                    return false;
+                };
+                let Ok(seq) = run(&f, &[], &ExecConfig { max_steps: 5_000_000 }) else {
+                    return false;
+                };
+                let pdg = Pdg::build(&f);
+                let weights = InstrWeights::compute(&f, &seq.profile.block_weights(&f));
+                let mut model = CostModel::new(&f, &pdg, &weights, COMM_LATENCY);
+                tamper(&mut model);
+                (2..=4).any(|n| {
+                    [true, false]
+                        .into_iter()
+                        .any(|prune| search(&f, &pdg, &weights, &model, n, prune).below_bound > 0)
+                })
+            })
+            .count()
     }
 
     /// Runs `prop` on the 11 catalog kernels under their train profiles
