@@ -1,17 +1,20 @@
 //! Validator soundness, mutation-tested: seed known-bad MT programs /
 //! plans (swapped produce/consume endpoints, off-by-one queue, dropped
 //! control duplication, depth-sensitive deadlock, stale register
-//! placement, uncovered memory dependence) and assert [`verify_mt`]
-//! catches each class with a queue-level witness — and stays silent on
-//! the unmutated output. Every output a test verifies goes through
+//! placement, uncovered memory dependence, a queue shared by two pairs,
+//! diverging control flow, an undelivered branch condition, a label
+//! the plan never placed, a wrong branch duplicate) and assert
+//! [`verify_mt`] catches each class with a queue-level witness — and
+//! stays silent on the unmutated output. Every [`MtVerifyError`]
+//! variant is produced by at least one test here. Every output a test verifies goes through
 //! [`verify`], which also holds the verifier to depth monotonicity:
 //! the law that makes depth 1 the one depth the pipeline checks at.
 
 use gmt_core::{verify_mt, MtVerifyError};
-use gmt_ir::{BinOp, Function, FunctionBuilder, InstrId, Op, QueueId};
+use gmt_ir::{BinOp, BlockId, Function, FunctionBuilder, InstrId, Op, QueueId, Reg};
 use gmt_mtcg::{CommKind, CommPlan, CommPoint, MtcgOutput, QueueLabel};
 use gmt_pdg::{Partition, Pdg, ThreadId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A branchy two-thread kernel with a register dep (y: T0 -> T1), a
 /// condition delivery, and a memory dep (output -> output).
@@ -610,5 +613,122 @@ fn mediated_branch_condition_delivery_is_not_stale() {
     for depth in [1, 32] {
         let errs = verify(&f, &p, &pdg, &out, &[depth]);
         assert!(errs.is_empty(), "mediated delivery flagged at depth {depth}: {errs:?}");
+    }
+}
+
+/// [`kernel`]'s generated code, in which T0 sends T1 the branch
+/// condition `r2` (q0, before the branch `i2`), `y = r1` (q1 after
+/// `i0` in B0, q2 after `i3` in B1) and an output-ordering token (q3,
+/// B2); both threads duplicate `i2`.
+fn kernel_output() -> (Function, Partition, Pdg, MtcgOutput) {
+    let (f, p) = kernel();
+    let (pdg, out) = generate(&f, &p);
+    let labels: Vec<_> =
+        out.queue_labels.iter().map(|l| (l.queue.0, l.kind, l.from, l.to)).collect();
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let want = [
+        (0, CommKind::Register(Reg(2)), t0, t1),
+        (1, CommKind::Register(Reg(1)), t0, t1),
+        (2, CommKind::Register(Reg(1)), t0, t1),
+        (3, CommKind::Memory, t0, t1),
+    ];
+    assert_eq!(labels, want, "the mutations below are written against this layout");
+    (f, p, pdg, out)
+}
+
+/// Replaces the terminator of T1's image of block `b`.
+fn set_t1_terminator(out: &mut MtcgOutput, b: u32, op: Op) {
+    let tf = &mut out.threads[1];
+    let term = tf.block(BlockId(b)).terminator.expect("the image ends in a terminator");
+    *tf.instr_mut(term) = op;
+}
+
+/// A second label for q0 naming the reverse pair: the first label of a
+/// queue speaks for it, and the later one is reported beside it.
+#[test]
+fn queue_shared_across_pairs_caught() {
+    let (f, p, pdg, mut out) = kernel_output();
+    let first = out.queue_labels[0];
+    let second = QueueLabel { from: first.to, to: first.from, ..first };
+    out.queue_labels.push(second);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    let want = MtVerifyError::QueueSharedAcrossPairs { queue: QueueId(0), first, second };
+    assert!(errs.contains(&want), "shared queue not caught: {errs:?}");
+}
+
+/// T1's duplicate of the branch jumps to B2 on both arms: every block
+/// image still matches its plan, but after B0 the producer can reach
+/// B1's communication where the consumer can reach only B2's.
+#[test]
+fn control_divergence_caught() {
+    let (f, p, pdg, mut out) = kernel_output();
+    let (b1, b2) = (BlockId(1), BlockId(2));
+    set_t1_terminator(&mut out, 0, Op::Branch { cond: Reg(2), then_bb: b2, else_bb: b2 });
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    let want = MtVerifyError::ControlDivergence {
+        pair: (ThreadId(0), ThreadId(1)),
+        block: f.entry(),
+        from_next: vec![b1, b2],
+        to_next: vec![b2],
+    };
+    assert!(errs.contains(&want), "divergence not caught: {errs:?}");
+}
+
+/// The plan stops delivering the condition `r2` to T1, which still
+/// duplicates the branch T0 owns: the duplicate cannot branch.
+#[test]
+fn missing_branch_operand_caught() {
+    let (f, p, pdg, mut out) = kernel_output();
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    out.plan.set_points(CommKind::Register(Reg(2)), t0, t1, BTreeSet::new());
+    let branch = f.all_instrs().find(|&i| f.instr(i).is_branch()).unwrap();
+    assert!(out.plan.relevant_branches(t1).contains(&branch));
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    let want = MtVerifyError::MissingBranchOperand { thread: t1, branch, owner: t0 };
+    assert!(errs.contains(&want), "undelivered condition not caught: {errs:?}");
+}
+
+/// Two labels carry the one placement of the output-ordering token:
+/// labels and plan placements are compared as multisets.
+#[test]
+fn plan_label_mismatch_caught() {
+    let (f, p, pdg, mut out) = kernel_output();
+    let token = out.queue_labels[3];
+    out.queue_labels.push(token);
+    let errs = verify(&f, &p, &pdg, &out, &[1]);
+    let want = MtVerifyError::PlanLabelMismatch {
+        point: token.point,
+        kind: CommKind::Memory,
+        from: ThreadId(0),
+        to: ThreadId(1),
+        labels: 2,
+        planned: 1,
+    };
+    assert!(errs.contains(&want), "extra label not caught: {errs:?}");
+}
+
+/// Both ways a terminator can disagree with the plan: T1's duplicate of
+/// `i2` branches on another register, or T1's image of B1, whose
+/// original ends in a jump, ends in a branch.
+#[test]
+fn branch_duplication_mismatch_caught() {
+    let (f, p, pdg, out) = kernel_output();
+    let (b1, b2) = (BlockId(1), BlockId(2));
+    let term = |b: BlockId| f.block(b).terminator.unwrap();
+    let cases = [
+        (0, Op::Branch { cond: Reg(1), then_bb: b1, else_bb: b2 }, f.entry(), true),
+        (1, Op::Branch { cond: Reg(1), then_bb: b2, else_bb: b2 }, b1, false),
+    ];
+    for (image, op, block, expected_duplicate) in cases {
+        let mut out = out.clone();
+        set_t1_terminator(&mut out, image, op);
+        let errs = verify(&f, &p, &pdg, &out, &[1]);
+        let want = MtVerifyError::BranchDuplicationMismatch {
+            thread: ThreadId(1),
+            block,
+            branch: term(block),
+            expected_duplicate,
+        };
+        assert!(errs.contains(&want), "wrong terminator not caught: {errs:?}");
     }
 }

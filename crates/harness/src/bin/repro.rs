@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! repro --fig 1|6a|6b|7|8|ablations|all [--quick] [--scheduler gremio|dswp|both]
-//! repro --metrics [--quick] [--scheduler gremio|dswp|both]
 //! repro --fuzz SECS
 //! repro --explain ks|all [--scheduler gremio|dswp|both] \
 //!       [--variant mtcg|coco] [--quick] [--json] [--trace out.json]
 //! ```
 //!
-//! The four modes are mutually exclusive, and `--fuzz` takes no other
+//! The three modes are mutually exclusive, and `--fuzz` takes no other
 //! flag; conflicting, ignored or repeated flags exit 2 with usage. The
 //! experiment matrix runs on the `gmt-testkit` worker pool; set
 //! `GMT_JOBS=N` to pin the worker count (`GMT_JOBS=1` is the serial
@@ -21,11 +20,6 @@
 //! train inputs and over both schedulers, so `--quick` and
 //! `--scheduler` do not change it.
 //!
-//! `--metrics` evaluates the full timed matrix and emits one JSON-line
-//! per (benchmark, scheduler, variant) — wall-clock, instruction and
-//! cycle counts, compile-phase timings, per-reason stall cycles — to
-//! stdout, then summary and stall-breakdown tables.
-//!
 //! `--fuzz SECS` runs the differential pipeline fuzzer (the `fuzz` bin
 //! from `gmt-fuzz`) for the given wall-clock budget: corpus replay
 //! first, then fresh cases; findings shrink, persist to
@@ -35,19 +29,21 @@
 //! the profile of the measured input, against a traced run with the
 //! critical-path sink attached: per-thread cycle attribution (compute,
 //! per-reason stalls, idle) and per-queue communication counters tied
-//! to the plan, each against the estimate,
-//! the dynamic critical path by edge kind, the top path segments, and
-//! a one-line verdict (recurrence- / queue- / balance- /
-//! mispredict-bound). `--json` emits one JSON object per cell instead
-//! of the human report. `--trace PATH` (one benchmark, one
+//! to the plan, each against the estimate, the dynamic critical path by
+//! edge kind, the top path segments, and a one-line verdict
+//! (recurrence- / queue- / balance- / mispredict-bound). `--json`
+//! emits one JSON object per cell instead of the human report: the
+//! run's record (`"schema":1`, identity, wall-clock, instruction and
+//! cycle counts, compile-phase timings, per-reason stall cycles, engine
+//! steps), then the join's keys. `--trace PATH` (one benchmark, one
 //! `--scheduler`) also writes the same run as Chrome-trace-format JSON
 //! (open in `chrome://tracing` or Perfetto; one track per core, one
 //! counter track per SA queue, 1 µs = 1 cycle; see EXPERIMENTS.md).
 
 use gmt_harness::figures;
 use gmt_harness::{
-    explain_cell_with, explain_json, explain_report, metrics_table, run_all, run_workloads,
-    stall_table, CompiledVariant, Scale, SchedulerKind,
+    explain_cell_with, explain_json, explain_report, run_all, CompiledVariant, Scale,
+    SchedulerKind,
 };
 use gmt_sim::{ChromeTraceSink, NoTrace, TraceSink};
 use std::collections::HashSet;
@@ -58,7 +54,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut fig: Option<String> = None;
     let mut scale = Scale::Full;
-    let mut metrics = false;
     let mut fuzz_secs: Option<u64> = None;
     let mut trace: Option<String> = None;
     let mut explain: Option<String> = None;
@@ -83,10 +78,6 @@ fn main() {
             "--quick" => {
                 once("--quick");
                 scale = Scale::Quick;
-            }
-            "--metrics" => {
-                once("--metrics");
-                metrics = true;
             }
             "--fuzz" => {
                 once("--fuzz");
@@ -126,16 +117,13 @@ fn main() {
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    // Mode conflicts: the four modes are mutually exclusive, and each
+    // Mode conflicts: the three modes are mutually exclusive, and each
     // flag below only means something under the modes it names.
-    if metrics && fig.is_some() {
-        usage("--fig conflicts with --metrics");
+    if explain.is_some() && fig.is_some() {
+        usage("--explain conflicts with --fig");
     }
-    if explain.is_some() && (metrics || fig.is_some()) {
-        usage("--explain conflicts with --fig and --metrics");
-    }
-    if fuzz_secs.is_some() && (metrics || fig.is_some() || explain.is_some()) {
-        usage("--fuzz conflicts with --fig, --metrics, and --explain");
+    if fuzz_secs.is_some() && (fig.is_some() || explain.is_some()) {
+        usage("--fuzz conflicts with --fig and --explain");
     }
     // --fuzz generates its own programs, so a scale or a scheduler
     // would go unread.
@@ -162,8 +150,9 @@ fn main() {
             usage(&format!("unknown figure id {f} (known: {})", KNOWN_FIGS.join(", ")));
         }
     }
-    // Checked once, before any mode prints or computes anything.
-    let jobs = gmt_testkit::num_jobs();
+    // Checked once, before any mode prints or computes anything: a
+    // malformed `GMT_JOBS` exits 2 here.
+    gmt_testkit::num_jobs();
 
     if let Some(target) = explain {
         let coco = match variant.as_deref() {
@@ -191,11 +180,6 @@ fn main() {
 
     if let Some(secs) = fuzz_secs {
         run_fuzz(secs);
-        return;
-    }
-
-    if metrics {
-        run_metrics(&scheds, scale, jobs);
         return;
     }
 
@@ -299,58 +283,17 @@ fn run_fuzz(secs: u64) {
     }
 }
 
-/// The `--metrics` mode: full timed matrix, JSON-lines, summary table.
-fn run_metrics(scheds: &[SchedulerKind], scale: Scale, jobs: usize) {
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    for &k in scheds {
-        for outcome in run_workloads(gmt_workloads::catalog(), k, true, scale, jobs) {
-            match outcome {
-                Ok(e) => records.extend(e.metrics),
-                Err(e) => failures.push(e),
-            }
-        }
-    }
-    for m in &records {
-        println!("{}", m.to_json());
-    }
-    println!();
-    print!("{}", metrics_table(&records));
-    println!();
-    print!("{}", stall_table(&records));
-    let executed = || records.iter().filter(|m| !m.shared_run);
-    println!("shared runs: {} of {} records", records.len() - executed().count(), records.len());
-    // Aggregate fast-forward ratio over the runs the timed engine
-    // actually made (no ratio exists for engine_steps == 0): a shared
-    // run is one execution reported by two records and counts once.
-    let steps: u64 = executed().map(|m| m.engine_steps).sum();
-    let skipped: u64 = executed().map(|m| m.skipped_cycles).sum();
-    if steps > 0 {
-        println!(
-            "stall fast-forward: {skipped}/{} cycles skipped ({:.1}%)",
-            steps + skipped,
-            skipped as f64 * 100.0 / (steps + skipped) as f64
-        );
-    }
-    for e in &failures {
-        eprintln!("error: {e}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--fig 1|6a|6b|7|8|ablations|all] [--metrics] \
+        "usage: repro [--fig 1|6a|6b|7|8|ablations|all] \
          [--quick] [--scheduler gremio|dswp|both]\n\
          \x20      repro --fuzz SECS\n\
          \x20      repro --explain <NAME|all> [--scheduler gremio|dswp|both] \
          [--variant mtcg|coco] [--quick] [--json] [--trace <out.json>]\n\
-         modes --fig / --metrics / --explain / --fuzz are mutually exclusive; \
+         modes --fig / --explain / --fuzz are mutually exclusive; \
          --fuzz takes no other flag; --trace needs one NAME and one \
          --scheduler; each flag may appear once\n\
          env: GMT_JOBS=N pins the worker-pool size (default: available parallelism)"

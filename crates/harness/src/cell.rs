@@ -126,8 +126,8 @@ impl CompiledCell<'_> {
 }
 
 /// Compiles one kernel under one scheduler for `threads` threads (see
-/// the module docs). The figures, `--metrics`, `--explain` and the
-/// verification matrix compile two-thread cells.
+/// the module docs). The figures, `--explain` and the verification
+/// matrix compile two-thread cells.
 ///
 /// DSWP uses the analytic partitioner directly. For GREMIO — whose
 /// candidate schedules' real throughput depends on queue round-trips

@@ -21,13 +21,16 @@
 //!
 //! [`explain_report`] joins the two sides into one deterministic
 //! human-readable report: per-thread estimated vs. measured cycles
-//! (compute, one column per [`StallReason`] under the `--metrics`
-//! stall table's headings, idle), per-queue estimated vs. measured
-//! traffic, stall pressure and occupancy tied back to the plan's
-//! [`QueueLabel`]s, the critical path decomposed by edge kind, the top
-//! path segments with their static positions, and a one-line verdict
-//! naming what limits the schedule. [`explain_json`] emits the same
-//! join as one JSON object for machine consumers.
+//! (compute, one column per [`StallReason`], idle), per-queue
+//! estimated vs. measured traffic, stall pressure and occupancy tied
+//! back to the plan's [`QueueLabel`]s, the critical path decomposed by
+//! edge kind, the top path segments with their static positions, and a
+//! one-line verdict naming what limits the schedule. [`explain_json`]
+//! emits the same join as one JSON object for machine consumers,
+//! opening with the run's [`RunMetrics`] keys: the traced run is the
+//! run a timed evaluation of the same variant makes (a sink does not
+//! change what the engine does), so on every field the run determines
+//! its record is that evaluation's.
 //!
 //! Both trace invariants are enforced on every cell:
 //! [`check_attribution`] (per-core decompositions sum to the cycle
@@ -267,8 +270,7 @@ pub fn explain_report(cell: &ExplainCell) -> String {
     // Per-thread: the partitioner's estimated load against the
     // measured decomposition, which sums to the cycle count. A thread
     // whose measured compute sits far under its estimate spent its life
-    // stalled (by reason, under the `--metrics` stall table's headings)
-    // or idle.
+    // stalled (by reason) or idle.
     let _ = write!(out, "{:<7} {:>10} {:>10}", "thread", "est", "compute");
     for reason in StallReason::ALL {
         let (heading, width) = stall_column(reason);
@@ -395,11 +397,10 @@ fn label_text(l: &QueueLabel) -> String {
     format!("{what} t{}->t{} {at}", l.from.0, l.to.0)
 }
 
-/// The explain join as one JSON object (one line): the keys of the
-/// run's `--metrics` line (see [`crate::RunMetrics::to_json`]), then
-/// the join's own — scalars flat, per-thread and per-queue data as
-/// arrays of flat objects, the critical-path kind decomposition as
-/// `cp_<kind>` keys.
+/// The explain join as one JSON object (one line): the run's
+/// [`RunMetrics`] keys, `"schema":1` first, then the join's own —
+/// scalars flat, per-thread and per-queue data as arrays of flat
+/// objects, the critical-path kind decomposition as `cp_<kind>` keys.
 pub fn explain_json(cell: &ExplainCell) -> String {
     let cp = &cell.critpath;
     let mut out = String::from("{");
@@ -513,12 +514,45 @@ mod tests {
         assert!(report.contains(&cycles.to_string()));
     }
 
+    /// The nesting law of the run record: on every quick cell, in both
+    /// variants, the explained run's record is the timed quick
+    /// evaluation's record of the same variant on the 14 fields the run
+    /// itself determines — identity, `instrs`, `cycles`, the seven raw
+    /// stall counters, `engine_steps` and `skipped_cycles` — because a
+    /// sink does not change what the engine does, and a shared or a
+    /// handed-over run is the same run. The wall clock, the compile
+    /// timings, `arb_probes`, `arb_hits` and `shared_run` say how each
+    /// side came by its run and are masked.
     #[test]
-    fn explain_agrees_with_untraced_timing() {
-        let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let cell = explain_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
-        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
-        assert_eq!(cell.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
+    fn an_explained_run_is_the_timed_evaluations_run() {
+        let run_determined = |m: &RunMetrics| RunMetrics {
+            wall_ns: 0,
+            timings: gmt_core::CompileTimings::default(),
+            arb_probes: 0,
+            arb_hits: 0,
+            shared_run: false,
+            ..*m
+        };
+        let jobs = gmt_testkit::num_jobs();
+        let mut records = 0;
+        for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+            let timed =
+                crate::run_workloads(gmt_workloads::catalog(), kind, true, Scale::Quick, jobs);
+            let explained = gmt_testkit::par_map(gmt_workloads::catalog(), jobs, |_, w| {
+                [false, true].map(|coco| explain_cell(&w, kind, coco, Scale::Quick).map(|c| c.run))
+            });
+            for (evaluation, runs) in timed.into_iter().zip(explained) {
+                let evaluation = evaluation.expect("evaluates");
+                for (want, got) in evaluation.metrics.iter().zip(runs) {
+                    let got = got.expect("explains");
+                    let at = format!("{} / {} / {}", want.benchmark, want.scheduler, want.variant);
+                    assert!(want.cycles > 0, "{at}: a timed record");
+                    assert_eq!(run_determined(&got), run_determined(want), "{at}");
+                    records += 1;
+                }
+            }
+        }
+        assert_eq!(records, 44, "11 kernels x 2 schedulers x 2 variants");
     }
 
     #[test]

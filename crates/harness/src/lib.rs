@@ -8,7 +8,7 @@
 //! evaluation. An untimed evaluation (Figures 1 and 7 on their own)
 //! runs it on the functional interpreter, the faster instrument when
 //! only dynamic instruction counts are wanted. A timed evaluation
-//! (Figure 8, `--fig all`, `--metrics`) runs it on the `gmt-sim`
+//! (Figure 8, `--fig all`) runs it on the `gmt-sim`
 //! machine model and takes the counts from what the simulated cores
 //! retired as well as the cycles — the two executors agree on those
 //! counts per thread (the fuzz oracle's interpreter ↔ simulator edge,
@@ -34,8 +34,8 @@
 //! `wall_ns` is the compile phases only, because the run's host time
 //! is inside `partition_ns`. Profiles are always collected on *train*
 //! inputs and measurements on *ref* inputs. Every mode — figures,
-//! `--metrics`, `--explain`, [`verify_matrix`] and the ablations'
-//! [`coco_study`] — obtains its programs from the one [`compile_cell`],
+//! `--explain`, [`verify_matrix`] and the ablations' [`coco_study`] —
+//! obtains its programs from the one [`compile_cell`],
 //! so they all measure the same code.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
@@ -62,21 +62,22 @@
 //!
 //! Each evaluation also records per-run observability — wall-clock
 //! time, dynamic-instruction and cycle counts, and compile-phase
-//! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`],
-//! emitted as JSON-lines by `repro --metrics`. Records nest by the
-//! depth a run was observed at: an [`ExplainCell`] (`--explain`, whose
-//! `--trace PATH` also writes the run's Chrome trace) is a traced run's
-//! [`RunMetrics`] with what the trace and the scheduler's estimate for
-//! the same input add, so `--explain --json` prints the `--metrics`
-//! keys of its run followed by the deeper ones, in one flat object
-//! that starts with `"schema":1`.
+//! timings (PDG build, partition, COCO, MTCG) — as [`RunMetrics`]
+//! ([`Evaluation::metrics`]). Records nest by the depth a run was
+//! observed at: an [`ExplainCell`] (`--explain`, whose `--trace PATH`
+//! also writes the run's Chrome trace) is a traced run's
+//! [`RunMetrics`] — on every field the run determines, the timed
+//! evaluation's record of the same variant — with what the trace and
+//! the scheduler's estimate for the same input add, so `--explain
+//! --json` prints the run-level keys followed by the deeper ones, in
+//! one flat object that starts with `"schema":1`.
 //!
 //! The `repro` binary prints any of the figures:
 //!
 //! ```text
 //! repro --fig 7            # Figure 7 rows
 //! repro --fig all --quick  # everything, at reduced input sizes
-//! repro --metrics --quick  # per-run JSON-lines + summary table
+//! repro --explain all --scheduler both --quick --json  # run records
 //! ```
 
 #![forbid(unsafe_code)]
@@ -97,7 +98,7 @@ pub use explain::{
     explain_cell, explain_cell_with, explain_json, explain_report, verdict, ExplainCell,
     EXPLAIN_TOP_K, TRACE_RING_CAPACITY,
 };
-pub use metrics::{metrics_table, stall_table, RunMetrics};
+pub use metrics::RunMetrics;
 pub use verify::{verify_matrix, VerifyCell};
 
 /// Which partitioner an experiment uses.

@@ -5,8 +5,8 @@
 //! `GMT_JOBS` validation, and the `--explain --trace` pipeline end to
 //! end.
 //!
-//! Regression tests for the PR-4 CLI fixes: pre-fix, `--fig 7
-//! --metrics` silently ignored the figure, a repeated `--scheduler`
+//! Regression tests for earlier CLI faults: a second mode beside
+//! `--fig 7` silently ignored the figure, a repeated `--scheduler`
 //! silently kept the last value, and `GMT_JOBS=0` silently ran at full
 //! parallelism.
 
@@ -32,7 +32,9 @@ fn assert_usage_exit(out: &Output, needle: &str) {
 fn help_exits_zero_with_usage() {
     let out = repro(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stderr.contains("modes --fig / --explain / --fuzz are mutually exclusive"), "{stderr}");
 }
 
 #[test]
@@ -43,6 +45,9 @@ fn unknown_argument_exits_2() {
     assert_usage_exit(&repro(&["--bench", "ks"]), "unknown argument --bench");
     // The verification matrix is a test, not a mode.
     assert_usage_exit(&repro(&["--verify-mt"]), "unknown argument --verify-mt");
+    // The run records are `--explain --json`'s first keys, not a mode.
+    assert_usage_exit(&repro(&["--metrics"]), "unknown argument --metrics");
+    assert_usage_exit(&repro(&["--metrics", "--quick"]), "unknown argument --metrics");
 }
 
 #[test]
@@ -54,11 +59,12 @@ fn unknown_figure_exits_2() {
 
 #[test]
 fn conflicting_modes_exit_2() {
-    assert_usage_exit(&repro(&["--fig", "7", "--metrics"]), "--fig conflicts with --metrics");
-    assert_usage_exit(&repro(&["--explain", "ks", "--metrics"]), "--explain conflicts");
-    for mode in [&["--metrics"][..], &["--fig", "7"]] {
-        let args = [&["--explain", "ks", "--scheduler", "dswp", "--trace", "/tmp/x.json"], mode];
-        assert_usage_exit(&repro(&args.concat()), "--explain conflicts");
+    assert_usage_exit(&repro(&["--explain", "ks", "--fig", "7"]), "--explain conflicts with --fig");
+    let traced = ["--explain", "ks", "--scheduler", "dswp", "--trace", "/tmp/x.json", "--fig", "7"];
+    assert_usage_exit(&repro(&traced), "--explain conflicts with --fig");
+    for mode in [&["--fig", "7"][..], &["--explain", "ks"]] {
+        let args = [&["--fuzz", "1"], mode].concat();
+        assert_usage_exit(&repro(&args), "--fuzz conflicts with --fig and --explain");
     }
     // Flags the mode would silently ignore: the parsing rejects them
     // before any work, so these cases cost no fuzzing.
@@ -185,48 +191,6 @@ fn explain_json_matches_golden() {
     }
 }
 
-/// The nesting law of the run record: for every quick cell, the
-/// `--explain --json` line is the `--metrics` line of the same variant
-/// plus deeper keys. What the run itself determines — identity, counts,
-/// cycles, the raw stall counters, the engine's step accounting — is
-/// equal in both (a sink does not change what the engine does, and a
-/// shared run is the same run); the wall-clock keys, `arb_probes` and
-/// `shared_run` describe how each mode came by the run and need only be
-/// there.
-#[test]
-fn explain_json_nests_the_metrics_line() {
-    const SAME: [&str; 14] = [
-        "benchmark", "scheduler", "variant", "instrs", "cycles", "stall_operand",
-        "stall_structural", "stall_sa_port", "stall_queue_full", "stall_queue_empty",
-        "stall_load_limit", "stall_mispredict", "engine_steps", "skipped_cycles",
-    ];
-    const PRESENT: [&str; 7] = [
-        "wall_ns", "pdg_build_ns", "partition_ns", "coco_ns", "mtcg_ns", "arb_probes", "shared_run",
-    ];
-    let metrics = stdout_of(&["--metrics", "--quick"]);
-    let metrics: Vec<&str> = metrics
-        .lines()
-        .filter(|l| l.starts_with('{') && json_value(l, "variant") == "\"coco\"")
-        .collect();
-    let explain = stdout_of(&["--explain", "all", "--scheduler", "both", "--quick", "--json"]);
-    let explain: Vec<&str> = explain.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!((metrics.len(), explain.len()), (22, 22), "11 kernels x 2 schedulers");
-    for (m, e) in metrics.iter().zip(&explain) {
-        for line in [m, e] {
-            assert!(line.starts_with("{\"schema\":1,\"benchmark\":"), "{line}");
-        }
-        for key in SAME {
-            assert_eq!(json_value(m, key), json_value(e, key), "{key}:\n{m}\n{e}");
-        }
-        for key in PRESENT {
-            json_value(e, key);
-        }
-        // Every key of the metrics line was named above.
-        assert_eq!(m.matches("\":").count(), 1 + SAME.len() + PRESENT.len(), "{m}");
-        assert!(e.len() > m.len() && e.contains("\"cp_total\":"), "deeper keys follow: {e}");
-    }
-}
-
 /// The pinned quick Figure 7, byte for byte.
 #[test]
 fn quick_figure7_matches_golden() {
@@ -286,7 +250,7 @@ fn trace_option_validation_exits_2() {
     assert_usage_exit(&repro(&["--variant", "coco"]), "--variant requires --explain");
     assert_usage_exit(&repro(&["--trace", "/tmp/x.json"]), "--trace requires --explain");
     assert_usage_exit(
-        &repro(&["--trace", "/tmp/x.json", "--scheduler", "dswp", "--metrics"]),
+        &repro(&["--trace", "/tmp/x.json", "--scheduler", "dswp", "--fig", "7"]),
         "--trace requires --explain",
     );
     let explain =
@@ -307,7 +271,12 @@ fn trace_option_validation_exits_2() {
 /// needs no pool, used to ignore the value.
 #[test]
 fn invalid_gmt_jobs_exits_2_before_any_work() {
-    for args in [&["--metrics", "--quick"][..], &["--fig", "all"], &["--fig", "6a"]] {
+    for args in [
+        &["--explain", "ks", "--quick"][..],
+        &["--fig", "all"],
+        &["--fig", "6a"],
+        &["--fuzz", "1"],
+    ] {
         for bad in ["0", "zero", "-1"] {
             let out = Command::new(env!("CARGO_BIN_EXE_repro"))
                 .args(args)

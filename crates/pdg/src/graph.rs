@@ -198,10 +198,9 @@ impl Pdg {
         &self.nodes
     }
 
-    /// Lowers the PDG to a [`DiGraph`] for SCC/condensation, returning
-    /// the graph and the node-id ↔ instruction mapping (graph node `k`
-    /// is `nodes()[k]`).
-    pub fn as_digraph(&self) -> (DiGraph, HashMap<InstrId, NodeId>) {
+    /// Lowers the PDG to a [`DiGraph`] for SCC/condensation: graph node
+    /// `k` is `nodes()[k]`.
+    pub fn as_digraph(&self) -> DiGraph {
         self.as_digraph_filtered(|_| true)
     }
 
@@ -211,23 +210,18 @@ impl Pdg {
     /// (`keep = |d| !d.loop_carried`): loop-carried arcs do not
     /// constrain the within-iteration schedule, and cyclic inter-thread
     /// dependences are allowed.
-    pub fn as_digraph_filtered(
-        &self,
-        keep: impl Fn(&Dep) -> bool,
-    ) -> (DiGraph, HashMap<InstrId, NodeId>) {
+    pub fn as_digraph_filtered(&self, keep: impl Fn(&Dep) -> bool) -> DiGraph {
         let mut g = DiGraph::with_nodes(self.nodes.len());
-        let index: HashMap<InstrId, NodeId> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| (i, NodeId(k as u32)))
-            .collect();
-        for d in &self.deps {
-            if keep(d) {
-                g.add_arc_dedup(index[&d.src], index[&d.dst]);
-            }
+        // The graph node of each instruction, by `InstrId::index()`.
+        let len = self.nodes.iter().map(|i| i.index() + 1).max().unwrap_or(0);
+        let mut node = vec![NodeId(0); len];
+        for (k, &i) in self.nodes.iter().enumerate() {
+            node[i.index()] = NodeId(k as u32);
         }
-        (g, index)
+        for d in self.deps.iter().filter(|d| keep(d)) {
+            g.add_arc_dedup(node[d.src.index()], node[d.dst.index()]);
+        }
+        g
     }
 
     /// Number of arcs.
@@ -443,9 +437,13 @@ mod tests {
     fn digraph_lowering_matches_nodes() {
         let f = loop_kernel();
         let pdg = Pdg::build(&f);
-        let (g, index) = pdg.as_digraph();
+        let g = pdg.as_digraph();
         assert_eq!(g.len(), pdg.nodes().len());
-        assert_eq!(index.len(), pdg.nodes().len());
         assert!(g.arc_count() <= pdg.len());
+        // Node `k` is `nodes()[k]`: every arc joins its dependence's ends.
+        let at = |i| NodeId(pdg.nodes().iter().position(|&n| n == i).unwrap() as u32);
+        for d in pdg.deps() {
+            assert!(g.succs(at(d.src)).contains(&at(d.dst)), "{d:?}");
+        }
     }
 }

@@ -99,7 +99,7 @@ fn search_model(
 ) -> Result<((u64, Partition), SearchWork), SchedError> {
     let n = config.num_threads as usize;
 
-    let (g, _index) = pdg.as_digraph();
+    let g = pdg.as_digraph();
     let cond = g.condensation();
     let nodes = pdg.nodes();
     let topo = cond
@@ -382,11 +382,10 @@ mod tests {
         for d in pdg.deps() {
             assert!(p.thread_of(d.src) <= p.thread_of(d.dst), "dep {d:?} flows backward");
         }
-        let (g, index) = pdg.as_digraph();
-        let cond = g.condensation();
+        let cond = pdg.as_digraph().condensation();
+        let scc = |i| cond.component_of[pdg.nodes().iter().position(|&n| n == i).unwrap()];
         for d in pdg.deps() {
-            if cond.component_of[index[&d.src].index()] == cond.component_of[index[&d.dst].index()]
-            {
+            if scc(d.src) == scc(d.dst) {
                 assert_eq!(p.thread_of(d.src), p.thread_of(d.dst));
             }
         }

@@ -163,7 +163,7 @@ fn search_model(
     // do not constrain the schedule (cyclic inter-thread dependences
     // are GREMIO's defining freedom), but they still cost communication
     // and are accounted by the cost model.
-    let (g, _index) = pdg.as_digraph_filtered(|d| !d.loop_carried);
+    let g = pdg.as_digraph_filtered(|d| !d.loop_carried);
     let cond = g.condensation();
     let mut scc_of = vec![0usize; f.num_instrs()];
     for (k, &i) in pdg.nodes().iter().enumerate() {
@@ -582,12 +582,10 @@ mod tests {
         let (f, profile) = two_independent_loops();
         let pdg = Pdg::build(&f);
         let p = partition(&f, &pdg, &profile, &GremioConfig::default()).unwrap();
-        let (g, index) = pdg.as_digraph();
-        let cond = g.condensation();
+        let cond = pdg.as_digraph().condensation();
+        let scc = |i| cond.component_of[pdg.nodes().iter().position(|&n| n == i).unwrap()];
         for d in pdg.deps() {
-            let same_scc = cond.component_of[index[&d.src].index()]
-                == cond.component_of[index[&d.dst].index()];
-            if same_scc {
+            if scc(d.src) == scc(d.dst) {
                 assert_eq!(p.thread_of(d.src), p.thread_of(d.dst), "SCC split: {d:?}");
             }
         }
