@@ -514,6 +514,14 @@ mod tests {
         assert!(report.contains(&cycles.to_string()));
     }
 
+    #[test]
+    fn explain_agrees_with_untraced_timing() {
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let cell = explain_cell(&w, SchedulerKind::Dswp, false, Scale::Quick).unwrap();
+        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
+        assert_eq!(cell.run.cycles, r.mtcg.cycles, "observer effect: explain changed timing");
+    }
+
     /// The nesting law of the run record: on every quick cell, in both
     /// variants, the explained run's record is the timed quick
     /// evaluation's record of the same variant on the 14 fields the run

@@ -191,6 +191,57 @@ fn explain_json_matches_golden() {
     }
 }
 
+/// The nesting law of the run record, end to end: every
+/// `--explain --json` line of the quick matrix, in both variants,
+/// opens with exactly the run's record keys in their order, `"schema":1`
+/// first, and the join's deeper keys follow. The run-determined values
+/// of a cell are the same whether `all` explains it among the matrix or
+/// alone (a shared pool does not change what the engine does).
+#[test]
+fn explain_json_nests_the_metrics_line() {
+    const RECORD: [&str; 22] = [
+        "schema", "benchmark", "scheduler", "variant", "wall_ns", "instrs", "cycles",
+        "pdg_build_ns", "partition_ns", "coco_ns", "mtcg_ns", "arb_probes", "stall_operand",
+        "stall_structural", "stall_sa_port", "stall_queue_full", "stall_queue_empty",
+        "stall_load_limit", "stall_mispredict", "engine_steps", "skipped_cycles", "shared_run",
+    ];
+    const RUN_DETERMINED: [&str; 14] = [
+        "benchmark", "scheduler", "variant", "instrs", "cycles", "stall_operand",
+        "stall_structural", "stall_sa_port", "stall_queue_full", "stall_queue_empty",
+        "stall_load_limit", "stall_mispredict", "engine_steps", "skipped_cycles",
+    ];
+    for variant in ["mtcg", "coco"] {
+        let all = ["--explain", "all", "--scheduler", "both", "--quick", "--json"];
+        let stdout = stdout_of(&[&all[..], &["--variant", variant]].concat());
+        let lines: Vec<&str> = stdout.lines().filter(|l| !l.trim().is_empty()).collect();
+        assert_eq!(lines.len(), 22, "11 kernels x 2 schedulers");
+        for line in &lines {
+            assert!(line.starts_with("{\"schema\":1,\"benchmark\":"), "{line}");
+            assert_eq!(json_value(line, "variant"), format!("\"{variant}\""), "{line}");
+            let (record, deeper) = line.split_once(",\"verdict\":").expect("the join follows");
+            let keys: Vec<&str> = record[1..]
+                .split(',')
+                .map(|kv| kv.split_once("\":").expect("a key").0.trim_start_matches('"'))
+                .collect();
+            assert_eq!(keys, RECORD, "{line}");
+            assert!(deeper.contains("\"cp_total\":"), "deeper keys follow: {line}");
+        }
+        let alone = stdout_of(&[
+            "--explain", "ks", "--scheduler", "dswp", "--quick", "--json", "--variant", variant,
+        ]);
+        let alone = alone.trim();
+        let among = lines
+            .iter()
+            .find(|l| {
+                json_value(l, "benchmark") == "\"ks\"" && json_value(l, "scheduler") == "\"DSWP\""
+            })
+            .expect("ks / DSWP explained");
+        for key in RUN_DETERMINED {
+            assert_eq!(json_value(among, key), json_value(alone, key), "{key}:\n{among}\n{alone}");
+        }
+    }
+}
+
 /// The pinned quick Figure 7, byte for byte.
 #[test]
 fn quick_figure7_matches_golden() {
