@@ -14,10 +14,11 @@
 //!   {DSWP, GREMIO, seeded} → {baseline, COCO} → MTCG → `verify_mt`
 //!   and cross-checks all five executors (sequential decoded +
 //!   reference, functional MT decoded + reference, timed reference +
-//!   decoded with fast-forward on and off) at uniform and allocated
-//!   queue depths for identical outputs, instruction counts, and
-//!   cycle totals — asserting *no panic anywhere; every rejection is a
-//!   typed error*;
+//!   decoded with fast-forward on and off) for identical outputs,
+//!   instruction counts, and cycle totals: `verify_mt` at depth 1, the
+//!   functional MT interpreters at queue capacities 1 and 32, the
+//!   timed engines at the scheduler's queue depth — asserting *no
+//!   panic anywhere; every rejection is a typed error*;
 //! - [`corpus`] — failing seeds persist to `tests/fuzz_corpus/` and
 //!   replay before fresh cases, forever.
 //!

@@ -114,6 +114,13 @@ impl DiGraph {
     /// Kahn's algorithm: a topological order, or `None` if the graph is
     /// cyclic.
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
+        let order = self.kahn();
+        (order.len() == self.len()).then_some(order)
+    }
+
+    /// Kahn's loop: every node no cycle reaches, in topological order
+    /// (all nodes when the graph is acyclic).
+    fn kahn(&self) -> Vec<NodeId> {
         let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut queue: VecDeque<NodeId> = self
             .nodes()
@@ -129,11 +136,7 @@ impl DiGraph {
                 }
             }
         }
-        if order.len() == self.len() {
-            Some(order)
-        } else {
-            None
-        }
+        order
     }
 
     /// A quasi-topological order that is defined even for cyclic graphs:
@@ -219,16 +222,23 @@ impl fmt::Debug for DiGraph {
 /// The strongly-connected-component condensation of a [`DiGraph`].
 #[derive(Clone, Debug)]
 pub struct Condensation {
-    /// The components, in reverse topological order (Tarjan's output
-    /// order: every arc in [`Condensation::dag`] goes from a
-    /// later-indexed component to an earlier one... reversed here; see
-    /// `dag`).
+    /// The components, in Tarjan's output order: reverse topological,
+    /// so every arc of [`Condensation::dag`] goes from a later-indexed
+    /// component to an earlier one.
     pub components: Vec<crate::scc::Scc>,
     /// For each original node, the index of its component in
     /// [`Condensation::components`].
     pub component_of: Vec<usize>,
     /// The acyclic condensed graph; node `i` is `components[i]`.
     pub dag: DiGraph,
+}
+
+impl Condensation {
+    /// [`DiGraph::topological_order`] of [`Condensation::dag`], which is
+    /// acyclic by construction: a cycle would merge its components.
+    pub fn topological_order(&self) -> Vec<NodeId> {
+        self.dag.kahn()
+    }
 }
 
 #[cfg(test)]
@@ -305,6 +315,7 @@ mod tests {
         assert!(!cond.dag.is_cyclic());
         assert_eq!(cond.component_of[a.index()], cond.component_of[b.index()]);
         assert_ne!(cond.component_of[a.index()], cond.component_of[c.index()]);
+        assert_eq!(Some(cond.topological_order()), cond.dag.topological_order());
     }
 
     #[test]

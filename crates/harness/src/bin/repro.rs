@@ -25,8 +25,9 @@
 //! first, then fresh cases; findings shrink, persist to
 //! `tests/fuzz_corpus/corpus.txt`, and fail the run.
 //!
-//! `--explain` joins the scheduler's static schedule estimate, under
-//! the profile of the measured input, against a traced run with the
+//! `--explain` compiles each cell once and joins the scheduler's
+//! static schedule estimate for the requested variant, under the
+//! profile of the measured input, against a traced run with the
 //! critical-path sink attached: per-thread cycle attribution (compute,
 //! per-reason stalls, idle) and per-queue communication counters tied
 //! to the plan, each against the estimate, the dynamic critical path by
@@ -36,16 +37,16 @@
 //! run's record (`"schema":1`, identity, wall-clock, instruction and
 //! cycle counts, compile-phase timings, per-reason stall cycles, engine
 //! steps), then the join's keys. `--trace PATH` (one benchmark, one
-//! `--scheduler`) also writes the same run as Chrome-trace-format JSON
+//! `--scheduler`) also writes the same run as Chrome-trace-format JSON,
+//! from a sink sized to the explained variant
 //! (open in `chrome://tracing` or Perfetto; one track per core, one
 //! counter track per SA queue, 1 µs = 1 cycle; see EXPERIMENTS.md).
 
 use gmt_harness::figures;
 use gmt_harness::{
-    explain_cell_with, explain_json, explain_report, run_all, CompiledVariant, Scale,
-    SchedulerKind,
+    compile_cell, explain_json, explain_report, explain_variant, run_all, Scale, SchedulerKind,
 };
-use gmt_sim::{ChromeTraceSink, NoTrace, TraceSink};
+use gmt_sim::{ChromeTraceSink, NoTrace};
 use std::collections::HashSet;
 
 const KNOWN_FIGS: &[&str] = &["1", "6a", "6b", "7", "8", "ablations", "all"];
@@ -160,21 +161,7 @@ fn main() {
             Some("mtcg") => false,
             Some(v) => usage(&format!("bad variant {v} (known: mtcg, coco)")),
         };
-        let Some(path) = trace else {
-            run_explain(&target, &scheds, coco, scale, json, |_| NoTrace);
-            return;
-        };
-        let chrome = |v: &CompiledVariant| {
-            ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues)
-        };
-        // The checks above leave one cell, so one trace.
-        for chrome in run_explain(&target, &scheds, coco, scale, json, chrome) {
-            if let Err(e) = std::fs::write(&path, chrome.into_json()) {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("trace written to {path}");
-        }
+        run_explain(&target, &scheds, coco, scale, json, trace.as_deref());
         return;
     }
 
@@ -215,19 +202,20 @@ fn main() {
 }
 
 /// The `--explain` mode: the estimate-vs-measurement join for one
-/// benchmark (or `all`), per requested scheduler. Human report by
-/// default, one JSON line per cell with `--json`. Each cell's run also
-/// feeds the sink `sink` builds for it; the sinks come back in cell
-/// order. Exits 1 if any cell fails (including a trace-invariant
-/// violation).
-fn run_explain<S: TraceSink>(
+/// benchmark (or `all`), per requested scheduler, each cell compiled
+/// once. Human report by default, one JSON line per cell with `--json`.
+/// With a `trace` path the run also feeds a Chrome-trace sink sized to
+/// the explained variant, written there after the report (the option
+/// checks leave one cell then). Exits 1 if any cell fails (including a
+/// trace-invariant violation) or the trace cannot be written.
+fn run_explain(
     target: &str,
     scheds: &[SchedulerKind],
     coco: bool,
     scale: Scale,
     json: bool,
-    sink: impl Fn(&CompiledVariant) -> S,
-) -> Vec<S> {
+    trace: Option<&str>,
+) {
     let workloads = if target == "all" {
         gmt_workloads::catalog()
     } else {
@@ -237,18 +225,33 @@ fn run_explain<S: TraceSink>(
         }
     };
     let mut failed = false;
-    let mut sinks = Vec::new();
     for &kind in scheds {
         for w in &workloads {
-            match explain_cell_with(w, kind, coco, scale, &sink) {
-                Ok((cell, extra)) => {
+            let explained = compile_cell(w, kind, scale, 2).and_then(|cell| match trace {
+                None => Ok((explain_variant(&cell, coco, &mut NoTrace)?, None)),
+                Some(path) => {
+                    let v = cell.variant(coco);
+                    let (threads, queues) = (v.program.threads().len(), v.machine.sa.num_queues);
+                    let mut chrome = ChromeTraceSink::new(threads, queues);
+                    let explained = explain_variant(&cell, coco, &mut chrome)?;
+                    Ok((explained, Some((path, chrome.into_json()))))
+                }
+            });
+            match explained {
+                Ok((cell, chrome)) => {
                     if json {
                         println!("{}", explain_json(&cell));
                     } else {
                         print!("{}", explain_report(&cell));
                         println!();
                     }
-                    sinks.push(extra);
+                    if let Some((path, chrome)) = chrome {
+                        if let Err(e) = std::fs::write(path, chrome) {
+                            eprintln!("error: writing {path}: {e}");
+                            std::process::exit(1);
+                        }
+                        eprintln!("trace written to {path}");
+                    }
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -260,7 +263,6 @@ fn run_explain<S: TraceSink>(
     if failed {
         std::process::exit(1);
     }
-    sinks
 }
 
 /// The `--fuzz` mode: the time-budgeted differential pipeline fuzzer.

@@ -5,13 +5,14 @@
 //! baseline MTCG and MTCG+COCO code over that partition, measure.
 //! [`compile_cell`] is that recipe, spelled once, for any thread count;
 //! every mode of the harness ([`crate::evaluate_full`],
-//! [`crate::explain_cell`], [`crate::verify_matrix`], all at two
-//! threads, and [`crate::coco_study`] at two and four) obtains its
-//! programs, machine and queue file from it, so what the verification
-//! matrix verifies, `--explain` explains and the ablations count is
-//! exactly what the figures measure. The
-//! profile that guides a cell's partition is always train's; `--explain`
-//! estimates under a profile of the input it measures.
+//! [`crate::explain_variant`], [`crate::verify_matrix`], all at two
+//! threads, and [`crate::coco_study`] at two and four) reads its
+//! programs, machine, queue file and measured input from the
+//! [`CompiledCell`] it returns, so what the verification matrix
+//! verifies, `--explain` explains and the ablations count is exactly
+//! what the figures measure. The profile that guides a cell's partition
+//! is always train's; `--explain` estimates under a profile of the
+//! input it measures.
 //!
 //! Each distinct program of a cell is compiled once. GREMIO's timed
 //! arbitration already compiles the COCO variant of every candidate
@@ -61,10 +62,9 @@ pub struct CompiledCell<'w> {
     pub workload: &'w Workload,
     /// The scheduler that partitioned it.
     pub kind: SchedulerKind,
-    /// Arguments of the measured input (train for [`Scale::Quick`], ref
-    /// for [`Scale::Full`]); the profile that guided the partition
-    /// always comes from train.
-    pub args: &'w [i64],
+    /// The input the cell measures ([`CompiledCell::args`]); the profile
+    /// that guided the partition always comes from train.
+    pub scale: Scale,
     /// The dependence graph both variants were generated from.
     pub pdg: Pdg,
     /// The train profile that guided the partition and COCO.
@@ -114,7 +114,14 @@ struct Arbitration {
     runs: TrainRuns,
 }
 
-impl CompiledCell<'_> {
+impl<'w> CompiledCell<'w> {
+    /// Arguments of the measured input: train for [`Scale::Quick`], ref
+    /// for [`Scale::Full`].
+    pub fn args(&self) -> &'w [i64] {
+        let w = self.workload;
+        if self.scale == Scale::Quick { &w.train_args } else { &w.ref_args }
+    }
+
     /// The COCO variant if `coco`, else baseline MTCG.
     pub fn variant(&self, coco: bool) -> &CompiledVariant {
         if coco {
@@ -188,14 +195,11 @@ pub fn compile_cell(
             Arbitration { coco, probes: 0, compiles: 0, runs: TrainRuns::default() }
         }
     };
-    let (args, train_runs) = match scale {
-        Scale::Quick => (&w.train_args[..], runs),
-        Scale::Full => (&w.ref_args[..], TrainRuns::default()),
-    };
+    let train_runs = if scale == Scale::Quick { runs } else { TrainRuns::default() };
     Ok(CompiledCell {
         workload: w,
         kind,
-        args,
+        scale,
         arb_probes: probes,
         arb_compiles: compiles,
         mtcg,
@@ -438,7 +442,7 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Full, 2).unwrap();
         assert_eq!(cell.arb_probes, 0, "DSWP arbitrates nothing");
-        assert_eq!(cell.args, &w.ref_args[..]);
+        assert_eq!(cell.args(), &w.ref_args[..]);
         assert_eq!(cell.mtcg.parallelized.partition, cell.coco.parallelized.partition);
         assert_eq!((cell.mtcg.name, cell.coco.name), ("mtcg", "coco"));
         assert_eq!(cell.coco.queues.capacity, 32);

@@ -1,9 +1,10 @@
 //! The static↔dynamic "explain" layer (`repro --explain`), the one
 //! traced-cell mode of the harness.
 //!
-//! One cell = one kernel × scheduler × variant, evaluated twice, both
-//! times on the input the cell measures (train for [`Scale::Quick`],
-//! ref for [`Scale::Full`]):
+//! [`explain_variant`] reads one variant of a [`CompiledCell`] the
+//! caller compiled — the cell every other harness mode reads — and
+//! evaluates it twice, both times on the input the cell was compiled
+//! to measure (train for [`Scale::Quick`], ref for [`Scale::Full`]):
 //!
 //! - **statically** — the partitioners' own cost model
 //!   ([`gmt_sched::thread_loads`]: per-thread compute plus
@@ -14,10 +15,11 @@
 //!   [`TraceAggregator`] (cycle attribution, queue counters, occupancy
 //!   distributions) and the [`CritPathSink`] (the run's dynamic
 //!   critical path, reconstructed from last-arrival edges) attached,
-//!   plus one caller-chosen sink ([`explain_cell_with`]):
-//!   `repro --explain … --trace PATH` attaches a
-//!   [`gmt_sim::ChromeTraceSink`] and writes the timeline of the very
-//!   run the report explains.
+//!   plus one sink the caller lends: `repro --explain … --trace PATH`
+//!   lends a [`gmt_sim::ChromeTraceSink`] sized to the variant and
+//!   writes the timeline of the very run the report explains.
+//!   [`explain_cell`] compiles the two-thread cell itself and lends
+//!   [`NoTrace`].
 //!
 //! [`explain_report`] joins the two sides into one deterministic
 //! human-readable report: per-thread estimated vs. measured cycles
@@ -40,7 +42,7 @@
 
 use crate::metrics::stall_column;
 use crate::{
-    compile_cell, fail, run_record, sim_counts, CompiledVariant, HarnessError, RunMetrics, Scale,
+    compile_cell, fail, run_record, sim_counts, CompiledCell, HarnessError, RunMetrics, Scale,
     SchedulerKind,
 };
 use gmt_ir::interp::run_with_memory;
@@ -112,9 +114,27 @@ impl ExplainCell {
     }
 }
 
-/// Runs one kernel × scheduler × variant cell with the aggregator and
-/// critical-path sinks attached and joins the result with the
-/// scheduler's static estimate for the same input.
+/// Compiles one kernel × scheduler cell at two threads
+/// ([`compile_cell`]) and explains one of its variants
+/// ([`explain_variant`]).
+///
+/// # Errors
+///
+/// As [`compile_cell`] and [`explain_variant`].
+pub fn explain_cell(
+    w: &Workload,
+    kind: SchedulerKind,
+    coco: bool,
+    scale: Scale,
+) -> Result<ExplainCell, HarnessError> {
+    explain_variant(&compile_cell(w, kind, scale, 2)?, coco, &mut NoTrace)
+}
+
+/// Runs one variant of a compiled cell on the input the cell measures,
+/// with the aggregator and critical-path sinks and the caller's `sink`
+/// attached (say, a [`gmt_sim::ChromeTraceSink`] sized to
+/// `cell.variant(coco)`), and joins the result with the scheduler's
+/// static estimate for the same input.
 ///
 /// # Errors
 ///
@@ -122,40 +142,21 @@ impl ExplainCell {
 /// including a violation of either trace invariant (attribution or
 /// critical-path conservation), which would mean the engine emitted an
 /// inconsistent event stream.
-pub fn explain_cell(
-    w: &Workload,
-    kind: SchedulerKind,
+pub fn explain_variant<S: TraceSink>(
+    cell: &CompiledCell,
     coco: bool,
-    scale: Scale,
+    sink: &mut S,
 ) -> Result<ExplainCell, HarnessError> {
-    explain_cell_with(w, kind, coco, scale, |_| NoTrace).map(|(cell, _)| cell)
-}
-
-/// [`explain_cell`] with one more sink observing the same run: `sink`
-/// builds it from the compiled variant (say, a
-/// [`gmt_sim::ChromeTraceSink`] sized to its threads and queues), and
-/// it comes back after the run beside the cell.
-///
-/// # Errors
-///
-/// As [`explain_cell`].
-pub fn explain_cell_with<S: TraceSink>(
-    w: &Workload,
-    kind: SchedulerKind,
-    coco: bool,
-    scale: Scale,
-    sink: impl FnOnce(&CompiledVariant) -> S,
-) -> Result<(ExplainCell, S), HarnessError> {
+    let w = cell.workload;
     let b = w.benchmark;
-    let cell = compile_cell(w, kind, scale, 2)?;
     let v = cell.variant(coco);
     // On train inputs the cell already holds the measured input's
     // profile: the one it was partitioned with.
     let ref_profile;
-    let profile = match scale {
+    let profile = match cell.scale {
         Scale::Quick => &cell.profile,
         Scale::Full => {
-            ref_profile = run_with_memory(&w.function, cell.args, w.init, &exec_config())
+            ref_profile = run_with_memory(&w.function, cell.args(), w.init, &exec_config())
                 .map_err(fail(b, "explain profile run"))?
                 .profile;
             &ref_profile
@@ -172,16 +173,16 @@ pub fn explain_cell_with<S: TraceSink>(
     let started = Instant::now();
     let aggregator =
         TraceAggregator::new(v.program.threads().len(), num_queues, TRACE_RING_CAPACITY);
-    let mut sinks = (aggregator, (walker, sink(v)));
+    let mut sinks = (aggregator, (walker, sink));
     let opts = SimOptions::default();
     let result =
-        simulate_decoded_traced_opts(&v.program, cell.args, w.init, &v.machine, &mut sinks, opts)
+        simulate_decoded_traced_opts(&v.program, cell.args(), w.init, &v.machine, &mut sinks, opts)
             .map_err(fail(b, "traced sim"))?;
-    let (aggregator, (walker, extra)) = sinks;
+    let (aggregator, (walker, _)) = sinks;
     check_attribution(&aggregator, &result).map_err(fail(b, "attribution check"))?;
     let critpath = check_critical_path(&walker, &result).map_err(fail(b, "critical-path check"))?;
-    let explained = ExplainCell {
-        run: run_record(&cell, v, Some(started), sim_counts(&result), Some(&result)),
+    Ok(ExplainCell {
+        run: run_record(cell, v, Some(started), sim_counts(&result), Some(&result)),
         attribution: aggregator.core_attribution(),
         queues: aggregator.queue_stats().to_vec(),
         occupancy: aggregator.queue_occupancy(),
@@ -190,8 +191,7 @@ pub fn explain_cell_with<S: TraceSink>(
         loads,
         traffic,
         cut: cut_summary(&cell.pdg, &p.partition),
-    };
-    Ok((explained, extra))
+    })
 }
 
 /// What limits the schedule, by critical-path edge-kind groups.
@@ -485,15 +485,14 @@ mod tests {
         explain_cell(&w, kind, coco, Scale::Quick).expect("explains")
     }
 
-    /// `ks` on the train input with a [`ChromeTraceSink`] attached
-    /// beside the explain sinks; returns the cell and the trace JSON.
-    fn explained_with_chrome(kind: SchedulerKind, coco: bool) -> (ExplainCell, String) {
-        let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let chrome = |v: &CompiledVariant| {
-            ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues)
-        };
-        let (cell, chrome) = explain_cell_with(&w, kind, coco, Scale::Quick, chrome).unwrap();
-        (cell, chrome.into_json())
+    /// One variant of `cell` explained with a [`ChromeTraceSink`] sized
+    /// to it attached beside the explain sinks; returns the explained
+    /// cell and the trace JSON.
+    fn explained_with_chrome(cell: &CompiledCell, coco: bool) -> (ExplainCell, String) {
+        let v = cell.variant(coco);
+        let mut chrome = ChromeTraceSink::new(v.program.threads().len(), v.machine.sa.num_queues);
+        let explained = explain_variant(cell, coco, &mut chrome).unwrap();
+        (explained, chrome.into_json())
     }
 
     #[test]
@@ -530,7 +529,8 @@ mod tests {
     /// sink does not change what the engine does, and a shared or a
     /// handed-over run is the same run. The wall clock, the compile
     /// timings, `arb_probes`, `arb_hits` and `shared_run` say how each
-    /// side came by its run and are masked.
+    /// side came by its run and are masked. Each cell is compiled once
+    /// and read by both sides, as `repro` reads it.
     #[test]
     fn an_explained_run_is_the_timed_evaluations_run() {
         let run_determined = |m: &RunMetrics| RunMetrics {
@@ -541,24 +541,23 @@ mod tests {
             shared_run: false,
             ..*m
         };
-        let jobs = gmt_testkit::num_jobs();
-        let mut records = 0;
+        let mut cells = Vec::new();
         for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
-            let timed =
-                crate::run_workloads(gmt_workloads::catalog(), kind, true, Scale::Quick, jobs);
-            let explained = gmt_testkit::par_map(gmt_workloads::catalog(), jobs, |_, w| {
-                [false, true].map(|coco| explain_cell(&w, kind, coco, Scale::Quick).map(|c| c.run))
-            });
-            for (evaluation, runs) in timed.into_iter().zip(explained) {
-                let evaluation = evaluation.expect("evaluates");
-                for (want, got) in evaluation.metrics.iter().zip(runs) {
-                    let got = got.expect("explains");
-                    let at = format!("{} / {} / {}", want.benchmark, want.scheduler, want.variant);
-                    assert!(want.cycles > 0, "{at}: a timed record");
-                    assert_eq!(run_determined(&got), run_determined(want), "{at}");
-                    records += 1;
-                }
-            }
+            cells.extend(gmt_workloads::catalog().into_iter().map(|w| (w, kind)));
+        }
+        let pairs = gmt_testkit::par_map(cells, gmt_testkit::num_jobs(), |_, (w, kind)| {
+            let cell = compile_cell(&w, kind, Scale::Quick, 2).expect("compiles");
+            let timed = crate::evaluate_cell(&cell, true).expect("evaluates").metrics;
+            let explained = [false, true]
+                .map(|coco| explain_variant(&cell, coco, &mut NoTrace).expect("explains").run);
+            timed.into_iter().zip(explained).collect::<Vec<_>>()
+        });
+        let mut records = 0;
+        for (want, got) in pairs.into_iter().flatten() {
+            let at = format!("{} / {} / {}", want.benchmark, want.scheduler, want.variant);
+            assert!(want.cycles > 0, "{at}: a timed record");
+            assert_eq!(run_determined(&got), run_determined(&want), "{at}");
+            records += 1;
         }
         assert_eq!(records, 44, "11 kernels x 2 schedulers x 2 variants");
     }
@@ -586,8 +585,8 @@ mod tests {
     #[test]
     fn a_ref_input_report_estimates_from_the_ref_profile() {
         let w = gmt_workloads::by_benchmark("adpcmdec").unwrap();
-        let cell = explain_cell(&w, SchedulerKind::Gremio, false, Scale::Full).unwrap();
         let compiled = compile_cell(&w, SchedulerKind::Gremio, Scale::Full, 2).unwrap();
+        let cell = explain_variant(&compiled, false, &mut NoTrace).unwrap();
         let partition = &compiled.mtcg.parallelized.partition;
         let loads = |profile: &gmt_ir::Profile| {
             thread_loads(&w.function, &compiled.pdg, profile, partition).unwrap()
@@ -654,15 +653,18 @@ mod tests {
     #[test]
     fn traced_cycles_match_untraced_run() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let (cell, _) = explained_with_chrome(SchedulerKind::Dswp, false);
-        let r = crate::evaluate_full(&w, SchedulerKind::Dswp, true, Scale::Quick).unwrap().result;
-        let cycles = cell.run.cycles;
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Quick, 2).unwrap();
+        let (explained, _) = explained_with_chrome(&cell, false);
+        let r = crate::evaluate_cell(&cell, true).unwrap().result;
+        let cycles = explained.run.cycles;
         assert_eq!(cycles, r.mtcg.cycles, "observer effect: tracing changed timing");
     }
 
     #[test]
     fn chrome_json_has_core_and_queue_tracks() {
-        let (_, json) = explained_with_chrome(SchedulerKind::Dswp, true);
+        let w = gmt_workloads::by_benchmark("ks").unwrap();
+        let cell = compile_cell(&w, SchedulerKind::Dswp, Scale::Quick, 2).unwrap();
+        let (_, json) = explained_with_chrome(&cell, true);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"compute\""));
         assert!(json.contains("\"name\":\"core 0\""));

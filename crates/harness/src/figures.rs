@@ -302,7 +302,7 @@ fn queue_depth_cycles(cell: &CompiledCell<'_>) -> Result<(u64, u64), HarnessErro
     let (w, v) = (cell.workload, &cell.coco);
     let cycles = |depth| {
         let machine = v.machine.clone().with_queue_depth(depth);
-        simulate_decoded_opts(&v.program, cell.args, w.init, &machine, SimOptions::default())
+        simulate_decoded_opts(&v.program, cell.args(), w.init, &machine, SimOptions::default())
             .map(|r| r.cycles)
             .map_err(crate::fail(w.benchmark, "queue depth sim"))
     };
@@ -325,7 +325,7 @@ fn queue_budget_row(cell: &CompiledCell<'_>) -> Result<(usize, [(u32, u64); 2]),
             .map_err(crate::fail(b, "budgeted MTCG"))?;
         let mut machine = MachineConfig::default();
         machine.sa.num_queues = num_queues;
-        let sim = simulate(&out.threads, cell.args, w.init, &machine)
+        let sim = simulate(&out.threads, cell.args(), w.init, &machine)
             .map_err(crate::fail(b, "queue budget sim"))?;
         Ok((out.num_queues, sim.cycles))
     };

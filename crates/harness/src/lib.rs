@@ -34,9 +34,10 @@
 //! `wall_ns` is the compile phases only, because the run's host time
 //! is inside `partition_ns`. Profiles are always collected on *train*
 //! inputs and measurements on *ref* inputs. Every mode — figures,
-//! `--explain`, [`verify_matrix`] and the ablations' [`coco_study`] —
-//! obtains its programs from the one [`compile_cell`],
-//! so they all measure the same code.
+//! `--explain` ([`explain_variant`]), [`verify_matrix`] and the
+//! ablations' [`coco_study`] — reads its programs from a
+//! [`CompiledCell`] of the one [`compile_cell`], so they all measure
+//! the same code.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -67,7 +68,8 @@
 //! observed at: an [`ExplainCell`] (`--explain`, whose `--trace PATH`
 //! also writes the run's Chrome trace) is a traced run's
 //! [`RunMetrics`] — on every field the run determines, the timed
-//! evaluation's record of the same variant — with what the trace and
+//! evaluation's record of the same variant of the same
+//! [`CompiledCell`] — with what the trace and
 //! the scheduler's estimate for the same input add, so `--explain
 //! --json` prints the run-level keys followed by the deeper ones, in
 //! one flat object that starts with `"schema":1`.
@@ -95,7 +97,7 @@ use std::time::Instant;
 
 pub use cell::{compile_cell, CompiledCell, CompiledVariant};
 pub use explain::{
-    explain_cell, explain_cell_with, explain_json, explain_report, verdict, ExplainCell,
+    explain_cell, explain_json, explain_report, explain_variant, verdict, ExplainCell,
     EXPLAIN_TOP_K, TRACE_RING_CAPACITY,
 };
 pub use metrics::RunMetrics;
@@ -337,10 +339,10 @@ fn evaluate_cell(cell: &CompiledCell, timed: bool) -> Result<Evaluation, Harness
     let w = cell.workload;
     let seq = match (timed, &cell.train_runs.seq) {
         (true, Some(seq)) => (sim_counts(seq).total(), seq.cycles),
-        (true, None) => simulate_sequential(w, cell.args)?,
+        (true, None) => simulate_sequential(w, cell.args())?,
         (false, _) => {
             let seq =
-                gmt_ir::interp::run_with_memory(&w.function, cell.args, w.init, &exec_config())
+                gmt_ir::interp::run_with_memory(&w.function, cell.args(), w.init, &exec_config())
                     .map_err(fail(w.benchmark, "sequential run"))?;
             (seq.counts.total(), 0)
         }
@@ -458,7 +460,7 @@ fn measure(
     let fresh = if timed && handed.is_none() {
         *simulations += 1;
         let opts = SimOptions::default();
-        let sim = simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, opts)
+        let sim = simulate_decoded_opts(&v.program, cell.args(), w.init, &v.machine, opts)
             .map_err(fail(w.benchmark, sim_phase))?;
         Some(sim)
     } else {
@@ -467,7 +469,7 @@ fn measure(
     let sim = handed.or(fresh.as_ref());
     let counts = match sim {
         Some(sim) => sim_counts(sim),
-        None => run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+        None => run_mt_decoded(&v.program, cell.args(), w.init, &v.queues, &exec_config())
             .map_err(fail(w.benchmark, run_phase))?
             .totals(),
     };
@@ -761,7 +763,7 @@ mod tests {
                     assert_eq!((e.result.mtcg, e.result.coco), (mtcg, coco), "{at}: BenchResult");
                     if timed {
                         let machine = MachineConfig::default();
-                        let seq = simulate(std::slice::from_ref(&w.function), cell.args, w.init, &machine)
+                        let seq = simulate(std::slice::from_ref(&w.function), cell.args(), w.init, &machine)
                             .expect("sequential");
                         let want = (sim_counts(&seq).total(), seq.cycles);
                         assert_eq!((e.result.seq_instrs, e.result.seq_cycles), want, "{at}: sequential");
@@ -876,11 +878,11 @@ mod tests {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
         let cell = compile_cell(&w, SchedulerKind::Gremio, Scale::Quick, 2).unwrap();
         let v = &cell.mtcg;
-        let functional = run_mt_decoded(&v.program, cell.args, w.init, &v.queues, &exec_config())
+        let functional = run_mt_decoded(&v.program, cell.args(), w.init, &v.queues, &exec_config())
             .unwrap()
             .totals();
         let sim =
-            simulate_decoded_opts(&v.program, cell.args, w.init, &v.machine, SimOptions::default())
+            simulate_decoded_opts(&v.program, cell.args(), w.init, &v.machine, SimOptions::default())
                 .unwrap();
         assert!(functional.synchronization > 0, "the cell must synchronize for the mutant to bite");
         assert_eq!(sim_counts(&sim), functional);

@@ -94,8 +94,8 @@ mod tests {
     /// Regression: the verification matrix used to verify GREMIO's
     /// *analytic* partition while the figures measure the *arbitrated*
     /// one; for these two kernels arbitration picks a different
-    /// candidate. The verified cell must be the evaluated cell — what
-    /// `explain_cell` independently reports for the same configuration.
+    /// candidate. The verified cell must be the evaluated cell: verify
+    /// and explain read one compiled cell and agree on its plan.
     #[test]
     fn verified_cell_is_the_evaluated_cell() {
         for bench in ["188.ammp", "300.twolf"] {
@@ -104,7 +104,7 @@ mod tests {
             for coco in [false, true] {
                 let verified = verify_variant(&cell, coco);
                 let explained =
-                    crate::explain_cell(&w, SchedulerKind::Gremio, coco, Scale::Quick).unwrap();
+                    crate::explain_variant(&cell, coco, &mut gmt_sim::NoTrace).unwrap();
                 assert_eq!(
                     verified.queues as usize,
                     explained.traffic.len(),

@@ -407,8 +407,8 @@ fn lower(op: &Op, b: BlockId, layout: &MemoryLayout, block_start: &[u32]) -> Dec
     }
 }
 
-/// A set of per-thread decoded functions sharing one memory layout
-/// (thread 0's, the multi-threaded executors' convention).
+/// A non-empty set of per-thread decoded functions sharing one memory
+/// layout (thread 0's, the multi-threaded executors' convention).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedProgram {
     threads: Vec<DecodedFunction>,

@@ -128,7 +128,8 @@ pub fn allocate(
 /// block executed more often than the function entry (i.e. inside a
 /// loop); hot queues get `hot_depth` entries, everything else gets 1.
 /// The returned vector has one entry per queue, suitable for
-/// `SaConfig::depths` and for `verify_mt`'s per-queue wait graph.
+/// `verify_mt`'s per-queue wait graph; the simulated machine gives
+/// every queue the one depth `SaConfig::depth`.
 pub fn allocate_depths(
     f: &Function,
     profile: &Profile,

@@ -86,26 +86,23 @@ fn search(
     }
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
     let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
-    search_model(f, pdg, &model, config, prune)
+    Ok(search_model(f, pdg, &model, config, prune))
 }
 
-/// [`search`] over a given cost model.
+/// [`search`] over a given cost model, for at least one thread.
 fn search_model(
     f: &Function,
     pdg: &Pdg,
     model: &CostModel,
     config: &DswpConfig,
     prune: bool,
-) -> Result<((u64, Partition), SearchWork), SchedError> {
+) -> ((u64, Partition), SearchWork) {
     let n = config.num_threads as usize;
 
     let g = pdg.as_digraph();
     let cond = g.condensation();
     let nodes = pdg.nodes();
-    let topo = cond
-        .dag
-        .topological_order()
-        .ok_or(SchedError::CyclicCondensation)?;
+    let topo = cond.topological_order();
 
     // The pipeline order: instructions SCC by SCC in topological order.
     // A stage is a contiguous run of `order`, so a candidate is fully
@@ -137,7 +134,10 @@ fn search_model(
     let mut held = vec![(order.len(), order.len()); n];
     held[0].0 = 0;
     let mut work = SearchWork::default();
-    let mut best: Option<(u64, Vec<u32>)> = None;
+    // The incumbent, set by the first candidate scored: there is one,
+    // because every sequence has a cut vector and nothing is pruned
+    // before an incumbent exists.
+    let (mut best_score, mut best) = (u64::MAX, Vec::with_capacity(f.num_instrs()));
     let mut enumerated = false;
     for granularity in [None, Some(false), Some(true)] {
         // `starts[ci]` is the position in `order` where cluster `ci`
@@ -187,11 +187,9 @@ fn search_model(
                 for k in 0..n {
                     let (a, b) = range(k);
                     bound = bound.max(stages.get(a, b));
-                    if let (true, Some((best_score, _))) = (prune, &best) {
-                        if bound >= *best_score {
-                            work.pruned += 1;
-                            return;
-                        }
+                    if prune && work.scored > 0 && bound >= best_score {
+                        work.pruned += 1;
+                        return;
                     }
                 }
             }
@@ -209,21 +207,14 @@ fn search_model(
             if s < bound {
                 work.below_bound += 1;
             }
-            match &mut best {
-                Some((best_score, threads)) if s < *best_score => {
-                    *best_score = s;
-                    threads.copy_from_slice(live.thread_of());
-                }
-                Some(_) => {}
-                None => best = Some((s, live.thread_of().to_vec())),
+            if work.scored == 1 || s < best_score {
+                best_score = s;
+                best.clear();
+                best.extend_from_slice(live.thread_of());
             }
         });
     }
-    let (score, threads) = best.ok_or(SchedError::NoCandidates)?;
-    Ok((
-        (score, to_partition(pdg, &threads, config.num_threads)),
-        work,
-    ))
+    ((best_score, to_partition(pdg, &best, config.num_threads)), work)
 }
 
 /// Whether [`for_each_cut_vector`] visits every combination of `n - 1`
@@ -448,8 +439,7 @@ mod tests {
     fn an_overestimating_stage_bound_is_caught() {
         let search = |f: &Function, pdg: &Pdg, _: &InstrWeights, model: &CostModel, n, prune| {
             let config = DswpConfig { num_threads: n };
-            super::search_model(f, pdg, model, &config, prune)
-                .map_or_else(|_| SearchWork::default(), |(_, w)| w)
+            super::search_model(f, pdg, model, &config, prune).1
         };
         let caught = crate::testutil::caught(search, crate::cost::tests::overcharge_consumers);
         assert!(caught > 0, "no case distinguished the tampered bound");

@@ -106,11 +106,10 @@ pub fn partition(
     profile: &Profile,
     config: &GremioConfig,
 ) -> Result<Partition, SchedError> {
-    candidates(f, pdg, profile, config)?
-        .into_iter()
-        .min_by_key(|(s, _)| *s)
-        .map(|(_, p)| p)
-        .ok_or(SchedError::NoCandidates)
+    // The candidates always hold the everything-on-thread-0 layout, the
+    // answer were there none.
+    let best = candidates(f, pdg, profile, config)?.into_iter().min_by_key(|(s, _)| *s);
+    Ok(best.map_or_else(|| Partition::single_threaded(f, config.num_threads), |(_, p)| p))
 }
 
 /// All candidate partitions GREMIO considers, with their analytic
@@ -147,7 +146,7 @@ fn search(
     }
     let weights = InstrWeights::compute(f, &profile.block_weights(f));
     let model = CostModel::new(f, pdg, &weights, COMM_LATENCY);
-    search_model(f, pdg, &weights, &model, config, prune)
+    Ok(search_model(f, pdg, &weights, &model, config, prune))
 }
 
 /// [`search`] over a given cost model.
@@ -158,7 +157,7 @@ fn search_model(
     model: &CostModel,
     config: &GremioConfig,
     prune: bool,
-) -> Result<(Vec<(u64, Partition)>, SearchWork), SchedError> {
+) -> (Vec<(u64, Partition)>, SearchWork) {
     // Cluster over the intra-iteration dependence graph: carried arcs
     // do not constrain the schedule (cyclic inter-thread dependences
     // are GREMIO's defining freedom), but they still cost communication
@@ -206,7 +205,7 @@ fn search_model(
         work.scored += 1;
         out.push((score, single));
     }
-    Ok((out, work))
+    (out, work)
 }
 
 /// What the schedules of all granularities share.
@@ -649,8 +648,7 @@ mod tests {
         let search =
             |f: &Function, pdg: &Pdg, weights: &InstrWeights, model: &CostModel, n, prune| {
                 let config = GremioConfig { num_threads: n };
-                super::search_model(f, pdg, weights, model, &config, prune)
-                    .map_or_else(|_| SearchWork::default(), |(_, w)| w)
+                super::search_model(f, pdg, weights, model, &config, prune).1
             };
         let caught = crate::testutil::caught(search, crate::cost::tests::overcharge_consumers);
         assert!(caught > 0, "no case distinguished the tampered bound");

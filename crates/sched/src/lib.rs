@@ -51,30 +51,20 @@ pub mod weights;
 pub use cost::thread_loads;
 pub use metrics::{cut_summary, has_cyclic_inter_thread_deps, is_pipeline, CutSummary};
 
-/// Partitioner failures on untrusted configurations or inputs.
-///
-/// The partitioners used to panic on these; they are now reported so
-/// drivers feeding arbitrary configurations (harness sweeps, property
-/// tests) get a diagnosis instead of an abort.
+/// Partitioner failures on untrusted configurations, reported rather
+/// than panicked on. Under a legal configuration every input
+/// partitions: an SCC condensation is acyclic by construction, and each
+/// search scores at least one candidate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedError {
     /// The configuration asked for zero threads.
     NoThreads,
-    /// The PDG's SCC condensation could not be ordered topologically
-    /// (an internal invariant violation in the dependence graph).
-    CyclicCondensation,
-    /// No candidate partition was produced.
-    NoCandidates,
 }
 
 impl std::fmt::Display for SchedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SchedError::NoThreads => write!(f, "partitioner configured with zero threads"),
-            SchedError::CyclicCondensation => {
-                write!(f, "PDG condensation is not acyclic")
-            }
-            SchedError::NoCandidates => write!(f, "no candidate partition produced"),
         }
     }
 }

@@ -31,7 +31,8 @@ fn zero_threads_is_an_error_not_a_panic() {
 
 /// Any positive thread count yields a complete partition: the
 /// partitioners must not fail or leave instructions unassigned on
-/// extreme-but-legal configurations.
+/// extreme-but-legal configurations. Zero threads is the one
+/// [`SchedError`]; no program makes a search come back empty-handed.
 #[test]
 fn arbitrary_positive_configs_always_partition() {
     let gen: Gen<(Vec<FStmt>, u32)> = fprogram_gen().zip(ranged(1u32, 9));

@@ -127,10 +127,6 @@ pub fn simulate(
     init: impl FnOnce(&MemoryLayout, &mut Memory),
     config: &MachineConfig,
 ) -> Result<SimResult, ExecError> {
-    if threads.is_empty() {
-        return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
-    }
-    config.validate().map_err(ExecError::InvalidConfig)?;
     let program = DecodedProgram::decode(threads)?;
     simulate_decoded_opts(&program, args, init, config, SimOptions::default())
 }
@@ -149,7 +145,7 @@ pub fn simulate_decoded_opts(
     config: &MachineConfig,
     opts: SimOptions,
 ) -> Result<SimResult, ExecError> {
-    run_engine(program, args, init, config, &mut NoTrace, opts)
+    simulate_decoded_traced_opts(program, args, init, config, &mut NoTrace, opts)
 }
 
 /// [`simulate_decoded_opts`] with a [`TraceSink`] observing every
@@ -168,21 +164,7 @@ pub fn simulate_decoded_traced_opts<S: TraceSink>(
     sink: &mut S,
     opts: SimOptions,
 ) -> Result<SimResult, ExecError> {
-    run_engine(program, args, init, config, sink, opts)
-}
-
-fn run_engine<S: TraceSink>(
-    program: &DecodedProgram,
-    args: &[i64],
-    init: impl FnOnce(&MemoryLayout, &mut Memory),
-    config: &MachineConfig,
-    sink: &mut S,
-    opts: SimOptions,
-) -> Result<SimResult, ExecError> {
     let threads = program.threads();
-    if threads.is_empty() {
-        return Err(ExecError::InvalidConfig("at least one thread required".to_string()));
-    }
     config.validate().map_err(ExecError::InvalidConfig)?;
     program.check_queue_ids(config.sa.num_queues)?;
     let mut memory = Memory::for_layout(program.layout())?;

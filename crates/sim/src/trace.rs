@@ -742,6 +742,20 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     }
 }
 
+/// A borrowed sink, so a caller's sink can sit inside a pair without
+/// being moved in; a borrowed [`NoTrace`] stays compiled out.
+impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+    const ENABLED: bool = S::ENABLED;
+
+    fn event(&mut self, ev: &TraceEvent) {
+        (**self).event(ev);
+    }
+
+    fn run_end(&mut self, cycles: u64) {
+        (**self).run_end(cycles);
+    }
+}
+
 /// Checks the tracing invariant on a finished aggregator against the
 /// run it observed: every core's attribution sums to the run's cycle
 /// count.
@@ -954,6 +968,19 @@ mod tests {
         pair.run_end(1);
         assert_eq!(pair.0.core_attribution()[0].compute, 1);
         assert!(pair.1.into_json().contains("compute"));
+    }
+
+    /// A borrowed sink observes what it would owned, and a borrowed
+    /// `NoTrace` stays switched off inside a pair.
+    #[test]
+    fn borrowed_sinks_forward_events_and_the_switch() {
+        let mut chrome = ChromeTraceSink::new(1, 0);
+        let mut pair = (TraceAggregator::new(1, 0, 4), &mut chrome);
+        pair.event(&issue(0, 0));
+        pair.run_end(1);
+        assert!(chrome.into_json().contains("compute"));
+        assert!(!<(NoTrace, &mut NoTrace) as TraceSink>::ENABLED);
+        assert!(<(NoTrace, &mut ChromeTraceSink) as TraceSink>::ENABLED);
     }
 
     fn span(from: u64, until: u64, reason: StallReason, queue: Option<u32>) -> TraceEvent {

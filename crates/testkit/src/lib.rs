@@ -39,16 +39,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench;
 mod check;
 mod gen;
+mod json;
 mod pool;
 mod rng;
 mod shrink;
 
-pub use bench::json_escape;
 pub use check::{parse_seed, Checker, PropResult};
 pub use gen::{full_u64, one_of, ranged, recursive, vec_of, weighted, Gen};
+pub use json::json_escape;
 pub use pool::{num_jobs, num_jobs_checked, par_map, parse_jobs};
 pub use rng::TestRng;
 pub use rng::splitmix64;

@@ -240,10 +240,10 @@ fn catalog_mt_kernels_match_reference_with_fast_forward() {
             for &depth in depths {
                 let machine = MachineConfig::default().with_queue_depth(depth);
                 let threads = p.parallelized.threads();
-                let ref_sim = simulate_reference(threads, cell.args, w.init, &machine)
+                let ref_sim = simulate_reference(threads, cell.args(), w.init, &machine)
                     .unwrap_or_else(|e| panic!("{tag}: reference mt sim: {e}"));
                 if let Err(msg) =
-                    assert_skip_equivalence(&p.program, cell.args, w.init, &machine, &ref_sim)
+                    assert_skip_equivalence(&p.program, cell.args(), w.init, &machine, &ref_sim)
                 {
                     panic!("{tag} (depth {depth}): {msg}");
                 }

@@ -141,7 +141,7 @@ fn law_holds_on_quick_cells(kind: SchedulerKind) {
                 label: format!("{} / {} / {}", w.benchmark, kind.name(), v.name),
                 threads: v.parallelized.threads(),
                 num_queues: v.parallelized.num_queues() as usize,
-                args: cell.args,
+                args: cell.args(),
                 init: w.init,
                 machine: v.machine.clone(),
                 capacity: v.queues.capacity,

@@ -58,7 +58,7 @@ fn global_events_are_too_close_for_run_ahead() {
             let threads = v.parallelized.threads();
             assert_eq!(threads.len(), 2, "{tag}");
             let mut sink = Windows { threads, last: vec![None; threads.len()], gaps: &mut gaps };
-            simulate_decoded_traced_opts(&v.program, cell.args, w.init, &v.machine, &mut sink, SimOptions::default())
+            simulate_decoded_traced_opts(&v.program, cell.args(), w.init, &v.machine, &mut sink, SimOptions::default())
                 .unwrap_or_else(|e| panic!("{tag}: {e}"));
             programs += 1;
         }
